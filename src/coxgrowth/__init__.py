@@ -34,8 +34,6 @@ from .diagram import (
     DiagramError,
     SphericalType,
     WeightedTree,
-    bilinear_form,
-    coxeter_adjacency,
     diagram_from_file,
     diagram_from_text,
     dominates,

@@ -74,10 +74,12 @@ def _parse_width(text: str) -> Fraction:
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad integer list {text!r}")
+    items = [x.strip() for x in text.split(",")]
+    for x in items:
+        digits = x[1:] if x.startswith("-") else x
+        if not (digits.isascii() and digits.isdigit()):
+            raise argparse.ArgumentTypeError(f"bad integer list {text!r}")
+    return tuple(int(x) for x in items)
 
 
 def _diagram_from_args(args) -> CoxeterDiagram:
@@ -479,7 +481,7 @@ def main(argv=None) -> int:
     try:
         result: CommandResult = args.func(args)
     except (DiagramError, ValueError, ArithmeticError, OSError,
-            salemdb.SalemListError) as e:
+            salemdb.SalemListError, argparse.ArgumentTypeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     if args.json:

@@ -1,12 +1,18 @@
-"""Coxeter transformations of weighted trees: bipartite matrix construction,
-characteristic polynomials by block determinant and by leaf-deletion
-recursion, the star-graph specialization, and spectral-radius extraction.
+"""Coxeter transformations of weighted trees: the bipartite matrix and its
+characteristic polynomial by block determinant, the weighted matching
+polynomial behind every tree characteristic polynomial, and spectral-radius
+extraction.
 
 For a tree all products of the generators in any order are conjugate, so the
 characteristic polynomial is well defined; the bipartite ordering makes it
 computable from the biadjacency block X alone.  Edge weights m contribute
 the integer 4cos^2(pi/m) in {1, 2, 3, 4} for m in {3, 4, 6, inf}, so these
 characteristic polynomials have exact integer coefficients.
+
+Both tree polynomials are re-indexings of the weighted matching numbers m_k
+(the sum over k-edge matchings of the products of 4cos^2(pi/m)): the
+adjacency polynomial is sum_k (-1)^k m_k x^(n-2k) and the Coxeter
+polynomial is sum_k (-1)^k m_k (1+t)^(n-2k) t^k.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diagram import INF, DiagramError, WeightedTree
+from .diagram import INF, DiagramError, WeightedTree, star_diagram
 from .intpoly import IntPoly, resultant_eliminate
 from .numclass import charpoly_int_matrix
 from .roots import (
@@ -122,92 +128,62 @@ def bipartite_coxeter_matrix(tree: WeightedTree) -> BipartiteCoxeterResult:
     return BipartiteCoxeterResult(order, tuple(tuple(row) for row in c), phi)
 
 
-def char_poly_recursive(tree: WeightedTree) -> IntPoly:
-    """Characteristic polynomial by the leaf-deletion recursion.
+def _matching_polynomial(tree: WeightedTree) -> IntPoly:
+    """The weighted matching polynomial sum_k m_k y^k of a tree.
 
-    phi(T) = (1+t) phi(T - v) - 4cos^2(pi/m) t phi(T - v - v') for the
-    lowest-indexed leaf v with neighbor v'; the empty tree gives 1 and a
-    single vertex gives t + 1.  Deleting v' may disconnect the remainder,
-    in which case the polynomial is the product over components.
+    m_k sums, over the k-edge matchings, the product of the edges'
+    4cos^2(pi/m).  The tree is rooted at vertex 0 and processed from the
+    leaves up; each vertex v keeps M_v over all matchings of its subtree and
+    F_v over those that leave v free.  Attaching a child c by an edge of
+    coefficient a gives M_v <- M_v M_c + a y F_v F_c and F_v <- F_v M_c
+    (Schwenk 1974; Godsil, Algebraic Combinatorics, ch. 1).
     """
-    for _, _, w in tree.edge_list:
-        _edge_coefficient(w)
-    adj = {v: {u: w for u, w in nb} for v, nb in tree.adjacency().items()}
-    memo: dict[frozenset, IntPoly] = {}
+    adj = tree.adjacency()
+    parent = [-1] * tree.n
+    coeff = [0] * tree.n  # of the edge to the parent
+    order = [0]
+    for v in order:  # breadth-first; the list grows while it is walked
+        for u, w in adj[v]:
+            if u != parent[v]:
+                parent[u] = v
+                coeff[u] = _edge_coefficient(w)
+                order.append(u)
+    one = IntPoly([1])
+    full = [one] * tree.n
+    free = [one] * tree.n
+    for c in reversed(order[1:]):  # every child before its parent
+        v = parent[c]
+        edge = (free[c] * coeff[c]).shift(1)  # a y F_c
+        if full[v] is one:  # first child of v: M_v = F_v = 1 so far
+            full[v], free[v] = full[c] + edge, full[c]
+        else:
+            full[v], free[v] = full[v] * full[c] + free[v] * edge, free[v] * full[c]
+    return full[0]
 
-    def component_split(vertices: frozenset) -> list[frozenset]:
-        remaining = set(vertices)
-        comps = []
-        while remaining:
-            start = next(iter(remaining))
-            comp = {start}
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for u in adj[v]:
-                    if u in remaining and u not in comp:
-                        comp.add(u)
-                        stack.append(u)
-            comps.append(frozenset(comp))
-            remaining -= comp
-        return comps
 
-    def phi_connected(vertices: frozenset) -> IntPoly:
-        if vertices in memo:
-            return memo[vertices]
-        if len(vertices) == 1:
-            return IntPoly([1, 1])
-        leaf = min(v for v in vertices if sum(1 for u in adj[v] if u in vertices) == 1)
-        neighbor, weight = next((u, w) for u, w in adj[leaf].items() if u in vertices)
-        rest = vertices - {leaf}
-        first = IntPoly([1, 1]) * phi_forest(rest)
-        second = phi_forest(rest - {neighbor})
-        out = first - second.shift(1) * _edge_coefficient(weight)
-        memo[vertices] = out
-        return out
+def char_poly_recursive(tree: WeightedTree) -> IntPoly:
+    """Characteristic polynomial of the tree's Coxeter transformation,
+    phi(t) = sum_k (-1)^k m_k (1+t)^(n-2k) t^k from the weighted matching
+    numbers m_k.
 
-    def phi_forest(vertices: frozenset) -> IntPoly:
-        if not vertices:
-            return IntPoly([1])
-        out = IntPoly([1])
-        for comp in component_split(vertices):
-            out = out * phi_connected(comp)
-        return out
-
-    return phi_connected(frozenset(range(tree.n)))
+    With K the largest k, Horner in (1+t)^2 builds S = sum_k (-1)^k m_k
+    t^k (1+t)^(2(K-k)), and phi = (1+t)^(n-2K) S.
+    """
+    matching = _matching_polynomial(tree).coeffs
+    square = IntPoly([1, 2, 1])
+    s = IntPoly()
+    for k, m in enumerate(matching):
+        s = s * square + IntPoly([0] * k + [(-1) ** k * m])
+    return IntPoly([1, 1]) ** (tree.n - 2 * (len(matching) - 1)) * s
 
 
 def char_poly_star(*ps: int) -> IntPoly:
-    """Characteristic polynomial of the star-graph Coxeter transformation,
-    by the arm-shortening recursion with the all-arms-length-one base case
-    (t+1)^(k-1) (t^2 - (k-2)t + 1).
-    """
+    """Characteristic polynomial of the star-graph Coxeter transformation."""
     if len(ps) < 1:
         raise ValueError("need at least one arm")
     if any(p < 2 for p in ps):
         raise ValueError("arm parameters must be at least 2")
-    memo: dict[tuple[int, ...], IntPoly] = {}
-
-    def phi(params: tuple[int, ...]) -> IntPoly:
-        params = tuple(sorted(params))
-        if params in memo:
-            return memo[params]
-        if not params or params[-1] == 2:
-            k = len(params)
-            if k == 0:
-                out = IntPoly([1, 1])
-            else:
-                out = IntPoly([1, 1]) ** (k - 1) * IntPoly([1, -(k - 2), 1])
-        else:
-            head, p = params[:-1], params[-1]
-            if p >= 4:
-                out = IntPoly([1, 1]) * phi(head + (p - 1,)) - phi(head + (p - 2,)).shift(1)
-            else:  # p == 3
-                out = IntPoly([1, 1]) * phi(head + (2,)) - phi(head).shift(1)
-        memo[params] = out
-        return out
-
-    return phi(tuple(ps))
+    return char_poly_recursive(star_diagram(*ps))
 
 
 def verify_delta_eq_phi(*ps: int) -> bool:
@@ -260,9 +236,7 @@ def alpha_from_lambda(lam: RootInterval | IntPoly,
 
 
 def star_spectral_radius(*ps: int, width: Fraction = DEFAULT_WIDTH) -> RootInterval:
-    """Spectral radius of the star graph's Coxeter transformation via the
-    specialized recursion (faster than generic leaf deletion for sweeps).
-    """
+    """Spectral radius of the star graph's Coxeter transformation."""
     return spectral_radius_from_charpoly(char_poly_star(*ps), width)
 
 

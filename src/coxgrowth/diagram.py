@@ -1,5 +1,5 @@
-"""Coxeter diagrams, Coxeter-symbol parsing, weighted trees, bilinear and
-adjacency matrices, spherical-type recognition, and the domination order.
+"""Coxeter diagrams, Coxeter-symbol parsing, weighted trees, spherical-type
+recognition, and the domination order.
 
 Vertices are 0-based internally; the text file format uses 1-based indices.
 An edge weight of infinity is represented by the module-level tag INF, never
@@ -49,7 +49,7 @@ def parse_weight(text: str) -> Weight:
     text = text.strip()
     if text in ("inf", "∞", "infinity"):
         return INF
-    if not re.fullmatch(r"\d+", text):
+    if not re.fullmatch(r"[0-9]+", text):
         raise ValueError(f"bad weight {text!r}")
     return int(text)
 
@@ -150,7 +150,7 @@ def parse_coxeter_symbol(text: str) -> CoxeterDiagram:
             if not cyclic:
                 fail("repetition only allowed in cyclic symbols", pos)
             item, _, exp = item.partition("^")
-            if not exp.isdigit() or int(exp) < 1:
+            if not re.fullmatch(r"[0-9]+", exp) or int(exp) < 1:
                 fail(f"bad repetition count {exp!r}", pos)
             rep = int(exp)
         try:
@@ -230,7 +230,7 @@ def diagram_from_text(text: str) -> CoxeterDiagram:
     if not lines:
         raise DiagramError("empty diagram file")
     no, header = lines[0]
-    m = re.fullmatch(r"rank\s+(\d+)", header)
+    m = re.fullmatch(r"rank\s+([0-9]+)", header)
     if not m:
         raise DiagramError(f"line {no}: expected 'rank N'")
     n = int(m.group(1))
@@ -240,6 +240,8 @@ def diagram_from_text(text: str) -> CoxeterDiagram:
         if len(parts) != 3:
             raise DiagramError(f"line {no}: expected 'i j m'")
         try:
+            if not all(re.fullmatch(r"[0-9]+", x) for x in parts[:2]):
+                raise ValueError(f"bad vertex pair {parts[0]} {parts[1]}")
             i, j = int(parts[0]) - 1, int(parts[1]) - 1
             w = parse_weight(parts[2])
         except ValueError as e:
@@ -413,115 +415,6 @@ def h_graph(i: int, j: int, k: int) -> WeightedTree:
         prev = nxt
         nxt += 1
     return WeightedTree(nxt, edges)
-
-
-# -- bilinear form and Coxeter adjacency matrix ----------------------------------------
-
-
-@dataclass(frozen=True)
-class QuadExact:
-    """An exact value a + b*sqrt(d) with rational a, b and squarefree d > 0."""
-
-    a: Fraction
-    b: Fraction = Fraction(0)
-    d: int = 1
-
-    def __post_init__(self):
-        if self.d == 1 and self.b != 0:
-            raise ValueError("radicand 1 must have zero irrational part")
-
-    def scaled(self, f: Fraction) -> "QuadExact":
-        return QuadExact(self.a * f, self.b * f, self.d)
-
-    def plus_rational(self, r: Fraction) -> "QuadExact":
-        return QuadExact(self.a + r, self.b, self.d)
-
-    def __float__(self) -> float:
-        import math
-        return float(self.a) + float(self.b) * math.sqrt(self.d)
-
-    def __str__(self):
-        if self.b == 0:
-            return str(self.a)
-        if self.a == 0:
-            return f"{self.b}*sqrt({self.d})"
-        return f"{self.a} + {self.b}*sqrt({self.d})"
-
-
-@dataclass(frozen=True)
-class CertifiedValue:
-    """A rational enclosure of an irrational matrix entry."""
-
-    low: Fraction
-    high: Fraction
-
-    def scaled(self, f: Fraction) -> "CertifiedValue":
-        lo, hi = self.low * f, self.high * f
-        return CertifiedValue(min(lo, hi), max(lo, hi))
-
-    def plus_rational(self, r: Fraction) -> "CertifiedValue":
-        return CertifiedValue(self.low + r, self.high + r)
-
-    def __float__(self) -> float:
-        return float((self.low + self.high) / 2)
-
-
-Entry = QuadExact | CertifiedValue
-
-_COS_EXACT = {
-    2: QuadExact(Fraction(0)),
-    3: QuadExact(Fraction(1, 2)),
-    4: QuadExact(Fraction(0), Fraction(1, 2), 2),
-    6: QuadExact(Fraction(0), Fraction(1, 2), 3),
-}
-
-
-def _cos_pi_over(m: int, width: Fraction = Fraction(1, 10**12)) -> Entry:
-    """cos(pi/m): exact for m in {2, 3, 4, 6}, a certified enclosure otherwise."""
-    if m in _COS_EXACT:
-        return _COS_EXACT[m]
-    # 2cos(pi/m) is the largest root of the trace image of t^(2m) - 1's primitive part:
-    # use the minimal-polynomial-free route: largest root x of the reduced
-    # polynomial of Phi_2m satisfies x = 2cos(pi/m).
-    from .intpoly import cyclotomic, palindromic_reduce
-    from .roots import isolate_largest_real_root
-    phi = cyclotomic(2 * m)
-    q = palindromic_reduce(phi)
-    iv = isolate_largest_real_root(q, width * 2)
-    return CertifiedValue(iv.low / 2, iv.high / 2)
-
-
-def bilinear_form(d: CoxeterDiagram) -> list[list[Entry]]:
-    """The symmetric form with 1 on the diagonal, -cos(pi/m_ij) off it, -1 at infinity."""
-    out: list[list[Entry]] = []
-    for i in range(d.n):
-        row: list[Entry] = []
-        for j in range(d.n):
-            if i == j:
-                row.append(QuadExact(Fraction(1)))
-                continue
-            m = d.weight(i, j)
-            if m is INF:
-                row.append(QuadExact(Fraction(-1)))
-            else:
-                row.append(_cos_pi_over(m).scaled(Fraction(-1)))
-        out.append(row)
-    return out
-
-
-def coxeter_adjacency(d: CoxeterDiagram) -> list[list[Entry]]:
-    """The matrix 2I - 2B; equals the 0/1 graph adjacency matrix when all weights are 2 or 3."""
-    b = bilinear_form(d)
-    out: list[list[Entry]] = []
-    for i in range(d.n):
-        row = []
-        for j in range(d.n):
-            e = b[i][j].scaled(Fraction(-2))
-            if i == j:
-                e = e.plus_rational(Fraction(2))
-            row.append(e)
-        out.append(row)
-    return out
 
 
 # -- spherical classification -----------------------------------------------------------

@@ -245,7 +245,8 @@ def polygon_growth(*ps: int) -> GrowthFunction:
     for p in ps:
         num = num * bracket(p)
     f = GrowthFunction(num, polygon_delta(*ps))
-    assert f(Fraction(0)) == 1
+    if f(Fraction(0)) != 1:
+        raise ArithmeticError("polygon growth series must start with 1")
     return f
 
 

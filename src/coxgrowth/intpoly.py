@@ -213,7 +213,7 @@ def parse_poly(text: str) -> IntPoly:
         if item.startswith("+"):
             raise ValueError(f"leading '+' forbidden at position {pos}")
         body = item[1:] if item.startswith("-") else item
-        if not body.isdigit():
+        if not (body.isascii() and body.isdigit()):
             raise ValueError(f"bad coefficient {item!r} at position {pos}")
         cs.append(int(item))
     return IntPoly(cs)
@@ -306,7 +306,8 @@ def pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
         if lead == 0:
             continue
         f = lead // lb
-        assert f * lb == lead
+        if f * lb != lead:
+            raise ArithmeticError("pseudo-remainder step is not exact")
         for j, c in enumerate(b.coeffs):
             rem[i + j] -= f * c
     return IntPoly(rem)

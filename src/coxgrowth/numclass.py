@@ -145,7 +145,8 @@ def _charpoly_int(mat: list[list[int]]) -> IntPoly:
         am = [[sum(mat[i][l] * m[l][j] for l in range(n)) for j in range(n)] for i in range(n)]
         tr = sum(am[i][i] for i in range(n))
         c_k, rem = divmod(-tr, k)
-        assert rem == 0, "Faddeev-LeVerrier division must be exact"
+        if rem:
+            raise ArithmeticError("Faddeev-LeVerrier division must be exact")
         coeffs[n - k] = c_k
         if k < n:
             for i in range(n):

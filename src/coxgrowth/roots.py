@@ -201,7 +201,8 @@ def _refine(sf: IntPoly, bracket: RootInterval, width: Fraction) -> RootInterval
             else:
                 hi, s_hi = probe, s_probe
                 v_hi = _variations_at(chain, hi)
-    assert s_lo * s_hi < 0, "bracket invariant violated"
+    if s_lo * s_hi >= 0:
+        raise ArithmeticError("bracket invariant violated")
     while hi - lo > width:
         mid = (lo + hi) / 2
         s_mid = sf.sign_at(mid)

@@ -69,10 +69,10 @@ def parse_salem_line(line: str) -> SalemEntry:
     parts = line.split(";")
     if len(parts) != 3:
         raise SalemListError("expected 'degree;coefficients;approx'")
-    try:
-        degree = int(parts[0].strip())
-    except ValueError:
+    field = parts[0].strip()
+    if not (field.isascii() and field.isdigit()):
         raise SalemListError(f"bad degree field {parts[0]!r}")
+    degree = int(field)
     poly = parse_poly(parts[1])
     if poly.degree != degree:
         raise SalemListError(f"declared degree {degree} but coefficients give {poly.degree}")

@@ -1,6 +1,7 @@
-"""Exact adjacency spectra of trees, the classification of trees with
-spectral radius in (2, sqrt(2 + sqrt 5)), the weight-4 leaf replacement, and
-the non-realization pipeline for the smallest tetrahedral growth rate.
+"""Exact adjacency spectra of trees (characteristic polynomials read off the
+weighted matching polynomial), the classification of trees with spectral
+radius in (2, sqrt(2 + sqrt 5)), the weight-4 leaf replacement, and the
+non-realization pipeline for the smallest tetrahedral growth rate.
 """
 
 from __future__ import annotations
@@ -8,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .diagram import DiagramError, INF, WeightedTree, h_graph, star_diagram
+from .diagram import DiagramError, WeightedTree, h_graph, star_diagram
 from .intpoly import IntPoly, poly_gcd
 from .numclass import strip_cyclotomic
 from .roots import (
@@ -18,7 +19,7 @@ from .roots import (
     isolate_largest_real_root,
     sturm_count,
 )
-from .coxtrans import alpha_from_lambda
+from .coxtrans import _matching_polynomial, alpha_from_lambda
 from .growth import growth_rate, steinberg_growth
 
 # Below this Coxeter-transformation spectral radius, the radius is always
@@ -29,54 +30,12 @@ WEIGHT3_TREE_THRESHOLD = Fraction("1.35999")
 
 
 def _adjacency_char_poly_weighted(tree: WeightedTree) -> IntPoly:
-    """det(tI - A) for the tree adjacency matrix with entries 2cos(pi/m).
-
-    Leaf deletion: chi(T) = t chi(T - v) - (2cos(pi/m))^2 chi(T - v - v'),
-    so only the squared entry is needed; it is the integer 1, 2, 3 or 4 for
-    m = 3, 4, 6, inf.
-    """
-    squared = {3: 1, 4: 2, 6: 3, INF: 4}
-    for _, _, w in tree.edge_list:
-        if w not in squared:
-            raise DiagramError(f"unsupported edge weight {w!r} for exact adjacency spectra")
-    adj = {v: {u: w for u, w in nb} for v, nb in tree.adjacency().items()}
-    memo: dict[frozenset, IntPoly] = {}
-
-    def split(vertices: frozenset) -> list[frozenset]:
-        remaining = set(vertices)
-        comps = []
-        while remaining:
-            comp = {next(iter(remaining))}
-            stack = list(comp)
-            while stack:
-                v = stack.pop()
-                for u in adj[v]:
-                    if u in remaining and u not in comp:
-                        comp.add(u)
-                        stack.append(u)
-            comps.append(frozenset(comp))
-            remaining -= comp
-        return comps
-
-    def chi_connected(vertices: frozenset) -> IntPoly:
-        if vertices in memo:
-            return memo[vertices]
-        if len(vertices) == 1:
-            return IntPoly([0, 1])
-        leaf = min(v for v in vertices if sum(1 for u in adj[v] if u in vertices) == 1)
-        neighbor, weight = next((u, w) for u, w in adj[leaf].items() if u in vertices)
-        rest = vertices - {leaf}
-        out = chi_forest(rest).shift(1) - chi_forest(rest - {neighbor}) * squared[weight]
-        memo[vertices] = out
-        return out
-
-    def chi_forest(vertices: frozenset) -> IntPoly:
-        out = IntPoly([1])
-        for comp in split(vertices):
-            out = out * chi_connected(comp)
-        return out
-
-    return chi_connected(frozenset(range(tree.n)))
+    """det(tI - A) for the tree adjacency matrix with entries 2cos(pi/m):
+    sum_k (-1)^k m_k t^(n-2k) over the weighted matching numbers m_k."""
+    cs = [0] * (tree.n + 1)
+    for k, m in enumerate(_matching_polynomial(tree).coeffs):
+        cs[tree.n - 2 * k] = (-1) ** k * m
+    return IntPoly(cs)
 
 
 def adjacency_char_poly(tree: WeightedTree) -> IntPoly:
@@ -260,13 +219,14 @@ def _tetrahedral_353_growth():
     return steinberg_growth(CoxeterDiagram(4, {(0, 1): 3, (1, 2): 5, (2, 3): 3}))
 
 
-def h2j3_monotone_decreasing(j_max: int = 30, width: Fraction = Fraction(1, 10**9)) -> bool:
-    """Certify that the H(2,j,3) adjacency radius strictly decreases for j = 1..j_max."""
+def _certify_increasing(make, params) -> bool:
+    """Certify that the adjacency radius of make(p) strictly increases along
+    params; a decreasing family is passed its parameters in reverse."""
     prev = None
-    for j in range(1, j_max + 1):
-        cur = spectral_radius_adjacency(h_graph(2, j, 3), width)
+    for p in params:
+        cur = spectral_radius_adjacency(make(p), Fraction(1, 10**9))
         if prev is not None:
-            cur, prev_ref = certify_strictly_less(cur, prev)
+            prev, cur = certify_strictly_less(prev, cur)
         prev = cur
     return True
 
@@ -311,9 +271,9 @@ def verify_alpha0_not_tree_radius(r_max: int = 25, j_max: int = 25,
             near.append((item.family, item.params, iv.decimal(10)))
     # certified monotone brackets for the unbounded families
     mono = {
-        "H(2,j,3) decreasing to j<=30": h2j3_monotone_decreasing(30),
-        "H(3,j,3) decreasing on 4..25": _family_decreasing(lambda j: h_graph(3, j, 3), range(4, 26)),
-        "Star(2,3,r) increasing on 7..25": _family_increasing(lambda r: star_diagram(2, 3, r), range(7, 26)),
+        "H(2,j,3) decreasing to j<=30": _certify_increasing(lambda j: h_graph(2, j, 3), range(30, 0, -1)),
+        "H(3,j,3) decreasing on 4..25": _certify_increasing(lambda j: h_graph(3, j, 3), range(25, 3, -1)),
+        "Star(2,3,r) increasing on 7..25": _certify_increasing(lambda r: star_diagram(2, 3, r), range(7, 26)),
     }
     brackets = []
     for label, params, side in [
@@ -333,26 +293,6 @@ def verify_alpha0_not_tree_radius(r_max: int = 25, j_max: int = 25,
     passed = all(mono.values()) and (below + above == len(items))
     return Alpha0Report(passed, alpha0, apoly, len(items), below, above,
                         mono, tuple(brackets), tuple(near))
-
-
-def _family_decreasing(make, js) -> bool:
-    prev = None
-    for j in js:
-        cur = spectral_radius_adjacency(make(j), Fraction(1, 10**9))
-        if prev is not None:
-            certify_strictly_less(cur, prev)
-        prev = cur
-    return True
-
-
-def _family_increasing(make, js) -> bool:
-    prev = None
-    for j in js:
-        cur = spectral_radius_adjacency(make(j), Fraction(1, 10**9))
-        if prev is not None:
-            certify_strictly_less(prev, cur)
-        prev = cur
-    return True
 
 
 @dataclass(frozen=True)

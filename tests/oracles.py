@@ -4,7 +4,8 @@ Everything here deliberately avoids the code paths it checks: word counts
 come from a breadth-first walk of the geometric representation in floating
 point, group orders from permutation closures, root locations from a
 Durand-Kerner solver, characteristic polynomials from evaluation and
-Lagrange interpolation over exact rationals.  None of these are production
+Lagrange interpolation over exact rationals, tree polynomials from explicit
+integer matrices (weighted adjacency, product of reflections).  None of these are production
 paths; they exist to cross-check the exact implementations.
 """
 
@@ -278,6 +279,48 @@ def _lagrange(xs, ys) -> list[Fraction]:
         for k, c in enumerate(basis):
             coeffs[k] += ys[i] * c / denom
     return coeffs
+
+
+# -- weighted-tree matrices ------------------------------------------------------------------
+
+
+def _edge_square(m) -> int:
+    """4cos^2(pi/m), an integer for m in {3, 4, 6, inf}; computed in floating point."""
+    value = 4.0 if m is INF else 4 * math.cos(math.pi / m) ** 2
+    if abs(value - round(value)) > 1e-9:
+        raise ValueError(f"4cos^2(pi/{m}) is not an integer")
+    return round(value)
+
+
+def weighted_adjacency_matrix(n: int, edges) -> list[list[int]]:
+    """An integer matrix with the spectrum of the tree's 2cos(pi/m) adjacency matrix.
+
+    Each edge puts c = 4cos^2(pi/m) above the diagonal and 1 below it; on a
+    tree this matrix is diagonally similar to the symmetric one with sqrt(c).
+    """
+    a = [[0] * n for _ in range(n)]
+    for i, j, m in edges:
+        i, j = min(i, j), max(i, j)
+        a[i][j], a[j][i] = _edge_square(m), 1
+    return a
+
+
+def coxeter_element_matrix(n: int, edges) -> list[list[int]]:
+    """The product s_0 s_1 ... s_(n-1) of the simple reflections of a Cartan
+    matrix with a_ii = 2 and a_ij a_ji = 4cos^2(pi/m) on each edge.
+
+    s_i fixes every simple root but the i-th coordinate: s_i(x)_i = x_i - sum_j a_ij x_j.
+    """
+    cartan = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j, m in edges:
+        i, j = min(i, j), max(i, j)
+        cartan[i][j], cartan[j][i] = -_edge_square(m), -1
+    product = [[int(r == c) for c in range(n)] for r in range(n)]
+    for i in range(n):
+        s = [[int(r == c) - (cartan[i][c] if r == i else 0) for c in range(n)] for r in range(n)]
+        product = [[sum(product[r][k] * s[k][c] for k in range(n)) for c in range(n)]
+                   for r in range(n)]
+    return product
 
 
 # -- random trees -----------------------------------------------------------------------------

@@ -66,6 +66,13 @@ def test_coxtrans_star(capsys):
     assert doc["payload"]["char_poly"] == "1,1,0,-1,-1,-1,-1,-1,0,1,1"
 
 
+def test_tree_spec_with_non_ascii_digits_is_an_error(capsys):
+    code, out, err = run_cli(capsys, "coxtrans", "--tree", "Path:٦")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: bad integer list")
+
+
 def test_spectra_tree(capsys):
     code, doc, _ = run_json(capsys, "spectra", "--tree", "H:2,8,3")
     assert code == 0

@@ -21,7 +21,14 @@ from coxgrowth.intpoly import IntPoly, bracket, parse_poly
 from coxgrowth.roots import RootInterval, sturm_count
 from coxgrowth.diagram import polygon_is_hyperbolic
 
-from oracles import charpoly_interpolated, random_tree_edges
+from coxgrowth.spectra import _adjacency_char_poly_weighted, adjacency_char_poly
+
+from oracles import (
+    charpoly_interpolated,
+    coxeter_element_matrix,
+    random_tree_edges,
+    weighted_adjacency_matrix,
+)
 
 LEHMER = parse_poly("1,1,0,-1,-1,-1,-1,-1,0,1,1")
 H283_CHARPOLY = parse_poly("1,1,-1,-2,-1,0,0,0,0,0,-1,-2,-1,1,1")
@@ -104,6 +111,26 @@ def test_recursion_vs_determinant_on_random_trees():
         n = rng.randint(1, 12)
         tree = WeightedTree(n, random_tree_edges(n, rng))
         assert char_poly_recursive(tree) == bipartite_coxeter_matrix(tree).char_poly
+
+
+def test_weighted_trees_match_matrix_oracles():
+    rng = random.Random(20261018)
+    for _ in range(200):
+        n = rng.randint(1, 10)
+        edges = [(i, j, rng.choice([3, 4, 6, INF])) for i, j, _ in random_tree_edges(n, rng)]
+        tree = WeightedTree(n, edges)
+        assert char_poly_recursive(tree) == charpoly_interpolated(coxeter_element_matrix(n, edges))
+        assert (_adjacency_char_poly_weighted(tree)
+                == charpoly_interpolated(weighted_adjacency_matrix(n, edges)))
+
+
+def test_long_path_polynomials():
+    tree = path_tree(600)
+    assert char_poly_recursive(tree) == bracket(601)
+    chi_prev, chi = IntPoly([1]), IntPoly([0, 1])
+    for _ in range(599):
+        chi_prev, chi = chi, chi.shift(1) - chi_prev
+    assert adjacency_char_poly(tree) == chi
 
 
 def test_recursion_order_independence():

@@ -1,19 +1,13 @@
 import itertools
-import math
 import random
 
 import pytest
-from fractions import Fraction
 
 from coxgrowth.diagram import (
     INF,
-    CertifiedValue,
     CoxeterDiagram,
     DiagramError,
-    QuadExact,
     WeightedTree,
-    bilinear_form,
-    coxeter_adjacency,
     diagram_from_text,
     dominates,
     finite_type_recognize,
@@ -136,49 +130,6 @@ def test_h_graph_counts():
 def test_h_graph_vertex_count_formula():
     for i, j, k in itertools.product(range(2, 5), range(1, 5), range(2, 5)):
         assert h_graph(i, j, k).n == i + j + k + 1
-
-
-def test_bilinear_form_entries():
-    d = CoxeterDiagram(3, {(0, 1): 2, (1, 2): INF})
-    b = bilinear_form(d)
-    assert b[0][0] == QuadExact(Fraction(1))
-    assert b[0][1] == QuadExact(Fraction(0))
-    assert b[1][2] == QuadExact(Fraction(-1))
-    d3 = CoxeterDiagram(2, {(0, 1): 3})
-    assert bilinear_form(d3)[0][1] == QuadExact(Fraction(-1, 2))
-
-
-def test_bilinear_form_quadratic_and_certified():
-    d = CoxeterDiagram(3, {(0, 1): 4, (1, 2): 7})
-    b = bilinear_form(d)
-    assert b[0][1] == QuadExact(Fraction(0), Fraction(-1, 2), 2)
-    e = b[1][2]
-    assert isinstance(e, CertifiedValue)
-    # the float value is far more accurate than the interval width
-    assert e.low <= Fraction(-math.cos(math.pi / 7)) <= e.high
-    assert e.high - e.low < Fraction(1, 10**9)
-
-
-def test_coxeter_adjacency():
-    a = coxeter_adjacency(CoxeterDiagram(2, {(0, 1): 3}))
-    assert a[0][1] == QuadExact(Fraction(1))
-    assert a[0][0] == QuadExact(Fraction(0))
-    assert coxeter_adjacency(CoxeterDiagram(2, {(0, 1): INF}))[0][1] == QuadExact(Fraction(2))
-    a4 = coxeter_adjacency(CoxeterDiagram(2, {(0, 1): 4}))
-    assert a4[0][1] == QuadExact(Fraction(0), Fraction(1), 2)
-
-
-def test_adjacency_is_2i_minus_2b():
-    d = parse_coxeter_symbol("[3,4,6,inf]")
-    b = bilinear_form(d)
-    a = coxeter_adjacency(d)
-    for i in range(d.n):
-        for j in range(d.n):
-            lhs = a[i][j]
-            rhs = b[i][j].scaled(Fraction(-2))
-            if i == j:
-                rhs = rhs.plus_rational(Fraction(2))
-            assert lhs == rhs
 
 
 @pytest.mark.parametrize("symbol,family,exponents", [

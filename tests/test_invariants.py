@@ -1,0 +1,39 @@
+"""Package-wide rules: invariants raise instead of asserting, parsers take ASCII digits."""
+
+import argparse
+import ast
+from pathlib import Path
+
+import pytest
+
+import coxgrowth
+from coxgrowth.cli import _parse_int_list
+from coxgrowth.diagram import diagram_from_text, parse_coxeter_symbol, parse_weight
+from coxgrowth.intpoly import parse_poly
+from coxgrowth.salemdb import SalemListError, parse_salem_line
+
+SRC = Path(coxgrowth.__file__).parent
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    # python -O strips assert statements, so invariants must raise explicitly
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == [], f"{path.name} asserts at lines {lines}"
+
+
+@pytest.mark.parametrize("parse,text,error", [
+    (parse_poly, "١,٢", ValueError),                       # Arabic-Indic digits
+    (parse_poly, "1,２", ValueError),                       # fullwidth digit
+    (parse_weight, "٣", ValueError),
+    (parse_coxeter_symbol, "[٣,٥,٣]", ValueError),
+    (parse_coxeter_symbol, "[(3^٢,inf)]", ValueError),      # repetition count
+    (_parse_int_list, "٢,٣,٧", argparse.ArgumentTypeError),
+    (diagram_from_text, "rank ٣\n1 2 3\n", ValueError),
+    (diagram_from_text, "rank 3\n١ 2 3\n", ValueError),
+    (parse_salem_line, "١٠;1,1,0,-1,-1,-1,-1,-1,0,1,1;1.17628", SalemListError),
+])
+def test_parsers_reject_non_ascii_digits(parse, text, error):
+    with pytest.raises(error):
+        parse(text)

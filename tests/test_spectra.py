@@ -10,12 +10,12 @@ from coxgrowth.roots import certify_strictly_less, isolate_largest_real_root, st
 from coxgrowth.spectra import (
     adjacency_char_poly,
     brouwer_neumaier_enumerate,
-    h2j3_monotone_decreasing,
     prop52_pipeline,
     spectral_radius_adjacency,
     verify_alpha0_not_tree_radius,
     weight4_leaf_replace,
 )
+from coxgrowth.spectra import _certify_increasing
 
 from oracles import charpoly_interpolated, random_tree_edges
 
@@ -106,7 +106,8 @@ def test_subgraph_monotonicity():
 
 
 def test_h2j3_monotone():
-    assert h2j3_monotone_decreasing(30)
+    # the H(2,j,3) radius strictly decreases in j, so it increases along j = 30..1
+    assert _certify_increasing(lambda j: h_graph(2, j, 3), range(30, 0, -1))
 
 
 def test_weight4_leaf_replace_path():
