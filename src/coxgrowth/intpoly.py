@@ -259,14 +259,16 @@ def exact_div(a: IntPoly, b: IntPoly) -> IntPoly:
         raise ZeroDivisionError("polynomial division by zero")
     if a.is_zero():
         return ZERO
-    # Fast path: steps stay integral (monic divisors in particular).
+    # Fast path: steps stay integral (monic divisors in particular).  Division
+    # over Q is unique, so a remainder left by a full integral pass is final.
     try:
         q, r = divmod_exact_lc(a, b)
+    except ExactDivisionError:
+        pass  # a leading coefficient did not divide; decide over the rationals
+    else:
         if r.is_zero():
             return q
-        raise ExactDivisionError(f"nonzero remainder {r}")
-    except ExactDivisionError:
-        pass
+        raise ExactDivisionError("nonzero remainder")
     # General case over the rationals, then check integrality.
     rem = [Fraction(c) for c in a.coeffs]
     db, lb = b.degree, Fraction(b.leading)
@@ -299,8 +301,9 @@ def pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
     da, db = a.degree, b.degree
     if da < db:
         return a
-    rem = list((a * (b.leading ** (da - db + 1))).coeffs)
     lb = b.leading
+    scale = lb ** (da - db + 1)
+    rem = [c * scale for c in a.coeffs]
     for i in range(len(rem) - db - 1, -1, -1):
         lead = rem[i + db]
         if lead == 0:

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .intpoly import (
+    ExactDivisionError,
     IntPoly,
     cyclotomic,
-    divides,
     exact_div,
     palindromic_reduce,
     poly_gcd,
@@ -63,8 +63,11 @@ def strip_cyclotomic(p: IntPoly) -> tuple[IntPoly, list[tuple[int, int]]]:
             continue
         f = cyclotomic(n)
         mult = 0
-        while core.degree >= f.degree and divides(f, core):
-            core = exact_div(core, f)
+        while core.degree >= f.degree:
+            try:
+                core = exact_div(core, f)
+            except ExactDivisionError:
+                break
             mult += 1
         if mult:
             factors.append((n, mult))

@@ -2,17 +2,56 @@
 
 All interval endpoints are exact rationals; every count and every isolating
 interval is certified by exact sign computations, never by floating point.
+
+Every entry point reads one Sturm state per polynomial p: the squarefree part
+sf of p, gcd(p, p') and the Sturm chain of sf.  The states of the last few
+polynomials are held in a small fixed-size LRU cache, so counting, isolating
+and refining one polynomial build its chain once.
+
+Isolation works on a dyadic grid: (-B, B] for the largest real root, B the
+Cauchy bound of sf, and (0, H] for the smallest positive root, H the given
+upper end or B.  Bisecting from the whole grid to the first cell that holds
+only the wanted root, then halving by signs, always ends in the grid cell
+(lo, hi] that holds the root at depth J, the first depth whose cells are at
+most the requested width (deeper only when another root shares that cell),
+or in [x, x] when the root x is a grid point of depth at most J.  So the
+search starts where a floating-point estimate of the root lies (Laguerre and
+Newton steps in floats, then Newton steps from exact values, whose last step
+gives an error radius): the estimate's cell at a depth j <= J, with cells
+wider than the radius, and its two neighbours form a window, and exact Sturm
+counts certify that the window holds the wanted root and no other root.
+Sign bisection then descends from the root's cell to depth J and gives the
+same interval as the bisection from the whole grid.  The estimate only
+chooses where exact counts are taken; it never decides an answer.
+
+The plain bisection from the whole grid runs instead when no window is
+certified after a few coarser retries (a poor estimate, roots closer together
+than the window, coefficients beyond float range), and when it would have
+ended at a cell whose lower end is another root of sf: from such a cell the
+refinement steps inward off the grid.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-import math
+from typing import NamedTuple
 
-from .intpoly import IntPoly, pseudo_rem, squarefree_part
+from .intpoly import ONE, IntPoly, exact_div, pseudo_rem
 
 DEFAULT_WIDTH = Fraction(1, 10**9)
+
+# The first seeded window has cells at least as wide as the estimate's error
+# radius, and at least 2**-SEED_PRECISION_BITS times the estimate; each retry
+# is SEED_RETRY_DEPTHS depths coarser.
+SEED_PRECISION_BITS = 48
+SEED_RETRY_DEPTHS = 8
+SEED_ATTEMPTS = 3
+# Step caps of the float estimate and of its polish from exact values.
+ROOT_ESTIMATE_STEPS = 100
+POLISH_STEPS = 8
 
 
 class NoRealRootError(ValueError):
@@ -63,7 +102,7 @@ class RootInterval:
         """A sub-interval of at most the given width around the same root."""
         if self.width <= width:
             return self
-        return _refine(squarefree_part(self.poly), self, width)
+        return _refine(_sturm_state(self.poly), self, width)
 
     def with_multiplicity_flag(self) -> "RootInterval":
         """The same interval with the multiplicity flag computed from poly."""
@@ -91,22 +130,45 @@ def sturm_chain(p: IntPoly) -> tuple[IntPoly, ...]:
     """Sturm sequence of a squarefree polynomial, normalized to primitive parts.
 
     Each step negates the pseudo-remainder; positive rescaling preserves signs,
-    so variation counts are unchanged.
+    so variation counts are unchanged.  For p not squarefree the sequence ends
+    at a multiple of gcd(p, p').
     """
     chain = [p, p.derivative()]
     while not chain[-1].is_zero():
         r = pseudo_rem(chain[-2], chain[-1])
         if r.is_zero():
             break
-        r = -r
         # pseudo_rem scales by lc^k; an even power (or positive lc) keeps orientation,
-        # a negative odd power flips it and must be undone before normalizing.
+        # a negative odd power flips it and must be undone: divide by -content or content.
         k = chain[-2].degree - chain[-1].degree + 1
-        if chain[-1].leading < 0 and k % 2 == 1:
-            r = -r
-        g = r.content()
+        g = r.content() if chain[-1].leading < 0 and k % 2 == 1 else -r.content()
         chain.append(IntPoly(c // g for c in r.coeffs))
     return tuple(chain)
+
+
+class _SturmState(NamedTuple):
+    sf: IntPoly                 # squarefree part, primitive, positive leading coefficient
+    gcd: IntPoly                # gcd(p, p'), primitive: constant when p is squarefree
+    chain: tuple[IntPoly, ...]  # Sturm chain of sf; empty when sf is constant
+
+
+@functools.lru_cache(maxsize=16)
+def _sturm_state(p: IntPoly) -> _SturmState:
+    """The Sturm state of p, built once for the few most recent polynomials.
+
+    The sequence of p itself ends at gcd(p, p'): when that is constant, p is
+    squarefree and the sequence is its Sturm chain; otherwise sf = p / gcd
+    needs a chain of its own.
+    """
+    p = p.primitive()
+    if p.degree < 1:
+        return _SturmState(p, ONE, ())
+    chain = sturm_chain(p)
+    if chain[-1].degree == 0:
+        return _SturmState(p, ONE, chain)
+    gcd = chain[-1].primitive()
+    sf = exact_div(p, gcd)
+    return _SturmState(sf, gcd, sturm_chain(sf))
 
 
 def _variations(signs) -> int:
@@ -139,10 +201,9 @@ def count_roots(p: IntPoly, a: Fraction | int, b: Fraction | int) -> int:
     a, b = Fraction(a), Fraction(b)
     if a >= b:
         raise ValueError("need a < b")
-    sf = squarefree_part(p)
-    if sf.degree <= 0:
+    chain = _sturm_state(p).chain
+    if not chain:
         return 0
-    chain = sturm_chain(sf)
     return _variations_at(chain, a) - _variations_at(chain, b)
 
 
@@ -153,34 +214,34 @@ sturm_count = count_roots
 def count_roots_open(p: IntPoly, a: Fraction, b: Fraction) -> int:
     """Number of distinct real roots in the open interval (a, b)."""
     n = count_roots(p, a, b)
-    if squarefree_part(p).sign_at(Fraction(b)) == 0:
+    if _sturm_state(p).sf.sign_at(Fraction(b)) == 0:
         n -= 1
     return n
 
 
 def count_real_roots(p: IntPoly) -> int:
-    sf = squarefree_part(p)
-    if sf.degree <= 0:
+    chain = _sturm_state(p).chain
+    if not chain:
         return 0
-    chain = sturm_chain(sf)
     return _variations_at_inf(chain, False) - _variations_at_inf(chain, True)
 
 
 def cauchy_bound(p: IntPoly) -> Fraction:
-    """All real roots lie in (-B, B] for this B."""
+    """All real roots lie in (-B, B] for this B = 1 + max |c_i / lead|."""
     if p.degree < 1:
         raise ValueError("constant polynomial")
     lead = abs(p.leading)
-    return 1 + max(Fraction(abs(c), lead) for c in p.coeffs[:-1])
+    return Fraction(lead + max(abs(c) for c in p.coeffs[:-1]), lead)
 
 
-def _refine(sf: IntPoly, bracket: RootInterval, width: Fraction) -> RootInterval:
-    """Shrink a bracket certified to contain exactly one root of squarefree sf.
+def _refine(st: _SturmState, bracket: RootInterval, width: Fraction) -> RootInterval:
+    """Shrink a bracket certified to contain exactly one root of the squarefree st.sf.
 
     The bracket invariant is "exactly one root in (low, high]"; once both
     endpoint signs are nonzero they must differ, and plain sign bisection
     (one exact evaluation per step) finishes the job.
     """
+    sf = st.sf
     flag = bracket.multiplicity_free
     lo, hi = bracket.low, bracket.high
     s_hi = sf.sign_at(hi)
@@ -189,7 +250,7 @@ def _refine(sf: IntPoly, bracket: RootInterval, width: Fraction) -> RootInterval
     s_lo = sf.sign_at(lo)
     if s_lo == 0:
         # lo is a different root of sf; step inward until it is excluded.
-        chain = sturm_chain(sf)
+        chain = st.chain
         v_hi = _variations_at(chain, hi)
         while s_lo == 0:
             probe = lo + (hi - lo) / 4
@@ -217,8 +278,7 @@ def _refine(sf: IntPoly, bracket: RootInterval, width: Fraction) -> RootInterval
 
 def root_is_simple(p: IntPoly, low: Fraction, high: Fraction) -> bool:
     """Whether the single root of p isolated in [low, high] is simple in p."""
-    from .intpoly import poly_gcd
-    g = poly_gcd(p, p.derivative())
+    g = _sturm_state(p).gcd
     if g.degree < 1:
         return True
     if low == high:
@@ -226,61 +286,249 @@ def root_is_simple(p: IntPoly, low: Fraction, high: Fraction) -> bool:
     return count_roots(g, low, high) == 0
 
 
-def _flagged(p: IntPoly, sf: IntPoly, iv: RootInterval) -> RootInterval:
-    if sf.degree == p.degree:
+def _flagged(p: IntPoly, st: _SturmState, iv: RootInterval) -> RootInterval:
+    if st.sf.degree == p.degree:
         return iv  # squarefree input: every root simple
     return iv.with_multiplicity_flag()
 
 
+# -- the seeded grid search ---------------------------------------------------------
+
+
+def _float_root_from_above(cs: list[float]) -> float:
+    """A float approach to the largest real root from the Fujiwara bound on the
+    root moduli, where p > 0 and p' > 0 once p is made to lead positive.
+
+    Laguerre steps cross clusters of roots in few steps and, when every root is
+    real, stay above the largest; Newton steps take over where Laguerre's
+    radicand is negative or a step crossed a root.  Rounding near the root, or
+    p not convex above it, may stop it anywhere.
+    """
+    n = len(cs) - 1
+    x = 2 * max(abs(cs[n - k] / (cs[-1] if k < n else 2 * cs[-1])) ** (1 / k)
+                for k in range(1, n + 1))
+    if cs[-1] < 0:
+        cs = [-c for c in cs]
+    above = None  # the last point known to lie above the root
+    laguerre = True
+    for _ in range(ROOT_ESTIMATE_STEPS):
+        p = dp = ddp = 0.0
+        for c in reversed(cs):
+            ddp = ddp * x + 2 * dp
+            dp = dp * x + p
+            p = p * x + c
+        if not (p > 0 and dp > 0):
+            if above is None or not laguerre:
+                return x if above is None else above
+            x, laguerre = above, False  # the Laguerre step crossed a root
+            continue
+        g = dp / p
+        radicand = (n - 1) * (n * (g * g - ddp / p) - g * g)
+        step = n / (g + math.sqrt(radicand)) if laguerre and radicand >= 0 else p / dp
+        above, x = x, x - step
+        if not step > 1e-15 * abs(x):
+            break
+    return x
+
+
+def _exact_newton_step(coeffs: tuple[int, ...], x: float) -> float:
+    """p(x) / p'(x), from exact values of p and p' at the float x."""
+    m, d = x.as_integer_ratio()
+    p = dp = 0
+    dk = 1  # d**k for the k-th coefficient from the top
+    for c in reversed(coeffs):
+        dp = dp * m + p
+        p = p * m + c * dk
+        dk *= d
+    # p(x) = p / d**n and p'(x) = dp / d**(n-1)
+    return p / (dp * d)
+
+
+def _root_estimate(sf: IntPoly, smallest_positive: bool) -> tuple[float, float]:
+    """A float guess at the largest real root of sf, or at its smallest positive
+    root, and an error radius; nan when there is none.  It only chooses where
+    exact counts are taken."""
+    # The smallest positive root of sf is 1/y, y the largest real root of the reversal.
+    coeffs = sf.coeffs[::-1] if smallest_positive else sf.coeffs
+    try:
+        x = _float_root_from_above([float(c) for c in coeffs])
+        # Float evaluation near a root loses the digits that cancel; steps
+        # from exact values recover them, and the last one bounds the error.
+        for _ in range(POLISH_STEPS):
+            step = _exact_newton_step(coeffs, x)
+            x -= step
+            if not abs(step) > 2.0**-50 * abs(x):
+                break
+        radius = abs(step)
+        return (1 / x, radius / (x * x)) if smallest_positive else (x, radius)
+    except (OverflowError, ZeroDivisionError, ValueError):
+        return math.nan, math.nan
+
+
+def _grid_depth(span: Fraction, width: Fraction) -> int:
+    """The first depth J at which the grid's cells, span / 2**J wide, are at most width."""
+    q = span / width
+    return (-(-q.numerator // q.denominator) - 1).bit_length()
+
+
+def _seed_depth(span: Fraction, x: Fraction, radius: Fraction) -> int:
+    """A depth whose cells are at least radius, and about 2**-SEED_PRECISION_BITS
+    times max(|x|, 1), wide."""
+    q = span / max(radius, max(abs(x), 1) * Fraction(1, 2**SEED_PRECISION_BITS))
+    return q.numerator.bit_length() - q.denominator.bit_length() - 1
+
+
+def _cell_of_root(sf: IntPoly, origin: Fraction, step: Fraction, i0: int, i1: int) -> int:
+    """Index i of the cell (origin + i*step, origin + (i+1)*step] holding the one
+    root of sf in (origin + i0*step, origin + i1*step], from the signs above it."""
+    s_top = sf.sign_at(origin + step * i1)
+    if s_top == 0:
+        return i1 - 1
+    for i in range(i1 - 1, i0, -1):
+        s = sf.sign_at(origin + step * i)
+        if s == 0:
+            return i - 1
+        if s != s_top:
+            return i
+    return i0
+
+
+def _ends_at_lower_root(st: _SturmState, origin: Fraction, step: Fraction, k: int,
+                        a: Fraction, v_a: int) -> bool:
+    """Whether the bisection from the top of the grid ends at a cell whose lower end is a root.
+
+    The largest root r is certified alone in the window (a, b] and lies in cell
+    k.  The bisection ends at the shallowest ancestor of cell k that holds r
+    alone; its lower end is a root exactly when the next root r' below r is
+    the lower end of some ancestor.  Ancestor lower ends are the cell indices
+    k with low bits cleared; only those at or below a can be r'.
+    """
+    sf = st.sf
+    n0, d0 = origin.numerator, origin.denominator
+    ns, ds = step.numerator, step.denominator
+    den = d0 * ds
+    while k:  # index 0 is -B, never a root
+        num = n0 * ds + ns * d0 * k
+        # A rational root's reduced denominator divides the leading coefficient.
+        if sf.leading % (den // math.gcd(num, den)) == 0:
+            x = Fraction(num, den)
+            if x <= a and sf.sign_at(x) == 0:
+                return _variations_at(st.chain, x) == v_a  # x is r' iff no root in (x, a]
+        k &= k - 1
+    return False
+
+
+def _seeded_cell(st: _SturmState, estimate: tuple[float, float], origin: Fraction, span: Fraction,
+                 depth: int, v_first: int, v_last: int,
+                 largest: bool) -> tuple[Fraction, Fraction] | None:
+    """The certified cell of the grid (origin, origin + span], at a depth at most
+    depth, that holds its largest root (or its smallest), seeded by the estimate
+    (x, error radius).
+
+    v_first and v_last are the variation counts at the two ends of the grid.
+    None when no window around x is certified, or when the bisection from the
+    whole grid would step off the grid.
+    """
+    if not largest and st.sf.constant == 0:
+        return None  # the root 0 is a lower end of every leftmost cell
+    try:
+        xq, radius = Fraction(estimate[0]), Fraction(estimate[1])
+    except (ValueError, OverflowError):  # nan or infinity
+        return None
+    j = min(depth, _seed_depth(span, xq, radius))
+    for j in range(j, max(j - SEED_ATTEMPTS * SEED_RETRY_DEPTHS, -1), -SEED_RETRY_DEPTHS):
+        cells = 1 << j
+        step = span / cells
+
+        def variations(i: int) -> int:
+            if i == 0:
+                return v_first
+            return v_last if i == cells else _variations_at(st.chain, origin + step * i)
+
+        k = min(max(math.floor((xq - origin) / step), 0), cells - 1)
+        i0, i1 = max(k - 1, 0), min(k + 2, cells)
+        # Certified: the wanted root is alone in the window (a, b], and no root
+        # lies between the window and the grid end on the wanted root's side.
+        if largest:
+            v_b = variations(i1)
+            if v_b != v_last:
+                continue
+            v_a = variations(i0)
+        else:
+            v_a = variations(i0)
+            if v_a != v_first:
+                continue
+            v_b = variations(i1)
+        if v_a - v_b != 1:
+            continue
+        i = _cell_of_root(st.sf, origin, step, i0, i1)
+        if largest and _ends_at_lower_root(st, origin, step, i, origin + step * i0, v_a):
+            return None
+        return origin + step * i, origin + step * (i + 1)
+    return None
+
+
+def _bisected_cell(chain, lo: Fraction, hi: Fraction, v_lo: int, v_hi: int,
+                   largest: bool) -> tuple[Fraction, Fraction]:
+    """The first grid cell, bisecting from (lo, hi], that holds the largest root
+    (or the smallest) and no other root."""
+    while v_lo - v_hi > 1:
+        mid = (lo + hi) / 2
+        v_mid = _variations_at(chain, mid)
+        if (v_mid - v_hi >= 1) if largest else (v_lo - v_mid == 0):
+            lo, v_lo = mid, v_mid
+        else:
+            hi, v_hi = mid, v_mid
+    return lo, hi
+
+
+def _isolated(p: IntPoly, st: _SturmState, lo: Fraction, hi: Fraction, v_lo: int, v_hi: int,
+              width: Fraction, largest: bool) -> RootInterval:
+    """The root interval of the largest (or smallest) root of sf in the grid (lo, hi]."""
+    cell = None
+    if width > 0 and hi > lo:
+        span = hi - lo
+        estimate = _root_estimate(st.sf, not largest)
+        cell = _seeded_cell(st, estimate, lo, span, _grid_depth(span, width), v_lo, v_hi, largest)
+    if cell is None:
+        cell = _bisected_cell(st.chain, lo, hi, v_lo, v_hi, largest)
+    return _flagged(p, st, _refine(st, RootInterval(p, *cell), width))
+
+
 def isolate_largest_real_root(p: IntPoly, width: Fraction = DEFAULT_WIDTH) -> RootInterval:
     """Certified interval of at most the given width around the largest real root."""
-    sf = squarefree_part(p)
-    if sf.degree < 1:
+    st = _sturm_state(p)
+    if not st.chain:
         raise NoRealRootError("polynomial has no real root")
-    chain = sturm_chain(sf)
-    bound = cauchy_bound(sf)
-    total = _variations_at(chain, -bound) - _variations_at(chain, bound)
-    if total == 0:
+    v_bottom = _variations_at_inf(st.chain, False)
+    v_top = _variations_at_inf(st.chain, True)
+    if v_bottom == v_top:
         raise NoRealRootError("polynomial has no real root")
-    # Find lo with exactly one root in (lo, bound].
-    lo, hi = -bound, bound
-    while _variations_at(chain, lo) - _variations_at(chain, hi) > 1:
-        mid = (lo + hi) / 2
-        if _variations_at(chain, mid) - _variations_at(chain, hi) >= 1:
-            lo = mid
-        else:
-            hi = mid
-    return _flagged(p, sf, _refine(sf, RootInterval(p, lo, hi), width))
+    bound = cauchy_bound(st.sf)
+    return _isolated(p, st, -bound, bound, v_bottom, v_top, width, largest=True)
 
 
 def isolate_smallest_positive_root(p: IntPoly, width: Fraction = DEFAULT_WIDTH,
                                    upper: Fraction | None = None) -> RootInterval:
     """Certified interval around the smallest real root in (0, upper]."""
-    sf = squarefree_part(p)
-    if sf.degree < 1:
+    st = _sturm_state(p)
+    if not st.chain:
         raise NoRealRootError("polynomial has no real root")
-    chain = sturm_chain(sf)
-    hi = upper if upper is not None else cauchy_bound(sf)
+    hi = Fraction(upper) if upper is not None else cauchy_bound(st.sf)
     lo = Fraction(0)
-    if _variations_at(chain, lo) - _variations_at(chain, hi) == 0:
+    v_lo, v_hi = _variations_at(st.chain, lo), _variations_at(st.chain, hi)
+    if v_lo == v_hi:
         raise NoRealRootError("no root in the requested range")
-    # Shrink hi until exactly one root remains in (0, hi].
-    while _variations_at(chain, lo) - _variations_at(chain, hi) > 1:
-        mid = (lo + hi) / 2
-        if _variations_at(chain, lo) - _variations_at(chain, mid) >= 1:
-            hi = mid
-        else:
-            lo = mid
-    return _flagged(p, sf, _refine(sf, RootInterval(p, lo, hi), width))
+    return _isolated(p, st, lo, hi, v_lo, v_hi, width, largest=False)
 
 
 def isolate_real_roots(p: IntPoly, width: Fraction = DEFAULT_WIDTH) -> list[RootInterval]:
     """Disjoint certified intervals around every distinct real root, ascending."""
-    sf = squarefree_part(p)
-    if sf.degree < 1:
+    st = _sturm_state(p)
+    chain = st.chain
+    if not chain:
         return []
-    chain = sturm_chain(sf)
-    bound = cauchy_bound(sf)
+    bound = cauchy_bound(st.sf)
     out: list[RootInterval] = []
 
     def split(a: Fraction, b: Fraction, va: int, vb: int):
@@ -288,7 +536,7 @@ def isolate_real_roots(p: IntPoly, width: Fraction = DEFAULT_WIDTH) -> list[Root
         if n == 0:
             return
         if n == 1:
-            out.append(_flagged(p, sf, _refine(sf, RootInterval(p, a, b), width)))
+            out.append(_flagged(p, st, _refine(st, RootInterval(p, a, b), width)))
             return
         mid = (a + b) / 2
         vm = _variations_at(chain, mid)

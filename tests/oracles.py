@@ -3,10 +3,12 @@
 Everything here deliberately avoids the code paths it checks: word counts
 come from a breadth-first walk of the geometric representation in floating
 point, group orders from permutation closures, root locations from a
-Durand-Kerner solver, characteristic polynomials from evaluation and
-Lagrange interpolation over exact rationals, tree polynomials from explicit
-integer matrices (weighted adjacency, product of reflections).  None of these are production
-paths; they exist to cross-check the exact implementations.
+Durand-Kerner solver, isolating intervals from plain bisection over the whole
+Cauchy grid (the isolation that seeded root isolation must reproduce
+exactly), characteristic polynomials from evaluation and Lagrange
+interpolation over exact rationals, tree polynomials from explicit integer
+matrices (weighted adjacency, product of reflections).  None of these are
+production paths; they exist to cross-check the exact implementations.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ import math
 from fractions import Fraction
 
 from coxgrowth.diagram import INF, CoxeterDiagram
-from coxgrowth.intpoly import IntPoly
-from coxgrowth.roots import squarefree_part
+from coxgrowth.intpoly import IntPoly, poly_gcd, pseudo_rem, squarefree_part
 
 
 # -- breadth-first word counts in the geometric representation ---------------------------
@@ -219,6 +220,127 @@ def real_root_count_bisection(p: IntPoly, a: Fraction, b: Fraction, depth: int =
         prev = count
         pieces *= 4
     return prev
+
+
+# -- reference root isolation: bisection from the whole Cauchy grid --------------------------
+
+
+def _reference_sturm_chain(sf: IntPoly) -> list[IntPoly]:
+    chain = [sf, sf.derivative()]
+    while True:
+        r = pseudo_rem(chain[-2], chain[-1])
+        if r.is_zero():
+            return chain
+        # the pseudo-remainder is scaled by lc^k; undo a negative odd power
+        k = chain[-2].degree - chain[-1].degree + 1
+        if chain[-1].leading > 0 or k % 2 == 0:
+            r = -r
+        chain.append(r.primitive() if r.leading > 0 else -r.primitive())
+
+
+def _reference_variations(chain: list[IntPoly], x: Fraction) -> int:
+    signs = [s for s in (q.sign_at(x) for q in chain) if s]
+    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+
+def _reference_count(p: IntPoly, a: Fraction, b: Fraction) -> int:
+    sf = squarefree_part(p)
+    if sf.degree < 1:
+        return 0
+    chain = _reference_sturm_chain(sf)
+    return _reference_variations(chain, a) - _reference_variations(chain, b)
+
+
+def _reference_bound(sf: IntPoly) -> Fraction:
+    return 1 + max(Fraction(abs(c), abs(sf.leading)) for c in sf.coeffs[:-1])
+
+
+def _reference_refine(sf: IntPoly, chain, lo: Fraction, hi: Fraction,
+                      width: Fraction) -> tuple[Fraction, Fraction]:
+    """Sign bisection of a bracket holding one root of sf in (lo, hi]; a lower
+    end that is another root is first excluded by quarter steps."""
+    s_hi = sf.sign_at(hi)
+    if s_hi == 0:
+        return hi, hi
+    s_lo = sf.sign_at(lo)
+    while s_lo == 0:
+        probe = lo + (hi - lo) / 4
+        s_probe = sf.sign_at(probe)
+        if s_probe == 0:
+            return probe, probe
+        if _reference_variations(chain, probe) - _reference_variations(chain, hi) == 1:
+            lo, s_lo = probe, s_probe
+        else:
+            hi, s_hi = probe, s_probe
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        s_mid = sf.sign_at(mid)
+        if s_mid == 0:
+            return mid, mid
+        if s_mid == s_lo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def reference_root_is_simple(p: IntPoly, low: Fraction, high: Fraction) -> bool:
+    g = poly_gcd(p, p.derivative())
+    if g.degree < 1:
+        return True
+    if low == high:
+        return g.sign_at(low) != 0
+    return _reference_count(g, low, high) == 0
+
+
+def reference_isolate_largest(p: IntPoly, width: Fraction):
+    """(low, high, multiplicity_free) of the largest real root, or None when
+    there is none: bisection from (-B, B], recounting both ends at every step."""
+    sf = squarefree_part(p)
+    if sf.degree < 1:
+        return None
+    chain = _reference_sturm_chain(sf)
+    bound = _reference_bound(sf)
+    if _reference_variations(chain, -bound) == _reference_variations(chain, bound):
+        return None
+    lo, hi = -bound, bound
+    while _reference_variations(chain, lo) - _reference_variations(chain, hi) > 1:
+        mid = (lo + hi) / 2
+        if _reference_variations(chain, mid) - _reference_variations(chain, hi) >= 1:
+            lo = mid
+        else:
+            hi = mid
+    lo, hi = _reference_refine(sf, chain, lo, hi, width)
+    return lo, hi, reference_root_is_simple(p, lo, hi)
+
+
+def reference_isolate_smallest_positive(p: IntPoly, width: Fraction, upper: Fraction | None = None):
+    """(low, high, multiplicity_free) of the smallest root in (0, upper], or None
+    when there is none: bisection from (0, upper], recounting both ends at every step."""
+    sf = squarefree_part(p)
+    if sf.degree < 1:
+        return None
+    chain = _reference_sturm_chain(sf)
+    lo, hi = Fraction(0), upper if upper is not None else _reference_bound(sf)
+    if _reference_variations(chain, lo) == _reference_variations(chain, hi):
+        return None
+    while _reference_variations(chain, lo) - _reference_variations(chain, hi) > 1:
+        mid = (lo + hi) / 2
+        if _reference_variations(chain, lo) - _reference_variations(chain, mid) >= 1:
+            hi = mid
+        else:
+            lo = mid
+    lo, hi = _reference_refine(sf, chain, lo, hi, width)
+    return lo, hi, reference_root_is_simple(p, lo, hi)
+
+
+def reference_refined(p: IntPoly, low: Fraction, high: Fraction,
+                      width: Fraction) -> tuple[Fraction, Fraction]:
+    """The refinement of a bracket holding one root of p in (low, high]."""
+    if high - low <= width:
+        return low, high
+    sf = squarefree_part(p)
+    return _reference_refine(sf, _reference_sturm_chain(sf), low, high, width)
 
 
 # -- characteristic polynomial by evaluation-interpolation -----------------------------------

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from coxgrowth import intpoly
 from coxgrowth.intpoly import (
     ExactDivisionError,
     IntPoly,
@@ -58,6 +59,47 @@ def test_ring_examples():
 def test_exact_div_rejects_remainder():
     with pytest.raises(ExactDivisionError):
         exact_div(IntPoly([1, 0, 1]), IntPoly([1, 1]))
+
+
+def test_exact_div_monic_remainder_is_final(monkeypatch):
+    # a remainder left by the integral pass is unique over Q: no rational re-division
+    def no_rationals(*args):
+        raise AssertionError("re-divided over the rationals")
+
+    monkeypatch.setattr(intpoly, "Fraction", no_rationals)
+    with pytest.raises(ExactDivisionError):
+        exact_div(bracket(601), IntPoly([1, 0, 1]))
+    assert exact_div(IntPoly([-1, 0, 0, 1]), IntPoly([-1, 1])) == IntPoly([1, 1, 1])
+
+
+def _quotient_over_q(a: IntPoly, b: IntPoly):
+    """Long division over Fraction: the quotient when b | a in Z[t], else None."""
+    rem = [Fraction(c) for c in a.coeffs]
+    q = [Fraction(0)] * max(0, len(rem) - b.degree)
+    for i in range(len(q) - 1, -1, -1):
+        q[i] = rem[i + b.degree] / b.leading
+        for j, c in enumerate(b.coeffs):
+            rem[i + j] -= q[i] * c
+    if any(rem) or any(c.denominator != 1 for c in q):
+        return None
+    return IntPoly(int(c) for c in q)
+
+
+@pytest.mark.parametrize("a, b", [
+    (IntPoly([1, 5, 6]), IntPoly([1, 2])),         # (2t+1)(3t+1) / (2t+1): exact
+    (IntPoly([1, 1]), IntPoly([2, 2])),            # exact over Q, quotient 1/2
+    (IntPoly([1, 0, 1]), IntPoly([1, 2])),         # t^2 + 1 by 2t + 1: lc 2 does not divide 1
+    (IntPoly([3, 0, 0, 2]), IntPoly([1, 0, 3])),   # 3 does not divide 2
+    (IntPoly([2, 3, 1]) * IntPoly([5, 0, 3]), IntPoly([5, 0, 3])),
+    (IntPoly([2, 3, 1]) * IntPoly([5, 0, 3]) + 1, IntPoly([5, 0, 3])),
+])
+def test_exact_div_non_monic_matches_rational_division(a, b):
+    expected = _quotient_over_q(a, b)
+    if expected is None:
+        with pytest.raises(ExactDivisionError):
+            exact_div(a, b)
+    else:
+        assert exact_div(a, b) == expected
 
 
 @given(small_polys, small_polys, small_polys)

@@ -1,3 +1,5 @@
+import functools
+import math
 import random
 from fractions import Fraction
 
@@ -161,3 +163,105 @@ def test_isolated_intervals_really_isolate(p):
             assert sturm_count(p, iv.low, iv.high) == 1
         for other in ivs[i + 1:]:
             assert iv.high <= other.low
+
+
+# -- the seeded isolation against the reference bisection ----------------------------------
+
+from coxgrowth import roots  # noqa: E402
+from oracles import (  # noqa: E402
+    reference_isolate_largest,
+    reference_isolate_smallest_positive,
+    reference_refined,
+)
+
+
+def _linear(num: int, den: int) -> IntPoly:
+    """den * t - num, the factor of the root num / den."""
+    return IntPoly([-num, den])
+
+
+_factors = st.one_of(
+    # integer and dyadic rational roots fall on grid points
+    st.builds(_linear, st.integers(-40, 40), st.sampled_from([1, 1, 2, 4, 8, 64, 1024])),
+    # other rational roots
+    st.builds(_linear, st.integers(-40, 40), st.integers(1, 30)),
+    # clustered roots: two roots 1/2**k apart
+    st.builds(lambda n, k: _linear(n, 1 << k) * _linear(n + 1, 1 << k),
+              st.integers(-2000, 2000), st.integers(6, 24)),
+    # no real roots: (t + b)^2 + c
+    st.builds(lambda b, c: IntPoly([b * b + c, 2 * b, 1]), st.integers(-5, 5), st.integers(1, 9)),
+    # random factors with irrational roots
+    st.lists(st.integers(-9, 9), min_size=2, max_size=5).map(lambda c: IntPoly(c + [1])),
+    # coefficients beyond float range take the fallback
+    st.sampled_from([IntPoly([-(2**1100), 1]), IntPoly([1, 2**1100]), IntPoly([-3, 0, 2**1030])]),
+)
+
+_polys = st.lists(st.tuples(_factors, st.integers(1, 3)), min_size=1, max_size=3).map(
+    lambda fs: functools.reduce(lambda acc, f: acc * f[0] ** f[1], fs, IntPoly([1])))
+
+_widths = st.sampled_from([Fraction(1, 10**9), Fraction(1, 10**7), Fraction(1, 2**20),
+                           Fraction(1, 3), Fraction(1), Fraction(1000)])
+
+
+def _triple(iv):
+    return iv.low, iv.high, iv.multiplicity_free
+
+
+@given(_polys, _widths)
+@settings(max_examples=250, deadline=None)
+def test_largest_root_matches_reference_bisection(p, width):
+    expected = reference_isolate_largest(p, width)
+    if expected is None:
+        with pytest.raises(NoRealRootError):
+            isolate_largest_real_root(p, width)
+        return
+    iv = isolate_largest_real_root(p, width)
+    assert _triple(iv) == expected
+    finer = width / 1024
+    assert (iv.refined(finer).low, iv.refined(finer).high) == reference_refined(
+        p, iv.low, iv.high, finer)
+
+
+@given(_polys, _widths, st.sampled_from([None, Fraction(1), Fraction(5, 2), Fraction(40)]))
+@settings(max_examples=250, deadline=None)
+def test_smallest_positive_root_matches_reference_bisection(p, width, upper):
+    expected = reference_isolate_smallest_positive(p, width, upper)
+    if expected is None:
+        with pytest.raises(NoRealRootError):
+            isolate_smallest_positive_root(p, width, upper=upper)
+        return
+    iv = isolate_smallest_positive_root(p, width, upper=upper)
+    assert _triple(iv) == expected
+
+
+_SEED_CASES = [
+    LEHMER,
+    IntPoly([-1, 1]) ** 2 * IntPoly([-3, 1]),              # repeated root below the largest
+    IntPoly([0, 1]) * IntPoly([-13, 10]),                   # roots 0 and 13/10
+    IntPoly([-5, 4]) * IntPoly([-3, 2]) * IntPoly([1, 1]),  # dyadic roots 5/4 and 3/2
+    _linear(7, 2**12) * _linear(8, 2**12) * IntPoly([-1, 0, 1]),  # a close pair
+    parse_poly("1,-1,0,0,-1,1,-1,0,0,-1,1"),
+]
+
+
+@pytest.mark.parametrize("p", _SEED_CASES)
+@pytest.mark.parametrize("largest", [True, False])
+def test_float_estimate_only_chooses_where_to_look(monkeypatch, p, largest):
+    width = Fraction(1, 10**9)
+    isolate = isolate_largest_real_root if largest else isolate_smallest_positive_root
+    true = isolate(p, width)
+    step = max(true.width, width)
+    seeds = [0.0, math.nan, 1e300, -1e300,
+             math.nextafter(float(true.low), -math.inf),
+             float(true.low - 2 * step), float(true.high + 2 * step)]
+    for x in seeds:
+        for radius in (0.0, 1e-30, 1.0, math.nan):
+            monkeypatch.setattr(roots, "_root_estimate", lambda sf, smallest, v=(x, radius): v)
+            assert _triple(isolate(p, width)) == _triple(true), (x, radius)
+
+
+def test_coefficients_beyond_float_range_take_the_bisection():
+    p = IntPoly([-(2**1100), 1]) * IntPoly([-3, 0, 1])
+    assert math.isnan(roots._root_estimate(roots._sturm_state(p).sf, False)[0])
+    for width in (Fraction(1, 10**9), Fraction(1, 2**1200)):
+        assert _triple(isolate_largest_real_root(p, width)) == reference_isolate_largest(p, width)
