@@ -26,6 +26,7 @@ from .numclass import charpoly_int_matrix
 from .roots import (
     DEFAULT_WIDTH,
     RootInterval,
+    compare,
     isolate_largest_real_root,
     sqrt_interval,
     sturm_count,
@@ -240,9 +241,10 @@ def star_spectral_radius(*ps: int, width: Fraction = DEFAULT_WIDTH) -> RootInter
     return spectral_radius_from_charpoly(char_poly_star(*ps), width)
 
 
-def coxeter_tree_radius_equals_polygon_rate(ps, width: Fraction = Fraction(1, 10**9)) -> bool:
-    """End-to-end agreement check: polygon growth rate vs star-graph radius."""
+def coxeter_tree_radius_equals_polygon_rate(ps) -> bool:
+    """End-to-end agreement check: the polygon growth rate is certified equal
+    to the star-graph radius."""
     from .growth import growth_rate, polygon_growth
-    rate = growth_rate(polygon_growth(*ps), width)
-    radius = star_spectral_radius(*ps, width=width)
-    return rate.overlaps(radius)
+    rate = growth_rate(polygon_growth(*ps))
+    radius = star_spectral_radius(*ps)
+    return compare(rate, radius) == 0

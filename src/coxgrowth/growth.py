@@ -28,6 +28,7 @@ from .roots import (
     DEFAULT_WIDTH,
     RootInterval,
     certify_strictly_less,
+    compare,
     count_roots_open,
     isolate_largest_real_root,
     isolate_smallest_positive_root,
@@ -424,18 +425,10 @@ def _hyperbolic_tuples(k: int, p_max: int):
             yield ps
 
 
-def _rate_exceeds(ps, threshold: RootInterval, width=Fraction(1, 10**4)) -> bool:
+def _rate_exceeds(ps, threshold: RootInterval) -> bool:
     """Certify that the polygon's rate is strictly above the threshold root."""
-    delta = polygon_delta(*ps)
-    iv = isolate_largest_real_root(delta, width)
-    for _ in range(40):
-        if threshold.high < iv.low:
-            return True
-        if iv.high < threshold.low:
-            return False
-        iv = iv.refined(iv.width / 16)
-        threshold = threshold.refined(threshold.width / 16)
-    raise ArithmeticError(f"could not separate rate of {ps} from the reference")
+    iv = isolate_largest_real_root(polygon_delta(*ps), Fraction(1, 10**4))
+    return compare(iv, threshold) == 1
 
 
 def verify_second_minimal_polygon(k_max: int = 5, p_max: int = 9) -> SecondMinimalReport:

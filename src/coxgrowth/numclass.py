@@ -230,9 +230,8 @@ def _is_perron(p: IntPoly, outside: int) -> bool | None:
     """Whether the largest real root of squarefree p strictly dominates all
     other root moduli.
 
-    Returns None when undecided; that only happens with >= 2 roots outside
-    the disk whose moduli resist the certified separation below (e.g. a pair
-    of equal modulus, which is genuinely not Perron-dominant).
+    Returns None when undecided: above degree 64, or when the scaled disk
+    count below stays inconclusive.
     """
     bound = roots.cauchy_bound(p)
     above_one = sturm_count(p, 1, bound)
@@ -249,15 +248,12 @@ def _is_perron(p: IntPoly, outside: int) -> bool | None:
         # beyond spot-check scale the label is left undecided
         return None
     top = isolate_largest_real_root(p, Fraction(1, 10**12))
-    # Rule out -top being a root of equal modulus.
+    # A negative root of equal or larger modulus rules top out.
     mirrored = IntPoly((-1) ** (i % 2) * c for i, c in enumerate(p.coeffs))
     if sturm_count(mirrored, 1, bound) > 0:
         neg_top = isolate_largest_real_root(mirrored, Fraction(1, 10**12))
-        if neg_top.high >= top.low:
-            try:
-                roots.certify_strictly_less(neg_top, top, Fraction(1, 10**30))
-            except ValueError:
-                return None
+        if roots.compare(neg_top, top) >= 0:
+            return False
     # Count roots of modulus < c for rational c just below the top root:
     # p(c t) scaled to integer coefficients, then a unit-disk count.
     for _ in range(5):

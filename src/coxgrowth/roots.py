@@ -29,6 +29,11 @@ certified after a few coarser retries (a poor estimate, roots closer together
 than the window, coefficients beyond float range), and when it would have
 ended at a cell whose lower end is another root of sf: from such a cell the
 refinement steps inward off the grid.
+
+Two root intervals are compared by compare alone: the roots are equal exactly
+when the gcd of the two squarefree parts has a root in the common part of
+the two root sets, (low, high] or the point of a degenerate interval, and
+otherwise refinement separates them in finitely many steps.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .intpoly import ONE, IntPoly, exact_div, pseudo_rem
+from .intpoly import ONE, IntPoly, exact_div, poly_gcd, pseudo_rem
 
 DEFAULT_WIDTH = Fraction(1, 10**9)
 
@@ -60,7 +65,8 @@ class NoRealRootError(ValueError):
 
 @dataclass(frozen=True)
 class RootInterval:
-    """A rational interval certified to contain exactly one real root of poly.
+    """A rational interval certified to contain exactly one real root of poly
+    in (low, high].
 
     A degenerate interval (low == high) certifies an exact rational root.
     The multiplicity_free flag records whether that root is simple in poly
@@ -149,7 +155,7 @@ def sturm_chain(p: IntPoly) -> tuple[IntPoly, ...]:
 class _SturmState(NamedTuple):
     sf: IntPoly                 # squarefree part, primitive, positive leading coefficient
     gcd: IntPoly                # gcd(p, p'), primitive: constant when p is squarefree
-    chain: tuple[IntPoly, ...]  # Sturm chain of sf; empty when sf is constant
+    chain: tuple[IntPoly, ...]  # Sturm sequence of sf; empty when sf is constant
 
 
 @functools.lru_cache(maxsize=16)
@@ -157,8 +163,8 @@ def _sturm_state(p: IntPoly) -> _SturmState:
     """The Sturm state of p, built once for the few most recent polynomials.
 
     The sequence of p itself ends at gcd(p, p'): when that is constant, p is
-    squarefree and the sequence is its Sturm chain; otherwise sf = p / gcd
-    needs a chain of its own.
+    squarefree and the sequence is its Sturm chain; otherwise every member
+    divided by the gcd gives a Sturm sequence of sf = p / gcd, headed by sf.
     """
     p = p.primitive()
     if p.degree < 1:
@@ -167,8 +173,8 @@ def _sturm_state(p: IntPoly) -> _SturmState:
     if chain[-1].degree == 0:
         return _SturmState(p, ONE, chain)
     gcd = chain[-1].primitive()
-    sf = exact_div(p, gcd)
-    return _SturmState(sf, gcd, sturm_chain(sf))
+    chain = tuple(exact_div(q, gcd) for q in chain)
+    return _SturmState(chain[0], gcd, chain)
 
 
 def _variations(signs) -> int:
@@ -548,32 +554,60 @@ def isolate_real_roots(p: IntPoly, width: Fraction = DEFAULT_WIDTH) -> list[Root
 
 
 class SeparationError(ValueError):
-    """Two root intervals resisted separation down to the floor width."""
+    """Two root intervals to be separated isolate one and the same root."""
 
 
-def refine_until_disjoint(a: RootInterval, b: RootInterval,
-                          floor_width: Fraction = Fraction(1, 10**40)) -> tuple[RootInterval, RootInterval]:
-    """Refine two root intervals until disjoint; raises if they resist separation.
+def _holds(iv: RootInterval, x: Fraction) -> bool:
+    """Whether x lies in the set where iv certifies its root: (low, high],
+    or the single point of a degenerate interval."""
+    return iv.low == x if iv.low == iv.high else iv.low < x <= iv.high
 
-    Failure at the floor width strongly suggests the two roots are equal;
-    callers needing equality detection should compare polynomials algebraically.
+
+def _same_root(a: RootInterval, b: RootInterval) -> bool:
+    """Whether a and b isolate the same root.
+
+    A root of gcd(sf_a, sf_b) in the common part of the two root sets is the
+    one root of each interval; and an equal root lies in both sets, so in
+    their common part.
     """
+    g = poly_gcd(_sturm_state(a.poly).sf, _sturm_state(b.poly).sf)
+    if g.degree < 1:
+        return False
+    if a.low == a.high or b.low == b.high:
+        x = a.low if a.low == a.high else b.low
+        return _holds(a, x) and _holds(b, x) and g.sign_at(x) == 0
+    lo, hi = max(a.low, b.low), min(a.high, b.high)
+    return lo < hi and count_roots(g, lo, hi) > 0
+
+
+def refine_until_disjoint(a: RootInterval, b: RootInterval) -> tuple[RootInterval, RootInterval]:
+    """Refine two root intervals, both to the smaller positive width over 16
+    per round, until disjoint; raises SeparationError when the two roots are
+    certified equal, so the loop always ends."""
+    if a.overlaps(b) and _same_root(a, b):
+        raise SeparationError("the two intervals isolate the same root")
     while a.overlaps(b):
-        widths = [x.width for x in (a, b) if x.width > 0]
-        if not widths:
-            raise SeparationError("both intervals are exact equal points")
-        w = min(widths) / 16
-        if w < floor_width:
-            raise SeparationError("intervals could not be separated; roots may coincide")
-        a = a.refined(w)
-        b = b.refined(w)
+        w = min(x.width for x in (a, b) if x.width > 0) / 16
+        a, b = a.refined(w), b.refined(w)
     return a, b
 
 
-def certify_strictly_less(a: RootInterval, b: RootInterval,
-                          floor_width: Fraction = Fraction(1, 10**40)) -> tuple[RootInterval, RootInterval]:
+def compare(a: RootInterval, b: RootInterval) -> int:
+    """The order of the roots isolated by a and b: -1, 0 or 1, certified exactly.
+
+    Equality is decided by algebra (a gcd and a root count where the root
+    sets of a and b meet), order by refining until the intervals are disjoint.
+    """
+    try:
+        a, b = refine_until_disjoint(a, b)
+    except SeparationError:
+        return 0
+    return -1 if a.is_strictly_below(b) else 1
+
+
+def certify_strictly_less(a: RootInterval, b: RootInterval) -> tuple[RootInterval, RootInterval]:
     """Refine until a's root is certified strictly below b's; raises otherwise."""
-    a, b = refine_until_disjoint(a, b, floor_width)
+    a, b = refine_until_disjoint(a, b)
     if not a.is_strictly_below(b):
         raise ValueError("roots are ordered the other way")
     return a, b

@@ -17,14 +17,7 @@ from fractions import Fraction
 
 from .intpoly import IntPoly, parse_poly, reciprocity_type
 from .numclass import strip_cyclotomic, unit_circle_root_count
-from .roots import (
-    RootInterval,
-    SeparationError,
-    cauchy_bound,
-    isolate_largest_real_root,
-    refine_until_disjoint,
-    sturm_count,
-)
+from .roots import RootInterval, cauchy_bound, compare, isolate_largest_real_root, sturm_count
 from .growth import growth_rate, polygon_growth, polygon_delta, steinberg_growth
 from .diagram import CoxeterDiagram, polygon_is_hyperbolic
 
@@ -80,14 +73,7 @@ def parse_salem_line(line: str) -> SalemEntry:
 
 
 def _certified_cmp(a: SalemEntry, b: SalemEntry) -> int:
-    if a.poly == b.poly:
-        return 0
-    try:
-        ia, ib = refine_until_disjoint(a.interval, b.interval)
-    except SeparationError:
-        raise SalemListError(
-            f"entries {a.poly.to_text()} and {b.poly.to_text()} have indistinguishable roots")
-    return -1 if ia.high < ib.low else 1
+    return compare(a.interval, b.interval)
 
 
 def _load_text(text: str) -> list[SalemEntry]:
@@ -151,51 +137,27 @@ class GapReport:
 
 def count_entries_below(entries: list[SalemEntry], threshold: RootInterval) -> int:
     """Number of entries with root certified strictly below the threshold root."""
-    count = 0
-    for e in entries:
-        try:
-            ia, ib = refine_until_disjoint(e.interval, threshold)
-        except SeparationError:
-            continue  # equal to the threshold: not strictly below
-        if ia.high < ib.low:
-            count += 1
-    return count
-
-
-def _first_two_polygon_rates() -> tuple[RootInterval, IntPoly, RootInterval, IntPoly]:
-    f1 = polygon_growth(2, 3, 7)
-    f2 = steinberg_growth(CoxeterDiagram(3, {(0, 1): 3, (1, 2): 8}))
-    r1 = growth_rate(f1, Fraction(1, 10**12))
-    r2 = growth_rate(f2, Fraction(1, 10**12))
-    core1, _ = strip_cyclotomic(f1.denominator)
-    core2, _ = strip_cyclotomic(f2.denominator)
-    return r1, core1, r2, core2
+    return sum(compare(e.interval, threshold) < 0 for e in entries)
 
 
 def gap_report(entries: list[SalemEntry], assume_full: bool = False) -> GapReport:
     """Sort the entries against the smallest and second-smallest polygon rates.
 
-    Equality with either boundary is decided by exact polynomial identity
-    with the corresponding minimal polynomial; everything else by certified
-    disjoint intervals.
+    Each entry's root is compared with both rates by roots.compare, so
+    equality with a rate is certified by a shared root of the two
+    polynomials and every other answer by disjoint intervals.
     """
-    if not entries and not assume_full:
-        return GapReport((), (), (), (), *_first_two_polygon_rates()[::2], False)
-    r1, core1, r2, core2 = _first_two_polygon_rates()
+    r1 = growth_rate(polygon_growth(2, 3, 7), Fraction(1, 10**12))
+    r2 = growth_rate(steinberg_growth(CoxeterDiagram(3, {(0, 1): 3, (1, 2): 8})),
+                     Fraction(1, 10**12))
     below, equal1, band, above = [], [], [], []
     for e in entries:
-        if e.poly == core1:
-            equal1.append(e)
-            continue
-        if e.poly == core2:
-            above.append(e)
-            continue
-        ia, ib = refine_until_disjoint(e.interval, r1)
-        if ia.high < ib.low:
+        side = compare(e.interval, r1)
+        if side < 0:
             below.append(e)
-            continue
-        ia, ic = refine_until_disjoint(e.interval, r2)
-        if ia.high < ic.low:
+        elif side == 0:
+            equal1.append(e)
+        elif compare(e.interval, r2) < 0:
             band.append(e)
         else:
             above.append(e)
@@ -233,19 +195,8 @@ def polygon_realization_search(target: SalemEntry | IntPoly, k_max: int = 6,
     examined = pruned = 0
 
     def rate_vs_target(ps) -> int:
-        """-1 below, 0 overlapping, 1 above the target root."""
-        iv = isolate_largest_real_root(polygon_delta(*ps), Fraction(1, 10**4))
-        tgt = root
-        for _ in range(30):
-            if iv.high < tgt.low:
-                return -1
-            if tgt.high < iv.low:
-                return 1
-            if iv.width == 0 and tgt.width == 0:
-                return 0
-            iv = iv.refined(iv.width / 16) if iv.width > 0 else iv
-            tgt = tgt.refined(tgt.width / 16) if tgt.width > 0 else tgt
-        return 0
+        """-1 below, 0 equal to, 1 above the target root."""
+        return compare(isolate_largest_real_root(polygon_delta(*ps), Fraction(1, 10**4)), root)
 
     def extend(prefix: tuple[int, ...], k: int):
         nonlocal examined, pruned

@@ -10,12 +10,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .diagram import DiagramError, WeightedTree, h_graph, star_diagram
-from .intpoly import IntPoly, poly_gcd
+from .intpoly import IntPoly
 from .numclass import strip_cyclotomic
 from .roots import (
     DEFAULT_WIDTH,
     RootInterval,
     certify_strictly_less,
+    compare,
     isolate_largest_real_root,
     sturm_count,
 )
@@ -125,20 +126,16 @@ class LeafReplacementResult:
     replaced: WeightedTree
     original_radius: RootInterval
     replaced_radius: RootInterval
-    shared_factor_root_count: int
-
-    @property
-    def certified_equal(self) -> bool:
-        return self.shared_factor_root_count == 1
+    certified_equal: bool
 
 
 def weight4_leaf_replace(tree: WeightedTree, width: Fraction = Fraction(1, 10**12)) -> LeafReplacementResult:
     """Replace the unique weight-4 leaf edge by two weight-3 leaves and
     certify that the adjacency spectral radius is unchanged.
 
-    The certificate has two parts: the isolating intervals of the two
-    largest eigenvalues overlap at the given width, and their gcd has
-    exactly one root in the joint interval.
+    The two largest eigenvalues are isolated at the given width and compared
+    by roots.compare: they are certified equal exactly when the gcd of the
+    two characteristic polynomials has a root where the intervals overlap.
     """
     heavy = [(i, j, w) for i, j, w in tree.edge_list if w != 3]
     if len(heavy) != 1 or heavy[0][2] != 4:
@@ -160,14 +157,7 @@ def weight4_leaf_replace(tree: WeightedTree, width: Fraction = Fraction(1, 10**1
     chi_out = adjacency_char_poly(replaced)
     r_in = isolate_largest_real_root(chi_in, width)
     r_out = isolate_largest_real_root(chi_out, width)
-    if not r_in.overlaps(r_out):
-        return LeafReplacementResult(tree, replaced, r_in, r_out, 0)
-    g = poly_gcd(chi_in, chi_out)
-    lo = min(r_in.low, r_out.low)
-    hi = max(r_in.high, r_out.high)
-    shared = sturm_count(g, lo, hi) if g.degree > 0 and lo < hi else (
-        1 if g.degree > 0 and g.sign_at(lo) == 0 else 0)
-    return LeafReplacementResult(tree, replaced, r_in, r_out, shared)
+    return LeafReplacementResult(tree, replaced, r_in, r_out, compare(r_in, r_out) == 0)
 
 
 # -- the non-realization pipeline --------------------------------------------------------
@@ -191,7 +181,6 @@ class Alpha0Report:
     items_above: int
     monotone_families: dict = field(default_factory=dict)
     bracketing: tuple[CertifiedComparison, ...] = ()
-    near_misses: tuple = ()
 
 
 def _alpha0_interval(width: Fraction = Fraction(1, 10**13)) -> tuple[RootInterval, IntPoly]:
@@ -231,44 +220,34 @@ def _certify_increasing(make, params) -> bool:
     return True
 
 
-def verify_alpha0_not_tree_radius(r_max: int = 25, j_max: int = 25,
-                                  width: Fraction = Fraction(1, 10**12)) -> Alpha0Report:
+def verify_alpha0_not_tree_radius(r_max: int = 25, j_max: int = 25) -> Alpha0Report:
     """Certify that no tree in the small-radius classification attains the
     transferred tetrahedral value.
 
-    Every enumerated tree within the bounds gets a certified disjointness
-    check at the stated width; additionally the bracketing facts that close
-    the unbounded families are certified: the radii of H(2,j,3) and H(3,j,3)
-    are strictly decreasing and straddle the value between consecutive
-    parameters, and Star(2,4,r) crosses the value between r = 5 and 6.
-    Parameters beyond the enumeration bounds are covered by those certified
-    monotone brackets (a cited extrapolation, flagged in the report).
+    Every enumerated tree within the bounds has its radius compared with the
+    value by roots.compare, which certifies it strictly below or above (an
+    equal radius, a shared root of the two polynomials, raises); additionally
+    the bracketing facts that close the unbounded families are certified: the
+    radii of H(2,j,3) and H(3,j,3) are strictly decreasing and straddle the
+    value between consecutive parameters, and Star(2,4,r) crosses the value
+    between r = 5 and 6.  Parameters beyond the enumeration bounds are
+    covered by those certified monotone brackets (a cited extrapolation,
+    flagged in the report).
     """
     if r_max < 25 or j_max < 25:
         raise ValueError("bounds must cover at least r_max=25, j_max=25")
     alpha0, apoly = _alpha0_interval()
     items = brouwer_neumaier_enumerate(r_max, j_max)
     below = above = 0
-    near = []
     for item in items:
-        chi = adjacency_char_poly(item.tree)
-        iv = isolate_largest_real_root(chi, Fraction(1, 10**7))
-        a0 = alpha0
-        while iv.overlaps(a0):
-            if iv.width < width and a0.width < width:
-                raise ArithmeticError(f"{item.family}{item.params} radius not separable from the target")
-            iv = iv.refined(iv.width / 64)
-            a0 = a0.refined(a0.width / 64)
-        if iv.high < a0.low:
+        iv = isolate_largest_real_root(adjacency_char_poly(item.tree), Fraction(1, 10**7))
+        side = compare(iv, alpha0)
+        if side == 0:
+            raise ArithmeticError(f"{item.family}{item.params} shares the target root")
+        if side < 0:
             below += 1
         else:
             above += 1
-        if iv.width <= width:  # got refined: a genuinely close item
-            g = poly_gcd(chi, apoly)
-            shared = sturm_count(g, min(iv.low, a0.low), max(iv.high, a0.high)) if g.degree > 0 else 0
-            if shared:
-                raise ArithmeticError(f"{item.family}{item.params} shares the target root")
-            near.append((item.family, item.params, iv.decimal(10)))
     # certified monotone brackets for the unbounded families
     mono = {
         "H(2,j,3) decreasing to j<=30": _certify_increasing(lambda j: h_graph(2, j, 3), range(30, 0, -1)),
@@ -290,9 +269,9 @@ def verify_alpha0_not_tree_radius(r_max: int = 25, j_max: int = 25,
         else:
             iv, a0 = certify_strictly_less(iv, a0)
         brackets.append(CertifiedComparison(label, params, iv, side))
-    passed = all(mono.values()) and (below + above == len(items))
+    passed = all(mono.values())
     return Alpha0Report(passed, alpha0, apoly, len(items), below, above,
-                        mono, tuple(brackets), tuple(near))
+                        mono, tuple(brackets))
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,23 @@ def test_no_assert_statements(path):
     assert lines == [], f"{path.name} asserts at lines {lines}"
 
 
+_ROOT_COMPARISONS = {"overlaps", "is_disjoint_from", "is_strictly_below"}
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "roots.py"),
+                         ids=lambda p: p.name)
+def test_root_intervals_are_compared_only_by_roots_compare(path):
+    # every yes/no about the order or equality of two roots goes through roots.compare
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in _ROOT_COMPARISONS
+             or isinstance(node, ast.Name) and node.id == "SeparationError"
+             or isinstance(node, ast.Attribute) and node.attr == "SeparationError"
+             or isinstance(node, ast.alias) and node.name == "SeparationError"]
+    assert lines == [], f"{path.name} compares root intervals by hand at lines {lines}"
+
+
 @pytest.mark.parametrize("parse,text,error", [
     (parse_poly, "١,٢", ValueError),                       # Arabic-Indic digits
     (parse_poly, "1,２", ValueError),                       # fullwidth digit

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from coxgrowth.intpoly import IntPoly, cyclotomic, parse_poly
 from coxgrowth.numclass import (
+    _is_perron,
     charpoly_int_matrix,
     classify,
     disk_root_counts,
@@ -153,6 +154,13 @@ def test_classify_perron_not_salem():
     nc = classify(IntPoly([1, -3, 1]))
     assert "perron" in nc.labels and "salem" not in nc.labels
     assert (nc.roots_outside_unit_disk, nc.roots_inside) == (1, 1)
+
+
+@pytest.mark.parametrize("negative", [3, 2])
+def test_negative_root_of_equal_or_larger_modulus_is_not_perron(negative):
+    p = IntPoly([-2, 1]) * IntPoly([negative, 1])  # roots 2 and -negative
+    assert _is_perron(p, 2) is False
+    assert "perron" not in classify(p).labels
 
 
 def test_classify_cyclotomic():

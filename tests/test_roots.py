@@ -11,6 +11,7 @@ from coxgrowth.roots import (
     NoRealRootError,
     RootInterval,
     certify_strictly_less,
+    compare,
     count_roots_open,
     isolate_largest_real_root,
     isolate_real_roots,
@@ -101,7 +102,65 @@ def test_separation_failure_on_equal_roots():
     a = isolate_largest_real_root(IntPoly([-2, 0, 1]), Fraction(1, 100))
     b = isolate_largest_real_root(IntPoly([-2, 0, 1]) * IntPoly([1, 1]), Fraction(1, 100))
     with pytest.raises(ValueError):
-        refine_until_disjoint(a, b, floor_width=Fraction(1, 10**20))
+        refine_until_disjoint(a, b)
+
+
+def test_compare_separates_roots_1e50_apart():
+    a = RootInterval(IntPoly([-1, 1]), Fraction(0), Fraction(2))
+    b = RootInterval(IntPoly([-(10**50 + 1), 10**50]), Fraction(0), Fraction(2))
+    assert compare(a, b) == -1
+    assert compare(b, a) == 1
+
+
+def test_compare_equal_roots_of_different_polynomials():
+    a = isolate_largest_real_root(IntPoly([-2, 0, 1]), Fraction(1, 100))
+    b = isolate_largest_real_root(IntPoly([-2, 0, 1]) * IntPoly([1, 1]), Fraction(1, 3))
+    assert compare(a, b) == 0 and compare(b, a) == 0
+    point = RootInterval(IntPoly([-1, 1]), Fraction(1), Fraction(1))
+    around = RootInterval(IntPoly([-1, 1]) * IntPoly([-3, 1]), Fraction(1, 2), Fraction(2))
+    assert compare(point, around) == 0 and compare(around, point) == 0
+
+
+def test_compare_needs_the_shared_root_in_the_overlap():
+    # the union [1/2, 5/2] holds the common root 1, the overlap [5/4, 3/2] does not
+    a = RootInterval(IntPoly([-1, 1]), Fraction(1, 2), Fraction(3, 2))
+    b = RootInterval(IntPoly([-1, 1]) * IntPoly([-2, 1]), Fraction(5, 4), Fraction(5, 2))
+    assert compare(a, b) == -1
+    assert compare(b, a) == 1
+
+
+def test_compare_reads_intervals_as_half_open():
+    # (1, 2] holds only the root 2 of (x-1)(x-2); the root 1 at its lower end
+    # belongs to (0, 1], the interval of x - 1
+    x1, x1x2 = IntPoly([-1, 1]), IntPoly([-1, 1]) * IntPoly([-2, 1])
+    a = RootInterval(x1x2, Fraction(1), Fraction(2))
+    b = RootInterval(x1, Fraction(0), Fraction(1))
+    assert compare(a, b) == 1 and compare(b, a) == -1
+    point = RootInterval(x1, Fraction(1), Fraction(1))
+    assert compare(a, point) == 1 and compare(point, a) == -1
+    # a common upper end is in both root sets
+    c = RootInterval(x1 * IntPoly([3, 1]), Fraction(1, 2), Fraction(1))
+    assert compare(b, c) == 0 and compare(c, point) == 0
+
+
+def _sqrt_interval_of(p, n, width):
+    """The isolating interval of p around sqrt(n)."""
+    return next(iv for iv in isolate_real_roots(p, width)
+                if iv.high >= 0 and max(iv.low, 0) ** 2 <= n <= iv.high ** 2)
+
+
+_extra_factors = st.lists(
+    st.lists(st.integers(-6, 6), min_size=1, max_size=3).map(lambda c: IntPoly(c + [1])),
+    max_size=2).map(lambda fs: functools.reduce(lambda acc, f: acc * f, fs, IntPoly([1])))
+
+
+@given(st.integers(1, 40), st.integers(1, 40), _extra_factors, _extra_factors,
+       st.sampled_from([Fraction(1), Fraction(1, 3), Fraction(1, 10**6)]))
+@settings(max_examples=150, deadline=None)
+def test_compare_square_roots(a, b, extra_a, extra_b, width):
+    ia = _sqrt_interval_of(IntPoly([-a, 0, 1]) * extra_a, a, width)
+    ib = _sqrt_interval_of(IntPoly([-b, 0, 1]) * extra_b, b, width)
+    assert compare(ia, ib) == (a > b) - (a < b)
 
 
 def test_count_roots_open():
