@@ -126,8 +126,11 @@ def _cmd_growth(args) -> CommandResult:
         if core.degree >= 1 and core.is_monic() and (core.degree <= 44 or rev in (core, -core)):
             payload["classification"] = sorted(classify(core).labels)
         else:
-            # disk counting of large non-reciprocal cores is quartic in the
-            # degree; classification targets Salem-scale polynomials
+            # the Perron check of a large non-reciprocal core counts the roots
+            # of p(ct), c a rational of 40 or more bits, whose remainder
+            # sequence is dominated by content gcds of coefficients thousands
+            # of bits long: about 3 s at degree 44 and 7 s at degree 50
+            # (CPython 3.11, one core of a 2-CPU Xeon host)
             payload["classification"] = None
     except growth.NotExponentialError:
         payload["growth_rate"] = None

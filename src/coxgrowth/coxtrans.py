@@ -22,7 +22,6 @@ from fractions import Fraction
 
 from .diagram import INF, DiagramError, WeightedTree, star_diagram
 from .intpoly import IntPoly, resultant_eliminate
-from .numclass import charpoly_int_matrix
 from .roots import (
     DEFAULT_WIDTH,
     RootInterval,
@@ -80,6 +79,32 @@ def bipartite_order(tree: WeightedTree) -> BipartiteOrder:
         for u, _ in adj[v]:
             x[r][pos2[u]] = 1
     return BipartiteOrder(tree, part1, part2, tuple(tuple(row) for row in x))
+
+
+def charpoly_int_matrix(mat: list[list[int]]) -> IntPoly:
+    """Characteristic polynomial det(xI - M) of a square integer matrix, exactly.
+
+    Faddeev-LeVerrier recurrence; every division is exact for integer input.
+    """
+    n = len(mat)
+    if any(len(row) != n for row in mat):
+        raise ValueError("matrix must be square")
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]  # M_0 = I
+    for k in range(1, n + 1):
+        # M_k = A * (M_{k-1} + c_{k-1} I); c_k = -trace(M_k)/k
+        am = [[sum(mat[i][l] * m[l][j] for l in range(n)) for j in range(n)] for i in range(n)]
+        tr = sum(am[i][i] for i in range(n))
+        c_k, rem = divmod(-tr, k)
+        if rem:
+            raise ArithmeticError("Faddeev-LeVerrier division must be exact")
+        coeffs[n - k] = c_k
+        if k < n:
+            for i in range(n):
+                am[i][i] += c_k
+            m = am
+    return IntPoly(coeffs)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,10 @@
 """Certified real-root counting and isolation via Sturm sequences.
 
+One kernel builds every remainder sequence: the signed remainder sequence of
+a pair of polynomials.  Of p and p' it is the Sturm chain; of den and num it
+gives the Cauchy index of num/den over the real line, from the variation
+counts at -inf and +inf.
+
 All interval endpoints are exact rationals; every count and every isolating
 interval is certified by exact sign computations, never by floating point.
 
@@ -132,24 +137,52 @@ def _sign(v: int) -> int:
     return (v > 0) - (v < 0)
 
 
-def sturm_chain(p: IntPoly) -> tuple[IntPoly, ...]:
-    """Sturm sequence of a squarefree polynomial, normalized to primitive parts.
+def _signed_remainders(f0: IntPoly, f1: IntPoly) -> tuple[IntPoly, ...]:
+    """The signed remainder sequence f0, f1, f2, ... with f_(k+1) a positive
+    multiple of -rem(f_(k-1), f_k), reduced to primitive parts.
 
     Each step negates the pseudo-remainder; positive rescaling preserves signs,
-    so variation counts are unchanged.  For p not squarefree the sequence ends
-    at a multiple of gcd(p, p').
+    so variation counts are unchanged.  The last member is a multiple of
+    gcd(f0, f1) (f0 itself when f1 is zero).
     """
-    chain = [p, p.derivative()]
+    chain = [f0, f1]
     while not chain[-1].is_zero():
         r = pseudo_rem(chain[-2], chain[-1])
         if r.is_zero():
             break
-        # pseudo_rem scales by lc^k; an even power (or positive lc) keeps orientation,
-        # a negative odd power flips it and must be undone: divide by -content or content.
+        # pseudo_rem scales by lc^k when k > 0 (and returns f_(k-1) itself otherwise);
+        # an even power (or positive lc) keeps orientation, a negative odd power
+        # flips it and must be undone: divide by -content or content.
         k = chain[-2].degree - chain[-1].degree + 1
-        g = r.content() if chain[-1].leading < 0 and k % 2 == 1 else -r.content()
+        flipped = chain[-1].leading < 0 and k > 0 and k % 2 == 1
+        g = r.content() if flipped else -r.content()
         chain.append(IntPoly(c // g for c in r.coeffs))
     return tuple(chain)
+
+
+def sturm_chain(p: IntPoly) -> tuple[IntPoly, ...]:
+    """Sturm sequence of a squarefree polynomial: the signed remainders of p and p'.
+
+    For p not squarefree the sequence ends at a multiple of gcd(p, p').
+    """
+    return _signed_remainders(p, p.derivative())
+
+
+def cauchy_index(num: IntPoly, den: IntPoly) -> int:
+    """The Cauchy index of num/den over the whole real line, for coprime num and den.
+
+    That is the number of real poles where num/den jumps from -inf to +inf
+    less the number where it jumps from +inf to -inf.  It is the variation
+    count at -inf less that at +inf of the signed remainder sequence of den
+    and num.  Raises ArithmeticError when num and den have a non-constant
+    common factor.
+    """
+    if den.is_zero():
+        raise ZeroDivisionError("zero denominator")
+    chain = tuple(q for q in _signed_remainders(den, num) if not q.is_zero())
+    if chain[-1].degree > 0:
+        raise ArithmeticError("numerator and denominator have a common factor")
+    return _variations_at_inf(chain, False) - _variations_at_inf(chain, True)
 
 
 class _SturmState(NamedTuple):

@@ -7,7 +7,8 @@ Durand-Kerner solver, isolating intervals from plain bisection over the whole
 Cauchy grid (the isolation that seeded root isolation must reproduce
 exactly), characteristic polynomials from evaluation and Lagrange
 interpolation over exact rationals, tree polynomials from explicit integer
-matrices (weighted adjacency, product of reflections).  None of these are
+matrices (weighted adjacency, product of reflections), unit-disk root counts
+from the signature of the Schur-Cohn quadratic form.  None of these are
 production paths; they exist to cross-check the exact implementations.
 """
 
@@ -19,6 +20,7 @@ from fractions import Fraction
 
 from coxgrowth.diagram import INF, CoxeterDiagram
 from coxgrowth.intpoly import IntPoly, poly_gcd, pseudo_rem, squarefree_part
+from coxgrowth.coxtrans import charpoly_int_matrix
 
 
 # -- breadth-first word counts in the geometric representation ---------------------------
@@ -401,6 +403,54 @@ def _lagrange(xs, ys) -> list[Fraction]:
         for k, c in enumerate(basis):
             coeffs[k] += ys[i] * c / denom
     return coeffs
+
+
+# -- unit-disk root counts from the Schur-Cohn signature -------------------------------------
+
+
+def _schur_cohn_matrix(p: IntPoly) -> list[list[int]]:
+    """The integer symmetric matrix of the Schur-Cohn form of p.
+
+    Entries h[j][k] = sum_v (q_{j-v} q_{k-v} - p_{j-v} p_{k-v}) with q the
+    reversed coefficient sequence; its signature equals (#roots inside the
+    open unit disk) - (#outside the closed disk) whenever p has no circle
+    roots and no pair of roots r, s with r*s = 1.
+    """
+    n = p.degree
+    a = list(p.coeffs)
+    q = list(reversed(a))
+    h = [[0] * n for _ in range(n)]
+    for j in range(n):
+        for k in range(j, n):
+            acc = 0
+            for v in range(min(j, k) + 1):
+                acc += q[j - v] * q[k - v] - a[j - v] * a[k - v]
+            h[j][k] = h[k][j] = acc
+    return h
+
+
+def _descartes_positive(p: IntPoly) -> int:
+    """Sign variations of the coefficient sequence (exact root count when all roots real)."""
+    signs = [c > 0 for c in p.coeffs if c]
+    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+
+def schur_cohn_disk_counts(h: IntPoly) -> tuple[int, int]:
+    """(inside, outside) counts of h relative to the unit circle, from the
+    signature of its Schur-Cohn matrix, read off the characteristic polynomial
+    by Descartes' rule (exact, since a symmetric matrix has real eigenvalues).
+    Raises ArithmeticError when the form is degenerate: h has a circle root or
+    an inversion pair r, 1/r."""
+    n = h.degree
+    if n == 0:
+        return 0, 0
+    chi = charpoly_int_matrix(_schur_cohn_matrix(h))
+    pos = _descartes_positive(chi)
+    neg = _descartes_positive(IntPoly((-1) ** (i % 2) * c for i, c in enumerate(chi.coeffs)))
+    if pos + neg != n:
+        raise ArithmeticError("degenerate Schur-Cohn form")
+    inside = (n + pos - neg) // 2
+    return inside, n - inside
 
 
 # -- weighted-tree matrices ------------------------------------------------------------------

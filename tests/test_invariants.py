@@ -40,6 +40,23 @@ def test_root_intervals_are_compared_only_by_roots_compare(path):
     assert lines == [], f"{path.name} compares root intervals by hand at lines {lines}"
 
 
+_REMAINDER_KERNEL_HOMES = {"intpoly.py", "roots.py"}
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py")
+                                        if p.name not in _REMAINDER_KERNEL_HOMES),
+                         ids=lambda p: p.name)
+def test_remainder_sequences_come_only_from_roots(path):
+    # one remainder-sequence kernel: Sturm chains and Cauchy indices come from
+    # roots, gcds from intpoly; no other module runs pseudo-remainders itself
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and (isinstance(node.func, ast.Name) and node.func.id == "pseudo_rem"
+                  or isinstance(node.func, ast.Attribute) and node.func.attr == "pseudo_rem")]
+    assert lines == [], f"{path.name} calls pseudo_rem at lines {lines}"
+
+
 @pytest.mark.parametrize("parse,text,error", [
     (parse_poly, "١,٢", ValueError),                       # Arabic-Indic digits
     (parse_poly, "1,２", ValueError),                       # fullwidth digit

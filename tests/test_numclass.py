@@ -3,10 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coxgrowth.coxtrans import charpoly_int_matrix
 from coxgrowth.intpoly import IntPoly, cyclotomic, parse_poly
 from coxgrowth.numclass import (
     _is_perron,
-    charpoly_int_matrix,
     classify,
     disk_root_counts,
     root_location_counts,
@@ -14,7 +14,7 @@ from coxgrowth.numclass import (
     unit_circle_root_count,
 )
 
-from oracles import charpoly_interpolated, root_location_counts_float
+from oracles import charpoly_interpolated, root_location_counts_float, schur_cohn_disk_counts
 
 LEHMER = parse_poly("1,1,0,-1,-1,-1,-1,-1,0,1,1")
 MIN_353 = parse_poly("1,-1,0,0,-1,1,-1,0,0,-1,1")
@@ -119,6 +119,66 @@ def test_disk_counts_constructed_products():
             continue
         assert disk_root_counts(sf) == (want_in, want_out), p
         checked += 1
+
+
+def _disk_counts_or_raise(count, h):
+    try:
+        return count(h)
+    except ArithmeticError:
+        return "raises"
+
+
+def _agrees_with_schur_cohn(h):
+    got = _disk_counts_or_raise(disk_root_counts, h)
+    assert got == _disk_counts_or_raise(schur_cohn_disk_counts, h), h
+    return got
+
+
+@given(st.lists(st.integers(-9, 9), min_size=2, max_size=17).filter(lambda c: c[-1] != 0))
+@settings(max_examples=300, deadline=None)
+def test_disk_counts_against_schur_cohn(coeffs):
+    # any sign of the leading coefficient; counts and degenerate inputs must agree
+    _agrees_with_schur_cohn(IntPoly(coeffs))
+
+
+@given(st.integers(1, 5), st.sampled_from([1, -1]),
+       st.lists(st.integers(-4, 4), min_size=1, max_size=13))
+@settings(max_examples=200, deadline=None)
+def test_disk_counts_with_end_coefficients_equal_up_to_sign(end, sign, middle):
+    # a0 = +-an zeroes the first pivot of the Bistritz table; the count has no pivots
+    _agrees_with_schur_cohn(IntPoly([sign * end] + middle + [end]))
+
+
+def test_disk_counts_at_a_zero_bistritz_pivot():
+    assert _agrees_with_schur_cohn(IntPoly([2, -3, 3, -2, 2, 0, -1, 0, 1])) == (4, 4)
+
+
+@given(st.integers(-6, 6).filter(bool), st.lists(st.integers(-6, 6), min_size=11, max_size=12),
+       st.integers(2**68, 2**70), st.integers(70, 72))
+@settings(max_examples=20, deadline=None)
+def test_disk_counts_of_scaled_polynomials(constant, middle, half_num, den_bits):
+    # p(ct) for a dyadic c = num / 2**den_bits, cleared of denominators: the
+    # inputs of the Perron check, with coefficients above 800 bits
+    p = IntPoly([constant] + middle + [1])
+    num, n = 2 * half_num + 1, p.degree
+    scaled = IntPoly(c * num**i * 2 ** (den_bits * (n - i))
+                     for i, c in enumerate(p.coeffs)).primitive()
+    assert max(abs(c) for c in scaled.coeffs).bit_length() > 800
+    _agrees_with_schur_cohn(scaled)
+
+
+@pytest.mark.parametrize("h", [
+    IntPoly([1, 0, 1]),                      # +-i
+    cyclotomic(5) * IntPoly([-3, 1]),        # primitive fifth roots of unity
+    IntPoly([-1, 1]) * IntPoly([1, 5, 2]),   # the root 1
+    IntPoly([1, 1]),                         # the root -1
+    IntPoly([1, 1]) * IntPoly([-3, 1]),
+    IntPoly([-2, 1]) * IntPoly([-1, 2]),     # the inversion pair 2, 1/2
+    IntPoly([-2, 1]) * IntPoly([-1, 2]) * IntPoly([7, 1, 1]),
+], ids=str)
+def test_disk_counts_reject_circle_roots_and_inversion_pairs(h):
+    with pytest.raises(ArithmeticError):
+        disk_root_counts(h)
 
 
 @given(st.lists(st.integers(-6, 6), min_size=1, max_size=6))

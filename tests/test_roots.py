@@ -6,12 +6,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coxgrowth.intpoly import IntPoly, parse_poly
+from coxgrowth.intpoly import IntPoly, parse_poly, poly_gcd
 from coxgrowth.roots import (
     NoRealRootError,
     RootInterval,
+    cauchy_index,
     certify_strictly_less,
     compare,
+    count_real_roots,
     count_roots_open,
     isolate_largest_real_root,
     isolate_real_roots,
@@ -167,6 +169,54 @@ def test_count_roots_open():
     p = IntPoly([-1, 1]) * IntPoly([-2, 1])
     assert sturm_count(p, 0, 2) == 2
     assert count_roots_open(p, Fraction(0), Fraction(2)) == 1
+
+
+@pytest.mark.parametrize("num,den,index", [
+    (IntPoly([1]), IntPoly([0, 1]), 1),             # 1/x jumps from -inf to +inf at 0
+    (IntPoly([-1]), IntPoly([0, 1]), -1),
+    (IntPoly([0, 1]), IntPoly([-1, 0, 1]), 2),      # x/(x^2 - 1), up at -1 and at 1
+    (IntPoly([0, -1]), IntPoly([-1, 0, 1]), -2),
+    (IntPoly([5]), IntPoly([1, 0, 1]), 0),          # no real pole
+    (IntPoly([1]), IntPoly([0, 0, 1]), 0),          # 1/x^2 keeps its sign across the pole
+    (IntPoly([-7, 2, 1]), IntPoly([-1, 0, 1]), 0),  # (x^2 + 2x - 7)/(x^2 - 1)
+    (IntPoly([1, 0, 0, -1]), IntPoly([0, 1]), 1),   # (1 - x^3)/x, deg num = deg den + 2
+    (IntPoly([-1, 0, 0, -1]), IntPoly([0, 1]), -1),
+    (IntPoly([1, 0, 0, 0, 0, -1]), IntPoly([0, 1]), 1),                 # (1 - x^5)/x
+    (IntPoly([2, 0, 0, 0, -1]), IntPoly([2, -3, 1]), -2),    # (2 - x^4)/((x - 1)(x - 2))
+])
+def test_cauchy_index_examples(num, den, index):
+    assert cauchy_index(num, den) == index
+
+
+@given(st.sets(st.integers(-6, 6), min_size=1, max_size=5),
+       st.lists(st.integers(-9, 9), min_size=1, max_size=10))
+@settings(max_examples=150, deadline=None)
+def test_cauchy_index_at_simple_integer_poles(poles, num_coeffs):
+    # den = prod (x - a) has simple poles, where num/den jumps up iff num(a) den'(a) > 0;
+    # num has any degree and any sign of leading coefficient
+    den = functools.reduce(lambda acc, a: acc * IntPoly([-a, 1]), sorted(poles), IntPoly([1]))
+    num = IntPoly(num_coeffs)
+    if num.is_zero() or any(num(a) == 0 for a in poles):
+        return
+    d = den.derivative()
+    assert cauchy_index(num, den) == sum(1 if num(a) * d(a) > 0 else -1 for a in poles)
+
+
+def test_cauchy_index_rejects_a_common_factor():
+    with pytest.raises(ArithmeticError):
+        cauchy_index(IntPoly([-1, 1]), IntPoly([-1, 1]) * IntPoly([2, 1]))
+    with pytest.raises(ArithmeticError):
+        cauchy_index(IntPoly(), IntPoly([1, 0, 1]))
+
+
+@given(st.lists(st.integers(-9, 9), min_size=2, max_size=10).filter(lambda c: c[-1] != 0))
+@settings(max_examples=100, deadline=None)
+def test_cauchy_index_of_the_log_derivative_counts_real_roots(coeffs):
+    # I(p'/p) is the number of distinct real roots of a squarefree p
+    p = IntPoly(coeffs)
+    if poly_gcd(p, p.derivative()).degree > 0:
+        return
+    assert cauchy_index(p.derivative(), p) == count_real_roots(p)
 
 
 def test_sqrt_interval():
