@@ -282,11 +282,6 @@ def _verify_delta_phi(args) -> tuple[bool, dict]:
     return True, {"tuples_checked": checked, "max_k": max_k, "max_p": max_p}
 
 
-def _theorem2_case(ps) -> bool:
-    return (coxtrans.verify_delta_eq_phi(*ps)
-            and coxtrans.coxeter_tree_radius_equals_polygon_rate(ps))
-
-
 def _verify_theorem2(args) -> tuple[bool, dict]:
     import itertools
     max_k, max_p = _bounds(args, 5, 8)
@@ -294,13 +289,9 @@ def _verify_theorem2(args) -> tuple[bool, dict]:
               for k in range(3, max_k + 1)
               for ps in itertools.combinations_with_replacement(range(2, max_p + 1), k)
               if growth.polygon_is_hyperbolic(ps)]
-    if args.threads > 1:
-        import multiprocessing
-        with multiprocessing.Pool(args.threads) as pool:
-            results = pool.map(_theorem2_case, tuples)
-    else:
-        results = [_theorem2_case(ps) for ps in tuples]
-    bad = [list(ps) for ps, ok in zip(tuples, results) if not ok]
+    bad = [list(ps) for ps in tuples
+           if not (coxtrans.verify_delta_eq_phi(*ps)
+                   and coxtrans.coxeter_tree_radius_equals_polygon_rate(ps))]
     return not bad, {"hyperbolic_tuples": len(tuples), "failures": bad,
                      "max_k": max_k, "max_p": max_p}
 
@@ -392,9 +383,6 @@ def _common_options(parser, suppress: bool):
     parser.add_argument("--width", type=_parse_width,
                         default=argparse.SUPPRESS if suppress else Fraction(1, 10**9),
                         help="certified interval width (default 1e-9)")
-    parser.add_argument("--threads", type=int,
-                        default=argparse.SUPPRESS if suppress else 1,
-                        help="worker processes for sweeps")
 
 
 def build_parser() -> argparse.ArgumentParser:

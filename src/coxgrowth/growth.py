@@ -1,16 +1,22 @@
 """Growth series of Coxeter systems and their growth rates.
 
-The subgroup-alternating-sum formula is evaluated with denominators kept in
-factored cyclotomic form: every finite-type growth polynomial is a product
-of brackets [k] = 1 + t + ... + t^(k-1), and [k] splits into the cyclotomic
-polynomials Phi_d for the divisors d > 1 of k.  Summation over subsets then
-needs one least-common-denominator, not a quadratic blow-up of products.
+Steinberg's alternating sum over the finite standard subgroups is evaluated
+with denominators kept in factored cyclotomic form: every finite-type growth
+polynomial is a product of brackets [k] = 1 + t + ... + t^(k-1), and [k]
+splits into the cyclotomic polynomials Phi_d for the divisors d > 1 of k.
+Only connected spherical vertex sets are typed, grown from singletons and
+pruned at the first non-spherical set; every spherical subset is a union of
+pairwise non-adjacent ones.  Terms are grouped by Solomon factorization, so
+the sum needs one common denominator and one cofactor per distinct
+factorization, not one per subset.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -36,14 +42,13 @@ from .roots import (
 )
 
 STEINBERG_RANK_BOUND = 20
+# Bits per cyclotomic exponent in a packed Solomon factorization.  The
+# exponent of Phi_d in f_T is at most |T|, so the rank bound always fits.
+_FIELD = STEINBERG_RANK_BOUND.bit_length()
 
 
 class NotExponentialError(ValueError):
     """The growth series has no pole in (0, 1): growth rate 1 or below."""
-
-
-class NotFiniteError(ValueError):
-    pass
 
 
 @dataclass(frozen=True, init=False)
@@ -138,20 +143,15 @@ def _as_growth(x) -> GrowthFunction:
 # -- finite-type growth polynomials ---------------------------------------------------
 
 
-def _bracket_factorization(k: int) -> dict[int, int]:
-    """[k] as a multiset of cyclotomic indices: divisors d > 1 of k."""
-    return {d: 1 for d in range(2, k + 1) if k % d == 0}
-
-
-def _merge_factors(dst: dict[int, int], src: dict[int, int]):
-    for d, e in src.items():
-        dst[d] = dst.get(d, 0) + e
+@functools.lru_cache(maxsize=None)
+def _cyclotomic_power(d: int, e: int) -> IntPoly:
+    return cyclotomic(d) ** e
 
 
 def _factored_poly(fac: dict[int, int]) -> IntPoly:
     out = IntPoly([1])
     for d, e in sorted(fac.items()):
-        out = out * cyclotomic(d) ** e
+        out = out * _cyclotomic_power(d, e)
     return out
 
 
@@ -164,40 +164,87 @@ def solomon_poly(types: list[SphericalType]) -> IntPoly:
     return out
 
 
-def _solomon_factorization(types: list[SphericalType]) -> dict[int, int]:
-    fac: dict[int, int] = {}
-    for t in types:
-        for e in t.exponents:
-            _merge_factors(fac, _bracket_factorization(e + 1))
-    return fac
+def _solomon_factorization(types: list[SphericalType]) -> Counter[int]:
+    """The Phi_d exponents of the product of brackets [e + 1]: [k] is the
+    product of Phi_d over the divisors d > 1 of k."""
+    return Counter(d for t in types for e in t.exponents
+                   for d in range(2, e + 2) if (e + 1) % d == 0)
+
+
+def _connected_spherical_sets(d: CoxeterDiagram) -> dict[int, tuple[Counter[int], int]]:
+    """Each connected spherical vertex set, as a bitmask, with its Solomon
+    factorization and the bitmask of the set and its neighbours.
+
+    An edge is a weight >= 3 or INF.  Sets grow from singletons by one
+    neighbour at a time, and each candidate is typed once.  Pruning at the
+    first non-spherical set is sound: a parabolic subgroup of a finite group
+    is finite, so a connected set containing a non-spherical one is not
+    spherical; and a connected spherical set of size k+1 minus a non-cut
+    vertex (a leaf of a spanning tree) is a connected spherical set of size k.
+    """
+    nbr = [sum(1 << j for j, w in enumerate(row) if w is INF or w >= 3) for row in d.weights]
+    out: dict[int, tuple[Counter[int], int]] = {}
+    todo = [1 << v for v in range(d.n)]
+    seen = set(todo)
+    while todo:
+        mask = todo.pop()
+        types = finite_type_recognize(d.subdiagram(tuple(v for v in range(d.n) if mask >> v & 1)))
+        if types is None:
+            continue
+        near = mask | sum(1 << v for v in range(d.n) if nbr[v] & mask)
+        out[mask] = (_solomon_factorization(types), near)
+        for v in range(d.n):
+            grown = mask | 1 << v
+            if near >> v & 1 and grown not in seen:
+                seen.add(grown)
+                todo.append(grown)
+    return out
 
 
 def steinberg_growth(d: CoxeterDiagram) -> GrowthFunction:
     """The full growth series from the alternating sum over finite standard subgroups.
 
-    Evaluates 1/f(t^-1) = sum over finite-type subsets T of (-1)^|T| / f_T(t)
-    exactly, then substitutes t -> 1/t and normalizes.
+    Evaluates 1/f(t^-1) = sum over spherical subsets T of (-1)^|T| / f_T(t)
+    exactly, then substitutes t -> 1/t and normalizes.  A spherical subset is
+    the union of its components, pairwise non-adjacent connected spherical
+    sets, and f_T is the product of theirs; so only connected sets are typed,
+    and a depth-first walk that adds one set at a time, in index order and
+    apart from the union so far, visits every spherical subset once.  Terms
+    are grouped by Solomon factorization: one signed count, and one cofactor
+    over the common denominator, per distinct factorization.
     """
     if d.n > STEINBERG_RANK_BOUND:
-        raise ValueError(f"rank {d.n} exceeds the subset-sweep bound {STEINBERG_RANK_BOUND}")
-    terms: list[tuple[int, dict[int, int]]] = [(1, {})]  # the empty subset
-    verts = list(range(d.n))
-    for r in range(1, d.n + 1):
-        for subset in itertools.combinations(verts, r):
-            if any(d.weights[a][b] is INF for a, b in itertools.combinations(subset, 2)):
-                continue
-            types = finite_type_recognize(d.subdiagram(subset))
-            if types is None:
-                continue
-            terms.append(((-1) ** r, _solomon_factorization(types)))
-    common: dict[int, int] = {}
-    for _, fac in terms:
-        for idx, e in fac.items():
-            common[idx] = max(common.get(idx, 0), e)
+        raise ValueError(f"rank {d.n} exceeds the Steinberg-sum rank bound {STEINBERG_RANK_BOUND}")
+    conn = _connected_spherical_sets(d)
+    sets = sorted(conn)
+    idx = sorted({i for fac, _ in conn.values() for i in fac})
+    # A factorization packs into one int, _FIELD bits per index of idx, so
+    # that adding two factorizations is one integer addition.
+    packed = [sum(conn[s][0][i] << _FIELD * p for p, i in enumerate(idx)) for s in sets]
+    flip = [s.bit_count() % 2 == 1 for s in sets]
+    # later[k]: the sets after set k that neither meet nor touch it.  A walk
+    # step's candidates are the sets after the last one taken that neither
+    # meet nor touch the union so far.
+    later = [sum(1 << j for j in range(k + 1, len(sets)) if not sets[j] & conn[s][1])
+             for k, s in enumerate(sets)]
+    counts: dict[int, int] = {}
+
+    def walk(cand: int, key: int, sign: int):
+        counts[key] = counts.get(key, 0) + sign
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            k = low.bit_length() - 1
+            walk(cand & later[k], key + packed[k], -sign if flip[k] else sign)
+
+    walk((1 << len(sets)) - 1, 0, 1)  # from the empty subset
+    exps = {key: {i: key >> _FIELD * p & (1 << _FIELD) - 1 for p, i in enumerate(idx)}
+            for key in counts}
+    common = {i: max(e[i] for e in exps.values()) for i in idx}
     num = IntPoly()
-    for sign, fac in terms:
-        cofactor = {idx: common[idx] - fac.get(idx, 0) for idx in common}
-        num = num + _factored_poly(cofactor) * sign
+    for key, count in counts.items():
+        if count:
+            num = num + _factored_poly({i: common[i] - e for i, e in exps[key].items()}) * count
     den = _factored_poly(common)
     # 1/f(1/t) = num/den, so f(t) = den(1/t) / num(1/t).
     dn, dd = num.degree, den.degree
@@ -346,23 +393,6 @@ def help_sum(ks) -> GrowthFunction:
     return total
 
 
-@dataclass(frozen=True)
-class HelpFunctionReport:
-    """The per-vertex help functions of a polygon and their sum, with the
-    reference sum of the (2, 3, 8) triangle for comparison."""
-
-    ks: tuple[int, ...]
-    functions: tuple[GrowthFunction, ...]
-    total: GrowthFunction
-    reference: GrowthFunction
-
-
-def help_report(ks) -> HelpFunctionReport:
-    ks = tuple(ks)
-    fns = tuple(help_function(k) for k in ks)
-    return HelpFunctionReport(ks, fns, help_sum(ks), help_sum((2, 3, 8)))
-
-
 def _strip_zero_root(p: IntPoly) -> IntPoly:
     i = 0
     while i <= p.degree and p[i] == 0:
@@ -411,11 +441,6 @@ class SecondMinimalReport:
 
 # prod over the angle denominators of the right-angled (2, 4, 5) comparison
 _GAP_NUMERATOR = IntPoly([1, 1, 0, -1, -1, -1, 0, 1, 1])  # t^8+t^7-t^5-t^4-t^3+t+1
-
-
-def gap_certificate_polynomial() -> IntPoly:
-    """The certified-positive numerator governing the right-angled comparison."""
-    return _GAP_NUMERATOR
 
 
 def _hyperbolic_tuples(k: int, p_max: int):

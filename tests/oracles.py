@@ -8,18 +8,21 @@ Cauchy grid (the isolation that seeded root isolation must reproduce
 exactly), characteristic polynomials from evaluation and Lagrange
 interpolation over exact rationals, tree polynomials from explicit integer
 matrices (weighted adjacency, product of reflections), unit-disk root counts
-from the signature of the Schur-Cohn quadratic form.  None of these are
+from the signature of the Schur-Cohn quadratic form, growth series from
+the alternating sum over every one of the 2^n vertex subsets.  None of these are
 production paths; they exist to cross-check the exact implementations.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from fractions import Fraction
 
-from coxgrowth.diagram import INF, CoxeterDiagram
-from coxgrowth.intpoly import IntPoly, poly_gcd, pseudo_rem, squarefree_part
+from coxgrowth.diagram import INF, CoxeterDiagram, finite_type_recognize
+from coxgrowth.growth import GrowthFunction
+from coxgrowth.intpoly import IntPoly, cyclotomic, poly_gcd, pseudo_rem, squarefree_part
 from coxgrowth.coxtrans import charpoly_int_matrix
 
 
@@ -521,3 +524,66 @@ def random_tree_edges(n: int, rng) -> list[tuple[int, int, int]]:
     a, b = heapq.heappop(leaves), heapq.heappop(leaves)
     edges.append((min(a, b), max(a, b), 3))
     return edges
+
+
+# -- the Steinberg sum over every vertex subset ---------------------------------------------
+
+
+def _bracket_factorization(k: int) -> dict[int, int]:
+    """[k] as a multiset of cyclotomic indices: divisors d > 1 of k."""
+    return {d: 1 for d in range(2, k + 1) if k % d == 0}
+
+
+def _merge_factors(dst: dict[int, int], src: dict[int, int]):
+    for d, e in src.items():
+        dst[d] = dst.get(d, 0) + e
+
+
+def _factored_poly(fac: dict[int, int]) -> IntPoly:
+    out = IntPoly([1])
+    for d, e in sorted(fac.items()):
+        out = out * cyclotomic(d) ** e
+    return out
+
+
+def _solomon_factorization(types) -> dict[int, int]:
+    fac: dict[int, int] = {}
+    for t in types:
+        for e in t.exponents:
+            _merge_factors(fac, _bracket_factorization(e + 1))
+    return fac
+
+
+def subset_sweep_growth(d: CoxeterDiagram) -> GrowthFunction:
+    """The growth series from the alternating sum, typing every one of the
+    2^n vertex subsets and building one cofactor per spherical subset."""
+    terms: list[tuple[int, dict[int, int]]] = [(1, {})]  # the empty subset
+    verts = list(range(d.n))
+    for r in range(1, d.n + 1):
+        for subset in itertools.combinations(verts, r):
+            if any(d.weights[a][b] is INF for a, b in itertools.combinations(subset, 2)):
+                continue
+            types = finite_type_recognize(d.subdiagram(subset))
+            if types is None:
+                continue
+            terms.append(((-1) ** r, _solomon_factorization(types)))
+    common: dict[int, int] = {}
+    for _, fac in terms:
+        for idx, e in fac.items():
+            common[idx] = max(common.get(idx, 0), e)
+    num = IntPoly()
+    for sign, fac in terms:
+        cofactor = {idx: common[idx] - fac.get(idx, 0) for idx in common}
+        num = num + _factored_poly(cofactor) * sign
+    den = _factored_poly(common)
+    # 1/f(1/t) = num/den, so f(t) = den(1/t) / num(1/t).
+    dn, dd = num.degree, den.degree
+    f_num, f_den = den.reversed(), num.reversed()
+    if dn > dd:
+        f_num = f_num.shift(dn - dd)
+    elif dd > dn:
+        f_den = f_den.shift(dd - dn)
+    f = GrowthFunction(f_num, f_den)
+    if f.denominator(0) == 0 or f(Fraction(0)) != 1:
+        raise ArithmeticError("growth series must start at 1")
+    return f

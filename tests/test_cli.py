@@ -121,13 +121,6 @@ def test_verify_theorem2_small(capsys):
     assert doc["payload"]["hyperbolic_tuples"] > 0
 
 
-def test_verify_theorem2_threaded(capsys):
-    code, doc, _ = run_json(capsys, "verify", "theorem2", "--max-k", "3", "--max-p", "6",
-                            "--threads", "2")
-    assert code == 0
-    assert doc["payload"]["passed"] is True
-
-
 def test_exit_code_on_error(capsys):
     code, out, err = run_cli(capsys, "growth", "--symbol", "[2,3]")
     assert code == 1

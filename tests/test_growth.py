@@ -2,8 +2,10 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coxgrowth.diagram import (
+    INF,
     CoxeterDiagram,
     parse_coxeter_symbol,
     polygon_diagram,
@@ -13,10 +15,8 @@ from coxgrowth.diagram import (
 from coxgrowth.growth import (
     GrowthFunction,
     NotExponentialError,
-    gap_certificate_polynomial,
     growth_rate,
     help_function,
-    help_report,
     help_sum,
     monotonicity_check,
     polygon_delta,
@@ -33,7 +33,7 @@ from coxgrowth.numclass import strip_cyclotomic
 from coxgrowth.diagram import finite_type_recognize
 from coxgrowth.roots import sturm_count
 
-from oracles import bfs_word_counts, dihedral_order, symmetric_group_order
+from oracles import bfs_word_counts, dihedral_order, subset_sweep_growth, symmetric_group_order
 
 LEHMER = parse_poly("1,1,0,-1,-1,-1,-1,-1,0,1,1")
 MIN_38 = parse_poly("1,0,0,-1,0,-1,0,-1,0,0,1")
@@ -88,7 +88,41 @@ def test_solomon_matches_group_order_oracles():
         assert solomon_poly(finite_type_recognize(sym(f"[{m}]")))(1) == dihedral_order(m)
 
 
-# -- the subset-sum growth series ----------------------------------------------------------
+# -- the Steinberg growth series ----------------------------------------------------------
+
+
+@st.composite
+def _diagrams(draw):
+    """Rank 1-9.  Each pair's weight comes from a drawn palette, so edgeless,
+    sparse and disconnected diagrams occur as well as INF-dense ones."""
+    n = draw(st.integers(1, 9))
+    palette = draw(st.lists(st.sampled_from([2, 3, 4, 5, 6, 8, INF]), min_size=1, max_size=6))
+    edges = {}
+    for i, j in itertools.combinations(range(n), 2):
+        w = draw(st.sampled_from(palette))
+        if w != 2:
+            edges[(i, j)] = w
+    return CoxeterDiagram(n, edges)
+
+
+@given(_diagrams())
+@settings(max_examples=200, deadline=None)
+def test_steinberg_matches_subset_sweep(d):
+    assert steinberg_growth(d) == subset_sweep_growth(d)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: sym("[" + ",".join(["3"] * 12) + "]"),  # A13
+    lambda: CoxeterDiagram(12),
+    lambda: sym("[8,3,4,3,8]"),
+    lambda: sym("[(3^2,inf)]"),
+    lambda: polygon_diagram(2, 3, 7),
+], ids=["A13", "edgeless12", "8-3-4-3-8", "3^2-inf-cycle", "polygon-2-3-7"])
+def test_steinberg_matches_subset_sweep_examples(build):
+    d = build()
+    f = steinberg_growth(d)
+    g = subset_sweep_growth(d)
+    assert (f.numerator, f.denominator) == (g.numerator, g.denominator)
 
 
 def test_steinberg_38_denominator():
@@ -341,17 +375,16 @@ def test_help_function_values_strictly_inside_unit_interval():
 
 
 def test_help_report_structure():
-    rep = help_report((2, 3, 8))
-    assert rep.total == rep.reference
-    assert len(rep.functions) == 3
     assert help_sum((2, 3, 8)) == (help_function(2) + help_function(3) + help_function(8))
 
 
 def test_gap_polynomial_positive():
-    F = gap_certificate_polynomial()
+    F = IntPoly([1, 1, 0, -1, -1, -1, 0, 1, 1])  # t^8+t^7-t^5-t^4-t^3+t+1
     assert F == parse_poly("1,1,0,-1,-1,-1,0,1,1")
     assert sturm_count(F, 0, 1) == 0
     assert positive_on_interval(F)
+    details = verify_second_minimal_polygon().case("gap_polynomial").details
+    assert details["polynomial"] == F.to_text()
 
 
 def test_second_minimal_report():
