@@ -346,16 +346,6 @@ class WeightedTree:
     def to_diagram(self) -> CoxeterDiagram:
         return CoxeterDiagram(self.n, {(i, j): w for i, j, w in self.edge_list})
 
-    def relabel(self, perm: dict[int, int]) -> "WeightedTree":
-        return WeightedTree(self.n, [(perm[i], perm[j], w) for i, j, w in self.edge_list])
-
-    def with_edge_weight(self, i: int, j: int, w: Weight) -> "WeightedTree":
-        i, j = min(i, j), max(i, j)
-        edges = [(a, b, w if (a, b) == (i, j) else m) for a, b, m in self.edge_list]
-        if (i, j) not in {(a, b) for a, b, _ in self.edge_list}:
-            raise DiagramError(f"({i}, {j}) is not an edge")
-        return WeightedTree(self.n, edges)
-
 
 def path_tree(n: int, weight: Weight = 3) -> WeightedTree:
     if n < 1:

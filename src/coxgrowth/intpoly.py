@@ -394,19 +394,6 @@ def palindromic_reduce(p: IntPoly) -> IntPoly:
     return IntPoly(q)
 
 
-def expand_trace_form(q: IntPoly, d: int | None = None) -> IntPoly:
-    """Inverse of palindromic_reduce: t^d q(t + 1/t) with d = deg q by default."""
-    if d is None:
-        d = q.degree
-    if d < q.degree:
-        raise ValueError("d must be at least deg q")
-    out = IntPoly()
-    for k, c in enumerate(q.coeffs):
-        if c:
-            out = out + (IntPoly([1, 0, 1]) ** k).shift(d - k) * c
-    return out
-
-
 # -- cyclotomic polynomials ---------------------------------------------------------
 
 
@@ -427,15 +414,6 @@ def _mobius_sieve(n: int) -> list[int]:
                 break
             mu[i * p] = -mu[i]
     return mu
-
-
-def totient_sieve(n: int) -> list[int]:
-    phi = list(range(n + 1))
-    for i in range(2, n + 1):
-        if phi[i] == i:  # prime
-            for j in range(i, n + 1, i):
-                phi[j] -= phi[j] // i
-    return phi
 
 
 @functools.lru_cache(maxsize=None)

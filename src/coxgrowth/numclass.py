@@ -12,6 +12,8 @@ parts of q(iy) in O(n^2) coefficient operations.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -25,7 +27,6 @@ from .intpoly import (
     reciprocity_type,
     squarefree_decomposition,
     squarefree_part,
-    totient_sieve,
 )
 from . import roots
 from .roots import count_roots_open, isolate_largest_real_root, sturm_count
@@ -49,34 +50,70 @@ def strip_cyclotomic(p: IntPoly) -> tuple[IntPoly, list[tuple[int, int]]]:
     """Divide out every cyclotomic factor of p.
 
     Returns (core, factors) with factors a list of (cyclotomic index,
-    multiplicity) and core * prod Phi_n^mult == p exactly.  Candidate indices
-    n are exactly those with phi(n) <= deg p.
+    multiplicity) in ascending index and core * prod Phi_n^mult == p exactly.
+    The candidates are exactly the n with phi(n) <= deg p.  Phi_n is tried
+    only when Phi_n(k) divides core(k) for each probe k in 2, -2, 3: if Phi_n
+    divides core in Z[t], then core(k) = Phi_n(k) q(k) with q integral, as
+    Phi_n is monic.  So the filter only skips divisions that must fail (a
+    core vanishing at a probe passes it), and every factor found is
+    certified by ``exact_div``.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
     core = p
     factors: list[tuple[int, int]] = []
-    deg = core.degree
-    if deg < 1:
+    if core.degree < 1:
         return core, factors
-    limit = 2 * deg * deg + 6  # phi(n) >= sqrt(n/2), so phi(n) <= deg forces n <= 2 deg^2
-    phi = totient_sieve(limit)
-    for n in range(1, limit + 1):
-        if phi[n] > core.degree:
-            continue
-        f = cyclotomic(n)
+    values = [core(k) for k in _PROBES]
+    for n, phi, primes in _cyclotomic_candidates(core.degree):
+        probes = _probe_values(n, primes)
         mult = 0
-        while core.degree >= f.degree:
+        while core.degree >= phi and all(v % f == 0 for v, f in zip(values, probes)):
             try:
-                core = exact_div(core, f)
+                core = exact_div(core, cyclotomic(n))
             except ExactDivisionError:
                 break
+            values = [v // f for v, f in zip(values, probes)]
             mult += 1
         if mult:
             factors.append((n, mult))
         if core.degree < 1:
             break
     return core, factors
+
+
+_PROBES = (2, -2, 3)
+
+
+@functools.lru_cache(maxsize=None)
+def _cyclotomic_candidates(d: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """(n, phi(n), primes of n) for every n with phi(n) <= d, ascending in n:
+    a depth-first walk over prime powers of increasing primes q <= d + 1,
+    which stops where phi exceeds d, since phi only grows along it."""
+    primes = [q for q in range(2, d + 2) if all(q % r for r in range(2, math.isqrt(q) + 1))]
+    out = []
+    stack = [(1, 1, (), 0)]
+    while stack:
+        n, phi, ps, start = stack.pop()
+        out.append((n, phi, ps))
+        for i in range(start, len(primes)):
+            m, f = n * primes[i], phi * (primes[i] - 1)
+            if f > d:
+                break
+            while f <= d:
+                stack.append((m, f, ps + (primes[i],), i + 1))
+                m, f = m * primes[i], f * primes[i]
+    return tuple(sorted(out))
+
+
+@functools.lru_cache(maxsize=None)
+def _probe_values(n: int, primes: tuple[int, ...]) -> tuple[int, ...]:
+    """Phi_n(k) for k in _PROBES without building Phi_n: Phi_n(x) = Phi_r(x^(n/r))
+    for r the product of the primes of n, and Phi_mq(y) = Phi_m(y^q) / Phi_m(y)
+    for a prime q not dividing m, where Phi_m(y) != 0 as |y| >= 2."""
+    def at(ps, y):
+        return at(ps[1:], y ** ps[0]) // at(ps[1:], y) if ps else y - 1
+    return tuple(at(primes, k ** (n // math.prod(primes))) for k in _PROBES)
 
 
 def _remove_root(p: IntPoly, at: int) -> tuple[IntPoly, int]:
@@ -176,27 +213,25 @@ def _root_counts_squarefree(s: IntPoly) -> tuple[int, int, int]:
     return off_pairs + outside_h, on, off_pairs + inside_h
 
 
-def _location_counts(p: IntPoly) -> tuple[tuple[int, int, int], int]:
-    """(outside, on, inside) root counts of p with multiplicity, and the number
-    of distinct roots outside; needs p(0) != 0."""
+def _location_counts(p: IntPoly) -> tuple[tuple[int, int, int], int, IntPoly]:
+    """(outside, on, inside) root counts of p with multiplicity, the number of
+    distinct roots outside, and the product of Yun's factors of p, which is its
+    squarefree part for monic p; needs p(0) != 0."""
     if p.is_zero():
         raise ValueError("zero polynomial")
     if p.constant == 0:
         raise ValueError("zero constant term")
     outside = on = inside = distinct_outside = 0
+    factors = squarefree_decomposition(p)
     # Yun's factors are pairwise coprime, so their distinct roots outside add up.
-    for f, mult in squarefree_decomposition(p):
+    for f, mult in factors:
         o, c, i = _root_counts_squarefree(f)
         outside += mult * o
         on += mult * c
         inside += mult * i
         distinct_outside += o
-    return (outside, on, inside), distinct_outside
-
-
-def root_location_counts(p: IntPoly) -> tuple[int, int, int]:
-    """(outside, on, inside) root counts of p with multiplicity; needs p(0) != 0."""
-    return _location_counts(p)[0]
+    s = functools.reduce(IntPoly.__mul__, [f for f, _ in factors]) if factors else IntPoly([1])
+    return (outside, on, inside), distinct_outside, s
 
 
 def _is_perron(p: IntPoly, outside: int) -> bool | None:
@@ -264,9 +299,8 @@ def classify(p: IntPoly) -> NumberClass:
         raise ValueError("polynomial must be monic")
     if p.constant == 0:
         raise ValueError("zero constant term")
-    (outside, on, inside), s_outside = _location_counts(p)
+    (outside, on, inside), s_outside, s = _location_counts(p)
     labels = set()
-    s = squarefree_part(p)
     core, _factors = strip_cyclotomic(s)
     if core.degree <= 0:
         labels.add("cyclotomic")

@@ -94,9 +94,6 @@ class RootInterval:
     def midpoint(self) -> Fraction:
         return (self.low + self.high) / 2
 
-    def contains(self, x: Fraction) -> bool:
-        return self.low <= x <= self.high
-
     def __float__(self) -> float:
         return float(self.midpoint())
 
@@ -256,13 +253,6 @@ def count_roots_open(p: IntPoly, a: Fraction, b: Fraction) -> int:
     if _sturm_state(p).sf.sign_at(Fraction(b)) == 0:
         n -= 1
     return n
-
-
-def count_real_roots(p: IntPoly) -> int:
-    chain = _sturm_state(p).chain
-    if not chain:
-        return 0
-    return _variations_at_inf(chain, False) - _variations_at_inf(chain, True)
 
 
 def cauchy_bound(p: IntPoly) -> Fraction:

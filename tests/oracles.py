@@ -9,8 +9,10 @@ exactly), characteristic polynomials from evaluation and Lagrange
 interpolation over exact rationals, tree polynomials from explicit integer
 matrices (weighted adjacency, product of reflections), unit-disk root counts
 from the signature of the Schur-Cohn quadratic form, growth series from
-the alternating sum over every one of the 2^n vertex subsets.  None of these are
-production paths; they exist to cross-check the exact implementations.
+the alternating sum over every one of the 2^n vertex subsets, cyclotomic
+factors from trial division by every Phi_n with phi(n) <= deg over a totient
+sieve.  None of these are production paths; they exist to cross-check the
+exact implementations.
 """
 
 from __future__ import annotations
@@ -20,9 +22,17 @@ import itertools
 import math
 from fractions import Fraction
 
-from coxgrowth.diagram import INF, CoxeterDiagram, finite_type_recognize
+from coxgrowth.diagram import INF, CoxeterDiagram, WeightedTree, finite_type_recognize
 from coxgrowth.growth import GrowthFunction
-from coxgrowth.intpoly import IntPoly, cyclotomic, poly_gcd, pseudo_rem, squarefree_part
+from coxgrowth.intpoly import (
+    ExactDivisionError,
+    IntPoly,
+    cyclotomic,
+    exact_div,
+    poly_gcd,
+    pseudo_rem,
+    squarefree_part,
+)
 from coxgrowth.coxtrans import charpoly_int_matrix
 
 
@@ -348,6 +358,15 @@ def reference_refined(p: IntPoly, low: Fraction, high: Fraction,
     return _reference_refine(sf, _reference_sturm_chain(sf), low, high, width)
 
 
+def reference_real_root_count(p: IntPoly) -> int:
+    """Distinct real roots of p: a Sturm count over the Cauchy interval (-B, B]."""
+    sf = squarefree_part(p)
+    if sf.degree < 1:
+        return 0
+    bound = _reference_bound(sf)
+    return _reference_count(sf, -bound, bound)
+
+
 # -- characteristic polynomial by evaluation-interpolation -----------------------------------
 
 
@@ -587,3 +606,75 @@ def subset_sweep_growth(d: CoxeterDiagram) -> GrowthFunction:
     if f.denominator(0) == 0 or f(Fraction(0)) != 1:
         raise ArithmeticError("growth series must start at 1")
     return f
+
+
+# -- cyclotomic factors by trial division over a totient sieve ------------------------------
+
+
+def totient_sieve(n: int) -> list[int]:
+    """phi(0..n) by the sieve of Euler's product formula."""
+    phi = list(range(n + 1))
+    for i in range(2, n + 1):
+        if phi[i] == i:  # prime
+            for j in range(i, n + 1, i):
+                phi[j] -= phi[j] // i
+    return phi
+
+
+def reference_strip_cyclotomic(p: IntPoly) -> tuple[IntPoly, list[tuple[int, int]]]:
+    """(core, factors) of p by trial division by every Phi_n with phi(n) <= deg,
+    for every n up to 2 deg^2 + 6 (phi(n) >= sqrt(n/2))."""
+    if p.is_zero():
+        raise ValueError("zero polynomial")
+    core = p
+    factors: list[tuple[int, int]] = []
+    deg = core.degree
+    if deg < 1:
+        return core, factors
+    limit = 2 * deg * deg + 6
+    phi = totient_sieve(limit)
+    for n in range(1, limit + 1):
+        if phi[n] > core.degree:
+            continue
+        f = cyclotomic(n)
+        mult = 0
+        while core.degree >= f.degree:
+            try:
+                core = exact_div(core, f)
+            except ExactDivisionError:
+                break
+            mult += 1
+        if mult:
+            factors.append((n, mult))
+        if core.degree < 1:
+            break
+    return core, factors
+
+
+# -- trace forms and tree edits -------------------------------------------------------------
+
+
+def expand_trace_form(q: IntPoly, d: int | None = None) -> IntPoly:
+    """Inverse of palindromic_reduce: t^d q(t + 1/t) with d = deg q by default."""
+    if d is None:
+        d = q.degree
+    if d < q.degree:
+        raise ValueError("d must be at least deg q")
+    out = IntPoly()
+    for k, c in enumerate(q.coeffs):
+        if c:
+            out = out + (IntPoly([1, 0, 1]) ** k).shift(d - k) * c
+    return out
+
+
+def relabel_tree(tree: WeightedTree, perm: dict[int, int]) -> WeightedTree:
+    """The same tree with vertex v renamed perm[v]."""
+    return WeightedTree(tree.n, [(perm[i], perm[j], w) for i, j, w in tree.edge_list])
+
+
+def with_edge_weight(tree: WeightedTree, i: int, j: int, w) -> WeightedTree:
+    """The same tree with the weight of its edge {i, j} set to w."""
+    i, j = min(i, j), max(i, j)
+    if (i, j) not in {(a, b) for a, b, _ in tree.edge_list}:
+        raise ValueError(f"({i}, {j}) is not an edge")
+    return WeightedTree(tree.n, [(a, b, w if (a, b) == (i, j) else m) for a, b, m in tree.edge_list])

@@ -27,6 +27,7 @@ from oracles import (
     charpoly_interpolated,
     coxeter_element_matrix,
     random_tree_edges,
+    relabel_tree,
     weighted_adjacency_matrix,
 )
 
@@ -140,7 +141,7 @@ def test_recursion_order_independence():
         tree = WeightedTree(n, random_tree_edges(n, rng))
         perm = list(range(n))
         rng.shuffle(perm)
-        relabeled = tree.relabel({i: perm[i] for i in range(n)})
+        relabeled = relabel_tree(tree, {i: perm[i] for i in range(n)})
         assert char_poly_recursive(relabeled) == char_poly_recursive(tree)
 
 

@@ -11,7 +11,6 @@ from coxgrowth.intpoly import (
     cyclotomic,
     divides,
     exact_div,
-    expand_trace_form,
     palindromic_reduce,
     parse_poly,
     poly_gcd,
@@ -23,6 +22,8 @@ from coxgrowth.intpoly import (
     trace_resultant,
 )
 from coxgrowth.roots import isolate_largest_real_root, sqrt_interval
+
+from oracles import expand_trace_form
 
 LEHMER = parse_poly("1,1,0,-1,-1,-1,-1,-1,0,1,1")
 

@@ -4,17 +4,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coxgrowth.coxtrans import charpoly_int_matrix
-from coxgrowth.intpoly import IntPoly, cyclotomic, parse_poly
+from coxgrowth.intpoly import IntPoly, cyclotomic, parse_poly, squarefree_part
 from coxgrowth.numclass import (
+    NumberClass,
+    _cyclotomic_candidates,
     _is_perron,
+    _location_counts,
+    _probe_values,
     classify,
     disk_root_counts,
-    root_location_counts,
     strip_cyclotomic,
     unit_circle_root_count,
 )
 
-from oracles import charpoly_interpolated, root_location_counts_float, schur_cohn_disk_counts
+from oracles import (
+    charpoly_interpolated,
+    reference_strip_cyclotomic,
+    root_location_counts_float,
+    schur_cohn_disk_counts,
+    totient_sieve,
+)
 
 LEHMER = parse_poly("1,1,0,-1,-1,-1,-1,-1,0,1,1")
 MIN_353 = parse_poly("1,-1,0,0,-1,1,-1,0,0,-1,1")
@@ -74,6 +83,48 @@ def test_strip_cyclotomic_reassembles(indices):
         rebuilt = rebuilt * cyclotomic(n) ** m
     assert rebuilt == p
     assert core == LEHMER
+
+
+def test_strip_cyclotomic_matches_trial_division():
+    # random products of Phi_n powers, n up to 210 (Phi_105 has a coefficient
+    # -2), times random cores, against trial division over a totient sieve
+    rng = random.Random(2024)
+    for _ in range(30):
+        core = IntPoly([rng.randint(-4, 4) for _ in range(rng.randint(0, 6))]
+                       + [rng.choice([1, -1, 2, 3])])
+        p = core
+        for _ in range(rng.randint(0, 3)):
+            p = p * cyclotomic(rng.randint(1, 210)) ** rng.randint(1, 2)
+        assert strip_cyclotomic(p) == reference_strip_cyclotomic(p), p
+
+
+@pytest.mark.parametrize("p,core,factors", [
+    # non-monic and non-primitive
+    (IntPoly([6]) * IntPoly([-1, 2]) * cyclotomic(4) ** 2, IntPoly([-6, 12]), [(4, 2)]),
+    # a core vanishing at every probe point passes the filter and is divided
+    (IntPoly([-2, 1]) * IntPoly([2, 1]) * IntPoly([-3, 1]) * cyclotomic(12),
+     IntPoly([-2, 1]) * IntPoly([2, 1]) * IntPoly([-3, 1]), [(12, 1)]),
+    (IntPoly([-3, 1]) ** 2 * cyclotomic(1) * cyclotomic(2) ** 3, IntPoly([-3, 1]) ** 2,
+     [(1, 1), (2, 3)]),
+    (IntPoly([5]), IntPoly([5]), []),
+], ids=["non_primitive", "roots_at_every_probe", "repeated_probe_root", "constant"])
+def test_strip_cyclotomic_unusual_inputs(p, core, factors):
+    assert strip_cyclotomic(p) == (core, factors)
+    assert reference_strip_cyclotomic(p) == (core, factors)
+
+
+def test_cyclotomic_candidates_are_the_sieve_set():
+    phi = totient_sieve(2 * 120 * 120 + 6)
+    for d in range(1, 121):
+        got = [(n, f) for n, f, _ in _cyclotomic_candidates(d)]
+        assert got == [(n, phi[n]) for n in range(1, 2 * d * d + 7) if phi[n] <= d], d
+    assert len(_cyclotomic_candidates(64)) == 127
+
+
+def test_cyclotomic_probe_values():
+    for n, _, primes in _cyclotomic_candidates(699):
+        if n <= 700:
+            assert _probe_values(n, primes) == tuple(cyclotomic(n)(k) for k in (2, -2, 3)), n
 
 
 def test_charpoly_int_matrix_against_interpolation():
@@ -184,14 +235,13 @@ def test_disk_counts_reject_circle_roots_and_inversion_pairs(h):
 @given(st.lists(st.integers(-6, 6), min_size=1, max_size=6))
 @settings(max_examples=50, deadline=None)
 def test_root_location_counts_against_float_oracle(tail):
-    from coxgrowth.intpoly import squarefree_part
     p = IntPoly(tail + [1])
     if p.constant == 0 or p.degree < 1:
         return
-    out, on, inside = root_location_counts(p)
+    out, on, inside = _location_counts(p)[0]
     assert out + on + inside == p.degree
     sf = squarefree_part(p)
-    s_out, s_on, s_in = root_location_counts(sf)
+    s_out, s_on, s_in = _location_counts(sf)[0]
     f_out, f_on, f_in = root_location_counts_float(sf, tol=1e-4)
     # the float oracle counts distinct roots and can misplace roots very
     # near the circle; only compare when it saw none there
@@ -258,3 +308,13 @@ def test_classify_counts_sum_to_degree():
               IntPoly([1, -3, 1]), cyclotomic(12) * LEHMER):
         nc = classify(p)
         assert nc.degree == p.degree
+
+
+def test_classify_non_squarefree_takes_s_from_yun_factors():
+    # s is the product of the Yun factors that the counts already computed
+    p = LEHMER ** 2 * cyclotomic(12) * IntPoly([1, 1]) ** 3 * IntPoly([1, -3, 1]) ** 2
+    assert _location_counts(p)[2] == squarefree_part(p)
+    assert classify(p) == NumberClass(4, 23, 4, frozenset({"perron", "two_salem"}))
+    q = IntPoly([1, -3, 1]) ** 3 * IntPoly([-2, 1]) * IntPoly([1, 1, 1]) ** 2
+    assert _location_counts(q)[2] == squarefree_part(q)
+    assert classify(q) == NumberClass(4, 4, 3, frozenset({"perron"}))

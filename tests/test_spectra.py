@@ -17,7 +17,7 @@ from coxgrowth.spectra import (
 )
 from coxgrowth.spectra import _certify_increasing
 
-from oracles import charpoly_interpolated, random_tree_edges
+from oracles import charpoly_interpolated, random_tree_edges, with_edge_weight
 
 TABLE1 = [
     ("star", (2, 4, 5), "2.0153161"),
@@ -123,7 +123,7 @@ def test_weight4_leaf_replace_promoted_star(params):
     s = star_diagram(*params)
     adj = s.adjacency()
     i, j, _ = next(e for e in s.edge_list if len(adj[e[0]]) == 1 or len(adj[e[1]]) == 1)
-    res = weight4_leaf_replace(s.with_edge_weight(i, j, 4))
+    res = weight4_leaf_replace(with_edge_weight(s, i, j, 4))
     assert res.certified_equal
     assert res.original_radius.overlaps(res.replaced_radius)
 

@@ -2,6 +2,7 @@
 
     python3 tools/bench_pair.py --base HEAD --seeds 61-70 --out BENCH_6.json
     python3 tools/bench_pair.py --base HEAD~1 --seeds 1,2,3 --workdir /tmp/pair
+    python3 tools/bench_pair.py --base HEAD --seeds 71-80 --trace-workload polygon_sweep --out BENCH_7.json
 
 Run from the root of the repository.  ``--base`` is the commit to compare
 against: ``HEAD`` while the change is uncommitted, its parent once it is
@@ -11,8 +12,9 @@ temporary directory, deleted at the end), which registers nothing in the
 repository's ``.git``.  For every seed, ``python3 bench/run.py --all --seed S
 --seconds T`` runs once in each checkout, alternating which side goes first
 (base first on the first seed); ``bench/`` must be the same on both sides and
-every run must exit 0.  One ``--workload coxeter_growth --trace 1`` run per
-side (on the first seed) gives the count metrics in ``COUNTS``.
+every run must exit 0.  One ``--workload W --trace 1`` run per side (on the
+first seed; W is ``--trace-workload``, default ``coxeter_growth``) gives the
+count metrics in ``COUNTS``.
 
 The output holds both commits, the Python version and CPU count, per workload
 and end-to-end metric each side's median and quartiles (inclusive method)
@@ -36,9 +38,9 @@ from pathlib import Path
 
 METRICS = ["items_per_s", "item_p50_ms", "item_p90_ms", "failed_frac", "setup_s", "peak_rss_mb"]
 HIGHER_IS_BETTER = {"items_per_s"}
-TRACE_WORKLOAD = "coxeter_growth"
 COUNTS = ["diagram.finite_type_recognize.calls", "intpoly.mul.calls",
-          "growth.steinberg_growth.subsets_per_call"]
+          "growth.steinberg_growth.subsets_per_call", "intpoly.exact_div.calls",
+          "numclass.strip_cyclotomic.calls"]
 
 
 def git(root: Path, *args: str) -> bytes:
@@ -75,8 +77,8 @@ def run_all(root: Path, seed: int, seconds: int) -> dict[str, dict[str, float]]:
     return table
 
 
-def traced_counts(root: Path, seed: int, seconds: int) -> dict[str, float]:
-    out = subprocess.run([sys.executable, "bench/run.py", "--workload", TRACE_WORKLOAD,
+def traced_counts(root: Path, workload: str, seed: int, seconds: int) -> dict[str, float]:
+    out = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
                           "--trace", "1", "--seed", str(seed), "--seconds", str(seconds)],
                          cwd=root, capture_output=True, text=True, check=True)
     metrics = json.loads(out.stdout.strip().splitlines()[-1])["metrics"]
@@ -102,6 +104,9 @@ def main(argv=None) -> int:
     p.add_argument("--seconds", type=int, default=30)
     p.add_argument("--out", required=True, help="the BENCH_<n>.json to write")
     p.add_argument("--workdir", help="where to export the base commit")
+    p.add_argument("--trace-workload", default="coxeter_growth",
+                   choices=[w["name"] for w in json.loads(Path("BENCHMARK.json").read_text())["workloads"]],
+                   help="the workload of the traced run that gives the counts")
     args = p.parse_args(argv)
     if len(args.seeds) < 2:
         p.error("quartiles need at least two seeds")
@@ -149,8 +154,8 @@ def compare(args, sides: dict[str, Path]) -> dict:
         "seeds": args.seeds,
         "order": "alternating: base first on the 1st, 3rd, ... seed, change first on the others",
         "workloads": workloads,
-        "counts": {"workload": TRACE_WORKLOAD, "seed": args.seeds[0],
-                   **{side: traced_counts(root, args.seeds[0], args.seconds)
+        "counts": {"workload": args.trace_workload, "seed": args.seeds[0],
+                   **{side: traced_counts(root, args.trace_workload, args.seeds[0], args.seconds)
                       for side, root in sides.items()}},
         "src_lines": {side: src_lines(root) for side, root in sides.items()},
     }
