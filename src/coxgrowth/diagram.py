@@ -9,6 +9,7 @@ by a sentinel integer.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -541,8 +542,8 @@ def finite_type_recognize(d: CoxeterDiagram) -> list[SphericalType] | None:
 DOMINATION_RANK_BOUND = 12
 
 
-def _injection_exists(d: CoxeterDiagram, e: CoxeterDiagram) -> bool:
-    """Is there an injection of d's vertices into e's with m <= m' on every pair?"""
+def _injection_exists(d: CoxeterDiagram, e: CoxeterDiagram, related=weight_leq) -> bool:
+    """Is there an injection of d's vertices into e's with related(m, m') on every pair?"""
     if d.n > e.n:
         return False
     # order d's vertices by decreasing constrainedness for better pruning
@@ -558,12 +559,7 @@ def _injection_exists(d: CoxeterDiagram, e: CoxeterDiagram) -> bool:
         for target in range(e.n):
             if target in used:
                 continue
-            ok = True
-            for u, tu in assigned.items():
-                if not weight_leq(d.weights[v][u], e.weights[target][tu]):
-                    ok = False
-                    break
-            if ok:
+            if all(related(d.weights[v][u], e.weights[target][tu]) for u, tu in assigned.items()):
                 assigned[v] = target
                 used.add(target)
                 if backtrack(pos + 1):
@@ -576,31 +572,8 @@ def _injection_exists(d: CoxeterDiagram, e: CoxeterDiagram) -> bool:
 
 
 def _isomorphic(d: CoxeterDiagram, e: CoxeterDiagram) -> bool:
-    if d.n != e.n:
-        return False
-    if d.degree_sequence() != e.degree_sequence():
-        return False
-    order = list(range(d.n))
-    used: set[int] = set()
-    assigned: dict[int, int] = {}
-
-    def backtrack(pos: int) -> bool:
-        if pos == d.n:
-            return True
-        v = order[pos]
-        for target in range(e.n):
-            if target in used:
-                continue
-            if all(d.weights[v][u] == e.weights[target][tu] for u, tu in assigned.items()):
-                assigned[v] = target
-                used.add(target)
-                if backtrack(pos + 1):
-                    return True
-                del assigned[v]
-                used.remove(target)
-        return False
-
-    return backtrack(0)
+    return (d.n == e.n and d.degree_sequence() == e.degree_sequence()
+            and _injection_exists(d, e, operator.eq))
 
 
 def dominates(d: CoxeterDiagram, e: CoxeterDiagram) -> str:

@@ -229,95 +229,81 @@ def bracket(k: int) -> IntPoly:
 # -- division ------------------------------------------------------------------
 
 
-def divmod_exact_lc(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
-    """Quotient and remainder of a by b when every elimination step divides.
+def _divide(rem: list[int], b: IntPoly) -> list[int]:
+    """Long division of the coefficient list rem by b, in place: rem is left
+    holding the remainder, and the quotient's coefficients are returned.
 
-    Requires the leading coefficient of b to divide every intermediate leading
-    coefficient (always true for monic b); raises ExactDivisionError otherwise.
+    Raises ExactDivisionError at any step whose leading coefficient is not a
+    multiple of lc(b) (never for monic b).
     """
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a.coeffs)
     db, lb = b.degree, b.leading
     q = [0] * max(0, len(rem) - db)
     for i in range(len(rem) - db - 1, -1, -1):
         lead = rem[i + db]
         if lead == 0:
             continue
-        if lead % lb != 0:
+        f, r = divmod(lead, lb)
+        if r:
             raise ExactDivisionError("leading coefficient does not divide")
-        f = lead // lb
         q[i] = f
         for j, c in enumerate(b.coeffs):
             rem[i + j] -= f * c
-    return IntPoly(q), IntPoly(rem)
+    return q
 
 
 def exact_div(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Exact quotient in Z[t]; raises ExactDivisionError on any remainder."""
-    if b.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    if a.is_zero():
-        return ZERO
-    # Fast path: steps stay integral (monic divisors in particular).  Division
-    # over Q is unique, so a remainder left by a full integral pass is final.
-    try:
-        q, r = divmod_exact_lc(a, b)
-    except ExactDivisionError:
-        pass  # a leading coefficient did not divide; decide over the rationals
-    else:
-        if r.is_zero():
-            return q
-        raise ExactDivisionError("nonzero remainder")
-    # General case over the rationals, then check integrality.
-    rem = [Fraction(c) for c in a.coeffs]
-    db, lb = b.degree, Fraction(b.leading)
-    q = [Fraction(0)] * max(0, len(rem) - db)
-    for i in range(len(rem) - db - 1, -1, -1):
-        f = rem[i + db] / lb
-        q[i] = f
-        if f:
-            for j, c in enumerate(b.coeffs):
-                rem[i + j] -= f * c
-    if any(rem[:db]):
-        raise ExactDivisionError("nonzero remainder")
-    if any(c.denominator != 1 for c in q):
-        raise ExactDivisionError("quotient not integral")
-    return IntPoly(int(c) for c in q)
+    """Exact quotient in Z[t]; raises ExactDivisionError on any remainder.
 
-
-def divides(b: IntPoly, a: IntPoly) -> bool:
-    try:
-        exact_div(a, b)
-        return True
-    except (ExactDivisionError, ZeroDivisionError):
-        return False
+    Division over Q is unique and the integral long division follows it step
+    by step, so a step that does not divide in Z means a non-integral
+    quotient, and a remainder left by a full pass is final.
+    """
+    rem = list(a.coeffs)
+    q = _divide(rem, b)
+    if any(rem):
+        raise ExactDivisionError("nonzero remainder")
+    return IntPoly(q)
 
 
 def pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
     """Pseudo-remainder: remainder of lc(b)^(deg a - deg b + 1) * a by b, in Z[t]."""
-    if b.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
     da, db = a.degree, b.degree
     if da < db:
         return a
-    lb = b.leading
-    scale = lb ** (da - db + 1)
+    scale = b.leading ** (da - db + 1)
     rem = [c * scale for c in a.coeffs]
-    for i in range(len(rem) - db - 1, -1, -1):
-        lead = rem[i + db]
-        if lead == 0:
-            continue
-        f = lead // lb
-        if f * lb != lead:
-            raise ArithmeticError("pseudo-remainder step is not exact")
-        for j, c in enumerate(b.coeffs):
-            rem[i + j] -= f * c
+    _divide(rem, b)
     return IntPoly(rem)
 
 
+def _signed_remainders(f0: IntPoly, f1: IntPoly) -> tuple[IntPoly, ...]:
+    """The signed remainder sequence f0, f1, f2, ... with f_(k+1) a positive
+    multiple of -rem(f_(k-1), f_k), reduced to primitive parts.
+
+    Each step negates the pseudo-remainder; positive rescaling preserves signs,
+    so variation counts are unchanged.  The last member is a multiple of
+    gcd(f0, f1) (f0 itself when f1 is zero).
+    """
+    chain = [f0, f1]
+    while not chain[-1].is_zero():
+        r = pseudo_rem(chain[-2], chain[-1])
+        if r.is_zero():
+            break
+        # pseudo_rem scales by lc^k when k > 0 (and returns f_(k-1) itself otherwise);
+        # an even power (or positive lc) keeps orientation, a negative odd power
+        # flips it and must be undone: divide by -content or content.
+        k = chain[-2].degree - chain[-1].degree + 1
+        flipped = chain[-1].leading < 0 and k > 0 and k % 2 == 1
+        g = r.content() if flipped else -r.content()
+        chain.append(IntPoly(c // g for c in r.coeffs))
+    return tuple(chain)
+
+
 def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Primitive gcd in Z[t] with positive leading coefficient."""
+    """Primitive gcd in Z[t] with positive leading coefficient: the primitive
+    part of the last member of the signed remainder sequence."""
     if a.is_zero():
         return b.primitive()
     if b.is_zero():
@@ -325,10 +311,7 @@ def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     r0, r1 = a.primitive(), b.primitive()
     if r0.degree < r1.degree:
         r0, r1 = r1, r0
-    while not r1.is_zero():
-        r = pseudo_rem(r0, r1)
-        r0, r1 = r1, r.primitive() if not r.is_zero() else ZERO
-    return r0
+    return _signed_remainders(r0, r1)[-1].primitive()
 
 
 def squarefree_part(p: IntPoly) -> IntPoly:
@@ -397,44 +380,25 @@ def palindromic_reduce(p: IntPoly) -> IntPoly:
 # -- cyclotomic polynomials ---------------------------------------------------------
 
 
-def _mobius_sieve(n: int) -> list[int]:
-    mu = [1] * (n + 1)
-    primes = []
-    is_comp = [False] * (n + 1)
-    for i in range(2, n + 1):
-        if not is_comp[i]:
-            primes.append(i)
-            mu[i] = -1
-        for p in primes:
-            if i * p > n:
-                break
-            is_comp[i * p] = True
-            if i % p == 0:
-                mu[i * p] = 0
-                break
-            mu[i * p] = -mu[i]
-    return mu
-
-
 @functools.lru_cache(maxsize=None)
 def cyclotomic(n: int) -> IntPoly:
-    """The n-th cyclotomic polynomial, by the Moebius product with exact division."""
+    """The n-th cyclotomic polynomial, from Phi_1 = t - 1 by exact division:
+    Phi_mq(t) = Phi_m(t^q) / Phi_m(t) for each prime q of n in turn (q does
+    not divide m), then Phi_n(t) = Phi_r(t^(n/r)) for r the product of the
+    primes of n."""
     if n < 1:
         raise ValueError("cyclotomic index must be >= 1")
-    if n == 1:
-        return IntPoly([-1, 1])
-    mu = _mobius_sieve(n)
-    num = IntPoly([1])
-    den = IntPoly([1])
-    for d in range(1, n + 1):
-        if n % d:
-            continue
-        m = mu[n // d]
-        if m == 1:
-            num = num * (IntPoly([-1] + [0] * (d - 1) + [1]))
-        elif m == -1:
-            den = den * (IntPoly([-1] + [0] * (d - 1) + [1]))
-    return exact_div(num, den)
+
+    def at_power(p: IntPoly, k: int) -> IntPoly:  # p(t^k)
+        cs = [0] * (k * p.degree + 1)
+        cs[::k] = p.coeffs
+        return IntPoly(cs)
+
+    primes = [q for q in range(2, n + 1) if n % q == 0 and all(q % d for d in range(2, q))]
+    phi = IntPoly([-1, 1])
+    for q in primes:
+        phi = exact_div(at_power(phi, q), phi)
+    return at_power(phi, n // math.prod(primes))
 
 
 # -- resultant-based spectral parameter transfer -------------------------------------

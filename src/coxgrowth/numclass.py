@@ -213,25 +213,26 @@ def _root_counts_squarefree(s: IntPoly) -> tuple[int, int, int]:
     return off_pairs + outside_h, on, off_pairs + inside_h
 
 
-def _location_counts(p: IntPoly) -> tuple[tuple[int, int, int], int, IntPoly]:
-    """(outside, on, inside) root counts of p with multiplicity, the number of
-    distinct roots outside, and the product of Yun's factors of p, which is its
-    squarefree part for monic p; needs p(0) != 0."""
+def _location_counts(p: IntPoly) -> tuple[tuple[int, int, int], tuple[int, int], IntPoly]:
+    """(outside, on, inside) root counts of p with multiplicity, the numbers of
+    distinct roots (outside, on), and the product of Yun's factors of p, which
+    is its squarefree part for monic p; needs p(0) != 0."""
     if p.is_zero():
         raise ValueError("zero polynomial")
     if p.constant == 0:
         raise ValueError("zero constant term")
-    outside = on = inside = distinct_outside = 0
+    outside = on = inside = distinct_outside = distinct_on = 0
     factors = squarefree_decomposition(p)
-    # Yun's factors are pairwise coprime, so their distinct roots outside add up.
+    # Yun's factors are pairwise coprime, so their distinct roots add up.
     for f, mult in factors:
         o, c, i = _root_counts_squarefree(f)
         outside += mult * o
         on += mult * c
         inside += mult * i
         distinct_outside += o
+        distinct_on += c
     s = functools.reduce(IntPoly.__mul__, [f for f, _ in factors]) if factors else IntPoly([1])
-    return (outside, on, inside), distinct_outside, s
+    return (outside, on, inside), (distinct_outside, distinct_on), s
 
 
 def _is_perron(p: IntPoly, outside: int) -> bool | None:
@@ -299,13 +300,15 @@ def classify(p: IntPoly) -> NumberClass:
         raise ValueError("polynomial must be monic")
     if p.constant == 0:
         raise ValueError("zero constant term")
-    (outside, on, inside), s_outside, s = _location_counts(p)
+    (outside, on, inside), (s_outside, s_on), s = _location_counts(p)
     labels = set()
     core, _factors = strip_cyclotomic(s)
     if core.degree <= 0:
         labels.add("cyclotomic")
     else:
-        c_out, c_on, c_in = _root_counts_squarefree(core)
+        # s is squarefree, so its cyclotomic part has deg s - deg core distinct
+        # roots, all on the circle, and the core keeps every other root of s.
+        c_out, c_on = s_outside, s_on - (s.degree - core.degree)
         core_above_one = sturm_count(core, 1, roots.cauchy_bound(core))
         if c_out == 1 and c_on >= 1 and core_above_one == 1:
             labels.add("salem")

@@ -1,9 +1,9 @@
 """Certified real-root counting and isolation via Sturm sequences.
 
-One kernel builds every remainder sequence: the signed remainder sequence of
-a pair of polynomials.  Of p and p' it is the Sturm chain; of den and num it
-gives the Cauchy index of num/den over the real line, from the variation
-counts at -inf and +inf.
+Sturm chains and Cauchy indices are read from intpoly's signed remainder
+sequence of a pair of polynomials, the same kernel behind every gcd.  Of p
+and p' it is the Sturm chain; of den and num it gives the Cauchy index of
+num/den over the real line, from the variation counts at -inf and +inf.
 
 All interval endpoints are exact rationals; every count and every isolating
 interval is certified by exact sign computations, never by floating point.
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .intpoly import ONE, IntPoly, exact_div, poly_gcd, pseudo_rem
+from .intpoly import ONE, IntPoly, _signed_remainders, exact_div, poly_gcd
 
 DEFAULT_WIDTH = Fraction(1, 10**9)
 
@@ -134,29 +134,6 @@ def _sign(v: int) -> int:
     return (v > 0) - (v < 0)
 
 
-def _signed_remainders(f0: IntPoly, f1: IntPoly) -> tuple[IntPoly, ...]:
-    """The signed remainder sequence f0, f1, f2, ... with f_(k+1) a positive
-    multiple of -rem(f_(k-1), f_k), reduced to primitive parts.
-
-    Each step negates the pseudo-remainder; positive rescaling preserves signs,
-    so variation counts are unchanged.  The last member is a multiple of
-    gcd(f0, f1) (f0 itself when f1 is zero).
-    """
-    chain = [f0, f1]
-    while not chain[-1].is_zero():
-        r = pseudo_rem(chain[-2], chain[-1])
-        if r.is_zero():
-            break
-        # pseudo_rem scales by lc^k when k > 0 (and returns f_(k-1) itself otherwise);
-        # an even power (or positive lc) keeps orientation, a negative odd power
-        # flips it and must be undone: divide by -content or content.
-        k = chain[-2].degree - chain[-1].degree + 1
-        flipped = chain[-1].leading < 0 and k > 0 and k % 2 == 1
-        g = r.content() if flipped else -r.content()
-        chain.append(IntPoly(c // g for c in r.coeffs))
-    return tuple(chain)
-
-
 def sturm_chain(p: IntPoly) -> tuple[IntPoly, ...]:
     """Sturm sequence of a squarefree polynomial: the signed remainders of p and p'.
 
@@ -229,7 +206,7 @@ def _variations_at_inf(chain, positive: bool) -> int:
     return _variations(_sign(q.leading) * (-1) ** (q.degree % 2) for q in chain)
 
 
-def count_roots(p: IntPoly, a: Fraction | int, b: Fraction | int) -> int:
+def sturm_count(p: IntPoly, a: Fraction | int, b: Fraction | int) -> int:
     """Number of distinct real roots of p in the half-open interval (a, b].
 
     The squarefree part is taken internally, so multiple roots count once.
@@ -243,13 +220,9 @@ def count_roots(p: IntPoly, a: Fraction | int, b: Fraction | int) -> int:
     return _variations_at(chain, a) - _variations_at(chain, b)
 
 
-# Public name used by the polynomial-facing API.
-sturm_count = count_roots
-
-
 def count_roots_open(p: IntPoly, a: Fraction, b: Fraction) -> int:
     """Number of distinct real roots in the open interval (a, b)."""
-    n = count_roots(p, a, b)
+    n = sturm_count(p, a, b)
     if _sturm_state(p).sf.sign_at(Fraction(b)) == 0:
         n -= 1
     return n
@@ -312,7 +285,7 @@ def root_is_simple(p: IntPoly, low: Fraction, high: Fraction) -> bool:
         return True
     if low == high:
         return g.sign_at(low) != 0
-    return count_roots(g, low, high) == 0
+    return sturm_count(g, low, high) == 0
 
 
 def _flagged(p: IntPoly, st: _SturmState, iv: RootInterval) -> RootInterval:
@@ -600,7 +573,7 @@ def _same_root(a: RootInterval, b: RootInterval) -> bool:
         x = a.low if a.low == a.high else b.low
         return _holds(a, x) and _holds(b, x) and g.sign_at(x) == 0
     lo, hi = max(a.low, b.low), min(a.high, b.high)
-    return lo < hi and count_roots(g, lo, hi) > 0
+    return lo < hi and sturm_count(g, lo, hi) > 0
 
 
 def refine_until_disjoint(a: RootInterval, b: RootInterval) -> tuple[RootInterval, RootInterval]:

@@ -28,7 +28,7 @@ from coxgrowth.growth import (
     steinberg_growth,
     verify_second_minimal_polygon,
 )
-from coxgrowth.intpoly import IntPoly, bracket, parse_poly
+from coxgrowth.intpoly import IntPoly, bracket, exact_div, parse_poly
 from coxgrowth.numclass import strip_cyclotomic
 from coxgrowth.diagram import finite_type_recognize
 from coxgrowth.roots import sturm_count
@@ -130,8 +130,7 @@ def test_steinberg_38_denominator():
     core, _ = strip_cyclotomic(f.denominator)
     assert core == MIN_38
     # divisibility as stated, not only core equality
-    from coxgrowth.intpoly import divides
-    assert divides(MIN_38, f.denominator)
+    exact_div(f.denominator, MIN_38)
 
 
 def test_steinberg_353_core():

@@ -9,7 +9,6 @@ from coxgrowth.intpoly import (
     IntPoly,
     bracket,
     cyclotomic,
-    divides,
     exact_div,
     palindromic_reduce,
     parse_poly,
@@ -118,9 +117,9 @@ def test_gcd_divides_both(a, b):
     g = poly_gcd(a, b)
     if g.degree >= 0 and not g.is_zero():
         if not a.is_zero():
-            assert divides(g, a)
+            exact_div(a, g)
         if not b.is_zero():
-            assert divides(g, b)
+            exact_div(b, g)
 
 
 @given(small_polys, small_polys)
@@ -191,7 +190,7 @@ def test_cyclotomic(n, expected):
 
 def test_cyclotomic_product_identity():
     # prod over divisors of Phi_d = t^n - 1
-    for n in (4, 6, 12, 15):
+    for n in range(1, 211):
         prod = IntPoly([1])
         for d in range(1, n + 1):
             if n % d == 0:
@@ -216,7 +215,7 @@ def test_resultant_eliminate_linear():
 def test_resultant_eliminate_quadratic():
     # r + 1/r = 3 for both roots of r^2 - 3r + 1, so a^2 - 5 divides the output
     out = resultant_eliminate(IntPoly([1, -3, 1]))
-    assert divides(IntPoly([-5, 0, 1]), out)
+    exact_div(out, IntPoly([-5, 0, 1]))
 
 
 def test_resultant_eliminate_rejects_zero_root():

@@ -40,15 +40,16 @@ def test_root_intervals_are_compared_only_by_roots_compare(path):
     assert lines == [], f"{path.name} compares root intervals by hand at lines {lines}"
 
 
-_REMAINDER_KERNEL_HOMES = {"intpoly.py", "roots.py"}
+_REMAINDER_KERNEL_HOMES = {"intpoly.py"}
 
 
 @pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py")
                                         if p.name not in _REMAINDER_KERNEL_HOMES),
                          ids=lambda p: p.name)
 def test_remainder_sequences_come_only_from_roots(path):
-    # one remainder-sequence kernel: Sturm chains and Cauchy indices come from
-    # roots, gcds from intpoly; no other module runs pseudo-remainders itself
+    # one remainder-sequence kernel, in intpoly: gcds come from intpoly, Sturm
+    # chains and Cauchy indices from roots on top of it; no other module, roots
+    # included, runs pseudo-remainders itself
     tree = ast.parse(path.read_text(encoding="utf-8"))
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Call)
