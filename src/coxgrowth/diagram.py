@@ -63,6 +63,11 @@ class DiagramError(ValueError):
     pass
 
 
+# The largest rank of a Steinberg growth sum, and so of any diagram a command
+# can use.  The parsers reject a larger rank before building the weight table.
+STEINBERG_RANK_BOUND = 20
+
+
 @dataclass(frozen=True, init=False)
 class CoxeterDiagram:
     """A finite-rank Coxeter system: symmetric weight table with m_ii = 1."""
@@ -119,7 +124,8 @@ def parse_coxeter_symbol(text: str) -> CoxeterDiagram:
 
     Weights are integers >= 3 or inf; cyclic items allow p^k repetition.
     A linear symbol with r weights is a path on r+1 nodes; the cyclic symbol
-    closes the path into a cycle with as many nodes as weights.
+    closes the path into a cycle with as many nodes as weights.  The rank is
+    at most STEINBERG_RANK_BOUND.
     """
     s = "".join(text.split())
 
@@ -154,6 +160,8 @@ def parse_coxeter_symbol(text: str) -> CoxeterDiagram:
             if not re.fullmatch(r"[0-9]+", exp) or int(exp) < 1:
                 fail(f"bad repetition count {exp!r}", pos)
             rep = int(exp)
+        if len(weights) + rep + (0 if cyclic else 1) > STEINBERG_RANK_BOUND:
+            fail(f"rank exceeds the bound {STEINBERG_RANK_BOUND}", pos)
         try:
             w = parse_weight(item)
         except ValueError:
@@ -225,7 +233,8 @@ def format_coxeter_symbol(d: CoxeterDiagram) -> str:
 
 
 def diagram_from_text(text: str) -> CoxeterDiagram:
-    """Read the diagram file format: 'rank N' then lines 'i j m' (1-based)."""
+    """Read the diagram file format: 'rank N' then lines 'i j m' (1-based),
+    with N at most STEINBERG_RANK_BOUND."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [(k + 1, ln) for k, ln in enumerate(lines) if ln and not ln.startswith("#")]
     if not lines:
@@ -235,6 +244,8 @@ def diagram_from_text(text: str) -> CoxeterDiagram:
     if not m:
         raise DiagramError(f"line {no}: expected 'rank N'")
     n = int(m.group(1))
+    if n > STEINBERG_RANK_BOUND:
+        raise DiagramError(f"line {no}: rank {n} exceeds the bound {STEINBERG_RANK_BOUND}")
     edges: dict[tuple[int, int], Weight] = {}
     for no, ln in lines[1:]:
         parts = ln.split()

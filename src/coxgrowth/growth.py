@@ -8,12 +8,14 @@ Only connected spherical vertex sets are typed, grown from singletons and
 pruned at the first non-spherical set; every spherical subset is a union of
 pairwise non-adjacent ones.  Terms are grouped by Solomon factorization, so
 the sum needs one common denominator and one cofactor per distinct
-factorization, not one per subset.
+factorization, not one per subset.  The sum is taken as one integer, at
+t = 2^K with K wide enough for every coefficient (Kronecker substitution):
+each term is a product of powers of the numbers Phi_d(2^K), and the
+numerator and denominator are read back as signed base-2^K digits.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections import Counter
@@ -22,6 +24,7 @@ from fractions import Fraction
 
 from .diagram import (
     INF,
+    STEINBERG_RANK_BOUND,
     CoxeterDiagram,
     SphericalType,
     dominates,
@@ -41,7 +44,6 @@ from .roots import (
     sturm_count,
 )
 
-STEINBERG_RANK_BOUND = 20
 # Bits per cyclotomic exponent in a packed Solomon factorization.  The
 # exponent of Phi_d in f_T is at most |T|, so the rank bound always fits.
 _FIELD = STEINBERG_RANK_BOUND.bit_length()
@@ -143,18 +145,6 @@ def _as_growth(x) -> GrowthFunction:
 # -- finite-type growth polynomials ---------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def _cyclotomic_power(d: int, e: int) -> IntPoly:
-    return cyclotomic(d) ** e
-
-
-def _factored_poly(fac: dict[int, int]) -> IntPoly:
-    out = IntPoly([1])
-    for d, e in sorted(fac.items()):
-        out = out * _cyclotomic_power(d, e)
-    return out
-
-
 def solomon_poly(types: list[SphericalType]) -> IntPoly:
     """Growth polynomial of a finite Coxeter group: product of brackets [n_i + 1]."""
     out = IntPoly([1])
@@ -201,6 +191,35 @@ def _connected_spherical_sets(d: CoxeterDiagram) -> dict[int, tuple[Counter[int]
     return out
 
 
+def _signed_digits(v: int, k: int, n: int) -> list[int]:
+    """The n base-2^k digits of v, least significant first, each in
+    [-2^(k-1), 2^(k-1)): the coefficients c_j of sum c_j 2^(kj) = v when
+    every |c_j| < 2^(k-1).  Raises ArithmeticError if v needs more digits."""
+    half, mask = 1 << k - 1, (1 << k) - 1
+    out = []
+    for _ in range(n):
+        digit = (v + half & mask) - half
+        out.append(digit)
+        v = v - digit >> k
+    if v:
+        raise ArithmeticError(f"value does not fit in {n} signed base-2^{k} digits")
+    return out
+
+
+def _fold(terms: dict[int, int], rows: list[list[int]]) -> int:
+    """The sum over packed keys of terms[key] * prod_p rows[p][e_p], e_p the
+    key's p-th field.  Factors are taken one field at a time from the first,
+    so keys that agree on their remaining fields share one multiplication."""
+    mask = (1 << _FIELD) - 1
+    for row in rows:
+        folded: dict[int, int] = {}
+        for key, v in terms.items():
+            rest = key >> _FIELD
+            folded[rest] = folded.get(rest, 0) + v * row[key & mask]
+        terms = folded
+    return terms[0]
+
+
 def steinberg_growth(d: CoxeterDiagram) -> GrowthFunction:
     """The full growth series from the alternating sum over finite standard subgroups.
 
@@ -211,7 +230,8 @@ def steinberg_growth(d: CoxeterDiagram) -> GrowthFunction:
     and a depth-first walk that adds one set at a time, in index order and
     apart from the union so far, visits every spherical subset once.  Terms
     are grouped by Solomon factorization: one signed count, and one cofactor
-    over the common denominator, per distinct factorization.
+    over the common denominator, per distinct factorization.  The sum is
+    evaluated at t = 2^K as one integer and read back as signed digits.
     """
     if d.n > STEINBERG_RANK_BOUND:
         raise ValueError(f"rank {d.n} exceeds the Steinberg-sum rank bound {STEINBERG_RANK_BOUND}")
@@ -238,14 +258,28 @@ def steinberg_growth(d: CoxeterDiagram) -> GrowthFunction:
             walk(cand & later[k], key + packed[k], -sign if flip[k] else sign)
 
     walk((1 << len(sets)) - 1, 0, 1)  # from the empty subset
-    exps = {key: {i: key >> _FIELD * p & (1 << _FIELD) - 1 for p, i in enumerate(idx)}
-            for key in counts}
-    common = {i: max(e[i] for e in exps.values()) for i in idx}
-    num = IntPoly()
-    for key, count in counts.items():
-        if count:
-            num = num + _factored_poly({i: common[i] - e for i, e in exps[key].items()}) * count
-    den = _factored_poly(common)
+    # Factorizations whose terms cancel drop out.  common[p]: the exponent of
+    # Phi_i, i = idx[p], in the common denominator of the others.
+    counts = {key: count for key, count in counts.items() if count}
+    mask = (1 << _FIELD) - 1
+    common = [max(key >> _FIELD * p & mask for key in counts) for p in range(len(idx))]
+
+    def cofactor_rows(values: list[int]) -> list[list[int]]:  # [p][e]: values[p]^(common[p] - e)
+        return [[x ** (c - e) for e in range(c + 1)] for x, c in zip(values, common)]
+
+    # Every coefficient of the sum is at most B in absolute value, with B the
+    # sum over keys of |count| times prod ||Phi_i||^(common_i - e_i), a bound
+    # on the cofactor's 1-norm (||fg|| <= ||f|| ||g||).  The empty subset's
+    # term has count 1 and cofactor den, so B bounds den as well.  With
+    # K = bits(B) + 1 the signed base-2^K digits of the sum at t = 2^K are
+    # its coefficients.
+    bound = _fold({key: abs(count) for key, count in counts.items()},
+                  cofactor_rows([sum(map(abs, cyclotomic(i).coeffs)) for i in idx]))
+    k = bound.bit_length() + 1
+    rows = cofactor_rows([cyclotomic(i)(1 << k) for i in idx])
+    width = sum(c * cyclotomic(i).degree for i, c in zip(idx, common)) + 1
+    num = IntPoly(_signed_digits(_fold(counts, rows), k, width))
+    den = IntPoly(_signed_digits(math.prod(row[0] for row in rows), k, width))
     # 1/f(1/t) = num/den, so f(t) = den(1/t) / num(1/t).
     dn, dd = num.degree, den.degree
     f_num, f_den = den.reversed(), num.reversed()
@@ -254,7 +288,7 @@ def steinberg_growth(d: CoxeterDiagram) -> GrowthFunction:
     elif dd > dn:
         f_den = f_den.shift(dd - dn)
     f = GrowthFunction(f_num, f_den)
-    if f.denominator(0) == 0 or f(Fraction(0)) != 1:
+    if f.denominator.constant == 0 or f.numerator.constant != f.denominator.constant:
         raise ArithmeticError("growth series must start at 1")
     return f
 

@@ -19,6 +19,7 @@ from coxgrowth.diagram import (
     polygon_is_hyperbolic,
     star_diagram,
 )
+from coxgrowth.growth import STEINBERG_RANK_BOUND
 
 from oracles import dihedral_order, signed_permutation_order, symmetric_group_order
 
@@ -86,6 +87,30 @@ def test_diagram_file_format():
         diagram_from_text("rank 3\n1 2 3\n2 1 4\n")  # duplicate pair
     with pytest.raises(DiagramError):
         diagram_from_text("3\n1 2 3\n")
+
+
+@pytest.mark.parametrize("text", [
+    "[(3^3000)]",
+    "[(3^18,4,inf,5)]",
+    "[" + ",".join(["3"] * 2999) + "]",
+    "[" + ",".join(["3"] * 20) + "]",
+], ids=["cyclic-3000", "cyclic-21", "linear-3000", "linear-21"])
+def test_symbol_rank_above_bound_rejected(text):
+    with pytest.raises(DiagramError, match=f"bound {STEINBERG_RANK_BOUND}"):
+        parse_coxeter_symbol(text)
+
+
+@pytest.mark.parametrize("rank", [STEINBERG_RANK_BOUND + 1, 3000])
+def test_diagram_file_rank_above_bound_rejected(rank):
+    with pytest.raises(DiagramError, match=f"bound {STEINBERG_RANK_BOUND}"):
+        diagram_from_text(f"rank {rank}\n1 2 3\n")
+
+
+def test_rank_bound_itself_accepted():
+    n = STEINBERG_RANK_BOUND
+    assert parse_coxeter_symbol(f"[(3^{n})]").n == n
+    assert parse_coxeter_symbol("[" + ",".join(["3"] * (n - 1)) + "]").n == n
+    assert diagram_from_text(f"rank {n}\n1 {n} inf\n").weight(0, n - 1) is INF
 
 
 def test_polygon_diagram():

@@ -15,6 +15,7 @@ from coxgrowth.diagram import (
 from coxgrowth.growth import (
     GrowthFunction,
     NotExponentialError,
+    _signed_digits,
     growth_rate,
     help_function,
     help_sum,
@@ -152,9 +153,9 @@ def test_steinberg_finite_groups():
     def b(n):
         return sym("[4" + ",3" * (n - 2) + "]")
 
-    diagrams = [a(n) for n in range(1, 7)]
-    diagrams += [b(n) for n in range(2, 7)]
-    diagrams += [star_diagram(2, 2, n - 2).to_diagram() for n in range(4, 7)]  # D4..D6
+    diagrams = [a(n) for n in range(1, 7)] + [a(20)]
+    diagrams += [b(n) for n in range(2, 7)] + [b(20)]
+    diagrams += [star_diagram(2, 2, n - 2).to_diagram() for n in (4, 5, 6, 20)]  # D4..D6, D20
     diagrams += [star_diagram(2, 3, 3).to_diagram()]  # E6
     diagrams += [sym(s) for s in ("[3,4,3]", "[5,3]", "[5,3,3]")]
     diagrams += [sym(f"[{m}]") for m in range(3, 13)]
@@ -178,9 +179,49 @@ def test_steinberg_rank_bound():
 
 def test_steinberg_edgeless_diagram():
     # n commuting reflections: growth polynomial [2]^n
-    f = steinberg_growth(CoxeterDiagram(3))
-    assert f.denominator == IntPoly([1])
-    assert f.numerator == IntPoly([1, 1]) ** 3
+    for n in (3, 20):
+        f = steinberg_growth(CoxeterDiagram(n))
+        assert f.denominator == IntPoly([1])
+        assert f.numerator == IntPoly([1, 1]) ** n
+
+
+def _pack(digits, k):
+    return sum(c << k * j for j, c in enumerate(digits))
+
+
+@pytest.mark.parametrize("digits", [
+    [5, -5, 0, 3],
+    [1, 0, -7],  # negative top digit
+    [-7, 7, -7],  # B = 2^3 - 1: k = 4
+    [8, -8],  # B = 2^3: k = 5
+    [0, 0, 0, -1],
+])
+def test_signed_digits_round_trip_at_minimal_width(digits):
+    k = max(abs(c) for c in digits).bit_length() + 1
+    assert _signed_digits(_pack(digits, k), k, len(digits)) == digits
+    # extra digits past the top read as zeros
+    assert _signed_digits(_pack(digits, k), k, len(digits) + 2) == digits + [0, 0]
+
+
+@given(st.lists(st.integers(-10**30, 10**30), min_size=1, max_size=12))
+@settings(max_examples=100, deadline=None)
+def test_signed_digits_round_trip(digits):
+    k = max(abs(c) for c in digits).bit_length() + 1
+    assert _signed_digits(_pack(digits, k), k, len(digits)) == digits
+
+
+def test_signed_digits_range_ends():
+    # the digits of width k run over [-2^(k-1), 2^(k-1))
+    assert _signed_digits(_pack([-8, 7, -8], 4), 4, 3) == [-8, 7, -8]
+    assert _signed_digits(_pack([8], 4), 4, 2) == [-8, 1]
+
+
+def test_signed_digits_raise_when_wider_than_n_digits():
+    with pytest.raises(ArithmeticError):
+        _signed_digits(_pack([1, 2, 3], 4), 4, 2)
+    with pytest.raises(ArithmeticError):
+        _signed_digits(-(1 << 12), 4, 3)
+    assert _signed_digits(-(1 << 12), 4, 4) == [0, 0, 0, -1]
 
 
 def test_esselmann_denominator_classification():
