@@ -87,11 +87,15 @@ def _diagram_from_args(args) -> CoxeterDiagram:
         return parse_coxeter_symbol(args.symbol)
     if args.file:
         return diagram_from_file(args.file)
+    # the rank follows from the parameters: reject it before building the table
     if args.polygon:
+        growth._check_rank(len(args.polygon))
         return polygon_diagram(*args.polygon)
     if args.star:
+        growth._check_rank(1 + sum(p - 1 for p in args.star))
         return star_diagram(*args.star).to_diagram()
     if args.hgraph:
+        growth._check_rank(sum(args.hgraph) + 1)
         return h_graph(*args.hgraph).to_diagram()
     raise DiagramError("no diagram given; use --symbol, --file, --polygon, --star or --hgraph")
 
@@ -126,11 +130,11 @@ def _cmd_growth(args) -> CommandResult:
         if core.degree >= 1 and core.is_monic() and (core.degree <= 44 or rev in (core, -core)):
             payload["classification"] = sorted(classify(core).labels)
         else:
-            # the Perron check of a large non-reciprocal core counts the roots
-            # of p(ct), c a rational of 40 or more bits, whose remainder
-            # sequence is dominated by content gcds of coefficients thousands
-            # of bits long: about 3 s at degree 44 and 7 s at degree 50
-            # (CPython 3.11, one core of a 2-CPU Xeon host)
+            # a non-reciprocal core above degree 44 is not classified; raising
+            # the cutoff changes which cores are.  The Perron check counts the
+            # roots of p(ct) at dyadic scales c of at most 128 bits: 0.04-0.35 s
+            # on random monic inputs of degree 44-50, at most 1.3 s at degree
+            # 64 (CPython 3.11, one core of a 2-CPU Xeon host)
             payload["classification"] = None
     except growth.NotExponentialError:
         payload["growth_rate"] = None

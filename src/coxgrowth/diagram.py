@@ -122,10 +122,11 @@ class CoxeterDiagram:
 def parse_coxeter_symbol(text: str) -> CoxeterDiagram:
     """Parse a linear symbol [w1,...,wr] or a cyclic symbol [(items)].
 
-    Weights are integers >= 3 or inf; cyclic items allow p^k repetition.
-    A linear symbol with r weights is a path on r+1 nodes; the cyclic symbol
-    closes the path into a cycle with as many nodes as weights.  The rank is
-    at most STEINBERG_RANK_BOUND.
+    Weights are integers >= 3 or inf; an item p^k repeats the weight p k
+    times, so [3^19] is [3,3,...,3] with 19 weights.  A linear symbol with r
+    weights is a path on r+1 nodes; the cyclic symbol closes the path into a
+    cycle with as many nodes as weights.  The rank is at most
+    STEINBERG_RANK_BOUND, checked before a repetition is expanded.
     """
     s = "".join(text.split())
 
@@ -154,8 +155,6 @@ def parse_coxeter_symbol(text: str) -> CoxeterDiagram:
             fail("empty item", pos)
         rep = 1
         if "^" in item:
-            if not cyclic:
-                fail("repetition only allowed in cyclic symbols", pos)
             item, _, exp = item.partition("^")
             if not re.fullmatch(r"[0-9]+", exp) or int(exp) < 1:
                 fail(f"bad repetition count {exp!r}", pos)

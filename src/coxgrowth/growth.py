@@ -220,6 +220,12 @@ def _fold(terms: dict[int, int], rows: list[list[int]]) -> int:
     return terms[0]
 
 
+def _check_rank(n: int) -> None:
+    """Raise ValueError when a rank n is above the Steinberg-sum rank bound."""
+    if n > STEINBERG_RANK_BOUND:
+        raise ValueError(f"rank {n} exceeds the Steinberg-sum rank bound {STEINBERG_RANK_BOUND}")
+
+
 def steinberg_growth(d: CoxeterDiagram) -> GrowthFunction:
     """The full growth series from the alternating sum over finite standard subgroups.
 
@@ -233,8 +239,7 @@ def steinberg_growth(d: CoxeterDiagram) -> GrowthFunction:
     over the common denominator, per distinct factorization.  The sum is
     evaluated at t = 2^K as one integer and read back as signed digits.
     """
-    if d.n > STEINBERG_RANK_BOUND:
-        raise ValueError(f"rank {d.n} exceeds the Steinberg-sum rank bound {STEINBERG_RANK_BOUND}")
+    _check_rank(d.n)
     conn = _connected_spherical_sets(d)
     sets = sorted(conn)
     idx = sorted({i for fac, _ in conn.values() for i in fac})

@@ -235,19 +235,45 @@ def _location_counts(p: IntPoly) -> tuple[tuple[int, int, int], tuple[int, int],
     return (outside, on, inside), (distinct_outside, distinct_on), s
 
 
-def _is_perron(p: IntPoly, outside: int) -> bool | None:
+# The bits k of the dyadic scales c = m / 2^k that _is_perron tries, coarsest first.
+_SCALE_BITS = (4, 8, 16, 32, 64, 128)
+
+
+def _inside_scaled(p: IntPoly, c: Fraction) -> int | None:
+    """Number of roots z of p with |z| < c for rational c > 0, from the unit-disk
+    count of p(ct) cleared of denominators; None when some root has modulus
+    exactly c, or two roots z, w have zw = c^2, since then the count raises."""
+    n = p.degree
+    scaled = IntPoly(coeff * c.numerator**i * c.denominator ** (n - i)
+                     for i, coeff in enumerate(p.coeffs)).primitive()
+    try:
+        return disk_root_counts(scaled)[0]
+    except ArithmeticError:
+        return None
+
+
+def _is_perron(p: IntPoly, outside: int, above_one: int | None = None) -> bool | None:
     """Whether the largest real root of squarefree p strictly dominates all
     other root moduli.
 
-    Returns None when undecided: above degree 64, or when the scaled disk
-    count below stays inconclusive.  The scaled polynomial p(ct) carries
-    c^deg in its coefficients, and the content gcds along its remainder
-    sequence dominate the count: on random monic inputs with one root above
-    1 it takes about 3 s at degree 44, 7 s at degree 50 and 30 s at degree 64
-    (CPython 3.11, one core of a 2-CPU Xeon host).
+    outside is the number of roots of p outside the closed unit disk, and
+    above_one, counted here when not given, the number in (1, inf).  A real
+    root at or below -1 (counted on p's own Sturm chain) whose modulus is at
+    least the top root's gives False, by compare.  The other moduli are set
+    against the top root by disk counts of p(ct) at dyadic scales
+    c = m / 2^k, k in _SCALE_BITS, on a bracket (low, high] of the top root
+    refined to 2^-k: all but one root below c = floor(low 2^k) / 2^k < top
+    gives True, and fewer than deg p roots below c' = ceil(high 2^k) / 2^k
+    > top gives False.  A count that raises decides nothing.  Few-bit scales
+    keep the coefficients of p(ct) short, and most inputs are decided at
+    k = 4 or 8.
+
+    Returns None when undecided: above degree 64, or when no rung decides,
+    as for a complex pair of the same modulus as the top root.
     """
     bound = roots.cauchy_bound(p)
-    above_one = sturm_count(p, 1, bound)
+    if above_one is None:
+        above_one = sturm_count(p, 1, bound)
     if outside == 1:
         # The unique root outside the closed disk is real (complex roots pair up);
         # it dominates iff it lies in (1, inf) rather than (-inf, -1).
@@ -258,29 +284,25 @@ def _is_perron(p: IntPoly, outside: int) -> bool | None:
         return False
     if p.degree > 64:
         return None
-    top = isolate_largest_real_root(p, Fraction(1, 10**12))
+    top = isolate_largest_real_root(p, Fraction(1, 64))
     # A negative root of equal or larger modulus rules top out.
-    mirrored = IntPoly((-1) ** (i % 2) * c for i, c in enumerate(p.coeffs))
-    if sturm_count(mirrored, 1, bound) > 0:
-        neg_top = isolate_largest_real_root(mirrored, Fraction(1, 10**12))
+    if sturm_count(p, -bound, -1) - (p(-1) == 0) > 0:
+        mirrored = IntPoly((-1) ** (i % 2) * c for i, c in enumerate(p.coeffs))
+        neg_top = isolate_largest_real_root(mirrored, Fraction(1, 64))
         if roots.compare(neg_top, top) >= 0:
             return False
-    # Count roots of modulus < c for rational c just below the top root:
-    # p(c t) scaled to integer coefficients, then a unit-disk count.
-    for _ in range(5):
-        c = top.low if top.width > 0 else top.low - Fraction(1, 10**15)
-        scaled = IntPoly(coeff * c.numerator**i * c.denominator ** (p.degree - i)
-                         for i, coeff in enumerate(p.coeffs)).primitive()
-        try:
-            # raises when a root of scaled lies on the circle or pairs with its inverse
-            inside, _ = disk_root_counts(scaled)
-            if inside >= p.degree - 1:
-                return True
-        except ArithmeticError:
-            pass
-        if top.width == 0:
-            return None
-        top = top.refined(top.width / 2**10)
+    for k in _SCALE_BITS:
+        top = top.refined(Fraction(1, 1 << k))
+        lo, hi = math.floor(top.low * (1 << k)), math.ceil(top.high * (1 << k))
+        if lo == hi:
+            # the top root is m / 2^k itself: step one unit outward on each side
+            lo, hi = lo - 1, hi + 1
+        inside = _inside_scaled(p, Fraction(lo, 1 << k))
+        if inside is not None and inside >= p.degree - 1:
+            return True
+        inside = _inside_scaled(p, Fraction(hi, 1 << k))
+        if inside is not None and inside < p.degree:
+            return False
     return None
 
 
@@ -302,6 +324,9 @@ def classify(p: IntPoly) -> NumberClass:
         raise ValueError("zero constant term")
     (outside, on, inside), (s_outside, s_on), s = _location_counts(p)
     labels = set()
+    # s = core * prod Phi_n, and no Phi_n has a root in (1, inf): this count
+    # serves both the core and s.
+    above_one = sturm_count(s, 1, roots.cauchy_bound(s)) if s.degree >= 1 else 0
     core, _factors = strip_cyclotomic(s)
     if core.degree <= 0:
         labels.add("cyclotomic")
@@ -309,12 +334,11 @@ def classify(p: IntPoly) -> NumberClass:
         # s is squarefree, so its cyclotomic part has deg s - deg core distinct
         # roots, all on the circle, and the core keeps every other root of s.
         c_out, c_on = s_outside, s_on - (s.degree - core.degree)
-        core_above_one = sturm_count(core, 1, roots.cauchy_bound(core))
-        if c_out == 1 and c_on >= 1 and core_above_one == 1:
+        if c_out == 1 and c_on >= 1 and above_one == 1:
             labels.add("salem")
         if c_out == 2 and c_on >= 1:
             labels.add("two_salem")
-    perron = _is_perron(s, s_outside) if s.degree >= 1 else False
+    perron = _is_perron(s, s_outside, above_one) if s.degree >= 1 else False
     if perron:
         labels.add("perron")
     return NumberClass(outside, on, inside, frozenset(labels))

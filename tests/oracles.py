@@ -11,8 +11,9 @@ matrices (weighted adjacency, product of reflections), unit-disk root counts
 from the signature of the Schur-Cohn quadratic form, growth series from
 the alternating sum over every one of the 2^n vertex subsets, cyclotomic
 factors from trial division by every Phi_n with phi(n) <= deg over a totient
-sieve.  None of these are production paths; they exist to cross-check the
-exact implementations.
+sieve, Perron verdicts from disk counts of p(ct) at 40-bit scales c just
+below the top root.  None of these are production paths; they exist to
+cross-check the exact implementations.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ from coxgrowth.intpoly import (
     squarefree_part,
 )
 from coxgrowth.coxtrans import charpoly_int_matrix
+from coxgrowth.numclass import disk_root_counts
+from coxgrowth import roots
 
 
 # -- breadth-first word counts in the geometric representation ---------------------------
@@ -649,6 +652,52 @@ def reference_strip_cyclotomic(p: IntPoly) -> tuple[IntPoly, list[tuple[int, int
         if core.degree < 1:
             break
     return core, factors
+
+
+# -- the Perron check at 40-bit scales ------------------------------------------------------
+
+
+def reference_is_perron(p: IntPoly, outside: int) -> bool | None:
+    """Whether the largest real root of squarefree p strictly dominates all
+    other root moduli, None when undecided: disk counts of p(ct) at c the
+    lower end of the top root's bracket, refined from 1e-12 by 2^-10 for up
+    to five rounds."""
+    bound = roots.cauchy_bound(p)
+    above_one = roots.sturm_count(p, 1, bound)
+    if outside == 1:
+        # The unique root outside the closed disk is real (complex roots pair up);
+        # it dominates iff it lies in (1, inf) rather than (-inf, -1).
+        return above_one == 1
+    if outside == 0:
+        return False
+    if above_one == 0:
+        return False
+    if p.degree > 64:
+        return None
+    top = roots.isolate_largest_real_root(p, Fraction(1, 10**12))
+    # A negative root of equal or larger modulus rules top out.
+    mirrored = IntPoly((-1) ** (i % 2) * c for i, c in enumerate(p.coeffs))
+    if roots.sturm_count(mirrored, 1, bound) > 0:
+        neg_top = roots.isolate_largest_real_root(mirrored, Fraction(1, 10**12))
+        if roots.compare(neg_top, top) >= 0:
+            return False
+    # Count roots of modulus < c for rational c just below the top root:
+    # p(c t) scaled to integer coefficients, then a unit-disk count.
+    for _ in range(5):
+        c = top.low if top.width > 0 else top.low - Fraction(1, 10**15)
+        scaled = IntPoly(coeff * c.numerator**i * c.denominator ** (p.degree - i)
+                         for i, coeff in enumerate(p.coeffs)).primitive()
+        try:
+            # raises when a root of scaled lies on the circle or pairs with its inverse
+            inside, _ = disk_root_counts(scaled)
+            if inside >= p.degree - 1:
+                return True
+        except ArithmeticError:
+            pass
+        if top.width == 0:
+            return None
+        top = top.refined(top.width / 2**10)
+    return None
 
 
 # -- trace forms and tree edits -------------------------------------------------------------

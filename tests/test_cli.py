@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from coxgrowth import cli
 from coxgrowth.cli import main
 
 
@@ -43,6 +44,31 @@ def test_growth_file_input(capsys, tmp_path):
     code, doc, _ = run_json(capsys, "growth", "--file", str(path))
     assert code == 0
     assert doc["payload"]["denominator_core"] == "1,0,0,-1,0,-1,0,-1,0,0,1"
+
+
+@pytest.mark.parametrize("option, value, rank", [
+    ("--star", "2,3,3000", 3003),
+    ("--star", "2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2", 21),
+    ("--hgraph", "2,17,2", 22),
+    ("--polygon", ",".join(["3"] * 21), 21),
+])
+def test_growth_rank_above_bound_rejected_before_building(capsys, monkeypatch, option, value, rank):
+    def unreachable(*args):
+        raise AssertionError("diagram constructor called")
+
+    for name in ("star_diagram", "h_graph", "polygon_diagram"):
+        monkeypatch.setattr(cli, name, unreachable)
+    code, out, err = run_cli(capsys, "growth", option, value)
+    assert code == 1 and out == ""
+    assert err.strip() == f"error: rank {rank} exceeds the Steinberg-sum rank bound 20"
+
+
+@pytest.mark.parametrize("option, value", [("--star", "2,2,17"), ("--hgraph", "2,15,2"),
+                                           ("--polygon", ",".join(["3"] * 20))])
+def test_growth_rank_bound_itself_accepted(capsys, option, value):
+    code, doc, _ = run_json(capsys, "growth", option, value)
+    assert code == 0
+    assert doc["payload"]["denominator"]
 
 
 def test_classify_command(capsys):

@@ -40,12 +40,17 @@ def test_parse_cyclic_symbol():
     assert weights == ["3", "3", "inf"]
 
 
+def test_parse_linear_power_notation():
+    assert parse_coxeter_symbol("[3^19]") == parse_coxeter_symbol("[" + ",".join(["3"] * 19) + "]")
+    assert parse_coxeter_symbol("[4,3^2,inf^2]") == parse_coxeter_symbol("[4,3,3,inf,inf]")
+
+
 def test_parse_infinity_forms():
     assert parse_coxeter_symbol("[3,inf]").weight(1, 2) is INF
     assert parse_coxeter_symbol("[3,∞]").weight(1, 2) is INF
 
 
-@pytest.mark.parametrize("bad", ["", "[]", "[2,3]", "[3,,5]", "(3,5)", "[3,5", "[(3)]", "[3^2]"])
+@pytest.mark.parametrize("bad", ["", "[]", "[2,3]", "[3,,5]", "(3,5)", "[3,5", "[(3)]", "[3^0]"])
 def test_parse_errors(bad):
     with pytest.raises(DiagramError):
         parse_coxeter_symbol(bad)
@@ -94,7 +99,10 @@ def test_diagram_file_format():
     "[(3^18,4,inf,5)]",
     "[" + ",".join(["3"] * 2999) + "]",
     "[" + ",".join(["3"] * 20) + "]",
-], ids=["cyclic-3000", "cyclic-21", "linear-3000", "linear-21"])
+    "[3^20]",
+    "[3^99999999]",
+], ids=["cyclic-3000", "cyclic-21", "linear-3000", "linear-21", "linear-power-21",
+        "linear-power-100000000"])
 def test_symbol_rank_above_bound_rejected(text):
     with pytest.raises(DiagramError, match=f"bound {STEINBERG_RANK_BOUND}"):
         parse_coxeter_symbol(text)

@@ -1,10 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from coxgrowth.coxtrans import charpoly_int_matrix
 from coxgrowth.intpoly import IntPoly, cyclotomic, parse_poly, squarefree_part
+from coxgrowth import numclass
 from coxgrowth.numclass import (
     NumberClass,
     _cyclotomic_candidates,
@@ -16,9 +18,11 @@ from coxgrowth.numclass import (
     strip_cyclotomic,
     unit_circle_root_count,
 )
+from coxgrowth.roots import cauchy_bound, isolate_largest_real_root, sturm_count
 
 from oracles import (
     charpoly_interpolated,
+    reference_is_perron,
     reference_strip_cyclotomic,
     root_location_counts_float,
     schur_cohn_disk_counts,
@@ -271,6 +275,88 @@ def test_negative_root_of_equal_or_larger_modulus_is_not_perron(negative):
     p = IntPoly([-2, 1]) * IntPoly([negative, 1])  # roots 2 and -negative
     assert _is_perron(p, 2) is False
     assert "perron" not in classify(p).labels
+
+
+def _outside(p: IntPoly) -> int:
+    return _location_counts(p)[0][0]
+
+
+@given(st.lists(st.integers(-4, 4), min_size=2, max_size=12))
+@settings(max_examples=100, deadline=None)
+def test_perron_agrees_with_the_40_bit_reference(tail):
+    p = IntPoly(tail + [1])
+    assume(p.constant != 0 and squarefree_part(p) == p)
+    outside = _outside(p)
+    expected, got = reference_is_perron(p, outside), _is_perron(p, outside)
+    # the reference may leave undecided what the dyadic scales decide, never
+    # the other way round, and the two never disagree
+    if expected is True:
+        assert got is True
+    if expected is False:
+        assert got is not True
+
+
+def test_perron_when_a_complex_pair_outmodulates_the_top_root_is_false():
+    # random monic of degree 30, coefficients in [-3, 3] (the seventh draw of
+    # random.Random(2)): a complex pair of modulus 1.51 lies above every real
+    # root, which the 40-bit scales leave undecided after five rounds
+    p = IntPoly([3, -2, 2, -2, 1, 2, -3, 0, 1, -3, 3, -2, -2, -3, -3, -1,
+                 1, 2, 2, 2, -3, -1, -1, 0, -3, -1, 0, 1, 3, 1, 1])
+    assert _is_perron(p, _outside(p)) is False
+
+
+def test_perron_false_from_a_scale_just_above_the_top_root():
+    # top root 2.2056 of t^3 - 2t^2 - 1 below the pair |z| = sqrt 5 = 2.236 of
+    # t^2 + t + 5: a scale below the top root never counts that pair inside,
+    # and the first scale between the two moduli counts it outside
+    p = IntPoly([5, 1, 1]) * IntPoly([-1, 0, -2, 1])
+    assert _is_perron(p, _outside(p)) is False
+
+
+@pytest.mark.parametrize("p, degenerate", [
+    (IntPoly([-2, 1]) * IntPoly([3, -2, 1]), True),   # 2 and |z| = sqrt 3
+    (IntPoly([-3, 1]) * IntPoly([4, 1, 1]), False),   # 3 and |z| = 2
+], ids=str)
+def test_perron_with_a_dyadic_top_root(p, degenerate):
+    # the top root r is m / 2^k at every rung, where a count raises: from a
+    # bracket (low, high] around r, floor and ceiling give scales off r, and
+    # from the bracket [r, r], which the isolation returns for
+    # (t - 2)(t^2 - 2t + 3), the scales step one unit off it
+    assert (isolate_largest_real_root(p, Fraction(1, 64)).width == 0) == degenerate
+    assert _is_perron(p, _outside(p)) is True
+
+
+def test_perron_scale_on_a_root_modulus_is_passed_over(monkeypatch):
+    # the top root of t^6 - 2t^5 - 1 is 2.0307, so the 4-bit scale below it is
+    # 2, the modulus of the pair of t^2 + t + 4: that count raises, and a finer
+    # scale decides
+    p = IntPoly([4, 1, 1]) * IntPoly([-1, 0, 0, 0, 0, -2, 1])
+    with pytest.raises(ArithmeticError):
+        disk_root_counts(IntPoly(c * 2**i for i, c in enumerate(p.coeffs)))
+    counts = []
+    inside_scaled = numclass._inside_scaled
+
+    def spy(q, c):
+        counts.append((c, inside_scaled(q, c)))
+        return counts[-1][1]
+
+    monkeypatch.setattr(numclass, "_inside_scaled", spy)
+    assert _is_perron(p, _outside(p)) is True
+    assert counts[0] == (Fraction(2), None)
+    assert counts[-1][1] == p.degree - 1
+
+
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=8),
+       st.lists(st.integers(1, 30), max_size=4, unique=True))
+@settings(max_examples=40, deadline=None)
+def test_cyclotomic_factors_have_no_root_above_one(tail, indices):
+    # classify counts the roots of s in (1, inf) for its core as well
+    core = IntPoly(tail + [1])
+    assume(core.constant != 0)
+    s = core
+    for n in indices:
+        s = s * cyclotomic(n)
+    assert sturm_count(s, 1, cauchy_bound(s)) == sturm_count(core, 1, cauchy_bound(core))
 
 
 def test_classify_cyclotomic():

@@ -40,7 +40,8 @@ METRICS = ["items_per_s", "item_p50_ms", "item_p90_ms", "failed_frac", "setup_s"
 HIGHER_IS_BETTER = {"items_per_s"}
 COUNTS = ["diagram.finite_type_recognize.calls", "intpoly.mul.calls",
           "growth.steinberg_growth.subsets_per_call", "intpoly.exact_div.calls",
-          "numclass.strip_cyclotomic.calls"]
+          "numclass.strip_cyclotomic.calls", "numclass.disk_root_counts.calls",
+          "numclass.disk_root_counts.bits_max"]
 
 
 def git(root: Path, *args: str) -> bytes:
