@@ -96,8 +96,14 @@ def _diagram_from_args(args) -> CoxeterDiagram:
         return star_diagram(*args.star).to_diagram()
     if args.hgraph:
         growth._check_rank(sum(args.hgraph) + 1)
-        return h_graph(*args.hgraph).to_diagram()
+        return _h_graph(args.hgraph).to_diagram()
     raise DiagramError("no diagram given; use --symbol, --file, --polygon, --star or --hgraph")
+
+
+def _h_graph(params) -> WeightedTree:
+    if len(params) != 3:
+        raise DiagramError(f"an H-graph takes three parameters i,j,k, got {len(params)}")
+    return h_graph(*params)
 
 
 def _tree_from_spec(text: str) -> WeightedTree:
@@ -105,10 +111,12 @@ def _tree_from_spec(text: str) -> WeightedTree:
     params = _parse_int_list(rest) if rest else ()
     kind = kind.strip().lower()
     if kind in ("h", "hgraph"):
-        return h_graph(*params)
+        return _h_graph(params)
     if kind == "star":
         return star_diagram(*params)
     if kind == "path":
+        if len(params) != 1:
+            raise DiagramError(f"a path takes one parameter n, got {len(params)}")
         return path_tree(*params)
     raise DiagramError(f"unknown tree spec {text!r}; use H:i,j,k / Star:p1,..,pk / Path:n")
 
@@ -148,7 +156,7 @@ def _cmd_coxtrans(args) -> CommandResult:
         phi = coxtrans.char_poly_star(*args.star)
         label = f"Star{tuple(args.star)}"
     elif args.hgraph:
-        tree = h_graph(*args.hgraph)
+        tree = _h_graph(args.hgraph)
         phi = coxtrans.char_poly_recursive(tree)
         label = f"H{tuple(args.hgraph)}"
     elif args.tree:

@@ -20,6 +20,7 @@ from fractions import Fraction
 from .intpoly import (
     ExactDivisionError,
     IntPoly,
+    _taylor_shift,
     cyclotomic,
     exact_div,
     palindromic_reduce,
@@ -151,16 +152,6 @@ def unit_circle_root_count(p: IntPoly) -> int:
         raise ValueError("unexpected structure after removing roots at +-1")
     q = palindromic_reduce(s)
     return count + 2 * count_roots_open(q, Fraction(-2), Fraction(2))
-
-
-def _taylor_shift(coeffs, c: int) -> list[int]:
-    """Coefficients of p(x + c) from those of p(x), in O(n^2) additions."""
-    a = list(coeffs)
-    n = len(a) - 1
-    for i in range(n):
-        for j in range(n - 1, i - 1, -1):
-            a[j] += c * a[j + 1]
-    return a
 
 
 def _cayley(h: IntPoly) -> IntPoly:

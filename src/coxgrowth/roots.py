@@ -1,4 +1,4 @@
-"""Certified real-root counting and isolation via Sturm sequences.
+"""Certified real-root counting and isolation via Sturm sequences and Descartes' rule.
 
 Sturm chains and Cauchy indices are read from intpoly's signed remainder
 sequence of a pair of polynomials, the same kernel behind every gcd.  Of p
@@ -8,10 +8,11 @@ num/den over the real line, from the variation counts at -inf and +inf.
 All interval endpoints are exact rationals; every count and every isolating
 interval is certified by exact sign computations, never by floating point.
 
-Every entry point reads one Sturm state per polynomial p: the squarefree part
-sf of p, gcd(p, p') and the Sturm chain of sf.  The states of the last few
-polynomials are held in a small fixed-size LRU cache, so counting, isolating
-and refining one polynomial build its chain once.
+Every entry point, except the Descartes path below, reads one Sturm state
+per polynomial p: the squarefree part sf of p, gcd(p, p') and the Sturm
+chain of sf.  The states of the last few polynomials are held in a small
+fixed-size LRU cache, so counting, isolating and refining one polynomial
+build its chain once.
 
 Isolation works on a dyadic grid: (-B, B] for the largest real root, B the
 Cauchy bound of sf, and (0, H] for the smallest positive root, H the given
@@ -35,6 +36,19 @@ than the window, coefficients beyond float range), and when it would have
 ended at a cell whose lower end is another root of sf: from such a cell the
 refinement steps inward off the grid.
 
+The largest real root is first sought without a Sturm chain, while none is
+held for p.  Then sf comes from gcd(p, p') taken modulo the prime 2^61 - 1
+and certified over the integers, and the first seeded window (a, b] from a
+Descartes certificate (Collins-Akritas 1976): the Taylor shift of p to a has
+one sign variation, so p has exactly one root above a, and that root is
+simple, and the sign of p(b) puts it at or below b.  A sign change of sf
+stands in for the Sturm count that rules out a cell ending at the next root
+down.  The certificate is exact for polynomials with only real roots, as the
+adjacency polynomials of trees; the Sturm path runs as above whenever it
+fails (complex roots near the top root, a multiple top root, a poor
+estimate, a gcd the modular lift cannot certify) and whenever p's Sturm
+state is held already.  Both give the same interval.
+
 Two root intervals are compared by compare alone: the roots are equal exactly
 when the gcd of the two squarefree parts has a root in the common part of
 the two root sets, (low, high] or the point of a degenerate interval, and
@@ -43,13 +57,20 @@ otherwise refinement separates them in finitely many steps.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .intpoly import ONE, IntPoly, _signed_remainders, exact_div, poly_gcd
+from .intpoly import (
+    ONE,
+    IntPoly,
+    _signed_remainders,
+    _squarefree_part_modular,
+    _taylor_shift,
+    exact_div,
+    poly_gcd,
+)
 
 DEFAULT_WIDTH = Fraction(1, 10**9)
 
@@ -110,7 +131,7 @@ class RootInterval:
         """A sub-interval of at most the given width around the same root."""
         if self.width <= width:
             return self
-        return _refine(_sturm_state(self.poly), self, width)
+        return _refine(_sturm_state(self.poly).sf, self, width)
 
     def with_multiplicity_flag(self) -> "RootInterval":
         """The same interval with the multiplicity flag computed from poly."""
@@ -165,7 +186,11 @@ class _SturmState(NamedTuple):
     chain: tuple[IntPoly, ...]  # Sturm sequence of sf; empty when sf is constant
 
 
-@functools.lru_cache(maxsize=16)
+# The Sturm states of the _STATES_HELD most recently used polynomials, oldest first.
+_STATES_HELD = 16
+_states: dict[IntPoly, _SturmState] = {}
+
+
 def _sturm_state(p: IntPoly) -> _SturmState:
     """The Sturm state of p, built once for the few most recent polynomials.
 
@@ -173,6 +198,16 @@ def _sturm_state(p: IntPoly) -> _SturmState:
     squarefree and the sequence is its Sturm chain; otherwise every member
     divided by the gcd gives a Sturm sequence of sf = p / gcd, headed by sf.
     """
+    st = _states.pop(p, None)
+    if st is None:
+        st = _build_sturm_state(p)
+        if len(_states) >= _STATES_HELD:
+            del _states[next(iter(_states))]
+    _states[p] = st
+    return st
+
+
+def _build_sturm_state(p: IntPoly) -> _SturmState:
     p = p.primitive()
     if p.degree < 1:
         return _SturmState(p, ONE, ())
@@ -236,14 +271,15 @@ def cauchy_bound(p: IntPoly) -> Fraction:
     return Fraction(lead + max(abs(c) for c in p.coeffs[:-1]), lead)
 
 
-def _refine(st: _SturmState, bracket: RootInterval, width: Fraction) -> RootInterval:
-    """Shrink a bracket certified to contain exactly one root of the squarefree st.sf.
+def _refine(sf: IntPoly, bracket: RootInterval, width: Fraction) -> RootInterval:
+    """Shrink a bracket certified to contain exactly one root of sf, the
+    squarefree part of bracket.poly.
 
     The bracket invariant is "exactly one root in (low, high]"; once both
     endpoint signs are nonzero they must differ, and plain sign bisection
-    (one exact evaluation per step) finishes the job.
+    (one exact evaluation per step) finishes the job.  Only a lower end that
+    is another root of sf needs the Sturm chain.
     """
-    sf = st.sf
     flag = bracket.multiplicity_free
     lo, hi = bracket.low, bracket.high
     s_hi = sf.sign_at(hi)
@@ -252,7 +288,7 @@ def _refine(st: _SturmState, bracket: RootInterval, width: Fraction) -> RootInte
     s_lo = sf.sign_at(lo)
     if s_lo == 0:
         # lo is a different root of sf; step inward until it is excluded.
-        chain = st.chain
+        chain = _sturm_state(bracket.poly).chain
         v_hi = _variations_at(chain, hi)
         while s_lo == 0:
             probe = lo + (hi - lo) / 4
@@ -380,6 +416,24 @@ def _seed_depth(span: Fraction, x: Fraction, radius: Fraction) -> int:
     return q.numerator.bit_length() - q.denominator.bit_length() - 1
 
 
+def _seed(estimate: tuple[float, float], span: Fraction,
+          depth: int) -> tuple[Fraction, int] | None:
+    """The estimate x (as a fraction) and the depth of the first seeded window,
+    at most depth; None when x or its error radius is nan or infinite."""
+    try:
+        xq, radius = Fraction(estimate[0]), Fraction(estimate[1])
+    except (ValueError, OverflowError):
+        return None
+    return xq, min(depth, _seed_depth(span, xq, radius))
+
+
+def _window(xq: Fraction, origin: Fraction, step: Fraction, cells: int) -> tuple[int, int]:
+    """Cell indices (i0, i1) of the window: the cell of xq and its two neighbours
+    within the grid, (origin + i0*step, origin + i1*step]."""
+    k = min(max(math.floor((xq - origin) / step), 0), cells - 1)
+    return max(k - 1, 0), min(k + 2, cells)
+
+
 def _cell_of_root(sf: IntPoly, origin: Fraction, step: Fraction, i0: int, i1: int) -> int:
     """Index i of the cell (origin + i*step, origin + (i+1)*step] holding the one
     root of sf in (origin + i0*step, origin + i1*step], from the signs above it."""
@@ -395,17 +449,18 @@ def _cell_of_root(sf: IntPoly, origin: Fraction, step: Fraction, i0: int, i1: in
     return i0
 
 
-def _ends_at_lower_root(st: _SturmState, origin: Fraction, step: Fraction, k: int,
-                        a: Fraction, v_a: int) -> bool:
-    """Whether the bisection from the top of the grid ends at a cell whose lower end is a root.
+def _lower_grid_root(sf: IntPoly, origin: Fraction, step: Fraction, k: int,
+                     a: Fraction) -> Fraction | None:
+    """The one ancestor lower end of cell k that may be the next root below the largest.
 
     The largest root r is certified alone in the window (a, b] and lies in cell
-    k.  The bisection ends at the shallowest ancestor of cell k that holds r
-    alone; its lower end is a root exactly when the next root r' below r is
-    the lower end of some ancestor.  Ancestor lower ends are the cell indices
-    k with low bits cleared; only those at or below a can be r'.
+    k.  The bisection from the top of the grid ends at the shallowest ancestor
+    of cell k that holds r alone; its lower end is a root exactly when the next
+    root r' below r is the lower end of some ancestor.  Ancestor lower ends are
+    the cell indices k with low bits cleared; only those at or below a can be
+    r'.  A root among them is r' exactly when no root lies between it and a, so
+    only the largest can be: it is returned, or None when there is none.
     """
-    sf = st.sf
     n0, d0 = origin.numerator, origin.denominator
     ns, ds = step.numerator, step.denominator
     den = d0 * ds
@@ -415,9 +470,9 @@ def _ends_at_lower_root(st: _SturmState, origin: Fraction, step: Fraction, k: in
         if sf.leading % (den // math.gcd(num, den)) == 0:
             x = Fraction(num, den)
             if x <= a and sf.sign_at(x) == 0:
-                return _variations_at(st.chain, x) == v_a  # x is r' iff no root in (x, a]
+                return x
         k &= k - 1
-    return False
+    return None
 
 
 def _seeded_cell(st: _SturmState, estimate: tuple[float, float], origin: Fraction, span: Fraction,
@@ -433,11 +488,10 @@ def _seeded_cell(st: _SturmState, estimate: tuple[float, float], origin: Fractio
     """
     if not largest and st.sf.constant == 0:
         return None  # the root 0 is a lower end of every leftmost cell
-    try:
-        xq, radius = Fraction(estimate[0]), Fraction(estimate[1])
-    except (ValueError, OverflowError):  # nan or infinity
+    seed = _seed(estimate, span, depth)
+    if seed is None:
         return None
-    j = min(depth, _seed_depth(span, xq, radius))
+    xq, j = seed
     for j in range(j, max(j - SEED_ATTEMPTS * SEED_RETRY_DEPTHS, -1), -SEED_RETRY_DEPTHS):
         cells = 1 << j
         step = span / cells
@@ -447,8 +501,7 @@ def _seeded_cell(st: _SturmState, estimate: tuple[float, float], origin: Fractio
                 return v_first
             return v_last if i == cells else _variations_at(st.chain, origin + step * i)
 
-        k = min(max(math.floor((xq - origin) / step), 0), cells - 1)
-        i0, i1 = max(k - 1, 0), min(k + 2, cells)
+        i0, i1 = _window(xq, origin, step, cells)
         # Certified: the wanted root is alone in the window (a, b], and no root
         # lies between the window and the grid end on the wanted root's side.
         if largest:
@@ -464,10 +517,94 @@ def _seeded_cell(st: _SturmState, estimate: tuple[float, float], origin: Fractio
         if v_a - v_b != 1:
             continue
         i = _cell_of_root(st.sf, origin, step, i0, i1)
-        if largest and _ends_at_lower_root(st, origin, step, i, origin + step * i0, v_a):
-            return None
+        if largest:
+            x = _lower_grid_root(st.sf, origin, step, i, origin + step * i0)
+            if x is not None and _variations_at(st.chain, x) == v_a:
+                return None  # no root in (x, a]: x is the next root below
         return origin + step * i, origin + step * (i + 1)
     return None
+
+
+# -- the Descartes certificate ---------------------------------------------------------
+
+
+def _shifted(p: IntPoly, a: Fraction) -> list[int]:
+    """Coefficients of v^n p((x + u) / v) for a = u / v and n = deg p: the Taylor
+    shift of p to a, cleared of denominators.  Its roots are v (r - a) for the
+    roots r of p, and its constant term is v^n p(a)."""
+    u, v = a.numerator, a.denominator
+    scaled = list(p.coeffs)
+    vk = 1
+    for i in range(len(scaled) - 2, -1, -1):
+        vk *= v
+        scaled[i] *= vk
+    return _taylor_shift(scaled, u)
+
+
+def descartes_bound(p: IntPoly, a: Fraction | int) -> int:
+    """The sign variations of the Taylor shift of p to a: by Descartes' rule an
+    upper bound on the number of roots of p in (a, inf), counted with
+    multiplicity, and of the same parity.  0 certifies that p has no root
+    above a, and 1, with p(a) != 0, exactly one, and that one simple."""
+    return _variations(map(_sign, _shifted(p, Fraction(a))))
+
+
+# The points x + (a - x) t that _root_between samples, in this order:
+# t = 1, 1/2, 1/4, 3/4, 1/8, 3/8, ..., 31/32.
+_SAMPLES = (Fraction(1),) + tuple(Fraction(m, 1 << k) for k in range(1, 6)
+                                  for m in range(1, 1 << k, 2))
+
+
+def _root_between(sf: IntPoly, x: Fraction, a: Fraction) -> bool:
+    """Whether sf, squarefree with the root x < a, is certified to have a root in
+    (x, a]: at one of the _SAMPLES points of (x, a], sf is zero or has the
+    sign opposite to its sign just right of x, which is the sign of sf'(x)."""
+    s = sf.derivative().sign_at(x)
+    return any(sf.sign_at(x + (a - x) * t) != s for t in _SAMPLES)
+
+
+def _descartes_largest(p: IntPoly, width: Fraction) -> RootInterval | None:
+    """The interval that the Sturm path of isolate_largest_real_root gives,
+    certified without a Sturm chain; None when the certificate fails.
+
+    The squarefree part sf comes from a modular gcd, and the grid (-B, B]
+    from the Cauchy bound B of sf.  The window (a, b] is the Sturm path's
+    first: the estimate's cell and its two neighbours at depth min(J, seed
+    depth).  One Taylor shift certifies it: p(a) != 0 and one sign variation
+    at a mean exactly one root above a, simple, and p(b) zero or of the sign
+    of lc(p) puts it at or below b.  That is what the Sturm counts certify on
+    the same window, so both paths go on with the same steps on sf: the
+    root's cell, the check that the bisection from the top of the grid does
+    not end at the next root down, and sign bisection to width.  For that
+    check a sign change of sf between the root x and a takes the place of
+    the Sturm count.  Since the root is simple in p, the interval is flagged
+    multiplicity-free.
+    """
+    if width <= 0:
+        return None
+    sf = _squarefree_part_modular(p)
+    if sf is None:
+        return None
+    bound = cauchy_bound(sf)
+    origin, span = -bound, 2 * bound
+    seed = _seed(_root_estimate(sf, False), span, _grid_depth(span, width))
+    if seed is None or seed[1] < 0:
+        return None
+    xq, j = seed
+    cells = 1 << j
+    step = span / cells
+    i0, i1 = _window(xq, origin, step, cells)
+    a = origin + step * i0
+    shifted = _shifted(p, a)
+    if shifted[0] == 0 or _variations(map(_sign, shifted)) != 1:
+        return None
+    if p.sign_at(origin + step * i1) == -_sign(p.leading):
+        return None
+    i = _cell_of_root(sf, origin, step, i0, i1)
+    x = _lower_grid_root(sf, origin, step, i, a)
+    if x is not None and not _root_between(sf, x, a):
+        return None
+    return _refine(sf, RootInterval(p, origin + step * i, origin + step * (i + 1)), width)
 
 
 def _bisected_cell(chain, lo: Fraction, hi: Fraction, v_lo: int, v_hi: int,
@@ -494,11 +631,20 @@ def _isolated(p: IntPoly, st: _SturmState, lo: Fraction, hi: Fraction, v_lo: int
         cell = _seeded_cell(st, estimate, lo, span, _grid_depth(span, width), v_lo, v_hi, largest)
     if cell is None:
         cell = _bisected_cell(st.chain, lo, hi, v_lo, v_hi, largest)
-    return _flagged(p, st, _refine(st, RootInterval(p, *cell), width))
+    return _flagged(p, st, _refine(st.sf, RootInterval(p, *cell), width))
 
 
 def isolate_largest_real_root(p: IntPoly, width: Fraction = DEFAULT_WIDTH) -> RootInterval:
-    """Certified interval of at most the given width around the largest real root."""
+    """Certified interval of at most the given width around the largest real root.
+
+    While no Sturm state of p is held, the Descartes certificate is tried
+    first; the Sturm path runs when it fails, and when the state is held
+    already, since then its counts cost less than a Taylor shift.
+    """
+    if p not in _states:
+        iv = _descartes_largest(p, width)
+        if iv is not None:
+            return iv
     st = _sturm_state(p)
     if not st.chain:
         raise NoRealRootError("polynomial has no real root")
@@ -538,7 +684,7 @@ def isolate_real_roots(p: IntPoly, width: Fraction = DEFAULT_WIDTH) -> list[Root
         if n == 0:
             return
         if n == 1:
-            out.append(_flagged(p, st, _refine(st, RootInterval(p, a, b), width)))
+            out.append(_flagged(p, st, _refine(st.sf, RootInterval(p, a, b), width)))
             return
         mid = (a + b) / 2
         vm = _variations_at(chain, mid)

@@ -92,6 +92,24 @@ def test_coxtrans_star(capsys):
     assert doc["payload"]["char_poly"] == "1,1,0,-1,-1,-1,-1,-1,0,1,1"
 
 
+@pytest.mark.parametrize("argv, count", [
+    (("growth", "--hgraph", "2,3"), 2),
+    (("coxtrans", "--hgraph", "2,3,4,5"), 4),
+    (("coxtrans", "--tree", "H:2,3"), 2),
+    (("spectra", "--tree", "H:"), 0),
+])
+def test_h_graph_needs_three_parameters(capsys, argv, count):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.strip() == f"error: an H-graph takes three parameters i,j,k, got {count}"
+
+
+def test_path_spec_needs_one_parameter(capsys):
+    code, out, err = run_cli(capsys, "coxtrans", "--tree", "Path:3,4,5")
+    assert code == 1 and out == ""
+    assert err.strip() == "error: a path takes one parameter n, got 3"
+
+
 def test_tree_spec_with_non_ascii_digits_is_an_error(capsys):
     code, out, err = run_cli(capsys, "coxtrans", "--tree", "Path:٦")
     assert code == 1

@@ -234,3 +234,41 @@ def test_end_to_end_shares_core():
         den_core, _ = strip_cyclotomic(polygon_growth(*ps).denominator)
         phi_core, _ = strip_cyclotomic(char_poly_star(*ps))
         assert den_core == phi_core
+
+
+def _radius_by_sturm_count(phi, width):
+    """The pre-check that spectral_radius_from_charpoly made before its
+    Descartes count: a Sturm count of the roots above 1."""
+    from coxgrowth.roots import cauchy_bound, isolate_largest_real_root
+    if sturm_count(phi, 1, cauchy_bound(phi)) == 0:
+        return RootInterval(IntPoly([-1, 1]), Fraction(1), Fraction(1))
+    return isolate_largest_real_root(phi, width)
+
+
+_NEAR_ONE = IntPoly([-(10**12 + 1), 10**12])  # the root 1 + 10^-12
+
+
+@pytest.mark.parametrize("phi, straddles", [
+    (_NEAR_ONE * IntPoly([2, 1]), True),            # simple top root just above 1
+    (_NEAR_ONE ** 2 * IntPoly([2, 1]), True),       # double top root just above 1
+    (IntPoly([-1, 1]) * IntPoly([2, 1]), True),     # the top root 1, not a grid point
+    # the top root 1 below the pair 2 +- i, which gives two variations at 1
+    (IntPoly([-1, 1]) * IntPoly([5, -4, 1]), True),
+    (IntPoly([-1, 1]) ** 2 * IntPoly([5, -4, 1]), True),
+    (IntPoly([5, -4, 1]), False),                   # no real root, two variations at 1
+    (char_poly_star(2, 3, 5), False),               # finite type: every root on the circle
+    (char_poly_star(2, 3, 6), True),                # affine type: the double root 1
+    (char_poly_star(2, 3, 7), False),
+])
+def test_spectral_radius_from_charpoly_matches_the_sturm_pre_check(phi, straddles):
+    from coxgrowth.coxtrans import spectral_radius_from_charpoly
+    from coxgrowth.roots import NoRealRootError, isolate_largest_real_root
+    width = Fraction(1, 10**9)
+    try:
+        iv = isolate_largest_real_root(phi, width)
+        assert (iv.low < 1 < iv.high) == straddles
+    except NoRealRootError:
+        assert not straddles
+    got, expected = spectral_radius_from_charpoly(phi, width), _radius_by_sturm_count(phi, width)
+    assert (got.poly, got.low, got.high, got.multiplicity_free) == (
+        expected.poly, expected.low, expected.high, expected.multiplicity_free)

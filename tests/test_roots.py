@@ -373,3 +373,86 @@ def test_coefficients_beyond_float_range_take_the_bisection():
     assert math.isnan(roots._root_estimate(roots._sturm_state(p).sf, False)[0])
     for width in (Fraction(1, 10**9), Fraction(1, 2**1200)):
         assert _triple(isolate_largest_real_root(p, width)) == reference_isolate_largest(p, width)
+
+
+# -- the Descartes certificate of the largest root -----------------------------------
+
+from coxgrowth.diagram import path_tree  # noqa: E402
+from coxgrowth.spectra import adjacency_char_poly, brouwer_neumaier_enumerate  # noqa: E402
+
+
+def test_descartes_bound_is_exact_when_every_root_is_real():
+    rng = random.Random(5)
+    for _ in range(200):
+        rs = [Fraction(rng.randint(-30, 30), rng.choice([1, 2, 3, 8])) for _ in range(rng.randint(1, 6))]
+        p = functools.reduce(IntPoly.__mul__, (_linear(r.numerator, r.denominator) for r in rs))
+        a = Fraction(rng.randint(-40, 40), rng.choice([1, 3, 4, 7]))
+        assert roots.descartes_bound(p, a) == sum(r > a for r in rs), (rs, a)
+
+
+def _sturm_path(p, width):
+    """isolate_largest_real_root with p's Sturm state held, so on the Sturm path."""
+    roots._sturm_state(p)
+    return _triple(isolate_largest_real_root(p, width))
+
+
+_DECLINES = {
+    # the pair 2 +- i lies above the top root 1: three variations at any a < 1
+    "complex pair above": IntPoly([-1, 1]) * IntPoly([5, -4, 1]),
+    "multiple top root": IntPoly([-2, 1]) ** 2 * IntPoly([1, 1]),
+    # the float estimate lands near 1.335, far below the top root 2cos(pi/101)
+    "wrong estimate": adjacency_char_poly(path_tree(100)),
+    # the top root 1 is alone above 0, and 0 is a lower end of its ancestor cells
+    "lower end at the next root": IntPoly([0, -1, 1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DECLINES))
+def test_descartes_path_declines_and_the_sturm_path_decides(monkeypatch, name):
+    p, width = _DECLINES[name], Fraction(1, 10**9)
+    verdicts = []
+    root_between = roots._root_between
+
+    def recorded(*args):
+        verdicts.append(root_between(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(roots, "_root_between", recorded)
+    assert roots._descartes_largest(p, width) is None
+    assert verdicts == ([False] if name == "lower end at the next root" else [])
+    expected = reference_isolate_largest(p, width)
+    roots._states.pop(p, None)
+    assert _triple(isolate_largest_real_root(p, width)) == expected
+    assert _sturm_path(p, width) == expected
+
+
+def _tree_and_star_polys():
+    trees = [item.tree for item in brouwer_neumaier_enumerate(25, 25)[::40]]
+    yield from (adjacency_char_poly(t) for t in trees)
+    from coxgrowth.coxtrans import char_poly_star
+    yield from (char_poly_star(*ps) for ps in [(2, 3, 7), (2, 4, 5), (3, 3, 4), (2, 3, 3, 3), (4, 5, 6)])
+
+
+def test_descartes_path_gives_the_sturm_path_interval_on_trees_and_stars(monkeypatch):
+    chains = []
+    sturm_chain = roots.sturm_chain
+    monkeypatch.setattr(roots, "sturm_chain", lambda p: chains.append(p) or sturm_chain(p))
+    for p in _tree_and_star_polys():
+        for width in (Fraction(1, 10**7), Fraction(1, 2**40)):
+            roots._states.pop(p, None)
+            iv = roots._descartes_largest(p, width)
+            assert iv is not None and not chains, p
+            assert _triple(iv) == _sturm_path(p, width), (p, width)
+            chains.clear()
+
+
+def test_descartes_path_runs_only_while_no_sturm_state_is_held(monkeypatch):
+    p = LEHMER * IntPoly([-3, 1])
+    roots._states.pop(p, None)
+    sturm_count(p, 0, 1)
+
+    def unreachable(*args):
+        raise AssertionError("Descartes path taken with the Sturm state held")
+
+    monkeypatch.setattr(roots, "_descartes_largest", unreachable)
+    assert _triple(isolate_largest_real_root(p)) == reference_isolate_largest(p, roots.DEFAULT_WIDTH)
