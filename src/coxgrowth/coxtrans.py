@@ -22,16 +22,7 @@ from fractions import Fraction
 
 from .diagram import INF, DiagramError, WeightedTree, star_diagram
 from .intpoly import IntPoly, resultant_eliminate
-from .roots import (
-    DEFAULT_WIDTH,
-    NoRealRootError,
-    RootInterval,
-    compare,
-    descartes_bound,
-    isolate_largest_real_root,
-    sqrt_interval,
-    sturm_count,
-)
+from .roots import DEFAULT_WIDTH, RootInterval, compare, largest_root_above_one, sqrt_interval
 
 # 4cos^2(pi/m) for the weights with rational value
 _EDGE_COEFF = {3: 1, 4: 2, 6: 3, INF: 4}
@@ -233,31 +224,11 @@ def spectral_radius_coxeter(tree: WeightedTree, width: Fraction = DEFAULT_WIDTH)
 
 
 def spectral_radius_from_charpoly(phi: IntPoly, width: Fraction = DEFAULT_WIDTH) -> RootInterval:
-    """Largest real root when it exceeds 1; otherwise the exact value 1
-    (finite or affine type), reported as the root of t - 1.
-
-    No sign variation in the Taylor shift of phi to 1 certifies that no root
-    exceeds 1; that holds whenever every root lies in the closed unit disk.
-    Otherwise the interval of the largest real root decides, and when it
-    straddles 1, the sign of phi(1): phi has no other root above the
-    interval's lower end, so a simple top root lies above 1 exactly when
-    phi(1) has the sign opposite to lc(phi).
-    """
-    unit = RootInterval(IntPoly([-1, 1]), Fraction(1), Fraction(1))
-    if descartes_bound(phi, 1) == 0:
-        return unit
-    try:
-        iv = isolate_largest_real_root(phi, width)
-    except NoRealRootError:
-        return unit
-    if iv.low < 1 < iv.high:
-        if iv.multiplicity_free:
-            above = phi.sign_at(Fraction(1)) * phi.leading < 0
-        else:  # an even multiplicity keeps the sign across the root
-            above = sturm_count(phi, 1, iv.high) == 1
-    else:
-        above = iv.low >= 1 and iv.high > 1
-    return iv if above else unit
+    """Largest real root when it exceeds 1 (roots.largest_root_above_one);
+    otherwise the exact value 1 (finite or affine type), reported as the
+    root of t - 1."""
+    iv = largest_root_above_one(phi, width)
+    return RootInterval(IntPoly([-1, 1]), Fraction(1), Fraction(1)) if iv is None else iv
 
 
 def alpha_from_lambda(lam: RootInterval | IntPoly,

@@ -12,6 +12,10 @@ factorization, not one per subset.  The sum is taken as one integer, at
 t = 2^K with K wide enough for every coefficient (Kronecker substitution):
 each term is a product of powers of the numbers Phi_d(2^K), and the
 numerator and denominator are read back as signed base-2^K digits.
+
+Both growth-series constructors know their numerator as a product of
+cyclotomic polynomials (times a power of t), so they reduce the quotient by
+exact divisions of the denominator by those factors, not by a gcd.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .diagram import (
     finite_type_recognize,
     polygon_is_hyperbolic,
 )
-from .intpoly import IntPoly, bracket, cyclotomic, exact_div, poly_gcd
+from .intpoly import ONE, ExactDivisionError, IntPoly, bracket, cyclotomic, exact_div, poly_gcd
 from . import roots
 from .roots import (
     DEFAULT_WIDTH,
@@ -41,6 +45,7 @@ from .roots import (
     count_roots_open,
     isolate_largest_real_root,
     isolate_smallest_positive_root,
+    largest_root_above_one,
     sturm_count,
 )
 
@@ -58,7 +63,7 @@ class GrowthFunction:
     """A reduced rational function num/den over Z[t].
 
     Normalized so that gcd(num, den) = 1, the two have coprime contents, and
-    the denominator has positive leading coefficient.
+    the denominator has positive leading coefficient; zero is 0/1.
     """
 
     numerator: IntPoly
@@ -67,7 +72,9 @@ class GrowthFunction:
     def __init__(self, numerator: IntPoly, denominator: IntPoly):
         if denominator.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if not numerator.is_zero():
+        if numerator.is_zero():
+            denominator = ONE
+        else:
             g = poly_gcd(numerator, denominator)
             if g.degree > 0:
                 numerator = exact_div(numerator, g)
@@ -80,6 +87,14 @@ class GrowthFunction:
             numerator, denominator = -numerator, -denominator
         object.__setattr__(self, "numerator", numerator)
         object.__setattr__(self, "denominator", denominator)
+
+    @classmethod
+    def _reduced(cls, numerator: IntPoly, denominator: IntPoly) -> "GrowthFunction":
+        """num/den as given, certified reduced and normalized by the caller."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "numerator", numerator)
+        object.__setattr__(f, "denominator", denominator)
+        return f
 
     def __call__(self, x: Fraction) -> Fraction:
         d = self.denominator(x)
@@ -154,11 +169,48 @@ def solomon_poly(types: list[SphericalType]) -> IntPoly:
     return out
 
 
-def _solomon_factorization(types: list[SphericalType]) -> Counter[int]:
-    """The Phi_d exponents of the product of brackets [e + 1]: [k] is the
+def _bracket_factorization(ks) -> Counter[int]:
+    """The Phi_d exponents of the product of the brackets [k]: [k] is the
     product of Phi_d over the divisors d > 1 of k."""
-    return Counter(d for t in types for e in t.exponents
-                   for d in range(2, e + 2) if (e + 1) % d == 0)
+    return Counter(d for k in ks for d in range(2, k + 1) if k % d == 0)
+
+
+def _solomon_factorization(types: list[SphericalType]) -> Counter[int]:
+    """The Phi_d exponents of the product of brackets [e + 1]."""
+    return _bracket_factorization(e + 1 for t in types for e in t.exponents)
+
+
+def _reduced_growth(exponents: dict[int, int], den: IntPoly) -> GrowthFunction:
+    """The growth series prod_d Phi_d^e_d / den in lowest terms, by exact
+    division instead of a gcd.
+
+    For each d, den is divided by Phi_d while Phi_d divides it and copies
+    remain in the numerator.  A division is tried only when Phi_d(2) divides
+    den(2), which a factor Phi_d of den must, Phi_d being monic.  The quotient
+    left is coprime: every Phi_d is irreducible, and each one kept in the
+    numerator is certified not to divide den (a failed division or a failed
+    value test).  The numerator is monic, so the contents are coprime too.
+    Raises ArithmeticError unless the series starts at 1.
+    """
+    num = ONE
+    value = den(2)
+    for d in sorted(exponents):
+        phi, left = cyclotomic(d), exponents[d]
+        at_two = phi(2)
+        while left and value % at_two == 0:
+            try:
+                den = exact_div(den, phi)
+            except ExactDivisionError:
+                break
+            value //= at_two
+            left -= 1
+        if left:
+            num = num * phi ** left
+    if den.leading < 0:
+        num, den = -num, -den
+    if den.constant == 0 or num.constant != den.constant:
+        raise ArithmeticError("growth series must start at 1")
+    return GrowthFunction._reduced(num, den)
 
 
 def _connected_spherical_sets(d: CoxeterDiagram) -> dict[int, tuple[Counter[int], int]]:
@@ -285,56 +337,46 @@ def steinberg_growth(d: CoxeterDiagram) -> GrowthFunction:
     width = sum(c * cyclotomic(i).degree for i, c in zip(idx, common)) + 1
     num = IntPoly(_signed_digits(_fold(counts, rows), k, width))
     den = IntPoly(_signed_digits(math.prod(row[0] for row in rows), k, width))
-    # 1/f(1/t) = num/den, so f(t) = den(1/t) / num(1/t).
-    dn, dd = num.degree, den.degree
-    f_num, f_den = den.reversed(), num.reversed()
-    if dn > dd:
-        f_num = f_num.shift(dn - dd)
-    elif dd > dn:
-        f_den = f_den.shift(dd - dn)
-    f = GrowthFunction(f_num, f_den)
-    if f.denominator.constant == 0 or f.numerator.constant != f.denominator.constant:
-        raise ArithmeticError("growth series must start at 1")
-    return f
+    # 1/f(1/t) = num/den, so f(t) = den(1/t) / num(1/t) = den(t) / (t^(dd - dn)
+    # num reversed): den = prod Phi_i^common_i is palindromic, as Phi_i is for
+    # i >= 2, and dn <= dd, as every cofactor divides den.
+    return _reduced_growth(dict(zip(idx, common)), num.reversed().shift(den.degree - num.degree))
 
 
 # -- polygons --------------------------------------------------------------------------
 
 
 def polygon_delta(*ps: int) -> IntPoly:
-    """The polygon growth denominator [2]prod[p_i] - k prod[p_i] + sum_i prod_{j!=i}[p_j]."""
+    """The polygon growth denominator [2]P - kP + sum_i P/[p_i], P = prod [p_i].
+
+    Evaluated as one integer at t = 2^K, where [p](2^K) = (2^(Kp) - 1) /
+    (2^K - 1) and every division by a bracket is exact, and read back as
+    signed base-2^K digits.  The 1-norm 2 prod p + k prod p + sum_i
+    prod_(j!=i) p_j bounds every coefficient, and K is one bit more than it.
+    """
     if len(ps) < 1:
         raise ValueError("need at least one parameter")
     if any(p < 2 for p in ps):
         raise ValueError("parameters must be at least 2")
-    k = len(ps)
-    brs = [bracket(p) for p in ps]
-    prod = IntPoly([1])
-    for b in brs:
-        prod = prod * b
-    out = bracket(2) * prod - prod * k
-    for i in range(k):
-        partial = IntPoly([1])
-        for j, b in enumerate(brs):
-            if j != i:
-                partial = partial * b
-        out = out + partial
-    return out
+    k, prod = len(ps), math.prod(ps)
+    bits = ((2 + k) * prod + sum(prod // p for p in ps)).bit_length() + 1
+    x = 1 << bits
+    brs = [((1 << bits * p) - 1) // (x - 1) for p in ps]
+    whole = math.prod(brs)
+    value = (x + 1 - k) * whole + sum(whole // b for b in brs)
+    return IntPoly(_signed_digits(value, bits, sum(ps) - k + 2))
 
 
 def polygon_growth(*ps: int) -> GrowthFunction:
-    """Growth series of the compact polygon reflection group with angles pi/p_i."""
+    """Growth series [2]prod[p_i] / polygon_delta of the compact polygon
+    reflection group with angles pi/p_i, reduced by cyclotomic division: the
+    numerator is the product of Phi_d over the divisors d > 1 of 2 and of
+    each p_i."""
     if len(ps) < 3:
         raise ValueError("a polygon needs at least 3 sides")
     if not polygon_is_hyperbolic(ps):
         raise ValueError(f"{ps} does not satisfy the angle-sum condition")
-    num = bracket(2)
-    for p in ps:
-        num = num * bracket(p)
-    f = GrowthFunction(num, polygon_delta(*ps))
-    if f(Fraction(0)) != 1:
-        raise ArithmeticError("polygon growth series must start with 1")
-    return f
+    return _reduced_growth(_bracket_factorization((2, *ps)), polygon_delta(*ps))
 
 
 # -- growth rate -----------------------------------------------------------------------
@@ -345,24 +387,28 @@ def growth_rate(f: GrowthFunction, width: Fraction = DEFAULT_WIDTH) -> RootInter
 
     Growth series have nonnegative coefficients, so R itself is a singularity
     (Pringsheim) and equals the smallest positive root of the reduced
-    denominator.  For a denominator that is reciprocal up to sign the roots
-    pair as r, 1/r and the rate is its largest real root; otherwise the
-    smallest positive root is isolated and inverted outward.
+    denominator.  A denominator reciprocal up to sign has den(1/x) =
+    +-x^(-n) den(x), so its roots in (0, 1) are the inverses of its roots
+    above 1: the rate is its largest real root, and the series is exponential
+    exactly when that root exceeds 1, which roots.largest_root_above_one
+    certifies without a Sturm chain.  Otherwise the smallest positive root is
+    isolated and inverted outward.  Raises ValueError for a width <= 0.
     """
+    if width <= 0:
+        raise ValueError("width must be positive")
     den = f.denominator
-    if den.degree < 1 or count_roots_open(den, Fraction(0), Fraction(1)) == 0:
+    rev = den.reversed()
+    if rev == den or rev == -den:
+        rate = largest_root_above_one(den, width)
+        if rate is None:
+            raise NotExponentialError("denominator has no root in (0, 1)")
+        return rate
+    if count_roots_open(den, Fraction(0), Fraction(1)) == 0:  # den is not constant here
         raise NotExponentialError("denominator has no root in (0, 1)")
     small = isolate_smallest_positive_root(den, width / 4, upper=Fraction(1))
     while small.low <= 0:
         small = small.refined(small.width / 4)
-    rev = den.reversed()
-    if rev == den or rev == -den:
-        rate = isolate_largest_real_root(den, width)
-        lo, hi = roots.invert_interval(small.low, small.high)
-        if hi < rate.low or lo > rate.high:  # the pairing tau = 1/R must be consistent
-            raise ArithmeticError("reciprocal pairing check failed")
-        return rate
-    # non-reciprocal: invert the interval around R, refining R as needed
+    # invert the interval around R, refining R as needed
     while True:
         lo, hi = roots.invert_interval(small.low, small.high)
         if hi - lo <= width or small.width == 0:

@@ -50,8 +50,8 @@ estimate, a gcd the modular lift cannot certify) and whenever p's Sturm
 state is held already.  Both give the same interval.
 
 Two root intervals are compared by compare alone: the roots are equal exactly
-when the gcd of the two squarefree parts has a root in the common part of
-the two root sets, (low, high] or the point of a degenerate interval, and
+when the gcd of the two polynomials has a root in the common part of the
+two root sets, (low, high] or the point of a degenerate interval, and
 otherwise refinement separates them in finitely many steps.
 """
 
@@ -128,7 +128,12 @@ class RootInterval:
         return not self.is_disjoint_from(other)
 
     def refined(self, width: Fraction) -> "RootInterval":
-        """A sub-interval of at most the given width around the same root."""
+        """A sub-interval of at most the given width around the same root.
+
+        Raises ValueError for a width <= 0, unless the interval is a point."""
+        if self.low == self.high:
+            return self
+        _check_width(width)
         if self.width <= width:
             return self
         return _refine(_sturm_state(self.poly).sf, self, width)
@@ -153,6 +158,12 @@ class RootInterval:
 
 def _sign(v: int) -> int:
     return (v > 0) - (v < 0)
+
+
+def _check_width(width: Fraction) -> None:
+    """Raise ValueError for a width <= 0, which no bisection reaches."""
+    if width <= 0:
+        raise ValueError("width must be positive")
 
 
 def sturm_chain(p: IntPoly) -> tuple[IntPoly, ...]:
@@ -580,8 +591,6 @@ def _descartes_largest(p: IntPoly, width: Fraction) -> RootInterval | None:
     the Sturm count.  Since the root is simple in p, the interval is flagged
     multiplicity-free.
     """
-    if width <= 0:
-        return None
     sf = _squarefree_part_modular(p)
     if sf is None:
         return None
@@ -625,7 +634,7 @@ def _isolated(p: IntPoly, st: _SturmState, lo: Fraction, hi: Fraction, v_lo: int
               width: Fraction, largest: bool) -> RootInterval:
     """The root interval of the largest (or smallest) root of sf in the grid (lo, hi]."""
     cell = None
-    if width > 0 and hi > lo:
+    if hi > lo:
         span = hi - lo
         estimate = _root_estimate(st.sf, not largest)
         cell = _seeded_cell(st, estimate, lo, span, _grid_depth(span, width), v_lo, v_hi, largest)
@@ -639,8 +648,10 @@ def isolate_largest_real_root(p: IntPoly, width: Fraction = DEFAULT_WIDTH) -> Ro
 
     While no Sturm state of p is held, the Descartes certificate is tried
     first; the Sturm path runs when it fails, and when the state is held
-    already, since then its counts cost less than a Taylor shift.
+    already, since then its counts cost less than a Taylor shift.  Raises
+    ValueError for a width <= 0.
     """
+    _check_width(width)
     if p not in _states:
         iv = _descartes_largest(p, width)
         if iv is not None:
@@ -656,9 +667,40 @@ def isolate_largest_real_root(p: IntPoly, width: Fraction = DEFAULT_WIDTH) -> Ro
     return _isolated(p, st, -bound, bound, v_bottom, v_top, width, largest=True)
 
 
+def largest_root_above_one(p: IntPoly, width: Fraction = DEFAULT_WIDTH) -> RootInterval | None:
+    """The interval of the largest real root of p when that root exceeds 1,
+    and None otherwise.
+
+    No sign variation in the Taylor shift of p to 1 certifies that no root
+    exceeds 1; that holds whenever every root lies in the closed unit disk.
+    Otherwise the interval of the largest real root decides, and when it
+    straddles 1, the sign of p(1): p has no other root above the interval's
+    lower end, so a simple top root lies above 1 exactly when p(1) has the
+    sign opposite to lc(p).  Raises ValueError for a width <= 0.
+    """
+    _check_width(width)
+    if descartes_bound(p, 1) == 0:
+        return None
+    try:
+        iv = isolate_largest_real_root(p, width)
+    except NoRealRootError:
+        return None
+    if iv.low < 1 < iv.high:
+        if iv.multiplicity_free:
+            above = p.sign_at(Fraction(1)) * p.leading < 0
+        else:  # an even multiplicity keeps the sign across the root
+            above = sturm_count(p, 1, iv.high) == 1
+    else:
+        above = iv.low >= 1 and iv.high > 1
+    return iv if above else None
+
+
 def isolate_smallest_positive_root(p: IntPoly, width: Fraction = DEFAULT_WIDTH,
                                    upper: Fraction | None = None) -> RootInterval:
-    """Certified interval around the smallest real root in (0, upper]."""
+    """Certified interval around the smallest real root in (0, upper].
+
+    Raises ValueError for a width <= 0."""
+    _check_width(width)
     st = _sturm_state(p)
     if not st.chain:
         raise NoRealRootError("polynomial has no real root")
@@ -671,7 +713,10 @@ def isolate_smallest_positive_root(p: IntPoly, width: Fraction = DEFAULT_WIDTH,
 
 
 def isolate_real_roots(p: IntPoly, width: Fraction = DEFAULT_WIDTH) -> list[RootInterval]:
-    """Disjoint certified intervals around every distinct real root, ascending."""
+    """Disjoint certified intervals around every distinct real root, ascending.
+
+    Raises ValueError for a width <= 0."""
+    _check_width(width)
     st = _sturm_state(p)
     chain = st.chain
     if not chain:
@@ -708,11 +753,12 @@ def _holds(iv: RootInterval, x: Fraction) -> bool:
 def _same_root(a: RootInterval, b: RootInterval) -> bool:
     """Whether a and b isolate the same root.
 
-    A root of gcd(sf_a, sf_b) in the common part of the two root sets is the
-    one root of each interval; and an equal root lies in both sets, so in
-    their common part.
+    A root of g = gcd(a.poly, b.poly) in the common part of the two root sets
+    is the one root of each interval; and an equal root lies in both sets, so
+    in their common part.  g has the roots of the gcd of the two squarefree
+    parts, so neither Sturm state is needed, only g's for the count.
     """
-    g = poly_gcd(_sturm_state(a.poly).sf, _sturm_state(b.poly).sf)
+    g = poly_gcd(a.poly, b.poly)
     if g.degree < 1:
         return False
     if a.low == a.high or b.low == b.high:

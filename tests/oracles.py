@@ -370,6 +370,31 @@ def reference_real_root_count(p: IntPoly) -> int:
     return _reference_count(sf, -bound, bound)
 
 
+def reference_growth_rate(den: IntPoly, width: Fraction):
+    """(low, high, multiplicity_free) of the growth rate of a series with the
+    reduced denominator den, reciprocal up to sign; None when den has no root
+    in (0, 1).  Counts the roots in (0, 1), isolates the smallest positive
+    root R and the largest real root, and checks that 1/R meets the latter.
+    """
+    rev = den.reversed()
+    if rev != den and rev != -den:
+        raise ValueError("denominator is not reciprocal up to sign")
+    if den.degree < 1:
+        return None
+    inside = _reference_count(den, Fraction(0), Fraction(1))
+    if squarefree_part(den).sign_at(Fraction(1)) == 0:
+        inside -= 1
+    if inside == 0:
+        return None
+    lo, hi, _ = reference_isolate_smallest_positive(den, width / 4, Fraction(1))
+    while lo <= 0:
+        lo, hi = reference_refined(den, lo, hi, (hi - lo) / 4)
+    rate = reference_isolate_largest(den, width)
+    if 1 / lo < rate[0] or 1 / hi > rate[1]:
+        raise ArithmeticError("reciprocal pairing check failed")
+    return rate
+
+
 # -- characteristic polynomial by evaluation-interpolation -----------------------------------
 
 
@@ -546,6 +571,26 @@ def random_tree_edges(n: int, rng) -> list[tuple[int, int, int]]:
     a, b = heapq.heappop(leaves), heapq.heappop(leaves)
     edges.append((min(a, b), max(a, b), 3))
     return edges
+
+
+# -- polygon growth denominators by dense products -------------------------------------------
+
+
+def reference_polygon_delta(*ps: int) -> IntPoly:
+    """[2]P - kP + sum_i prod_(j!=i) [p_j] with P = prod [p_i], by dense
+    products of the brackets."""
+    brs = [IntPoly([1] * p) for p in ps]
+    whole = IntPoly([1])
+    for b in brs:
+        whole = whole * b
+    out = IntPoly([1, 1]) * whole - whole * len(ps)
+    for i in range(len(ps)):
+        partial = IntPoly([1])
+        for j, b in enumerate(brs):
+            if j != i:
+                partial = partial * b
+        out = out + partial
+    return out
 
 
 # -- the Steinberg sum over every vertex subset ---------------------------------------------

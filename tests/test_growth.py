@@ -15,6 +15,7 @@ from coxgrowth.diagram import (
 from coxgrowth.growth import (
     GrowthFunction,
     NotExponentialError,
+    _reduced_growth,
     _signed_digits,
     growth_rate,
     help_function,
@@ -29,12 +30,19 @@ from coxgrowth.growth import (
     steinberg_growth,
     verify_second_minimal_polygon,
 )
-from coxgrowth.intpoly import IntPoly, bracket, exact_div, parse_poly
+from coxgrowth.intpoly import IntPoly, bracket, cyclotomic, exact_div, parse_poly
 from coxgrowth.numclass import strip_cyclotomic
 from coxgrowth.diagram import finite_type_recognize
 from coxgrowth.roots import sturm_count
 
-from oracles import bfs_word_counts, dihedral_order, subset_sweep_growth, symmetric_group_order
+from oracles import (
+    bfs_word_counts,
+    dihedral_order,
+    reference_growth_rate,
+    reference_polygon_delta,
+    subset_sweep_growth,
+    symmetric_group_order,
+)
 
 LEHMER = parse_poly("1,1,0,-1,-1,-1,-1,-1,0,1,1")
 MIN_38 = parse_poly("1,0,0,-1,0,-1,0,-1,0,0,1")
@@ -59,6 +67,54 @@ def test_growth_function_sign_normalization():
     f = GrowthFunction(IntPoly([1]), IntPoly([1, -1]))
     assert f.denominator.leading > 0
     assert f.numerator == IntPoly([-1])
+
+
+def test_zero_growth_function_is_zero_over_one():
+    f = steinberg_growth(sym("[3,7]"))
+    zero = GrowthFunction(IntPoly(), IntPoly([1]))
+    assert f - f == zero
+    assert hash(f - f) == hash(zero)
+    assert GrowthFunction(IntPoly(), IntPoly([2, -3, 5])) == zero
+    assert GrowthFunction(IntPoly(), IntPoly([2, -3, 5])).denominator == IntPoly([1])
+
+
+# -- reduction by cyclotomic division ---------------------------------------------------
+
+
+PHI2, PHI3 = cyclotomic(2), cyclotomic(3)
+
+
+@pytest.mark.parametrize("exponents, den", [
+    # Phi_2 divides den three times, the numerator once
+    ({2: 1, 3: 1}, PHI2 ** 3 * IntPoly([1, -3, 1])),
+    # negative leading coefficient, and Phi_3 in the numerator only
+    ({2: 1, 3: 1}, PHI2 ** 3 * IntPoly([1, 1, -1])),
+    # more copies in the numerator than den holds
+    ({2: 3, 3: 2}, PHI2 * PHI3 * IntPoly([1, -3, 1])),
+])
+def test_reduction_by_cyclotomic_division_matches_the_gcd(exponents, den):
+    num = IntPoly([1])
+    for d, e in exponents.items():
+        num = num * cyclotomic(d) ** e
+    assert _reduced_growth(exponents, den) == GrowthFunction(num, den)
+
+
+def test_reduction_by_cyclotomic_division_checks_the_constant_term():
+    with pytest.raises(ArithmeticError):
+        _reduced_growth({2: 1}, IntPoly([2, 1]))
+
+
+def test_polygon_growth_matches_the_gcd_reduction():
+    for k in range(3, 6):
+        for ps in itertools.combinations_with_replacement(range(2, 9), k):
+            if not polygon_is_hyperbolic(ps):
+                continue
+            num = bracket(2)
+            for p in ps:
+                num = num * bracket(p)
+            f = polygon_growth(*ps)
+            assert f == GrowthFunction(num, reference_polygon_delta(*ps)), ps
+            assert f.denominator.leading > 0
 
 
 # -- Solomon polynomials ------------------------------------------------------------------
@@ -247,6 +303,12 @@ def test_polygon_delta_right_angled():
         assert polygon_delta(*([2] * k)) == expected
 
 
+def test_polygon_delta_matches_dense_products():
+    for k in range(1, 6):
+        for ps in itertools.combinations_with_replacement(range(2, 9), k):
+            assert polygon_delta(*ps) == reference_polygon_delta(*ps), ps
+
+
 def test_polygon_delta_single_three():
     assert polygon_delta(3) == bracket(4)
 
@@ -345,6 +407,52 @@ def test_growth_rate_not_exponential():
     f = steinberg_growth(sym("[inf]"))
     with pytest.raises(NotExponentialError):
         growth_rate(f)
+
+
+def _rate_triple(f, width):
+    iv = growth_rate(f, width)
+    assert iv.poly == f.denominator
+    return iv.low, iv.high, iv.multiplicity_free
+
+
+def test_growth_rate_matches_reference_on_theorem2_polygons():
+    width = Fraction(1, 10**9)
+    count = 0
+    for k in range(3, 6):
+        for ps in itertools.combinations_with_replacement(range(2, 9), k):
+            if polygon_is_hyperbolic(ps):
+                f = polygon_growth(*ps)
+                assert _rate_triple(f, width) == reference_growth_rate(f.denominator, width), ps
+                count += 1
+    assert count == 742
+
+
+@pytest.mark.parametrize("symbol", ["[3,5,3]", "[4,3,5]", "[5,3,5]", "[8,3,4,3,8]"])
+def test_growth_rate_matches_reference_on_symbols(symbol):
+    width = Fraction(1, 10**9)
+    f = steinberg_growth(sym(symbol))
+    assert _rate_triple(f, width) == reference_growth_rate(f.denominator, width)
+
+
+@pytest.mark.parametrize("symbol", [
+    "[inf]", "[4,4]", "[3,6]", "[(3^3)]", "[4,3,4]", "[3,4,3,3]",  # affine
+    "[5,3]", "[3,3,5]", "[7]",  # spherical
+])
+def test_growth_rate_not_exponential_on_reciprocal_denominators(symbol):
+    den = steinberg_growth(sym(symbol)).denominator
+    assert den.reversed() in (den, -den)
+    assert reference_growth_rate(den, Fraction(1, 10**9)) is None
+    with pytest.raises(NotExponentialError):
+        growth_rate(GrowthFunction(IntPoly([1]), den))
+
+
+def test_growth_rate_rejects_non_positive_widths():
+    f = polygon_growth(2, 3, 7)
+    for width in (Fraction(0), Fraction(-1, 10)):
+        with pytest.raises(ValueError):
+            growth_rate(f, width)
+        with pytest.raises(ValueError):
+            growth_rate(steinberg_growth(sym("[3,inf]")), width)
 
 
 def test_series_coefficients_basics():

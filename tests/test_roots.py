@@ -17,6 +17,7 @@ from coxgrowth.roots import (
     isolate_largest_real_root,
     isolate_real_roots,
     isolate_smallest_positive_root,
+    largest_root_above_one,
     refine_until_disjoint,
     sqrt_interval,
     sturm_count,
@@ -456,3 +457,28 @@ def test_descartes_path_runs_only_while_no_sturm_state_is_held(monkeypatch):
 
     monkeypatch.setattr(roots, "_descartes_largest", unreachable)
     assert _triple(isolate_largest_real_root(p)) == reference_isolate_largest(p, roots.DEFAULT_WIDTH)
+
+
+@pytest.mark.parametrize("width", [Fraction(0), Fraction(-1, 10)])
+def test_non_positive_widths_raise_at_once(width):
+    for isolate in (isolate_largest_real_root, isolate_smallest_positive_root,
+                    isolate_real_roots, largest_root_above_one):
+        with pytest.raises(ValueError):
+            isolate(LEHMER, width)
+    iv = isolate_largest_real_root(LEHMER, Fraction(1, 10))
+    with pytest.raises(ValueError):
+        iv.refined(width)
+    point = RootInterval(IntPoly([-1, 1]), Fraction(1), Fraction(1))
+    assert point.refined(width) is point
+
+
+def test_compare_builds_only_the_gcd_sturm_state(monkeypatch):
+    from coxgrowth import roots
+    built = []
+    build = roots._build_sturm_state
+    monkeypatch.setattr(roots, "_states", {})
+    monkeypatch.setattr(roots, "_build_sturm_state", lambda p: built.append(p) or build(p))
+    a = isolate_largest_real_root(LEHMER * IntPoly([1, 0, 1]), Fraction(1, 10**6))
+    b = isolate_largest_real_root(LEHMER * IntPoly([3, 1]) ** 2, Fraction(1, 10**3))
+    assert compare(a, b) == 0
+    assert built == [LEHMER]

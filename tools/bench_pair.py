@@ -41,7 +41,8 @@ HIGHER_IS_BETTER = {"items_per_s"}
 COUNTS = ["diagram.finite_type_recognize.calls", "intpoly.mul.calls",
           "growth.steinberg_growth.subsets_per_call", "intpoly.exact_div.calls",
           "numclass.strip_cyclotomic.calls", "numclass.disk_root_counts.calls",
-          "numclass.disk_root_counts.bits_max", "roots.sturm_chain.calls", "roots.sign_at_calls"]
+          "numclass.disk_root_counts.bits_max", "roots.sturm_chain.calls", "roots.sign_at_calls",
+          "growth.growth_function.calls"]
 
 
 def git(root: Path, *args: str) -> bytes:
