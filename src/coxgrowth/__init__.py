@@ -24,7 +24,6 @@ from .roots import (
     NoRealRootError,
     isolate_largest_real_root,
     isolate_real_roots,
-    isolate_smallest_positive_root,
     sturm_count,
 )
 from .numclass import NumberClass, classify, strip_cyclotomic, unit_circle_root_count

@@ -63,23 +63,42 @@ def _interval_payload(iv: RootInterval, places: int = 7) -> dict:
     }
 
 
+# The narrowest width accepted.  Bisection time grows faster than the digits
+# asked for: on a 2-CPU host "growth --symbol [3,5,3]" takes about 2 s at
+# 1e-1000 and 24 s at 1e-3000.
+MIN_WIDTH = Fraction(1, 10**1000)
+
+
 def _parse_width(text: str) -> Fraction:
+    bad = argparse.ArgumentTypeError(f"bad width {text!r}; use forms like 1e-9 or 1/1000000000")
+    # a longer exponent would make Fraction build 10**exponent before any check
+    exponent = text.lower().partition("e")[2].lstrip("+-")
+    if not text.isascii() or "_" in text or len(exponent) > 5:
+        raise bad
     try:
         width = Fraction(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad width {text!r}; use forms like 1e-9 or 1/1000000000")
+        raise bad from None
     if width <= 0:
         raise argparse.ArgumentTypeError("width must be positive")
+    if width < MIN_WIDTH:
+        raise argparse.ArgumentTypeError("width must be at least 1e-1000")
     return width
 
 
+def _parse_int(text: str) -> int:
+    """An integer in ASCII digits, with an optional minus sign."""
+    digits = text.strip().removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"bad integer {text!r}")
+    return int(text)
+
+
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    items = [x.strip() for x in text.split(",")]
-    for x in items:
-        digits = x[1:] if x.startswith("-") else x
-        if not (digits.isascii() and digits.isdigit()):
-            raise argparse.ArgumentTypeError(f"bad integer list {text!r}")
-    return tuple(int(x) for x in items)
+    try:
+        return tuple(_parse_int(x) for x in text.split(","))
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from None
 
 
 def _diagram_from_args(args) -> CoxeterDiagram:
@@ -439,19 +458,19 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--gap", action="store_true", help="gap partition against the two smallest rates")
     m.add_argument("--search", action="store_true", help="search polygons realizing --target")
     m.add_argument("--target", help="target polynomial, ascending coefficients")
-    m.add_argument("--max-k", type=int, default=6)
-    m.add_argument("--max-p", type=int, default=12)
+    m.add_argument("--max-k", type=_parse_int, default=6)
+    m.add_argument("--max-p", type=_parse_int, default=12)
     m.set_defaults(func=_cmd_salem)
 
     v = sub.add_parser("verify", help="run a named verification")
     _common_options(v, suppress=True)
     v.add_argument("check", choices=sorted(_VERIFY_DISPATCH))
-    v.add_argument("--max-k", type=int, default=None,
+    v.add_argument("--max-k", type=_parse_int, default=None,
                    help="per-check default: 5")
-    v.add_argument("--max-p", type=int, default=None,
+    v.add_argument("--max-p", type=_parse_int, default=None,
                    help="per-check default: 8 (9 for second-minimal)")
-    v.add_argument("--rmax", type=int, default=25)
-    v.add_argument("--jmax", type=int, default=25)
+    v.add_argument("--rmax", type=_parse_int, default=25)
+    v.add_argument("--jmax", type=_parse_int, default=25)
     v.set_defaults(func=_cmd_verify)
     return parser
 

@@ -36,15 +36,12 @@ from .diagram import (
     polygon_is_hyperbolic,
 )
 from .intpoly import ONE, ExactDivisionError, IntPoly, bracket, cyclotomic, exact_div, poly_gcd
-from . import roots
 from .roots import (
     DEFAULT_WIDTH,
     RootInterval,
     certify_strictly_less,
     compare,
-    count_roots_open,
     isolate_largest_real_root,
-    isolate_smallest_positive_root,
     largest_root_above_one,
     sturm_count,
 )
@@ -387,33 +384,18 @@ def growth_rate(f: GrowthFunction, width: Fraction = DEFAULT_WIDTH) -> RootInter
 
     Growth series have nonnegative coefficients, so R itself is a singularity
     (Pringsheim) and equals the smallest positive root of the reduced
-    denominator.  A denominator reciprocal up to sign has den(1/x) =
-    +-x^(-n) den(x), so its roots in (0, 1) are the inverses of its roots
-    above 1: the rate is its largest real root, and the series is exponential
-    exactly when that root exceeds 1, which roots.largest_root_above_one
-    certifies without a Sturm chain.  Otherwise the smallest positive root is
-    isolated and inverted outward.  Raises ValueError for a width <= 0.
+    denominator den.  The roots of its reversal t^n den(1/t) are the inverses
+    of den's, so the rate is the largest real root of the reversal, and the
+    series is exponential exactly when that root exceeds 1, which
+    roots.largest_root_above_one certifies.  A primitive denominator
+    reciprocal up to sign, with positive leading coefficient, is its own
+    reversal's primitive part.  Raises NotExponentialError when den has no
+    root in (0, 1), and ValueError for a width <= 0.
     """
-    if width <= 0:
-        raise ValueError("width must be positive")
-    den = f.denominator
-    rev = den.reversed()
-    if rev == den or rev == -den:
-        rate = largest_root_above_one(den, width)
-        if rate is None:
-            raise NotExponentialError("denominator has no root in (0, 1)")
-        return rate
-    if count_roots_open(den, Fraction(0), Fraction(1)) == 0:  # den is not constant here
+    rate = largest_root_above_one(f.denominator.reversed().primitive(), width)
+    if rate is None:
         raise NotExponentialError("denominator has no root in (0, 1)")
-    small = isolate_smallest_positive_root(den, width / 4, upper=Fraction(1))
-    while small.low <= 0:
-        small = small.refined(small.width / 4)
-    # invert the interval around R, refining R as needed
-    while True:
-        lo, hi = roots.invert_interval(small.low, small.high)
-        if hi - lo <= width or small.width == 0:
-            return RootInterval(rev.primitive(), lo, hi, small.multiplicity_free)
-        small = small.refined(small.width / 4)
+    return rate
 
 
 def series_coefficients(f: GrowthFunction, count: int) -> list[int]:

@@ -14,40 +14,34 @@ chain of sf.  The states of the last few polynomials are held in a small
 fixed-size LRU cache, so counting, isolating and refining one polynomial
 build its chain once.
 
-Isolation works on a dyadic grid: (-B, B] for the largest real root, B the
-Cauchy bound of sf, and (0, H] for the smallest positive root, H the given
-upper end or B.  Bisecting from the whole grid to the first cell that holds
-only the wanted root, then halving by signs, always ends in the grid cell
-(lo, hi] that holds the root at depth J, the first depth whose cells are at
-most the requested width (deeper only when another root shares that cell),
-or in [x, x] when the root x is a grid point of depth at most J.  So the
-search starts where a floating-point estimate of the root lies (Laguerre and
-Newton steps in floats, then Newton steps from exact values, whose last step
-gives an error radius): the estimate's cell at a depth j <= J, with cells
-wider than the radius, and its two neighbours form a window, and exact Sturm
-counts certify that the window holds the wanted root and no other root.
-Sign bisection then descends from the root's cell to depth J and gives the
-same interval as the bisection from the whole grid.  The estimate only
-chooses where exact counts are taken; it never decides an answer.
-
-The plain bisection from the whole grid runs instead when no window is
-certified after a few coarser retries (a poor estimate, roots closer together
-than the window, coefficients beyond float range), and when it would have
-ended at a cell whose lower end is another root of sf: from such a cell the
-refinement steps inward off the grid.
+Isolation works on the dyadic grid (-B, B], B the Cauchy bound of sf.
+Bisecting from the whole grid to the first cell that holds only the largest
+root, then halving by signs, always ends in the grid cell (lo, hi] that
+holds the root at depth J, the first depth whose cells are at most the
+requested width (deeper only when another root shares that cell), or in
+[x, x] when the root x is a grid point of depth at most J.  Only when that
+first cell's lower end is another root of sf does the refinement step inward
+off the grid.
 
 The largest real root is first sought without a Sturm chain, while none is
 held for p.  Then sf comes from gcd(p, p') taken modulo the prime 2^61 - 1
-and certified over the integers, and the first seeded window (a, b] from a
-Descartes certificate (Collins-Akritas 1976): the Taylor shift of p to a has
-one sign variation, so p has exactly one root above a, and that root is
-simple, and the sign of p(b) puts it at or below b.  A sign change of sf
-stands in for the Sturm count that rules out a cell ending at the next root
-down.  The certificate is exact for polynomials with only real roots, as the
-adjacency polynomials of trees; the Sturm path runs as above whenever it
-fails (complex roots near the top root, a multiple top root, a poor
-estimate, a gcd the modular lift cannot certify) and whenever p's Sturm
-state is held already.  Both give the same interval.
+and certified over the integers, and the search starts where a
+floating-point estimate of the root lies (Laguerre and Newton steps in
+floats, then Newton steps from exact values, whose last step gives an error
+radius): the estimate's cell at a depth j <= J, with cells wider than the
+radius, and its two neighbours form a window (a, b].  A Descartes
+certificate (Collins-Akritas 1976) shows that it holds the largest root: the
+Taylor shift of p to a has one sign variation, so p has exactly one root
+above a, and that root is simple, and the sign of p(b) puts it at or below
+b.  A sign change of sf stands in for the Sturm count that rules out a cell
+ending at the next root down.  Sign bisection then descends from the root's
+cell to depth J and gives the same interval as the bisection from the whole
+grid.  The estimate only chooses where exact signs are taken; it never
+decides an answer.  The certificate is exact for polynomials with only real
+roots, as the adjacency polynomials of trees; the Sturm bisection from the
+whole grid runs whenever it fails (complex roots near the top root, a
+multiple top root, a poor estimate, a gcd the modular lift cannot certify)
+and whenever p's Sturm state is held already.  Both give the same interval.
 
 Two root intervals are compared by compare alone: the roots are equal exactly
 when the gcd of the two polynomials has a root in the common part of the
@@ -74,12 +68,9 @@ from .intpoly import (
 
 DEFAULT_WIDTH = Fraction(1, 10**9)
 
-# The first seeded window has cells at least as wide as the estimate's error
-# radius, and at least 2**-SEED_PRECISION_BITS times the estimate; each retry
-# is SEED_RETRY_DEPTHS depths coarser.
+# The seeded window has cells at least as wide as the estimate's error radius,
+# and at least 2**-SEED_PRECISION_BITS times the estimate.
 SEED_PRECISION_BITS = 48
-SEED_RETRY_DEPTHS = 8
-SEED_ATTEMPTS = 3
 # Step caps of the float estimate and of its polish from exact values.
 ROOT_ESTIMATE_STEPS = 100
 POLISH_STEPS = 8
@@ -341,7 +332,7 @@ def _flagged(p: IntPoly, st: _SturmState, iv: RootInterval) -> RootInterval:
     return iv.with_multiplicity_flag()
 
 
-# -- the seeded grid search ---------------------------------------------------------
+# -- the float estimate and the seeded window -----------------------------------------------------
 
 
 def _float_root_from_above(cs: list[float]) -> float:
@@ -393,12 +384,10 @@ def _exact_newton_step(coeffs: tuple[int, ...], x: float) -> float:
     return p / (dp * d)
 
 
-def _root_estimate(sf: IntPoly, smallest_positive: bool) -> tuple[float, float]:
-    """A float guess at the largest real root of sf, or at its smallest positive
-    root, and an error radius; nan when there is none.  It only chooses where
-    exact counts are taken."""
-    # The smallest positive root of sf is 1/y, y the largest real root of the reversal.
-    coeffs = sf.coeffs[::-1] if smallest_positive else sf.coeffs
+def _root_estimate(sf: IntPoly) -> tuple[float, float]:
+    """A float guess at the largest real root of sf and an error radius; nan
+    when there is none.  It only chooses where exact signs are taken."""
+    coeffs = sf.coeffs
     try:
         x = _float_root_from_above([float(c) for c in coeffs])
         # Float evaluation near a root loses the digits that cancel; steps
@@ -408,8 +397,7 @@ def _root_estimate(sf: IntPoly, smallest_positive: bool) -> tuple[float, float]:
             x -= step
             if not abs(step) > 2.0**-50 * abs(x):
                 break
-        radius = abs(step)
-        return (1 / x, radius / (x * x)) if smallest_positive else (x, radius)
+        return x, abs(step)
     except (OverflowError, ZeroDivisionError, ValueError):
         return math.nan, math.nan
 
@@ -420,22 +408,18 @@ def _grid_depth(span: Fraction, width: Fraction) -> int:
     return (-(-q.numerator // q.denominator) - 1).bit_length()
 
 
-def _seed_depth(span: Fraction, x: Fraction, radius: Fraction) -> int:
-    """A depth whose cells are at least radius, and about 2**-SEED_PRECISION_BITS
-    times max(|x|, 1), wide."""
-    q = span / max(radius, max(abs(x), 1) * Fraction(1, 2**SEED_PRECISION_BITS))
-    return q.numerator.bit_length() - q.denominator.bit_length() - 1
-
-
 def _seed(estimate: tuple[float, float], span: Fraction,
           depth: int) -> tuple[Fraction, int] | None:
-    """The estimate x (as a fraction) and the depth of the first seeded window,
-    at most depth; None when x or its error radius is nan or infinite."""
+    """The estimate x (as a fraction) and the depth of the seeded window: at most
+    depth, with cells at least the error radius, and about
+    2**-SEED_PRECISION_BITS times max(|x|, 1), wide.  None when x or its
+    error radius is nan or infinite."""
     try:
         xq, radius = Fraction(estimate[0]), Fraction(estimate[1])
     except (ValueError, OverflowError):
         return None
-    return xq, min(depth, _seed_depth(span, xq, radius))
+    q = span / max(radius, max(abs(xq), 1) * Fraction(1, 2**SEED_PRECISION_BITS))
+    return xq, min(depth, q.numerator.bit_length() - q.denominator.bit_length() - 1)
 
 
 def _window(xq: Fraction, origin: Fraction, step: Fraction, cells: int) -> tuple[int, int]:
@@ -486,56 +470,6 @@ def _lower_grid_root(sf: IntPoly, origin: Fraction, step: Fraction, k: int,
     return None
 
 
-def _seeded_cell(st: _SturmState, estimate: tuple[float, float], origin: Fraction, span: Fraction,
-                 depth: int, v_first: int, v_last: int,
-                 largest: bool) -> tuple[Fraction, Fraction] | None:
-    """The certified cell of the grid (origin, origin + span], at a depth at most
-    depth, that holds its largest root (or its smallest), seeded by the estimate
-    (x, error radius).
-
-    v_first and v_last are the variation counts at the two ends of the grid.
-    None when no window around x is certified, or when the bisection from the
-    whole grid would step off the grid.
-    """
-    if not largest and st.sf.constant == 0:
-        return None  # the root 0 is a lower end of every leftmost cell
-    seed = _seed(estimate, span, depth)
-    if seed is None:
-        return None
-    xq, j = seed
-    for j in range(j, max(j - SEED_ATTEMPTS * SEED_RETRY_DEPTHS, -1), -SEED_RETRY_DEPTHS):
-        cells = 1 << j
-        step = span / cells
-
-        def variations(i: int) -> int:
-            if i == 0:
-                return v_first
-            return v_last if i == cells else _variations_at(st.chain, origin + step * i)
-
-        i0, i1 = _window(xq, origin, step, cells)
-        # Certified: the wanted root is alone in the window (a, b], and no root
-        # lies between the window and the grid end on the wanted root's side.
-        if largest:
-            v_b = variations(i1)
-            if v_b != v_last:
-                continue
-            v_a = variations(i0)
-        else:
-            v_a = variations(i0)
-            if v_a != v_first:
-                continue
-            v_b = variations(i1)
-        if v_a - v_b != 1:
-            continue
-        i = _cell_of_root(st.sf, origin, step, i0, i1)
-        if largest:
-            x = _lower_grid_root(st.sf, origin, step, i, origin + step * i0)
-            if x is not None and _variations_at(st.chain, x) == v_a:
-                return None  # no root in (x, a]: x is the next root below
-        return origin + step * i, origin + step * (i + 1)
-    return None
-
-
 # -- the Descartes certificate ---------------------------------------------------------
 
 
@@ -575,28 +509,27 @@ def _root_between(sf: IntPoly, x: Fraction, a: Fraction) -> bool:
 
 
 def _descartes_largest(p: IntPoly, width: Fraction) -> RootInterval | None:
-    """The interval that the Sturm path of isolate_largest_real_root gives,
-    certified without a Sturm chain; None when the certificate fails.
+    """The interval that the Sturm bisection of isolate_largest_real_root
+    gives, certified without a Sturm chain; None when the certificate fails.
 
     The squarefree part sf comes from a modular gcd, and the grid (-B, B]
-    from the Cauchy bound B of sf.  The window (a, b] is the Sturm path's
-    first: the estimate's cell and its two neighbours at depth min(J, seed
-    depth).  One Taylor shift certifies it: p(a) != 0 and one sign variation
-    at a mean exactly one root above a, simple, and p(b) zero or of the sign
-    of lc(p) puts it at or below b.  That is what the Sturm counts certify on
-    the same window, so both paths go on with the same steps on sf: the
-    root's cell, the check that the bisection from the top of the grid does
-    not end at the next root down, and sign bisection to width.  For that
-    check a sign change of sf between the root x and a takes the place of
-    the Sturm count.  Since the root is simple in p, the interval is flagged
-    multiplicity-free.
+    from the Cauchy bound B of sf.  The window (a, b] is the estimate's cell
+    and its two neighbours at depth min(J, seed depth).  One Taylor shift
+    certifies it: p(a) != 0 and one sign variation at a mean exactly one
+    root above a, simple, and p(b) zero or of the sign of lc(p) puts it at
+    or below b.  Then sf's signs give the root's cell, the check that the
+    bisection from the top of the grid does not end at the next root down,
+    and sign bisection to width, which ends in the Sturm bisection's cell.
+    For that check a sign change of sf between the root x and a takes the
+    place of a Sturm count.  Since the root is simple in p, the interval is
+    flagged multiplicity-free.
     """
     sf = _squarefree_part_modular(p)
     if sf is None:
         return None
     bound = cauchy_bound(sf)
     origin, span = -bound, 2 * bound
-    seed = _seed(_root_estimate(sf, False), span, _grid_depth(span, width))
+    seed = _seed(_root_estimate(sf), span, _grid_depth(span, width))
     if seed is None or seed[1] < 0:
         return None
     xq, j = seed
@@ -616,40 +549,27 @@ def _descartes_largest(p: IntPoly, width: Fraction) -> RootInterval | None:
     return _refine(sf, RootInterval(p, origin + step * i, origin + step * (i + 1)), width)
 
 
-def _bisected_cell(chain, lo: Fraction, hi: Fraction, v_lo: int, v_hi: int,
-                   largest: bool) -> tuple[Fraction, Fraction]:
+def _bisected_cell(chain, lo: Fraction, hi: Fraction, v_lo: int,
+                   v_hi: int) -> tuple[Fraction, Fraction]:
     """The first grid cell, bisecting from (lo, hi], that holds the largest root
-    (or the smallest) and no other root."""
+    and no other root."""
     while v_lo - v_hi > 1:
         mid = (lo + hi) / 2
         v_mid = _variations_at(chain, mid)
-        if (v_mid - v_hi >= 1) if largest else (v_lo - v_mid == 0):
+        if v_mid - v_hi >= 1:
             lo, v_lo = mid, v_mid
         else:
             hi, v_hi = mid, v_mid
     return lo, hi
 
 
-def _isolated(p: IntPoly, st: _SturmState, lo: Fraction, hi: Fraction, v_lo: int, v_hi: int,
-              width: Fraction, largest: bool) -> RootInterval:
-    """The root interval of the largest (or smallest) root of sf in the grid (lo, hi]."""
-    cell = None
-    if hi > lo:
-        span = hi - lo
-        estimate = _root_estimate(st.sf, not largest)
-        cell = _seeded_cell(st, estimate, lo, span, _grid_depth(span, width), v_lo, v_hi, largest)
-    if cell is None:
-        cell = _bisected_cell(st.chain, lo, hi, v_lo, v_hi, largest)
-    return _flagged(p, st, _refine(st.sf, RootInterval(p, *cell), width))
-
-
 def isolate_largest_real_root(p: IntPoly, width: Fraction = DEFAULT_WIDTH) -> RootInterval:
     """Certified interval of at most the given width around the largest real root.
 
     While no Sturm state of p is held, the Descartes certificate is tried
-    first; the Sturm path runs when it fails, and when the state is held
-    already, since then its counts cost less than a Taylor shift.  Raises
-    ValueError for a width <= 0.
+    first; Sturm bisection from the whole grid runs when it fails, and when
+    the state is held already, since then its counts cost less than a Taylor
+    shift.  Raises ValueError for a width <= 0.
     """
     _check_width(width)
     if p not in _states:
@@ -664,7 +584,8 @@ def isolate_largest_real_root(p: IntPoly, width: Fraction = DEFAULT_WIDTH) -> Ro
     if v_bottom == v_top:
         raise NoRealRootError("polynomial has no real root")
     bound = cauchy_bound(st.sf)
-    return _isolated(p, st, -bound, bound, v_bottom, v_top, width, largest=True)
+    cell = _bisected_cell(st.chain, -bound, bound, v_bottom, v_top)
+    return _flagged(p, st, _refine(st.sf, RootInterval(p, *cell), width))
 
 
 def largest_root_above_one(p: IntPoly, width: Fraction = DEFAULT_WIDTH) -> RootInterval | None:
@@ -693,23 +614,6 @@ def largest_root_above_one(p: IntPoly, width: Fraction = DEFAULT_WIDTH) -> RootI
     else:
         above = iv.low >= 1 and iv.high > 1
     return iv if above else None
-
-
-def isolate_smallest_positive_root(p: IntPoly, width: Fraction = DEFAULT_WIDTH,
-                                   upper: Fraction | None = None) -> RootInterval:
-    """Certified interval around the smallest real root in (0, upper].
-
-    Raises ValueError for a width <= 0."""
-    _check_width(width)
-    st = _sturm_state(p)
-    if not st.chain:
-        raise NoRealRootError("polynomial has no real root")
-    hi = Fraction(upper) if upper is not None else cauchy_bound(st.sf)
-    lo = Fraction(0)
-    v_lo, v_hi = _variations_at(st.chain, lo), _variations_at(st.chain, hi)
-    if v_lo == v_hi:
-        raise NoRealRootError("no root in the requested range")
-    return _isolated(p, st, lo, hi, v_lo, v_hi, width, largest=False)
 
 
 def isolate_real_roots(p: IntPoly, width: Fraction = DEFAULT_WIDTH) -> list[RootInterval]:
@@ -818,10 +722,3 @@ def sqrt_interval(x_low: Fraction, x_high: Fraction, width: Fraction = DEFAULT_W
         s += 1
     hi = Fraction(s, x_high.denominator * k)
     return lo, hi
-
-
-def invert_interval(low: Fraction, high: Fraction) -> tuple[Fraction, Fraction]:
-    """Exact reciprocal of a positive interval."""
-    if low <= 0:
-        raise ValueError("interval must be strictly positive")
-    return 1 / high, 1 / low

@@ -372,13 +372,11 @@ def reference_real_root_count(p: IntPoly) -> int:
 
 def reference_growth_rate(den: IntPoly, width: Fraction):
     """(low, high, multiplicity_free) of the growth rate of a series with the
-    reduced denominator den, reciprocal up to sign; None when den has no root
-    in (0, 1).  Counts the roots in (0, 1), isolates the smallest positive
-    root R and the largest real root, and checks that 1/R meets the latter.
+    reduced denominator den; None when den has no root in (0, 1).  Counts the
+    roots in (0, 1), isolates the smallest positive root R of den and the
+    largest real root of the primitive part of its reversal, and checks that
+    1/R meets the latter.
     """
-    rev = den.reversed()
-    if rev != den and rev != -den:
-        raise ValueError("denominator is not reciprocal up to sign")
     if den.degree < 1:
         return None
     inside = _reference_count(den, Fraction(0), Fraction(1))
@@ -389,7 +387,7 @@ def reference_growth_rate(den: IntPoly, width: Fraction):
     lo, hi, _ = reference_isolate_smallest_positive(den, width / 4, Fraction(1))
     while lo <= 0:
         lo, hi = reference_refined(den, lo, hi, (hi - lo) / 4)
-    rate = reference_isolate_largest(den, width)
+    rate = reference_isolate_largest(den.reversed().primitive(), width)
     if 1 / lo < rate[0] or 1 / hi > rate[1]:
         raise ArithmeticError("reciprocal pairing check failed")
     return rate

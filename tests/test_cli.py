@@ -224,6 +224,23 @@ def test_rejects_bad_width(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("width", ["1e-1001", "1/1" + "0" * 1001, "1e-99999999999"])
+def test_rejects_widths_below_the_minimum_before_any_work(capsys, monkeypatch, width):
+    def unreachable(*args):
+        raise AssertionError("command ran")
+
+    monkeypatch.setattr(cli, "_cmd_growth", unreachable)
+    with pytest.raises(SystemExit) as exc:
+        main(["growth", "--symbol", "[3,5,3]", "--width", width])
+    assert exc.value.code == 2
+    assert "error: argument --width:" in capsys.readouterr().err
+
+
+def test_narrowest_width_accepted():
+    from fractions import Fraction
+    assert cli._parse_width("1e-1000") == cli.MIN_WIDTH == Fraction(1, 10**1000)
+
+
 def test_width_override(capsys):
     code, doc, _ = run_json(capsys, "growth", "--symbol", "[3,8]", "--width", "1/1000")
     assert code == 0

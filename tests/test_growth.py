@@ -395,10 +395,12 @@ def test_growth_rate_pentagon():
 
 def test_growth_rate_non_reciprocal_denominator():
     f = steinberg_growth(sym("[3,inf]"))
-    # denominator is not reciprocal up to sign: forces the inversion path
+    # denominator is not reciprocal up to sign: the rate is a root of its
+    # reversal's primitive part, not of the denominator itself
     rev = f.denominator.reversed()
     assert rev != f.denominator and rev != -f.denominator
     iv = growth_rate(f, Fraction(1, 10**9))
+    assert iv.poly == rev.primitive() != f.denominator
     assert abs(iv.midpoint() - Fraction("1.3247180")) < Fraction(1, 10**6)
 
 
@@ -411,7 +413,7 @@ def test_growth_rate_not_exponential():
 
 def _rate_triple(f, width):
     iv = growth_rate(f, width)
-    assert iv.poly == f.denominator
+    assert iv.poly == f.denominator.reversed().primitive()
     return iv.low, iv.high, iv.multiplicity_free
 
 
@@ -432,6 +434,48 @@ def test_growth_rate_matches_reference_on_symbols(symbol):
     width = Fraction(1, 10**9)
     f = steinberg_growth(sym(symbol))
     assert _rate_triple(f, width) == reference_growth_rate(f.denominator, width)
+
+
+# Series whose denominators are not reciprocal up to sign, rank 3 to 10.
+_NON_RECIPROCAL = ["[3,inf]", "[(3^2,inf)]", "[5,3,5,3]", "star 2,3,7", "[inf,3,3]", "[6,3,inf]",
+                   "[3,4,3,inf]", "[inf,3,3,3,inf]", "[3,3,3,3,3,inf]", "[inf,5,3,3,3,3]"]
+
+
+def _non_reciprocal_series(name):
+    d = star_diagram(2, 3, 7).to_diagram() if name == "star 2,3,7" else sym(name)
+    return steinberg_growth(d)
+
+
+# [inf,3,3,inf]: the reversal has the root 1 next below the rate, at a lower end
+# of the grid cells above it, so the Sturm bisection gives the interval
+@pytest.mark.parametrize("name", _NON_RECIPROCAL + ["[inf,3,3,inf]"])
+def test_growth_rate_matches_reference_on_non_reciprocal_series(name):
+    f = _non_reciprocal_series(name)
+    rev = f.denominator.reversed()
+    assert rev != f.denominator and rev != -f.denominator
+    width = Fraction(1, 10**9)
+    assert _rate_triple(f, width) == reference_growth_rate(f.denominator, width)
+
+
+def test_growth_rate_builds_no_sturm_chain_on_non_reciprocal_series(monkeypatch):
+    from coxgrowth import roots
+    built = []
+    build = roots._build_sturm_state
+    monkeypatch.setattr(roots, "_states", {})
+    monkeypatch.setattr(roots, "_build_sturm_state", lambda p: built.append(p) or build(p))
+    for name in _NON_RECIPROCAL:
+        growth_rate(_non_reciprocal_series(name), Fraction(1, 10**9))
+        assert built == [], name
+
+
+def test_growth_rate_edge_cases_of_the_reversal():
+    width = Fraction(1, 10**9)
+    with pytest.raises(NotExponentialError):  # the pole 2 lies outside the unit disk
+        growth_rate(GrowthFunction(IntPoly([1]), IntPoly([2, -1])), width)
+    iv = growth_rate(GrowthFunction(IntPoly([1]), IntPoly([1, -3])), width)
+    assert iv.low == iv.high == 3 and iv.multiplicity_free
+    iv = growth_rate(GrowthFunction(IntPoly([1]), IntPoly([1, -2]) ** 2), width)
+    assert iv.low < 2 <= iv.high and iv.width <= width and not iv.multiplicity_free
 
 
 @pytest.mark.parametrize("symbol", [

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import coxgrowth
-from coxgrowth.cli import _parse_int_list
+from coxgrowth.cli import _parse_int_list, _parse_width, build_parser
 from coxgrowth.diagram import diagram_from_text, parse_coxeter_symbol, parse_weight
 from coxgrowth.intpoly import parse_poly
 from coxgrowth.salemdb import SalemListError, parse_salem_line
@@ -58,6 +58,24 @@ def test_remainder_sequences_come_only_from_roots(path):
     assert lines == [], f"{path.name} calls pseudo_rem at lines {lines}"
 
 
+def _option(*argv):
+    """Parses a value of the command-line option that ends argv."""
+    def parse(text):
+        return build_parser().parse_args([*argv, text])
+    parse.__name__ = " ".join(argv)
+    return parse
+
+
+_INT_OPTIONS = [("salem", "--max-k"), ("salem", "--max-p"), ("verify", "table1", "--max-k"),
+                ("verify", "table1", "--max-p"), ("verify", "table1", "--rmax"),
+                ("verify", "table1", "--jmax")]
+
+
+def test_integer_options_take_ascii_digits():
+    for argv in _INT_OPTIONS:
+        assert getattr(_option(*argv)("25"), argv[-1][2:].replace("-", "_")) == 25
+
+
 @pytest.mark.parametrize("parse,text,error", [
     (parse_poly, "١,٢", ValueError),                       # Arabic-Indic digits
     (parse_poly, "1,２", ValueError),                       # fullwidth digit
@@ -68,6 +86,8 @@ def test_remainder_sequences_come_only_from_roots(path):
     (diagram_from_text, "rank ٣\n1 2 3\n", ValueError),
     (diagram_from_text, "rank 3\n١ 2 3\n", ValueError),
     (parse_salem_line, "١٠;1,1,0,-1,-1,-1,-1,-1,0,1,1;1.17628", SalemListError),
+    (_parse_width, "١/١٠٠٠", argparse.ArgumentTypeError),
+    *[(_option(*argv), text, SystemExit) for argv in _INT_OPTIONS for text in ("٣", "2_5")],
 ])
 def test_parsers_reject_non_ascii_digits(parse, text, error):
     with pytest.raises(error):

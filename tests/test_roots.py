@@ -16,7 +16,6 @@ from coxgrowth.roots import (
     count_roots_open,
     isolate_largest_real_root,
     isolate_real_roots,
-    isolate_smallest_positive_root,
     largest_root_above_one,
     refine_until_disjoint,
     sqrt_interval,
@@ -72,15 +71,6 @@ def test_isolate_tetrahedral_value():
 def test_no_real_root():
     with pytest.raises(NoRealRootError):
         isolate_largest_real_root(IntPoly([1, 1, 1]))
-
-
-def test_smallest_positive():
-    # roots 1/3 and 3
-    p = IntPoly([-1, 3]) * IntPoly([-3, 1])
-    iv = isolate_smallest_positive_root(p, Fraction(1, 10**9))
-    assert iv.low <= Fraction(1, 3) <= iv.high
-    with pytest.raises(NoRealRootError):
-        isolate_smallest_positive_root(IntPoly([1, 0, 1]))
 
 
 def test_isolate_all_roots():
@@ -279,7 +269,6 @@ def test_isolated_intervals_really_isolate(p):
 from coxgrowth import roots  # noqa: E402
 from oracles import (  # noqa: E402
     reference_isolate_largest,
-    reference_isolate_smallest_positive,
     reference_refined,
 )
 
@@ -331,18 +320,6 @@ def test_largest_root_matches_reference_bisection(p, width):
         p, iv.low, iv.high, finer)
 
 
-@given(_polys, _widths, st.sampled_from([None, Fraction(1), Fraction(5, 2), Fraction(40)]))
-@settings(max_examples=250, deadline=None)
-def test_smallest_positive_root_matches_reference_bisection(p, width, upper):
-    expected = reference_isolate_smallest_positive(p, width, upper)
-    if expected is None:
-        with pytest.raises(NoRealRootError):
-            isolate_smallest_positive_root(p, width, upper=upper)
-        return
-    iv = isolate_smallest_positive_root(p, width, upper=upper)
-    assert _triple(iv) == expected
-
-
 _SEED_CASES = [
     LEHMER,
     IntPoly([-1, 1]) ** 2 * IntPoly([-3, 1]),              # repeated root below the largest
@@ -354,24 +331,24 @@ _SEED_CASES = [
 
 
 @pytest.mark.parametrize("p", _SEED_CASES)
-@pytest.mark.parametrize("largest", [True, False])
+@pytest.mark.parametrize("largest", [True])  # the largest root is the one sought from an estimate
 def test_float_estimate_only_chooses_where_to_look(monkeypatch, p, largest):
     width = Fraction(1, 10**9)
-    isolate = isolate_largest_real_root if largest else isolate_smallest_positive_root
-    true = isolate(p, width)
+    true = isolate_largest_real_root(p, width)
     step = max(true.width, width)
     seeds = [0.0, math.nan, 1e300, -1e300,
              math.nextafter(float(true.low), -math.inf),
              float(true.low - 2 * step), float(true.high + 2 * step)]
     for x in seeds:
         for radius in (0.0, 1e-30, 1.0, math.nan):
-            monkeypatch.setattr(roots, "_root_estimate", lambda sf, smallest, v=(x, radius): v)
-            assert _triple(isolate(p, width)) == _triple(true), (x, radius)
+            monkeypatch.setattr(roots, "_root_estimate", lambda sf, v=(x, radius): v)
+            roots._states.pop(p, None)  # so the Descartes path reads the estimate
+            assert _triple(isolate_largest_real_root(p, width)) == _triple(true), (x, radius)
 
 
 def test_coefficients_beyond_float_range_take_the_bisection():
     p = IntPoly([-(2**1100), 1]) * IntPoly([-3, 0, 1])
-    assert math.isnan(roots._root_estimate(roots._sturm_state(p).sf, False)[0])
+    assert math.isnan(roots._root_estimate(roots._sturm_state(p).sf)[0])
     for width in (Fraction(1, 10**9), Fraction(1, 2**1200)):
         assert _triple(isolate_largest_real_root(p, width)) == reference_isolate_largest(p, width)
 
@@ -461,8 +438,7 @@ def test_descartes_path_runs_only_while_no_sturm_state_is_held(monkeypatch):
 
 @pytest.mark.parametrize("width", [Fraction(0), Fraction(-1, 10)])
 def test_non_positive_widths_raise_at_once(width):
-    for isolate in (isolate_largest_real_root, isolate_smallest_positive_root,
-                    isolate_real_roots, largest_root_above_one):
+    for isolate in (isolate_largest_real_root, isolate_real_roots, largest_root_above_one):
         with pytest.raises(ValueError):
             isolate(LEHMER, width)
     iv = isolate_largest_real_root(LEHMER, Fraction(1, 10))
