@@ -30,7 +30,7 @@ from .diagram import (
 )
 from .intpoly import parse_poly
 from .numclass import classify, strip_cyclotomic
-from .roots import RootInterval
+from .roots import RootInterval, isolate_largest_real_root
 
 
 @dataclass
@@ -172,18 +172,16 @@ def _cmd_growth(args) -> CommandResult:
 def _cmd_coxtrans(args) -> CommandResult:
     if args.star:
         tree = star_diagram(*args.star)
-        phi = coxtrans.char_poly_star(*args.star)
         label = f"Star{tuple(args.star)}"
     elif args.hgraph:
         tree = _h_graph(args.hgraph)
-        phi = coxtrans.char_poly_recursive(tree)
         label = f"H{tuple(args.hgraph)}"
     elif args.tree:
         tree = _tree_from_spec(args.tree)
-        phi = coxtrans.char_poly_recursive(tree)
         label = args.tree
     else:
         raise DiagramError("no tree given; use --star, --hgraph or --tree")
+    phi = coxtrans.char_poly_recursive(tree)
     radius = coxtrans.spectral_radius_from_charpoly(phi, args.width)
     core, factors = strip_cyclotomic(phi)
     payload = {
@@ -219,7 +217,7 @@ def _cmd_spectra(args) -> CommandResult:
         raise DiagramError("no input; use --tree or --table1")
     tree = _tree_from_spec(args.tree)
     chi = spectra.adjacency_char_poly(tree)
-    iv = spectra.spectral_radius_adjacency(tree, args.width)
+    iv = isolate_largest_real_root(chi, args.width)
     return CommandResult("spectra", {
         "tree": args.tree,
         "vertices": tree.n,

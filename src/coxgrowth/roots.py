@@ -14,14 +14,15 @@ chain of sf.  The states of the last few polynomials are held in a small
 fixed-size LRU cache, so counting, isolating and refining one polynomial
 build its chain once.
 
-Isolation works on the dyadic grid (-B, B], B the Cauchy bound of sf.
+Isolation works on the dyadic grid (-B, B], B the Cauchy bound of sf, and
+every isolating interval is a cell (lo, hi] of that grid or a point.
 Bisecting from the whole grid to the first cell that holds only the largest
 root, then halving by signs, always ends in the grid cell (lo, hi] that
 holds the root at depth J, the first depth whose cells are at most the
 requested width (deeper only when another root shares that cell), or in
-[x, x] when the root x is a grid point of depth at most J.  Only when that
-first cell's lower end is another root of sf does the refinement step inward
-off the grid.
+[x, x] when the root x is a grid point of depth at most J.  A cell whose
+lower end is another root of sf keeps that end: just right of it sf has the
+sign of sf' there, and the halving goes on by signs.
 
 The largest real root is first sought without a Sturm chain, while none is
 held for p.  Then sf comes from gcd(p, p') taken modulo the prime 2^61 - 1
@@ -33,15 +34,14 @@ radius, and its two neighbours form a window (a, b].  A Descartes
 certificate (Collins-Akritas 1976) shows that it holds the largest root: the
 Taylor shift of p to a has one sign variation, so p has exactly one root
 above a, and that root is simple, and the sign of p(b) puts it at or below
-b.  A sign change of sf stands in for the Sturm count that rules out a cell
-ending at the next root down.  Sign bisection then descends from the root's
-cell to depth J and gives the same interval as the bisection from the whole
-grid.  The estimate only chooses where exact signs are taken; it never
-decides an answer.  The certificate is exact for polynomials with only real
-roots, as the adjacency polynomials of trees; the Sturm bisection from the
-whole grid runs whenever it fails (complex roots near the top root, a
-multiple top root, a poor estimate, a gcd the modular lift cannot certify)
-and whenever p's Sturm state is held already.  Both give the same interval.
+b.  Sign bisection then descends from the root's cell to depth J and gives
+the same grid cell as the bisection from the whole grid.  The estimate only
+chooses where exact signs are taken; it never decides an answer.  The
+certificate is exact for polynomials with only real roots, as the adjacency
+polynomials of trees; the Sturm bisection from the whole grid runs whenever
+it fails (complex roots near the top root, a multiple top root, a poor
+estimate, a gcd the modular lift cannot certify) and whenever p's Sturm
+state is held already.  Both give the same interval.
 
 Two root intervals are compared by compare alone: the roots are equal exactly
 when the gcd of the two polynomials has a root in the common part of the
@@ -275,12 +275,12 @@ def cauchy_bound(p: IntPoly) -> Fraction:
 
 def _refine(sf: IntPoly, bracket: RootInterval, width: Fraction) -> RootInterval:
     """Shrink a bracket certified to contain exactly one root of sf, the
-    squarefree part of bracket.poly.
+    squarefree part of bracket.poly, by sign bisection: one exact evaluation
+    per step, so a grid cell ends in the grid cell of the root, or in a point.
 
-    The bracket invariant is "exactly one root in (low, high]"; once both
-    endpoint signs are nonzero they must differ, and plain sign bisection
-    (one exact evaluation per step) finishes the job.  Only a lower end that
-    is another root of sf needs the Sturm chain.
+    The bracket invariant is "exactly one root in (low, high]".  A lower end
+    that is another root of sf is kept: just right of it, sf has the sign of
+    sf' there, which the bisection compares against.
     """
     flag = bracket.multiplicity_free
     lo, hi = bracket.low, bracket.high
@@ -289,19 +289,7 @@ def _refine(sf: IntPoly, bracket: RootInterval, width: Fraction) -> RootInterval
         return RootInterval(bracket.poly, hi, hi, flag)
     s_lo = sf.sign_at(lo)
     if s_lo == 0:
-        # lo is a different root of sf; step inward until it is excluded.
-        chain = _sturm_state(bracket.poly).chain
-        v_hi = _variations_at(chain, hi)
-        while s_lo == 0:
-            probe = lo + (hi - lo) / 4
-            s_probe = sf.sign_at(probe)
-            if s_probe == 0:
-                return RootInterval(bracket.poly, probe, probe, flag)
-            if _variations_at(chain, probe) - v_hi == 1:
-                lo, s_lo = probe, s_probe
-            else:
-                hi, s_hi = probe, s_probe
-                v_hi = _variations_at(chain, hi)
+        s_lo = sf.derivative().sign_at(lo)
     if s_lo * s_hi >= 0:
         raise ArithmeticError("bracket invariant violated")
     while hi - lo > width:
@@ -444,32 +432,6 @@ def _cell_of_root(sf: IntPoly, origin: Fraction, step: Fraction, i0: int, i1: in
     return i0
 
 
-def _lower_grid_root(sf: IntPoly, origin: Fraction, step: Fraction, k: int,
-                     a: Fraction) -> Fraction | None:
-    """The one ancestor lower end of cell k that may be the next root below the largest.
-
-    The largest root r is certified alone in the window (a, b] and lies in cell
-    k.  The bisection from the top of the grid ends at the shallowest ancestor
-    of cell k that holds r alone; its lower end is a root exactly when the next
-    root r' below r is the lower end of some ancestor.  Ancestor lower ends are
-    the cell indices k with low bits cleared; only those at or below a can be
-    r'.  A root among them is r' exactly when no root lies between it and a, so
-    only the largest can be: it is returned, or None when there is none.
-    """
-    n0, d0 = origin.numerator, origin.denominator
-    ns, ds = step.numerator, step.denominator
-    den = d0 * ds
-    while k:  # index 0 is -B, never a root
-        num = n0 * ds + ns * d0 * k
-        # A rational root's reduced denominator divides the leading coefficient.
-        if sf.leading % (den // math.gcd(num, den)) == 0:
-            x = Fraction(num, den)
-            if x <= a and sf.sign_at(x) == 0:
-                return x
-        k &= k - 1
-    return None
-
-
 # -- the Descartes certificate ---------------------------------------------------------
 
 
@@ -494,20 +456,6 @@ def descartes_bound(p: IntPoly, a: Fraction | int) -> int:
     return _variations(map(_sign, _shifted(p, Fraction(a))))
 
 
-# The points x + (a - x) t that _root_between samples, in this order:
-# t = 1, 1/2, 1/4, 3/4, 1/8, 3/8, ..., 31/32.
-_SAMPLES = (Fraction(1),) + tuple(Fraction(m, 1 << k) for k in range(1, 6)
-                                  for m in range(1, 1 << k, 2))
-
-
-def _root_between(sf: IntPoly, x: Fraction, a: Fraction) -> bool:
-    """Whether sf, squarefree with the root x < a, is certified to have a root in
-    (x, a]: at one of the _SAMPLES points of (x, a], sf is zero or has the
-    sign opposite to its sign just right of x, which is the sign of sf'(x)."""
-    s = sf.derivative().sign_at(x)
-    return any(sf.sign_at(x + (a - x) * t) != s for t in _SAMPLES)
-
-
 def _descartes_largest(p: IntPoly, width: Fraction) -> RootInterval | None:
     """The interval that the Sturm bisection of isolate_largest_real_root
     gives, certified without a Sturm chain; None when the certificate fails.
@@ -517,12 +465,10 @@ def _descartes_largest(p: IntPoly, width: Fraction) -> RootInterval | None:
     and its two neighbours at depth min(J, seed depth).  One Taylor shift
     certifies it: p(a) != 0 and one sign variation at a mean exactly one
     root above a, simple, and p(b) zero or of the sign of lc(p) puts it at
-    or below b.  Then sf's signs give the root's cell, the check that the
-    bisection from the top of the grid does not end at the next root down,
-    and sign bisection to width, which ends in the Sturm bisection's cell.
-    For that check a sign change of sf between the root x and a takes the
-    place of a Sturm count.  Since the root is simple in p, the interval is
-    flagged multiplicity-free.
+    or below b.  Then sf's signs give the root's cell, and sign bisection
+    to width ends in the depth-J grid cell of the root, or at the root as a
+    grid point, as the Sturm bisection does.  Since the root is simple in p,
+    the interval is flagged multiplicity-free.
     """
     sf = _squarefree_part_modular(p)
     if sf is None:
@@ -543,9 +489,6 @@ def _descartes_largest(p: IntPoly, width: Fraction) -> RootInterval | None:
     if p.sign_at(origin + step * i1) == -_sign(p.leading):
         return None
     i = _cell_of_root(sf, origin, step, i0, i1)
-    x = _lower_grid_root(sf, origin, step, i, a)
-    if x is not None and not _root_between(sf, x, a):
-        return None
     return _refine(sf, RootInterval(p, origin + step * i, origin + step * (i + 1)), width)
 
 

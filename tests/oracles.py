@@ -18,7 +18,6 @@ cross-check the exact implementations.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from fractions import Fraction
@@ -276,20 +275,17 @@ def _reference_bound(sf: IntPoly) -> Fraction:
 def _reference_refine(sf: IntPoly, chain, lo: Fraction, hi: Fraction,
                       width: Fraction) -> tuple[Fraction, Fraction]:
     """Sign bisection of a bracket holding one root of sf in (lo, hi]; a lower
-    end that is another root is first excluded by quarter steps."""
+    end that is another root stays, with the sign of sf at the first probe
+    lo + (hi - lo) / 4**m that a Sturm recount shows no root in (lo, probe]."""
     s_hi = sf.sign_at(hi)
     if s_hi == 0:
         return hi, hi
     s_lo = sf.sign_at(lo)
-    while s_lo == 0:
+    if s_lo == 0:
         probe = lo + (hi - lo) / 4
-        s_probe = sf.sign_at(probe)
-        if s_probe == 0:
-            return probe, probe
-        if _reference_variations(chain, probe) - _reference_variations(chain, hi) == 1:
-            lo, s_lo = probe, s_probe
-        else:
-            hi, s_hi = probe, s_probe
+        while _reference_variations(chain, lo) != _reference_variations(chain, probe):
+            probe = lo + (probe - lo) / 4
+        s_lo = sf.sign_at(probe)
     while hi - lo > width:
         mid = (lo + hi) / 2
         s_mid = sf.sign_at(mid)

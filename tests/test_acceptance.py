@@ -10,8 +10,6 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from coxgrowth.coxtrans import (
     bipartite_coxeter_matrix,
     char_poly_recursive,

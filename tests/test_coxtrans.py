@@ -12,15 +12,12 @@ from coxgrowth.coxtrans import (
     char_poly_star,
     coxeter_tree_radius_equals_polygon_rate,
     spectral_radius_coxeter,
-    star_spectral_radius,
     verify_delta_eq_phi,
 )
 from coxgrowth.diagram import INF, DiagramError, WeightedTree, h_graph, path_tree, star_diagram
-from coxgrowth.growth import growth_rate, polygon_delta, polygon_growth
+from coxgrowth.growth import polygon_delta, polygon_growth
 from coxgrowth.intpoly import IntPoly, bracket, parse_poly
 from coxgrowth.roots import RootInterval, sturm_count
-from coxgrowth.diagram import polygon_is_hyperbolic
-
 from coxgrowth.spectra import _adjacency_char_poly_weighted, adjacency_char_poly
 
 from oracles import (

@@ -58,6 +58,32 @@ def test_remainder_sequences_come_only_from_roots(path):
     assert lines == [], f"{path.name} calls pseudo_rem at lines {lines}"
 
 
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """The names that the module's imports bind, each with its line."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    return bound
+
+
+# __init__.py imports only to re-export
+_IMPORTING_MODULES = sorted([*(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
+                             *Path(__file__).parent.glob("*.py")])
+
+
+@pytest.mark.parametrize("path", _IMPORTING_MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_imported_name_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted((line, name) for name, line in _imported_names(tree).items()
+                    if name not in used)
+    assert unused == [], f"{path.name} imports names it never uses: {unused}"
+
+
 def _option(*argv):
     """Parses a value of the command-line option that ends argv."""
     def parse(text):

@@ -22,7 +22,7 @@ from coxgrowth.roots import (
     sturm_count,
 )
 
-from oracles import real_root_count_bisection, reference_real_root_count
+from oracles import real_root_count_bisection, reference_real_root_count, reference_refined
 
 LEHMER = parse_poly("1,1,0,-1,-1,-1,-1,-1,0,1,1")
 
@@ -250,6 +250,8 @@ def test_refine_moves_off_an_exact_root_endpoint():
     refined = bracket.refined(Fraction(1, 10**9))
     assert refined.low <= 2 <= refined.high
     assert refined.width <= Fraction(1, 10**9)
+    assert (refined.low, refined.high) == reference_refined(p, Fraction(1), Fraction(5, 2),
+                                                            Fraction(1, 10**9))
 
 
 @given(st.lists(st.integers(-8, 8), min_size=2, max_size=8).map(lambda c: IntPoly(c + [1])))
@@ -267,10 +269,7 @@ def test_isolated_intervals_really_isolate(p):
 # -- the seeded isolation against the reference bisection ----------------------------------
 
 from coxgrowth import roots  # noqa: E402
-from oracles import (  # noqa: E402
-    reference_isolate_largest,
-    reference_refined,
-)
+from oracles import reference_isolate_largest  # noqa: E402
 
 
 def _linear(num: int, den: int) -> IntPoly:
@@ -380,28 +379,61 @@ _DECLINES = {
     "multiple top root": IntPoly([-2, 1]) ** 2 * IntPoly([1, 1]),
     # the float estimate lands near 1.335, far below the top root 2cos(pi/101)
     "wrong estimate": adjacency_char_poly(path_tree(100)),
-    # the top root 1 is alone above 0, and 0 is a lower end of its ancestor cells
-    "lower end at the next root": IntPoly([0, -1, 1]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_DECLINES))
-def test_descartes_path_declines_and_the_sturm_path_decides(monkeypatch, name):
+def test_descartes_path_declines_and_the_sturm_path_decides(name):
     p, width = _DECLINES[name], Fraction(1, 10**9)
-    verdicts = []
-    root_between = roots._root_between
-
-    def recorded(*args):
-        verdicts.append(root_between(*args))
-        return verdicts[-1]
-
-    monkeypatch.setattr(roots, "_root_between", recorded)
     assert roots._descartes_largest(p, width) is None
-    assert verdicts == ([False] if name == "lower end at the next root" else [])
     expected = reference_isolate_largest(p, width)
     roots._states.pop(p, None)
     assert _triple(isolate_largest_real_root(p, width)) == expected
     assert _sturm_path(p, width) == expected
+
+
+def _recording_chains(monkeypatch) -> list:
+    """The polynomials whose Sturm chains roots builds from now on."""
+    chains = []
+    sturm_chain = roots.sturm_chain
+    monkeypatch.setattr(roots, "sturm_chain", lambda p: chains.append(p) or sturm_chain(p))
+    return chains
+
+
+def test_a_lower_end_at_the_next_root_stays_on_the_grid(monkeypatch):
+    # t^2 - t on the grid (-2, 2]: the Sturm bisection stops at the cell (0, 2]
+    # of the top root 1, whose lower end is the root 0; halving by signs then
+    # meets 1 itself, as the Descartes path does from its window
+    p, width = IntPoly([0, -1, 1]), Fraction(1, 10**9)
+    expected = (Fraction(1), Fraction(1), True)
+    chains = _recording_chains(monkeypatch)
+    roots._states.pop(p, None)
+    assert _triple(roots._descartes_largest(p, width)) == expected
+    assert chains == []
+    assert _sturm_path(p, width) == expected
+    assert reference_isolate_largest(p, width) == expected
+
+
+def _on_grid(x: Fraction, bound: Fraction, width: Fraction) -> bool:
+    """Whether x is a point of the dyadic grid of (-bound, bound] down to cells
+    at most width wide."""
+    cells = 1
+    while 2 * bound / cells > width:
+        cells *= 2
+    return ((x + bound) * cells / (2 * bound)).denominator == 1
+
+
+@pytest.mark.parametrize("p,bound", [(IntPoly([0, -1, 0, 1]), 2), (IntPoly([0, -2, 0, 1]), 3)],
+                         ids=["t^3 - t", "t^3 - 2t"])
+def test_isolation_keeps_a_bisection_point_that_is_a_root_as_a_lower_end(p, bound):
+    # the first bisection point 0 is a root and the lower end of the top root's cell (0, B]
+    width = Fraction(1, 10**9)
+    ivs = isolate_real_roots(p, width)
+    assert len(ivs) == 3
+    for iv in ivs:
+        assert _on_grid(iv.low, Fraction(bound), width) and _on_grid(iv.high, Fraction(bound), width)
+    assert (ivs[-1].low, ivs[-1].high) == reference_refined(p, Fraction(0), Fraction(bound), width)
+    assert _triple(ivs[-1]) == reference_isolate_largest(p, width)
 
 
 def _tree_and_star_polys():
@@ -412,9 +444,7 @@ def _tree_and_star_polys():
 
 
 def test_descartes_path_gives_the_sturm_path_interval_on_trees_and_stars(monkeypatch):
-    chains = []
-    sturm_chain = roots.sturm_chain
-    monkeypatch.setattr(roots, "sturm_chain", lambda p: chains.append(p) or sturm_chain(p))
+    chains = _recording_chains(monkeypatch)
     for p in _tree_and_star_polys():
         for width in (Fraction(1, 10**7), Fraction(1, 2**40)):
             roots._states.pop(p, None)

@@ -1,10 +1,9 @@
-import os
 import textwrap
 from fractions import Fraction
 
 import pytest
 
-from coxgrowth.intpoly import IntPoly, parse_poly
+from coxgrowth.intpoly import parse_poly
 from coxgrowth.numclass import unit_circle_root_count
 from coxgrowth.roots import cauchy_bound, sturm_count
 from coxgrowth.salemdb import (

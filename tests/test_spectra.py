@@ -6,7 +6,7 @@ import pytest
 from coxgrowth.diagram import DiagramError, WeightedTree, h_graph, path_tree, star_diagram
 from coxgrowth.intpoly import IntPoly, parse_poly
 from coxgrowth.numclass import strip_cyclotomic
-from coxgrowth.roots import certify_strictly_less, isolate_largest_real_root, sturm_count
+from coxgrowth.roots import certify_strictly_less, isolate_largest_real_root
 from coxgrowth.spectra import (
     adjacency_char_poly,
     brouwer_neumaier_enumerate,
