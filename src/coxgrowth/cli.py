@@ -111,33 +111,35 @@ def _diagram_from_args(args) -> CoxeterDiagram:
         growth._check_rank(len(args.polygon))
         return polygon_diagram(*args.polygon)
     if args.star:
-        growth._check_rank(1 + sum(p - 1 for p in args.star))
-        return star_diagram(*args.star).to_diagram()
+        return _tree("star", args.star, growth._check_rank).to_diagram()
     if args.hgraph:
-        growth._check_rank(sum(args.hgraph) + 1)
-        return _h_graph(args.hgraph).to_diagram()
+        return _tree("h", args.hgraph, growth._check_rank).to_diagram()
     raise DiagramError("no diagram given; use --symbol, --file, --polygon, --star or --hgraph")
 
 
-def _h_graph(params) -> WeightedTree:
-    if len(params) != 3:
-        raise DiagramError(f"an H-graph takes three parameters i,j,k, got {len(params)}")
-    return h_graph(*params)
+def _tree(kind: str, params: tuple[int, ...], check) -> WeightedTree:
+    """The star, H-graph or path of the parameters, check(vertex count) run first."""
+    if kind == "star":
+        check(1 + sum(p - 1 for p in params))
+        return star_diagram(*params)
+    if kind == "h":
+        check(sum(params) + 1)
+        if len(params) != 3:
+            raise DiagramError(f"an H-graph takes three parameters i,j,k, got {len(params)}")
+        return h_graph(*params)
+    if len(params) != 1:
+        raise DiagramError(f"a path takes one parameter n, got {len(params)}")
+    check(params[0])
+    return path_tree(*params)
 
 
 def _tree_from_spec(text: str) -> WeightedTree:
     kind, _, rest = text.partition(":")
     params = _parse_int_list(rest) if rest else ()
-    kind = kind.strip().lower()
-    if kind in ("h", "hgraph"):
-        return _h_graph(params)
-    if kind == "star":
-        return star_diagram(*params)
-    if kind == "path":
-        if len(params) != 1:
-            raise DiagramError(f"a path takes one parameter n, got {len(params)}")
-        return path_tree(*params)
-    raise DiagramError(f"unknown tree spec {text!r}; use H:i,j,k / Star:p1,..,pk / Path:n")
+    kind = {"h": "h", "hgraph": "h", "star": "star", "path": "path"}.get(kind.strip().lower())
+    if kind is None:
+        raise DiagramError(f"unknown tree spec {text!r}; use H:i,j,k / Star:p1,..,pk / Path:n")
+    return _tree(kind, params, coxtrans._check_vertices)
 
 
 def _cmd_growth(args) -> CommandResult:
@@ -171,10 +173,10 @@ def _cmd_growth(args) -> CommandResult:
 
 def _cmd_coxtrans(args) -> CommandResult:
     if args.star:
-        tree = star_diagram(*args.star)
+        tree = _tree("star", args.star, coxtrans._check_vertices)
         label = f"Star{tuple(args.star)}"
     elif args.hgraph:
-        tree = _h_graph(args.hgraph)
+        tree = _tree("h", args.hgraph, coxtrans._check_vertices)
         label = f"H{tuple(args.hgraph)}"
     elif args.tree:
         tree = _tree_from_spec(args.tree)

@@ -1,7 +1,6 @@
 """Coxeter transformations of weighted trees: the bipartite matrix and its
-characteristic polynomial by block determinant, the weighted matching
-polynomial behind every tree characteristic polynomial, and spectral-radius
-extraction.
+characteristic polynomial by block determinant, the matching recursion
+behind every tree characteristic polynomial, and spectral-radius extraction.
 
 For a tree all products of the generators in any order are conjugate, so the
 characteristic polynomial is well defined; the bipartite ordering makes it
@@ -9,10 +8,10 @@ computable from the biadjacency block X alone.  Edge weights m contribute
 the integer 4cos^2(pi/m) in {1, 2, 3, 4} for m in {3, 4, 6, inf}, so these
 characteristic polynomials have exact integer coefficients.
 
-Both tree polynomials are re-indexings of the weighted matching numbers m_k
-(the sum over k-edge matchings of the products of 4cos^2(pi/m)): the
-adjacency polynomial is sum_k (-1)^k m_k x^(n-2k) and the Coxeter
-polynomial is sum_k (-1)^k m_k (1+t)^(n-2k) t^k.
+Both tree polynomials are sums over the weighted matching numbers m_k (over
+k-edge matchings, of the products of 4cos^2(pi/m)): the adjacency polynomial
+is sum_k (-1)^k m_k x^(n-2k), the Coxeter polynomial sum_k (-1)^k m_k
+(1+t)^(n-2k) t^k, each built as one integer at t = 2^K and read back.
 """
 
 from __future__ import annotations
@@ -21,11 +20,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .diagram import INF, DiagramError, WeightedTree, star_diagram
-from .intpoly import IntPoly, resultant_eliminate
+from .intpoly import IntPoly, _signed_digits, resultant_eliminate
 from .roots import DEFAULT_WIDTH, RootInterval, compare, largest_root_above_one, sqrt_interval
 
 # 4cos^2(pi/m) for the weights with rational value
 _EDGE_COEFF = {3: 1, 4: 2, 6: 3, INF: 4}
+
+# The most vertices of a tree whose polynomials are built.  The cost grows as
+# about n^3: a `coxtrans` process takes 1-2 s on Path:1200 or a 400-arm star.
+TREE_VERTEX_BOUND = 1200
 
 
 def _edge_coefficient(w) -> int:
@@ -147,61 +150,62 @@ def bipartite_coxeter_matrix(tree: WeightedTree) -> BipartiteCoxeterResult:
     return BipartiteCoxeterResult(order, tuple(tuple(row) for row in c), phi)
 
 
-def _matching_polynomial(tree: WeightedTree) -> IntPoly:
-    """The weighted matching polynomial sum_k m_k y^k of a tree.
+def _check_vertices(n: int) -> None:
+    """Raise ValueError when a tree of n vertices is above TREE_VERTEX_BOUND."""
+    if n > TREE_VERTEX_BOUND:
+        raise ValueError(f"{n} vertices exceed the tree vertex bound {TREE_VERTEX_BOUND}")
 
-    m_k sums, over the k-edge matchings, the product of the edges'
-    4cos^2(pi/m).  The tree is rooted at vertex 0 and processed from the
-    leaves up; each vertex v keeps M_v over all matchings of its subtree and
-    F_v over those that leave v free.  Attaching a child c by an edge of
-    coefficient a gives M_v <- M_v M_c + a y F_v F_c and F_v <- F_v M_c
-    (Schwenk 1974; Godsil, Algebraic Combinatorics, ch. 1).
-    """
+
+def _tree_polynomial(tree: WeightedTree, coxeter: bool) -> IntPoly:
+    """The Coxeter polynomial sum_k (-1)^k m_k t^k (1+t)^(n-2k) of the tree,
+    or its adjacency polynomial sum_k (-1)^k m_k t^(n-2k): the sum over the
+    matchings of the products of u = t + 1 (or t) over unmatched vertices and
+    w = -a t (or -a) over matched edges, a = 4cos^2(pi/m).
+
+    Rooted at vertex 0, each vertex v keeps M_v over all matchings of its
+    subtree and F_v over those leaving v free, less v's u (Schwenk 1974).  It
+    runs on integers: at t = 1 with w = a, which sums the terms' 1-norms and
+    so bounds every coefficient, then at t = 2^K with K one bit wider, where
+    the n + 1 signed base-2^K digits of the value are the coefficients."""
+    _check_vertices(tree.n)
+    unit = int(coxeter)  # u = t + unit and w = -a t^unit: shifts and adds
     adj = tree.adjacency()
-    parent = [-1] * tree.n
-    coeff = [0] * tree.n  # of the edge to the parent
+    parent, coeff = [-1] * tree.n, [0] * tree.n  # coeff: a of the edge to the parent
     order = [0]
     for v in order:  # breadth-first; the list grows while it is walked
         for u, w in adj[v]:
             if u != parent[v]:
-                parent[u] = v
-                coeff[u] = _edge_coefficient(w)
+                parent[u], coeff[u] = v, _edge_coefficient(w)
                 order.append(u)
-    one = IntPoly([1])
-    full = [one] * tree.n
-    free = [one] * tree.n
-    for c in reversed(order[1:]):  # every child before its parent
-        v = parent[c]
-        edge = (free[c] * coeff[c]).shift(1)  # a y F_c
-        if full[v] is one:  # first child of v: M_v = F_v = 1 so far
-            full[v], free[v] = full[c] + edge, full[c]
-        else:
-            full[v], free[v] = full[v] * full[c] + free[v] * edge, free[v] * full[c]
-    return full[0]
+
+    def value(k: int, sign: int) -> int:  # at t = 2^k, with w = sign a 2^(k unit)
+        pairs: dict[int, list] = {}  # (M_c, w F_c) of each vertex's children
+        for v in reversed(order):  # every vertex after its children
+            # The pairs merge as (P P', Q P' + P Q'), in a balanced tree so that
+            # many children cost few wide products; then F_v = P, M_v = u P + Q.
+            ps = pairs.pop(v, [])
+            while len(ps) > 1:
+                ps = [(p * r, q * r + p * s) for (p, q), (r, s) in zip(ps[::2], ps[1::2])
+                      ] + ps[len(ps) & ~1:]
+            p, q = ps[0] if ps else (1, 0)
+            full = (p << k) + unit * p + q
+            if v:
+                pairs.setdefault(parent[v], []).append((full, sign * coeff[v] * p << k * unit))
+        return full
+
+    k = value(0, 1).bit_length() + 1
+    return IntPoly(_signed_digits(value(k, -1), k, tree.n + 1))
 
 
 def char_poly_recursive(tree: WeightedTree) -> IntPoly:
     """Characteristic polynomial of the tree's Coxeter transformation,
-    phi(t) = sum_k (-1)^k m_k (1+t)^(n-2k) t^k from the weighted matching
-    numbers m_k.
-
-    With K the largest k, Horner in (1+t)^2 builds S = sum_k (-1)^k m_k
-    t^k (1+t)^(2(K-k)), and phi = (1+t)^(n-2K) S.
-    """
-    matching = _matching_polynomial(tree).coeffs
-    square = IntPoly([1, 2, 1])
-    s = IntPoly()
-    for k, m in enumerate(matching):
-        s = s * square + IntPoly([0] * k + [(-1) ** k * m])
-    return IntPoly([1, 1]) ** (tree.n - 2 * (len(matching) - 1)) * s
+    phi(t) = sum_k (-1)^k m_k t^k (1+t)^(n-2k) over the weighted matching
+    numbers m_k, evaluated at one power of two and read back."""
+    return _tree_polynomial(tree, coxeter=True)
 
 
 def char_poly_star(*ps: int) -> IntPoly:
     """Characteristic polynomial of the star-graph Coxeter transformation."""
-    if len(ps) < 1:
-        raise ValueError("need at least one arm")
-    if any(p < 2 for p in ps):
-        raise ValueError("arm parameters must be at least 2")
     return char_poly_recursive(star_diagram(*ps))
 
 

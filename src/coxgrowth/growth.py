@@ -36,6 +36,7 @@ from .diagram import (
     polygon_is_hyperbolic,
 )
 from .intpoly import ONE, ExactDivisionError, IntPoly, bracket, cyclotomic, exact_div, poly_gcd
+from .intpoly import _signed_digits
 from .roots import (
     DEFAULT_WIDTH,
     RootInterval,
@@ -237,21 +238,6 @@ def _connected_spherical_sets(d: CoxeterDiagram) -> dict[int, tuple[Counter[int]
             if near >> v & 1 and grown not in seen:
                 seen.add(grown)
                 todo.append(grown)
-    return out
-
-
-def _signed_digits(v: int, k: int, n: int) -> list[int]:
-    """The n base-2^k digits of v, least significant first, each in
-    [-2^(k-1), 2^(k-1)): the coefficients c_j of sum c_j 2^(kj) = v when
-    every |c_j| < 2^(k-1).  Raises ArithmeticError if v needs more digits."""
-    half, mask = 1 << k - 1, (1 << k) - 1
-    out = []
-    for _ in range(n):
-        digit = (v + half & mask) - half
-        out.append(digit)
-        v = v - digit >> k
-    if v:
-        raise ArithmeticError(f"value does not fit in {n} signed base-2^{k} digits")
     return out
 
 

@@ -226,6 +226,21 @@ def bracket(k: int) -> IntPoly:
     return IntPoly([1] * k)
 
 
+def _signed_digits(v: int, k: int, n: int) -> list[int]:
+    """The n base-2^k digits of v, least significant first, each in
+    [-2^(k-1), 2^(k-1)): the coefficients c_j of sum c_j 2^(kj) = v when
+    every |c_j| < 2^(k-1).  Raises ArithmeticError if v needs more digits."""
+    half, mask = 1 << k - 1, (1 << k) - 1
+    out = []
+    for _ in range(n):
+        digit = (v + half & mask) - half
+        out.append(digit)
+        v = v - digit >> k
+    if v:
+        raise ArithmeticError(f"value does not fit in {n} signed base-2^{k} digits")
+    return out
+
+
 # -- division ------------------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
-"""Exact adjacency spectra of trees (characteristic polynomials read off the
-weighted matching polynomial), the classification of trees with spectral
-radius in (2, sqrt(2 + sqrt 5)), the weight-4 leaf replacement, and the
+"""Exact adjacency spectra of trees (characteristic polynomials from the
+matching recursion of coxtrans, taken as one integer at a power of two and
+read back), the classification of trees with spectral radius in
+(2, sqrt(2 + sqrt 5)), the weight-4 leaf replacement, and the
 non-realization pipeline for the smallest tetrahedral growth rate.
 """
 
@@ -20,7 +21,7 @@ from .roots import (
     isolate_largest_real_root,
     sturm_count,
 )
-from .coxtrans import _matching_polynomial, alpha_from_lambda
+from .coxtrans import _tree_polynomial, alpha_from_lambda
 from .growth import growth_rate, steinberg_growth
 
 # Below this Coxeter-transformation spectral radius, the radius is always
@@ -30,20 +31,11 @@ from .growth import growth_rate, steinberg_growth
 WEIGHT3_TREE_THRESHOLD = Fraction("1.35999")
 
 
-def _adjacency_char_poly_weighted(tree: WeightedTree) -> IntPoly:
-    """det(tI - A) for the tree adjacency matrix with entries 2cos(pi/m):
-    sum_k (-1)^k m_k t^(n-2k) over the weighted matching numbers m_k."""
-    cs = [0] * (tree.n + 1)
-    for k, m in enumerate(_matching_polynomial(tree).coeffs):
-        cs[tree.n - 2 * k] = (-1) ** k * m
-    return IntPoly(cs)
-
-
 def adjacency_char_poly(tree: WeightedTree) -> IntPoly:
     """det(tI - A) for the 0/1 adjacency matrix of a weight-3 tree."""
     if tree.weights_used() - {3}:
         raise DiagramError("adjacency spectra require all edge weights 3")
-    return _adjacency_char_poly_weighted(tree)
+    return _tree_polynomial(tree, coxeter=False)
 
 
 def spectral_radius_adjacency(tree: WeightedTree, width: Fraction = DEFAULT_WIDTH) -> RootInterval:
@@ -153,7 +145,7 @@ def weight4_leaf_replace(tree: WeightedTree, width: Fraction = Fraction(1, 10**1
     # reuse the old leaf slot for the first new leaf, append the second
     edges += [(anchor, leaf, 3), (anchor, tree.n, 3)]
     replaced = WeightedTree(tree.n + 1, edges)
-    chi_in = _adjacency_char_poly_weighted(tree)
+    chi_in = _tree_polynomial(tree, coxeter=False)  # entries 2cos(pi/m)
     chi_out = adjacency_char_poly(replaced)
     r_in = isolate_largest_real_root(chi_in, width)
     r_out = isolate_largest_real_root(chi_out, width)

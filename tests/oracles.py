@@ -7,7 +7,8 @@ Durand-Kerner solver, isolating intervals from plain bisection over the whole
 Cauchy grid (the isolation that seeded root isolation must reproduce
 exactly), characteristic polynomials from evaluation and Lagrange
 interpolation over exact rationals, tree polynomials from explicit integer
-matrices (weighted adjacency, product of reflections), unit-disk root counts
+matrices (weighted adjacency, product of reflections) and from the matching
+polynomial built by dense products, unit-disk root counts
 from the signature of the Schur-Cohn quadratic form, growth series from
 the alternating sum over every one of the 2^n vertex subsets, cyclotomic
 factors from trial division by every Phi_n with phi(n) <= deg over a totient
@@ -537,6 +538,52 @@ def coxeter_element_matrix(n: int, edges) -> list[list[int]]:
         product = [[sum(product[r][k] * s[k][c] for k in range(n)) for c in range(n)]
                    for r in range(n)]
     return product
+
+
+# -- tree polynomials by dense products of the matching polynomial ---------------------------
+
+
+def reference_matching_polynomial(tree: WeightedTree) -> IntPoly:
+    """The weighted matching polynomial sum_k m_k y^k of a tree, by dense
+    products: rooted at vertex 0, each vertex v keeps M_v over all matchings
+    of its subtree and F_v over those that leave v free, and attaching a
+    child c by an edge of square a gives M_v <- M_v M_c + a y F_v F_c and
+    F_v <- F_v M_c."""
+    adj = tree.adjacency()
+    parent = [-1] * tree.n
+    square = [0] * tree.n  # of the edge to the parent
+    order = [0]
+    for v in order:
+        for u, w in adj[v]:
+            if u != parent[v]:
+                parent[u] = v
+                square[u] = _edge_square(w)
+                order.append(u)
+    one = IntPoly([1])
+    full = [one] * tree.n
+    free = [one] * tree.n
+    for c in reversed(order[1:]):
+        v = parent[c]
+        edge = (free[c] * square[c]).shift(1)
+        if full[v] is one:  # first child of v: M_v = F_v = 1 so far
+            full[v], free[v] = full[c] + edge, full[c]
+        else:
+            full[v], free[v] = full[v] * full[c] + free[v] * edge, free[v] * full[c]
+    return full[0]
+
+
+def reference_tree_polynomials(tree: WeightedTree) -> tuple[IntPoly, IntPoly]:
+    """The adjacency polynomial sum_k (-1)^k m_k x^(n-2k) and the Coxeter
+    polynomial sum_k (-1)^k m_k t^k (1+t)^(n-2k) from the matching numbers
+    m_k, the latter expanded by the binomial theorem."""
+    n, matching = tree.n, reference_matching_polynomial(tree).coeffs
+    chi = [0] * (n + 1)
+    phi = [0] * (n + 1)
+    for k, m in enumerate(matching):
+        chi[n - 2 * k] = (-1) ** k * m
+        for j in range(n - 2 * k + 1):
+            phi[k + j] += (-1) ** k * m * math.comb(n - 2 * k, j)
+    return IntPoly(chi), IntPoly(phi)
 
 
 # -- random trees -----------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from coxgrowth import cli
+from coxgrowth import cli, coxtrans
 from coxgrowth.cli import main
 
 
@@ -69,6 +69,38 @@ def test_growth_rank_bound_itself_accepted(capsys, option, value):
     code, doc, _ = run_json(capsys, "growth", option, value)
     assert code == 0
     assert doc["payload"]["denominator"]
+
+
+@pytest.mark.parametrize("argv, vertices", [
+    (("coxtrans", "--tree", "Path:1201"), 1201),
+    (("coxtrans", "--tree", "Star:2,2,1199"), 1201),
+    (("coxtrans", "--star", "2,3,3000"), 3003),
+    (("coxtrans", "--hgraph", "2,1191,7"), 1201),
+    (("spectra", "--tree", "H:2,1191,7"), 1201),
+    (("spectra", "--tree", "Path:1201"), 1201),
+])
+def test_tree_above_vertex_bound_rejected_before_building(capsys, monkeypatch, argv, vertices):
+    def unreachable(*args):
+        raise AssertionError("tree constructor called")
+
+    for name in ("star_diagram", "h_graph", "path_tree"):
+        monkeypatch.setattr(cli, name, unreachable)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.strip() == f"error: {vertices} vertices exceed the tree vertex bound 1200"
+
+
+@pytest.mark.parametrize("kind, params", [("path", (1200,)), ("star", (2, 2, 1198)),
+                                          ("star", (2,) * 1199), ("h", (2, 1190, 7))])
+def test_tree_vertex_bound_itself_accepted(kind, params):
+    assert cli._tree(kind, params, coxtrans._check_vertices).n == 1200
+
+
+def test_coxtrans_path_at_vertex_bound(capsys):
+    code, doc, _ = run_json(capsys, "coxtrans", "--tree", "Path:1200")
+    assert code == 0
+    assert doc["payload"]["vertices"] == 1200
+    assert doc["payload"]["char_poly"] == ",".join(["1"] * 1201)
 
 
 def test_classify_command(capsys):

@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 from coxgrowth.coxtrans import (
+    TREE_VERTEX_BOUND,
+    _tree_polynomial,
     alpha_from_lambda,
     bipartite_coxeter_matrix,
     bipartite_order,
@@ -14,16 +16,25 @@ from coxgrowth.coxtrans import (
     spectral_radius_coxeter,
     verify_delta_eq_phi,
 )
-from coxgrowth.diagram import INF, DiagramError, WeightedTree, h_graph, path_tree, star_diagram
+from coxgrowth.diagram import (
+    INF,
+    DiagramError,
+    WeightedTree,
+    h_graph,
+    path_tree,
+    polygon_is_hyperbolic,
+    star_diagram,
+)
 from coxgrowth.growth import polygon_delta, polygon_growth
 from coxgrowth.intpoly import IntPoly, bracket, parse_poly
 from coxgrowth.roots import RootInterval, sturm_count
-from coxgrowth.spectra import _adjacency_char_poly_weighted, adjacency_char_poly
+from coxgrowth.spectra import adjacency_char_poly, brouwer_neumaier_enumerate
 
 from oracles import (
     charpoly_interpolated,
     coxeter_element_matrix,
     random_tree_edges,
+    reference_tree_polynomials,
     relabel_tree,
     weighted_adjacency_matrix,
 )
@@ -118,7 +129,7 @@ def test_weighted_trees_match_matrix_oracles():
         edges = [(i, j, rng.choice([3, 4, 6, INF])) for i, j, _ in random_tree_edges(n, rng)]
         tree = WeightedTree(n, edges)
         assert char_poly_recursive(tree) == charpoly_interpolated(coxeter_element_matrix(n, edges))
-        assert (_adjacency_char_poly_weighted(tree)
+        assert (_tree_polynomial(tree, coxeter=False)
                 == charpoly_interpolated(weighted_adjacency_matrix(n, edges)))
 
 
@@ -129,6 +140,55 @@ def test_long_path_polynomials():
     for _ in range(599):
         chi_prev, chi = chi, chi.shift(1) - chi_prev
     assert adjacency_char_poly(tree) == chi
+
+
+def _tree_polynomials(tree):
+    return _tree_polynomial(tree, coxeter=False), char_poly_recursive(tree)
+
+
+def test_tree_polynomials_match_dense_oracle_on_prop52_trees():
+    for item in brouwer_neumaier_enumerate(25, 25):
+        chi, phi = reference_tree_polynomials(item.tree)
+        assert adjacency_char_poly(item.tree) == chi, item.params
+        assert char_poly_recursive(item.tree) == phi, item.params
+
+
+def test_tree_polynomials_match_dense_oracle_on_hyperbolic_stars():
+    for k in range(3, 7):
+        for ps in itertools.combinations_with_replacement(range(2, 13), k):
+            if polygon_is_hyperbolic(ps):
+                tree = star_diagram(*ps)
+                expected = reference_tree_polynomials(tree)
+                assert (adjacency_char_poly(tree), char_poly_star(*ps)) == expected, ps
+
+
+def test_tree_polynomials_match_dense_oracle_on_weighted_trees():
+    rng = random.Random(15)
+    for w in (4, 6, INF):
+        for n in range(1, 25):
+            tree = path_tree(n, w)
+            assert _tree_polynomials(tree) == reference_tree_polynomials(tree), (n, w)
+    for _ in range(200):
+        n = rng.randint(1, 40)
+        edges = [(i, j, rng.choice([3, 4, 6, INF])) for i, j, _ in random_tree_edges(n, rng)]
+        tree = WeightedTree(n, edges)
+        assert _tree_polynomials(tree) == reference_tree_polynomials(tree), edges
+
+
+def test_tree_polynomials_of_one_vertex():
+    tree = WeightedTree(1, [])
+    assert reference_tree_polynomials(tree) == (IntPoly([0, 1]), IntPoly([1, 1]))
+    assert _tree_polynomials(tree) == reference_tree_polynomials(tree)
+    assert adjacency_char_poly(tree) == IntPoly([0, 1])
+
+
+def test_tree_polynomials_refuse_a_tree_above_the_vertex_bound():
+    assert TREE_VERTEX_BOUND == 1200
+    tree = path_tree(TREE_VERTEX_BOUND + 1)
+    with pytest.raises(ValueError, match="1201 vertices exceed the tree vertex bound 1200"):
+        char_poly_recursive(tree)
+    with pytest.raises(ValueError, match="1201 vertices exceed the tree vertex bound 1200"):
+        adjacency_char_poly(tree)
 
 
 def test_recursion_order_independence():

@@ -8,6 +8,7 @@ from coxgrowth.diagram import (
     INF,
     CoxeterDiagram,
     parse_coxeter_symbol,
+    path_tree,
     polygon_diagram,
     polygon_is_hyperbolic,
     star_diagram,
@@ -16,7 +17,6 @@ from coxgrowth.growth import (
     GrowthFunction,
     NotExponentialError,
     _reduced_growth,
-    _signed_digits,
     growth_rate,
     help_function,
     help_sum,
@@ -30,10 +30,11 @@ from coxgrowth.growth import (
     steinberg_growth,
     verify_second_minimal_polygon,
 )
-from coxgrowth.intpoly import IntPoly, bracket, cyclotomic, exact_div, parse_poly
+from coxgrowth.intpoly import IntPoly, _signed_digits, bracket, cyclotomic, exact_div, parse_poly
 from coxgrowth.numclass import strip_cyclotomic
 from coxgrowth.diagram import finite_type_recognize
 from coxgrowth.roots import sturm_count
+from coxgrowth.spectra import adjacency_char_poly
 
 from oracles import (
     bfs_word_counts,
@@ -278,6 +279,16 @@ def test_signed_digits_raise_when_wider_than_n_digits():
     with pytest.raises(ArithmeticError):
         _signed_digits(-(1 << 12), 4, 3)
     assert _signed_digits(-(1 << 12), 4, 4) == [0, 0, 0, -1]
+
+
+def test_signed_digits_read_back_a_tree_polynomial_at_minimal_width():
+    chi = adjacency_char_poly(path_tree(14))
+    bound = max(map(abs, chi.coeffs))
+    assert bound == chi[6] == 210
+    k = bound.bit_length() + 1
+    assert _signed_digits(chi(1 << k), k, 15) == list(chi.coeffs)
+    # one bit narrower, 210 lies outside the digits [-128, 128) and is misread
+    assert _signed_digits(chi(1 << k - 1), k - 1, 15) != list(chi.coeffs)
 
 
 def test_esselmann_denominator_classification():

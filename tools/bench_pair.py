@@ -42,7 +42,7 @@ COUNTS = ["diagram.finite_type_recognize.calls", "intpoly.mul.calls",
           "growth.steinberg_growth.subsets_per_call", "intpoly.exact_div.calls",
           "numclass.strip_cyclotomic.calls", "numclass.disk_root_counts.calls",
           "numclass.disk_root_counts.bits_max", "roots.sturm_chain.calls", "roots.sign_at_calls",
-          "growth.growth_function.calls"]
+          "growth.growth_function.calls", "intpoly.constructed"]
 
 
 def git(root: Path, *args: str) -> bytes:
