@@ -329,60 +329,6 @@ def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     return _signed_remainders(r0, r1)[-1].primitive()
 
 
-# A Mersenne prime: the modulus of the modular gcd behind _squarefree_part_modular.
-_GCD_PRIME = 2**61 - 1
-
-
-def _gcd_mod(a: list[int], b: list[int]) -> list[int]:
-    """Monic gcd over GF(q), q = _GCD_PRIME, of two coefficient lists
-    (ascending, reduced mod q)."""
-    q = _GCD_PRIME
-    while b:
-        inv = pow(b[-1], -1, q)
-        db = len(b) - 1
-        rem = a[:]
-        for i in range(len(rem) - 1 - db, -1, -1):
-            f = rem[i + db] * inv % q
-            if f:
-                for j, c in enumerate(b):
-                    rem[i + j] = (rem[i + j] - f * c) % q
-        while rem and rem[-1] == 0:
-            rem.pop()
-        a, b = b, rem
-    inv = pow(a[-1], -1, q)
-    return [c * inv % q for c in a]
-
-
-def _squarefree_part_modular(p: IntPoly) -> IntPoly | None:
-    """The squarefree part of p (primitive, positive leading coefficient, as
-    squarefree_part gives it) from gcd(p, p') mod q = 2^61 - 1; None when that
-    gcd cannot be certified.
-
-    With q not dividing lc(p), the image of the true gcd G divides the gcd
-    g_q taken mod q, and keeps its degree, so deg g_q >= deg G: a constant g_q
-    certifies that p is squarefree.  Otherwise lc(p) g_q, lifted to symmetric
-    residues, has the degree of g_q; when its primitive part divides p and p'
-    exactly it is a common divisor of degree at least deg G, hence G.  The
-    lift fails (None) when lc(p)/lc(G) G has a coefficient of half q or more.
-    """
-    q = _GCD_PRIME
-    p = p.primitive()
-    if p.degree < 1 or p.leading % q == 0:
-        return None
-    dp = p.derivative()
-    g = _gcd_mod([c % q for c in p.coeffs], [c % q for c in dp.coeffs])
-    if len(g) == 1:
-        return p
-    lifted = [c * p.leading % q for c in g]
-    gcd = IntPoly(c - q if c > q // 2 else c for c in lifted).primitive()
-    try:
-        sf = exact_div(p, gcd)
-        exact_div(dp, gcd)
-    except ExactDivisionError:
-        return None
-    return sf
-
-
 def _taylor_shift(coeffs, c: int) -> list[int]:
     """Coefficients of p(x + c) from those of p(x), in O(n^2) additions."""
     a = list(coeffs)

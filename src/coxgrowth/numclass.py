@@ -262,7 +262,7 @@ def _is_perron(p: IntPoly, outside: int, above_one: int | None = None) -> bool |
     Returns None when undecided: above degree 64, or when no rung decides,
     as for a complex pair of the same modulus as the top root.
     """
-    bound = roots.cauchy_bound(p)
+    bound = roots.root_bound(p)
     if above_one is None:
         above_one = sturm_count(p, 1, bound)
     if outside == 1:
@@ -317,7 +317,7 @@ def classify(p: IntPoly) -> NumberClass:
     labels = set()
     # s = core * prod Phi_n, and no Phi_n has a root in (1, inf): this count
     # serves both the core and s.
-    above_one = sturm_count(s, 1, roots.cauchy_bound(s)) if s.degree >= 1 else 0
+    above_one = sturm_count(s, 1, roots.root_bound(s)) if s.degree >= 1 else 0
     core, _factors = strip_cyclotomic(s)
     if core.degree <= 0:
         labels.add("cyclotomic")

@@ -8,40 +8,45 @@ num/den over the real line, from the variation counts at -inf and +inf.
 All interval endpoints are exact rationals; every count and every isolating
 interval is certified by exact sign computations, never by floating point.
 
-Every entry point, except the Descartes path below, reads one Sturm state
-per polynomial p: the squarefree part sf of p, gcd(p, p') and the Sturm
-chain of sf.  The states of the last few polynomials are held in a small
-fixed-size LRU cache, so counting, isolating and refining one polynomial
-build its chain once.
+Counting, and the isolation that the Descartes certificate below cannot
+certify, read one Sturm state per polynomial p: the squarefree part sf of p,
+gcd(p, p') and the Sturm chain of sf.  The states of the 16 most recently
+used polynomials are held in an LRU cache, so counting, isolating and
+refining one polynomial build its chain once.
 
-Isolation works on the dyadic grid (-B, B], B the Cauchy bound of sf, and
-every isolating interval is a cell (lo, hi] of that grid or a point.
-Bisecting from the whole grid to the first cell that holds only the largest
-root, then halving by signs, always ends in the grid cell (lo, hi] that
-holds the root at depth J, the first depth whose cells are at most the
-requested width (deeper only when another root shares that cell), or in
-[x, x] when the root x is a grid point of depth at most J.  A cell whose
-lower end is another root of sf keeps that end: just right of it sf has the
-sign of sf' there, and the halving goes on by signs.
+Every isolation works on one dyadic grid (-B, B], B = root_bound(p), the
+least power of two of at least 2 above Fujiwara's bound on the root moduli
+of p itself, and every isolating interval is a cell (lo, hi] of that grid
+or a point.  Bisecting from the whole grid to the first cell that holds only
+the largest root, then halving by signs, always ends in the grid cell
+(lo, hi] that holds the root at depth J, the first depth whose cells are at
+most the requested width (deeper only when another root shares that cell),
+or in [x, x] when the root x is a grid point of depth at most J.  A cell
+whose lower end is another root keeps that end: just right of it the
+polynomial halved on has the sign of its first derivative that does not
+vanish there, and the halving goes on by signs.
 
-The largest real root is first sought without a Sturm chain, while none is
-held for p.  Then sf comes from gcd(p, p') taken modulo the prime 2^61 - 1
-and certified over the integers, and the search starts where a
-floating-point estimate of the root lies (Laguerre and Newton steps in
-floats, then Newton steps from exact values, whose last step gives an error
-radius): the estimate's cell at a depth j <= J, with cells wider than the
-radius, and its two neighbours form a window (a, b].  A Descartes
-certificate (Collins-Akritas 1976) shows that it holds the largest root: the
-Taylor shift of p to a has one sign variation, so p has exactly one root
-above a, and that root is simple, and the sign of p(b) puts it at or below
-b.  Sign bisection then descends from the root's cell to depth J and gives
-the same grid cell as the bisection from the whole grid.  The estimate only
-chooses where exact signs are taken; it never decides an answer.  The
-certificate is exact for polynomials with only real roots, as the adjacency
-polynomials of trees; the Sturm bisection from the whole grid runs whenever
-it fails (complex roots near the top root, a multiple top root, a poor
-estimate, a gcd the modular lift cannot certify) and whenever p's Sturm
-state is held already.  Both give the same interval.
+The largest real root is sought first without a Sturm chain, on p itself,
+made primitive with a positive leading coefficient.  The search starts
+where a floating-point estimate of the root lies (Laguerre and Newton steps
+in floats down from B, then Newton steps from exact values, whose last step
+gives an error radius): the estimate's cell at a depth j <= J, with cells
+wider than the radius, and its two neighbours form a window (a, b].  A
+Descartes certificate (Collins-Akritas 1976) shows that it holds the largest
+root: the Taylor shift of p to a has one sign variation and p(a) != 0, so p has
+exactly one root above a, and that root is simple, and the sign of p(b)
+puts it at or below b.  Sign bisection on p then descends from the root's
+cell to depth J, meeting no lower end that is a root, and gives the same
+grid cell as the bisection from the whole grid.  The estimate only chooses
+where exact signs are taken; it never decides an answer.  The certificate
+is exact for polynomials with only real roots, as the adjacency polynomials
+of trees; the Sturm bisection from the whole grid runs whenever it fails
+(complex roots near the top root, a multiple top root, a poor estimate).
+Both give the same interval.
+
+An interval whose root is simple in its polynomial is refined by that
+polynomial's own signs; only an interval around a multiple root refines on
+the squarefree part.
 
 Two root intervals are compared by compare alone: the roots are equal exactly
 when the gcd of the two polynomials has a root in the common part of the
@@ -51,6 +56,7 @@ otherwise refinement separates them in finitely many steps.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,7 +66,6 @@ from .intpoly import (
     ONE,
     IntPoly,
     _signed_remainders,
-    _squarefree_part_modular,
     _taylor_shift,
     exact_div,
     poly_gcd,
@@ -86,8 +91,12 @@ class RootInterval:
     in (low, high].
 
     A degenerate interval (low == high) certifies an exact rational root.
-    The multiplicity_free flag records whether that root is simple in poly
-    (isolation always proceeds through the squarefree part either way).
+    The multiplicity_free flag records whether that root is simple in poly:
+    refinement bisects on poly's own signs when it is, and on the
+    squarefree part of poly otherwise.  A flag set for a root of even
+    multiplicity shows at the first refinement, where poly has one sign at
+    both ends; that refinement goes on on the squarefree part, and its
+    result carries the flag False.
     """
 
     poly: IntPoly
@@ -127,7 +136,8 @@ class RootInterval:
         _check_width(width)
         if self.width <= width:
             return self
-        return _refine(_sturm_state(self.poly).sf, self, width)
+        f = self.poly if self.multiplicity_free else _sturm_state(self.poly).sf
+        return _refine(f, self, width)
 
     def with_multiplicity_flag(self) -> "RootInterval":
         """The same interval with the multiplicity flag computed from poly."""
@@ -188,11 +198,7 @@ class _SturmState(NamedTuple):
     chain: tuple[IntPoly, ...]  # Sturm sequence of sf; empty when sf is constant
 
 
-# The Sturm states of the _STATES_HELD most recently used polynomials, oldest first.
-_STATES_HELD = 16
-_states: dict[IntPoly, _SturmState] = {}
-
-
+@functools.lru_cache(maxsize=16)
 def _sturm_state(p: IntPoly) -> _SturmState:
     """The Sturm state of p, built once for the few most recent polynomials.
 
@@ -200,16 +206,6 @@ def _sturm_state(p: IntPoly) -> _SturmState:
     squarefree and the sequence is its Sturm chain; otherwise every member
     divided by the gcd gives a Sturm sequence of sf = p / gcd, headed by sf.
     """
-    st = _states.pop(p, None)
-    if st is None:
-        st = _build_sturm_state(p)
-        if len(_states) >= _STATES_HELD:
-            del _states[next(iter(_states))]
-    _states[p] = st
-    return st
-
-
-def _build_sturm_state(p: IntPoly) -> _SturmState:
     p = p.primitive()
     if p.degree < 1:
         return _SturmState(p, ONE, ())
@@ -265,36 +261,54 @@ def count_roots_open(p: IntPoly, a: Fraction, b: Fraction) -> int:
     return n
 
 
-def cauchy_bound(p: IntPoly) -> Fraction:
-    """All real roots lie in (-B, B] for this B = 1 + max |c_i / lead|."""
+def root_bound(p: IntPoly) -> Fraction:
+    """B = 2^e, the least power of two that is at least 2 and above Fujiwara's
+    bound 2 max_k |a_(n-k) / a_n|^(1/k), its k = n term halved: every root of
+    p has modulus below B, so all real roots lie in (-B, B).
+
+    With m = e - 1 that is |a_(n-k)| < |a_n| 2^(mk) for k < n and
+    |a_0| < 2 |a_n| 2^(mn).  The bit lengths give a lower bound on m, and
+    exact comparisons raise it to the least m for which these hold.
+    """
     if p.degree < 1:
         raise ValueError("constant polynomial")
-    lead = abs(p.leading)
-    return Fraction(lead + max(abs(c) for c in p.coeffs[:-1]), lead)
+    n, lead = p.degree, abs(p.leading)
+    terms = [(k, abs(p.coeffs[n - k]), lead if k < n else 2 * lead) for k in range(1, n + 1)]
+    m = max([0] + [-((d.bit_length() - c.bit_length()) // k) for k, c, d in terms if c])
+    while any(c >= d << (m * k) for k, c, d in terms):
+        m += 1
+    return Fraction(2 << m)
 
 
-def _refine(sf: IntPoly, bracket: RootInterval, width: Fraction) -> RootInterval:
-    """Shrink a bracket certified to contain exactly one root of sf, the
-    squarefree part of bracket.poly, by sign bisection: one exact evaluation
-    per step, so a grid cell ends in the grid cell of the root, or in a point.
+def _refine(f: IntPoly, bracket: RootInterval, width: Fraction) -> RootInterval:
+    """Shrink a bracket certified to contain exactly one root of bracket.poly,
+    at which f changes sign and which is f's only root in (low, high], by sign
+    bisection on f: one exact evaluation per step, so a grid cell ends in the
+    grid cell of the root, or in a point.
 
-    The bracket invariant is "exactly one root in (low, high]".  A lower end
-    that is another root of sf is kept: just right of it, sf has the sign of
-    sf' there, which the bisection compares against.
+    A lower end that is another root of f is kept: just right of it, f has
+    the sign of its first derivative that does not vanish there, which the
+    bisection compares against.  Equal signs at both ends under a
+    multiplicity-free flag mean a root of even multiplicity in f; the
+    bisection then runs on the squarefree part of bracket.poly.
     """
     flag = bracket.multiplicity_free
     lo, hi = bracket.low, bracket.high
-    s_hi = sf.sign_at(hi)
+    s_hi = f.sign_at(hi)
     if s_hi == 0:
         return RootInterval(bracket.poly, hi, hi, flag)
-    s_lo = sf.sign_at(lo)
-    if s_lo == 0:
-        s_lo = sf.derivative().sign_at(lo)
-    if s_lo * s_hi >= 0:
-        raise ArithmeticError("bracket invariant violated")
+    s_lo, d = f.sign_at(lo), f
+    while s_lo == 0:
+        d = d.derivative()
+        s_lo = d.sign_at(lo)
+    if s_lo == s_hi:
+        if not flag:
+            raise ArithmeticError("bracket invariant violated")
+        bracket = RootInterval(bracket.poly, lo, hi, False)
+        return _refine(_sturm_state(bracket.poly).sf, bracket, width)
     while hi - lo > width:
         mid = (lo + hi) / 2
-        s_mid = sf.sign_at(mid)
+        s_mid = f.sign_at(mid)
         if s_mid == 0:
             return RootInterval(bracket.poly, mid, mid, flag)
         if s_mid == s_lo:
@@ -323,9 +337,9 @@ def _flagged(p: IntPoly, st: _SturmState, iv: RootInterval) -> RootInterval:
 # -- the float estimate and the seeded window -----------------------------------------------------
 
 
-def _float_root_from_above(cs: list[float]) -> float:
-    """A float approach to the largest real root from the Fujiwara bound on the
-    root moduli, where p > 0 and p' > 0 once p is made to lead positive.
+def _float_root_from_above(cs: list[float], x: float) -> float:
+    """A float approach to the largest real root from x, a bound on the root
+    moduli, where p > 0 and p' > 0 once p is made to lead positive.
 
     Laguerre steps cross clusters of roots in few steps and, when every root is
     real, stay above the largest; Newton steps take over where Laguerre's
@@ -333,8 +347,6 @@ def _float_root_from_above(cs: list[float]) -> float:
     p not convex above it, may stop it anywhere.
     """
     n = len(cs) - 1
-    x = 2 * max(abs(cs[n - k] / (cs[-1] if k < n else 2 * cs[-1])) ** (1 / k)
-                for k in range(1, n + 1))
     if cs[-1] < 0:
         cs = [-c for c in cs]
     above = None  # the last point known to lie above the root
@@ -372,12 +384,13 @@ def _exact_newton_step(coeffs: tuple[int, ...], x: float) -> float:
     return p / (dp * d)
 
 
-def _root_estimate(sf: IntPoly) -> tuple[float, float]:
-    """A float guess at the largest real root of sf and an error radius; nan
-    when there is none.  It only chooses where exact signs are taken."""
-    coeffs = sf.coeffs
+def _root_estimate(p: IntPoly, bound: Fraction) -> tuple[float, float]:
+    """A float guess at the largest real root of p, sought down from bound
+    (root_bound(p)), and an error radius; nan when there is none.  It only
+    chooses where exact signs are taken."""
+    coeffs = p.coeffs
     try:
-        x = _float_root_from_above([float(c) for c in coeffs])
+        x = _float_root_from_above([float(c) for c in coeffs], float(bound))
         # Float evaluation near a root loses the digits that cancel; steps
         # from exact values recover them, and the last one bounds the error.
         for _ in range(POLISH_STEPS):
@@ -417,14 +430,14 @@ def _window(xq: Fraction, origin: Fraction, step: Fraction, cells: int) -> tuple
     return max(k - 1, 0), min(k + 2, cells)
 
 
-def _cell_of_root(sf: IntPoly, origin: Fraction, step: Fraction, i0: int, i1: int) -> int:
+def _cell_of_root(p: IntPoly, origin: Fraction, step: Fraction, i0: int, i1: int) -> int:
     """Index i of the cell (origin + i*step, origin + (i+1)*step] holding the one
-    root of sf in (origin + i0*step, origin + i1*step], from the signs above it."""
-    s_top = sf.sign_at(origin + step * i1)
+    root of p in (origin + i0*step, origin + i1*step], from the signs above it."""
+    s_top = p.sign_at(origin + step * i1)
     if s_top == 0:
         return i1 - 1
     for i in range(i1 - 1, i0, -1):
-        s = sf.sign_at(origin + step * i)
+        s = p.sign_at(origin + step * i)
         if s == 0:
             return i - 1
         if s != s_top:
@@ -460,22 +473,23 @@ def _descartes_largest(p: IntPoly, width: Fraction) -> RootInterval | None:
     """The interval that the Sturm bisection of isolate_largest_real_root
     gives, certified without a Sturm chain; None when the certificate fails.
 
-    The squarefree part sf comes from a modular gcd, and the grid (-B, B]
-    from the Cauchy bound B of sf.  The window (a, b] is the estimate's cell
-    and its two neighbours at depth min(J, seed depth).  One Taylor shift
-    certifies it: p(a) != 0 and one sign variation at a mean exactly one
-    root above a, simple, and p(b) zero or of the sign of lc(p) puts it at
-    or below b.  Then sf's signs give the root's cell, and sign bisection
-    to width ends in the depth-J grid cell of the root, or at the root as a
-    grid point, as the Sturm bisection does.  Since the root is simple in p,
-    the interval is flagged multiplicity-free.
+    Everything runs on f, the primitive part of p with positive leading
+    coefficient, and on the grid (-B, B], B = root_bound(f).  The window
+    (a, b] is the estimate's cell and its two neighbours at depth
+    min(J, seed depth).  One Taylor shift certifies it:
+    f(a) != 0 and one sign variation at a mean exactly one root above a,
+    simple, and f(b) >= 0 puts it at or below b.  Then f's signs give the
+    root's cell, and sign bisection on f to width ends in the depth-J grid
+    cell of the root, or at the root as a grid point, as the Sturm bisection
+    does.  Since the root is simple in p, the interval is flagged
+    multiplicity-free.
     """
-    sf = _squarefree_part_modular(p)
-    if sf is None:
+    if p.degree < 1:
         return None
-    bound = cauchy_bound(sf)
+    f = p.primitive()
+    bound = root_bound(f)
     origin, span = -bound, 2 * bound
-    seed = _seed(_root_estimate(sf), span, _grid_depth(span, width))
+    seed = _seed(_root_estimate(f, bound), span, _grid_depth(span, width))
     if seed is None or seed[1] < 0:
         return None
     xq, j = seed
@@ -483,52 +497,47 @@ def _descartes_largest(p: IntPoly, width: Fraction) -> RootInterval | None:
     step = span / cells
     i0, i1 = _window(xq, origin, step, cells)
     a = origin + step * i0
-    shifted = _shifted(p, a)
+    shifted = _shifted(f, a)
     if shifted[0] == 0 or _variations(map(_sign, shifted)) != 1:
         return None
-    if p.sign_at(origin + step * i1) == -_sign(p.leading):
+    if f.sign_at(origin + step * i1) < 0:
         return None
-    i = _cell_of_root(sf, origin, step, i0, i1)
-    return _refine(sf, RootInterval(p, origin + step * i, origin + step * (i + 1)), width)
+    i = _cell_of_root(f, origin, step, i0, i1)
+    return _refine(f, RootInterval(p, origin + step * i, origin + step * (i + 1)), width)
 
 
-def _bisected_cell(chain, lo: Fraction, hi: Fraction, v_lo: int,
-                   v_hi: int) -> tuple[Fraction, Fraction]:
-    """The first grid cell, bisecting from (lo, hi], that holds the largest root
-    and no other root."""
+def _sturm_largest(p: IntPoly, width: Fraction) -> RootInterval:
+    """The largest real root by Sturm bisection from the whole grid (-B, B],
+    B = root_bound(p), to the first cell that holds that root and no other,
+    then sign bisection on sf to width."""
+    st = _sturm_state(p)
+    if not st.chain:
+        raise NoRealRootError("polynomial has no real root")
+    v_lo = _variations_at_inf(st.chain, False)
+    v_hi = _variations_at_inf(st.chain, True)
+    if v_lo == v_hi:
+        raise NoRealRootError("polynomial has no real root")
+    hi = root_bound(p)
+    lo = -hi
     while v_lo - v_hi > 1:
         mid = (lo + hi) / 2
-        v_mid = _variations_at(chain, mid)
+        v_mid = _variations_at(st.chain, mid)
         if v_mid - v_hi >= 1:
             lo, v_lo = mid, v_mid
         else:
             hi, v_hi = mid, v_mid
-    return lo, hi
+    return _flagged(p, st, _refine(st.sf, RootInterval(p, lo, hi), width))
 
 
 def isolate_largest_real_root(p: IntPoly, width: Fraction = DEFAULT_WIDTH) -> RootInterval:
     """Certified interval of at most the given width around the largest real root.
 
-    While no Sturm state of p is held, the Descartes certificate is tried
-    first; Sturm bisection from the whole grid runs when it fails, and when
-    the state is held already, since then its counts cost less than a Taylor
-    shift.  Raises ValueError for a width <= 0.
+    The Descartes certificate is tried first, and Sturm bisection from the
+    whole grid runs when it fails.  Raises ValueError for a width <= 0.
     """
     _check_width(width)
-    if p not in _states:
-        iv = _descartes_largest(p, width)
-        if iv is not None:
-            return iv
-    st = _sturm_state(p)
-    if not st.chain:
-        raise NoRealRootError("polynomial has no real root")
-    v_bottom = _variations_at_inf(st.chain, False)
-    v_top = _variations_at_inf(st.chain, True)
-    if v_bottom == v_top:
-        raise NoRealRootError("polynomial has no real root")
-    bound = cauchy_bound(st.sf)
-    cell = _bisected_cell(st.chain, -bound, bound, v_bottom, v_top)
-    return _flagged(p, st, _refine(st.sf, RootInterval(p, *cell), width))
+    iv = _descartes_largest(p, width)
+    return iv if iv is not None else _sturm_largest(p, width)
 
 
 def largest_root_above_one(p: IntPoly, width: Fraction = DEFAULT_WIDTH) -> RootInterval | None:
@@ -568,7 +577,7 @@ def isolate_real_roots(p: IntPoly, width: Fraction = DEFAULT_WIDTH) -> list[Root
     chain = st.chain
     if not chain:
         return []
-    bound = cauchy_bound(st.sf)
+    bound = root_bound(p)
     out: list[RootInterval] = []
 
     def split(a: Fraction, b: Fraction, va: int, vb: int):

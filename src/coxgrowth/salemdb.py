@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .intpoly import IntPoly, parse_poly, reciprocity_type
 from .numclass import strip_cyclotomic, unit_circle_root_count
-from .roots import RootInterval, cauchy_bound, compare, isolate_largest_real_root, sturm_count
+from .roots import RootInterval, compare, isolate_largest_real_root, root_bound, sturm_count
 from .growth import growth_rate, polygon_growth, polygon_delta, steinberg_growth
 from .diagram import CoxeterDiagram, polygon_is_hyperbolic
 
@@ -48,7 +48,7 @@ def _validate_entry(poly: IntPoly) -> RootInterval:
         raise SalemListError("entry must be monic of even degree >= 4")
     if reciprocity_type(poly) != "reciprocal":
         raise SalemListError("entry is not reciprocal")
-    above = sturm_count(poly, 1, cauchy_bound(poly))
+    above = sturm_count(poly, 1, root_bound(poly))
     if above != 1:
         raise SalemListError(f"entry has {above} real roots above 1, expected exactly 1")
     on_circle = unit_circle_root_count(poly)

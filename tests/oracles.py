@@ -4,8 +4,8 @@ Everything here deliberately avoids the code paths it checks: word counts
 come from a breadth-first walk of the geometric representation in floating
 point, group orders from permutation closures, root locations from a
 Durand-Kerner solver, isolating intervals from plain bisection over the whole
-Cauchy grid (the isolation that seeded root isolation must reproduce
-exactly), characteristic polynomials from evaluation and Lagrange
+Fujiwara power-of-two grid (the isolation that seeded root isolation must
+reproduce exactly), characteristic polynomials from evaluation and Lagrange
 interpolation over exact rationals, tree polynomials from explicit integer
 matrices (weighted adjacency, product of reflections) and from the matching
 polynomial built by dense products, unit-disk root counts
@@ -240,7 +240,7 @@ def real_root_count_bisection(p: IntPoly, a: Fraction, b: Fraction, depth: int =
     return prev
 
 
-# -- reference root isolation: bisection from the whole Cauchy grid --------------------------
+# -- reference root isolation: bisection from the whole grid --------------------------------
 
 
 def _reference_sturm_chain(sf: IntPoly) -> list[IntPoly]:
@@ -269,8 +269,17 @@ def _reference_count(p: IntPoly, a: Fraction, b: Fraction) -> int:
     return _reference_variations(chain, a) - _reference_variations(chain, b)
 
 
-def _reference_bound(sf: IntPoly) -> Fraction:
-    return 1 + max(Fraction(abs(c), abs(sf.leading)) for c in sf.coeffs[:-1])
+def _reference_bound(p: IntPoly) -> Fraction:
+    """The least power of two B >= 2 above Fujiwara's bound
+    2 max_k |a_(n-k) / a_n|^(1/k), the k = n term halved: B/2 is doubled
+    until (B/2)^k exceeds every ratio."""
+    n = p.degree
+    ratios = [Fraction(abs(p.coeffs[n - k]), abs(p.leading)) for k in range(1, n)]
+    ratios.append(Fraction(abs(p.coeffs[0]), 2 * abs(p.leading)))
+    half = Fraction(1)
+    while any(r >= half**k for k, r in enumerate(ratios, 1)):
+        half *= 2
+    return 2 * half
 
 
 def _reference_refine(sf: IntPoly, chain, lo: Fraction, hi: Fraction,
@@ -310,12 +319,13 @@ def reference_root_is_simple(p: IntPoly, low: Fraction, high: Fraction) -> bool:
 
 def reference_isolate_largest(p: IntPoly, width: Fraction):
     """(low, high, multiplicity_free) of the largest real root, or None when
-    there is none: bisection from (-B, B], recounting both ends at every step."""
+    there is none: bisection from (-B, B], B the Fujiwara power of two of p,
+    recounting both ends at every step."""
     sf = squarefree_part(p)
     if sf.degree < 1:
         return None
     chain = _reference_sturm_chain(sf)
-    bound = _reference_bound(sf)
+    bound = _reference_bound(p)
     if _reference_variations(chain, -bound) == _reference_variations(chain, bound):
         return None
     lo, hi = -bound, bound
@@ -359,7 +369,7 @@ def reference_refined(p: IntPoly, low: Fraction, high: Fraction,
 
 
 def reference_real_root_count(p: IntPoly) -> int:
-    """Distinct real roots of p: a Sturm count over the Cauchy interval (-B, B]."""
+    """Distinct real roots of p: a Sturm count over the interval (-B, B]."""
     sf = squarefree_part(p)
     if sf.degree < 1:
         return 0
@@ -664,7 +674,8 @@ def _solomon_factorization(types) -> dict[int, int]:
 
 def subset_sweep_growth(d: CoxeterDiagram) -> GrowthFunction:
     """The growth series from the alternating sum, typing every one of the
-    2^n vertex subsets and building one cofactor per spherical subset."""
+    2^n vertex subsets and building each distinct cofactor of a spherical
+    subset once, times the summed signs of its subsets."""
     terms: list[tuple[int, dict[int, int]]] = [(1, {})]  # the empty subset
     verts = list(range(d.n))
     for r in range(1, d.n + 1):
@@ -679,10 +690,14 @@ def subset_sweep_growth(d: CoxeterDiagram) -> GrowthFunction:
     for _, fac in terms:
         for idx, e in fac.items():
             common[idx] = max(common.get(idx, 0), e)
-    num = IntPoly()
+    # subsets of one cofactor add their signs before it is expanded
+    signs: dict[tuple[tuple[int, int], ...], int] = {}
     for sign, fac in terms:
-        cofactor = {idx: common[idx] - fac.get(idx, 0) for idx in common}
-        num = num + _factored_poly(cofactor) * sign
+        cofactor = tuple((idx, common[idx] - fac.get(idx, 0)) for idx in sorted(common))
+        signs[cofactor] = signs.get(cofactor, 0) + sign
+    num = IntPoly()
+    for cofactor, sign in signs.items():
+        num = num + _factored_poly(dict(cofactor)) * sign
     den = _factored_poly(common)
     # 1/f(1/t) = num/den, so f(t) = den(1/t) / num(1/t).
     dn, dd = num.degree, den.degree
@@ -748,7 +763,7 @@ def reference_is_perron(p: IntPoly, outside: int) -> bool | None:
     other root moduli, None when undecided: disk counts of p(ct) at c the
     lower end of the top root's bracket, refined from 1e-12 by 2^-10 for up
     to five rounds."""
-    bound = roots.cauchy_bound(p)
+    bound = _reference_bound(p)
     above_one = roots.sturm_count(p, 1, bound)
     if outside == 1:
         # The unique root outside the closed disk is real (complex roots pair up);

@@ -296,8 +296,8 @@ def test_end_to_end_shares_core():
 def _radius_by_sturm_count(phi, width):
     """The pre-check that spectral_radius_from_charpoly made before its
     Descartes count: a Sturm count of the roots above 1."""
-    from coxgrowth.roots import cauchy_bound, isolate_largest_real_root
-    if sturm_count(phi, 1, cauchy_bound(phi)) == 0:
+    from coxgrowth.roots import isolate_largest_real_root, root_bound
+    if sturm_count(phi, 1, root_bound(phi)) == 0:
         return RootInterval(IntPoly([-1, 1]), Fraction(1), Fraction(1))
     return isolate_largest_real_root(phi, width)
 
@@ -320,12 +320,16 @@ _NEAR_ONE = IntPoly([-(10**12 + 1), 10**12])  # the root 1 + 10^-12
 def test_spectral_radius_from_charpoly_matches_the_sturm_pre_check(phi, straddles):
     from coxgrowth.coxtrans import spectral_radius_from_charpoly
     from coxgrowth.roots import NoRealRootError, isolate_largest_real_root
-    width = Fraction(1, 10**9)
+    # 1 is a grid point once cells are at most 1 wide, so the cells 2 wide
+    # are the ones that hold it strictly inside, where largest_root_above_one
+    # reads the sign of phi(1) or, for a multiple root, a Sturm count
     try:
-        iv = isolate_largest_real_root(phi, width)
+        iv = isolate_largest_real_root(phi, Fraction(2))
         assert (iv.low < 1 < iv.high) == straddles
     except NoRealRootError:
         assert not straddles
-    got, expected = spectral_radius_from_charpoly(phi, width), _radius_by_sturm_count(phi, width)
-    assert (got.poly, got.low, got.high, got.multiplicity_free) == (
-        expected.poly, expected.low, expected.high, expected.multiplicity_free)
+    for width in (Fraction(1, 10**9), Fraction(2)):
+        got = spectral_radius_from_charpoly(phi, width)
+        expected = _radius_by_sturm_count(phi, width)
+        assert (got.poly, got.low, got.high, got.multiplicity_free) == (
+            expected.poly, expected.low, expected.high, expected.multiplicity_free)

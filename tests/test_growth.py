@@ -470,10 +470,9 @@ def test_growth_rate_matches_reference_on_non_reciprocal_series(name):
 
 def test_growth_rate_builds_no_sturm_chain_on_non_reciprocal_series(monkeypatch):
     from coxgrowth import roots
-    built = []
-    build = roots._build_sturm_state
-    monkeypatch.setattr(roots, "_states", {})
-    monkeypatch.setattr(roots, "_build_sturm_state", lambda p: built.append(p) or build(p))
+    from test_roots import _recording_chains
+    roots._sturm_state.cache_clear()
+    built = _recording_chains(monkeypatch)
     for name in _NON_RECIPROCAL:
         growth_rate(_non_reciprocal_series(name), Fraction(1, 10**9))
         assert built == [], name
@@ -485,8 +484,9 @@ def test_growth_rate_edge_cases_of_the_reversal():
         growth_rate(GrowthFunction(IntPoly([1]), IntPoly([2, -1])), width)
     iv = growth_rate(GrowthFunction(IntPoly([1]), IntPoly([1, -3])), width)
     assert iv.low == iv.high == 3 and iv.multiplicity_free
+    # the double rate 2 is a point of the grid (-16, 16]
     iv = growth_rate(GrowthFunction(IntPoly([1]), IntPoly([1, -2]) ** 2), width)
-    assert iv.low < 2 <= iv.high and iv.width <= width and not iv.multiplicity_free
+    assert iv.low == iv.high == 2 and not iv.multiplicity_free
 
 
 @pytest.mark.parametrize("symbol", [

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -251,43 +250,7 @@ def test_resultant_commutes_with_forward_map():
         assert shi + Fraction(1, 10**9) >= alpha.low
 
 
-# -- the modular squarefree part and the Taylor shift -------------------------------
-
-
-def _random_factor(rng: random.Random) -> IntPoly:
-    return IntPoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 3))]
-                   + [rng.choice([1, 1, 2, 3, -1])])
-
-
-def test_modular_squarefree_part_matches_the_remainder_sequence():
-    rng = random.Random(11)
-    lifted = squarefree = 0
-    for _ in range(300):
-        p = IntPoly([rng.randint(1, 4)])
-        for _ in range(rng.randint(1, 4)):
-            p = p * _random_factor(rng) ** rng.randint(1, 3)
-        if p.degree < 1:
-            continue
-        sf = intpoly._squarefree_part_modular(p)
-        assert sf == squarefree_part(p), p
-        if sf.degree < p.degree:
-            lifted += 1
-        else:
-            squarefree += 1
-    assert lifted > 100 and squarefree > 10
-
-
-def test_modular_squarefree_part_declines_what_it_cannot_certify():
-    q = intpoly._GCD_PRIME
-    # q divides the leading coefficient
-    assert intpoly._squarefree_part_modular(IntPoly([1, 3 * q])) is None
-    assert intpoly._squarefree_part_modular(IntPoly([-1, 0, q]) ** 2) is None
-    # the gcd x - 2^70 has a coefficient beyond q / 2: its lift does not divide
-    assert intpoly._squarefree_part_modular(IntPoly([-(2**70), 1]) ** 2 * IntPoly([1, 1])) is None
-    assert intpoly._squarefree_part_modular(IntPoly([5])) is None
-    # a content of q is not a leading coefficient of q
-    p = IntPoly([-1, 1]) ** 2 * IntPoly([2, 1]) * q
-    assert intpoly._squarefree_part_modular(p) == IntPoly([-2, 1, 1])
+# -- the Taylor shift -------------------------------
 
 
 @given(small_polys, st.integers(-40, 40))

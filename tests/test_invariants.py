@@ -84,6 +84,36 @@ def test_every_imported_name_is_used(path):
     assert unused == [], f"{path.name} imports names it never uses: {unused}"
 
 
+def _private_definitions(node: ast.stmt) -> list[str]:
+    """The private names that a top-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, ast.Assign):
+        names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+    elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        names = [node.target.id]
+    else:
+        names = []
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def test_every_private_name_is_used_in_src():
+    # a private top-level name serves src alone, so some other top-level
+    # statement of src reads it; a helper left behind by a removed caller fails
+    statements = [(path.name, node) for path in sorted(SRC.glob("*.py"))
+                  for node in ast.parse(path.read_text(encoding="utf-8")).body]
+    readers: dict[str, set[int]] = {}
+    for i, (_, node) in enumerate(statements):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                readers.setdefault(sub.id, set()).add(i)
+            elif isinstance(sub, ast.Attribute):
+                readers.setdefault(sub.attr, set()).add(i)
+    unused = [(file, node.lineno, name) for i, (file, node) in enumerate(statements)
+              for name in _private_definitions(node) if not readers.get(name, set()) - {i}]
+    assert unused == [], f"private names that src never reads: {unused}"
+
+
 def _option(*argv):
     """Parses a value of the command-line option that ends argv."""
     def parse(text):

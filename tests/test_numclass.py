@@ -18,7 +18,7 @@ from coxgrowth.numclass import (
     strip_cyclotomic,
     unit_circle_root_count,
 )
-from coxgrowth.roots import cauchy_bound, isolate_largest_real_root, sturm_count
+from coxgrowth.roots import isolate_largest_real_root, root_bound, sturm_count
 
 from oracles import (
     charpoly_interpolated,
@@ -315,13 +315,14 @@ def test_perron_false_from_a_scale_just_above_the_top_root():
 
 @pytest.mark.parametrize("p, degenerate", [
     (IntPoly([-2, 1]) * IntPoly([3, -2, 1]), True),   # 2 and |z| = sqrt 3
-    (IntPoly([-3, 1]) * IntPoly([4, 1, 1]), False),   # 3 and |z| = 2
+    (IntPoly([-3, 1]) * IntPoly([4, 1, 1]), True),    # 3 and |z| = 2
 ], ids=str)
 def test_perron_with_a_dyadic_top_root(p, degenerate):
     # the top root r is m / 2^k at every rung, where a count raises: from a
     # bracket (low, high] around r, floor and ceiling give scales off r, and
-    # from the bracket [r, r], which the isolation returns for
-    # (t - 2)(t^2 - 2t + 3), the scales step one unit off it
+    # from the bracket [r, r], which the isolation returns for both
+    # polynomials (2 and 3 are points of their grids (-8, 8]), the scales
+    # step one unit off it
     assert (isolate_largest_real_root(p, Fraction(1, 64)).width == 0) == degenerate
     assert _is_perron(p, _outside(p)) is True
 
@@ -356,7 +357,7 @@ def test_cyclotomic_factors_have_no_root_above_one(tail, indices):
     s = core
     for n in indices:
         s = s * cyclotomic(n)
-    assert sturm_count(s, 1, cauchy_bound(s)) == sturm_count(core, 1, cauchy_bound(core))
+    assert sturm_count(s, 1, root_bound(s)) == sturm_count(core, 1, root_bound(core))
 
 
 def test_classify_cyclotomic():

@@ -243,6 +243,32 @@ def test_sturm_vs_bisection_oracle():
     assert checked == 200
 
 
+def test_refining_past_a_multiple_root_lower_end_builds_no_sturm_chain(monkeypatch):
+    # x^2 (3x - 5) on (0, 4]: the lower end 0 is a double root, where p and p'
+    # vanish and p'' < 0 gives the sign just right of it; the root 5/3 is simple
+    p, width = IntPoly([0, 0, -5, 3]), Fraction(1, 10**6)
+    roots._sturm_state.cache_clear()
+    chains = _recording_chains(monkeypatch)
+    iv = RootInterval(p, Fraction(0), Fraction(4), True).refined(width)
+    assert (iv.low, iv.high) == reference_refined(p, Fraction(0), Fraction(4), width)
+    assert chains == []
+
+
+@pytest.mark.parametrize("p", [
+    IntPoly([-1, 1]) ** 2 * IntPoly([3, 1]),    # the double root 1, a grid point
+    IntPoly([-2, 3]) ** 2 * IntPoly([3, 1]),    # the double root 2/3
+])
+def test_a_hand_built_interval_around_a_double_root_refines_on_the_squarefree_part(p):
+    # the default flag claims a simple root; p keeps its sign across the root
+    width = Fraction(1, 10**6)
+    iv = RootInterval(p, Fraction(0), Fraction(2)).refined(width)
+    assert (iv.low, iv.high) == reference_refined(p, Fraction(0), Fraction(2), width)
+    assert not iv.multiplicity_free
+    sqrt2 = isolate_largest_real_root(IntPoly([-2, 0, 1]), Fraction(1, 100))
+    a, b = certify_strictly_less(RootInterval(p, Fraction(0), Fraction(2)), sqrt2)
+    assert a.high < b.low
+
+
 def test_refine_moves_off_an_exact_root_endpoint():
     # the bracket endpoint is itself a (different) root of the polynomial
     p = IntPoly([-1, 1]) * IntPoly([-2, 1])  # roots 1 and 2
@@ -340,14 +366,13 @@ def test_float_estimate_only_chooses_where_to_look(monkeypatch, p, largest):
              float(true.low - 2 * step), float(true.high + 2 * step)]
     for x in seeds:
         for radius in (0.0, 1e-30, 1.0, math.nan):
-            monkeypatch.setattr(roots, "_root_estimate", lambda sf, v=(x, radius): v)
-            roots._states.pop(p, None)  # so the Descartes path reads the estimate
+            monkeypatch.setattr(roots, "_root_estimate", lambda poly, bound, v=(x, radius): v)
             assert _triple(isolate_largest_real_root(p, width)) == _triple(true), (x, radius)
 
 
 def test_coefficients_beyond_float_range_take_the_bisection():
     p = IntPoly([-(2**1100), 1]) * IntPoly([-3, 0, 1])
-    assert math.isnan(roots._root_estimate(roots._sturm_state(p).sf)[0])
+    assert math.isnan(roots._root_estimate(p, roots.root_bound(p))[0])
     for width in (Fraction(1, 10**9), Fraction(1, 2**1200)):
         assert _triple(isolate_largest_real_root(p, width)) == reference_isolate_largest(p, width)
 
@@ -368,9 +393,8 @@ def test_descartes_bound_is_exact_when_every_root_is_real():
 
 
 def _sturm_path(p, width):
-    """isolate_largest_real_root with p's Sturm state held, so on the Sturm path."""
-    roots._sturm_state(p)
-    return _triple(isolate_largest_real_root(p, width))
+    """The interval of the Sturm bisection from the whole grid."""
+    return _triple(roots._sturm_largest(p, width))
 
 
 _DECLINES = {
@@ -387,7 +411,6 @@ def test_descartes_path_declines_and_the_sturm_path_decides(name):
     p, width = _DECLINES[name], Fraction(1, 10**9)
     assert roots._descartes_largest(p, width) is None
     expected = reference_isolate_largest(p, width)
-    roots._states.pop(p, None)
     assert _triple(isolate_largest_real_root(p, width)) == expected
     assert _sturm_path(p, width) == expected
 
@@ -401,13 +424,12 @@ def _recording_chains(monkeypatch) -> list:
 
 
 def test_a_lower_end_at_the_next_root_stays_on_the_grid(monkeypatch):
-    # t^2 - t on the grid (-2, 2]: the Sturm bisection stops at the cell (0, 2]
+    # t^2 - t on the grid (-4, 4]: the Sturm bisection stops at the cell (0, 4]
     # of the top root 1, whose lower end is the root 0; halving by signs then
     # meets 1 itself, as the Descartes path does from its window
     p, width = IntPoly([0, -1, 1]), Fraction(1, 10**9)
     expected = (Fraction(1), Fraction(1), True)
     chains = _recording_chains(monkeypatch)
-    roots._states.pop(p, None)
     assert _triple(roots._descartes_largest(p, width)) == expected
     assert chains == []
     assert _sturm_path(p, width) == expected
@@ -423,7 +445,7 @@ def _on_grid(x: Fraction, bound: Fraction, width: Fraction) -> bool:
     return ((x + bound) * cells / (2 * bound)).denominator == 1
 
 
-@pytest.mark.parametrize("p,bound", [(IntPoly([0, -1, 0, 1]), 2), (IntPoly([0, -2, 0, 1]), 3)],
+@pytest.mark.parametrize("p,bound", [(IntPoly([0, -1, 0, 1]), 4), (IntPoly([0, -2, 0, 1]), 4)],
                          ids=["t^3 - t", "t^3 - 2t"])
 def test_isolation_keeps_a_bisection_point_that_is_a_root_as_a_lower_end(p, bound):
     # the first bisection point 0 is a root and the lower end of the top root's cell (0, B]
@@ -447,22 +469,20 @@ def test_descartes_path_gives_the_sturm_path_interval_on_trees_and_stars(monkeyp
     chains = _recording_chains(monkeypatch)
     for p in _tree_and_star_polys():
         for width in (Fraction(1, 10**7), Fraction(1, 2**40)):
-            roots._states.pop(p, None)
             iv = roots._descartes_largest(p, width)
             assert iv is not None and not chains, p
             assert _triple(iv) == _sturm_path(p, width), (p, width)
             chains.clear()
 
 
-def test_descartes_path_runs_only_while_no_sturm_state_is_held(monkeypatch):
+def test_descartes_path_runs_first_with_the_sturm_state_held(monkeypatch):
     p = LEHMER * IntPoly([-3, 1])
-    roots._states.pop(p, None)
     sturm_count(p, 0, 1)
 
     def unreachable(*args):
-        raise AssertionError("Descartes path taken with the Sturm state held")
+        raise AssertionError("Sturm path taken where the Descartes certificate holds")
 
-    monkeypatch.setattr(roots, "_descartes_largest", unreachable)
+    monkeypatch.setattr(roots, "_sturm_largest", unreachable)
     assert _triple(isolate_largest_real_root(p)) == reference_isolate_largest(p, roots.DEFAULT_WIDTH)
 
 
@@ -479,11 +499,8 @@ def test_non_positive_widths_raise_at_once(width):
 
 
 def test_compare_builds_only_the_gcd_sturm_state(monkeypatch):
-    from coxgrowth import roots
-    built = []
-    build = roots._build_sturm_state
-    monkeypatch.setattr(roots, "_states", {})
-    monkeypatch.setattr(roots, "_build_sturm_state", lambda p: built.append(p) or build(p))
+    roots._sturm_state.cache_clear()
+    built = _recording_chains(monkeypatch)
     a = isolate_largest_real_root(LEHMER * IntPoly([1, 0, 1]), Fraction(1, 10**6))
     b = isolate_largest_real_root(LEHMER * IntPoly([3, 1]) ** 2, Fraction(1, 10**3))
     assert compare(a, b) == 0

@@ -5,7 +5,7 @@ import pytest
 
 from coxgrowth.intpoly import parse_poly
 from coxgrowth.numclass import unit_circle_root_count
-from coxgrowth.roots import cauchy_bound, sturm_count
+from coxgrowth.roots import root_bound, sturm_count
 from coxgrowth.salemdb import (
     SalemListError,
     bundled_mini_list,
@@ -34,7 +34,7 @@ def test_bundled_list_loads_sorted():
 def test_entries_satisfy_salem_invariants():
     for e in bundled_mini_list():
         assert e.poly.reversed() == e.poly
-        assert sturm_count(e.poly, 1, cauchy_bound(e.poly)) == 1
+        assert sturm_count(e.poly, 1, root_bound(e.poly)) == 1
         assert unit_circle_root_count(e.poly) == e.poly.degree - 2
 
 

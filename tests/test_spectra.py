@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -33,6 +34,17 @@ TABLE1 = [
 
 def _build(kind, params):
     return star_diagram(*params) if kind == "star" else h_graph(*params)
+
+
+def test_long_path_radius_is_two_cos_pi_over_n_plus_one():
+    # the adjacency radius of the path on n vertices is 2 cos(pi / (n + 1)); the
+    # float value lies within 1e-15 of it, so the interval holds it when it holds
+    # the float value 1e-15 away from either end
+    width = Fraction(1, 10**9)
+    iv = spectral_radius_adjacency(path_tree(400), width)
+    x = Fraction(2 * math.cos(math.pi / 401))
+    assert iv.width <= width
+    assert iv.low + Fraction(1, 10**15) < x < iv.high - Fraction(1, 10**15)
 
 
 def test_adjacency_basics():
