@@ -12,7 +12,6 @@ from .intpoly import (
     bracket,
     cyclotomic,
     exact_div,
-    palindromic_reduce,
     parse_poly,
     poly_gcd,
     reciprocity_type,
@@ -37,7 +36,6 @@ from .diagram import (
     diagram_from_text,
     dominates,
     finite_type_recognize,
-    format_coxeter_symbol,
     h_graph,
     parse_coxeter_symbol,
     path_tree,
@@ -53,9 +51,7 @@ from .growth import (
     monotonicity_check,
     polygon_delta,
     polygon_growth,
-    reciprocity_check,
     series_coefficients,
-    solomon_poly,
     steinberg_growth,
     verify_second_minimal_polygon,
 )

@@ -8,7 +8,6 @@ by a sentinel integer.
 
 from __future__ import annotations
 
-import itertools
 import operator
 import re
 from dataclasses import dataclass
@@ -53,10 +52,6 @@ def parse_weight(text: str) -> Weight:
     if not re.fullmatch(r"[0-9]+", text):
         raise ValueError(f"bad weight {text!r}")
     return int(text)
-
-
-def format_weight(w: Weight) -> str:
-    return "inf" if w is INF else str(w)
 
 
 class DiagramError(ValueError):
@@ -177,55 +172,6 @@ def parse_coxeter_symbol(text: str) -> CoxeterDiagram:
         n = len(weights) + 1
         edges = {(i, i + 1): w for i, w in enumerate(weights)}
     return CoxeterDiagram(n, edges)
-
-
-def format_coxeter_symbol(d: CoxeterDiagram) -> str:
-    """Print a diagram as a linear or cyclic Coxeter symbol.
-
-    Only diagrams whose edges (weight >= 3) form a path covering all vertices
-    with weight-2 non-adjacent pairs, or a full cycle, have a symbol.
-    """
-    deg = {i: [] for i in range(d.n)}
-    for i, j, _ in d.edges():
-        deg[i].append(j)
-        deg[j].append(i)
-    counts = sorted(len(v) for v in deg.values())
-    edges = d.edges()
-    if d.n >= 2 and len(edges) == d.n - 1 and counts[0] == 1 and counts[-1] <= 2:
-        # a path; walk it from the lower-numbered endpoint
-        ends = sorted(i for i in range(d.n) if len(deg[i]) == 1)
-        order = [ends[0]]
-        while len(order) < d.n:
-            nxt = [v for v in deg[order[-1]] if len(order) < 2 or v != order[-2]]
-            if not nxt:
-                raise DiagramError("diagram is not a path")
-            order.append(nxt[0])
-        for a, b in itertools.combinations(order, 2):
-            if abs(order.index(a) - order.index(b)) > 1 and d.weight(a, b) != 2:
-                raise DiagramError("non-consecutive weights prevent a linear symbol")
-        ws = [d.weight(order[k], order[k + 1]) for k in range(d.n - 1)]
-        return "[" + ",".join(format_weight(w) for w in ws) + "]"
-    if len(edges) == d.n and all(len(v) == 2 for v in deg.values()) and d.n >= 3:
-        # a cycle; rotate/reflect to the lexicographically smallest weight word
-        order = [0]
-        while len(order) < d.n:
-            nxt = [v for v in deg[order[-1]] if len(order) < 2 or v != order[-2]]
-            order.append(nxt[0])
-        for a, b in itertools.combinations(range(d.n), 2):
-            if d.weight(a, b) != 2 and b not in deg[a]:
-                raise DiagramError("chords prevent a cyclic symbol")
-        ws = [d.weight(order[k], order[(k + 1) % d.n]) for k in range(d.n)]
-        key = lambda w: (1, 0) if w is INF else (0, w)
-        best = min(
-            (seq[i:] + seq[:i] for seq in (ws, ws[::-1]) for i in range(d.n)),
-            key=lambda seq: [key(w) for w in seq],
-        )
-        parts = []
-        for w, group in itertools.groupby(best):
-            k = len(list(group))
-            parts.append(format_weight(w) + (f"^{k}" if k > 1 else ""))
-        return "[(" + ",".join(parts) + ")]"
-    raise DiagramError("diagram has no linear or cyclic Coxeter symbol")
 
 
 # -- file format --------------------------------------------------------------------

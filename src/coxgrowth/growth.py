@@ -131,16 +131,6 @@ class GrowthFunction:
         return GrowthFunction(self.numerator * other.numerator,
                               self.denominator * other.denominator)
 
-    def substitute_reciprocal(self) -> "GrowthFunction":
-        """The rational function f(1/t)."""
-        dn, dd = self.numerator.degree, self.denominator.degree
-        num, den = self.numerator.reversed(), self.denominator.reversed()
-        if dn > dd:
-            den = den.shift(dn - dd)
-        elif dd > dn:
-            num = num.shift(dd - dn)
-        return GrowthFunction(num, den)
-
     def __str__(self):
         return f"({self.numerator}) / ({self.denominator})"
 
@@ -156,15 +146,6 @@ def _as_growth(x) -> GrowthFunction:
 
 
 # -- finite-type growth polynomials ---------------------------------------------------
-
-
-def solomon_poly(types: list[SphericalType]) -> IntPoly:
-    """Growth polynomial of a finite Coxeter group: product of brackets [n_i + 1]."""
-    out = IntPoly([1])
-    for t in types:
-        for e in t.exponents:
-            out = out * bracket(e + 1)
-    return out
 
 
 def _bracket_factorization(ks) -> Counter[int]:
@@ -399,12 +380,6 @@ def series_coefficients(f: GrowthFunction, count: int) -> list[int]:
     if any(c.denominator != 1 for c in out):
         raise ArithmeticError("series coefficients are not integers")
     return [int(c) for c in out]
-
-
-def reciprocity_check(f: GrowthFunction, n: int) -> bool:
-    """Whether f(1/t) equals f(t) for even n and -f(t) for odd n, exactly."""
-    g = f.substitute_reciprocal()
-    return g == f if n % 2 == 0 else g == -f
 
 
 @dataclass(frozen=True)

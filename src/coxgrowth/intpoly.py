@@ -381,27 +381,6 @@ def reciprocity_type(p: IntPoly) -> str:
     return "neither"
 
 
-def palindromic_reduce(p: IntPoly) -> IntPoly:
-    """For reciprocal p of even degree 2d, the q of degree d with p(t) = t^d q(t + 1/t)."""
-    if reciprocity_type(p) != "reciprocal":
-        raise ValueError("palindromic reduction needs a reciprocal polynomial")
-    if p.degree % 2 != 0:
-        raise ValueError("palindromic reduction needs even degree")
-    d = p.degree // 2
-    residual = list(p.coeffs) + [0] * (2 * d + 1 - len(p.coeffs))
-    q = [0] * (d + 1)
-    # t^(d-k) (t^2+1)^k has top coefficient at t^(d+k); peel from the top down.
-    for k in range(d, -1, -1):
-        q[k] = residual[d + k]
-        if q[k]:
-            term = (IntPoly([1, 0, 1]) ** k).shift(d - k) * q[k]
-            for j, c in enumerate(term.coeffs):
-                residual[j] -= c
-    if any(residual):
-        raise ValueError("polynomial is not expressible in t + 1/t")
-    return IntPoly(q)
-
-
 # -- cyclotomic polynomials ---------------------------------------------------------
 
 

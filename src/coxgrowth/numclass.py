@@ -1,13 +1,15 @@
 """Locating polynomial roots relative to the unit circle, and Salem / 2-Salem /
 Perron labelling of monic integer polynomials.
 
-The root counts are exact.  Roots on the circle are counted through the
-trace substitution x = t + 1/t on the inversion-symmetric part.  The counts
-inside and outside for the remaining part h come from its Cayley transform
-q(s) = (1 - s)^n h((1 + s)/(1 - s)), which takes the open unit disk to the
-open left half-plane: the turn of arg q(iy) over the real line is a Cauchy
-index, read from one signed remainder sequence of the real and imaginary
-parts of q(iy) in O(n^2) coefficient operations.
+The root counts are exact and come from one signed remainder sequence.  The
+Cayley transform q(s) = (1 - s)^n h((1 + s)/(1 - s)) of a squarefree h takes
+the open unit disk to the open left half-plane and the circle to the
+imaginary axis.  The remainder sequence of the real and imaginary parts of
+q(iy) ends at their gcd, whose real roots are the circle roots of h and whose
+other roots are its inversion pairs z, 1/z; the turn of arg q(iy) over the
+real line, a Cauchy index read from the same sequence, places the rest.  It
+takes O(n^2) coefficient operations and decides inside, on and outside for
+every squarefree h.
 """
 
 from __future__ import annotations
@@ -23,14 +25,12 @@ from .intpoly import (
     _taylor_shift,
     cyclotomic,
     exact_div,
-    palindromic_reduce,
-    poly_gcd,
     reciprocity_type,
     squarefree_decomposition,
     squarefree_part,
 )
 from . import roots
-from .roots import count_roots_open, isolate_largest_real_root, sturm_count
+from .roots import _cauchy_index_and_gcd, isolate_largest_real_root, sturm_count
 
 
 @dataclass(frozen=True)
@@ -117,23 +117,11 @@ def _probe_values(n: int, primes: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(at(primes, k ** (n // math.prod(primes))) for k in _PROBES)
 
 
-def _remove_root(p: IntPoly, at: int) -> tuple[IntPoly, int]:
-    """Divide out (t - at) as often as it divides; returns (quotient, multiplicity)."""
-    lin = IntPoly([-at, 1])
-    mult = 0
-    while p.degree >= 1 and p(at) == 0:
-        p = exact_div(p, lin)
-        mult += 1
-    return p, mult
-
-
 def unit_circle_root_count(p: IntPoly) -> int:
     """Number of distinct roots of p with |t| = 1.
 
     Requires p reciprocal or anti-reciprocal (after taking the squarefree
     part); the count is taken in the squarefree sense, each circle root once.
-    Roots at t = 1 and t = -1 are handled explicitly; the rest pair up under
-    conjugation and are counted by the trace substitution.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
@@ -142,16 +130,7 @@ def unit_circle_root_count(p: IntPoly) -> int:
     s = squarefree_part(p)
     if reciprocity_type(s) == "neither":
         raise ValueError("polynomial is not reciprocal up to sign")
-    s, m1 = _remove_root(s, 1)
-    s, m_1 = _remove_root(s, -1)
-    count = (1 if m1 else 0) + (1 if m_1 else 0)
-    if s.degree == 0:
-        return count
-    # The remainder is reciprocal of even degree with no root at +-1.
-    if reciprocity_type(s) != "reciprocal" or s.degree % 2 != 0:
-        raise ValueError("unexpected structure after removing roots at +-1")
-    q = palindromic_reduce(s)
-    return count + 2 * count_roots_open(q, Fraction(-2), Fraction(2))
+    return disk_root_counts(s)[1]
 
 
 def _cayley(h: IntPoly) -> IntPoly:
@@ -169,39 +148,37 @@ def _cayley(h: IntPoly) -> IntPoly:
     return IntPoly(c // content for c in q.coeffs)
 
 
-def disk_root_counts(h: IntPoly) -> tuple[int, int]:
-    """(inside, outside) counts relative to the unit circle for squarefree h
-    with gcd(h, rev h) = 1, i.e. no circle roots and no inversion root pairs.
+def disk_root_counts(s: IntPoly) -> tuple[int, int, int]:
+    """(inside, on, outside) counts of the roots of squarefree s, s(0) != 0,
+    relative to the unit circle.
 
-    With q the Cayley transform of h, write q(iy) = A(y) + i B(y).  As y runs
-    over the real line, arg q(iy) turns by pi (inside - outside), which is
-    -pi I(B/A) when deg A > deg B and pi I(A/B) otherwise, I the Cauchy index.
-    Raises ArithmeticError when h has a root on the circle or a pair r, 1/r:
-    then deg q < deg h (a root at -1), or A and B share a factor.
+    With q the Cayley transform of s, write q(iy) = A(y) + i B(y); one of A, B
+    has degree deg q and the other less.  One signed remainder sequence of
+    the two ends at g = gcd(A, B), whose roots y are those with iy and -iy
+    both roots of q: a real y is a circle root of s other than -1, counted
+    as the Cauchy index of g'/g, and a non-real pair y, -y is an inversion
+    pair z, 1/z of s, one root inside and one outside.  The other roots of q
+    turn arg q(iy) by pi (inside - outside) as y runs over the real line:
+    -pi I(B/A) when deg A > deg B and pi I(A/B) otherwise, I the Cauchy
+    index in lowest terms, read from the same sequence.  A root at -1 shows
+    as deg q < deg s.
     """
-    n = h.degree
-    if n == 0:
-        return 0, 0
-    q = _cayley(h)
-    if q.degree < n:
-        raise ArithmeticError("h has the root -1 on the unit circle")
+    n = s.degree
+    q = _cayley(s)
     # q(iy) = sum q_k i^k y^k: even k go to A with sign (-1)^(k/2), odd k to B
     # with sign (-1)^((k-1)/2).
     a = IntPoly(c if k % 4 == 0 else -c if k % 4 == 2 else 0 for k, c in enumerate(q.coeffs))
     b = IntPoly(c if k % 4 == 1 else -c if k % 4 == 3 else 0 for k, c in enumerate(q.coeffs))
-    diff = -roots.cauchy_index(b, a) if a.degree > b.degree else roots.cauchy_index(a, b)
-    inside = (n + diff) // 2
-    return inside, n - inside
-
-
-def _root_counts_squarefree(s: IntPoly) -> tuple[int, int, int]:
-    """(outside, on, inside) for a squarefree s with s(0) != 0."""
-    g = poly_gcd(s, s.reversed())
-    h = exact_div(s, g) if g.degree > 0 else s
-    on = unit_circle_root_count(g) if g.degree > 0 else 0
-    off_pairs = (g.degree - on) // 2
-    inside_h, outside_h = disk_root_counts(h.primitive())
-    return off_pairs + outside_h, on, off_pairs + inside_h
+    if a.degree > b.degree:
+        index, g = _cauchy_index_and_gcd(b, a)
+        index = -index
+    else:
+        index, g = _cauchy_index_and_gcd(a, b)
+    axis = roots.cauchy_index(g.derivative(), g) if g.degree > 0 else 0
+    pairs = (g.degree - axis) // 2
+    inside = pairs + (q.degree - g.degree + index) // 2
+    on = axis + n - q.degree
+    return inside, on, n - inside - on
 
 
 def _location_counts(p: IntPoly) -> tuple[tuple[int, int, int], tuple[int, int], IntPoly]:
@@ -216,7 +193,7 @@ def _location_counts(p: IntPoly) -> tuple[tuple[int, int, int], tuple[int, int],
     factors = squarefree_decomposition(p)
     # Yun's factors are pairwise coprime, so their distinct roots add up.
     for f, mult in factors:
-        o, c, i = _root_counts_squarefree(f)
+        i, c, o = disk_root_counts(f)
         outside += mult * o
         on += mult * c
         inside += mult * i
@@ -230,17 +207,13 @@ def _location_counts(p: IntPoly) -> tuple[tuple[int, int, int], tuple[int, int],
 _SCALE_BITS = (4, 8, 16, 32, 64, 128)
 
 
-def _inside_scaled(p: IntPoly, c: Fraction) -> int | None:
-    """Number of roots z of p with |z| < c for rational c > 0, from the unit-disk
-    count of p(ct) cleared of denominators; None when some root has modulus
-    exactly c, or two roots z, w have zw = c^2, since then the count raises."""
+def _inside_scaled(p: IntPoly, c: Fraction) -> int:
+    """Number of roots z of squarefree p with |z| < c for rational c > 0, from
+    the unit-disk count of p(ct) cleared of denominators."""
     n = p.degree
     scaled = IntPoly(coeff * c.numerator**i * c.denominator ** (n - i)
                      for i, coeff in enumerate(p.coeffs)).primitive()
-    try:
-        return disk_root_counts(scaled)[0]
-    except ArithmeticError:
-        return None
+    return disk_root_counts(scaled)[0]
 
 
 def _is_perron(p: IntPoly, outside: int, above_one: int | None = None) -> bool | None:
@@ -255,9 +228,9 @@ def _is_perron(p: IntPoly, outside: int, above_one: int | None = None) -> bool |
     c = m / 2^k, k in _SCALE_BITS, on a bracket (low, high] of the top root
     refined to 2^-k: all but one root below c = floor(low 2^k) / 2^k < top
     gives True, and fewer than deg p roots below c' = ceil(high 2^k) / 2^k
-    > top gives False.  A count that raises decides nothing.  Few-bit scales
-    keep the coefficients of p(ct) short, and most inputs are decided at
-    k = 4 or 8.
+    > top gives False.  Each count is exact, a root of modulus c included.
+    Few-bit scales keep the coefficients of p(ct) short, and most inputs are
+    decided at k = 4 or 8.
 
     Returns None when undecided: above degree 64, or when no rung decides,
     as for a complex pair of the same modulus as the top root.
@@ -288,11 +261,9 @@ def _is_perron(p: IntPoly, outside: int, above_one: int | None = None) -> bool |
         if lo == hi:
             # the top root is m / 2^k itself: step one unit outward on each side
             lo, hi = lo - 1, hi + 1
-        inside = _inside_scaled(p, Fraction(lo, 1 << k))
-        if inside is not None and inside >= p.degree - 1:
+        if _inside_scaled(p, Fraction(lo, 1 << k)) >= p.degree - 1:
             return True
-        inside = _inside_scaled(p, Fraction(hi, 1 << k))
-        if inside is not None and inside < p.degree:
+        if _inside_scaled(p, Fraction(hi, 1 << k)) < p.degree:
             return False
     return None
 

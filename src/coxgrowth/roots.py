@@ -186,10 +186,19 @@ def cauchy_index(num: IntPoly, den: IntPoly) -> int:
     """
     if den.is_zero():
         raise ZeroDivisionError("zero denominator")
-    chain = tuple(q for q in _signed_remainders(den, num) if not q.is_zero())
-    if chain[-1].degree > 0:
+    index, g = _cauchy_index_and_gcd(num, den)
+    if g.degree > 0:
         raise ArithmeticError("numerator and denominator have a common factor")
-    return _variations_at_inf(chain, False) - _variations_at_inf(chain, True)
+    return index
+
+
+def _cauchy_index_and_gcd(num: IntPoly, den: IntPoly) -> tuple[int, IntPoly]:
+    """(I, g) for nonzero den: g, a multiple of gcd(num, den), is the last
+    member of the signed remainder sequence of den and num, and I, its
+    variation count at -inf less that at +inf, is the Cauchy index of num/den
+    in lowest terms, since dividing every member by g changes no count."""
+    chain = tuple(q for q in _signed_remainders(den, num) if not q.is_zero())
+    return _variations_at_inf(chain, False) - _variations_at_inf(chain, True), chain[-1]
 
 
 class _SturmState(NamedTuple):

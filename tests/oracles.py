@@ -9,12 +9,15 @@ reproduce exactly), characteristic polynomials from evaluation and Lagrange
 interpolation over exact rationals, tree polynomials from explicit integer
 matrices (weighted adjacency, product of reflections) and from the matching
 polynomial built by dense products, unit-disk root counts
-from the signature of the Schur-Cohn quadratic form, growth series from
+from the signature of the Schur-Cohn quadratic form, unit-circle root counts
+from the trace substitution x = t + 1/t, growth series from
 the alternating sum over every one of the 2^n vertex subsets, cyclotomic
 factors from trial division by every Phi_n with phi(n) <= deg over a totient
-sieve, Perron verdicts from disk counts of p(ct) at 40-bit scales c just
+sieve, Perron verdicts from Schur-Cohn counts of p(ct) at 40-bit scales c just
 below the top root.  None of these are production paths; they exist to
-cross-check the exact implementations.
+cross-check the exact implementations.  A few helpers that only tests use
+(Solomon's growth polynomial, the reciprocity check of a growth series, the
+printing of Coxeter symbols) live here as well.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from coxgrowth.diagram import INF, CoxeterDiagram, WeightedTree, finite_type_recognize
+from coxgrowth.diagram import INF, CoxeterDiagram, DiagramError, WeightedTree, finite_type_recognize
 from coxgrowth.growth import GrowthFunction
 from coxgrowth.intpoly import (
     ExactDivisionError,
@@ -32,10 +35,9 @@ from coxgrowth.intpoly import (
     exact_div,
     poly_gcd,
     pseudo_rem,
+    reciprocity_type,
     squarefree_part,
 )
-from coxgrowth.coxtrans import charpoly_int_matrix
-from coxgrowth.numclass import disk_root_counts
 from coxgrowth import roots
 
 
@@ -408,32 +410,43 @@ def charpoly_interpolated(mat: list[list[int]]) -> IntPoly:
     Lagrange interpolation; independent of any recurrence."""
     n = len(mat)
     xs = list(range(n + 1))
-    ys = [_det_fraction([[Fraction(x if i == j else 0) - mat[i][j] for j in range(n)]
-                         for i in range(n)]) for x in xs]
+    ys = [_det_int([[(x if i == j else 0) - mat[i][j] for j in range(n)] for i in range(n)])
+          for x in xs]
     coeffs = _lagrange(xs, ys)
     assert all(c.denominator == 1 for c in coeffs)
     return IntPoly(int(c) for c in coeffs)
 
 
-def _det_fraction(m: list[list[Fraction]]) -> Fraction:
+def _det_int(m: list[list[int]]) -> int:
+    swaps, pivots = _bareiss(m)
+    if len(pivots) < len(m):
+        return 0
+    return (-1) ** swaps * pivots[-1] if pivots else 1
+
+
+def _bareiss(m: list[list[int]]) -> tuple[int, list[int]]:
+    """(swaps, pivots) of fraction-free Bareiss elimination of an n x n
+    integer matrix, which swaps a row with a nonzero entry into a vanishing
+    pivot.  The pivots stop short of n when a column has no such row (the
+    determinant is 0); otherwise the last is (-1)^swaps times the
+    determinant.  With no swap, the k-th pivot is the k-th leading principal
+    minor."""
     n = len(m)
     m = [row[:] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] * inv
-            if f:
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return det
+    swaps, pivots, prev = 0, [], 1
+    for k in range(n):
+        if m[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if swap is None:
+                break
+            m[k], m[swap] = m[swap], m[k]
+            swaps += 1
+        pivots.append(m[k][k])
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return swaps, pivots
 
 
 def _poly_mul_linear(basis: list[Fraction], root: int) -> list[Fraction]:
@@ -491,21 +504,74 @@ def _descartes_positive(p: IntPoly) -> int:
 
 
 def schur_cohn_disk_counts(h: IntPoly) -> tuple[int, int]:
-    """(inside, outside) counts of h relative to the unit circle, from the
-    signature of its Schur-Cohn matrix, read off the characteristic polynomial
-    by Descartes' rule (exact, since a symmetric matrix has real eigenvalues).
-    Raises ArithmeticError when the form is degenerate: h has a circle root or
-    an inversion pair r, 1/r."""
+    """(pos, neg), the signature of the Schur-Cohn matrix of h.
+
+    pos - neg = (#roots inside the open unit disk) - (#outside the closed
+    disk).  When pos + neg = deg h, the form is nondegenerate (h has no
+    circle root and no pair of roots r, s with r*s = 1), and pos and neg are
+    the inside and outside counts.  By Jacobi's rule, neg is the number of
+    sign changes in 1, D_1, ..., D_n, the leading principal minors, when
+    none of them vanishes; otherwise both are read off the characteristic
+    polynomial by Descartes' rule (exact, since a symmetric matrix has real
+    eigenvalues).
+    """
     n = h.degree
     if n == 0:
         return 0, 0
-    chi = charpoly_int_matrix(_schur_cohn_matrix(h))
+    mat = _schur_cohn_matrix(h)
+    swaps, minors = _bareiss(mat)
+    if swaps == 0 and len(minors) == n:
+        signs = [True] + [d > 0 for d in minors]
+        neg = sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+        return n - neg, neg
+    chi = charpoly_interpolated(mat)
     pos = _descartes_positive(chi)
     neg = _descartes_positive(IntPoly((-1) ** (i % 2) * c for i, c in enumerate(chi.coeffs)))
-    if pos + neg != n:
-        raise ArithmeticError("degenerate Schur-Cohn form")
-    inside = (n + pos - neg) // 2
-    return inside, n - inside
+    return pos, neg
+
+
+# -- unit-circle root counts by the trace substitution ---------------------------------------
+
+
+def palindromic_reduce(p: IntPoly) -> IntPoly:
+    """For reciprocal p of even degree 2d, the q of degree d with p(t) = t^d q(t + 1/t)."""
+    if reciprocity_type(p) != "reciprocal":
+        raise ValueError("palindromic reduction needs a reciprocal polynomial")
+    if p.degree % 2 != 0:
+        raise ValueError("palindromic reduction needs even degree")
+    d = p.degree // 2
+    residual = list(p.coeffs) + [0] * (2 * d + 1 - len(p.coeffs))
+    q = [0] * (d + 1)
+    # t^(d-k) (t^2+1)^k has top coefficient at t^(d+k); peel from the top down.
+    for k in range(d, -1, -1):
+        q[k] = residual[d + k]
+        if q[k]:
+            term = (IntPoly([1, 0, 1]) ** k).shift(d - k) * q[k]
+            for j, c in enumerate(term.coeffs):
+                residual[j] -= c
+    if any(residual):
+        raise ValueError("polynomial is not expressible in t + 1/t")
+    return IntPoly(q)
+
+
+def reference_unit_circle_root_count(p: IntPoly) -> int:
+    """Distinct roots of p with |t| = 1, for p whose squarefree part s is
+    reciprocal or anti-reciprocal.  The roots 1 and -1 are divided out of s;
+    the rest is reciprocal of even degree, and x = t + 1/t takes its circle
+    roots, in conjugate pairs, to the roots of palindromic_reduce in (-2, 2),
+    counted on the oracle's own Sturm chain."""
+    s = squarefree_part(p)
+    if reciprocity_type(s) == "neither":
+        raise ValueError("polynomial is not reciprocal up to sign")
+    count = 0
+    for at in (1, -1):
+        if s(at) == 0:
+            s = exact_div(s, IntPoly([-at, 1]))
+            count += 1
+    if s.degree == 0:
+        return count
+    # s(+-1) != 0, so the reduced polynomial has no root at +-2
+    return count + 2 * _reference_count(palindromic_reduce(s), Fraction(-2), Fraction(2))
 
 
 # -- weighted-tree matrices ------------------------------------------------------------------
@@ -760,9 +826,9 @@ def reference_strip_cyclotomic(p: IntPoly) -> tuple[IntPoly, list[tuple[int, int
 
 def reference_is_perron(p: IntPoly, outside: int) -> bool | None:
     """Whether the largest real root of squarefree p strictly dominates all
-    other root moduli, None when undecided: disk counts of p(ct) at c the
-    lower end of the top root's bracket, refined from 1e-12 by 2^-10 for up
-    to five rounds."""
+    other root moduli, None when undecided: Schur-Cohn counts of p(ct) at c
+    the lower end of the top root's bracket, refined from 1e-12 by 2^-10 for
+    up to five rounds."""
     bound = _reference_bound(p)
     above_one = roots.sturm_count(p, 1, bound)
     if outside == 1:
@@ -788,17 +854,84 @@ def reference_is_perron(p: IntPoly, outside: int) -> bool | None:
         c = top.low if top.width > 0 else top.low - Fraction(1, 10**15)
         scaled = IntPoly(coeff * c.numerator**i * c.denominator ** (p.degree - i)
                          for i, coeff in enumerate(p.coeffs)).primitive()
-        try:
-            # raises when a root of scaled lies on the circle or pairs with its inverse
-            inside, _ = disk_root_counts(scaled)
-            if inside >= p.degree - 1:
-                return True
-        except ArithmeticError:
-            pass
+        pos, neg = schur_cohn_disk_counts(scaled)
+        # a degenerate form (a root of scaled on the circle, or paired with its
+        # inverse) leaves the inside count open
+        if pos + neg == p.degree and pos >= p.degree - 1:
+            return True
         if top.width == 0:
             return None
         top = top.refined(top.width / 2**10)
     return None
+
+
+# -- helpers that only tests use ------------------------------------------------------------
+
+
+def solomon_poly(types) -> IntPoly:
+    """Growth polynomial of a finite Coxeter group: the product of the brackets
+    [e + 1] over its exponents e, built from their cyclotomic factors."""
+    return _factored_poly(_solomon_factorization(types))
+
+
+def reciprocity_check(f: GrowthFunction, n: int) -> bool:
+    """Whether f(1/t) equals f(t) for even n and -f(t) for odd n, exactly."""
+    dn, dd = f.numerator.degree, f.denominator.degree
+    g = GrowthFunction(f.numerator.reversed().shift(max(dd - dn, 0)),
+                       f.denominator.reversed().shift(max(dn - dd, 0)))
+    return g == f if n % 2 == 0 else g == -f
+
+
+def format_coxeter_symbol(d: CoxeterDiagram) -> str:
+    """Print a diagram as a linear or cyclic Coxeter symbol.
+
+    Only diagrams whose edges (weight >= 3) form a path covering all vertices
+    with weight-2 non-adjacent pairs, or a full cycle, have a symbol.
+    """
+    def weight(w) -> str:
+        return "inf" if w is INF else str(w)
+
+    deg = {i: [] for i in range(d.n)}
+    for i, j, _ in d.edges():
+        deg[i].append(j)
+        deg[j].append(i)
+    counts = sorted(len(v) for v in deg.values())
+    edges = d.edges()
+    if d.n >= 2 and len(edges) == d.n - 1 and counts[0] == 1 and counts[-1] <= 2:
+        # a path; walk it from the lower-numbered endpoint
+        ends = sorted(i for i in range(d.n) if len(deg[i]) == 1)
+        order = [ends[0]]
+        while len(order) < d.n:
+            nxt = [v for v in deg[order[-1]] if len(order) < 2 or v != order[-2]]
+            if not nxt:
+                raise DiagramError("diagram is not a path")
+            order.append(nxt[0])
+        for a, b in itertools.combinations(order, 2):
+            if abs(order.index(a) - order.index(b)) > 1 and d.weight(a, b) != 2:
+                raise DiagramError("non-consecutive weights prevent a linear symbol")
+        ws = [d.weight(order[k], order[k + 1]) for k in range(d.n - 1)]
+        return "[" + ",".join(weight(w) for w in ws) + "]"
+    if len(edges) == d.n and all(len(v) == 2 for v in deg.values()) and d.n >= 3:
+        # a cycle; rotate/reflect to the lexicographically smallest weight word
+        order = [0]
+        while len(order) < d.n:
+            nxt = [v for v in deg[order[-1]] if len(order) < 2 or v != order[-2]]
+            order.append(nxt[0])
+        for a, b in itertools.combinations(range(d.n), 2):
+            if d.weight(a, b) != 2 and b not in deg[a]:
+                raise DiagramError("chords prevent a cyclic symbol")
+        ws = [d.weight(order[k], order[(k + 1) % d.n]) for k in range(d.n)]
+        key = lambda w: (1, 0) if w is INF else (0, w)
+        best = min(
+            (seq[i:] + seq[:i] for seq in (ws, ws[::-1]) for i in range(d.n)),
+            key=lambda seq: [key(w) for w in seq],
+        )
+        parts = []
+        for w, group in itertools.groupby(best):
+            k = len(list(group))
+            parts.append(weight(w) + (f"^{k}" if k > 1 else ""))
+        return "[(" + ",".join(parts) + ")]"
+    raise DiagramError("diagram has no linear or cyclic Coxeter symbol")
 
 
 # -- trace forms and tree edits -------------------------------------------------------------

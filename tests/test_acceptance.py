@@ -30,7 +30,6 @@ from coxgrowth.growth import (
     polygon_delta,
     polygon_growth,
     series_coefficients,
-    solomon_poly,
     steinberg_growth,
     verify_second_minimal_polygon,
 )
@@ -47,6 +46,7 @@ from oracles import (
     random_tree_edges,
     real_root_count_bisection,
     signed_permutation_order,
+    solomon_poly,
     symmetric_group_order,
 )
 

@@ -11,7 +11,6 @@ from coxgrowth.diagram import (
     diagram_from_text,
     dominates,
     finite_type_recognize,
-    format_coxeter_symbol,
     h_graph,
     parse_coxeter_symbol,
     path_tree,
@@ -21,7 +20,12 @@ from coxgrowth.diagram import (
 )
 from coxgrowth.growth import STEINBERG_RANK_BOUND
 
-from oracles import dihedral_order, signed_permutation_order, symmetric_group_order
+from oracles import (
+    dihedral_order,
+    format_coxeter_symbol,
+    signed_permutation_order,
+    symmetric_group_order,
+)
 
 
 def test_parse_linear_symbols():

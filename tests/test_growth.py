@@ -24,9 +24,7 @@ from coxgrowth.growth import (
     polygon_delta,
     polygon_growth,
     positive_on_interval,
-    reciprocity_check,
     series_coefficients,
-    solomon_poly,
     steinberg_growth,
     verify_second_minimal_polygon,
 )
@@ -39,8 +37,10 @@ from coxgrowth.spectra import adjacency_char_poly
 from oracles import (
     bfs_word_counts,
     dihedral_order,
+    reciprocity_check,
     reference_growth_rate,
     reference_polygon_delta,
+    solomon_poly,
     subset_sweep_growth,
     symmetric_group_order,
 )

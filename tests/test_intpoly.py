@@ -11,7 +11,6 @@ from coxgrowth.intpoly import (
     bracket,
     cyclotomic,
     exact_div,
-    palindromic_reduce,
     parse_poly,
     poly_gcd,
     pseudo_rem,
@@ -23,7 +22,7 @@ from coxgrowth.intpoly import (
 )
 from coxgrowth.roots import isolate_largest_real_root, sqrt_interval
 
-from oracles import expand_trace_form
+from oracles import expand_trace_form, palindromic_reduce
 
 LEHMER = parse_poly("1,1,0,-1,-1,-1,-1,-1,0,1,1")
 

@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -112,6 +113,44 @@ def test_every_private_name_is_used_in_src():
     unused = [(file, node.lineno, name) for i, (file, node) in enumerate(statements)
               for name in _private_definitions(node) if not readers.get(name, set()) - {i}]
     assert unused == [], f"private names that src never reads: {unused}"
+
+
+# a construction from the paper, exported for its own sake
+_EXPORTS_WITHOUT_CALLER = {"weight4_leaf_replace"}
+_CALLER_DIRS = [SRC, *(Path(__file__).parent.parent / d for d in ("demos", "bench"))]
+
+
+def _names_read(node: ast.stmt) -> set[str]:
+    """The names that a top-level statement reads: names, attributes, and the
+    last part of a dotted string such as "roots.isolate_real_roots", which is
+    how bench/tracer.py names the functions that it wraps."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) \
+                and re.fullmatch(r"\w+(\.\w+)+", sub.value):
+            out.add(sub.value.rsplit(".", 1)[1])
+    return out
+
+
+def test_every_exported_name_has_a_caller():
+    # a public name of the package serves src, the demos or the benchmark;
+    # one that only tests use belongs in tests/oracles.py
+    init = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    exported = {alias.asname or alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    read = set()
+    for path in sorted(p for d in _CALLER_DIRS for p in d.rglob("*.py")):
+        if path == SRC / "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            defined = {node.name} if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else set()
+            read |= _names_read(node) - defined
+    unused = sorted(exported - read - _EXPORTS_WITHOUT_CALLER)
+    assert unused == [], f"exported names with no caller in src, demos or bench: {unused}"
 
 
 def _option(*argv):

@@ -20,10 +20,14 @@ from coxgrowth.numclass import (
 )
 from coxgrowth.roots import isolate_largest_real_root, root_bound, sturm_count
 
+from coxgrowth.salemdb import bundled_mini_list
+
 from oracles import (
     charpoly_interpolated,
+    expand_trace_form,
     reference_is_perron,
     reference_strip_cyclotomic,
+    reference_unit_circle_root_count,
     root_location_counts_float,
     schur_cohn_disk_counts,
     totient_sieve,
@@ -40,8 +44,9 @@ def test_unit_circle_examples():
     assert unit_circle_root_count(cyclotomic(12)) == 4
     assert unit_circle_root_count(LEHMER) == 8
     assert unit_circle_root_count(IntPoly([1, -3, 1])) == 0
-    with pytest.raises(ValueError):
-        unit_circle_root_count(IntPoly([1, 2, 2]))
+    for p in (IntPoly([1, 2, 2]), IntPoly(), IntPoly([0, 1, 1])):  # not reciprocal, zero, p(0) = 0
+        with pytest.raises(ValueError):
+            unit_circle_root_count(p)
 
 
 def test_unit_circle_odd_reciprocal():
@@ -139,17 +144,16 @@ def test_charpoly_int_matrix_against_interpolation():
 
 
 def test_disk_counts_small():
-    assert disk_root_counts(IntPoly([-2, 1])) == (0, 1)
-    assert disk_root_counts(IntPoly([-1, 2])) == (1, 0)
-    assert disk_root_counts(IntPoly([3, -3, 1])) == (0, 2)
-    assert disk_root_counts(IntPoly([3, -3, 1]) * IntPoly([-1, 2])) == (1, 2)
+    assert disk_root_counts(IntPoly([-2, 1])) == (0, 0, 1)
+    assert disk_root_counts(IntPoly([-1, 2])) == (1, 0, 0)
+    assert disk_root_counts(IntPoly([3, -3, 1])) == (0, 0, 2)
+    assert disk_root_counts(IntPoly([3, -3, 1]) * IntPoly([-1, 2])) == (1, 0, 2)
 
 
 def test_disk_counts_constructed_products():
     # products of factors with a prescribed inside/outside split: real roots
     # outside, complex pairs t^2 - a t + b outside (b >= 3), and their
-    # reversals inside
-    from coxgrowth.intpoly import poly_gcd, squarefree_part
+    # reversals inside, which may pair with a factor outside
     rng = random.Random(31337)
     checked = 0
     while checked < 100:
@@ -170,29 +174,36 @@ def test_disk_counts_constructed_products():
         if p.degree < 1:
             continue
         sf = squarefree_part(p)
-        if sf.degree != p.degree or poly_gcd(sf, sf.reversed()).degree > 0:
+        if sf.degree != p.degree:
             continue
-        assert disk_root_counts(sf) == (want_in, want_out), p
+        assert disk_root_counts(sf) == (want_in, 0, want_out), p
         checked += 1
 
 
-def _disk_counts_or_raise(count, h):
-    try:
-        return count(h)
-    except ArithmeticError:
-        return "raises"
-
-
 def _agrees_with_schur_cohn(h):
-    got = _disk_counts_or_raise(disk_root_counts, h)
-    assert got == _disk_counts_or_raise(schur_cohn_disk_counts, h), h
-    return got
+    # the Schur-Cohn signature (pos, neg) is the (inside, outside) split when the
+    # form is nondegenerate, that is with no circle root and no inversion pair;
+    # inside - outside = pos - neg always
+    inside, on, outside = disk_root_counts(h)
+    pos, neg = schur_cohn_disk_counts(h)
+    assert inside + on + outside == h.degree, h
+    if pos + neg == h.degree:
+        assert (inside, on, outside) == (pos, 0, neg), h
+    else:
+        assert inside - outside == pos - neg, h
+    return inside, on, outside
+
+
+def _admissible(h: IntPoly) -> bool:
+    # disk_root_counts takes squarefree s with s(0) != 0
+    return h.constant != 0 and squarefree_part(h).degree == h.degree
 
 
 @given(st.lists(st.integers(-9, 9), min_size=2, max_size=17).filter(lambda c: c[-1] != 0))
 @settings(max_examples=300, deadline=None)
 def test_disk_counts_against_schur_cohn(coeffs):
-    # any sign of the leading coefficient; counts and degenerate inputs must agree
+    # any sign of the leading coefficient, degenerate forms included
+    assume(_admissible(IntPoly(coeffs)))
     _agrees_with_schur_cohn(IntPoly(coeffs))
 
 
@@ -201,11 +212,13 @@ def test_disk_counts_against_schur_cohn(coeffs):
 @settings(max_examples=200, deadline=None)
 def test_disk_counts_with_end_coefficients_equal_up_to_sign(end, sign, middle):
     # a0 = +-an zeroes the first pivot of the Bistritz table; the count has no pivots
-    _agrees_with_schur_cohn(IntPoly([sign * end] + middle + [end]))
+    h = IntPoly([sign * end] + middle + [end])
+    assume(_admissible(h))
+    _agrees_with_schur_cohn(h)
 
 
 def test_disk_counts_at_a_zero_bistritz_pivot():
-    assert _agrees_with_schur_cohn(IntPoly([2, -3, 3, -2, 2, 0, -1, 0, 1])) == (4, 4)
+    assert _agrees_with_schur_cohn(IntPoly([2, -3, 3, -2, 2, 0, -1, 0, 1])) == (4, 0, 4)
 
 
 @given(st.integers(-6, 6).filter(bool), st.lists(st.integers(-6, 6), min_size=11, max_size=12),
@@ -219,21 +232,56 @@ def test_disk_counts_of_scaled_polynomials(constant, middle, half_num, den_bits)
     scaled = IntPoly(c * num**i * 2 ** (den_bits * (n - i))
                      for i, c in enumerate(p.coeffs)).primitive()
     assert max(abs(c) for c in scaled.coeffs).bit_length() > 800
+    assume(_admissible(p))
     _agrees_with_schur_cohn(scaled)
 
 
-@pytest.mark.parametrize("h", [
-    IntPoly([1, 0, 1]),                      # +-i
-    cyclotomic(5) * IntPoly([-3, 1]),        # primitive fifth roots of unity
-    IntPoly([-1, 1]) * IntPoly([1, 5, 2]),   # the root 1
-    IntPoly([1, 1]),                         # the root -1
-    IntPoly([1, 1]) * IntPoly([-3, 1]),
-    IntPoly([-2, 1]) * IntPoly([-1, 2]),     # the inversion pair 2, 1/2
-    IntPoly([-2, 1]) * IntPoly([-1, 2]) * IntPoly([7, 1, 1]),
-], ids=str)
-def test_disk_counts_reject_circle_roots_and_inversion_pairs(h):
-    with pytest.raises(ArithmeticError):
-        disk_root_counts(h)
+_CIRCLE_ROOTS_AND_INVERSION_PAIRS = [
+    (IntPoly([1, 0, 1]), (0, 2, 0)),                     # +-i
+    (cyclotomic(5) * IntPoly([-3, 1]), (0, 4, 1)),       # primitive fifth roots of unity
+    (IntPoly([-1, 1]) * IntPoly([1, 5, 2]), (1, 1, 1)),  # the root 1
+    (IntPoly([1, 1]), (0, 1, 0)),                        # the root -1
+    (IntPoly([1, 1]) * IntPoly([-3, 1]), (0, 1, 1)),
+    (IntPoly([-2, 1]) * IntPoly([-1, 2]), (1, 0, 1)),    # the inversion pair 2, 1/2
+    (IntPoly([-2, 1]) * IntPoly([-1, 2]) * IntPoly([7, 1, 1]), (1, 0, 3)),
+]
+
+
+@pytest.mark.parametrize("h, counts", _CIRCLE_ROOTS_AND_INVERSION_PAIRS,
+                         ids=[str(h) for h, _ in _CIRCLE_ROOTS_AND_INVERSION_PAIRS])
+def test_disk_counts_of_circle_roots_and_pairs(h, counts):
+    # a root on the circle or an inversion pair r, 1/r gets its exact counts too
+    assert disk_root_counts(h) == counts
+    _agrees_with_schur_cohn(h)
+
+
+_SALEM_POLYS = [e.poly for e in bundled_mini_list()]
+
+
+def _reciprocal(half: list[int], anti: bool) -> IntPoly:
+    # t^d q(t + 1/t) is reciprocal of degree 2d; times t - 1, anti-reciprocal
+    p = expand_trace_form(IntPoly(half + [1]))
+    return p * IntPoly([-1, 1]) if anti else p
+
+
+@given(st.lists(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 30]), max_size=4),
+       st.lists(st.sampled_from([LEHMER] + _SALEM_POLYS), max_size=2),
+       st.lists(st.tuples(st.lists(st.integers(-4, 4), max_size=5), st.booleans()), max_size=2))
+@settings(max_examples=100, deadline=None)
+def test_circle_count_against_the_trace_substitution(indices, salem, reciprocal):
+    # products of cyclotomics, Lehmer's polynomial, the bundled Salem list and
+    # random (anti-)reciprocal polynomials: the on count of their squarefree
+    # part against t + 1/t and a Sturm count on (-2, 2)
+    p = IntPoly([1])
+    for n in indices:
+        p = p * cyclotomic(n)
+    for f in salem:
+        p = p * f
+    for half, anti in reciprocal:
+        p = p * _reciprocal(half, anti)
+    assume(p.degree >= 1 and p.constant != 0)
+    s = squarefree_part(p)
+    assert disk_root_counts(s)[1] == reference_unit_circle_root_count(p) == unit_circle_root_count(p)
 
 
 @given(st.lists(st.integers(-6, 6), min_size=1, max_size=6))
@@ -318,8 +366,8 @@ def test_perron_false_from_a_scale_just_above_the_top_root():
     (IntPoly([-3, 1]) * IntPoly([4, 1, 1]), True),    # 3 and |z| = 2
 ], ids=str)
 def test_perron_with_a_dyadic_top_root(p, degenerate):
-    # the top root r is m / 2^k at every rung, where a count raises: from a
-    # bracket (low, high] around r, floor and ceiling give scales off r, and
+    # the top root r is m / 2^k at every rung, where a count at r cannot
+    # decide: from a bracket (low, high] around r, floor and ceiling give scales off r, and
     # from the bracket [r, r], which the isolation returns for both
     # polynomials (2 and 3 are points of their grids (-8, 8]), the scales
     # step one unit off it
@@ -329,11 +377,11 @@ def test_perron_with_a_dyadic_top_root(p, degenerate):
 
 def test_perron_scale_on_a_root_modulus_is_passed_over(monkeypatch):
     # the top root of t^6 - 2t^5 - 1 is 2.0307, so the 4-bit scale below it is
-    # 2, the modulus of the pair of t^2 + t + 4: that count raises, and a finer
+    # 2, the modulus of the pair of t^2 + t + 4: the count there is exact, 5
+    # roots inside with the pair on the circle, too few to decide, and a finer
     # scale decides
     p = IntPoly([4, 1, 1]) * IntPoly([-1, 0, 0, 0, 0, -2, 1])
-    with pytest.raises(ArithmeticError):
-        disk_root_counts(IntPoly(c * 2**i for i, c in enumerate(p.coeffs)))
+    assert disk_root_counts(IntPoly(c * 2**i for i, c in enumerate(p.coeffs))) == (5, 2, 1)
     counts = []
     inside_scaled = numclass._inside_scaled
 
@@ -343,7 +391,7 @@ def test_perron_scale_on_a_root_modulus_is_passed_over(monkeypatch):
 
     monkeypatch.setattr(numclass, "_inside_scaled", spy)
     assert _is_perron(p, _outside(p)) is True
-    assert counts[0] == (Fraction(2), None)
+    assert counts[0] == (Fraction(2), 5)
     assert counts[-1][1] == p.degree - 1
 
 
