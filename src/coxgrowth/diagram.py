@@ -106,9 +106,7 @@ class CoxeterDiagram:
         return CoxeterDiagram(len(vertices), edges)
 
     def degree_sequence(self) -> list[int]:
-        return sorted(sum(1 for j in range(self.n)
-                          if j != i and (self.weights[i][j] is INF or self.weights[i][j] >= 3))
-                      for i in range(self.n))
+        return sorted(m.bit_count() for m in _edge_masks(self)[0])
 
 
 # -- Coxeter symbols --------------------------------------------------------------
@@ -400,95 +398,103 @@ _EXCEPTIONAL_EXPONENTS = {
 }
 
 
-def _recognize_component(d: CoxeterDiagram, vertices: list[int]) -> SphericalType | None:
-    r = len(vertices)
-    sub = [[d.weight(a, b) for b in vertices] for a in vertices]
-    for row in sub:
-        if any(w is INF for w in row):
+def _bits(mask: int):
+    """The indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
+def _edge_masks(d: CoxeterDiagram) -> tuple[list[int], list[int]]:
+    """Per vertex, the bitmask of its neighbours (weight >= 3 or INF) and
+    the bitmask of those joined to it by INF."""
+    nbr = [sum(1 << j for j, w in enumerate(row) if w is INF or w >= 3) for row in d.weights]
+    inf = [sum(1 << j for j, w in enumerate(row) if w is INF) for row in d.weights]
+    return nbr, inf
+
+
+def _spherical_type(weights, nbr: list[int], inf: list[int], mask: int) -> SphericalType | None:
+    """The type of the connected vertex set mask when it is spherical, else None.
+
+    nbr and inf are the bitmasks of _edge_masks.  A connected spherical
+    diagram is a tree (k - 1 edges) with no INF edge: a path, read as a
+    weight word from one end, or one branch vertex with three arms of
+    weight-3 edges, read by walking the neighbour bits out from it.
+    """
+    r = mask.bit_count()
+    end = center = None
+    edges = 0
+    for v in _bits(mask):
+        deg = (nbr[v] & mask).bit_count()
+        if inf[v] & mask or deg > 3 or deg == 3 and center is not None:
             return None
+        edges += deg
+        if deg == 1:
+            end = v
+        elif deg == 3:
+            center = v
     if r == 1:
         return SphericalType("A", 1, (1,))
-    deg = [sum(1 for b in range(r) if b != a and sub[a][b] >= 3) for a in range(r)]
-    edge_count = sum(deg) // 2
-    if edge_count != r - 1:
-        return None  # disconnected impossible here, so there is a cycle
-    if r == 2:
-        m = sub[0][1]
-        if m == 3:
-            return SphericalType("A", 2, (1, 2))
-        return SphericalType("I2", 2, (1, m - 1), m=m)
-    if max(deg) > 3 or deg.count(3) > 1:
-        return None
-    if max(deg) == 2:
-        # a path: read the weight word from one end
-        end = deg.index(1)
-        order = [end]
-        while len(order) < r:
-            nxt = [b for b in range(r) if sub[order[-1]][b] >= 3 and (len(order) < 2 or b != order[-2])]
-            order.append(nxt[0])
-        word = tuple(sub[order[t]][order[t + 1]] for t in range(r - 1))
+    if edges != 2 * (r - 1):
+        return None  # a cycle
+
+    def arm(prev: int, cur: int) -> tuple:
+        """The edge weights from prev through cur out to the end of its path."""
+        word = [weights[prev][cur]]
+        while (nbr[cur] & mask).bit_count() == 2:
+            prev, cur = cur, (nbr[cur] & mask & ~(1 << prev)).bit_length() - 1
+            word.append(weights[prev][cur])
+        return tuple(word)
+
+    if center is None:
+        word = arm(end, (nbr[end] & mask).bit_length() - 1)
         words = {word, word[::-1]}
+        if r == 2 and word[0] != 3:
+            return SphericalType("I2", 2, (1, word[0] - 1), m=word[0])
         if all(w == 3 for w in word):
             return SphericalType("A", r, tuple(range(1, r + 1)))
-        if any(w == (4,) + (3,) * (r - 2) for w in words):
+        if (4,) + (3,) * (r - 2) in words:
             return SphericalType("B", r, tuple(range(1, 2 * r, 2)))
         if r == 4 and word == (3, 4, 3):
             return SphericalType("F4", 4, _EXCEPTIONAL_EXPONENTS["F4"])
         if r == 3 and (5, 3) in words:
             return SphericalType("H3", 3, _EXCEPTIONAL_EXPONENTS["H3"])
-        if r == 4 and any(w == (5, 3, 3) for w in words):
+        if r == 4 and (5, 3, 3) in words:
             return SphericalType("H4", 4, _EXCEPTIONAL_EXPONENTS["H4"])
         return None
-    # exactly one branch vertex: D or E, all weights 3
-    if any(sub[a][b] not in (2, 3) for a in range(r) for b in range(a + 1, r)):
+    # one branch vertex: D or E, all weights 3
+    arms = [arm(center, v) for v in _bits(nbr[center] & mask)]
+    if any(w != 3 for word in arms for w in word):
         return None
-    center = deg.index(3)
-    arms = []
-    for start in (b for b in range(r) if sub[center][b] >= 3):
-        length = 1
-        prev, cur = center, start
-        while deg[cur] == 2:
-            nxt = [b for b in range(r) if sub[cur][b] >= 3 and b != prev]
-            prev, cur = cur, nxt[0]
-            length += 1
-        if deg[cur] != 1:
-            return None
-        arms.append(length)
-    arms.sort()
-    if arms[0] == 1 and arms[1] == 1:
-        n = r
-        return SphericalType("D", n, tuple(range(1, 2 * n - 2, 2)) + (n - 1,))
-    if arms in ([1, 2, 2], [1, 2, 3], [1, 2, 4]):
-        fam = {2: "E6", 3: "E7", 4: "E8"}[arms[2]]
-        return SphericalType(fam, r, _EXCEPTIONAL_EXPONENTS[fam])
+    lengths = sorted(map(len, arms))
+    if lengths[:2] == [1, 1]:
+        return SphericalType("D", r, tuple(range(1, 2 * r - 2, 2)) + (r - 1,))
+    if lengths in ([1, 2, 2], [1, 2, 3], [1, 2, 4]):
+        return SphericalType(f"E{r}", r, _EXCEPTIONAL_EXPONENTS[f"E{r}"])
     return None
 
 
 def finite_type_recognize(d: CoxeterDiagram) -> list[SphericalType] | None:
     """Split into connected components and match each against the spherical catalog.
 
-    Returns the list of component types, or None when any component is not
-    spherical ("not finite" is a value, not an error).
+    Returns the list of component types, ordered by least vertex, or None
+    when any component is not spherical ("not finite" is a value, not an error).
     """
-    seen: set[int] = set()
+    nbr, inf = _edge_masks(d)
     out = []
-    for start in range(d.n):
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u in range(d.n):
-                if u not in seen and (d.weights[v][u] is INF or d.weights[v][u] >= 3):
-                    seen.add(u)
-                    comp.append(u)
-                    stack.append(u)
-        t = _recognize_component(d, sorted(comp))
+    left = (1 << d.n) - 1
+    while left:
+        comp, grown = 0, left & -left
+        while grown != comp:
+            comp, new = grown, grown & ~comp
+            for v in _bits(new):
+                grown |= nbr[v]
+        t = _spherical_type(d.weights, nbr, inf, comp)
         if t is None:
             return None
         out.append(t)
+        left &= ~comp
     return out
 
 

@@ -26,15 +26,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .diagram import (
-    INF,
-    STEINBERG_RANK_BOUND,
-    CoxeterDiagram,
-    SphericalType,
-    dominates,
-    finite_type_recognize,
-    polygon_is_hyperbolic,
-)
+from .diagram import STEINBERG_RANK_BOUND, CoxeterDiagram, dominates, polygon_is_hyperbolic
+from .diagram import _bits, _edge_masks, _spherical_type
 from .intpoly import ONE, ExactDivisionError, IntPoly, bracket, cyclotomic, exact_div, poly_gcd
 from .intpoly import _signed_digits
 from .roots import (
@@ -154,11 +147,6 @@ def _bracket_factorization(ks) -> Counter[int]:
     return Counter(d for k in ks for d in range(2, k + 1) if k % d == 0)
 
 
-def _solomon_factorization(types: list[SphericalType]) -> Counter[int]:
-    """The Phi_d exponents of the product of brackets [e + 1]."""
-    return _bracket_factorization(e + 1 for t in types for e in t.exponents)
-
-
 def _reduced_growth(exponents: dict[int, int], den: IntPoly) -> GrowthFunction:
     """The growth series prod_d Phi_d^e_d / den in lowest terms, by exact
     division instead of a gcd.
@@ -196,27 +184,31 @@ def _connected_spherical_sets(d: CoxeterDiagram) -> dict[int, tuple[Counter[int]
     """Each connected spherical vertex set, as a bitmask, with its Solomon
     factorization and the bitmask of the set and its neighbours.
 
-    An edge is a weight >= 3 or INF.  Sets grow from singletons by one
-    neighbour at a time, and each candidate is typed once.  Pruning at the
-    first non-spherical set is sound: a parabolic subgroup of a finite group
-    is finite, so a connected set containing a non-spherical one is not
+    An edge is a weight >= 3 or INF.  The neighbour and INF bitmasks of the
+    vertices are built once, and each set is typed on its bitmask, with no
+    subdiagram.  Sets grow from singletons by one neighbour (a bit of
+    near & ~mask) at a time, and each candidate is typed once.  Pruning at
+    the first non-spherical set is sound: a parabolic subgroup of a finite
+    group is finite, so a connected set containing a non-spherical one is not
     spherical; and a connected spherical set of size k+1 minus a non-cut
     vertex (a leaf of a spanning tree) is a connected spherical set of size k.
     """
-    nbr = [sum(1 << j for j, w in enumerate(row) if w is INF or w >= 3) for row in d.weights]
+    nbr, inf = _edge_masks(d)
     out: dict[int, tuple[Counter[int], int]] = {}
     todo = [1 << v for v in range(d.n)]
     seen = set(todo)
     while todo:
         mask = todo.pop()
-        types = finite_type_recognize(d.subdiagram(tuple(v for v in range(d.n) if mask >> v & 1)))
-        if types is None:
+        t = _spherical_type(d.weights, nbr, inf, mask)
+        if t is None:
             continue
-        near = mask | sum(1 << v for v in range(d.n) if nbr[v] & mask)
-        out[mask] = (_solomon_factorization(types), near)
-        for v in range(d.n):
+        near = mask
+        for v in _bits(mask):
+            near |= nbr[v]
+        out[mask] = (_bracket_factorization(e + 1 for e in t.exponents), near)
+        for v in _bits(near & ~mask):
             grown = mask | 1 << v
-            if near >> v & 1 and grown not in seen:
+            if grown not in seen:
                 seen.add(grown)
                 todo.append(grown)
     return out

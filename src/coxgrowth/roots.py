@@ -262,14 +262,6 @@ def sturm_count(p: IntPoly, a: Fraction | int, b: Fraction | int) -> int:
     return _variations_at(chain, a) - _variations_at(chain, b)
 
 
-def count_roots_open(p: IntPoly, a: Fraction, b: Fraction) -> int:
-    """Number of distinct real roots in the open interval (a, b)."""
-    n = sturm_count(p, a, b)
-    if _sturm_state(p).sf.sign_at(Fraction(b)) == 0:
-        n -= 1
-    return n
-
-
 def root_bound(p: IntPoly) -> Fraction:
     """B = 2^e, the least power of two that is at least 2 and above Fujiwara's
     bound 2 max_k |a_(n-k) / a_n|^(1/k), its k = n term halved: every root of

@@ -14,19 +14,22 @@ from the trace substitution x = t + 1/t, growth series from
 the alternating sum over every one of the 2^n vertex subsets, cyclotomic
 factors from trial division by every Phi_n with phi(n) <= deg over a totient
 sieve, Perron verdicts from Schur-Cohn counts of p(ct) at 40-bit scales c just
-below the top root.  None of these are production paths; they exist to
-cross-check the exact implementations.  A few helpers that only tests use
-(Solomon's growth polynomial, the reciprocity check of a growth series, the
-printing of Coxeter symbols) live here as well.
+below the top root (isolated on the reference Sturm chains), spherical types
+from a component search over a copy of each subdiagram's weight table.  None
+of these are production paths; they exist to cross-check the exact
+implementations.  A few helpers that only tests use (Solomon's growth
+polynomial, the reciprocity check of a growth series, the printing of Coxeter
+symbols, the count of roots in an open interval) live here as well.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
 
-from coxgrowth.diagram import INF, CoxeterDiagram, DiagramError, WeightedTree, finite_type_recognize
+from coxgrowth.diagram import INF, CoxeterDiagram, DiagramError, SphericalType, WeightedTree
 from coxgrowth.growth import GrowthFunction
 from coxgrowth.intpoly import (
     ExactDivisionError,
@@ -38,7 +41,6 @@ from coxgrowth.intpoly import (
     reciprocity_type,
     squarefree_part,
 )
-from coxgrowth import roots
 
 
 # -- breadth-first word counts in the geometric representation ---------------------------
@@ -269,6 +271,12 @@ def _reference_count(p: IntPoly, a: Fraction, b: Fraction) -> int:
         return 0
     chain = _reference_sturm_chain(sf)
     return _reference_variations(chain, a) - _reference_variations(chain, b)
+
+
+def count_roots_open(p: IntPoly, a: Fraction, b: Fraction) -> int:
+    """Distinct real roots of p in the open interval (a, b): the Sturm count
+    over (a, b], less one when b is a root."""
+    return _reference_count(p, a, b) - (p.sign_at(b) == 0)
 
 
 def _reference_bound(p: IntPoly) -> Fraction:
@@ -577,6 +585,7 @@ def reference_unit_circle_root_count(p: IntPoly) -> int:
 # -- weighted-tree matrices ------------------------------------------------------------------
 
 
+@functools.cache
 def _edge_square(m) -> int:
     """4cos^2(pi/m), an integer for m in {3, 4, 6, inf}; computed in floating point."""
     value = 4.0 if m is INF else 4 * math.cos(math.pi / m) ** 2
@@ -619,12 +628,28 @@ def coxeter_element_matrix(n: int, edges) -> list[list[int]]:
 # -- tree polynomials by dense products of the matching polynomial ---------------------------
 
 
+# (M, F) of each path hanging from its top vertex, by the squares of its
+# edges from the top down; () is the single vertex
+_PATH_PAIRS: dict[tuple[int, ...], tuple[IntPoly, IntPoly]] = {(): (IntPoly([1]), IntPoly([1]))}
+
+
+def _reference_path_pair(squares: tuple[int, ...]) -> tuple[IntPoly, IntPoly]:
+    """(M, F) of a hanging path, memoized with every shorter path below it:
+    the top vertex's one child c gives M = M_c + a y F_c and F = M_c."""
+    for k in range(len(squares) - 1, -1, -1):
+        if squares[k:] not in _PATH_PAIRS:
+            full, free = _PATH_PAIRS[squares[k + 1:]]
+            _PATH_PAIRS[squares[k:]] = full + (free * squares[k]).shift(1), full
+    return _PATH_PAIRS[squares]
+
+
 def reference_matching_polynomial(tree: WeightedTree) -> IntPoly:
     """The weighted matching polynomial sum_k m_k y^k of a tree, by dense
     products: rooted at vertex 0, each vertex v keeps M_v over all matchings
     of its subtree and F_v over those that leave v free, and attaching a
     child c by an edge of square a gives M_v <- M_v M_c + a y F_v F_c and
-    F_v <- F_v M_c."""
+    F_v <- F_v M_c.  A subtree that is a hanging path takes its pair from
+    _reference_path_pair, so the arms of a star cost no products."""
     adj = tree.adjacency()
     parent = [-1] * tree.n
     square = [0] * tree.n  # of the edge to the parent
@@ -635,17 +660,26 @@ def reference_matching_polynomial(tree: WeightedTree) -> IntPoly:
                 parent[u] = v
                 square[u] = _edge_square(w)
                 order.append(u)
-    one = IntPoly([1])
-    full = [one] * tree.n
-    free = [one] * tree.n
-    for c in reversed(order[1:]):
-        v = parent[c]
-        edge = (free[c] * square[c]).shift(1)
-        if full[v] is one:  # first child of v: M_v = F_v = 1 so far
-            full[v], free[v] = full[c] + edge, full[c]
-        else:
-            full[v], free[v] = full[v] * full[c] + free[v] * edge, free[v] * full[c]
-    return full[0]
+    children: list[list[int]] = [[] for _ in range(tree.n)]
+    for c in order[1:]:
+        children[parent[c]].append(c)
+    below: list[tuple[int, ...] | None] = [None] * tree.n  # the squares of a hanging path
+    full: list[IntPoly] = [None] * tree.n
+    free: list[IntPoly] = [None] * tree.n
+    for v in reversed(order):
+        kids = children[v]
+        if not kids or len(kids) == 1 and below[kids[0]] is not None:
+            below[v] = (square[kids[0]], *below[kids[0]]) if kids else ()
+            continue
+        for c in kids:
+            if below[c] is not None:
+                full[c], free[c] = _reference_path_pair(below[c])
+            edge = (free[c] * square[c]).shift(1)
+            if c == kids[0]:  # M_v = F_v = 1 so far
+                full[v], free[v] = full[c] + edge, full[c]
+            else:
+                full[v], free[v] = full[v] * full[c] + free[v] * edge, free[v] * full[c]
+    return full[0] if below[0] is None else _reference_path_pair(below[0])[0]
 
 
 def reference_tree_polynomials(tree: WeightedTree) -> tuple[IntPoly, IntPoly]:
@@ -657,9 +691,15 @@ def reference_tree_polynomials(tree: WeightedTree) -> tuple[IntPoly, IntPoly]:
     phi = [0] * (n + 1)
     for k, m in enumerate(matching):
         chi[n - 2 * k] = (-1) ** k * m
-        for j in range(n - 2 * k + 1):
-            phi[k + j] += (-1) ** k * m * math.comb(n - 2 * k, j)
+        for j, binom in enumerate(_binomial_row(n - 2 * k), k):
+            phi[j] += (-1) ** k * m * binom
     return IntPoly(chi), IntPoly(phi)
+
+
+@functools.cache
+def _binomial_row(m: int) -> tuple[int, ...]:
+    """The binomial coefficients C(m, j) for j = 0..m."""
+    return tuple(math.comb(m, j) for j in range(m + 1))
 
 
 # -- random trees -----------------------------------------------------------------------------
@@ -710,6 +750,106 @@ def reference_polygon_delta(*ps: int) -> IntPoly:
     return out
 
 
+# -- spherical types from the subdiagram's weight table -------------------------------------
+
+
+_REFERENCE_EXPONENTS = {
+    "E6": (1, 4, 5, 7, 8, 11),
+    "E7": (1, 5, 7, 9, 11, 13, 17),
+    "E8": (1, 7, 11, 13, 17, 19, 23, 29),
+    "F4": (1, 5, 7, 11),
+    "H3": (1, 5, 9),
+    "H4": (1, 11, 19, 29),
+}
+
+
+def _reference_component_type(d: CoxeterDiagram, vertices: list[int]) -> SphericalType | None:
+    """The catalog type of one connected component, read from a copy of its
+    weight table: degrees by counting rows, the path word by walking the
+    table from an end, the arms of a branch vertex likewise."""
+    r = len(vertices)
+    sub = [[d.weight(a, b) for b in vertices] for a in vertices]
+    for row in sub:
+        if any(w is INF for w in row):
+            return None
+    if r == 1:
+        return SphericalType("A", 1, (1,))
+    deg = [sum(1 for b in range(r) if b != a and sub[a][b] >= 3) for a in range(r)]
+    if sum(deg) // 2 != r - 1:
+        return None  # the component is connected, so there is a cycle
+    if r == 2:
+        m = sub[0][1]
+        if m == 3:
+            return SphericalType("A", 2, (1, 2))
+        return SphericalType("I2", 2, (1, m - 1), m=m)
+    if max(deg) > 3 or deg.count(3) > 1:
+        return None
+    if max(deg) == 2:
+        order = [deg.index(1)]
+        while len(order) < r:
+            nxt = [b for b in range(r) if sub[order[-1]][b] >= 3 and (len(order) < 2 or b != order[-2])]
+            order.append(nxt[0])
+        word = tuple(sub[order[t]][order[t + 1]] for t in range(r - 1))
+        words = {word, word[::-1]}
+        if all(w == 3 for w in word):
+            return SphericalType("A", r, tuple(range(1, r + 1)))
+        if any(w == (4,) + (3,) * (r - 2) for w in words):
+            return SphericalType("B", r, tuple(range(1, 2 * r, 2)))
+        if r == 4 and word == (3, 4, 3):
+            return SphericalType("F4", 4, _REFERENCE_EXPONENTS["F4"])
+        if r == 3 and (5, 3) in words:
+            return SphericalType("H3", 3, _REFERENCE_EXPONENTS["H3"])
+        if r == 4 and any(w == (5, 3, 3) for w in words):
+            return SphericalType("H4", 4, _REFERENCE_EXPONENTS["H4"])
+        return None
+    # exactly one branch vertex: D or E, all weights 3
+    if any(sub[a][b] not in (2, 3) for a in range(r) for b in range(a + 1, r)):
+        return None
+    center = deg.index(3)
+    arms = []
+    for start in (b for b in range(r) if sub[center][b] >= 3):
+        length = 1
+        prev, cur = center, start
+        while deg[cur] == 2:
+            nxt = [b for b in range(r) if sub[cur][b] >= 3 and b != prev]
+            prev, cur = cur, nxt[0]
+            length += 1
+        arms.append(length)
+    arms.sort()
+    if arms[0] == 1 and arms[1] == 1:
+        return SphericalType("D", r, tuple(range(1, 2 * r - 2, 2)) + (r - 1,))
+    if arms in ([1, 2, 2], [1, 2, 3], [1, 2, 4]):
+        fam = {2: "E6", 3: "E7", 4: "E8"}[arms[2]]
+        return SphericalType(fam, r, _REFERENCE_EXPONENTS[fam])
+    return None
+
+
+def reference_finite_type(d: CoxeterDiagram) -> list[SphericalType] | None:
+    """The component types of d by a depth-first component search over the
+    weight table, in the order of their least vertices; None when a
+    component is not spherical."""
+    seen: set[int] = set()
+    out = []
+    for start in range(d.n):
+        if start in seen:
+            continue
+        comp = [start]
+        seen.add(start)
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for u in range(d.n):
+                if u not in seen and (d.weights[v][u] is INF or d.weights[v][u] >= 3):
+                    seen.add(u)
+                    comp.append(u)
+                    stack.append(u)
+        t = _reference_component_type(d, sorted(comp))
+        if t is None:
+            return None
+        out.append(t)
+    return out
+
+
 # -- the Steinberg sum over every vertex subset ---------------------------------------------
 
 
@@ -748,7 +888,7 @@ def subset_sweep_growth(d: CoxeterDiagram) -> GrowthFunction:
         for subset in itertools.combinations(verts, r):
             if any(d.weights[a][b] is INF for a, b in itertools.combinations(subset, 2)):
                 continue
-            types = finite_type_recognize(d.subdiagram(subset))
+            types = reference_finite_type(d.subdiagram(subset))
             if types is None:
                 continue
             terms.append(((-1) ** r, _solomon_factorization(types)))
@@ -824,13 +964,30 @@ def reference_strip_cyclotomic(p: IntPoly) -> tuple[IntPoly, list[tuple[int, int
 # -- the Perron check at 40-bit scales ------------------------------------------------------
 
 
+def _reference_not_above(p: IntPoly, p_bracket, q: IntPoly, q_bracket) -> bool:
+    """Whether the top root of p, in p_bracket, is at most the top root of q,
+    in q_bracket; a bracket (low, high] is a point when low = high.  When a
+    root of gcd(p, q) lies in p's bracket, the top root of p is a real root of
+    q and so at most q's top; otherwise the two differ, and both brackets are
+    refined until they are disjoint."""
+    (p_lo, p_hi), (q_lo, q_hi) = p_bracket, q_bracket
+    g = poly_gcd(p, q)
+    if g.degree > 0 and (g.sign_at(p_hi) == 0 if p_lo == p_hi else _reference_count(g, p_lo, p_hi) > 0):
+        return True
+    while q_lo < p_hi and p_lo < q_hi:
+        p_lo, p_hi = reference_refined(p, p_lo, p_hi, (p_hi - p_lo) / 2**10)
+        q_lo, q_hi = reference_refined(q, q_lo, q_hi, (q_hi - q_lo) / 2**10)
+    return p_hi <= q_lo
+
+
 def reference_is_perron(p: IntPoly, outside: int) -> bool | None:
     """Whether the largest real root of squarefree p strictly dominates all
     other root moduli, None when undecided: Schur-Cohn counts of p(ct) at c
     the lower end of the top root's bracket, refined from 1e-12 by 2^-10 for
-    up to five rounds."""
+    up to five rounds.  Roots are counted and isolated on the reference
+    Sturm chains."""
     bound = _reference_bound(p)
-    above_one = roots.sturm_count(p, 1, bound)
+    above_one = _reference_count(p, Fraction(1), bound)
     if outside == 1:
         # The unique root outside the closed disk is real (complex roots pair up);
         # it dominates iff it lies in (1, inf) rather than (-inf, -1).
@@ -841,17 +998,18 @@ def reference_is_perron(p: IntPoly, outside: int) -> bool | None:
         return False
     if p.degree > 64:
         return None
-    top = roots.isolate_largest_real_root(p, Fraction(1, 10**12))
-    # A negative root of equal or larger modulus rules top out.
+    low, high, _ = reference_isolate_largest(p, Fraction(1, 10**12))
+    # A negative root of equal or larger modulus rules the top root out; p(-t)
+    # has the same Fujiwara bound as p.
     mirrored = IntPoly((-1) ** (i % 2) * c for i, c in enumerate(p.coeffs))
-    if roots.sturm_count(mirrored, 1, bound) > 0:
-        neg_top = roots.isolate_largest_real_root(mirrored, Fraction(1, 10**12))
-        if roots.compare(neg_top, top) >= 0:
+    if _reference_count(mirrored, Fraction(1), bound) > 0:
+        neg_low, neg_high, _ = reference_isolate_largest(mirrored, Fraction(1, 10**12))
+        if _reference_not_above(p, (low, high), mirrored, (neg_low, neg_high)):
             return False
     # Count roots of modulus < c for rational c just below the top root:
     # p(c t) scaled to integer coefficients, then a unit-disk count.
     for _ in range(5):
-        c = top.low if top.width > 0 else top.low - Fraction(1, 10**15)
+        c = low if high > low else low - Fraction(1, 10**15)
         scaled = IntPoly(coeff * c.numerator**i * c.denominator ** (p.degree - i)
                          for i, coeff in enumerate(p.coeffs)).primitive()
         pos, neg = schur_cohn_disk_counts(scaled)
@@ -859,9 +1017,9 @@ def reference_is_perron(p: IntPoly, outside: int) -> bool | None:
         # inverse) leaves the inside count open
         if pos + neg == p.degree and pos >= p.degree - 1:
             return True
-        if top.width == 0:
+        if high == low:
             return None
-        top = top.refined(top.width / 2**10)
+        low, high = reference_refined(p, low, high, (high - low) / 2**10)
     return None
 
 

@@ -18,11 +18,12 @@ from coxgrowth.diagram import (
     polygon_is_hyperbolic,
     star_diagram,
 )
-from coxgrowth.growth import STEINBERG_RANK_BOUND
+from coxgrowth.growth import STEINBERG_RANK_BOUND, _connected_spherical_sets
 
 from oracles import (
     dihedral_order,
     format_coxeter_symbol,
+    reference_finite_type,
     signed_permutation_order,
     symmetric_group_order,
 )
@@ -251,6 +252,59 @@ def test_exceptional_orders():
     }
     for name, diagram in builders.items():
         assert finite_type_recognize(diagram)[0].order() == classical[name]
+
+
+def _random_diagram(rng: random.Random) -> CoxeterDiagram:
+    """A random spanning tree on at most 9 vertices, its edges mostly of
+    weight 3, plus up to two more edges (cycles) and some weight-2 pairs."""
+    n = rng.randint(1, 9)
+    weights = [3, 3, 3, 3, 4, 5, 6, 8, INF]
+    edges = {(rng.randrange(v), v): rng.choice(weights) for v in range(1, n)}
+    for _ in range(rng.randint(0, 2) if n > 2 else 0):
+        i, j = sorted(rng.sample(range(n), 2))
+        edges[(i, j)] = rng.choice(weights)
+    for key in rng.sample(sorted(edges), len(edges) // 8):
+        edges[key] = 2
+    return CoxeterDiagram(n, edges)
+
+
+def _with_pendant(d: CoxeterDiagram, at: int, weight) -> CoxeterDiagram:
+    """d with one more vertex, joined to vertex at by an edge of the given weight."""
+    edges = {(i, j): w for i, j, w in d.edges()}
+    edges[(at, d.n)] = weight
+    return CoxeterDiagram(d.n + 1, edges)
+
+
+_PLANTED = [
+    _with_pendant(star_diagram(2, 3, 5).to_diagram(), 7, 3),   # E8 inside affine E8
+    _with_pendant(star_diagram(2, 3, 4).to_diagram(), 6, 4),   # E7 with a weight-4 tail
+    _with_pendant(star_diagram(2, 2, 5).to_diagram(), 0, 3),   # D7 with a fourth arm
+    _with_pendant(parse_coxeter_symbol("[5,3,3]"), 2, 3),       # H4 and a branch
+    _with_pendant(parse_coxeter_symbol("[3,4,3]"), 0, 3),       # F4 inside affine F4
+    _with_pendant(parse_coxeter_symbol("[4,3,3,3,3,3,3]"), 7, 4),  # B8 inside affine C8
+    _with_pendant(parse_coxeter_symbol("[5,3]"), 0, 5),         # H3 and [5,5,3]
+    parse_coxeter_symbol("[8,3,6,inf,3,3]"),
+    parse_coxeter_symbol("[(3^4,4,3^3)]"),
+]
+
+
+def test_bitmask_typing_matches_the_weight_table_oracle():
+    # every vertex subset of seeded random diagrams of rank <= 9 and of
+    # diagrams planted with each exceptional type; the Steinberg sum types
+    # exactly the connected subsets that the oracle finds spherical
+    rng = random.Random(18)
+    families = set()
+    for d in _PLANTED + [_random_diagram(rng) for _ in range(150)]:
+        connected_spherical = set()
+        for mask in range(1, 1 << d.n):
+            sub = d.subdiagram(tuple(v for v in range(d.n) if mask >> v & 1))
+            want = reference_finite_type(sub)
+            assert finite_type_recognize(sub) == want, (d, mask)
+            if want is not None and len(want) == 1:
+                connected_spherical.add(mask)
+                families.add(want[0].family)
+        assert set(_connected_spherical_sets(d)) == connected_spherical, d
+    assert families == {"A", "B", "D", "E6", "E7", "E8", "F4", "H3", "H4", "I2"}
 
 
 def test_dominates_chain():

@@ -13,7 +13,6 @@ from coxgrowth.roots import (
     cauchy_index,
     certify_strictly_less,
     compare,
-    count_roots_open,
     isolate_largest_real_root,
     isolate_real_roots,
     largest_root_above_one,
@@ -22,7 +21,12 @@ from coxgrowth.roots import (
     sturm_count,
 )
 
-from oracles import real_root_count_bisection, reference_real_root_count, reference_refined
+from oracles import (
+    count_roots_open,
+    real_root_count_bisection,
+    reference_real_root_count,
+    reference_refined,
+)
 
 LEHMER = parse_poly("1,1,0,-1,-1,-1,-1,-1,0,1,1")
 

@@ -38,11 +38,10 @@ from pathlib import Path
 
 METRICS = ["items_per_s", "item_p50_ms", "item_p90_ms", "failed_frac", "setup_s", "peak_rss_mb"]
 HIGHER_IS_BETTER = {"items_per_s"}
-COUNTS = ["diagram.finite_type_recognize.calls", "intpoly.mul.calls",
-          "growth.steinberg_growth.subsets_per_call", "intpoly.exact_div.calls",
-          "numclass.strip_cyclotomic.calls", "numclass.disk_root_counts.calls",
-          "numclass.disk_root_counts.bits_max", "roots.sturm_chain.calls", "roots.sign_at_calls",
-          "growth.growth_function.calls", "intpoly.constructed"]
+COUNTS = ["intpoly.mul.calls", "intpoly.exact_div.calls", "numclass.strip_cyclotomic.calls",
+          "numclass.disk_root_counts.calls", "numclass.disk_root_counts.bits_max",
+          "roots.sturm_chain.calls", "roots.sign_at_calls", "growth.growth_function.calls",
+          "intpoly.constructed"]
 
 
 def git(root: Path, *args: str) -> bytes:
