@@ -30,7 +30,7 @@ from .intpoly import (
     squarefree_part,
 )
 from . import roots
-from .roots import _cauchy_index_and_gcd, isolate_largest_real_root, sturm_count
+from .roots import _cauchy_index_and_gcd, largest_root_above_one
 
 
 @dataclass(frozen=True)
@@ -216,13 +216,14 @@ def _inside_scaled(p: IntPoly, c: Fraction) -> int:
     return disk_root_counts(scaled)[0]
 
 
-def _is_perron(p: IntPoly, outside: int, above_one: int | None = None) -> bool | None:
+def _is_perron(p: IntPoly, outside: int) -> bool | None:
     """Whether the largest real root of squarefree p strictly dominates all
     other root moduli.
 
-    outside is the number of roots of p outside the closed unit disk, and
-    above_one, counted here when not given, the number in (1, inf).  A real
-    root at or below -1 (counted on p's own Sturm chain) whose modulus is at
+    outside is the number of roots of p outside the closed unit disk.  The
+    top root comes from roots.largest_root_above_one: with none above 1, p
+    is not Perron, and with one root outside, that root is the top root.  A
+    real root below -1, the top root of p(-t) above 1, whose modulus is at
     least the top root's gives False, by compare.  The other moduli are set
     against the top root by disk counts of p(ct) at dyadic scales
     c = m / 2^k, k in _SCALE_BITS, on a bracket (low, high] of the top root
@@ -235,26 +236,20 @@ def _is_perron(p: IntPoly, outside: int, above_one: int | None = None) -> bool |
     Returns None when undecided: above degree 64, or when no rung decides,
     as for a complex pair of the same modulus as the top root.
     """
-    bound = roots.root_bound(p)
-    if above_one is None:
-        above_one = sturm_count(p, 1, bound)
-    if outside == 1:
-        # The unique root outside the closed disk is real (complex roots pair up);
-        # it dominates iff it lies in (1, inf) rather than (-inf, -1).
-        return above_one == 1
     if outside == 0:
         return False
-    if above_one == 0:
+    top = largest_root_above_one(p, Fraction(1, 64))
+    if top is None:
         return False
+    if outside == 1:
+        # complex roots pair up, so the one root outside is real: the top root
+        return True
     if p.degree > 64:
         return None
-    top = isolate_largest_real_root(p, Fraction(1, 64))
-    # A negative root of equal or larger modulus rules top out.
-    if sturm_count(p, -bound, -1) - (p(-1) == 0) > 0:
-        mirrored = IntPoly((-1) ** (i % 2) * c for i, c in enumerate(p.coeffs))
-        neg_top = isolate_largest_real_root(mirrored, Fraction(1, 64))
-        if roots.compare(neg_top, top) >= 0:
-            return False
+    mirrored = IntPoly((-1) ** (i % 2) * c for i, c in enumerate(p.coeffs))
+    neg_top = largest_root_above_one(mirrored, Fraction(1, 64))
+    if neg_top is not None and roots.compare(neg_top, top) >= 0:
+        return False
     for k in _SCALE_BITS:
         top = top.refined(Fraction(1, 1 << k))
         lo, hi = math.floor(top.low * (1 << k)), math.ceil(top.high * (1 << k))
@@ -286,21 +281,20 @@ def classify(p: IntPoly) -> NumberClass:
         raise ValueError("zero constant term")
     (outside, on, inside), (s_outside, s_on), s = _location_counts(p)
     labels = set()
-    # s = core * prod Phi_n, and no Phi_n has a root in (1, inf): this count
-    # serves both the core and s.
-    above_one = sturm_count(s, 1, roots.root_bound(s)) if s.degree >= 1 else 0
+    perron = _is_perron(s, s_outside) if s.degree >= 1 else False
     core, _factors = strip_cyclotomic(s)
     if core.degree <= 0:
         labels.add("cyclotomic")
     else:
         # s is squarefree, so its cyclotomic part has deg s - deg core distinct
         # roots, all on the circle, and the core keeps every other root of s.
+        # With one root outside the closed disk, s is Perron exactly when
+        # that root lies above 1.
         c_out, c_on = s_outside, s_on - (s.degree - core.degree)
-        if c_out == 1 and c_on >= 1 and above_one == 1:
+        if c_out == 1 and c_on >= 1 and perron:
             labels.add("salem")
         if c_out == 2 and c_on >= 1:
             labels.add("two_salem")
-    perron = _is_perron(s, s_outside, above_one) if s.degree >= 1 else False
     if perron:
         labels.add("perron")
     return NumberClass(outside, on, inside, frozenset(labels))

@@ -9,10 +9,11 @@ All interval endpoints are exact rationals; every count and every isolating
 interval is certified by exact sign computations, never by floating point.
 
 Counting, and the isolation that the Descartes certificate below cannot
-certify, read one Sturm state per polynomial p: the squarefree part sf of p,
-gcd(p, p') and the Sturm chain of sf.  The states of the 16 most recently
-used polynomials are held in an LRU cache, so counting, isolating and
-refining one polynomial build its chain once.
+certify, read one Sturm state per polynomial p: the squarefree part sf of p
+and the Sturm chain of sf.  The states of the 16 most recently used
+polynomials are held in an LRU cache, so counting and isolating on one
+polynomial build its chain once.  One Sturm bisection of the grid, right
+half first, gives the cells of all real roots, the largest first.
 
 Every isolation works on one dyadic grid (-B, B], B = root_bound(p), the
 least power of two of at least 2 above Fujiwara's bound on the root moduli
@@ -42,11 +43,12 @@ where exact signs are taken; it never decides an answer.  The certificate
 is exact for polynomials with only real roots, as the adjacency polynomials
 of trees; the Sturm bisection from the whole grid runs whenever it fails
 (complex roots near the top root, a multiple top root, a poor estimate).
-Both give the same interval.
+Both give the same (low, high).
 
-An interval whose root is simple in its polynomial is refined by that
-polynomial's own signs; only an interval around a multiple root refines on
-the squarefree part.
+Every interval that isolation returns holds a simple root of its own poly:
+the Descartes route returns intervals on p, where the certificate proves the
+root simple, and the Sturm route intervals on sf.  Refinement therefore
+bisects on the interval's poly alone.
 
 Two root intervals are compared by compare alone: the roots are equal exactly
 when the gcd of the two polynomials has a root in the common part of the
@@ -63,7 +65,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .intpoly import (
-    ONE,
     IntPoly,
     _signed_remainders,
     _taylor_shift,
@@ -91,12 +92,12 @@ class RootInterval:
     in (low, high].
 
     A degenerate interval (low == high) certifies an exact rational root.
-    The multiplicity_free flag records whether that root is simple in poly:
-    refinement bisects on poly's own signs when it is, and on the
-    squarefree part of poly otherwise.  A flag set for a root of even
-    multiplicity shows at the first refinement, where poly has one sign at
-    both ends; that refinement goes on on the squarefree part, and its
-    result carries the flag False.
+    Every interval that isolation returns holds a simple root of poly, and
+    refinement bisects on poly's own signs.  An interval built with
+    multiplicity_free=False, whose root may be multiple in poly, refines into
+    an interval on the squarefree part of poly.  A default flag on a root of
+    even multiplicity shows at the first refinement, where poly has one sign
+    at both ends, and that refinement moves to the squarefree part too.
     """
 
     poly: IntPoly
@@ -136,13 +137,9 @@ class RootInterval:
         _check_width(width)
         if self.width <= width:
             return self
-        f = self.poly if self.multiplicity_free else _sturm_state(self.poly).sf
-        return _refine(f, self, width)
-
-    def with_multiplicity_flag(self) -> "RootInterval":
-        """The same interval with the multiplicity flag computed from poly."""
-        return RootInterval(self.poly, self.low, self.high,
-                            root_is_simple(self.poly, self.low, self.high))
+        if self.multiplicity_free:
+            return _refine(self, width)
+        return _refine(RootInterval(_sturm_state(self.poly).sf, self.low, self.high), width)
 
     def decimal(self, places: int = 7) -> str:
         """Midpoint rounded to the given number of decimal places."""
@@ -203,7 +200,6 @@ def _cauchy_index_and_gcd(num: IntPoly, den: IntPoly) -> tuple[int, IntPoly]:
 
 class _SturmState(NamedTuple):
     sf: IntPoly                 # squarefree part, primitive, positive leading coefficient
-    gcd: IntPoly                # gcd(p, p'), primitive: constant when p is squarefree
     chain: tuple[IntPoly, ...]  # Sturm sequence of sf; empty when sf is constant
 
 
@@ -217,13 +213,12 @@ def _sturm_state(p: IntPoly) -> _SturmState:
     """
     p = p.primitive()
     if p.degree < 1:
-        return _SturmState(p, ONE, ())
+        return _SturmState(p, ())
     chain = sturm_chain(p)
-    if chain[-1].degree == 0:
-        return _SturmState(p, ONE, chain)
-    gcd = chain[-1].primitive()
-    chain = tuple(exact_div(q, gcd) for q in chain)
-    return _SturmState(chain[0], gcd, chain)
+    if chain[-1].degree > 0:
+        gcd = chain[-1].primitive()
+        chain = tuple(exact_div(q, gcd) for q in chain)
+    return _SturmState(chain[0], chain)
 
 
 def _variations(signs) -> int:
@@ -281,58 +276,39 @@ def root_bound(p: IntPoly) -> Fraction:
     return Fraction(2 << m)
 
 
-def _refine(f: IntPoly, bracket: RootInterval, width: Fraction) -> RootInterval:
-    """Shrink a bracket certified to contain exactly one root of bracket.poly,
-    at which f changes sign and which is f's only root in (low, high], by sign
-    bisection on f: one exact evaluation per step, so a grid cell ends in the
-    grid cell of the root, or in a point.
+def _refine(bracket: RootInterval, width: Fraction) -> RootInterval:
+    """Shrink a bracket certified to contain exactly one root of f = bracket.poly
+    in (low, high] by sign bisection on f: one exact evaluation per step, so a
+    grid cell ends in the grid cell of the root, or in a point.
 
     A lower end that is another root of f is kept: just right of it, f has
     the sign of its first derivative that does not vanish there, which the
-    bisection compares against.  Equal signs at both ends under a
-    multiplicity-free flag mean a root of even multiplicity in f; the
-    bisection then runs on the squarefree part of bracket.poly.
+    bisection compares against.  Equal signs at both ends mean a root of even
+    multiplicity in f; the bisection then runs on the squarefree part of f.
     """
-    flag = bracket.multiplicity_free
-    lo, hi = bracket.low, bracket.high
+    f, lo, hi = bracket.poly, bracket.low, bracket.high
     s_hi = f.sign_at(hi)
     if s_hi == 0:
-        return RootInterval(bracket.poly, hi, hi, flag)
+        return RootInterval(f, hi, hi)
     s_lo, d = f.sign_at(lo), f
     while s_lo == 0:
         d = d.derivative()
         s_lo = d.sign_at(lo)
     if s_lo == s_hi:
-        if not flag:
+        sf = _sturm_state(f).sf
+        if sf.degree == f.degree:
             raise ArithmeticError("bracket invariant violated")
-        bracket = RootInterval(bracket.poly, lo, hi, False)
-        return _refine(_sturm_state(bracket.poly).sf, bracket, width)
+        return _refine(RootInterval(sf, lo, hi), width)
     while hi - lo > width:
         mid = (lo + hi) / 2
         s_mid = f.sign_at(mid)
         if s_mid == 0:
-            return RootInterval(bracket.poly, mid, mid, flag)
+            return RootInterval(f, mid, mid)
         if s_mid == s_lo:
             lo = mid
         else:
             hi = mid
-    return RootInterval(bracket.poly, lo, hi, flag)
-
-
-def root_is_simple(p: IntPoly, low: Fraction, high: Fraction) -> bool:
-    """Whether the single root of p isolated in [low, high] is simple in p."""
-    g = _sturm_state(p).gcd
-    if g.degree < 1:
-        return True
-    if low == high:
-        return g.sign_at(low) != 0
-    return sturm_count(g, low, high) == 0
-
-
-def _flagged(p: IntPoly, st: _SturmState, iv: RootInterval) -> RootInterval:
-    if st.sf.degree == p.degree:
-        return iv  # squarefree input: every root simple
-    return iv.with_multiplicity_flag()
+    return RootInterval(f, lo, hi)
 
 
 # -- the float estimate and the seeded window -----------------------------------------------------
@@ -480,10 +456,10 @@ def _descartes_largest(p: IntPoly, width: Fraction) -> RootInterval | None:
     min(J, seed depth).  One Taylor shift certifies it:
     f(a) != 0 and one sign variation at a mean exactly one root above a,
     simple, and f(b) >= 0 puts it at or below b.  Then f's signs give the
-    root's cell, and sign bisection on f to width ends in the depth-J grid
-    cell of the root, or at the root as a grid point, as the Sturm bisection
-    does.  Since the root is simple in p, the interval is flagged
-    multiplicity-free.
+    root's cell, and sign bisection on p, a constant multiple of f, to width
+    ends in the depth-J grid cell of the root, or at the root as a grid
+    point, as the Sturm bisection does.  The interval is on p, where its
+    root is simple.
     """
     if p.degree < 1:
         return None
@@ -504,30 +480,37 @@ def _descartes_largest(p: IntPoly, width: Fraction) -> RootInterval | None:
     if f.sign_at(origin + step * i1) < 0:
         return None
     i = _cell_of_root(f, origin, step, i0, i1)
-    return _refine(f, RootInterval(p, origin + step * i, origin + step * (i + 1)), width)
+    return _refine(RootInterval(p, origin + step * i, origin + step * (i + 1)), width)
+
+
+def _sturm_cells(p: IntPoly):
+    """The cells (a, b] of the grid (-B, B], B = root_bound(p), that hold one
+    distinct real root of p each, as intervals on sf, the largest root first:
+    Sturm bisection that halves every cell holding two roots or more and
+    searches its right half first."""
+    sf, chain = _sturm_state(p)
+    if not chain:
+        return
+    bound = root_bound(p)
+    stack = [(-bound, bound, _variations_at_inf(chain, False), _variations_at_inf(chain, True))]
+    while stack:
+        a, b, va, vb = stack.pop()
+        if va - vb == 1:
+            yield RootInterval(sf, a, b)
+        elif va > vb:
+            mid = (a + b) / 2
+            vm = _variations_at(chain, mid)
+            stack += [(a, mid, va, vm), (mid, b, vm, vb)]
 
 
 def _sturm_largest(p: IntPoly, width: Fraction) -> RootInterval:
-    """The largest real root by Sturm bisection from the whole grid (-B, B],
-    B = root_bound(p), to the first cell that holds that root and no other,
-    then sign bisection on sf to width."""
-    st = _sturm_state(p)
-    if not st.chain:
+    """The largest real root by Sturm bisection from the whole grid to the
+    first cell that holds that root and no other, then sign bisection on sf
+    to width."""
+    cell = next(_sturm_cells(p), None)
+    if cell is None:
         raise NoRealRootError("polynomial has no real root")
-    v_lo = _variations_at_inf(st.chain, False)
-    v_hi = _variations_at_inf(st.chain, True)
-    if v_lo == v_hi:
-        raise NoRealRootError("polynomial has no real root")
-    hi = root_bound(p)
-    lo = -hi
-    while v_lo - v_hi > 1:
-        mid = (lo + hi) / 2
-        v_mid = _variations_at(st.chain, mid)
-        if v_mid - v_hi >= 1:
-            lo, v_lo = mid, v_mid
-        else:
-            hi, v_hi = mid, v_mid
-    return _flagged(p, st, _refine(st.sf, RootInterval(p, lo, hi), width))
+    return _refine(cell, width)
 
 
 def isolate_largest_real_root(p: IntPoly, width: Fraction = DEFAULT_WIDTH) -> RootInterval:
@@ -548,9 +531,10 @@ def largest_root_above_one(p: IntPoly, width: Fraction = DEFAULT_WIDTH) -> RootI
     No sign variation in the Taylor shift of p to 1 certifies that no root
     exceeds 1; that holds whenever every root lies in the closed unit disk.
     Otherwise the interval of the largest real root decides, and when it
-    straddles 1, the sign of p(1): p has no other root above the interval's
-    lower end, so a simple top root lies above 1 exactly when p(1) has the
-    sign opposite to lc(p).  Raises ValueError for a width <= 0.
+    straddles 1, the sign of q(1), q = iv.poly: the root is simple in q, and
+    q has no other root above the interval's lower end, so the root lies
+    above 1 exactly when q(1) has the sign opposite to lc(q).  Raises
+    ValueError for a width <= 0.
     """
     _check_width(width)
     if descartes_bound(p, 1) == 0:
@@ -560,10 +544,7 @@ def largest_root_above_one(p: IntPoly, width: Fraction = DEFAULT_WIDTH) -> RootI
     except NoRealRootError:
         return None
     if iv.low < 1 < iv.high:
-        if iv.multiplicity_free:
-            above = p.sign_at(Fraction(1)) * p.leading < 0
-        else:  # an even multiplicity keeps the sign across the root
-            above = sturm_count(p, 1, iv.high) == 1
+        above = iv.poly.sign_at(Fraction(1)) * iv.poly.leading < 0
     else:
         above = iv.low >= 1 and iv.high > 1
     return iv if above else None
@@ -574,27 +555,7 @@ def isolate_real_roots(p: IntPoly, width: Fraction = DEFAULT_WIDTH) -> list[Root
 
     Raises ValueError for a width <= 0."""
     _check_width(width)
-    st = _sturm_state(p)
-    chain = st.chain
-    if not chain:
-        return []
-    bound = root_bound(p)
-    out: list[RootInterval] = []
-
-    def split(a: Fraction, b: Fraction, va: int, vb: int):
-        n = va - vb
-        if n == 0:
-            return
-        if n == 1:
-            out.append(_flagged(p, st, _refine(st.sf, RootInterval(p, a, b), width)))
-            return
-        mid = (a + b) / 2
-        vm = _variations_at(chain, mid)
-        split(a, mid, va, vm)
-        split(mid, b, vm, vb)
-
-    split(-bound, bound, _variations_at(chain, -bound), _variations_at(chain, bound))
-    return out
+    return [_refine(cell, width) for cell in _sturm_cells(p)][::-1]
 
 
 class SeparationError(ValueError):

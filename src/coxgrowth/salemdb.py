@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .intpoly import IntPoly, parse_poly, reciprocity_type
 from .numclass import strip_cyclotomic, unit_circle_root_count
-from .roots import RootInterval, compare, isolate_largest_real_root, root_bound, sturm_count
+from .roots import RootInterval, compare, isolate_largest_real_root, largest_root_above_one
 from .growth import growth_rate, polygon_growth, polygon_delta, steinberg_growth
 from .diagram import CoxeterDiagram, polygon_is_hyperbolic
 
@@ -39,8 +39,10 @@ class SalemEntry:
 
 
 def _validate_entry(poly: IntPoly) -> RootInterval:
-    """Salem-compatibility: reciprocal, one real root above 1, the rest of the
-    distinct roots on the circle except the reciprocal partner.
+    """Salem-compatibility: reciprocal, a real root above 1, and every other
+    distinct root on the circle except its reciprocal partner.  With deg - 2
+    distinct roots on the circle, the root above 1 and its partner are the
+    only two off it, so that root is simple and the only one above 1.
 
     A conjugate on the circle is required, so the degree is at least 4 (and
     even, by reciprocity with no root at -1)."""
@@ -48,14 +50,14 @@ def _validate_entry(poly: IntPoly) -> RootInterval:
         raise SalemListError("entry must be monic of even degree >= 4")
     if reciprocity_type(poly) != "reciprocal":
         raise SalemListError("entry is not reciprocal")
-    above = sturm_count(poly, 1, root_bound(poly))
-    if above != 1:
-        raise SalemListError(f"entry has {above} real roots above 1, expected exactly 1")
+    interval = largest_root_above_one(poly, Fraction(1, 10**9))
+    if interval is None:
+        raise SalemListError("entry has no real root above 1")
     on_circle = unit_circle_root_count(poly)
     if on_circle != poly.degree - 2:
         raise SalemListError(
             f"entry has {on_circle} unit-circle roots, expected degree-2 = {poly.degree - 2}")
-    return isolate_largest_real_root(poly, Fraction(1, 10**9))
+    return interval
 
 
 def parse_salem_line(line: str) -> SalemEntry:
@@ -168,7 +170,6 @@ def gap_report(entries: list[SalemEntry], assume_full: bool = False) -> GapRepor
 @dataclass(frozen=True)
 class RealizationMatch:
     params: tuple[int, ...]
-    delta_core: IntPoly
 
 
 @dataclass(frozen=True)
@@ -176,7 +177,6 @@ class RealizationSearchResult:
     target: IntPoly
     matches: tuple[RealizationMatch, ...]
     tuples_examined: int
-    tuples_pruned: int
 
 
 def polygon_realization_search(target: SalemEntry | IntPoly, k_max: int = 6,
@@ -192,14 +192,14 @@ def polygon_realization_search(target: SalemEntry | IntPoly, k_max: int = 6,
     poly = target.poly if isinstance(target, SalemEntry) else target
     root = isolate_largest_real_root(poly, Fraction(1, 10**9))
     matches = []
-    examined = pruned = 0
+    examined = 0
 
     def rate_vs_target(ps) -> int:
         """-1 below, 0 equal to, 1 above the target root."""
         return compare(isolate_largest_real_root(polygon_delta(*ps), Fraction(1, 10**4)), root)
 
     def extend(prefix: tuple[int, ...], k: int):
-        nonlocal examined, pruned
+        nonlocal examined
         start = prefix[-1] if prefix else 2
         for p in range(start, p_max + 1):
             ps = prefix + (p,)
@@ -209,23 +209,20 @@ def polygon_realization_search(target: SalemEntry | IntPoly, k_max: int = 6,
                 examined += 1
                 side = rate_vs_target(ps)
                 if side == 1:
-                    # larger last coordinates only increase the rate
-                    pruned += p_max - p
-                    return
+                    return  # larger last coordinates only increase the rate
                 if side == 0:
                     core, _ = strip_cyclotomic(polygon_delta(*ps))
                     if core == poly:
-                        matches.append(RealizationMatch(ps, core))
+                        matches.append(RealizationMatch(ps))
             else:
                 # the minimal sorted completion pads with the current entry;
                 # if it is hyperbolic and already too big, so is every
                 # completion of this or any larger entry
                 pad = ps + (p,) * (k - len(ps))
                 if polygon_is_hyperbolic(pad) and rate_vs_target(pad) == 1:
-                    pruned += 1
                     return
                 extend(ps, k)
 
     for k in range(3, k_max + 1):
         extend((), k)
-    return RealizationSearchResult(poly, tuple(matches), examined, pruned)
+    return RealizationSearchResult(poly, tuple(matches), examined)

@@ -59,8 +59,7 @@ class TreeFamilyItem:
 _SPORADIC_H = [(2, 1, 3), (3, 4, 3), (3, 5, 4), (4, 7, 4), (4, 8, 5)]
 
 
-def brouwer_neumaier_enumerate(r_max: int = 25, j_max: int = 25,
-                               q_max: int | None = None) -> list[TreeFamilyItem]:
+def brouwer_neumaier_enumerate(r_max: int = 25, j_max: int = 25) -> list[TreeFamilyItem]:
     """All trees of the classification within the given parameter bounds.
 
     Star families: (2,3,r) r>=7; (2,4,r) r>=5; (2,q,r) q>=r>=5; (3,3,r) r>=4;
@@ -68,14 +67,12 @@ def brouwer_neumaier_enumerate(r_max: int = 25, j_max: int = 25,
     j>=k-1; and five sporadic trees.  Items are deduplicated up to graph
     isomorphism (H(i,j,k) and H(k,j,i) coincide; families overlap).
     """
-    if q_max is None:
-        q_max = r_max
     stars: set[tuple[int, int, int]] = set()
     for r in range(7, r_max + 1):
         stars.add((2, 3, r))
     for r in range(5, r_max + 1):
         stars.add((2, 4, r))
-    for q in range(5, q_max + 1):
+    for q in range(5, r_max + 1):
         for r in range(5, q + 1):
             stars.add(tuple(sorted((2, q, r))))
     for r in range(4, r_max + 1):
@@ -201,13 +198,17 @@ def _tetrahedral_353_growth():
 
 
 def _certify_increasing(make, params) -> bool:
-    """Certify that the adjacency radius of make(p) strictly increases along
-    params; a decreasing family is passed its parameters in reverse."""
+    """Whether the adjacency radius of make(p) is certified to strictly
+    increase along params; a decreasing family is passed its parameters in
+    reverse.  False at the first step where it does not."""
     prev = None
     for p in params:
         cur = spectral_radius_adjacency(make(p), Fraction(1, 10**9))
         if prev is not None:
-            prev, cur = certify_strictly_less(prev, cur)
+            try:
+                prev, cur = certify_strictly_less(prev, cur)
+            except ValueError:
+                return False
         prev = cur
     return True
 

@@ -319,6 +319,8 @@ def _reference_refine(sf: IntPoly, chain, lo: Fraction, hi: Fraction,
 
 
 def reference_root_is_simple(p: IntPoly, low: Fraction, high: Fraction) -> bool:
+    """Whether the one root of p in (low, high], or at low = high, is simple in
+    p: gcd(p, p') has no root there."""
     g = poly_gcd(p, p.derivative())
     if g.degree < 1:
         return True
@@ -328,7 +330,7 @@ def reference_root_is_simple(p: IntPoly, low: Fraction, high: Fraction) -> bool:
 
 
 def reference_isolate_largest(p: IntPoly, width: Fraction):
-    """(low, high, multiplicity_free) of the largest real root, or None when
+    """(low, high) of the largest real root, or None when
     there is none: bisection from (-B, B], B the Fujiwara power of two of p,
     recounting both ends at every step."""
     sf = squarefree_part(p)
@@ -346,11 +348,11 @@ def reference_isolate_largest(p: IntPoly, width: Fraction):
         else:
             hi = mid
     lo, hi = _reference_refine(sf, chain, lo, hi, width)
-    return lo, hi, reference_root_is_simple(p, lo, hi)
+    return lo, hi
 
 
 def reference_isolate_smallest_positive(p: IntPoly, width: Fraction, upper: Fraction | None = None):
-    """(low, high, multiplicity_free) of the smallest root in (0, upper], or None
+    """(low, high) of the smallest root in (0, upper], or None
     when there is none: bisection from (0, upper], recounting both ends at every step."""
     sf = squarefree_part(p)
     if sf.degree < 1:
@@ -366,7 +368,7 @@ def reference_isolate_smallest_positive(p: IntPoly, width: Fraction, upper: Frac
         else:
             lo = mid
     lo, hi = _reference_refine(sf, chain, lo, hi, width)
-    return lo, hi, reference_root_is_simple(p, lo, hi)
+    return lo, hi
 
 
 def reference_refined(p: IntPoly, low: Fraction, high: Fraction,
@@ -388,7 +390,7 @@ def reference_real_root_count(p: IntPoly) -> int:
 
 
 def reference_growth_rate(den: IntPoly, width: Fraction):
-    """(low, high, multiplicity_free) of the growth rate of a series with the
+    """(low, high) of the growth rate of a series with the
     reduced denominator den; None when den has no root in (0, 1).  Counts the
     roots in (0, 1), isolates the smallest positive root R of den and the
     largest real root of the primitive part of its reversal, and checks that
@@ -401,7 +403,7 @@ def reference_growth_rate(den: IntPoly, width: Fraction):
         inside -= 1
     if inside == 0:
         return None
-    lo, hi, _ = reference_isolate_smallest_positive(den, width / 4, Fraction(1))
+    lo, hi = reference_isolate_smallest_positive(den, width / 4, Fraction(1))
     while lo <= 0:
         lo, hi = reference_refined(den, lo, hi, (hi - lo) / 4)
     rate = reference_isolate_largest(den.reversed().primitive(), width)
@@ -580,6 +582,19 @@ def reference_unit_circle_root_count(p: IntPoly) -> int:
         return count
     # s(+-1) != 0, so the reduced polynomial has no root at +-2
     return count + 2 * _reference_count(palindromic_reduce(s), Fraction(-2), Fraction(2))
+
+
+def reference_disk_counts(s: IntPoly) -> tuple[int, int, int]:
+    """(inside, on, outside) root counts of squarefree s, s(0) != 0, relative
+    to the unit circle.  g = gcd(s, rev s) holds the circle roots and the
+    pairs z, 1/z, one root inside and one outside each; g is reciprocal up
+    to sign, so its circle roots are counted by the trace substitution.  The
+    Schur-Cohn form of s / g is nondegenerate and gives the rest."""
+    g = poly_gcd(s, s.reversed())
+    on = reference_unit_circle_root_count(g) if g.degree > 0 else 0
+    inside, outside = schur_cohn_disk_counts(exact_div(s.primitive(), g))
+    pairs = (g.degree - on) // 2
+    return inside + pairs, on, outside + pairs
 
 
 # -- weighted-tree matrices ------------------------------------------------------------------
@@ -998,12 +1013,12 @@ def reference_is_perron(p: IntPoly, outside: int) -> bool | None:
         return False
     if p.degree > 64:
         return None
-    low, high, _ = reference_isolate_largest(p, Fraction(1, 10**12))
+    low, high = reference_isolate_largest(p, Fraction(1, 10**12))
     # A negative root of equal or larger modulus rules the top root out; p(-t)
     # has the same Fujiwara bound as p.
     mirrored = IntPoly((-1) ** (i % 2) * c for i, c in enumerate(p.coeffs))
     if _reference_count(mirrored, Fraction(1), bound) > 0:
-        neg_low, neg_high, _ = reference_isolate_largest(mirrored, Fraction(1, 10**12))
+        neg_low, neg_high = reference_isolate_largest(mirrored, Fraction(1, 10**12))
         if _reference_not_above(p, (low, high), mirrored, (neg_low, neg_high)):
             return False
     # Count roots of modulus < c for rational c just below the top root:

@@ -40,6 +40,7 @@ from oracles import (
     reciprocity_check,
     reference_growth_rate,
     reference_polygon_delta,
+    reference_root_is_simple,
     solomon_poly,
     subset_sweep_growth,
     symmetric_group_order,
@@ -422,10 +423,11 @@ def test_growth_rate_not_exponential():
         growth_rate(f)
 
 
-def _rate_triple(f, width):
+def _rate_pair(f, width):
     iv = growth_rate(f, width)
     assert iv.poly == f.denominator.reversed().primitive()
-    return iv.low, iv.high, iv.multiplicity_free
+    assert iv.multiplicity_free and reference_root_is_simple(iv.poly, iv.low, iv.high)
+    return iv.low, iv.high
 
 
 def test_growth_rate_matches_reference_on_theorem2_polygons():
@@ -435,7 +437,7 @@ def test_growth_rate_matches_reference_on_theorem2_polygons():
         for ps in itertools.combinations_with_replacement(range(2, 9), k):
             if polygon_is_hyperbolic(ps):
                 f = polygon_growth(*ps)
-                assert _rate_triple(f, width) == reference_growth_rate(f.denominator, width), ps
+                assert _rate_pair(f, width) == reference_growth_rate(f.denominator, width), ps
                 count += 1
     assert count == 742
 
@@ -444,7 +446,7 @@ def test_growth_rate_matches_reference_on_theorem2_polygons():
 def test_growth_rate_matches_reference_on_symbols(symbol):
     width = Fraction(1, 10**9)
     f = steinberg_growth(sym(symbol))
-    assert _rate_triple(f, width) == reference_growth_rate(f.denominator, width)
+    assert _rate_pair(f, width) == reference_growth_rate(f.denominator, width)
 
 
 # Series whose denominators are not reciprocal up to sign, rank 3 to 10.
@@ -465,7 +467,7 @@ def test_growth_rate_matches_reference_on_non_reciprocal_series(name):
     rev = f.denominator.reversed()
     assert rev != f.denominator and rev != -f.denominator
     width = Fraction(1, 10**9)
-    assert _rate_triple(f, width) == reference_growth_rate(f.denominator, width)
+    assert _rate_pair(f, width) == reference_growth_rate(f.denominator, width)
 
 
 def test_growth_rate_builds_no_sturm_chain_on_non_reciprocal_series(monkeypatch):
@@ -484,9 +486,10 @@ def test_growth_rate_edge_cases_of_the_reversal():
         growth_rate(GrowthFunction(IntPoly([1]), IntPoly([2, -1])), width)
     iv = growth_rate(GrowthFunction(IntPoly([1]), IntPoly([1, -3])), width)
     assert iv.low == iv.high == 3 and iv.multiplicity_free
-    # the double rate 2 is a point of the grid (-16, 16]
+    # the double rate 2 is a point of the grid (-16, 16], reached by the Sturm
+    # route on the squarefree part t - 2
     iv = growth_rate(GrowthFunction(IntPoly([1]), IntPoly([1, -2]) ** 2), width)
-    assert iv.low == iv.high == 2 and not iv.multiplicity_free
+    assert iv.low == iv.high == 2 and iv.poly == IntPoly([-2, 1]) and iv.multiplicity_free
 
 
 @pytest.mark.parametrize("symbol", [

@@ -23,8 +23,11 @@ from coxgrowth.roots import isolate_largest_real_root, root_bound, sturm_count
 from coxgrowth.salemdb import bundled_mini_list
 
 from oracles import (
+    _reference_bound,
+    _reference_count,
     charpoly_interpolated,
     expand_trace_form,
+    reference_disk_counts,
     reference_is_perron,
     reference_strip_cyclotomic,
     reference_unit_circle_root_count,
@@ -399,7 +402,7 @@ def test_perron_scale_on_a_root_modulus_is_passed_over(monkeypatch):
        st.lists(st.integers(1, 30), max_size=4, unique=True))
 @settings(max_examples=40, deadline=None)
 def test_cyclotomic_factors_have_no_root_above_one(tail, indices):
-    # classify counts the roots of s in (1, inf) for its core as well
+    # classify reads the core's root above 1 from s, the core times cyclotomic factors
     core = IntPoly(tail + [1])
     assume(core.constant != 0)
     s = core
@@ -412,6 +415,46 @@ def test_classify_cyclotomic():
     nc = classify(cyclotomic(12))
     assert "cyclotomic" in nc.labels
     assert nc.roots_on_unit_circle == 4
+
+
+def _mirrored(p: IntPoly) -> IntPoly:
+    """p(-t), made monic."""
+    q = IntPoly((-1) ** (i % 2) * c for i, c in enumerate(p.coeffs))
+    return q if q.leading > 0 else -q
+
+
+def _reference_salem(p: IntPoly) -> bool:
+    """The 'salem' rule on oracle counts: the core of the squarefree part of p
+    has exactly one root outside the closed disk, that root lies above 1,
+    and at least one root lies on the circle."""
+    core, _ = reference_strip_cyclotomic(squarefree_part(p))
+    if core.degree < 1:
+        return False
+    _inside, on, outside = reference_disk_counts(core)
+    above_one = _reference_count(core, Fraction(1), _reference_bound(core))
+    return outside == 1 and on >= 1 and above_one == 1
+
+
+_salem_bases = st.one_of(
+    st.sampled_from([LEHMER, MIN_38, MIN_353, CORE_435, IntPoly([1, -3, 1])]),
+    # palindromes 1, c_1, ..., c_m, ..., c_1, 1, often Salem
+    st.lists(st.integers(-3, 3), min_size=1, max_size=4).map(lambda c: IntPoly([1, *c, *c[-2::-1], 1])),
+    st.lists(st.integers(-3, 3), min_size=1, max_size=8).map(lambda c: IntPoly(c + [1])),
+)
+
+
+@given(_salem_bases, st.lists(st.integers(1, 12), max_size=3), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_salem_label_agrees_with_the_oracle_counts(base, indices, mirror):
+    # cyclotomic factors, repeated indices among them, leave the label to the
+    # core; p(-t) moves the root outside the disk below -1
+    p = base
+    for n in indices:
+        p = p * cyclotomic(n)
+    if mirror:
+        p = _mirrored(p)
+    assume(p.constant != 0)
+    assert ("salem" in classify(p).labels) == _reference_salem(p)
 
 
 def test_classify_two_salem_counts():

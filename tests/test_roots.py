@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coxgrowth.intpoly import IntPoly, parse_poly, poly_gcd
+from coxgrowth.growth import GrowthFunction, NotExponentialError, growth_rate
+from coxgrowth.intpoly import IntPoly, parse_poly, poly_gcd, squarefree_part
 from coxgrowth.roots import (
     NoRealRootError,
     RootInterval,
@@ -22,10 +23,13 @@ from coxgrowth.roots import (
 )
 
 from oracles import (
+    _reference_bound,
+    _reference_count,
     count_roots_open,
     real_root_count_bisection,
     reference_real_root_count,
     reference_refined,
+    reference_root_is_simple,
 )
 
 LEHMER = parse_poly("1,1,0,-1,-1,-1,-1,-1,0,1,1")
@@ -54,16 +58,22 @@ def test_isolate_largest():
 def test_isolate_double_root_exact():
     iv = isolate_largest_real_root(IntPoly([1, -2, 1]))  # (t-1)^2
     assert (iv.low, iv.high) == (1, 1)
-    assert not iv.multiplicity_free
+    # the Sturm route gives the interval on the squarefree part, where the root is simple
+    assert iv.poly == IntPoly([-1, 1]) and iv.multiplicity_free
 
 
 def test_multiplicity_flags():
     assert isolate_largest_real_root(LEHMER).multiplicity_free
     p = IntPoly([-1, 1]) ** 2 * IntPoly([-3, 1])
     ivs = isolate_real_roots(p, Fraction(1, 10**6))
-    assert [iv.multiplicity_free for iv in ivs] == [False, True]
-    # refinement preserves the flag
-    assert not ivs[0].refined(Fraction(1, 10**12)).multiplicity_free
+    # both intervals lie on the squarefree part (t - 1)(t - 3), and so does their refinement
+    assert [(iv.poly, iv.multiplicity_free) for iv in ivs] == [(IntPoly([3, -4, 1]), True)] * 2
+    finer = ivs[0].refined(Fraction(1, 10**12))
+    assert (finer.poly, finer.multiplicity_free) == (IntPoly([3, -4, 1]), True)
+    # an interval built with the flag False refines into one on the squarefree part
+    hand_built = RootInterval(p, Fraction(0), Fraction(2), multiplicity_free=False)
+    assert hand_built.refined(Fraction(1, 10**6)) == RootInterval(IntPoly([3, -4, 1]), Fraction(1), Fraction(1))
+    assert hand_built.refined(Fraction(4)) is hand_built
 
 
 def test_isolate_tetrahedral_value():
@@ -267,7 +277,7 @@ def test_a_hand_built_interval_around_a_double_root_refines_on_the_squarefree_pa
     width = Fraction(1, 10**6)
     iv = RootInterval(p, Fraction(0), Fraction(2)).refined(width)
     assert (iv.low, iv.high) == reference_refined(p, Fraction(0), Fraction(2), width)
-    assert not iv.multiplicity_free
+    assert iv.poly == squarefree_part(p) and iv.multiplicity_free
     sqrt2 = isolate_largest_real_root(IntPoly([-2, 0, 1]), Fraction(1, 100))
     a, b = certify_strictly_less(RootInterval(p, Fraction(0), Fraction(2)), sqrt2)
     assert a.high < b.low
@@ -330,8 +340,11 @@ _widths = st.sampled_from([Fraction(1, 10**9), Fraction(1, 10**7), Fraction(1, 2
                            Fraction(1, 3), Fraction(1), Fraction(1000)])
 
 
-def _triple(iv):
-    return iv.low, iv.high, iv.multiplicity_free
+def _pair(iv):
+    """(low, high) of an interval that isolation returned, once its root is
+    checked to be simple in the interval's own poly."""
+    assert iv.multiplicity_free and reference_root_is_simple(iv.poly, iv.low, iv.high), iv
+    return iv.low, iv.high
 
 
 @given(_polys, _widths)
@@ -343,10 +356,51 @@ def test_largest_root_matches_reference_bisection(p, width):
             isolate_largest_real_root(p, width)
         return
     iv = isolate_largest_real_root(p, width)
-    assert _triple(iv) == expected
+    assert _pair(iv) == expected
+    assert iv.poly in (p, squarefree_part(p))
     finer = width / 1024
     assert (iv.refined(finer).low, iv.refined(finer).high) == reference_refined(
         p, iv.low, iv.high, finer)
+
+
+_small_factors = st.one_of(
+    st.builds(_linear, st.integers(-40, 40), st.sampled_from([1, 2, 3, 8])),
+    st.builds(lambda b, c: IntPoly([b * b + c, 2 * b, 1]), st.integers(-5, 5), st.integers(1, 9)),
+    st.lists(st.integers(-9, 9), min_size=2, max_size=4).map(lambda c: IntPoly(c + [1])),
+)
+
+# a factor of multiplicity 2 or 3 times up to two more factors
+_planted = st.tuples(_small_factors, st.integers(2, 3), st.lists(_small_factors, max_size=2)).map(
+    lambda t: functools.reduce(IntPoly.__mul__, t[2], t[0] ** t[1]))
+
+
+@given(_planted, _widths)
+@settings(max_examples=100, deadline=None)
+def test_every_interval_isolates_a_simple_root_of_its_own_poly(p, width):
+    ivs = isolate_real_roots(p, width)
+    for iv in ivs:
+        _pair(iv)
+        if iv.width > 0:
+            # a hand-built interval whose root may be multiple in p
+            finer = RootInterval(p, iv.low, iv.high, multiplicity_free=False).refined(iv.width / 8)
+            assert _pair(finer) == reference_refined(p, iv.low, iv.high, iv.width / 8)
+    expected = reference_isolate_largest(p, width)
+    assert (_pair(ivs[-1]) if ivs else None) == expected
+    if expected is None:
+        return
+    assert _pair(isolate_largest_real_root(p, width)) == expected
+    above = largest_root_above_one(p, width)
+    assert (above is not None) == (_reference_count(p, Fraction(1), _reference_bound(p)) > 0)
+    if above is None:
+        return
+    assert _pair(above) == expected
+    if p.constant != 0:
+        # the series 1 / rev(p) grows at the rate of p's top root
+        try:
+            rate = growth_rate(GrowthFunction(IntPoly([1]), p.reversed()), width)
+        except NotExponentialError:
+            rate = None
+        assert rate is not None and _pair(rate) == expected
 
 
 _SEED_CASES = [
@@ -371,14 +425,14 @@ def test_float_estimate_only_chooses_where_to_look(monkeypatch, p, largest):
     for x in seeds:
         for radius in (0.0, 1e-30, 1.0, math.nan):
             monkeypatch.setattr(roots, "_root_estimate", lambda poly, bound, v=(x, radius): v)
-            assert _triple(isolate_largest_real_root(p, width)) == _triple(true), (x, radius)
+            assert _pair(isolate_largest_real_root(p, width)) == _pair(true), (x, radius)
 
 
 def test_coefficients_beyond_float_range_take_the_bisection():
     p = IntPoly([-(2**1100), 1]) * IntPoly([-3, 0, 1])
     assert math.isnan(roots._root_estimate(p, roots.root_bound(p))[0])
     for width in (Fraction(1, 10**9), Fraction(1, 2**1200)):
-        assert _triple(isolate_largest_real_root(p, width)) == reference_isolate_largest(p, width)
+        assert _pair(isolate_largest_real_root(p, width)) == reference_isolate_largest(p, width)
 
 
 # -- the Descartes certificate of the largest root -----------------------------------
@@ -397,8 +451,11 @@ def test_descartes_bound_is_exact_when_every_root_is_real():
 
 
 def _sturm_path(p, width):
-    """The interval of the Sturm bisection from the whole grid."""
-    return _triple(roots._sturm_largest(p, width))
+    """The interval of the Sturm bisection from the whole grid, which lies on
+    the squarefree part of p."""
+    iv = roots._sturm_largest(p, width)
+    assert iv.poly == squarefree_part(p)
+    return _pair(iv)
 
 
 _DECLINES = {
@@ -415,7 +472,7 @@ def test_descartes_path_declines_and_the_sturm_path_decides(name):
     p, width = _DECLINES[name], Fraction(1, 10**9)
     assert roots._descartes_largest(p, width) is None
     expected = reference_isolate_largest(p, width)
-    assert _triple(isolate_largest_real_root(p, width)) == expected
+    assert _pair(isolate_largest_real_root(p, width)) == expected
     assert _sturm_path(p, width) == expected
 
 
@@ -432,9 +489,9 @@ def test_a_lower_end_at_the_next_root_stays_on_the_grid(monkeypatch):
     # of the top root 1, whose lower end is the root 0; halving by signs then
     # meets 1 itself, as the Descartes path does from its window
     p, width = IntPoly([0, -1, 1]), Fraction(1, 10**9)
-    expected = (Fraction(1), Fraction(1), True)
+    expected = (Fraction(1), Fraction(1))
     chains = _recording_chains(monkeypatch)
-    assert _triple(roots._descartes_largest(p, width)) == expected
+    assert _pair(roots._descartes_largest(p, width)) == expected
     assert chains == []
     assert _sturm_path(p, width) == expected
     assert reference_isolate_largest(p, width) == expected
@@ -459,7 +516,7 @@ def test_isolation_keeps_a_bisection_point_that_is_a_root_as_a_lower_end(p, boun
     for iv in ivs:
         assert _on_grid(iv.low, Fraction(bound), width) and _on_grid(iv.high, Fraction(bound), width)
     assert (ivs[-1].low, ivs[-1].high) == reference_refined(p, Fraction(0), Fraction(bound), width)
-    assert _triple(ivs[-1]) == reference_isolate_largest(p, width)
+    assert _pair(ivs[-1]) == reference_isolate_largest(p, width)
 
 
 def _tree_and_star_polys():
@@ -475,7 +532,7 @@ def test_descartes_path_gives_the_sturm_path_interval_on_trees_and_stars(monkeyp
         for width in (Fraction(1, 10**7), Fraction(1, 2**40)):
             iv = roots._descartes_largest(p, width)
             assert iv is not None and not chains, p
-            assert _triple(iv) == _sturm_path(p, width), (p, width)
+            assert _pair(iv) == _sturm_path(p, width), (p, width)
             chains.clear()
 
 
@@ -487,7 +544,7 @@ def test_descartes_path_runs_first_with_the_sturm_state_held(monkeypatch):
         raise AssertionError("Sturm path taken where the Descartes certificate holds")
 
     monkeypatch.setattr(roots, "_sturm_largest", unreachable)
-    assert _triple(isolate_largest_real_root(p)) == reference_isolate_largest(p, roots.DEFAULT_WIDTH)
+    assert _pair(isolate_largest_real_root(p)) == reference_isolate_largest(p, roots.DEFAULT_WIDTH)
 
 
 @pytest.mark.parametrize("width", [Fraction(0), Fraction(-1, 10)])

@@ -77,6 +77,12 @@ def test_rejections():
         parse_salem_line("2;2,0,2;1.0")  # not monic
 
 
+def test_lehmer_at_minus_t_is_rejected():
+    # reciprocal, with its one root outside the disk at -1.17628, below -1
+    with pytest.raises(SalemListError, match="no real root above 1"):
+        parse_salem_line("10;1,-1,0,1,-1,1,-1,1,0,-1,1;-1.17628")
+
+
 def test_line_numbers_in_errors(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("10;1,1,0,-1,-1,-1,-1,-1,0,1,1;1.17\n3;1,1;0.5\n")

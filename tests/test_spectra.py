@@ -122,6 +122,10 @@ def test_h2j3_monotone():
     assert _certify_increasing(lambda j: h_graph(2, j, 3), range(30, 0, -1))
 
 
+def test_a_family_that_does_not_increase_is_reported_not_raised():
+    assert _certify_increasing(lambda j: h_graph(2, j, 3), range(1, 10)) is False
+
+
 def test_weight4_leaf_replace_path():
     t = WeightedTree(2, [(0, 1, 4)])
     res = weight4_leaf_replace(t)
