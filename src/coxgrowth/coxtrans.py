@@ -263,9 +263,10 @@ def star_spectral_radius(*ps: int, width: Fraction = DEFAULT_WIDTH) -> RootInter
 
 
 def coxeter_tree_radius_equals_polygon_rate(ps) -> bool:
-    """End-to-end agreement check: the polygon growth rate is certified equal
-    to the star-graph radius."""
-    from .growth import growth_rate, polygon_growth
-    rate = growth_rate(polygon_growth(*ps))
-    radius = star_spectral_radius(*ps)
-    return compare(rate, radius) == 0
+    """Theorem 2 on one polygon: its growth denominator equals the star
+    graph's Coxeter polynomial phi, and its growth rate is certified equal
+    to the spectral radius read from that phi."""
+    from .growth import growth_rate, polygon_delta, polygon_growth
+    phi = char_poly_star(*ps)
+    return (polygon_delta(*ps) == phi
+            and compare(growth_rate(polygon_growth(*ps)), spectral_radius_from_charpoly(phi)) == 0)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from .intpoly import IntPoly, parse_poly, reciprocity_type
 from .numclass import strip_cyclotomic, unit_circle_root_count
 from .roots import RootInterval, compare, isolate_largest_real_root, largest_root_above_one
-from .growth import growth_rate, polygon_growth, polygon_delta, steinberg_growth
+from .growth import growth_rate, polygon_delta, polygon_growth, polygon_rate_compare, steinberg_growth
 from .diagram import CoxeterDiagram, polygon_is_hyperbolic
 
 ENV_LIST_PATH = "COXGROWTH_SALEM_LIST"
@@ -194,10 +194,6 @@ def polygon_realization_search(target: SalemEntry | IntPoly, k_max: int = 6,
     matches = []
     examined = 0
 
-    def rate_vs_target(ps) -> int:
-        """-1 below, 0 equal to, 1 above the target root."""
-        return compare(isolate_largest_real_root(polygon_delta(*ps), Fraction(1, 10**4)), root)
-
     def extend(prefix: tuple[int, ...], k: int):
         nonlocal examined
         start = prefix[-1] if prefix else 2
@@ -207,7 +203,7 @@ def polygon_realization_search(target: SalemEntry | IntPoly, k_max: int = 6,
                 if not polygon_is_hyperbolic(ps):
                     continue
                 examined += 1
-                side = rate_vs_target(ps)
+                side = polygon_rate_compare(ps, root)
                 if side == 1:
                     return  # larger last coordinates only increase the rate
                 if side == 0:
@@ -219,7 +215,7 @@ def polygon_realization_search(target: SalemEntry | IntPoly, k_max: int = 6,
                 # if it is hyperbolic and already too big, so is every
                 # completion of this or any larger entry
                 pad = ps + (p,) * (k - len(ps))
-                if polygon_is_hyperbolic(pad) and rate_vs_target(pad) == 1:
+                if polygon_is_hyperbolic(pad) and polygon_rate_compare(pad, root) == 1:
                     return
                 extend(ps, k)
 

@@ -152,6 +152,26 @@ def weight4_leaf_replace(tree: WeightedTree, width: Fraction = Fraction(1, 10**1
 # -- the non-realization pipeline --------------------------------------------------------
 
 
+# Table 1: the eight trees whose adjacency radii bracket alpha0, with their
+# published 7-decimal radii and the side of alpha0 each radius lies on.
+TABLE1 = (
+    ("star", (2, 4, 5), "2.0153161", "below"),
+    ("star", (2, 4, 6), "2.0236833", "above"),
+    ("star", (2, 5, 5), "2.0285235", "above"),
+    ("star", (3, 3, 4), "2.0285235", "above"),
+    ("h", (2, 9, 3), "2.0227871", "above"),
+    ("h", (2, 10, 3), "2.0220988", "below"),
+    ("h", (3, 20, 3), "2.0227871", "above"),
+    ("h", (3, 21, 3), "2.0224205", "below"),
+)
+
+# The largest r_max or j_max that the non-realization sweep accepts.  The
+# classification grows as about r_max^2 + j_max^3 trees: on a 2-CPU host
+# prop52_pipeline(b, b) takes 1.7 s at b = 25 (1445 trees), 12.5 s at 35 and
+# 36 s at 40 (5642 trees), and does not finish in 115 s at 50.
+PROP52_BOUND = 40
+
+
 @dataclass(frozen=True)
 class CertifiedComparison:
     label: str
@@ -197,20 +217,10 @@ def _tetrahedral_353_growth():
     return steinberg_growth(CoxeterDiagram(4, {(0, 1): 3, (1, 2): 5, (2, 3): 3}))
 
 
-def _certify_increasing(make, params) -> bool:
-    """Whether the adjacency radius of make(p) is certified to strictly
-    increase along params; a decreasing family is passed its parameters in
-    reverse.  False at the first step where it does not."""
-    prev = None
-    for p in params:
-        cur = spectral_radius_adjacency(make(p), Fraction(1, 10**9))
-        if prev is not None:
-            try:
-                prev, cur = certify_strictly_less(prev, cur)
-            except ValueError:
-                return False
-        prev = cur
-    return True
+def _certify_increasing(radii) -> bool:
+    """Whether the root intervals are certified strictly increasing, in the
+    order given; False at the first step where they are not."""
+    return all(compare(a, b) < 0 for a, b in zip(radii, radii[1:]))
 
 
 def verify_alpha0_not_tree_radius(r_max: int = 25, j_max: int = 25) -> Alpha0Report:
@@ -219,52 +229,49 @@ def verify_alpha0_not_tree_radius(r_max: int = 25, j_max: int = 25) -> Alpha0Rep
 
     Every enumerated tree within the bounds has its radius compared with the
     value by roots.compare, which certifies it strictly below or above (an
-    equal radius, a shared root of the two polynomials, raises); additionally
-    the bracketing facts that close the unbounded families are certified: the
-    radii of H(2,j,3) and H(3,j,3) are strictly decreasing and straddle the
-    value between consecutive parameters, and Star(2,4,r) crosses the value
-    between r = 5 and 6.  Parameters beyond the enumeration bounds are
-    covered by those certified monotone brackets (a cited extrapolation,
-    flagged in the report).
+    equal radius, a shared root of the two polynomials, raises).  The facts
+    that close the unbounded families are read from the same sweep: each
+    Table 1 tree lies on its published side of the value (so H(2,j,3) and
+    H(3,j,3) straddle it between consecutive parameters, and Star(2,4,r)
+    between r = 5 and 6), and the radii of H(2,j,3) (to j = 30, past the
+    bounds), H(3,j,3) and Star(2,3,r) are certified monotone.  Parameters
+    beyond the enumeration bounds are covered by those certified monotone
+    brackets (a cited extrapolation, flagged in the report).  Bounds below
+    25 or above PROP52_BOUND raise ValueError before any tree is built.
     """
     if r_max < 25 or j_max < 25:
         raise ValueError("bounds must cover at least r_max=25, j_max=25")
+    if max(r_max, j_max) > PROP52_BOUND:
+        raise ValueError(f"bounds must be at most r_max={PROP52_BOUND}, j_max={PROP52_BOUND}")
     alpha0, apoly = _alpha0_interval()
-    items = brouwer_neumaier_enumerate(r_max, j_max)
-    below = above = 0
-    for item in items:
+    swept = {}  # (family, params) -> (radius, side of alpha0)
+    for item in brouwer_neumaier_enumerate(r_max, j_max):
         iv = isolate_largest_real_root(adjacency_char_poly(item.tree), Fraction(1, 10**7))
         side = compare(iv, alpha0)
         if side == 0:
             raise ArithmeticError(f"{item.family}{item.params} shares the target root")
-        if side < 0:
-            below += 1
-        else:
-            above += 1
+        swept[item.family, item.params] = (iv, "below" if side < 0 else "above")
+    below = sum(side == "below" for _, side in swept.values())
+
+    def radii(family, make, params):
+        return [swept[family, p][0] if (family, p) in swept
+                else spectral_radius_adjacency(make(*p), Fraction(1, 10**7)) for p in params]
+
     # certified monotone brackets for the unbounded families
     mono = {
-        "H(2,j,3) decreasing to j<=30": _certify_increasing(lambda j: h_graph(2, j, 3), range(30, 0, -1)),
-        "H(3,j,3) decreasing on 4..25": _certify_increasing(lambda j: h_graph(3, j, 3), range(25, 3, -1)),
-        "Star(2,3,r) increasing on 7..25": _certify_increasing(lambda r: star_diagram(2, 3, r), range(7, 26)),
+        "H(2,j,3) decreasing to j<=30": _certify_increasing(
+            radii("h", h_graph, [(2, j, 3) for j in range(30, 0, -1)])),
+        "H(3,j,3) decreasing on 4..25": _certify_increasing(
+            radii("h", h_graph, [(3, j, 3) for j in range(25, 3, -1)])),
+        "Star(2,3,r) increasing on 7..25": _certify_increasing(
+            radii("star", star_diagram, [(2, 3, r) for r in range(7, 26)])),
     }
-    brackets = []
-    for label, params, side in [
-        ("H", (2, 9, 3), "above"), ("H", (2, 10, 3), "below"),
-        ("H", (3, 20, 3), "above"), ("H", (3, 21, 3), "below"),
-        ("star", (2, 4, 5), "below"), ("star", (2, 4, 6), "above"),
-        ("star", (2, 5, 5), "above"), ("star", (3, 3, 4), "above"),
-    ]:
-        tree = h_graph(*params) if label == "H" else star_diagram(*params)
-        iv = spectral_radius_adjacency(tree, Fraction(1, 10**9))
-        a0 = alpha0
-        if side == "above":
-            a0, iv = certify_strictly_less(a0, iv)
-        else:
-            iv, a0 = certify_strictly_less(iv, a0)
-        brackets.append(CertifiedComparison(label, params, iv, side))
-    passed = all(mono.values())
-    return Alpha0Report(passed, alpha0, apoly, len(items), below, above,
-                        mono, tuple(brackets))
+    brackets = tuple(CertifiedComparison(family, params, *swept[family, params])
+                     for family, params, _, _ in TABLE1)
+    passed = all(mono.values()) and all(
+        c.side == side for c, (*_, side) in zip(brackets, TABLE1))
+    return Alpha0Report(passed, alpha0, apoly, len(swept), below, len(swept) - below,
+                        mono, brackets)
 
 
 @dataclass(frozen=True)
@@ -286,15 +293,14 @@ def prop52_pipeline(r_max: int = 25, j_max: int = 25) -> Prop52Report:
     eigenvalue transfer, the window (2, sqrt(2+sqrt 5)), and the certified
     sweep of the small-radius tree classification.
     """
+    tree_report = verify_alpha0_not_tree_radius(r_max, j_max)
     lam = growth_rate(_tetrahedral_353_growth(), Fraction(1, 10**12))
     below = lam.high < WEIGHT3_TREE_THRESHOLD
-    alpha0, _apoly = _alpha0_interval()
     # window: 2 < alpha0 < sqrt(2 + sqrt 5), the largest root of t^4 - 4t^2 - 1
     upper_poly = IntPoly([-1, 0, -4, 0, 1])
     upper = isolate_largest_real_root(upper_poly, Fraction(1, 10**12))
-    alpha0, upper = certify_strictly_less(alpha0, upper)
+    alpha0, upper = certify_strictly_less(tree_report.alpha0, upper)
     in_window = alpha0.low > 2
-    tree_report = verify_alpha0_not_tree_radius(r_max, j_max)
     notes = (
         "radii below 1.35999 are attained on trees with all edge weights 3 "
         "(weight-4 leaf replacement; classification of minimal diagrams, cited)",

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from coxgrowth import cli, coxtrans
+from coxgrowth import cli, coxtrans, spectra
 from coxgrowth.cli import main
 
 
@@ -160,6 +160,36 @@ def test_spectra_table1(capsys):
     assert code == 0
     assert doc["payload"]["all_agree"] is True
     assert len(doc["payload"]["table1"]) == 8
+
+
+def test_spectra_table1_rows_are_verify_table1_rows(capsys):
+    _, spectra_doc, _ = run_json(capsys, "spectra", "--table1")
+    _, verify_doc, _ = run_json(capsys, "verify", "table1")
+    assert spectra_doc["payload"]["table1"] == verify_doc["payload"]["table1"]
+    assert [row["reference"] for row in verify_doc["payload"]["table1"]] == [
+        radius for _, _, radius, _ in spectra.TABLE1]
+
+
+def test_prop52_with_a_table1_side_wrong_reports_failure(capsys, monkeypatch):
+    monkeypatch.setattr(spectra, "TABLE1", tuple(
+        (f, p, r, "below" if (f, p) == ("h", (2, 9, 3)) else side)
+        for f, p, r, side in spectra.TABLE1))
+    code, doc, err = run_json(capsys, "verify", "prop52")
+    assert code == 1
+    assert doc["payload"]["passed"] is False
+    assert err == ""
+
+
+@pytest.mark.parametrize("option", ["--rmax", "--jmax"])
+def test_prop52_bound_above_cap_rejected_before_building(capsys, monkeypatch, option):
+    def unreachable(*args):
+        raise AssertionError("tree constructor called")
+
+    for name in ("star_diagram", "h_graph"):
+        monkeypatch.setattr(spectra, name, unreachable)
+    code, out, err = run_cli(capsys, "verify", "prop52", option, "1000")
+    assert code == 1 and out == ""
+    assert err.strip() == "error: bounds must be at most r_max=40, j_max=40"
 
 
 def test_salem_gap(capsys):

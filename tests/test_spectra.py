@@ -16,6 +16,7 @@ from coxgrowth.spectra import (
     verify_alpha0_not_tree_radius,
     weight4_leaf_replace,
 )
+from coxgrowth import spectra
 from coxgrowth.spectra import _certify_increasing
 
 from oracles import charpoly_interpolated, random_tree_edges, with_edge_weight
@@ -117,13 +118,17 @@ def test_subgraph_monotonicity():
         assert small.low <= big.high + Fraction(1, 10**9)
 
 
+def _h2j3_radii(js):
+    return [spectral_radius_adjacency(h_graph(2, j, 3), Fraction(1, 10**7)) for j in js]
+
+
 def test_h2j3_monotone():
     # the H(2,j,3) radius strictly decreases in j, so it increases along j = 30..1
-    assert _certify_increasing(lambda j: h_graph(2, j, 3), range(30, 0, -1))
+    assert _certify_increasing(_h2j3_radii(range(30, 0, -1)))
 
 
 def test_a_family_that_does_not_increase_is_reported_not_raised():
-    assert _certify_increasing(lambda j: h_graph(2, j, 3), range(1, 10)) is False
+    assert _certify_increasing(_h2j3_radii(range(1, 10))) is False
 
 
 def test_weight4_leaf_replace_path():
@@ -163,13 +168,25 @@ def test_alpha0_report():
     assert abs(rep.alpha0.midpoint() - Fraction("2.0226674")) < Fraction(1, 10**6)
     assert rep.alpha_poly.degree == 20
     sides = {(c.label, c.params): c.side for c in rep.bracketing}
-    assert sides[("H", (2, 9, 3))] == "above"
-    assert sides[("H", (2, 10, 3))] == "below"
-    assert sides[("H", (3, 20, 3))] == "above"
-    assert sides[("H", (3, 21, 3))] == "below"
+    assert sides == {(family, params): side for family, params, _, side in spectra.TABLE1}
+    assert sides[("h", (2, 9, 3))] == "above"
+    assert sides[("h", (2, 10, 3))] == "below"
+    assert sides[("h", (3, 20, 3))] == "above"
+    assert sides[("h", (3, 21, 3))] == "below"
     assert sides[("star", (2, 4, 5))] == "below"
     with pytest.raises(ValueError):
         verify_alpha0_not_tree_radius(10, 10)
+    with pytest.raises(ValueError):
+        verify_alpha0_not_tree_radius(25, 41)
+
+
+def test_a_table1_tree_on_the_wrong_side_is_reported_not_raised(monkeypatch):
+    wrong = [(f, p, r, "above" if (f, p) == ("star", (2, 4, 5)) else side)
+             for f, p, r, side in spectra.TABLE1]
+    monkeypatch.setattr(spectra, "TABLE1", tuple(wrong))
+    rep = verify_alpha0_not_tree_radius(25, 25)
+    assert rep.passed is False
+    assert all(rep.monotone_families.values())
 
 
 def test_prop52_pipeline():

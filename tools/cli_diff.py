@@ -1,0 +1,75 @@
+"""Compare the command-line output of a base commit with the working tree.
+
+    python3 tools/cli_diff.py --base HEAD
+    python3 tools/cli_diff.py --base HEAD~1 --workdir /tmp/diff
+
+Run from the root of the repository.  The base is exported with ``git
+archive`` (as in ``bench_pair.py``) into ``--workdir`` (default: a temporary
+directory, deleted at the end).  In both trees, every command of ``COMMANDS``
+runs as ``python3 -m coxgrowth.cli ... --json --no-meta`` and every script of
+``DEMOS`` as it is, each with that tree's ``src`` first on ``PYTHONPATH``.
+Their stdout bytes and exit codes are compared; each difference is printed,
+and the tool exits 1 if there is any, 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from bench_pair import export
+
+LEHMER = "1,1,0,-1,-1,-1,-1,-1,0,1,1"
+
+COMMANDS = [
+    *(["verify", check] for check in
+      ["delta-phi", "second-minimal", "prop52", "theorem2", "table1", "chain-fig1"]),
+    ["spectra", "--table1"],
+    ["spectra", "--tree", "H:2,10,3"],
+    ["coxtrans", "--hgraph", "2,8,3"],
+    *(["growth", "--symbol", symbol] for symbol in ["[3,5,3]", "[4,3^18]", "[4,3,5]", "[(3,3,4)]"]),
+    ["growth", "--polygon", "2,3,7"],
+    ["classify", "--poly", LEHMER],
+    ["salem", "--gap"],
+    ["salem", "--search", "--target", LEHMER],
+]
+
+DEMOS = ["growth_rates_tour.py", "salem_gap_demo.py", "tree_spectra_story.py"]
+
+
+def run(root: Path, argv: list[str]) -> tuple[bytes, int]:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, *argv], cwd=root, env=env, capture_output=True)
+    return out.stdout, out.returncode
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--base", required=True, help="git revision to compare against")
+    p.add_argument("--workdir", help="where to export the base commit")
+    args = p.parse_args(argv)
+    change = Path.cwd()
+    runs = [(" ".join(cmd), ["-m", "coxgrowth.cli", *cmd, "--json", "--no-meta"]) for cmd in COMMANDS]
+    runs += [(f"demos/{demo}", [f"demos/{demo}"]) for demo in DEMOS]
+    differences = 0
+    with tempfile.TemporaryDirectory(prefix="cli_diff_") as tmp:
+        base = Path(args.workdir or tmp) / "base"
+        if base.exists():
+            p.error(f"{base} already exists")
+        export(change, args.base, base)
+        for name, cmd in runs:
+            (base_out, base_code), (out, code) = run(base, cmd), run(change, cmd)
+            same = base_out == out and base_code == code
+            differences += not same
+            print(f"{'same' if same else 'DIFFERS':8} exit {base_code} -> {code}  {name}", flush=True)
+    print(f"{differences} of {len(runs)} differ")
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
