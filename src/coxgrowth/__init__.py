@@ -22,7 +22,6 @@ from .roots import (
     RootInterval,
     NoRealRootError,
     isolate_largest_real_root,
-    isolate_real_roots,
     sturm_count,
 )
 from .numclass import NumberClass, classify, strip_cyclotomic, unit_circle_root_count

@@ -30,7 +30,7 @@ from .diagram import (
 )
 from .intpoly import parse_poly
 from .numclass import classify, strip_cyclotomic
-from .roots import RootInterval, isolate_largest_real_root
+from .roots import RootInterval
 
 
 @dataclass
@@ -204,8 +204,7 @@ def _cmd_spectra(args) -> CommandResult:
     if not args.tree:
         raise DiagramError("no input; use --tree or --table1")
     tree = _tree_from_spec(args.tree)
-    chi = spectra.adjacency_char_poly(tree)
-    iv = isolate_largest_real_root(chi, args.width)
+    chi, iv = spectra._adjacency_radius(spectra._weight3_rooted(tree), args.width)
     return CommandResult("spectra", {
         "tree": args.tree,
         "vertices": tree.n,

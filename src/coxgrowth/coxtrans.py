@@ -156,31 +156,36 @@ def _check_vertices(n: int) -> None:
         raise ValueError(f"{n} vertices exceed the tree vertex bound {TREE_VERTEX_BOUND}")
 
 
-def _tree_polynomial(tree: WeightedTree, coxeter: bool) -> IntPoly:
-    """The Coxeter polynomial sum_k (-1)^k m_k t^k (1+t)^(n-2k) of the tree,
-    or its adjacency polynomial sum_k (-1)^k m_k t^(n-2k): the sum over the
-    matchings of the products of u = t + 1 (or t) over unmatched vertices and
-    w = -a t (or -a) over matched edges, a = 4cos^2(pi/m).
-
-    Rooted at vertex 0, each vertex v keeps M_v over all matchings of its
-    subtree and F_v over those leaving v free, less v's u (Schwenk 1974).  It
-    runs on integers: at t = 1 with w = a, which sums the terms' 1-norms and
-    so bounds every coefficient, then at t = 2^K with K one bit wider, where
-    the n + 1 signed base-2^K digits of the value are the coefficients."""
+def _rooted(tree: WeightedTree) -> list[tuple[int, int, int]]:
+    """The tree rooted at 0 as (v, parent, a = 4cos^2(pi/m) of the edge to it),
+    children first, the root as (0, -1, 0); ValueError above the bound."""
     _check_vertices(tree.n)
-    unit = int(coxeter)  # u = t + unit and w = -a t^unit: shifts and adds
     adj = tree.adjacency()
-    parent, coeff = [-1] * tree.n, [0] * tree.n  # coeff: a of the edge to the parent
-    order = [0]
-    for v in order:  # breadth-first; the list grows while it is walked
-        for u, w in adj[v]:
-            if u != parent[v]:
-                parent[u], coeff[u] = v, _edge_coefficient(w)
-                order.append(u)
+    order = [(0, -1, 0)]
+    for v, up, _ in order:  # breadth-first; the list grows while it is walked
+        for c, w in adj[v]:
+            if c != up:
+                order.append((c, v, _edge_coefficient(w)))
+    return order[::-1]
+
+
+def _tree_polynomial(rooted: list[tuple[int, int, int]], coxeter: bool) -> IntPoly:
+    """The Coxeter polynomial sum_k (-1)^k m_k t^k (1+t)^(n-2k) of the rooted
+    tree (_rooted), or its adjacency polynomial sum_k (-1)^k m_k t^(n-2k):
+    the sum over the matchings of the products of u = t + 1 (or t) over
+    unmatched vertices and w = -a t (or -a) over matched edges, a =
+    4cos^2(pi/m).
+
+    Each vertex v keeps M_v over all matchings of its subtree and F_v over
+    those leaving v free, less v's u (Schwenk 1974).  It runs on integers: at
+    t = 1 with w = a, which sums the terms' 1-norms and so bounds every
+    coefficient, then at t = 2^K with K one bit wider, where the n + 1 signed
+    base-2^K digits of the value are the coefficients."""
+    unit = int(coxeter)  # u = t + unit and w = -a t^unit: shifts and adds
 
     def value(k: int, sign: int) -> int:  # at t = 2^k, with w = sign a 2^(k unit)
         pairs: dict[int, list] = {}  # (M_c, w F_c) of each vertex's children
-        for v in reversed(order):  # every vertex after its children
+        for v, up, a in rooted:
             # The pairs merge as (P P', Q P' + P Q'), in a balanced tree so that
             # many children cost few wide products; then F_v = P, M_v = u P + Q.
             ps = pairs.pop(v, [])
@@ -189,19 +194,19 @@ def _tree_polynomial(tree: WeightedTree, coxeter: bool) -> IntPoly:
                       ] + ps[len(ps) & ~1:]
             p, q = ps[0] if ps else (1, 0)
             full = (p << k) + unit * p + q
-            if v:
-                pairs.setdefault(parent[v], []).append((full, sign * coeff[v] * p << k * unit))
+            if up >= 0:
+                pairs.setdefault(up, []).append((full, sign * a * p << k * unit))
         return full
 
     k = value(0, 1).bit_length() + 1
-    return IntPoly(_signed_digits(value(k, -1), k, tree.n + 1))
+    return IntPoly(_signed_digits(value(k, -1), k, len(rooted) + 1))
 
 
 def char_poly_recursive(tree: WeightedTree) -> IntPoly:
     """Characteristic polynomial of the tree's Coxeter transformation,
     phi(t) = sum_k (-1)^k m_k t^k (1+t)^(n-2k) over the weighted matching
     numbers m_k, evaluated at one power of two and read back."""
-    return _tree_polynomial(tree, coxeter=True)
+    return _tree_polynomial(_rooted(tree), coxeter=True)
 
 
 def char_poly_star(*ps: int) -> IntPoly:
@@ -264,9 +269,11 @@ def star_spectral_radius(*ps: int, width: Fraction = DEFAULT_WIDTH) -> RootInter
 
 def coxeter_tree_radius_equals_polygon_rate(ps) -> bool:
     """Theorem 2 on one polygon: its growth denominator equals the star
-    graph's Coxeter polynomial phi, and its growth rate is certified equal
-    to the spectral radius read from that phi."""
-    from .growth import growth_rate, polygon_delta, polygon_growth
+    graph's Coxeter polynomial phi, and its growth rate (from phi, once
+    proven equal) is certified equal to the spectral radius read from phi."""
+    from .growth import _bracket_factorization, _reduced_growth, growth_rate, polygon_delta
     phi = char_poly_star(*ps)
-    return (polygon_delta(*ps) == phi
-            and compare(growth_rate(polygon_growth(*ps)), spectral_radius_from_charpoly(phi)) == 0)
+    if polygon_delta(*ps) != phi:
+        return False
+    f = _reduced_growth(_bracket_factorization((2, *ps)), phi)
+    return compare(growth_rate(f), spectral_radius_from_charpoly(phi)) == 0

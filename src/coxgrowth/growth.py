@@ -413,19 +413,9 @@ def help_sum(ks) -> GrowthFunction:
     return total
 
 
-def _strip_zero_root(p: IntPoly) -> IntPoly:
-    i = 0
-    while i <= p.degree and p[i] == 0:
-        i += 1
-    return IntPoly(p.coeffs[i:])
-
-
 def positive_on_interval(p: IntPoly, upper: Fraction = Fraction(1)) -> bool:
-    """Certify p(t) > 0 for all t in (0, upper], by root counting and one sign."""
-    if p.is_zero():
-        return False
-    core = _strip_zero_root(p)
-    return sturm_count(core, 0, upper) == 0 and core.sign_at(upper) > 0
+    """Certify p(t) > 0 on (0, upper] by a root count (leaving out 0) and one sign."""
+    return sturm_count(p, 0, upper) == 0 and p.sign_at(upper) > 0
 
 
 def rational_function_positive(g: GrowthFunction, upper: Fraction = Fraction(1)) -> bool:

@@ -384,7 +384,7 @@ def reciprocity_type(p: IntPoly) -> str:
 # -- cyclotomic polynomials ---------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def cyclotomic(n: int) -> IntPoly:
     """The n-th cyclotomic polynomial, from Phi_1 = t - 1 by exact division:
     Phi_mq(t) = Phi_m(t^q) / Phi_m(t) for each prime q of n in turn (q does

@@ -86,7 +86,7 @@ def strip_cyclotomic(p: IntPoly) -> tuple[IntPoly, list[tuple[int, int]]]:
 _PROBES = (2, -2, 3)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _cyclotomic_candidates(d: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     """(n, phi(n), primes of n) for every n with phi(n) <= d, ascending in n:
     a depth-first walk over prime powers of increasing primes q <= d + 1,
@@ -107,7 +107,7 @@ def _cyclotomic_candidates(d: int) -> tuple[tuple[int, int, tuple[int, ...]], ..
     return tuple(sorted(out))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _probe_values(n: int, primes: tuple[int, ...]) -> tuple[int, ...]:
     """Phi_n(k) for k in _PROBES without building Phi_n: Phi_n(x) = Phi_r(x^(n/r))
     for r the product of the primes of n, and Phi_mq(y) = Phi_m(y^q) / Phi_m(y)

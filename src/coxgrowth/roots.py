@@ -1,76 +1,43 @@
-"""Certified real-root counting and isolation via Sturm sequences and Descartes' rule.
+"""Certified real-root counting and isolation by Descartes' rule of signs.
 
-Sturm chains and Cauchy indices are read from intpoly's signed remainder
-sequence of a pair of polynomials, the same kernel behind every gcd.  Of p
-and p' it is the Sturm chain; of den and num it gives the Cauchy index of
-num/den over the real line, from the variation counts at -inf and +inf.
+Every count and every isolating interval is certified by exact signs at
+rational points, never by floating point.  Cauchy indices are read from
+intpoly's signed remainder sequence, the kernel of every gcd.
 
-All interval endpoints are exact rationals; every count and every isolating
-interval is certified by exact sign computations, never by floating point.
+The sign variations of the Taylor shift of p to a bound the roots above a,
+with their parity, so 0 or 1 is exact (Collins-Akritas 1976), as are those
+of the Möbius image sending a cell (a, b) to (0, inf).  Counting bisects the
+cells of the squarefree part of p until each reads 0 or 1.
 
-Counting, and the isolation that the Descartes certificate below cannot
-certify, read one Sturm state per polynomial p: the squarefree part sf of p
-and the Sturm chain of sf.  The states of the 16 most recently used
-polynomials are held in an LRU cache, so counting and isolating on one
-polynomial build its chain once.  One Sturm bisection of the grid, right
-half first, gives the cells of all real roots, the largest first.
+Every isolating interval is a cell (lo, hi] of the dyadic grid (-B, B],
+B = root_bound(p), or a point: the cell of the root at depth J, the first
+depth with cells at most the requested width (deeper only when another real
+root shares it), or [x, x] for a root x on the grid at depth at most J.  A
+lower end that is another root stays: just right of it the polynomial has
+the sign of its first derivative that does not vanish there.
 
-Every isolation works on one dyadic grid (-B, B], B = root_bound(p), the
-least power of two of at least 2 above Fujiwara's bound on the root moduli
-of p itself, and every isolating interval is a cell (lo, hi] of that grid
-or a point.  Bisecting from the whole grid to the first cell that holds only
-the largest root, then halving by signs, always ends in the grid cell
-(lo, hi] that holds the root at depth J, the first depth whose cells are at
-most the requested width (deeper only when another root shares that cell),
-or in [x, x] when the root x is a grid point of depth at most J.  A cell
-whose lower end is another root keeps that end: just right of it the
-polynomial halved on has the sign of its first derivative that does not
-vanish there, and the halving goes on by signs.
-
-The largest real root is sought first without a Sturm chain, on p itself,
-made primitive with a positive leading coefficient.  The search starts
-where a floating-point estimate of the root lies (Laguerre and Newton steps
-in floats down from B, then Newton steps from exact values, whose last step
-gives an error radius): the estimate's cell at a depth j <= J, with cells
-wider than the radius, and its two neighbours form a window (a, b].  A
-Descartes certificate (Collins-Akritas 1976) shows that it holds the largest
-root: the Taylor shift of p to a has one sign variation and p(a) != 0, so p has
-exactly one root above a, and that root is simple, and the sign of p(b)
-puts it at or below b.  Sign bisection on p then descends from the root's
-cell to depth J, meeting no lower end that is a root, and gives the same
-grid cell as the bisection from the whole grid.  The estimate only chooses
-where exact signs are taken; it never decides an answer.  The certificate
-is exact for polynomials with only real roots, as the adjacency polynomials
-of trees; the Sturm bisection from the whole grid runs whenever it fails
-(complex roots near the top root, a multiple top root, a poor estimate).
-Both give the same (low, high).
-
-Every interval that isolation returns holds a simple root of its own poly:
-the Descartes route returns intervals on p, where the certificate proves the
-root simple, and the Sturm route intervals on sf.  Refinement therefore
-bisects on the interval's poly alone.
+The largest real root is sought first on p itself: a float estimate with an
+error radius (Laguerre steps down from B, or on the tree for a tree's
+adjacency radius) picks a window (a, b] of three cells, and one Taylor shift
+certifies it, one sign variation at a and p(a) != 0 meaning exactly one
+root above a, simple, and the sign of p(b) putting it at or below b.  That
+is exact when every root is real, as for trees; the bisection of the
+squarefree part sf from the whole grid runs when it fails.  Either way the
+interval holds a simple root of its own poly (p or sf).
 
 Two root intervals are compared by compare alone: the roots are equal exactly
-when the gcd of the two polynomials has a root in the common part of the
-two root sets, (low, high] or the point of a degenerate interval, and
-otherwise refinement separates them in finitely many steps.
+when the gcd g of the two polynomials has a root in the common part of the
+two root sets, which g's signs decide, and otherwise refinement separates
+them.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
-from .intpoly import (
-    IntPoly,
-    _signed_remainders,
-    _taylor_shift,
-    exact_div,
-    poly_gcd,
-)
+from .intpoly import IntPoly, _signed_remainders, _taylor_shift, poly_gcd, squarefree_part
 
 DEFAULT_WIDTH = Fraction(1, 10**9)
 
@@ -95,9 +62,8 @@ class RootInterval:
     Every interval that isolation returns holds a simple root of poly, and
     refinement bisects on poly's own signs.  An interval built with
     multiplicity_free=False, whose root may be multiple in poly, refines into
-    an interval on the squarefree part of poly.  A default flag on a root of
-    even multiplicity shows at the first refinement, where poly has one sign
-    at both ends, and that refinement moves to the squarefree part too.
+    an interval on the squarefree part of poly.  compare trusts the default
+    flag, which claims the root simple in poly.
     """
 
     poly: IntPoly
@@ -139,7 +105,7 @@ class RootInterval:
             return self
         if self.multiplicity_free:
             return _refine(self, width)
-        return _refine(RootInterval(_sturm_state(self.poly).sf, self.low, self.high), width)
+        return _refine(RootInterval(squarefree_part(self.poly), self.low, self.high), width)
 
     def decimal(self, places: int = 7) -> str:
         """Midpoint rounded to the given number of decimal places."""
@@ -162,14 +128,6 @@ def _check_width(width: Fraction) -> None:
     """Raise ValueError for a width <= 0, which no bisection reaches."""
     if width <= 0:
         raise ValueError("width must be positive")
-
-
-def sturm_chain(p: IntPoly) -> tuple[IntPoly, ...]:
-    """Sturm sequence of a squarefree polynomial: the signed remainders of p and p'.
-
-    For p not squarefree the sequence ends at a multiple of gcd(p, p').
-    """
-    return _signed_remainders(p, p.derivative())
 
 
 def cauchy_index(num: IntPoly, den: IntPoly) -> int:
@@ -198,29 +156,6 @@ def _cauchy_index_and_gcd(num: IntPoly, den: IntPoly) -> tuple[int, IntPoly]:
     return _variations_at_inf(chain, False) - _variations_at_inf(chain, True), chain[-1]
 
 
-class _SturmState(NamedTuple):
-    sf: IntPoly                 # squarefree part, primitive, positive leading coefficient
-    chain: tuple[IntPoly, ...]  # Sturm sequence of sf; empty when sf is constant
-
-
-@functools.lru_cache(maxsize=16)
-def _sturm_state(p: IntPoly) -> _SturmState:
-    """The Sturm state of p, built once for the few most recent polynomials.
-
-    The sequence of p itself ends at gcd(p, p'): when that is constant, p is
-    squarefree and the sequence is its Sturm chain; otherwise every member
-    divided by the gcd gives a Sturm sequence of sf = p / gcd, headed by sf.
-    """
-    p = p.primitive()
-    if p.degree < 1:
-        return _SturmState(p, ())
-    chain = sturm_chain(p)
-    if chain[-1].degree > 0:
-        gcd = chain[-1].primitive()
-        chain = tuple(exact_div(q, gcd) for q in chain)
-    return _SturmState(chain[0], chain)
-
-
 def _variations(signs) -> int:
     count = 0
     prev = 0
@@ -233,28 +168,10 @@ def _variations(signs) -> int:
     return count
 
 
-def _variations_at(chain, x: Fraction) -> int:
-    return _variations(q.sign_at(x) for q in chain)
-
-
 def _variations_at_inf(chain, positive: bool) -> int:
     if positive:
         return _variations(_sign(q.leading) for q in chain)
     return _variations(_sign(q.leading) * (-1) ** (q.degree % 2) for q in chain)
-
-
-def sturm_count(p: IntPoly, a: Fraction | int, b: Fraction | int) -> int:
-    """Number of distinct real roots of p in the half-open interval (a, b].
-
-    The squarefree part is taken internally, so multiple roots count once.
-    """
-    a, b = Fraction(a), Fraction(b)
-    if a >= b:
-        raise ValueError("need a < b")
-    chain = _sturm_state(p).chain
-    if not chain:
-        return 0
-    return _variations_at(chain, a) - _variations_at(chain, b)
 
 
 def root_bound(p: IntPoly) -> Fraction:
@@ -276,6 +193,15 @@ def root_bound(p: IntPoly) -> Fraction:
     return Fraction(2 << m)
 
 
+def _sign_right_of(f: IntPoly, x: Fraction) -> int:
+    """The sign of a nonzero f just right of x: its first derivative's not 0 at x."""
+    s = f.sign_at(x)
+    while s == 0:
+        f = f.derivative()
+        s = f.sign_at(x)
+    return s
+
+
 def _refine(bracket: RootInterval, width: Fraction) -> RootInterval:
     """Shrink a bracket certified to contain exactly one root of f = bracket.poly
     in (low, high] by sign bisection on f: one exact evaluation per step, so a
@@ -290,12 +216,9 @@ def _refine(bracket: RootInterval, width: Fraction) -> RootInterval:
     s_hi = f.sign_at(hi)
     if s_hi == 0:
         return RootInterval(f, hi, hi)
-    s_lo, d = f.sign_at(lo), f
-    while s_lo == 0:
-        d = d.derivative()
-        s_lo = d.sign_at(lo)
+    s_lo = _sign_right_of(f, lo)
     if s_lo == s_hi:
-        sf = _sturm_state(f).sf
+        sf = squarefree_part(f)
         if sf.degree == f.degree:
             raise ArithmeticError("bracket invariant violated")
         return _refine(RootInterval(sf, lo, hi), width)
@@ -314,38 +237,29 @@ def _refine(bracket: RootInterval, width: Fraction) -> RootInterval:
 # -- the float estimate and the seeded window -----------------------------------------------------
 
 
-def _float_root_from_above(cs: list[float], x: float) -> float:
-    """A float approach to the largest real root from x, a bound on the root
-    moduli, where p > 0 and p' > 0 once p is made to lead positive.
-
-    Laguerre steps cross clusters of roots in few steps and, when every root is
-    real, stay above the largest; Newton steps take over where Laguerre's
-    radicand is negative or a step crossed a root.  Rounding near the root, or
-    p not convex above it, may stop it anywhere.
+def _from_above(log_derivatives, n: int, x: float) -> tuple[float, float]:
+    """A float approach to the largest real root of p, of degree n, from x
+    above it, and the last step; log_derivatives(x) is p'/p and -(p'/p)' at
+    x, or None where p or p' is not positive (p leading positive).  Laguerre
+    steps cross clusters of roots in few steps and, when every root is real,
+    stay above the largest; Newton steps take over where the radicand is
+    negative or a step crossed a root.  Rounding, or p not convex above the
+    root, may stop it anywhere.
     """
-    n = len(cs) - 1
-    if cs[-1] < 0:
-        cs = [-c for c in cs]
-    above = None  # the last point known to lie above the root
-    laguerre = True
+    above, step, laguerre = None, math.nan, True  # above: the last point above the root
     for _ in range(ROOT_ESTIMATE_STEPS):
-        p = dp = ddp = 0.0
-        for c in reversed(cs):
-            ddp = ddp * x + 2 * dp
-            dp = dp * x + p
-            p = p * x + c
-        if not (p > 0 and dp > 0):
+        if (gh := log_derivatives(x)) is None:
             if above is None or not laguerre:
-                return x if above is None else above
+                return (x if above is None else above), step
             x, laguerre = above, False  # the Laguerre step crossed a root
             continue
-        g = dp / p
-        radicand = (n - 1) * (n * (g * g - ddp / p) - g * g)
-        step = n / (g + math.sqrt(radicand)) if laguerre and radicand >= 0 else p / dp
+        g, h = gh
+        radicand = (n - 1) * (n * h - g * g)
+        step = n / (g + math.sqrt(radicand)) if laguerre and radicand >= 0 else 1 / g
         above, x = x, x - step
         if not step > 1e-15 * abs(x):
             break
-    return x
+    return x, step
 
 
 def _exact_newton_step(coeffs: tuple[int, ...], x: float) -> float:
@@ -363,11 +277,23 @@ def _exact_newton_step(coeffs: tuple[int, ...], x: float) -> float:
 
 def _root_estimate(p: IntPoly, bound: Fraction) -> tuple[float, float]:
     """A float guess at the largest real root of p, sought down from bound
-    (root_bound(p)), and an error radius; nan when there is none.  It only
-    chooses where exact signs are taken."""
+    (root_bound(p)) by _from_above with Horner's rule, and an error radius;
+    nan when there is none.  It only chooses where exact signs are taken."""
     coeffs = p.coeffs
+
+    def log_derivatives(x: float):
+        v = dv = ddv = 0.0
+        for c in cs:
+            ddv = ddv * x + 2 * dv
+            dv = dv * x + v
+            v = v * x + c
+        if not (v > 0 and dv > 0):
+            return None
+        g = dv / v
+        return g, g * g - ddv / v
     try:
-        x = _float_root_from_above([float(c) for c in coeffs], float(bound))
+        cs = [float(c) if coeffs[-1] > 0 else -float(c) for c in reversed(coeffs)]
+        x = _from_above(log_derivatives, p.degree, float(bound))[0]
         # Float evaluation near a root loses the digits that cancel; steps
         # from exact values recover them, and the last one bounds the error.
         for _ in range(POLISH_STEPS):
@@ -422,7 +348,7 @@ def _cell_of_root(p: IntPoly, origin: Fraction, step: Fraction, i0: int, i1: int
     return i0
 
 
-# -- the Descartes certificate ---------------------------------------------------------
+# -- the Descartes certificate and bisection ------------------------------------------
 
 
 def _shifted(p: IntPoly, a: Fraction) -> list[int]:
@@ -446,27 +372,22 @@ def descartes_bound(p: IntPoly, a: Fraction | int) -> int:
     return _variations(map(_sign, _shifted(p, Fraction(a))))
 
 
-def _descartes_largest(p: IntPoly, width: Fraction) -> RootInterval | None:
-    """The interval that the Sturm bisection of isolate_largest_real_root
-    gives, certified without a Sturm chain; None when the certificate fails.
+def _descartes_largest(p: IntPoly, width: Fraction, estimate) -> RootInterval | None:
+    """The interval that the bisection of isolate_largest_real_root gives,
+    certified on p itself; None when the certificate fails.
 
-    Everything runs on f, the primitive part of p with positive leading
-    coefficient, and on the grid (-B, B], B = root_bound(f).  The window
-    (a, b] is the estimate's cell and its two neighbours at depth
-    min(J, seed depth).  One Taylor shift certifies it:
-    f(a) != 0 and one sign variation at a mean exactly one root above a,
-    simple, and f(b) >= 0 puts it at or below b.  Then f's signs give the
-    root's cell, and sign bisection on p, a constant multiple of f, to width
-    ends in the depth-J grid cell of the root, or at the root as a grid
-    point, as the Sturm bisection does.  The interval is on p, where its
-    root is simple.
+    It runs on f, the primitive part of p with positive leading coefficient,
+    and on the grid (-B, B], B = root_bound(f).  The window (a, b] is the
+    cell of estimate(f, B) and its two neighbours at depth min(J, seed
+    depth).  f(a) != 0 and one sign variation at a mean exactly one root
+    above a, simple, and f(b) >= 0 puts it at or below b.  f's signs give the
+    root's cell, and sign bisection on p to width ends in the depth-J grid
+    cell of the root, or at the root as a grid point, as the bisection does.
     """
-    if p.degree < 1:
-        return None
     f = p.primitive()
     bound = root_bound(f)
     origin, span = -bound, 2 * bound
-    seed = _seed(_root_estimate(f, bound), span, _grid_depth(span, width))
+    seed = _seed(estimate(f, bound), span, _grid_depth(span, width))
     if seed is None or seed[1] < 0:
         return None
     xq, j = seed
@@ -483,45 +404,79 @@ def _descartes_largest(p: IntPoly, width: Fraction) -> RootInterval | None:
     return _refine(RootInterval(p, origin + step * i, origin + step * (i + 1)), width)
 
 
-def _sturm_cells(p: IntPoly):
-    """The cells (a, b] of the grid (-B, B], B = root_bound(p), that hold one
-    distinct real root of p each, as intervals on sf, the largest root first:
-    Sturm bisection that halves every cell holding two roots or more and
-    searches its right half first."""
-    sf, chain = _sturm_state(p)
-    if not chain:
-        return
-    bound = root_bound(p)
-    stack = [(-bound, bound, _variations_at_inf(chain, False), _variations_at_inf(chain, True))]
+def _cells(f: IntPoly, lo: Fraction, hi: Fraction):
+    """The cells (a, b] of the bisection of (lo, hi] that hold one root of the
+    squarefree f each, the largest first.  A cell carries g(x) = c f(a +
+    (b - a) x), c > 0: the sign variations of rev(g)(x + 1) bound the roots
+    of f in (a, b), and g(1) = 0 puts one at b.  A cell reading neither 0
+    nor 1 is halved, right half first, into g_l(x) = 2^n g(x / 2) and
+    g_r(x) = g_l(x + 1); small cells of a squarefree f read 0 or 1."""
+    n = f.degree
+    r = (hi - lo) * lo.denominator  # _shifted(f, lo) is in (t - lo) lo.denominator = r x
+    g = [c * r.numerator**i * r.denominator**(n - i) for i, c in enumerate(_shifted(f, lo))]
+    stack = [(lo, hi, g)]
     while stack:
-        a, b, va, vb = stack.pop()
-        if va - vb == 1:
-            yield RootInterval(sf, a, b)
-        elif va > vb:
+        a, b, g = stack.pop()
+        count = _variations(map(_sign, _taylor_shift(g[::-1], 1))) + (sum(g) == 0)
+        if count == 1:
+            yield a, b
+        elif count > 1:
             mid = (a + b) / 2
-            vm = _variations_at(chain, mid)
-            stack += [(a, mid, va, vm), (mid, b, vm, vb)]
+            left = [c << (n - i) for i, c in enumerate(g)]
+            stack += [(a, mid, left), (mid, b, _taylor_shift(left, 1))]
 
 
-def _sturm_largest(p: IntPoly, width: Fraction) -> RootInterval:
-    """The largest real root by Sturm bisection from the whole grid to the
-    first cell that holds that root and no other, then sign bisection on sf
-    to width."""
-    cell = next(_sturm_cells(p), None)
-    if cell is None:
+def sturm_count(p: IntPoly, a: Fraction | int, b: Fraction | int) -> int:
+    """Number of distinct real roots of p in (a, b], from the Descartes
+    bisection of its squarefree part (it replaced a Sturm count)."""
+    a, b = Fraction(a), Fraction(b)
+    if a >= b:
+        raise ValueError("need a < b")
+    sf = squarefree_part(p)
+    return 0 if sf.degree < 1 else sum(1 for _ in _cells(sf, a, b))
+
+
+def _bisection_largest(p: IntPoly, width: Fraction) -> RootInterval:
+    """The largest real root by Descartes bisection of sf, the squarefree part
+    of p, from the grid (-B, B], B = root_bound(p), then sign bisection on sf.
+    Complex roots nearby can make the bisection's cell C smaller than the
+    first cell holding that root and no other real one, C0.  Both refine to
+    the same cell when C lies at depth J or above; below it, C0 is the
+    ancestor of C at depth J, or deeper while it holds the next root's cell.
+    """
+    sf, bound = squarefree_part(p), root_bound(p)
+    cells = _cells(sf, -bound, bound)
+    top = next(cells, None)
+    if top is None:
         raise NoRealRootError("polynomial has no real root")
-    return _refine(cell, width)
+    lo, hi = top
+    step = 2 * bound / 2**_grid_depth(2 * bound, width)
+    if hi - lo < step:
+        below = next(cells, None)
+        a = -bound + step * ((lo + bound) // step)
+        while below is not None and a <= below[0] and below[1] <= a + step:
+            step /= 2
+            a = -bound + step * ((lo + bound) // step)
+        lo, hi = a, a + step
+    return _refine(RootInterval(sf, lo, hi), width)
 
 
 def isolate_largest_real_root(p: IntPoly, width: Fraction = DEFAULT_WIDTH) -> RootInterval:
     """Certified interval of at most the given width around the largest real root.
 
-    The Descartes certificate is tried first, and Sturm bisection from the
+    The Descartes certificate is tried first, and the bisection from the
     whole grid runs when it fails.  Raises ValueError for a width <= 0.
     """
+    return _isolate_largest(p, width, _root_estimate)
+
+
+def _isolate_largest(p: IntPoly, width: Fraction, estimate) -> RootInterval:
+    """isolate_largest_real_root, its window from estimate(f, bound) (x, radius)."""
     _check_width(width)
-    iv = _descartes_largest(p, width)
-    return iv if iv is not None else _sturm_largest(p, width)
+    if p.degree < 1:
+        raise NoRealRootError("constant polynomial")
+    iv = _descartes_largest(p, width, estimate)
+    return iv if iv is not None else _bisection_largest(p, width)
 
 
 def largest_root_above_one(p: IntPoly, width: Fraction = DEFAULT_WIDTH) -> RootInterval | None:
@@ -550,14 +505,6 @@ def largest_root_above_one(p: IntPoly, width: Fraction = DEFAULT_WIDTH) -> RootI
     return iv if above else None
 
 
-def isolate_real_roots(p: IntPoly, width: Fraction = DEFAULT_WIDTH) -> list[RootInterval]:
-    """Disjoint certified intervals around every distinct real root, ascending.
-
-    Raises ValueError for a width <= 0."""
-    _check_width(width)
-    return [_refine(cell, width) for cell in _sturm_cells(p)][::-1]
-
-
 class SeparationError(ValueError):
     """Two root intervals to be separated isolate one and the same root."""
 
@@ -569,13 +516,12 @@ def _holds(iv: RootInterval, x: Fraction) -> bool:
 
 
 def _same_root(a: RootInterval, b: RootInterval) -> bool:
-    """Whether a and b isolate the same root.
-
-    A root of g = gcd(a.poly, b.poly) in the common part of the two root sets
-    is the one root of each interval; and an equal root lies in both sets, so
-    in their common part.  g has the roots of the gcd of the two squarefree
-    parts, so neither Sturm state is needed, only g's for the count.
-    """
+    """Whether a and b isolate the same root: whether g = gcd(a.poly, b.poly)
+    has a root in the common part (lo, hi] of the two root sets.  g divides
+    the poly of a multiplicity-free interval, so it has at most one root
+    there, simple (when neither interval is, g's squarefree part has), and
+    has it exactly when it vanishes at hi or changes sign from just right of
+    lo."""
     g = poly_gcd(a.poly, b.poly)
     if g.degree < 1:
         return False
@@ -583,17 +529,24 @@ def _same_root(a: RootInterval, b: RootInterval) -> bool:
         x = a.low if a.low == a.high else b.low
         return _holds(a, x) and _holds(b, x) and g.sign_at(x) == 0
     lo, hi = max(a.low, b.low), min(a.high, b.high)
-    return lo < hi and sturm_count(g, lo, hi) > 0
+    if lo >= hi:
+        return False
+    if not (a.multiplicity_free or b.multiplicity_free):
+        g = squarefree_part(g)
+    s_hi = g.sign_at(hi)
+    return s_hi == 0 or _sign_right_of(g, lo) != s_hi
 
 
 def refine_until_disjoint(a: RootInterval, b: RootInterval) -> tuple[RootInterval, RootInterval]:
     """Refine two root intervals, both to the smaller positive width over 16
     per round, until disjoint; raises SeparationError when the two roots are
-    certified equal, so the loop always ends."""
-    if a.overlaps(b) and _same_root(a, b):
-        raise SeparationError("the two intervals isolate the same root")
+    certified equal, so the loop always ends.  Equality is decided again after
+    a refinement moves to the squarefree part (a default flag on a multiple root)."""
+    polys = None
     while a.overlaps(b):
-        w = min(x.width for x in (a, b) if x.width > 0) / 16
+        if (a.poly, b.poly) != polys and _same_root(a, b):
+            raise SeparationError("the two intervals isolate the same root")
+        polys, w = (a.poly, b.poly), min(x.width for x in (a, b) if x.width > 0) / 16
         a, b = a.refined(w), b.refined(w)
     return a, b
 
@@ -601,8 +554,8 @@ def refine_until_disjoint(a: RootInterval, b: RootInterval) -> tuple[RootInterva
 def compare(a: RootInterval, b: RootInterval) -> int:
     """The order of the roots isolated by a and b: -1, 0 or 1, certified exactly.
 
-    Equality is decided by algebra (a gcd and a root count where the root
-    sets of a and b meet), order by refining until the intervals are disjoint.
+    Equality is decided by algebra (a gcd and its signs where the root sets
+    of a and b meet), order by refining until the intervals are disjoint.
     """
     try:
         a, b = refine_until_disjoint(a, b)

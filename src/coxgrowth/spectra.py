@@ -7,6 +7,7 @@ non-realization pipeline for the smallest tetrahedral growth rate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -16,12 +17,14 @@ from .numclass import strip_cyclotomic
 from .roots import (
     DEFAULT_WIDTH,
     RootInterval,
+    _from_above,
+    _isolate_largest,
     certify_strictly_less,
     compare,
     isolate_largest_real_root,
     sturm_count,
 )
-from .coxtrans import _tree_polynomial, alpha_from_lambda
+from .coxtrans import _rooted, _tree_polynomial, alpha_from_lambda
 from .growth import growth_rate, steinberg_growth
 
 # Below this Coxeter-transformation spectral radius, the radius is always
@@ -31,16 +34,65 @@ from .growth import growth_rate, steinberg_growth
 WEIGHT3_TREE_THRESHOLD = Fraction("1.35999")
 
 
-def adjacency_char_poly(tree: WeightedTree) -> IntPoly:
-    """det(tI - A) for the 0/1 adjacency matrix of a weight-3 tree."""
+def _weight3_rooted(tree: WeightedTree) -> list[tuple[int, int, int]]:
+    """coxtrans._rooted of a tree whose edge weights are all 3."""
     if tree.weights_used() - {3}:
         raise DiagramError("adjacency spectra require all edge weights 3")
-    return _tree_polynomial(tree, coxeter=False)
+    return _rooted(tree)
+
+
+def adjacency_char_poly(tree: WeightedTree) -> IntPoly:
+    """det(tI - A) for the 0/1 adjacency matrix of a weight-3 tree."""
+    return _tree_polynomial(_weight3_rooted(tree), coxeter=False)
 
 
 def spectral_radius_adjacency(tree: WeightedTree, width: Fraction = DEFAULT_WIDTH) -> RootInterval:
     """Certified interval around the largest adjacency eigenvalue."""
-    return isolate_largest_real_root(adjacency_char_poly(tree), width)
+    return _adjacency_radius(_weight3_rooted(tree), width)[1]
+
+
+def _tree_root_estimate(rooted: list[tuple[int, int, int]]) -> tuple[float, float]:
+    """roots._from_above on p = det(tI - A), A the adjacency matrix of the
+    rooted tree, from just above max sqrt(r_u r_v) over its edges uv, r the
+    row sums of A, which bounds the largest root of p.  The leaves-up pivots
+    d_v = t - sum_c a_c / d_c over the children c have prod_v d_v = p, all
+    positive above that root, so p'/p = sum_v d_v'/d_v and -(p'/p)' = sum_v
+    (d_v'/d_v)^2 - d_v''/d_v: d_v' = 1 + sum_c a_c d_c' / d_c^2 and
+    d_v'' = sum_c a_c (d_c'' / d_c^2 - 2 d_c'^2 / d_c^3).
+    """
+    n = len(rooted)
+    rows = [0.0] * n
+    for v, u, a in rooted[:-1]:
+        rows[v] += math.sqrt(a)
+        rows[u] += math.sqrt(a)
+
+    def log_derivatives(x: float):
+        d, d1, d2 = [x] * n, [1.0] * n, [0.0] * n
+        g = h = 0.0
+        for v, u, a in rooted:
+            dv = d[v]
+            if not dv > 0:
+                return None
+            r, s = d1[v] / dv, d2[v] / dv
+            g += r
+            h += r * r - s
+            if u >= 0:
+                q = a / dv
+                d[u] -= q
+                d1[u] += q * r
+                d2[u] += q * (s - 2 * r * r)
+        return g, h
+
+    top = max([math.sqrt(rows[v] * rows[u]) for v, u, _ in rooted[:-1]], default=0.0)
+    return _from_above(log_derivatives, n, top * (1 + 2**-10))
+
+
+def _adjacency_radius(rooted: list, width: Fraction) -> tuple[IntPoly, RootInterval]:
+    """chi = det(tI - A), A the adjacency matrix (entries 2cos(pi/m)) of the
+    rooted tree (coxtrans._rooted), and its largest root from the tree's own
+    estimate: chi's overflows on long paths and misses many Prop 5.2 trees."""
+    chi = _tree_polynomial(rooted, coxeter=False)
+    return chi, _isolate_largest(chi, width, lambda f, bound: _tree_root_estimate(rooted))
 
 
 # -- the small-spectral-radius tree families -----------------------------------------
@@ -142,10 +194,8 @@ def weight4_leaf_replace(tree: WeightedTree, width: Fraction = Fraction(1, 10**1
     # reuse the old leaf slot for the first new leaf, append the second
     edges += [(anchor, leaf, 3), (anchor, tree.n, 3)]
     replaced = WeightedTree(tree.n + 1, edges)
-    chi_in = _tree_polynomial(tree, coxeter=False)  # entries 2cos(pi/m)
-    chi_out = adjacency_char_poly(replaced)
-    r_in = isolate_largest_real_root(chi_in, width)
-    r_out = isolate_largest_real_root(chi_out, width)
+    r_in = _adjacency_radius(_rooted(tree), width)[1]  # entries 2cos(pi/m)
+    r_out = spectral_radius_adjacency(replaced, width)
     return LeafReplacementResult(tree, replaced, r_in, r_out, compare(r_in, r_out) == 0)
 
 
@@ -246,7 +296,7 @@ def verify_alpha0_not_tree_radius(r_max: int = 25, j_max: int = 25) -> Alpha0Rep
     alpha0, apoly = _alpha0_interval()
     swept = {}  # (family, params) -> (radius, side of alpha0)
     for item in brouwer_neumaier_enumerate(r_max, j_max):
-        iv = isolate_largest_real_root(adjacency_char_poly(item.tree), Fraction(1, 10**7))
+        iv = spectral_radius_adjacency(item.tree, Fraction(1, 10**7))
         side = compare(iv, alpha0)
         if side == 0:
             raise ArithmeticError(f"{item.family}{item.params} shares the target root")

@@ -265,7 +265,8 @@ def _reference_variations(chain: list[IntPoly], x: Fraction) -> int:
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
-def _reference_count(p: IntPoly, a: Fraction, b: Fraction) -> int:
+def reference_count(p: IntPoly, a: Fraction, b: Fraction) -> int:
+    """Distinct real roots of p in (a, b]: a Sturm count on the squarefree part."""
     sf = squarefree_part(p)
     if sf.degree < 1:
         return 0
@@ -276,7 +277,7 @@ def _reference_count(p: IntPoly, a: Fraction, b: Fraction) -> int:
 def count_roots_open(p: IntPoly, a: Fraction, b: Fraction) -> int:
     """Distinct real roots of p in the open interval (a, b): the Sturm count
     over (a, b], less one when b is a root."""
-    return _reference_count(p, a, b) - (p.sign_at(b) == 0)
+    return reference_count(p, a, b) - (p.sign_at(b) == 0)
 
 
 def _reference_bound(p: IntPoly) -> Fraction:
@@ -326,7 +327,7 @@ def reference_root_is_simple(p: IntPoly, low: Fraction, high: Fraction) -> bool:
         return True
     if low == high:
         return g.sign_at(low) != 0
-    return _reference_count(g, low, high) == 0
+    return reference_count(g, low, high) == 0
 
 
 def reference_isolate_largest(p: IntPoly, width: Fraction):
@@ -386,7 +387,7 @@ def reference_real_root_count(p: IntPoly) -> int:
     if sf.degree < 1:
         return 0
     bound = _reference_bound(sf)
-    return _reference_count(sf, -bound, bound)
+    return reference_count(sf, -bound, bound)
 
 
 def reference_growth_rate(den: IntPoly, width: Fraction):
@@ -398,7 +399,7 @@ def reference_growth_rate(den: IntPoly, width: Fraction):
     """
     if den.degree < 1:
         return None
-    inside = _reference_count(den, Fraction(0), Fraction(1))
+    inside = reference_count(den, Fraction(0), Fraction(1))
     if squarefree_part(den).sign_at(Fraction(1)) == 0:
         inside -= 1
     if inside == 0:
@@ -581,7 +582,7 @@ def reference_unit_circle_root_count(p: IntPoly) -> int:
     if s.degree == 0:
         return count
     # s(+-1) != 0, so the reduced polynomial has no root at +-2
-    return count + 2 * _reference_count(palindromic_reduce(s), Fraction(-2), Fraction(2))
+    return count + 2 * reference_count(palindromic_reduce(s), Fraction(-2), Fraction(2))
 
 
 def reference_disk_counts(s: IntPoly) -> tuple[int, int, int]:
@@ -987,7 +988,7 @@ def _reference_not_above(p: IntPoly, p_bracket, q: IntPoly, q_bracket) -> bool:
     refined until they are disjoint."""
     (p_lo, p_hi), (q_lo, q_hi) = p_bracket, q_bracket
     g = poly_gcd(p, q)
-    if g.degree > 0 and (g.sign_at(p_hi) == 0 if p_lo == p_hi else _reference_count(g, p_lo, p_hi) > 0):
+    if g.degree > 0 and (g.sign_at(p_hi) == 0 if p_lo == p_hi else reference_count(g, p_lo, p_hi) > 0):
         return True
     while q_lo < p_hi and p_lo < q_hi:
         p_lo, p_hi = reference_refined(p, p_lo, p_hi, (p_hi - p_lo) / 2**10)
@@ -1002,7 +1003,7 @@ def reference_is_perron(p: IntPoly, outside: int) -> bool | None:
     up to five rounds.  Roots are counted and isolated on the reference
     Sturm chains."""
     bound = _reference_bound(p)
-    above_one = _reference_count(p, Fraction(1), bound)
+    above_one = reference_count(p, Fraction(1), bound)
     if outside == 1:
         # The unique root outside the closed disk is real (complex roots pair up);
         # it dominates iff it lies in (1, inf) rather than (-inf, -1).
@@ -1017,7 +1018,7 @@ def reference_is_perron(p: IntPoly, outside: int) -> bool | None:
     # A negative root of equal or larger modulus rules the top root out; p(-t)
     # has the same Fujiwara bound as p.
     mirrored = IntPoly((-1) ** (i % 2) * c for i, c in enumerate(p.coeffs))
-    if _reference_count(mirrored, Fraction(1), bound) > 0:
+    if reference_count(mirrored, Fraction(1), bound) > 0:
         neg_low, neg_high = reference_isolate_largest(mirrored, Fraction(1, 10**12))
         if _reference_not_above(p, (low, high), mirrored, (neg_low, neg_high)):
             return False

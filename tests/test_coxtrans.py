@@ -6,6 +6,7 @@ import pytest
 
 from coxgrowth.coxtrans import (
     TREE_VERTEX_BOUND,
+    _rooted,
     _tree_polynomial,
     alpha_from_lambda,
     bipartite_coxeter_matrix,
@@ -27,13 +28,14 @@ from coxgrowth.diagram import (
 )
 from coxgrowth.growth import polygon_delta, polygon_growth
 from coxgrowth.intpoly import IntPoly, bracket, parse_poly
-from coxgrowth.roots import RootInterval, sturm_count
+from coxgrowth.roots import RootInterval
 from coxgrowth.spectra import adjacency_char_poly, brouwer_neumaier_enumerate
 
 from oracles import (
     charpoly_interpolated,
     coxeter_element_matrix,
     random_tree_edges,
+    reference_count,
     reference_tree_polynomials,
     relabel_tree,
     weighted_adjacency_matrix,
@@ -129,7 +131,7 @@ def test_weighted_trees_match_matrix_oracles():
         edges = [(i, j, rng.choice([3, 4, 6, INF])) for i, j, _ in random_tree_edges(n, rng)]
         tree = WeightedTree(n, edges)
         assert char_poly_recursive(tree) == charpoly_interpolated(coxeter_element_matrix(n, edges))
-        assert (_tree_polynomial(tree, coxeter=False)
+        assert (_tree_polynomial(_rooted(tree), coxeter=False)
                 == charpoly_interpolated(weighted_adjacency_matrix(n, edges)))
 
 
@@ -143,7 +145,7 @@ def test_long_path_polynomials():
 
 
 def _tree_polynomials(tree):
-    return _tree_polynomial(tree, coxeter=False), char_poly_recursive(tree)
+    return _tree_polynomial(_rooted(tree), coxeter=False), char_poly_recursive(tree)
 
 
 def test_tree_polynomials_match_dense_oracle_on_prop52_trees():
@@ -295,9 +297,9 @@ def test_end_to_end_shares_core():
 
 def _radius_by_sturm_count(phi, width):
     """The pre-check that spectral_radius_from_charpoly made before its
-    Descartes count: a Sturm count of the roots above 1."""
+    Descartes count: a Sturm count of the roots above 1, the oracle's."""
     from coxgrowth.roots import isolate_largest_real_root, root_bound
-    if sturm_count(phi, 1, root_bound(phi)) == 0:
+    if reference_count(phi, Fraction(1), root_bound(phi)) == 0:
         return RootInterval(IntPoly([-1, 1]), Fraction(1), Fraction(1))
     return isolate_largest_real_root(phi, width)
 

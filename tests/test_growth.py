@@ -31,13 +31,13 @@ from coxgrowth.growth import (
 from coxgrowth.intpoly import IntPoly, _signed_digits, bracket, cyclotomic, exact_div, parse_poly
 from coxgrowth.numclass import strip_cyclotomic
 from coxgrowth.diagram import finite_type_recognize
-from coxgrowth.roots import sturm_count
 from coxgrowth.spectra import adjacency_char_poly
 
 from oracles import (
     bfs_word_counts,
     dihedral_order,
     reciprocity_check,
+    reference_count,
     reference_growth_rate,
     reference_polygon_delta,
     reference_root_is_simple,
@@ -402,7 +402,7 @@ def test_growth_rate_pentagon():
     f = polygon_growth(2, 2, 2, 2, 2)
     assert f.denominator == IntPoly([1, -3, 1])
     iv = growth_rate(f)
-    assert sturm_count(IntPoly([1, -3, 1]), iv.low, iv.high) == 1
+    assert reference_count(IntPoly([1, -3, 1]), iv.low, iv.high) == 1
 
 
 def test_growth_rate_non_reciprocal_denominator():
@@ -471,13 +471,12 @@ def test_growth_rate_matches_reference_on_non_reciprocal_series(name):
 
 
 def test_growth_rate_builds_no_sturm_chain_on_non_reciprocal_series(monkeypatch):
-    from coxgrowth import roots
-    from test_roots import _recording_chains
-    roots._sturm_state.cache_clear()
-    built = _recording_chains(monkeypatch)
+    # nor a squarefree part or a count: the Descartes certificate decides
+    from test_roots import _recording_work
+    work = _recording_work(monkeypatch)
     for name in _NON_RECIPROCAL:
         growth_rate(_non_reciprocal_series(name), Fraction(1, 10**9))
-        assert built == [], name
+        assert work == [], name
 
 
 def test_growth_rate_edge_cases_of_the_reversal():
@@ -486,8 +485,8 @@ def test_growth_rate_edge_cases_of_the_reversal():
         growth_rate(GrowthFunction(IntPoly([1]), IntPoly([2, -1])), width)
     iv = growth_rate(GrowthFunction(IntPoly([1]), IntPoly([1, -3])), width)
     assert iv.low == iv.high == 3 and iv.multiplicity_free
-    # the double rate 2 is a point of the grid (-16, 16], reached by the Sturm
-    # route on the squarefree part t - 2
+    # the double rate 2 is a point of the grid (-16, 16], reached by the
+    # bisection of the squarefree part t - 2
     iv = growth_rate(GrowthFunction(IntPoly([1]), IntPoly([1, -2]) ** 2), width)
     assert iv.low == iv.high == 2 and iv.poly == IntPoly([-2, 1]) and iv.multiplicity_free
 
@@ -587,7 +586,7 @@ def test_help_report_structure():
 def test_gap_polynomial_positive():
     F = IntPoly([1, 1, 0, -1, -1, -1, 0, 1, 1])  # t^8+t^7-t^5-t^4-t^3+t+1
     assert F == parse_poly("1,1,0,-1,-1,-1,0,1,1")
-    assert sturm_count(F, 0, 1) == 0
+    assert reference_count(F, Fraction(0), Fraction(1)) == 0
     assert positive_on_interval(F)
     details = verify_second_minimal_polygon().case("gap_polynomial").details
     assert details["polynomial"] == F.to_text()

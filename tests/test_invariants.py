@@ -122,7 +122,7 @@ _CALLER_DIRS = [SRC, *(Path(__file__).parent.parent / d for d in ("demos", "benc
 
 def _names_read(node: ast.stmt) -> set[str]:
     """The names that a top-level statement reads: names, attributes, and the
-    last part of a dotted string such as "roots.isolate_real_roots", which is
+    last part of a dotted string such as "roots.isolate_largest_real_root", which is
     how bench/tracer.py names the functions that it wraps."""
     out = set()
     for sub in ast.walk(node):

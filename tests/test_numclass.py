@@ -18,15 +18,15 @@ from coxgrowth.numclass import (
     strip_cyclotomic,
     unit_circle_root_count,
 )
-from coxgrowth.roots import isolate_largest_real_root, root_bound, sturm_count
+from coxgrowth.roots import isolate_largest_real_root, root_bound
 
 from coxgrowth.salemdb import bundled_mini_list
 
 from oracles import (
     _reference_bound,
-    _reference_count,
     charpoly_interpolated,
     expand_trace_form,
+    reference_count,
     reference_disk_counts,
     reference_is_perron,
     reference_strip_cyclotomic,
@@ -408,7 +408,8 @@ def test_cyclotomic_factors_have_no_root_above_one(tail, indices):
     s = core
     for n in indices:
         s = s * cyclotomic(n)
-    assert sturm_count(s, 1, root_bound(s)) == sturm_count(core, 1, root_bound(core))
+    assert reference_count(s, Fraction(1), root_bound(s)) == reference_count(core, Fraction(1),
+                                                                             root_bound(core))
 
 
 def test_classify_cyclotomic():
@@ -431,7 +432,7 @@ def _reference_salem(p: IntPoly) -> bool:
     if core.degree < 1:
         return False
     _inside, on, outside = reference_disk_counts(core)
-    above_one = _reference_count(core, Fraction(1), _reference_bound(core))
+    above_one = reference_count(core, Fraction(1), _reference_bound(core))
     return outside == 1 and on >= 1 and above_one == 1
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coxgrowth import roots
 from coxgrowth.growth import GrowthFunction, NotExponentialError, growth_rate
 from coxgrowth.intpoly import IntPoly, parse_poly, poly_gcd, squarefree_part
 from coxgrowth.roots import (
@@ -15,7 +16,6 @@ from coxgrowth.roots import (
     certify_strictly_less,
     compare,
     isolate_largest_real_root,
-    isolate_real_roots,
     largest_root_above_one,
     refine_until_disjoint,
     sqrt_interval,
@@ -24,15 +24,23 @@ from coxgrowth.roots import (
 
 from oracles import (
     _reference_bound,
-    _reference_count,
     count_roots_open,
     real_root_count_bisection,
+    reference_count,
     reference_real_root_count,
     reference_refined,
     reference_root_is_simple,
 )
 
 LEHMER = parse_poly("1,1,0,-1,-1,-1,-1,-1,0,1,1")
+
+
+def _real_roots(p, width):
+    """Every distinct real root of p, ascending: the cells of the Descartes
+    bisection of its squarefree part sf over the grid of p, refined on sf."""
+    sf, bound = squarefree_part(p), roots.root_bound(p)
+    cells = roots._cells(sf, -bound, bound)
+    return [roots._refine(RootInterval(sf, a, b), width) for a, b in cells][::-1]
 
 
 def test_sturm_count_examples():
@@ -52,20 +60,20 @@ def test_isolate_largest():
     iv = isolate_largest_real_root(LEHMER, Fraction(1, 10**6))
     assert iv.width <= Fraction(1, 10**6)
     assert iv.low <= Fraction("1.176281") <= iv.high + Fraction(1, 10**6)
-    assert sturm_count(LEHMER, iv.low, iv.high) == 1 or iv.width == 0
+    assert reference_count(LEHMER, iv.low, iv.high) == 1 or iv.width == 0
 
 
 def test_isolate_double_root_exact():
     iv = isolate_largest_real_root(IntPoly([1, -2, 1]))  # (t-1)^2
     assert (iv.low, iv.high) == (1, 1)
-    # the Sturm route gives the interval on the squarefree part, where the root is simple
+    # the bisection gives the interval on the squarefree part, where the root is simple
     assert iv.poly == IntPoly([-1, 1]) and iv.multiplicity_free
 
 
 def test_multiplicity_flags():
     assert isolate_largest_real_root(LEHMER).multiplicity_free
     p = IntPoly([-1, 1]) ** 2 * IntPoly([-3, 1])
-    ivs = isolate_real_roots(p, Fraction(1, 10**6))
+    ivs = _real_roots(p, Fraction(1, 10**6))
     # both intervals lie on the squarefree part (t - 1)(t - 3), and so does their refinement
     assert [(iv.poly, iv.multiplicity_free) for iv in ivs] == [(IntPoly([3, -4, 1]), True)] * 2
     finer = ivs[0].refined(Fraction(1, 10**12))
@@ -89,7 +97,7 @@ def test_no_real_root():
 
 def test_isolate_all_roots():
     p = IntPoly([-1, 1]) * IntPoly([2, 1]) * IntPoly([-7, 2])
-    ivs = isolate_real_roots(p, Fraction(1, 10**9))
+    ivs = _real_roots(p, Fraction(1, 10**9))
     assert len(ivs) == 3
     values = sorted(float(iv.midpoint()) for iv in ivs)
     assert values == pytest.approx([-2.0, 1.0, 3.5], abs=1e-6)
@@ -151,7 +159,7 @@ def test_compare_reads_intervals_as_half_open():
 
 def _sqrt_interval_of(p, n, width):
     """The isolating interval of p around sqrt(n)."""
-    return next(iv for iv in isolate_real_roots(p, width)
+    return next(iv for iv in _real_roots(p, width)
                 if iv.high >= 0 and max(iv.low, 0) ** 2 <= n <= iv.high ** 2)
 
 
@@ -261,11 +269,10 @@ def test_refining_past_a_multiple_root_lower_end_builds_no_sturm_chain(monkeypat
     # x^2 (3x - 5) on (0, 4]: the lower end 0 is a double root, where p and p'
     # vanish and p'' < 0 gives the sign just right of it; the root 5/3 is simple
     p, width = IntPoly([0, 0, -5, 3]), Fraction(1, 10**6)
-    roots._sturm_state.cache_clear()
-    chains = _recording_chains(monkeypatch)
+    work = _recording_work(monkeypatch)
     iv = RootInterval(p, Fraction(0), Fraction(4), True).refined(width)
     assert (iv.low, iv.high) == reference_refined(p, Fraction(0), Fraction(4), width)
-    assert chains == []
+    assert work == []
 
 
 @pytest.mark.parametrize("p", [
@@ -297,18 +304,17 @@ def test_refine_moves_off_an_exact_root_endpoint():
 @given(st.lists(st.integers(-8, 8), min_size=2, max_size=8).map(lambda c: IntPoly(c + [1])))
 @settings(max_examples=40, deadline=None)
 def test_isolated_intervals_really_isolate(p):
-    ivs = isolate_real_roots(p, Fraction(1, 10**6))
+    ivs = _real_roots(p, Fraction(1, 10**6))
     # intervals are pairwise disjoint, each containing exactly one root
     for i, iv in enumerate(ivs):
         if iv.width > 0:
-            assert sturm_count(p, iv.low, iv.high) == 1
+            assert reference_count(p, iv.low, iv.high) == 1
         for other in ivs[i + 1:]:
             assert iv.high <= other.low
 
 
 # -- the seeded isolation against the reference bisection ----------------------------------
 
-from coxgrowth import roots  # noqa: E402
 from oracles import reference_isolate_largest  # noqa: E402
 
 
@@ -377,7 +383,8 @@ _planted = st.tuples(_small_factors, st.integers(2, 3), st.lists(_small_factors,
 @given(_planted, _widths)
 @settings(max_examples=100, deadline=None)
 def test_every_interval_isolates_a_simple_root_of_its_own_poly(p, width):
-    ivs = isolate_real_roots(p, width)
+    ivs = _real_roots(p, width)
+    assert len(ivs) == reference_real_root_count(p)
     for iv in ivs:
         _pair(iv)
         if iv.width > 0:
@@ -385,12 +392,12 @@ def test_every_interval_isolates_a_simple_root_of_its_own_poly(p, width):
             finer = RootInterval(p, iv.low, iv.high, multiplicity_free=False).refined(iv.width / 8)
             assert _pair(finer) == reference_refined(p, iv.low, iv.high, iv.width / 8)
     expected = reference_isolate_largest(p, width)
-    assert (_pair(ivs[-1]) if ivs else None) == expected
     if expected is None:
         return
+    assert _pair(roots._bisection_largest(p, width)) == expected
     assert _pair(isolate_largest_real_root(p, width)) == expected
     above = largest_root_above_one(p, width)
-    assert (above is not None) == (_reference_count(p, Fraction(1), _reference_bound(p)) > 0)
+    assert (above is not None) == (reference_count(p, Fraction(1), _reference_bound(p)) > 0)
     if above is None:
         return
     assert _pair(above) == expected
@@ -451,10 +458,11 @@ def test_descartes_bound_is_exact_when_every_root_is_real():
 
 
 def _sturm_path(p, width):
-    """The interval of the Sturm bisection from the whole grid, which lies on
-    the squarefree part of p."""
-    iv = roots._sturm_largest(p, width)
+    """The interval of the bisection from the whole grid, which lies on the
+    squarefree part of p, checked against the oracle's Sturm bisection."""
+    iv = roots._bisection_largest(p, width)
     assert iv.poly == squarefree_part(p)
+    assert _pair(iv) == reference_isolate_largest(p, width)
     return _pair(iv)
 
 
@@ -470,18 +478,23 @@ _DECLINES = {
 @pytest.mark.parametrize("name", sorted(_DECLINES))
 def test_descartes_path_declines_and_the_sturm_path_decides(name):
     p, width = _DECLINES[name], Fraction(1, 10**9)
-    assert roots._descartes_largest(p, width) is None
+    assert roots._descartes_largest(p, width, roots._root_estimate) is None
     expected = reference_isolate_largest(p, width)
     assert _pair(isolate_largest_real_root(p, width)) == expected
     assert _sturm_path(p, width) == expected
 
 
-def _recording_chains(monkeypatch) -> list:
-    """The polynomials whose Sturm chains roots builds from now on."""
-    chains = []
-    sturm_chain = roots.sturm_chain
-    monkeypatch.setattr(roots, "sturm_chain", lambda p: chains.append(p) or sturm_chain(p))
-    return chains
+def _recording_work(monkeypatch) -> list:
+    """(name, p) for each squarefree part and each Descartes bisection (the
+    count) that roots computes from now on."""
+    work = []
+    for name in ("squarefree_part", "_cells"):
+        fn = getattr(roots, name)
+        def record(p, *args, fn=fn, name=name):
+            work.append((name, p))
+            return fn(p, *args)
+        monkeypatch.setattr(roots, name, record)
+    return work
 
 
 def test_a_lower_end_at_the_next_root_stays_on_the_grid(monkeypatch):
@@ -490,9 +503,9 @@ def test_a_lower_end_at_the_next_root_stays_on_the_grid(monkeypatch):
     # meets 1 itself, as the Descartes path does from its window
     p, width = IntPoly([0, -1, 1]), Fraction(1, 10**9)
     expected = (Fraction(1), Fraction(1))
-    chains = _recording_chains(monkeypatch)
-    assert _pair(roots._descartes_largest(p, width)) == expected
-    assert chains == []
+    work = _recording_work(monkeypatch)
+    assert _pair(roots._descartes_largest(p, width, roots._root_estimate)) == expected
+    assert work == []
     assert _sturm_path(p, width) == expected
     assert reference_isolate_largest(p, width) == expected
 
@@ -511,7 +524,7 @@ def _on_grid(x: Fraction, bound: Fraction, width: Fraction) -> bool:
 def test_isolation_keeps_a_bisection_point_that_is_a_root_as_a_lower_end(p, bound):
     # the first bisection point 0 is a root and the lower end of the top root's cell (0, B]
     width = Fraction(1, 10**9)
-    ivs = isolate_real_roots(p, width)
+    ivs = _real_roots(p, width)
     assert len(ivs) == 3
     for iv in ivs:
         assert _on_grid(iv.low, Fraction(bound), width) and _on_grid(iv.high, Fraction(bound), width)
@@ -527,29 +540,30 @@ def _tree_and_star_polys():
 
 
 def test_descartes_path_gives_the_sturm_path_interval_on_trees_and_stars(monkeypatch):
-    chains = _recording_chains(monkeypatch)
+    work = _recording_work(monkeypatch)
     for p in _tree_and_star_polys():
         for width in (Fraction(1, 10**7), Fraction(1, 2**40)):
-            iv = roots._descartes_largest(p, width)
-            assert iv is not None and not chains, p
+            iv = roots._descartes_largest(p, width, roots._root_estimate)
+            assert iv is not None and not work, p
             assert _pair(iv) == _sturm_path(p, width), (p, width)
-            chains.clear()
+            work.clear()
 
 
-def test_descartes_path_runs_first_with_the_sturm_state_held(monkeypatch):
+def _unreachable(*args):
+    raise AssertionError("bisection taken where the Descartes certificate holds")
+
+
+def test_descartes_path_computes_no_squarefree_part_and_no_count(monkeypatch):
     p = LEHMER * IntPoly([-3, 1])
-    sturm_count(p, 0, 1)
-
-    def unreachable(*args):
-        raise AssertionError("Sturm path taken where the Descartes certificate holds")
-
-    monkeypatch.setattr(roots, "_sturm_largest", unreachable)
+    work = _recording_work(monkeypatch)
+    monkeypatch.setattr(roots, "_bisection_largest", _unreachable)
     assert _pair(isolate_largest_real_root(p)) == reference_isolate_largest(p, roots.DEFAULT_WIDTH)
+    assert work == []
 
 
 @pytest.mark.parametrize("width", [Fraction(0), Fraction(-1, 10)])
 def test_non_positive_widths_raise_at_once(width):
-    for isolate in (isolate_largest_real_root, isolate_real_roots, largest_root_above_one):
+    for isolate in (isolate_largest_real_root, largest_root_above_one):
         with pytest.raises(ValueError):
             isolate(LEHMER, width)
     iv = isolate_largest_real_root(LEHMER, Fraction(1, 10))
@@ -559,10 +573,38 @@ def test_non_positive_widths_raise_at_once(width):
     assert point.refined(width) is point
 
 
-def test_compare_builds_only_the_gcd_sturm_state(monkeypatch):
-    roots._sturm_state.cache_clear()
-    built = _recording_chains(monkeypatch)
+def test_compare_computes_no_squarefree_part_and_no_count(monkeypatch):
+    # the gcd LEHMER has one simple root in the common part: its signs decide
+    work = _recording_work(monkeypatch)
     a = isolate_largest_real_root(LEHMER * IntPoly([1, 0, 1]), Fraction(1, 10**6))
     b = isolate_largest_real_root(LEHMER * IntPoly([3, 1]) ** 2, Fraction(1, 10**3))
     assert compare(a, b) == 0
-    assert built == [LEHMER]
+    assert work == []
+
+
+def test_compare_of_two_intervals_built_around_a_double_root():
+    # as _alpha0_interval builds them: the flag False on both, so compare
+    # takes the squarefree part of the gcd (t^2 - 2)^2, whose root is simple
+    double = IntPoly([-2, 0, 1]) ** 2
+    a = RootInterval(double * IntPoly([1, 1]), Fraction(1), Fraction(3, 2), False)
+    b = RootInterval(double * IntPoly([-5, 1]), Fraction(7, 5), Fraction(2), False)
+    assert compare(a, b) == 0 and compare(b, a) == 0
+    c = RootInterval(IntPoly([-3, 0, 1]) ** 2, Fraction(3, 2), Fraction(2), False)
+    assert compare(a, c) == -1 and compare(c, a) == 1
+    # built with the default flag, the two read no sign change of the gcd at
+    # first; the refinement that moves each to its squarefree part decides
+    a, b = RootInterval(a.poly, a.low, a.high), RootInterval(b.poly, b.low, b.high)
+    assert compare(a, b) == 0 and compare(b, a) == 0
+
+
+def test_compare_reads_the_gcd_just_right_of_a_lower_end_that_is_a_root():
+    # g = (t - 1)(t - 2) vanishes at the lower end 1 of the common part (1, 5/2],
+    # where g' < 0 gives its sign just right of 1; the shared root 2 lies inside
+    x1, x2 = IntPoly([-1, 1]), IntPoly([-2, 1])
+    a = RootInterval(x1 * x2, Fraction(1), Fraction(3))
+    b = RootInterval(x1 * x2 * IntPoly([5, 1]), Fraction(1), Fraction(5, 2))
+    assert compare(a, b) == 0 and compare(b, a) == 0
+    # with only the root 1 shared, at the lower end, the roots 3 and 7/4 differ
+    c = RootInterval(x1 * IntPoly([-3, 1]), Fraction(1), Fraction(4))
+    d = RootInterval(x1 * IntPoly([-7, 4]), Fraction(1), Fraction(2))
+    assert compare(c, d) == 1 and compare(d, c) == -1

@@ -5,7 +5,7 @@ import pytest
 
 from coxgrowth.intpoly import parse_poly
 from coxgrowth.numclass import unit_circle_root_count
-from coxgrowth.roots import root_bound, sturm_count
+from coxgrowth.roots import root_bound
 from coxgrowth.salemdb import (
     SalemListError,
     bundled_mini_list,
@@ -15,6 +15,8 @@ from coxgrowth.salemdb import (
     parse_salem_line,
     polygon_realization_search,
 )
+
+from oracles import reference_count
 
 LEHMER = parse_poly("1,1,0,-1,-1,-1,-1,-1,0,1,1")
 FIFTH = parse_poly("1,0,0,0,-1,-1,-1,0,0,0,1")
@@ -34,7 +36,7 @@ def test_bundled_list_loads_sorted():
 def test_entries_satisfy_salem_invariants():
     for e in bundled_mini_list():
         assert e.poly.reversed() == e.poly
-        assert sturm_count(e.poly, 1, root_bound(e.poly)) == 1
+        assert reference_count(e.poly, Fraction(1), root_bound(e.poly)) == 1
         assert unit_circle_root_count(e.poly) == e.poly.degree - 2
 
 

@@ -16,10 +16,17 @@ from coxgrowth.spectra import (
     verify_alpha0_not_tree_radius,
     weight4_leaf_replace,
 )
-from coxgrowth import spectra
+from coxgrowth import roots, spectra
+from coxgrowth.coxtrans import _rooted, _tree_polynomial
 from coxgrowth.spectra import _certify_increasing
 
-from oracles import charpoly_interpolated, random_tree_edges, with_edge_weight
+from oracles import (
+    _reference_bound,
+    charpoly_interpolated,
+    random_tree_edges,
+    reference_isolate_largest,
+    with_edge_weight,
+)
 
 TABLE1 = [
     ("star", (2, 4, 5), "2.0153161"),
@@ -42,10 +49,51 @@ def test_long_path_radius_is_two_cos_pi_over_n_plus_one():
     # float value lies within 1e-15 of it, so the interval holds it when it holds
     # the float value 1e-15 away from either end
     width = Fraction(1, 10**9)
-    iv = spectral_radius_adjacency(path_tree(400), width)
-    x = Fraction(2 * math.cos(math.pi / 401))
-    assert iv.width <= width
+    for n in (400, 1200):
+        iv = spectral_radius_adjacency(path_tree(n), width)
+        x = Fraction(2 * math.cos(math.pi / (n + 1)))
+        assert iv.width <= width
+        assert iv.low + Fraction(1, 10**15) < x < iv.high - Fraction(1, 10**15)
+
+
+# Trees of the Prop 5.2 sweep at bound 40 where the float estimate from the
+# polynomial misses the certificate's window
+_DECLINING = [("star", (2, 18, 40)), ("h", (2, 40, 36)), ("h", (4, 38, 29)), ("h", (6, 33, 27)),
+              ("h", (7, 38, 31)), ("h", (8, 40, 10)), ("h", (9, 39, 26)), ("h", (11, 40, 19)),
+              ("h", (14, 31, 15)), ("h", (20, 40, 20))]
+
+
+def _no_bisection(*args):
+    raise AssertionError("the bisection ran where the tree's estimate should decide")
+
+
+def test_tree_radii_certify_from_the_tree_estimate(monkeypatch):
+    width = Fraction(1, 10**7)
+    for kind, params in _DECLINING:
+        chi = adjacency_char_poly(_build(kind, params))
+        assert roots._descartes_largest(chi, width, roots._root_estimate) is None, params
+    monkeypatch.setattr(roots, "_bisection_largest", _no_bisection)
+    for kind, params in _DECLINING:
+        tree = _build(kind, params)
+        iv = spectral_radius_adjacency(tree, width)
+        assert (iv.low, iv.high) == reference_isolate_largest(adjacency_char_poly(tree), width)
+    iv = spectral_radius_adjacency(path_tree(100), width)
+    chi = adjacency_char_poly(path_tree(100))
+    assert (iv.low, iv.high) == reference_isolate_largest(chi, width)
+    # the oracle takes seconds on Path:600; its radius 2 cos(pi / 601) lies
+    # more than 1e-15 inside the grid cell that the oracle would give
+    x = Fraction(2 * math.cos(math.pi / 601))
+    iv = spectral_radius_adjacency(path_tree(600), width)
+    step = 2 * _reference_bound(adjacency_char_poly(path_tree(600)))
+    while step > width:
+        step /= 2
+    assert iv.high - iv.low == step and (iv.low / step).denominator == 1
     assert iv.low + Fraction(1, 10**15) < x < iv.high - Fraction(1, 10**15)
+    heavy = with_edge_weight(star_diagram(2, 3, 7), 8, 9, 4)  # 9 ends the longest arm
+    res = weight4_leaf_replace(heavy, width)
+    for iv, chi in [(res.original_radius, _tree_polynomial(_rooted(heavy), coxeter=False)),
+                    (res.replaced_radius, adjacency_char_poly(res.replaced))]:
+        assert (iv.low, iv.high) == reference_isolate_largest(chi, width)
 
 
 def test_adjacency_basics():

@@ -40,8 +40,7 @@ METRICS = ["items_per_s", "item_p50_ms", "item_p90_ms", "failed_frac", "setup_s"
 HIGHER_IS_BETTER = {"items_per_s"}
 COUNTS = ["intpoly.mul.calls", "intpoly.exact_div.calls", "numclass.strip_cyclotomic.calls",
           "numclass.disk_root_counts.calls", "numclass.disk_root_counts.bits_max",
-          "roots.sturm_chain.calls", "roots.sign_at_calls", "growth.growth_function.calls",
-          "intpoly.constructed"]
+          "roots.sign_at_calls", "growth.growth_function.calls", "intpoly.constructed"]
 
 
 def git(root: Path, *args: str) -> bytes:

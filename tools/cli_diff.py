@@ -30,7 +30,9 @@ COMMANDS = [
       ["delta-phi", "second-minimal", "prop52", "theorem2", "table1", "chain-fig1"]),
     ["spectra", "--table1"],
     ["spectra", "--tree", "H:2,10,3"],
+    ["spectra", "--tree", "Path:300"],
     ["coxtrans", "--hgraph", "2,8,3"],
+    ["coxtrans", "--tree", "Star:2,3,300"],
     *(["growth", "--symbol", symbol] for symbol in ["[3,5,3]", "[4,3^18]", "[4,3,5]", "[(3,3,4)]"]),
     ["growth", "--polygon", "2,3,7"],
     ["classify", "--poly", LEHMER],
