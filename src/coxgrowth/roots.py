@@ -20,10 +20,18 @@ The largest real root is sought first on p itself: a float estimate with an
 error radius (Laguerre steps down from B, or on the tree for a tree's
 adjacency radius) picks a window (a, b] of three cells, and one Taylor shift
 certifies it, one sign variation at a and p(a) != 0 meaning exactly one
-root above a, simple, and the sign of p(b) putting it at or below b.  That
-is exact when every root is real, as for trees; the bisection of the
-squarefree part sf from the whole grid runs when it fails.  Either way the
-interval holds a simple root of its own poly (p or sf).
+root above a, simple.  Then p < 0 between a and the root and p > 0 above
+it, so two signs at grid points, p(x_k) < 0 <= p(x_(k+1)), place the root
+in its depth-J cell, found by a walk from the estimate's cell that stays at
+or below b.  That is exact when every root is real, as for trees; the
+bisection of the squarefree part sf from the whole grid runs when it fails.
+Either way the interval holds a simple root of its own poly (p or sf).
+
+On Salem-type polynomials, with complex roots near the unit circle, the
+first Laguerre step from B lands below the top root; the estimate recovers
+(one Newton step back up, or half the step) and stays with Laguerre.  Its
+exact Newton polish stops within a quarter of a depth-J cell, and where p's
+float values overflow it evaluates x^-n p(x) in 1/x instead.
 
 Two root intervals are compared by compare alone: the roots are equal exactly
 when the gcd g of the two polynomials has a root in the common part of the
@@ -47,6 +55,10 @@ SEED_PRECISION_BITS = 48
 # Step caps of the float estimate and of its polish from exact values.
 ROOT_ESTIMATE_STEPS = 100
 POLISH_STEPS = 8
+# Relative sizes of a float step that crosses the root: above OVERSHOOT the
+# estimate recovers and stays with Laguerre, below CROSSING it ends.
+OVERSHOOT = 2.0**-4
+CROSSING = 2.0**-26
 
 
 class NoRealRootError(ValueError):
@@ -222,6 +234,12 @@ def _refine(bracket: RootInterval, width: Fraction) -> RootInterval:
         if sf.degree == f.degree:
             raise ArithmeticError("bracket invariant violated")
         return _refine(RootInterval(sf, lo, hi), width)
+    return _halve(f, lo, hi, s_lo, width)
+
+
+def _halve(f: IntPoly, lo: Fraction, hi: Fraction, s_lo: int, width: Fraction) -> RootInterval:
+    """Sign bisection of (lo, hi], holding one simple root of f with f of sign
+    s_lo just right of lo, down to the given width or to the root as a point."""
     while hi - lo > width:
         mid = (lo + hi) / 2
         s_mid = f.sign_at(mid)
@@ -240,25 +258,40 @@ def _refine(bracket: RootInterval, width: Fraction) -> RootInterval:
 def _from_above(log_derivatives, n: int, x: float) -> tuple[float, float]:
     """A float approach to the largest real root of p, of degree n, from x
     above it, and the last step; log_derivatives(x) is p'/p and -(p'/p)' at
-    x, or None where p or p' is not positive (p leading positive).  Laguerre
-    steps cross clusters of roots in few steps and, when every root is real,
-    stay above the largest; Newton steps take over where the radicand is
-    negative or a step crossed a root.  Rounding, or p not convex above the
-    root, may stop it anywhere.
+    x where p' > 0 (p leading positive), so p'/p has the sign of p, and None
+    elsewhere or where it cannot tell.  Laguerre steps cross clusters of roots
+    in few steps and, when every root is real, stay above the largest; Newton
+    steps take over where the radicand is negative.
+
+    A step that lands where p' > 0 > p or p' <= 0 crossed the root.  After a
+    long one (above OVERSHOOT * |x|, as the first step from a root bound on a
+    polynomial with complex roots), Laguerre goes on from one Newton step back
+    up where p < 0 < p', and from half the step elsewhere.  Closer to the
+    root, where float signs may be noise, a crossing step above
+    CROSSING * |x| goes back to the last point above the root and on by
+    Newton steps, and a smaller one, or a crossing Newton step, ends the
+    search at that point.  Rounding, or p not convex above the root, may stop
+    it anywhere.
     """
     above, step, laguerre = None, math.nan, True  # above: the last point above the root
     for _ in range(ROOT_ESTIMATE_STEPS):
-        if (gh := log_derivatives(x)) is None:
-            if above is None or not laguerre:
-                return (x if above is None else above), step
-            x, laguerre = above, False  # the Laguerre step crossed a root
-            continue
-        g, h = gh
-        radicand = (n - 1) * (n * h - g * g)
-        step = n / (g + math.sqrt(radicand)) if laguerre and radicand >= 0 else 1 / g
-        above, x = x, x - step
-        if not step > 1e-15 * abs(x):
-            break
+        gh = log_derivatives(x)
+        if gh is not None and gh[0] > 0:
+            g, h = gh
+            radicand = (n - 1) * (n * h - g * g)
+            step = n / (g + math.sqrt(radicand)) if laguerre and radicand >= 0 else 1 / g
+            above, x = x, x - step
+            if not step > 1e-15 * abs(x):
+                break
+        elif above is None or not laguerre or not step > CROSSING * abs(above):
+            return (x if above is None else above), step
+        elif step <= OVERSHOOT * abs(above):
+            x, laguerre = above, False
+        elif gh is not None:
+            x -= 1 / gh[0]
+        else:
+            step /= 2
+            x = above - step
     return x, step
 
 
@@ -275,31 +308,55 @@ def _exact_newton_step(coeffs: tuple[int, ...], x: float) -> float:
     return p / (dp * d)
 
 
-def _root_estimate(p: IntPoly, bound: Fraction) -> tuple[float, float]:
+def _horner(cs: list[float], x: float) -> tuple[float, float, float]:
+    """The values at x of the polynomial with coefficients cs, highest first,
+    and of its first two derivatives."""
+    v = dv = ddv = 0.0
+    for c in cs:
+        ddv = ddv * x + 2 * dv
+        dv = dv * x + v
+        v = v * x + c
+    return v, dv, ddv
+
+
+def _root_estimate(p: IntPoly, bound: Fraction, cell: Fraction) -> tuple[float, float]:
     """A float guess at the largest real root of p, sought down from bound
     (root_bound(p)) by _from_above with Horner's rule, and an error radius;
-    nan when there is none.  It only chooses where exact signs are taken."""
-    coeffs = p.coeffs
+    nan when there is none.  It only chooses where exact signs are taken, in
+    grid cells cell wide: the polish stops within a quarter of one.
+
+    Where p's values overflow, Horner's rule runs on q(y) = y^n p(1/y) at
+    y = 1/x instead: p = x^n q(y) gives p'/p = y (n - y q'/q) and
+    -(p'/p)' = y^2 (n - 2y q'/q - y^2 (q''/q - (q'/q)^2)).
+    """
+    coeffs, n = p.coeffs, p.degree
 
     def log_derivatives(x: float):
-        v = dv = ddv = 0.0
-        for c in cs:
-            ddv = ddv * x + 2 * dv
-            dv = dv * x + v
-            v = v * x + c
-        if not (v > 0 and dv > 0):
+        v, dv, ddv = _horner(cs, x)
+        if math.isfinite(v + dv + ddv):
+            if not dv > 0 or v == 0:
+                return None
+            g = dv / v
+            return g, g * g - ddv / v
+        y = 1 / x
+        v, dv, ddv = _horner(cs[::-1], y)
+        if v == 0:
             return None
-        g = dv / v
-        return g, g * g - ddv / v
+        q1, q2 = dv / v, ddv / v
+        g = y * (n - y * q1)
+        if not g * v * (y if n % 2 else 1) > 0:  # p' = g p has the sign of g q y^n
+            return None
+        return g, y * y * (n - 2 * y * q1 - y * y * (q2 - q1 * q1))
     try:
         cs = [float(c) if coeffs[-1] > 0 else -float(c) for c in reversed(coeffs)]
-        x = _from_above(log_derivatives, p.degree, float(bound))[0]
+        x = _from_above(log_derivatives, n, float(bound))[0]
         # Float evaluation near a root loses the digits that cancel; steps
         # from exact values recover them, and the last one bounds the error.
+        quarter = float(cell) / 4
         for _ in range(POLISH_STEPS):
             step = _exact_newton_step(coeffs, x)
             x -= step
-            if not abs(step) > 2.0**-50 * abs(x):
+            if not abs(step) > max(quarter, 2.0**-50 * abs(x)):
                 break
         return x, abs(step)
     except (OverflowError, ZeroDivisionError, ValueError):
@@ -324,28 +381,6 @@ def _seed(estimate: tuple[float, float], span: Fraction,
         return None
     q = span / max(radius, max(abs(xq), 1) * Fraction(1, 2**SEED_PRECISION_BITS))
     return xq, min(depth, q.numerator.bit_length() - q.denominator.bit_length() - 1)
-
-
-def _window(xq: Fraction, origin: Fraction, step: Fraction, cells: int) -> tuple[int, int]:
-    """Cell indices (i0, i1) of the window: the cell of xq and its two neighbours
-    within the grid, (origin + i0*step, origin + i1*step]."""
-    k = min(max(math.floor((xq - origin) / step), 0), cells - 1)
-    return max(k - 1, 0), min(k + 2, cells)
-
-
-def _cell_of_root(p: IntPoly, origin: Fraction, step: Fraction, i0: int, i1: int) -> int:
-    """Index i of the cell (origin + i*step, origin + (i+1)*step] holding the one
-    root of p in (origin + i0*step, origin + i1*step], from the signs above it."""
-    s_top = p.sign_at(origin + step * i1)
-    if s_top == 0:
-        return i1 - 1
-    for i in range(i1 - 1, i0, -1):
-        s = p.sign_at(origin + step * i)
-        if s == 0:
-            return i - 1
-        if s != s_top:
-            return i
-    return i0
 
 
 # -- the Descartes certificate and bisection ------------------------------------------
@@ -377,31 +412,44 @@ def _descartes_largest(p: IntPoly, width: Fraction, estimate) -> RootInterval | 
     certified on p itself; None when the certificate fails.
 
     It runs on f, the primitive part of p with positive leading coefficient,
-    and on the grid (-B, B], B = root_bound(f).  The window (a, b] is the
-    cell of estimate(f, B) and its two neighbours at depth min(J, seed
-    depth).  f(a) != 0 and one sign variation at a mean exactly one root
-    above a, simple, and f(b) >= 0 puts it at or below b.  f's signs give the
-    root's cell, and sign bisection on p to width ends in the depth-J grid
-    cell of the root, or at the root as a grid point, as the bisection does.
+    and on the grid (-B, B], B = root_bound(f), at depth j = min(J, seed
+    depth), from estimate(f, B, the depth-J cell width).  The window (a, b]
+    is the cell of the estimate and its two neighbours.  f(a) != 0 and one
+    sign variation at a mean exactly one root r above a, simple, so f < 0 on
+    (a, r) and f > 0 above r: the grid points x_(m-1) < r <= x_m, found by a
+    walk from the estimate's cell that stays at or below b, have
+    f(x_(m-1)) < 0 <= f(x_m).  Sign bisection on p to width then ends in the
+    depth-J grid cell of the root, or at the root as a grid point, as the
+    bisection does; at j = J that cell is (x_(m-1), x_m] itself.
     """
     f = p.primitive()
     bound = root_bound(f)
     origin, span = -bound, 2 * bound
-    seed = _seed(estimate(f, bound), span, _grid_depth(span, width))
+    depth = _grid_depth(span, width)
+    seed = _seed(estimate(f, bound, span / 2**depth), span, depth)
     if seed is None or seed[1] < 0:
         return None
     xq, j = seed
     cells = 1 << j
     step = span / cells
-    i0, i1 = _window(xq, origin, step, cells)
-    a = origin + step * i0
-    shifted = _shifted(f, a)
+    k = min(max(math.floor((xq - origin) / step), 0), cells - 1)
+    i0, i1 = max(k - 1, 0), min(k + 2, cells)
+    shifted = _shifted(f, origin + step * i0)
     if shifted[0] == 0 or _variations(map(_sign, shifted)) != 1:
         return None
-    if f.sign_at(origin + step * i1) < 0:
-        return None
-    i = _cell_of_root(f, origin, step, i0, i1)
-    return _refine(RootInterval(p, origin + step * i, origin + step * (i + 1)), width)
+    m = k + 1
+    s = f.sign_at(origin + step * m)
+    while s < 0:
+        if m == i1:
+            return None
+        m += 1
+        s = f.sign_at(origin + step * m)
+    while m - 1 > i0 and (below := f.sign_at(origin + step * (m - 1))) >= 0:
+        m, s = m - 1, below
+    hi = origin + step * m
+    if s == 0:
+        return RootInterval(p, hi, hi)
+    return _halve(p, hi - step, hi, -_sign(p.leading), width)
 
 
 def _cells(f: IntPoly, lo: Fraction, hi: Fraction):
@@ -471,7 +519,8 @@ def isolate_largest_real_root(p: IntPoly, width: Fraction = DEFAULT_WIDTH) -> Ro
 
 
 def _isolate_largest(p: IntPoly, width: Fraction, estimate) -> RootInterval:
-    """isolate_largest_real_root, its window from estimate(f, bound) (x, radius)."""
+    """isolate_largest_real_root, its window from estimate(f, bound, cell), an
+    (x, radius) pair."""
     _check_width(width)
     if p.degree < 1:
         raise NoRealRootError("constant polynomial")

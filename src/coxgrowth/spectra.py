@@ -92,7 +92,7 @@ def _adjacency_radius(rooted: list, width: Fraction) -> tuple[IntPoly, RootInter
     rooted tree (coxtrans._rooted), and its largest root from the tree's own
     estimate: chi's overflows on long paths and misses many Prop 5.2 trees."""
     chi = _tree_polynomial(rooted, coxeter=False)
-    return chi, _isolate_largest(chi, width, lambda f, bound: _tree_root_estimate(rooted))
+    return chi, _isolate_largest(chi, width, lambda f, bound, cell: _tree_root_estimate(rooted))
 
 
 # -- the small-spectral-radius tree families -----------------------------------------

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coxgrowth import roots
-from coxgrowth.growth import GrowthFunction, NotExponentialError, growth_rate
+from coxgrowth.coxtrans import char_poly_star
+from coxgrowth.diagram import polygon_is_hyperbolic
+from coxgrowth.growth import GrowthFunction, NotExponentialError, growth_rate, polygon_growth
 from coxgrowth.intpoly import IntPoly, parse_poly, poly_gcd, squarefree_part
 from coxgrowth.roots import (
     NoRealRootError,
@@ -426,18 +429,82 @@ def test_float_estimate_only_chooses_where_to_look(monkeypatch, p, largest):
     width = Fraction(1, 10**9)
     true = isolate_largest_real_root(p, width)
     step = max(true.width, width)
+    # the polish stops within a quarter of a cell, so an estimate may be that
+    # far off, with that radius, on either side of a cell's end
     seeds = [0.0, math.nan, 1e300, -1e300,
              math.nextafter(float(true.low), -math.inf),
-             float(true.low - 2 * step), float(true.high + 2 * step)]
+             float(true.low - 2 * step), float(true.high + 2 * step),
+             float(true.low - step / 4), float(true.high + step / 4)]
     for x in seeds:
-        for radius in (0.0, 1e-30, 1.0, math.nan):
-            monkeypatch.setattr(roots, "_root_estimate", lambda poly, bound, v=(x, radius): v)
+        for radius in (0.0, 1e-30, float(step) / 4, 1.0, math.nan):
+            monkeypatch.setattr(roots, "_root_estimate", lambda poly, bound, cell, v=(x, radius): v)
             assert _pair(isolate_largest_real_root(p, width)) == _pair(true), (x, radius)
+
+
+def _cell_width(p, width):
+    """The width of the depth-J cells of p's grid, which the estimate is given."""
+    span = 2 * roots.root_bound(p)
+    return span / 2**roots._grid_depth(span, width)
+
+
+@pytest.mark.parametrize("p", _SEED_CASES)
+def test_polish_stops_within_a_quarter_of_the_cell(p):
+    f, width = p.primitive(), Fraction(1, 10**9)
+    cell = _cell_width(f, width)
+    x, radius = roots._root_estimate(f, roots.root_bound(f), cell)
+    iv = isolate_largest_real_root(p, width)
+    assert radius <= max(cell / 4, Fraction(2.0**-50 * abs(x)))
+    assert iv.low - cell / 4 <= Fraction(x) <= iv.high + cell / 4
+
+
+def _counting_signs(monkeypatch) -> list:
+    """The points at which IntPoly.sign_at is called from now on."""
+    points, sign_at = [], IntPoly.sign_at
+    def record(self, x):
+        points.append(x)
+        return sign_at(self, x)
+    monkeypatch.setattr(IntPoly, "sign_at", record)
+    return points
+
+
+@pytest.mark.parametrize("p", _SEED_CASES + [char_poly_star(2, 3, 7), char_poly_star(10, 10, 12, 12, 12)])
+def test_certificate_from_the_root_cell_takes_at_most_three_signs(monkeypatch, p):
+    # one sign at each end of the estimate's cell places the root, at depth J
+    width = Fraction(1, 10**9)
+    true = isolate_largest_real_root(p, width)
+    x = float(true.midpoint()) if true.width else float(true.low - width / 2)
+    points = _counting_signs(monkeypatch)
+    iv = roots._descartes_largest(p, width, lambda f, bound, cell: (x, 0.0))
+    assert len(points) <= 3, points
+    assert (iv.low, iv.high) == (true.low, true.high)
+
+
+def test_estimate_takes_few_evaluations_on_theorem2_polygons(monkeypatch):
+    # every 30th hyperbolic polygon, k = 3..6, p <= 12: the star polynomial and
+    # the reversed growth denominator.  Laguerre's first step from B overshoots
+    # on these; the estimate recovers and stays with Laguerre instead of
+    # crawling down from B by Newton steps (about 26 evaluations, 49 at most).
+    counts, from_above = [], roots._from_above
+    def counting(log_derivatives, n, x):
+        counts.append(0)
+        def counted(x):
+            counts[-1] += 1
+            return log_derivatives(x)
+        return from_above(counted, n, x)
+    monkeypatch.setattr(roots, "_from_above", counting)
+    polygons = [ps for k in range(3, 7) for ps in itertools.combinations_with_replacement(range(2, 13), k)
+                if polygon_is_hyperbolic(ps)]
+    for ps in polygons[::30] + [(10, 10, 12, 12, 12)]:
+        for p in (char_poly_star(*ps), polygon_growth(*ps).denominator.reversed()):
+            f = p.primitive()
+            roots._root_estimate(f, roots.root_bound(f), _cell_width(f, Fraction(1, 10**9)))
+    assert len(counts) == 2 * len(polygons[::30]) + 2
+    assert sum(counts) <= 12 * len(counts) and max(counts) <= 32, (sum(counts) / len(counts), max(counts))
 
 
 def test_coefficients_beyond_float_range_take_the_bisection():
     p = IntPoly([-(2**1100), 1]) * IntPoly([-3, 0, 1])
-    assert math.isnan(roots._root_estimate(p, roots.root_bound(p))[0])
+    assert math.isnan(roots._root_estimate(p, roots.root_bound(p), Fraction(1, 10**9))[0])
     for width in (Fraction(1, 10**9), Fraction(1, 2**1200)):
         assert _pair(isolate_largest_real_root(p, width)) == reference_isolate_largest(p, width)
 
@@ -535,7 +602,6 @@ def test_isolation_keeps_a_bisection_point_that_is_a_root_as_a_lower_end(p, boun
 def _tree_and_star_polys():
     trees = [item.tree for item in brouwer_neumaier_enumerate(25, 25)[::40]]
     yield from (adjacency_char_poly(t) for t in trees)
-    from coxgrowth.coxtrans import char_poly_star
     yield from (char_poly_star(*ps) for ps in [(2, 3, 7), (2, 4, 5), (3, 3, 4), (2, 3, 3, 3), (4, 5, 6)])
 
 

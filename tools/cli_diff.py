@@ -33,6 +33,7 @@ COMMANDS = [
     ["spectra", "--tree", "Path:300"],
     ["coxtrans", "--hgraph", "2,8,3"],
     ["coxtrans", "--tree", "Star:2,3,300"],
+    ["coxtrans", "--tree", "Star:2,3,600"],
     *(["growth", "--symbol", symbol] for symbol in ["[3,5,3]", "[4,3^18]", "[4,3,5]", "[(3,3,4)]"]),
     ["growth", "--polygon", "2,3,7"],
     ["classify", "--poly", LEHMER],
