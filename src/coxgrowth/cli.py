@@ -10,7 +10,10 @@ object on stdout.  Exit status: 0 on success (and a passing verification),
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -41,7 +44,6 @@ class CommandResult:
 
 
 def _fraction_decimal(x: Fraction, places: int, round_up: bool) -> str:
-    import math
     scaled = x * 10**places
     n = math.ceil(scaled) if round_up else math.floor(scaled)
     sign = "-" if n < 0 else ""
@@ -230,14 +232,15 @@ def _cmd_classify(args) -> CommandResult:
 
 
 def _cmd_salem(args) -> CommandResult:
-    entries = salemdb.load_salem_list(args.list)
+    path = args.list if args.list is not None else os.environ.get(salemdb.ENV_LIST_PATH)
+    entries = salemdb.load_salem_list(path)
     payload: dict = {
         "entries": len(entries),
-        "source": args.list or "bundled mini list",
+        "source": path or "bundled mini list",
     }
     exit_code = 0
     if args.gap:
-        rep = salemdb.gap_report(entries, assume_full=bool(args.list))
+        rep = salemdb.gap_report(entries, assume_full=bool(path))
         payload["gap"] = {
             "first_rate": _interval_payload(rep.first_rate),
             "second_rate": _interval_payload(rep.second_rate),
@@ -247,7 +250,7 @@ def _cmd_salem(args) -> CommandResult:
             "at_or_above_second": [e.poly.to_text() for e in rep.at_or_above_second],
             "notes": rep.ordinal_notes(),
         }
-        if args.list:
+        if path:
             payload["gap"]["entries_below_second"] = salemdb.count_entries_below(
                 entries, rep.second_rate)
             rate_353 = growth.growth_rate(
@@ -273,7 +276,6 @@ def _bounds(args, k_default: int, p_default: int) -> tuple[int, int]:
 
 
 def _verify_delta_phi(args) -> tuple[bool, dict]:
-    import itertools
     max_k, max_p = _bounds(args, 5, 8)
     checked = 0
     for k in range(1, max_k + 1):
@@ -285,12 +287,8 @@ def _verify_delta_phi(args) -> tuple[bool, dict]:
 
 
 def _verify_theorem2(args) -> tuple[bool, dict]:
-    import itertools
     max_k, max_p = _bounds(args, 5, 8)
-    tuples = [ps
-              for k in range(3, max_k + 1)
-              for ps in itertools.combinations_with_replacement(range(2, max_p + 1), k)
-              if growth.polygon_is_hyperbolic(ps)]
+    tuples = [ps for k in range(3, max_k + 1) for ps in growth._hyperbolic_tuples(k, max_p)]
     bad = [list(ps) for ps in tuples if not coxtrans.coxeter_tree_radius_equals_polygon_rate(ps)]
     return not bad, {"hyperbolic_tuples": len(tuples), "failures": bad,
                      "max_k": max_k, "max_p": max_p}

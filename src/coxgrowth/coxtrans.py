@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .diagram import INF, DiagramError, WeightedTree, star_diagram
+from .growth import _bracket_factorization, _reduced_growth, growth_rate, polygon_delta
 from .intpoly import IntPoly, _signed_digits, resultant_eliminate
 from .roots import DEFAULT_WIDTH, RootInterval, compare, largest_root_above_one, sqrt_interval
 
@@ -216,7 +217,6 @@ def char_poly_star(*ps: int) -> IntPoly:
 
 def verify_delta_eq_phi(*ps: int) -> bool:
     """Exact equality of the polygon denominator and the star characteristic polynomial."""
-    from .growth import polygon_delta
     return polygon_delta(*ps) == char_poly_star(*ps)
 
 
@@ -271,7 +271,6 @@ def coxeter_tree_radius_equals_polygon_rate(ps) -> bool:
     """Theorem 2 on one polygon: its growth denominator equals the star
     graph's Coxeter polynomial phi, and its growth rate (from phi, once
     proven equal) is certified equal to the spectral radius read from phi."""
-    from .growth import _bracket_factorization, _reduced_growth, growth_rate, polygon_delta
     phi = char_poly_star(*ps)
     if polygon_delta(*ps) != phi:
         return False

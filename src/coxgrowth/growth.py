@@ -377,7 +377,6 @@ def series_coefficients(f: GrowthFunction, count: int) -> list[int]:
 @dataclass(frozen=True)
 class MonotonicityResult:
     passed: bool
-    relation: str
     low_rate: RootInterval | None = None
     high_rate: RootInterval | None = None
 
@@ -392,8 +391,8 @@ def monotonicity_check(d: CoxeterDiagram, e: CoxeterDiagram) -> MonotonicityResu
     try:
         td, te = certify_strictly_less(td, te)
     except ValueError:
-        return MonotonicityResult(False, rel, td, te)
-    return MonotonicityResult(True, rel, td, te)
+        return MonotonicityResult(False, td, te)
+    return MonotonicityResult(True, td, te)
 
 
 # -- help functions and the second-minimal-polygon verification -------------------------
@@ -419,12 +418,11 @@ def positive_on_interval(p: IntPoly, upper: Fraction = Fraction(1)) -> bool:
 
 
 def rational_function_positive(g: GrowthFunction, upper: Fraction = Fraction(1)) -> bool:
-    """Certify g(t) > 0 on (0, upper] via numerator and denominator signs."""
+    """Certify g(t) > 0 on (0, upper]: numerator and denominator agree in sign
+    at upper and have no root in (0, upper], so each keeps that sign there."""
     num, den = g.numerator, g.denominator
-    pos_n, pos_d = positive_on_interval(num, upper), positive_on_interval(den, upper)
-    neg_n = positive_on_interval(-num, upper)
-    neg_d = positive_on_interval(-den, upper)
-    return (pos_n and pos_d) or (neg_n and neg_d)
+    return (num.sign_at(upper) * den.sign_at(upper) > 0
+            and sturm_count(num, 0, upper) == 0 and sturm_count(den, 0, upper) == 0)
 
 
 @dataclass(frozen=True)

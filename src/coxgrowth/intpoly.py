@@ -197,7 +197,6 @@ def _coerce(x) -> IntPoly:
 
 ZERO = IntPoly()
 ONE = IntPoly([1])
-T = IntPoly([0, 1])
 
 
 def parse_poly(text: str) -> IntPoly:

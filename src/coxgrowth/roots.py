@@ -25,7 +25,9 @@ it, so two signs at grid points, p(x_k) < 0 <= p(x_(k+1)), place the root
 in its depth-J cell, found by a walk from the estimate's cell that stays at
 or below b.  That is exact when every root is real, as for trees; the
 bisection of the squarefree part sf from the whole grid runs when it fails.
-Either way the interval holds a simple root of its own poly (p or sf).
+Either way the interval holds a simple root of its own poly (p or sf), the
+invariant of every RootInterval, which holds the squarefree part unless built
+with that root certified simple.
 
 On Salem-type polynomials, with complex roots near the unit circle, the
 first Laguerre step from B lands below the top root; the estimate recovers
@@ -35,8 +37,8 @@ float values overflow it evaluates x^-n p(x) in 1/x instead.
 
 Two root intervals are compared by compare alone: the roots are equal exactly
 when the gcd g of the two polynomials has a root in the common part of the
-two root sets, which g's signs decide, and otherwise refinement separates
-them.
+two root sets, which g's signs decide once, and otherwise refinement
+separates them.
 """
 
 from __future__ import annotations
@@ -65,27 +67,27 @@ class NoRealRootError(ValueError):
     """Raised when root isolation is requested for a polynomial without real roots."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RootInterval:
     """A rational interval certified to contain exactly one real root of poly
-    in (low, high].
+    in (low, high], and that root simple in poly.
 
     A degenerate interval (low == high) certifies an exact rational root.
-    Every interval that isolation returns holds a simple root of poly, and
-    refinement bisects on poly's own signs.  An interval built with
-    multiplicity_free=False, whose root may be multiple in poly, refines into
-    an interval on the squarefree part of poly.  compare trusts the default
-    flag, which claims the root simple in poly.
+    Unless its maker certifies the root simple (multiplicity_free=True, as
+    isolation and refinement do), a non-degenerate interval holds the
+    squarefree part of the given poly.  Refinement bisects on poly's signs.
     """
 
     poly: IntPoly
     low: Fraction
     high: Fraction
-    multiplicity_free: bool = True
 
-    def __post_init__(self):
-        if self.low > self.high:
+    def __init__(self, poly: IntPoly, low: Fraction, high: Fraction, multiplicity_free: bool = False):
+        if low > high:
             raise ValueError("empty interval")
+        if low < high and not multiplicity_free:
+            poly = squarefree_part(poly)
+        self.__dict__.update(poly=poly, low=low, high=high)  # frozen: no attribute assignment
 
     @property
     def width(self) -> Fraction:
@@ -97,14 +99,11 @@ class RootInterval:
     def __float__(self) -> float:
         return float(self.midpoint())
 
-    def is_disjoint_from(self, other: "RootInterval") -> bool:
-        return self.high < other.low or other.high < self.low
-
     def is_strictly_below(self, other: "RootInterval") -> bool:
         return self.high < other.low
 
     def overlaps(self, other: "RootInterval") -> bool:
-        return not self.is_disjoint_from(other)
+        return self.low <= other.high and other.low <= self.high
 
     def refined(self, width: Fraction) -> "RootInterval":
         """A sub-interval of at most the given width around the same root.
@@ -115,9 +114,7 @@ class RootInterval:
         _check_width(width)
         if self.width <= width:
             return self
-        if self.multiplicity_free:
-            return _refine(self, width)
-        return _refine(RootInterval(squarefree_part(self.poly), self.low, self.high), width)
+        return _refine(self, width)
 
     def decimal(self, places: int = 7) -> str:
         """Midpoint rounded to the given number of decimal places."""
@@ -216,24 +213,21 @@ def _sign_right_of(f: IntPoly, x: Fraction) -> int:
 
 def _refine(bracket: RootInterval, width: Fraction) -> RootInterval:
     """Shrink a bracket certified to contain exactly one root of f = bracket.poly
-    in (low, high] by sign bisection on f: one exact evaluation per step, so a
-    grid cell ends in the grid cell of the root, or in a point.
+    in (low, high], simple, by sign bisection on f: one exact evaluation per
+    step, so a grid cell ends in the grid cell of the root, or in a point.
 
     A lower end that is another root of f is kept: just right of it, f has
     the sign of its first derivative that does not vanish there, which the
-    bisection compares against.  Equal signs at both ends mean a root of even
-    multiplicity in f; the bisection then runs on the squarefree part of f.
+    bisection compares against.  Equal signs at both ends break the bracket's
+    invariant and raise ArithmeticError.
     """
     f, lo, hi = bracket.poly, bracket.low, bracket.high
     s_hi = f.sign_at(hi)
     if s_hi == 0:
-        return RootInterval(f, hi, hi)
+        return RootInterval(f, hi, hi, multiplicity_free=True)
     s_lo = _sign_right_of(f, lo)
     if s_lo == s_hi:
-        sf = squarefree_part(f)
-        if sf.degree == f.degree:
-            raise ArithmeticError("bracket invariant violated")
-        return _refine(RootInterval(sf, lo, hi), width)
+        raise ArithmeticError("bracket invariant violated")
     return _halve(f, lo, hi, s_lo, width)
 
 
@@ -244,12 +238,12 @@ def _halve(f: IntPoly, lo: Fraction, hi: Fraction, s_lo: int, width: Fraction) -
         mid = (lo + hi) / 2
         s_mid = f.sign_at(mid)
         if s_mid == 0:
-            return RootInterval(f, mid, mid)
+            return RootInterval(f, mid, mid, multiplicity_free=True)
         if s_mid == s_lo:
             lo = mid
         else:
             hi = mid
-    return RootInterval(f, lo, hi)
+    return RootInterval(f, lo, hi, multiplicity_free=True)
 
 
 # -- the float estimate and the seeded window -----------------------------------------------------
@@ -448,7 +442,7 @@ def _descartes_largest(p: IntPoly, width: Fraction, estimate) -> RootInterval | 
         m, s = m - 1, below
     hi = origin + step * m
     if s == 0:
-        return RootInterval(p, hi, hi)
+        return RootInterval(p, hi, hi, multiplicity_free=True)
     return _halve(p, hi - step, hi, -_sign(p.leading), width)
 
 
@@ -506,7 +500,7 @@ def _bisection_largest(p: IntPoly, width: Fraction) -> RootInterval:
             step /= 2
             a = -bound + step * ((lo + bound) // step)
         lo, hi = a, a + step
-    return _refine(RootInterval(sf, lo, hi), width)
+    return _refine(RootInterval(sf, lo, hi, multiplicity_free=True), width)
 
 
 def isolate_largest_real_root(p: IntPoly, width: Fraction = DEFAULT_WIDTH) -> RootInterval:
@@ -567,10 +561,9 @@ def _holds(iv: RootInterval, x: Fraction) -> bool:
 def _same_root(a: RootInterval, b: RootInterval) -> bool:
     """Whether a and b isolate the same root: whether g = gcd(a.poly, b.poly)
     has a root in the common part (lo, hi] of the two root sets.  g divides
-    the poly of a multiplicity-free interval, so it has at most one root
-    there, simple (when neither interval is, g's squarefree part has), and
-    has it exactly when it vanishes at hi or changes sign from just right of
-    lo."""
+    a.poly, whose one root there is simple, so g has at most one root there,
+    simple, and has it exactly when it vanishes at hi or changes sign from
+    just right of lo."""
     g = poly_gcd(a.poly, b.poly)
     if g.degree < 1:
         return False
@@ -580,8 +573,6 @@ def _same_root(a: RootInterval, b: RootInterval) -> bool:
     lo, hi = max(a.low, b.low), min(a.high, b.high)
     if lo >= hi:
         return False
-    if not (a.multiplicity_free or b.multiplicity_free):
-        g = squarefree_part(g)
     s_hi = g.sign_at(hi)
     return s_hi == 0 or _sign_right_of(g, lo) != s_hi
 
@@ -589,13 +580,11 @@ def _same_root(a: RootInterval, b: RootInterval) -> bool:
 def refine_until_disjoint(a: RootInterval, b: RootInterval) -> tuple[RootInterval, RootInterval]:
     """Refine two root intervals, both to the smaller positive width over 16
     per round, until disjoint; raises SeparationError when the two roots are
-    certified equal, so the loop always ends.  Equality is decided again after
-    a refinement moves to the squarefree part (a default flag on a multiple root)."""
-    polys = None
+    certified equal, decided once, so the loop always ends."""
+    if a.overlaps(b) and _same_root(a, b):
+        raise SeparationError("the two intervals isolate the same root")
     while a.overlaps(b):
-        if (a.poly, b.poly) != polys and _same_root(a, b):
-            raise SeparationError("the two intervals isolate the same root")
-        polys, w = (a.poly, b.poly), min(x.width for x in (a, b) if x.width > 0) / 16
+        w = min(x.width for x in (a, b) if x.width > 0) / 16
         a, b = a.refined(w), b.refined(w)
     return a, b
 

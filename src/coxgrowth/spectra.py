@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .diagram import DiagramError, WeightedTree, h_graph, star_diagram
+from .diagram import CoxeterDiagram, DiagramError, WeightedTree, h_graph, star_diagram
 from .intpoly import IntPoly
 from .numclass import strip_cyclotomic
 from .roots import (
@@ -256,14 +256,13 @@ def _alpha0_interval(width: Fraction = Fraction(1, 10**13)) -> tuple[RootInterva
     core, _ = strip_cyclotomic(f.denominator)
     apoly = alpha_from_lambda(core)
     lo, hi = alpha_from_lambda(lam, width / 2)
-    iv = RootInterval(apoly, lo, hi, multiplicity_free=False)
+    iv = RootInterval(apoly, lo, hi)
     if sturm_count(apoly, lo, hi) != 1:
         raise ArithmeticError("transfer interval does not isolate a root")
     return iv.refined(width), apoly
 
 
 def _tetrahedral_353_growth():
-    from .diagram import CoxeterDiagram
     return steinberg_growth(CoxeterDiagram(4, {(0, 1): 3, (1, 2): 5, (2, 3): 3}))
 
 

@@ -1,8 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from coxgrowth import cli, coxtrans, spectra
+from coxgrowth import cli, coxtrans, salemdb, spectra
 from coxgrowth.cli import main
 
 
@@ -198,6 +199,18 @@ def test_salem_gap(capsys):
     gap = doc["payload"]["gap"]
     assert gap["band"] == ["1,0,0,0,-1,-1,-1,0,0,0,1"]
     assert gap["notes"]
+
+
+def test_salem_list_from_the_environment_is_reported_as_that_list(capsys, monkeypatch):
+    path = str(Path(salemdb.__file__).parent / "data" / "mini_salem_list.csv")
+    monkeypatch.delenv(salemdb.ENV_LIST_PATH, raising=False)
+    code, expected, _ = run_json(capsys, "salem", "--gap", "--list", path)
+    assert code == 0 and expected["payload"]["source"] == path
+    gap = expected["payload"]["gap"]
+    assert (gap["entries_below_second"], gap["entries_below_rate_353"]) == (2, 3)
+    monkeypatch.setenv(salemdb.ENV_LIST_PATH, path)
+    code, doc, _ = run_json(capsys, "salem", "--gap")
+    assert code == 0 and doc == expected
 
 
 def test_salem_search(capsys):

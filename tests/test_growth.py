@@ -1,4 +1,6 @@
 import itertools
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -24,6 +26,7 @@ from coxgrowth.growth import (
     polygon_delta,
     polygon_growth,
     positive_on_interval,
+    rational_function_positive,
     series_coefficients,
     steinberg_growth,
     verify_second_minimal_polygon,
@@ -426,7 +429,7 @@ def test_growth_rate_not_exponential():
 def _rate_pair(f, width):
     iv = growth_rate(f, width)
     assert iv.poly == f.denominator.reversed().primitive()
-    assert iv.multiplicity_free and reference_root_is_simple(iv.poly, iv.low, iv.high)
+    assert reference_root_is_simple(iv.poly, iv.low, iv.high)
     return iv.low, iv.high
 
 
@@ -484,11 +487,12 @@ def test_growth_rate_edge_cases_of_the_reversal():
     with pytest.raises(NotExponentialError):  # the pole 2 lies outside the unit disk
         growth_rate(GrowthFunction(IntPoly([1]), IntPoly([2, -1])), width)
     iv = growth_rate(GrowthFunction(IntPoly([1]), IntPoly([1, -3])), width)
-    assert iv.low == iv.high == 3 and iv.multiplicity_free
+    assert iv.low == iv.high == 3 and reference_root_is_simple(iv.poly, iv.low, iv.high)
     # the double rate 2 is a point of the grid (-16, 16], reached by the
     # bisection of the squarefree part t - 2
     iv = growth_rate(GrowthFunction(IntPoly([1]), IntPoly([1, -2]) ** 2), width)
-    assert iv.low == iv.high == 2 and iv.poly == IntPoly([-2, 1]) and iv.multiplicity_free
+    assert iv.low == iv.high == 2 and iv.poly == IntPoly([-2, 1])
+    assert reference_root_is_simple(iv.poly, iv.low, iv.high)
 
 
 @pytest.mark.parametrize("symbol", [
@@ -590,6 +594,40 @@ def test_gap_polynomial_positive():
     assert positive_on_interval(F)
     details = verify_second_minimal_polygon().case("gap_polynomial").details
     assert details["polynomial"] == F.to_text()
+
+
+def _reference_positive(g: GrowthFunction, upper: Fraction) -> bool:
+    """g > 0 on (0, upper] by four checks: numerator and denominator both
+    positive there or both negative, each by an oracle count and one sign."""
+    def positive(p):
+        return reference_count(p, Fraction(0), upper) == 0 and p.sign_at(upper) > 0
+    num, den = g.numerator, g.denominator
+    return positive(num) and positive(den) or positive(-num) and positive(-den)
+
+
+def _random_part(rng: random.Random) -> IntPoly:
+    """+-1 times up to three factors: a root among -1, 0, 1/4, ..., 2 (so often
+    at the upper end), no real root, or small random coefficients."""
+    p = IntPoly([rng.choice([1, -1])])
+    for _ in range(rng.randint(0, 3)):
+        root = Fraction(rng.choice([-4, 0, 1, 2, 3, 4, 6, 8]), 4)
+        p = p * rng.choice([IntPoly([-root.numerator, root.denominator]), IntPoly([1, 0, 1]),
+                            IntPoly([1, -1, 1]), IntPoly([rng.randint(-3, 3) for _ in range(3)] + [1])])
+    return p
+
+
+def test_rational_function_positive_matches_four_reference_checks():
+    rng, seen = random.Random(23), Counter()
+    for _ in range(300):
+        upper = Fraction(rng.choice([2, 3, 4]), 4)
+        g = GrowthFunction(_random_part(rng), _random_part(rng))
+        got = rational_function_positive(g, upper)
+        assert got == _reference_positive(g, upper), (g, upper)
+        num_sign, den_sign = g.numerator.sign_at(upper), g.denominator.sign_at(upper)
+        seen["positive" if got else "not positive"] += 1
+        seen["both negative"] += got and num_sign < 0
+        seen["root at upper"] += num_sign * den_sign == 0
+    assert min(seen[k] for k in ("positive", "not positive", "both negative", "root at upper")) > 0
 
 
 def test_second_minimal_report():

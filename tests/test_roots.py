@@ -70,18 +70,21 @@ def test_isolate_double_root_exact():
     iv = isolate_largest_real_root(IntPoly([1, -2, 1]))  # (t-1)^2
     assert (iv.low, iv.high) == (1, 1)
     # the bisection gives the interval on the squarefree part, where the root is simple
-    assert iv.poly == IntPoly([-1, 1]) and iv.multiplicity_free
+    assert iv.poly == IntPoly([-1, 1]) and reference_root_is_simple(iv.poly, iv.low, iv.high)
 
 
 def test_multiplicity_flags():
-    assert isolate_largest_real_root(LEHMER).multiplicity_free
+    iv = isolate_largest_real_root(LEHMER)
+    assert reference_root_is_simple(iv.poly, iv.low, iv.high)
     p = IntPoly([-1, 1]) ** 2 * IntPoly([-3, 1])
     ivs = _real_roots(p, Fraction(1, 10**6))
     # both intervals lie on the squarefree part (t - 1)(t - 3), and so does their refinement
-    assert [(iv.poly, iv.multiplicity_free) for iv in ivs] == [(IntPoly([3, -4, 1]), True)] * 2
+    assert [iv.poly for iv in ivs] == [IntPoly([3, -4, 1])] * 2
+    assert all(reference_root_is_simple(iv.poly, iv.low, iv.high) for iv in ivs)
     finer = ivs[0].refined(Fraction(1, 10**12))
-    assert (finer.poly, finer.multiplicity_free) == (IntPoly([3, -4, 1]), True)
-    # an interval built with the flag False refines into one on the squarefree part
+    assert finer.poly == IntPoly([3, -4, 1])
+    assert reference_root_is_simple(finer.poly, finer.low, finer.high)
+    # an interval built with the flag False holds the squarefree part, and refines on it
     hand_built = RootInterval(p, Fraction(0), Fraction(2), multiplicity_free=False)
     assert hand_built.refined(Fraction(1, 10**6)) == RootInterval(IntPoly([3, -4, 1]), Fraction(1), Fraction(1))
     assert hand_built.refined(Fraction(4)) is hand_built
@@ -278,19 +281,53 @@ def test_refining_past_a_multiple_root_lower_end_builds_no_sturm_chain(monkeypat
     assert work == []
 
 
-@pytest.mark.parametrize("p", [
+_DOUBLE_ROOT_POLYS = pytest.mark.parametrize("p", [
     IntPoly([-1, 1]) ** 2 * IntPoly([3, 1]),    # the double root 1, a grid point
     IntPoly([-2, 3]) ** 2 * IntPoly([3, 1]),    # the double root 2/3
 ])
+
+
+@_DOUBLE_ROOT_POLYS
 def test_a_hand_built_interval_around_a_double_root_refines_on_the_squarefree_part(p):
-    # the default flag claims a simple root; p keeps its sign across the root
+    # p keeps its sign across the root; the default interval holds the squarefree part
     width = Fraction(1, 10**6)
     iv = RootInterval(p, Fraction(0), Fraction(2)).refined(width)
     assert (iv.low, iv.high) == reference_refined(p, Fraction(0), Fraction(2), width)
-    assert iv.poly == squarefree_part(p) and iv.multiplicity_free
+    assert iv.poly == squarefree_part(p) and reference_root_is_simple(iv.poly, iv.low, iv.high)
     sqrt2 = isolate_largest_real_root(IntPoly([-2, 0, 1]), Fraction(1, 100))
     a, b = certify_strictly_less(RootInterval(p, Fraction(0), Fraction(2)), sqrt2)
     assert a.high < b.low
+
+
+@_DOUBLE_ROOT_POLYS
+def test_a_default_interval_holds_the_squarefree_part_before_any_refinement(p):
+    iv = RootInterval(p, Fraction(0), Fraction(2))
+    assert iv.poly == squarefree_part(p) != p
+    assert not hasattr(iv, "multiplicity_free") and not hasattr(RootInterval, "multiplicity_free")
+    # refinement never changes the poly, of a default interval or of isolation's
+    for start in (iv, isolate_largest_real_root(p, Fraction(1)), isolate_largest_real_root(LEHMER)):
+        for width in (Fraction(1, 3), Fraction(1, 10**6), Fraction(1, 2**40)):
+            assert start.refined(width).poly == start.poly
+
+
+@_DOUBLE_ROOT_POLYS
+def test_a_certified_interval_keeps_its_poly_and_takes_no_squarefree_part(monkeypatch, p):
+    # the root -3 of p is simple, and the only one in (-4, -2]
+    width = Fraction(1, 10**6)
+    work = _recording_work(monkeypatch)
+    iv = RootInterval(p, Fraction(-4), Fraction(-2), multiplicity_free=True)
+    assert iv.poly is p and iv.refined(width).poly is p
+    assert (iv.refined(width).low, iv.refined(width).high) == reference_refined(
+        p, Fraction(-4), Fraction(-2), width)
+    assert work == []
+
+
+@_DOUBLE_ROOT_POLYS
+def test_a_certified_interval_around_a_double_root_raises_when_refined(p):
+    # p has one sign at both ends of (0, 2]: the claim of a simple root is false
+    iv = RootInterval(p, Fraction(0), Fraction(2), multiplicity_free=True)
+    with pytest.raises(ArithmeticError):
+        iv.refined(Fraction(1, 10**6))
 
 
 def test_refine_moves_off_an_exact_root_endpoint():
@@ -352,7 +389,7 @@ _widths = st.sampled_from([Fraction(1, 10**9), Fraction(1, 10**7), Fraction(1, 2
 def _pair(iv):
     """(low, high) of an interval that isolation returned, once its root is
     checked to be simple in the interval's own poly."""
-    assert iv.multiplicity_free and reference_root_is_simple(iv.poly, iv.low, iv.high), iv
+    assert reference_root_is_simple(iv.poly, iv.low, iv.high), iv
     return iv.low, iv.high
 
 
@@ -648,19 +685,44 @@ def test_compare_computes_no_squarefree_part_and_no_count(monkeypatch):
     assert work == []
 
 
+_DOUBLE = IntPoly([-2, 0, 1]) ** 2
+
+
+def _double_root_pairs():
+    """(a, b, order of their roots) for default intervals around the double
+    roots sqrt 2 of (t^2 - 2)^2 (t + 1) and of (t^2 - 2)^2 (t - 5), and sqrt 3
+    of (t^2 - 3)^2, as _alpha0_interval builds its interval."""
+    a = RootInterval(_DOUBLE * IntPoly([1, 1]), Fraction(1), Fraction(3, 2))
+    b = RootInterval(_DOUBLE * IntPoly([-5, 1]), Fraction(7, 5), Fraction(2))
+    c = RootInterval(IntPoly([-3, 0, 1]) ** 2, Fraction(3, 2), Fraction(2))
+    return [(a, b, 0), (b, a, 0), (a, c, -1), (c, a, 1)]
+
+
 def test_compare_of_two_intervals_built_around_a_double_root():
-    # as _alpha0_interval builds them: the flag False on both, so compare
-    # takes the squarefree part of the gcd (t^2 - 2)^2, whose root is simple
-    double = IntPoly([-2, 0, 1]) ** 2
-    a = RootInterval(double * IntPoly([1, 1]), Fraction(1), Fraction(3, 2), False)
-    b = RootInterval(double * IntPoly([-5, 1]), Fraction(7, 5), Fraction(2), False)
-    assert compare(a, b) == 0 and compare(b, a) == 0
-    c = RootInterval(IntPoly([-3, 0, 1]) ** 2, Fraction(3, 2), Fraction(2), False)
-    assert compare(a, c) == -1 and compare(c, a) == 1
-    # built with the default flag, the two read no sign change of the gcd at
-    # first; the refinement that moves each to its squarefree part decides
-    a, b = RootInterval(a.poly, a.low, a.high), RootInterval(b.poly, b.low, b.high)
-    assert compare(a, b) == 0 and compare(b, a) == 0
+    # each holds its squarefree part, so the gcd t^2 - 2 of the first two has
+    # a simple root in the common part (7/5, 3/2], and no squarefree part of
+    # the gcd is needed
+    for a, b, order in _double_root_pairs():
+        assert compare(a, b) == order
+    a = _double_root_pairs()[0][0]
+    assert RootInterval(_DOUBLE * IntPoly([1, 1]), Fraction(1), Fraction(3, 2), False) == a
+
+
+def test_refine_until_disjoint_decides_equality_once(monkeypatch):
+    same_root, calls = roots._same_root, []
+    monkeypatch.setattr(roots, "_same_root", lambda a, b: calls.append((a, b)) or same_root(a, b))
+    # sqrt(2 + 10^-6) shares the interval of sqrt 2 for a few rounds
+    pairs = _double_root_pairs()
+    near = RootInterval(IntPoly([-(2 * 10**6 + 1), 0, 10**6]), Fraction(1), Fraction(3, 2))
+    for a, b, order in pairs + [(pairs[0][0], near, -1), (near, pairs[0][0], 1)]:
+        calls.clear()
+        if order == 0:
+            with pytest.raises(roots.SeparationError):
+                refine_until_disjoint(a, b)
+        else:
+            a, b = refine_until_disjoint(a, b)
+            assert (a.is_strictly_below(b), b.is_strictly_below(a)) == (order < 0, order > 0)
+        assert len(calls) <= 1
 
 
 def test_compare_reads_the_gcd_just_right_of_a_lower_end_that_is_a_root():

@@ -38,6 +38,7 @@ COMMANDS = [
     ["growth", "--polygon", "2,3,7"],
     ["classify", "--poly", LEHMER],
     ["salem", "--gap"],
+    ["salem", "--gap", "--list", "src/coxgrowth/data/mini_salem_list.csv"],
     ["salem", "--search", "--target", LEHMER],
 ]
 
