@@ -9,7 +9,8 @@ is attained by none.  This script walks both stories.
 from fractions import Fraction
 
 from coxgrowth import (
-    bipartite_coxeter_matrix,
+    bipartite_order,
+    char_poly_recursive,
     growth_rate,
     h_graph,
     parse_coxeter_symbol,
@@ -26,12 +27,12 @@ from coxgrowth.spectra import prop52_pipeline
 def main():
     print("== the positive story: [4,3,5] ==\n")
     tree = h_graph(2, 8, 3)
-    res = bipartite_coxeter_matrix(tree)
     print("H(2,8,3) biadjacency block (one bipartition class against the other):")
-    for row in res.order.x_block:
+    for row in bipartite_order(tree).x_block:
         print("   ", " ".join(str(v) for v in row))
-    print("\ncharacteristic polynomial:", res.char_poly)
-    core, factors = strip_cyclotomic(res.char_poly)
+    phi = char_poly_recursive(tree)
+    print("\ncharacteristic polynomial:", phi)
+    core, factors = strip_cyclotomic(phi)
     print("cyclotomic-free core:", core)
     print("cyclotomic factors:", ", ".join(f"Phi_{n}^{m}" if m > 1 else f"Phi_{n}"
                                            for n, m in factors))

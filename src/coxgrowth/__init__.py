@@ -56,7 +56,6 @@ from .growth import (
 )
 from .coxtrans import (
     alpha_from_lambda,
-    bipartite_coxeter_matrix,
     bipartite_order,
     char_poly_recursive,
     char_poly_star,

@@ -13,7 +13,6 @@ import argparse
 import itertools
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -29,6 +28,7 @@ from .diagram import (
     parse_coxeter_symbol,
     path_tree,
     polygon_diagram,
+    polygon_is_hyperbolic,
     star_diagram,
 )
 from .intpoly import parse_poly
@@ -206,7 +206,7 @@ def _cmd_spectra(args) -> CommandResult:
     if not args.tree:
         raise DiagramError("no input; use --tree or --table1")
     tree = _tree_from_spec(args.tree)
-    chi, iv = spectra._adjacency_radius(spectra._weight3_rooted(tree), args.width)
+    chi, iv = spectra._adjacency_radius(coxtrans._weight3_rooted(tree), args.width)
     return CommandResult("spectra", {
         "tree": args.tree,
         "vertices": tree.n,
@@ -232,7 +232,7 @@ def _cmd_classify(args) -> CommandResult:
 
 
 def _cmd_salem(args) -> CommandResult:
-    path = args.list if args.list is not None else os.environ.get(salemdb.ENV_LIST_PATH)
+    path = salemdb.list_path(args.list)
     entries = salemdb.load_salem_list(path)
     payload: dict = {
         "entries": len(entries),
@@ -270,13 +270,37 @@ def _cmd_salem(args) -> CommandResult:
     return CommandResult("salem", payload, exit_code)
 
 
-def _bounds(args, k_default: int, p_default: int) -> tuple[int, int]:
-    return (args.max_k if args.max_k is not None else k_default,
-            args.max_p if args.max_p is not None else p_default)
+# The largest --max-k and --max-p of verify delta-phi, theorem2 and
+# second-minimal: theorem2 takes about 17 s at (6, 12) and 56 s at (7, 12).
+VERIFY_MAX_K, VERIFY_MAX_P = 6, 12
+
+
+def _stars_exist(k: int, p: int) -> bool:
+    """Whether delta-phi has a star with 1..k arms, each parameter in 2..p."""
+    return k >= 1 and p >= 2
+
+
+def _polygons_exist(k: int, p: int) -> bool:
+    """Whether a hyperbolic polygon has 3..k sides and every p_i in 2..p;
+    (p, ..., p) with k sides is the furthest from the angle-sum limit."""
+    return k >= 3 and p >= 2 and polygon_is_hyperbolic((p,) * k)
+
+
+def _bounds(args, k_default: int, p_default: int, exist) -> tuple[int, int]:
+    """--max-k and --max-p, or the check's defaults.  ValueError, before any
+    tuple is built, above VERIFY_MAX_K or VERIFY_MAX_P, or when exist(k, p)
+    says the sweep checks nothing."""
+    max_k = args.max_k if args.max_k is not None else k_default
+    max_p = args.max_p if args.max_p is not None else p_default
+    if max_k > VERIFY_MAX_K or max_p > VERIFY_MAX_P:
+        raise ValueError(f"bounds must be at most max_k={VERIFY_MAX_K}, max_p={VERIFY_MAX_P}")
+    if not exist(max_k, max_p):
+        raise ValueError(f"bounds max_k={max_k}, max_p={max_p} leave nothing to check")
+    return max_k, max_p
 
 
 def _verify_delta_phi(args) -> tuple[bool, dict]:
-    max_k, max_p = _bounds(args, 5, 8)
+    max_k, max_p = _bounds(args, 5, 8, _stars_exist)
     checked = 0
     for k in range(1, max_k + 1):
         for ps in itertools.combinations_with_replacement(range(2, max_p + 1), k):
@@ -287,7 +311,7 @@ def _verify_delta_phi(args) -> tuple[bool, dict]:
 
 
 def _verify_theorem2(args) -> tuple[bool, dict]:
-    max_k, max_p = _bounds(args, 5, 8)
+    max_k, max_p = _bounds(args, 5, 8, _polygons_exist)
     tuples = [ps for k in range(3, max_k + 1) for ps in growth._hyperbolic_tuples(k, max_p)]
     bad = [list(ps) for ps in tuples if not coxtrans.coxeter_tree_radius_equals_polygon_rate(ps)]
     return not bad, {"hyperbolic_tuples": len(tuples), "failures": bad,
@@ -295,7 +319,7 @@ def _verify_theorem2(args) -> tuple[bool, dict]:
 
 
 def _verify_second_minimal(args) -> tuple[bool, dict]:
-    max_k, max_p = _bounds(args, 5, 9)
+    max_k, max_p = _bounds(args, 5, 9, _polygons_exist)
     rep = growth.verify_second_minimal_polygon(max_k, max_p)
     return rep.passed, {
         "reference_rate": _interval_payload(rep.reference_rate),

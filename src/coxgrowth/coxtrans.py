@@ -1,11 +1,10 @@
-"""Coxeter transformations of weighted trees: the bipartite matrix and its
-characteristic polynomial by block determinant, the matching recursion
-behind every tree characteristic polynomial, and spectral-radius extraction.
+"""Coxeter transformations of weighted trees: the matching recursion behind
+every tree characteristic polynomial, the bipartite order of a weight-3 tree
+(its biadjacency block X), and spectral-radius extraction.
 
 For a tree all products of the generators in any order are conjugate, so the
-characteristic polynomial is well defined; the bipartite ordering makes it
-computable from the biadjacency block X alone.  Edge weights m contribute
-the integer 4cos^2(pi/m) in {1, 2, 3, 4} for m in {3, 4, 6, inf}, so these
+characteristic polynomial is well defined.  Edge weights m contribute the
+integer 4cos^2(pi/m) in {1, 2, 3, 4} for m in {3, 4, 6, inf}, so these
 characteristic polynomials have exact integer coefficients.
 
 Both tree polynomials are sums over the weighted matching numbers m_k (over
@@ -41,116 +40,6 @@ def _edge_coefficient(w) -> int:
         ) from None
 
 
-@dataclass(frozen=True)
-class BipartiteOrder:
-    """A two-coloring of a tree with the vertex order V1 then V2.
-
-    The biadjacency block X has rows indexed by V1 and columns by V2; for
-    weight-3 trees its entries are 0/1.
-    """
-
-    tree: WeightedTree
-    part1: tuple[int, ...]
-    part2: tuple[int, ...]
-    x_block: tuple[tuple[int, ...], ...]
-
-
-def bipartite_order(tree: WeightedTree) -> BipartiteOrder:
-    """Two-color from vertex 0; within each class vertices keep index order."""
-    if tree.weights_used() - {3}:
-        raise DiagramError("the 0/1 biadjacency block requires all weights 3")
-    adj = tree.adjacency()
-    color = {0: 0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for u, _ in adj[v]:
-            if u not in color:
-                color[u] = 1 - color[v]
-                stack.append(u)
-    part1 = tuple(v for v in range(tree.n) if color[v] == 0)
-    part2 = tuple(v for v in range(tree.n) if color[v] == 1)
-    pos2 = {v: c for c, v in enumerate(part2)}
-    x = [[0] * len(part2) for _ in part1]
-    for r, v in enumerate(part1):
-        for u, _ in adj[v]:
-            x[r][pos2[u]] = 1
-    return BipartiteOrder(tree, part1, part2, tuple(tuple(row) for row in x))
-
-
-def charpoly_int_matrix(mat: list[list[int]]) -> IntPoly:
-    """Characteristic polynomial det(xI - M) of a square integer matrix, exactly.
-
-    Faddeev-LeVerrier recurrence; every division is exact for integer input.
-    """
-    n = len(mat)
-    if any(len(row) != n for row in mat):
-        raise ValueError("matrix must be square")
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]  # M_0 = I
-    for k in range(1, n + 1):
-        # M_k = A * (M_{k-1} + c_{k-1} I); c_k = -trace(M_k)/k
-        am = [[sum(mat[i][l] * m[l][j] for l in range(n)) for j in range(n)] for i in range(n)]
-        tr = sum(am[i][i] for i in range(n))
-        c_k, rem = divmod(-tr, k)
-        if rem:
-            raise ArithmeticError("Faddeev-LeVerrier division must be exact")
-        coeffs[n - k] = c_k
-        if k < n:
-            for i in range(n):
-                am[i][i] += c_k
-            m = am
-    return IntPoly(coeffs)
-
-
-@dataclass(frozen=True)
-class BipartiteCoxeterResult:
-    order: BipartiteOrder
-    matrix: tuple[tuple[int, ...], ...]  # the Coxeter transformation itself
-    char_poly: IntPoly
-
-
-def bipartite_coxeter_matrix(tree: WeightedTree) -> BipartiteCoxeterResult:
-    """The bipartite Coxeter transformation of a weight-3 tree and its
-    characteristic polynomial, via the two-block determinant reduction.
-
-    With X the biadjacency block and G = X X^T (or X^T X, whichever is
-    smaller), det(tI - C) = (t+1)^|n1 - n2| * t^m * g((t+1)^2 / t) for
-    g = det(xI - G) of degree m.
-    """
-    order = bipartite_order(tree)
-    n1, n2 = len(order.part1), len(order.part2)
-    x = order.x_block
-    # C = -(I X; 0 I)(I 0; -X^T I) assembled explicitly
-    n = n1 + n2
-    c = [[0] * n for _ in range(n)]
-    for i in range(n1):
-        for j in range(n1):
-            c[i][j] = -(1 if i == j else 0) + sum(x[i][k] * x[j][k] for k in range(n2))
-        for k in range(n2):
-            c[i][n1 + k] = -x[i][k]
-    for k in range(n2):
-        for j in range(n1):
-            c[n1 + k][j] = x[j][k]
-        c[n1 + k][n1 + k] = -1
-    # Gram block on the smaller side
-    if n1 <= n2:
-        g = [[sum(x[i][k] * x[j][k] for k in range(n2)) for j in range(n1)] for i in range(n1)]
-        m, extra = n1, n2 - n1
-    else:
-        g = [[sum(x[i][a] * x[i][b] for i in range(n1)) for b in range(n2)] for a in range(n2)]
-        m, extra = n2, n1 - n2
-    gpoly = charpoly_int_matrix(g)
-    acc = IntPoly()
-    tp1 = IntPoly([1, 1])
-    for i, coeff in enumerate(gpoly.coeffs):
-        if coeff:
-            acc = acc + (tp1 ** (2 * i)).shift(m - i) * coeff
-    phi = (tp1 ** extra) * acc
-    return BipartiteCoxeterResult(order, tuple(tuple(row) for row in c), phi)
-
-
 def _check_vertices(n: int) -> None:
     """Raise ValueError when a tree of n vertices is above TREE_VERTEX_BOUND."""
     if n > TREE_VERTEX_BOUND:
@@ -168,6 +57,43 @@ def _rooted(tree: WeightedTree) -> list[tuple[int, int, int]]:
             if c != up:
                 order.append((c, v, _edge_coefficient(w)))
     return order[::-1]
+
+
+def _weight3_rooted(tree: WeightedTree) -> list[tuple[int, int, int]]:
+    """_rooted of a tree whose edge weights are all 3; DiagramError otherwise."""
+    if tree.weights_used() - {3}:
+        raise DiagramError("the 0/1 adjacency of a tree requires all edge weights 3")
+    return _rooted(tree)
+
+
+@dataclass(frozen=True)
+class BipartiteOrder:
+    """A two-coloring of a weight-3 tree with the vertex order V1 then V2.
+
+    The biadjacency block X has 0/1 entries, rows indexed by V1 and columns
+    by V2.
+    """
+
+    tree: WeightedTree
+    part1: tuple[int, ...]
+    part2: tuple[int, ...]
+    x_block: tuple[tuple[int, ...], ...]
+
+
+def bipartite_order(tree: WeightedTree) -> BipartiteOrder:
+    """V1 holds the vertices at even depth below vertex 0, V2 those at odd
+    depth; within each class vertices keep index order."""
+    edges = _weight3_rooted(tree)[:-1]  # (v, parent, 1), children first
+    side = [0] * tree.n
+    for v, up, _ in reversed(edges):
+        side[v] = 1 - side[up]
+    parts = tuple(tuple(v for v in range(tree.n) if side[v] == s) for s in (0, 1))
+    pos = {v: i for part in parts for i, v in enumerate(part)}
+    x = [[0] * len(parts[1]) for _ in parts[0]]
+    for v, up, _ in edges:
+        row, col = (v, up) if side[v] == 0 else (up, v)
+        x[pos[row]][pos[col]] = 1
+    return BipartiteOrder(tree, *parts, tuple(tuple(r) for r in x))
 
 
 def _tree_polynomial(rooted: list[tuple[int, int, int]], coxeter: bool) -> IntPoly:

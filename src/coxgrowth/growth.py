@@ -412,11 +412,6 @@ def help_sum(ks) -> GrowthFunction:
     return total
 
 
-def positive_on_interval(p: IntPoly, upper: Fraction = Fraction(1)) -> bool:
-    """Certify p(t) > 0 on (0, upper] by a root count (leaving out 0) and one sign."""
-    return sturm_count(p, 0, upper) == 0 and p.sign_at(upper) > 0
-
-
 def rational_function_positive(g: GrowthFunction, upper: Fraction = Fraction(1)) -> bool:
     """Certify g(t) > 0 on (0, upper]: numerator and denominator agree in sign
     at upper and have no root in (0, upper], so each keeps that sign there."""
@@ -484,7 +479,7 @@ def verify_second_minimal_polygon(k_max: int = 5, p_max: int = 9) -> SecondMinim
     # Positivity of the gap polynomial on (0, 1], and the identity expressing
     # the right-angled comparison through it.
     F = _GAP_NUMERATOR
-    f_pos = positive_on_interval(F)
+    f_pos = rational_function_positive(GrowthFunction(F, ONE))
     diff = help_sum((2, 4, 5)) - target
     denom = bracket(2) * bracket(3) * bracket(5) * IntPoly([1, 0, 1]) * IntPoly([1, 0, 0, 0, 1])
     identity_ok = diff == GrowthFunction(F.shift(2), denom)

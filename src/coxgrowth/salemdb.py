@@ -98,14 +98,18 @@ def bundled_mini_list() -> list[SalemEntry]:
     return _load_text(text)
 
 
+def list_path(path=None):
+    """The list file to read: path, else COXGROWTH_SALEM_LIST when it is set
+    and not empty, else None for the bundled mini list."""
+    return path if path is not None else os.environ.get(ENV_LIST_PATH) or None
+
+
 def load_salem_list(path=None) -> list[SalemEntry]:
     """Load and certify a Salem list file, re-sorted by certified root intervals.
 
-    With no path, the environment variable COXGROWTH_SALEM_LIST is consulted,
-    then the bundled three-entry mini list.
+    The file is list_path(path); with none, the bundled three-entry mini list.
     """
-    if path is None:
-        path = os.environ.get(ENV_LIST_PATH)
+    path = list_path(path)
     if path is None:
         return bundled_mini_list()
     with open(path, encoding="utf-8") as fh:

@@ -24,7 +24,7 @@ from .roots import (
     isolate_largest_real_root,
     sturm_count,
 )
-from .coxtrans import _rooted, _tree_polynomial, alpha_from_lambda
+from .coxtrans import _rooted, _tree_polynomial, _weight3_rooted, alpha_from_lambda
 from .growth import growth_rate, steinberg_growth
 
 # Below this Coxeter-transformation spectral radius, the radius is always
@@ -32,13 +32,6 @@ from .growth import growth_rate, steinberg_growth
 # plus the classification of minimal diagrams); used by the pipeline as a
 # cited reduction step.
 WEIGHT3_TREE_THRESHOLD = Fraction("1.35999")
-
-
-def _weight3_rooted(tree: WeightedTree) -> list[tuple[int, int, int]]:
-    """coxtrans._rooted of a tree whose edge weights are all 3."""
-    if tree.weights_used() - {3}:
-        raise DiagramError("adjacency spectra require all edge weights 3")
-    return _rooted(tree)
 
 
 def adjacency_char_poly(tree: WeightedTree) -> IntPoly:

@@ -11,7 +11,6 @@ import time
 from fractions import Fraction
 
 from coxgrowth.coxtrans import (
-    bipartite_coxeter_matrix,
     char_poly_recursive,
     char_poly_star,
     star_spectral_radius,
@@ -42,6 +41,8 @@ from coxgrowth.diagram import finite_type_recognize
 
 from oracles import (
     bfs_word_counts,
+    charpoly_interpolated,
+    coxeter_element_matrix,
     dihedral_order,
     random_tree_edges,
     real_root_count_bisection,
@@ -93,8 +94,10 @@ def test_criterion_02_denominator_cores():
 
 def test_criterion_03_h283_char_poly():
     expected = parse_poly("1,1,-1,-2,-1,0,0,0,0,0,-1,-2,-1,1,1")
-    phi = bipartite_coxeter_matrix(h_graph(2, 8, 3)).char_poly
-    ok = phi == expected and char_poly_recursive(h_graph(2, 8, 3)) == expected
+    tree = h_graph(2, 8, 3)
+    phi = char_poly_recursive(tree)
+    ok = phi == expected
+    ok = ok and charpoly_interpolated(coxeter_element_matrix(tree.n, tree.edge_list)) == expected
     core, factors = strip_cyclotomic(phi)
     ok = ok and core == parse_poly("1,-1,1,-2,1,-2,1,-1,1")
     ok = ok and sorted(factors) == [(2, 2), (12, 1)]
@@ -190,12 +193,13 @@ def test_criterion_09_property_suites():
             if polygon_is_hyperbolic(ps):
                 if polygon_growth(*ps) != steinberg_growth(polygon_diagram(*ps)):
                     ok = False
-    # recursion vs determinant on 200 random trees with <= 12 vertices
+    # recursion vs the dense Coxeter element on 200 random trees with <= 12 vertices
     rng = random.Random(20260811)
     for _ in range(200):
         n = rng.randint(1, 12)
-        tree = WeightedTree(n, random_tree_edges(n, rng))
-        if char_poly_recursive(tree) != bipartite_coxeter_matrix(tree).char_poly:
+        edges = random_tree_edges(n, rng)
+        if char_poly_recursive(WeightedTree(n, edges)) != charpoly_interpolated(
+                coxeter_element_matrix(n, edges)):
             ok = False
     # Sturm vs sign-change bisection
     rng2 = random.Random(42)

@@ -1,9 +1,10 @@
+import itertools
 import json
 from pathlib import Path
 
 import pytest
 
-from coxgrowth import cli, coxtrans, salemdb, spectra
+from coxgrowth import cli, coxtrans, growth, salemdb, spectra
 from coxgrowth.cli import main
 
 
@@ -211,6 +212,58 @@ def test_salem_list_from_the_environment_is_reported_as_that_list(capsys, monkey
     monkeypatch.setenv(salemdb.ENV_LIST_PATH, path)
     code, doc, _ = run_json(capsys, "salem", "--gap")
     assert code == 0 and doc == expected
+
+
+def test_an_empty_salem_list_variable_counts_as_unset(capsys, monkeypatch):
+    monkeypatch.setenv(salemdb.ENV_LIST_PATH, "")
+    code, doc, err = run_json(capsys, "salem", "--gap")
+    assert code == 0 and err == ""
+    assert doc["payload"]["source"] == "bundled mini list"
+    assert "entries_below_second" not in doc["payload"]["gap"]
+
+
+@pytest.mark.parametrize("check, bounds", [
+    ("delta-phi", ["--max-k", "7"]),
+    ("delta-phi", ["--max-p", "13"]),
+    ("theorem2", ["--max-k", "7"]),
+    ("theorem2", ["--max-p", "20"]),
+    ("second-minimal", ["--max-k", "7"]),
+    ("second-minimal", ["--max-p", "13"]),
+])
+def test_verify_bounds_above_cap_rejected_before_building(capsys, monkeypatch, check, bounds):
+    def unreachable(*args):
+        raise AssertionError("sweep started")
+
+    monkeypatch.setattr(cli.itertools, "combinations_with_replacement", unreachable)
+    monkeypatch.setattr(growth, "_hyperbolic_tuples", unreachable)
+    monkeypatch.setattr(growth, "verify_second_minimal_polygon", unreachable)
+    code, out, err = run_cli(capsys, "verify", check, *bounds)
+    assert code == 1 and out == ""
+    assert err.strip() == "error: bounds must be at most max_k=6, max_p=12"
+
+
+@pytest.mark.parametrize("check, bounds, k, p", [
+    ("theorem2", ["--max-k", "2"], 2, 8),
+    ("theorem2", ["--max-k", "3", "--max-p", "3"], 3, 3),
+    ("theorem2", ["--max-k", "4", "--max-p", "2"], 4, 2),
+    ("delta-phi", ["--max-p", "1"], 5, 1),
+    ("delta-phi", ["--max-k", "0"], 0, 8),
+])
+def test_verify_bounds_with_nothing_to_check_rejected(capsys, check, bounds, k, p):
+    code, out, err = run_cli(capsys, "verify", check, *bounds)
+    assert code == 1 and out == ""
+    assert err.strip() == f"error: bounds max_k={k}, max_p={p} leave nothing to check"
+
+
+def test_sweep_emptiness_matches_the_tuples_built():
+    for k in range(-1, cli.VERIFY_MAX_K + 1):
+        for p in range(-1, cli.VERIFY_MAX_P + 1):
+            stars = itertools.chain.from_iterable(
+                itertools.combinations_with_replacement(range(2, p + 1), j) for j in range(1, k + 1))
+            polygons = itertools.chain.from_iterable(
+                growth._hyperbolic_tuples(j, p) for j in range(3, k + 1))
+            assert cli._stars_exist(k, p) == any(True for _ in stars)
+            assert cli._polygons_exist(k, p) == any(True for _ in polygons)
 
 
 def test_salem_search(capsys):

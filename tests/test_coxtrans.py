@@ -9,7 +9,6 @@ from coxgrowth.coxtrans import (
     _rooted,
     _tree_polynomial,
     alpha_from_lambda,
-    bipartite_coxeter_matrix,
     bipartite_order,
     char_poly_recursive,
     char_poly_star,
@@ -55,33 +54,40 @@ PAPER_X_BLOCK = (
 )
 
 
+def _oracle_char_poly(tree: WeightedTree) -> IntPoly:
+    """det(tI - C) of the dense Coxeter element, by evaluation-interpolation."""
+    return charpoly_interpolated(coxeter_element_matrix(tree.n, tree.edge_list))
+
+
 def test_base_cases():
     assert char_poly_recursive(WeightedTree(1, [])) == IntPoly([1, 1])
     assert char_poly_recursive(path_tree(2)) == IntPoly([1, 1, 1])
-    assert bipartite_coxeter_matrix(path_tree(2)).char_poly == IntPoly([1, 1, 1])
-    single = bipartite_coxeter_matrix(WeightedTree(1, []))
-    assert single.char_poly == IntPoly([1, 1])
-    assert single.matrix == ((-1,),)
+    assert _oracle_char_poly(path_tree(2)) == IntPoly([1, 1, 1])
+    assert coxeter_element_matrix(1, []) == [[-1]]
+    assert _oracle_char_poly(WeightedTree(1, [])) == IntPoly([1, 1])
 
 
 def test_h283_x_block_and_charpoly():
-    res = bipartite_coxeter_matrix(h_graph(2, 8, 3))
-    assert res.order.x_block == PAPER_X_BLOCK
-    assert res.char_poly == H283_CHARPOLY
+    assert bipartite_order(h_graph(2, 8, 3)).x_block == PAPER_X_BLOCK
+    assert _oracle_char_poly(h_graph(2, 8, 3)) == H283_CHARPOLY
     assert char_poly_recursive(h_graph(2, 8, 3)) == H283_CHARPOLY
 
 
-def test_bipartite_matrix_is_the_transformation():
-    # the assembled matrix must have the stated characteristic polynomial
-    res = bipartite_coxeter_matrix(h_graph(2, 8, 3))
-    assert charpoly_interpolated([list(r) for r in res.matrix]) == res.char_poly
-
-
 def test_bipartition_is_proper():
-    order = bipartite_order(h_graph(2, 8, 3))
-    part1 = set(order.part1)
-    for i, j, _ in order.tree.edge_list:
-        assert (i in part1) != (j in part1)
+    rng = random.Random(24)
+    trees = [h_graph(2, 8, 3)] + [WeightedTree(n, random_tree_edges(n, rng))
+                                  for n in (1, 2, 5, 9, 12) for _ in range(4)]
+    for tree in trees:
+        order = bipartite_order(tree)
+        assert sorted(order.part1 + order.part2) == list(range(tree.n))
+        assert order.part1 == tuple(sorted(order.part1)) and 0 in order.part1
+        assert order.part2 == tuple(sorted(order.part2))
+        part1 = set(order.part1)
+        for i, j, _ in order.tree.edge_list:
+            assert (i in part1) != (j in part1)
+        edges = {frozenset(e[:2]) for e in tree.edge_list}
+        assert order.x_block == tuple(
+            tuple(int(frozenset((v, u)) in edges) for u in order.part2) for v in order.part1)
 
 
 def test_star_closed_form():
@@ -114,15 +120,7 @@ def test_star_recursion_identities():
 @pytest.mark.parametrize("n", range(1, 7))
 def test_paths_recursion_vs_determinant(n):
     tree = path_tree(n)
-    assert char_poly_recursive(tree) == bipartite_coxeter_matrix(tree).char_poly
-
-
-def test_recursion_vs_determinant_on_random_trees():
-    rng = random.Random(20260811)
-    for _ in range(200):
-        n = rng.randint(1, 12)
-        tree = WeightedTree(n, random_tree_edges(n, rng))
-        assert char_poly_recursive(tree) == bipartite_coxeter_matrix(tree).char_poly
+    assert char_poly_recursive(tree) == _oracle_char_poly(tree)
 
 
 def test_weighted_trees_match_matrix_oracles():
@@ -192,6 +190,8 @@ def test_tree_polynomials_refuse_a_tree_above_the_vertex_bound():
         char_poly_recursive(tree)
     with pytest.raises(ValueError, match="1201 vertices exceed the tree vertex bound 1200"):
         adjacency_char_poly(tree)
+    with pytest.raises(ValueError, match="1201 vertices exceed the tree vertex bound 1200"):
+        bipartite_order(tree)
 
 
 def test_recursion_order_independence():
@@ -246,13 +246,14 @@ def test_spectral_radius_affine_and_finite():
 
 
 def test_weighted_edges_supported():
-    assert char_poly_recursive(WeightedTree(2, [(0, 1, 4)])) == IntPoly([1, 0, 1])
-    assert char_poly_recursive(WeightedTree(2, [(0, 1, 6)])) == IntPoly([1, -1, 1])
-    assert char_poly_recursive(WeightedTree(2, [(0, 1, INF)])) == IntPoly([1, -2, 1])
+    for w, phi in [(4, IntPoly([1, 0, 1])), (6, IntPoly([1, -1, 1])), (INF, IntPoly([1, -2, 1]))]:
+        tree = WeightedTree(2, [(0, 1, w)])
+        assert char_poly_recursive(tree) == phi == _oracle_char_poly(tree)
     with pytest.raises(DiagramError):
         char_poly_recursive(WeightedTree(2, [(0, 1, 5)]))
-    with pytest.raises(DiagramError):
-        bipartite_coxeter_matrix(WeightedTree(2, [(0, 1, 4)]))
+    for weight3_only in (bipartite_order, adjacency_char_poly):
+        with pytest.raises(DiagramError, match="requires all edge weights 3"):
+            weight3_only(WeightedTree(2, [(0, 1, 4)]))
 
 
 def test_alpha_from_lambda_unit():

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from coxgrowth.coxtrans import charpoly_int_matrix
 from coxgrowth.intpoly import IntPoly, cyclotomic, parse_poly, squarefree_part
 from coxgrowth import numclass
 from coxgrowth.numclass import (
@@ -24,7 +23,6 @@ from coxgrowth.salemdb import bundled_mini_list
 
 from oracles import (
     _reference_bound,
-    charpoly_interpolated,
     expand_trace_form,
     reference_count,
     reference_disk_counts,
@@ -137,13 +135,6 @@ def test_cyclotomic_probe_values():
     for n, _, primes in _cyclotomic_candidates(699):
         if n <= 700:
             assert _probe_values(n, primes) == tuple(cyclotomic(n)(k) for k in (2, -2, 3)), n
-
-
-def test_charpoly_int_matrix_against_interpolation():
-    rng = random.Random(99)
-    for n in (1, 2, 3, 5, 7):
-        m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        assert charpoly_int_matrix(m) == charpoly_interpolated(m)
 
 
 def test_disk_counts_small():
