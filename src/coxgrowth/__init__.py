@@ -46,7 +46,6 @@ from .growth import (
     GrowthFunction,
     NotExponentialError,
     growth_rate,
-    help_function,
     monotonicity_check,
     polygon_delta,
     polygon_growth,

@@ -45,13 +45,27 @@ def weight_leq(a: Weight, b: Weight) -> bool:
     return a <= b
 
 
+# The largest integer edge weight of a symbol, a diagram file or a polygon: on a 2-CPU host
+# "growth --symbol [3,m]" takes 0.19 s at m = 100, 4.8 s at 400 and 18 s at 600.
+WEIGHT_BOUND = 100
+
+
+def _check_weight(w: int) -> int:
+    """w, or DiagramError when it is above WEIGHT_BOUND."""
+    if w > WEIGHT_BOUND:
+        raise DiagramError(f"weight {w} exceeds the bound {WEIGHT_BOUND}")
+    return w
+
+
 def parse_weight(text: str) -> Weight:
     text = text.strip()
     if text in ("inf", "∞", "infinity"):
         return INF
     if not re.fullmatch(r"[0-9]+", text):
         raise ValueError(f"bad weight {text!r}")
-    return int(text)
+    if len(text.lstrip("0")) > len(str(WEIGHT_BOUND)):  # above it, and never converted
+        raise DiagramError(f"weight {text} exceeds the bound {WEIGHT_BOUND}")
+    return _check_weight(int(text))
 
 
 class DiagramError(ValueError):
@@ -156,8 +170,8 @@ def parse_coxeter_symbol(text: str) -> CoxeterDiagram:
             fail(f"rank exceeds the bound {STEINBERG_RANK_BOUND}", pos)
         try:
             w = parse_weight(item)
-        except ValueError:
-            fail(f"bad weight {item!r}", pos)
+        except ValueError as e:
+            fail(str(e), pos)
         if w is not INF and w < 3:
             fail(f"weight {w} below 3 in symbol position", pos)
         weights.extend([w] * rep)
@@ -230,6 +244,7 @@ def polygon_diagram(*ps: int) -> CoxeterDiagram:
         raise DiagramError("a polygon needs at least 3 sides")
     if any(p < 2 for p in ps):
         raise DiagramError("polygon parameters must be at least 2")
+    _check_weight(max(ps))
     k = len(ps)
     edges: dict[tuple[int, int], Weight] = {}
     for i in range(k):

@@ -93,49 +93,8 @@ class GrowthFunction:
             raise ZeroDivisionError(f"pole at {x}")
         return Fraction(self.numerator(x)) / d
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GrowthFunction):
-            return NotImplemented
-        return (self.numerator == other.numerator
-                and self.denominator == other.denominator)
-
-    def __hash__(self):
-        return hash((self.numerator, self.denominator))
-
-    def __add__(self, other) -> "GrowthFunction":
-        other = _as_growth(other)
-        return GrowthFunction(
-            self.numerator * other.denominator + other.numerator * self.denominator,
-            self.denominator * other.denominator,
-        )
-
-    def __sub__(self, other) -> "GrowthFunction":
-        other = _as_growth(other)
-        return GrowthFunction(
-            self.numerator * other.denominator - other.numerator * self.denominator,
-            self.denominator * other.denominator,
-        )
-
-    def __neg__(self) -> "GrowthFunction":
-        return GrowthFunction(-self.numerator, self.denominator)
-
-    def __mul__(self, other) -> "GrowthFunction":
-        other = _as_growth(other)
-        return GrowthFunction(self.numerator * other.numerator,
-                              self.denominator * other.denominator)
-
     def __str__(self):
         return f"({self.numerator}) / ({self.denominator})"
-
-
-def _as_growth(x) -> GrowthFunction:
-    if isinstance(x, GrowthFunction):
-        return x
-    if isinstance(x, IntPoly):
-        return GrowthFunction(x, IntPoly([1]))
-    if isinstance(x, int):
-        return GrowthFunction(IntPoly([x]), IntPoly([1]))
-    raise TypeError(f"cannot treat {x!r} as a rational function")
 
 
 # -- finite-type growth polynomials ---------------------------------------------------
@@ -398,26 +357,20 @@ def monotonicity_check(d: CoxeterDiagram, e: CoxeterDiagram) -> MonotonicityResu
 # -- help functions and the second-minimal-polygon verification -------------------------
 
 
-def help_function(k: int) -> GrowthFunction:
-    """h_k = [k-1]/[k]; the vertex contribution of an angle pi/k."""
-    if k < 2:
-        raise ValueError("need k >= 2")
-    return GrowthFunction(bracket(k - 1), bracket(k))
+def help_numerator(plus, minus) -> IntPoly:
+    """The sum of h_k = [k-1]/[k] over plus less the sum over minus, times P,
+    the product of [k] over both: sum +-[k-1] P/[k].  Every [k] is positive
+    for t > 0, so on (0, u] the help sum has this polynomial's sign."""
+    ks = (*plus, *minus)
+    whole = math.prod(map(bracket, ks))
+    terms = [exact_div(whole, bracket(k)) * bracket(k - 1) for k in ks]
+    return sum(terms[:len(plus)], IntPoly()) - sum(terms[len(plus):], IntPoly())
 
 
-def help_sum(ks) -> GrowthFunction:
-    total = GrowthFunction(IntPoly(), IntPoly([1]))
-    for k in ks:
-        total = total + help_function(k)
-    return total
-
-
-def rational_function_positive(g: GrowthFunction, upper: Fraction = Fraction(1)) -> bool:
-    """Certify g(t) > 0 on (0, upper]: numerator and denominator agree in sign
-    at upper and have no root in (0, upper], so each keeps that sign there."""
-    num, den = g.numerator, g.denominator
-    return (num.sign_at(upper) * den.sign_at(upper) > 0
-            and sturm_count(num, 0, upper) == 0 and sturm_count(den, 0, upper) == 0)
+def positive_on(p: IntPoly, upper: Fraction | int) -> bool:
+    """Certify p(t) > 0 on (0, upper]: positive at upper, and no root in
+    (0, upper] to change the sign."""
+    return p.sign_at(upper) > 0 and sturm_count(p, 0, upper) == 0
 
 
 @dataclass(frozen=True)
@@ -442,7 +395,7 @@ class SecondMinimalReport:
         raise KeyError(name)
 
 
-# prod over the angle denominators of the right-angled (2, 4, 5) comparison
+# F: t^2 F / denom is (h_2 + h_4 + h_5) - (h_2 + h_3 + h_8), the (2, 4, 5) gap
 _GAP_NUMERATOR = IntPoly([1, 1, 0, -1, -1, -1, 0, 1, 1])  # t^8+t^7-t^5-t^4-t^3+t+1
 
 
@@ -473,26 +426,28 @@ def verify_second_minimal_polygon(k_max: int = 5, p_max: int = 9) -> SecondMinim
     if k_max < 5 or p_max < 9:
         raise ValueError("bounds must cover at least k_max=5, p_max=9")
     tau2 = growth_rate(steinberg_growth(CoxeterDiagram(3, {(0, 1): 3, (1, 2): 8})))
-    target = help_sum((2, 3, 8))
+    target = (2, 3, 8)
     cases = []
 
     # Positivity of the gap polynomial on (0, 1], and the identity expressing
-    # the right-angled comparison through it.
+    # the right-angled comparison through it, cross-multiplied: the help sum
+    # cleared of P = [2][4][5][2][3][8] is t^2 F P / denom.
     F = _GAP_NUMERATOR
-    f_pos = rational_function_positive(GrowthFunction(F, ONE))
-    diff = help_sum((2, 4, 5)) - target
+    f_pos = positive_on(F, 1)
     denom = bracket(2) * bracket(3) * bracket(5) * IntPoly([1, 0, 1]) * IntPoly([1, 0, 0, 0, 1])
-    identity_ok = diff == GrowthFunction(F.shift(2), denom)
+    whole = math.prod(map(bracket, (2, 4, 5, *target)))
+    identity_ok = help_numerator((2, 4, 5), target) * denom == F.shift(2) * whole
     cases.append(CaseReport("gap_polynomial", f_pos and identity_ok, {
         "polynomial": F.to_text(),
-        "roots_in_unit_interval": sturm_count(F, 0, 1),
+        # positive_on counted no root; count again only to report a failure
+        "roots_in_unit_interval": 0 if f_pos else sturm_count(F, 0, 1),
         "identity": identity_ok,
     }))
 
     # (12a)-style: among (2,3,r) the help sum is minimal at r = 8 and strictly
     # increasing in r; certified through h_9 > h_8 plus the index-monotonicity
     # identity [r-1]^2 - [r][r-2] = t^(r-2).
-    strict_step = rational_function_positive(help_function(9) - help_function(8))
+    strict_step = positive_on(help_numerator((9,), (8,)), 1)
     ident_sweep = all(
         bracket(r - 1) * bracket(r - 1) - bracket(r) * bracket(r - 2) == IntPoly([1]).shift(r - 2)
         for r in range(3, max(2 * p_max, 20) + 1)
@@ -515,8 +470,7 @@ def verify_second_minimal_polygon(k_max: int = 5, p_max: int = 9) -> SecondMinim
     tri_min = all(exceeds[ps] for ps in minimal_triangles)
     tri_sweep = all(v for ps, v in exceeds.items() if len(ps) == 3)
     # the right-angled bound 2h_3 >= h_2 + h_5 reduces all-acute triangles to (12b)
-    acute = help_function(3) + help_function(3) - help_function(2) - help_function(5)
-    acute_ok = rational_function_positive(acute)
+    acute_ok = positive_on(help_numerator((3, 3), (2, 5)), 1)
     cases.append(CaseReport("triangles", tri_min and tri_sweep and acute_ok, {
         "minimal_cases": minimal_triangles,
         "swept_up_to": p_max,
@@ -525,8 +479,7 @@ def verify_second_minimal_polygon(k_max: int = 5, p_max: int = 9) -> SecondMinim
 
     # Quadrilaterals: at most three right angles, so H >= 3 h_2 + h_3; the
     # excess over the reference reduces to 2 h_2 > h_8.
-    quad_bound = help_function(2) + help_function(2) - help_function(8)
-    quad_cert = rational_function_positive(quad_bound)
+    quad_cert = positive_on(help_numerator((2, 2), (8,)), 1)
     quad_min = exceeds[2, 2, 2, 3]
     quad_sweep = all(v for ps, v in exceeds.items() if len(ps) == 4)
     cases.append(CaseReport("quadrilaterals", quad_cert and quad_min and quad_sweep, {
@@ -536,8 +489,7 @@ def verify_second_minimal_polygon(k_max: int = 5, p_max: int = 9) -> SecondMinim
 
     # Five or more vertices: H >= 5 h_2 uniformly in the number of vertices.
     upper = 1 / tau2.low  # rational point at or above the reference radius
-    penta = help_function(2) * 5 - target
-    penta_cert = rational_function_positive(penta, upper=min(Fraction(1), upper))
+    penta_cert = positive_on(help_numerator((2,) * 5, target), min(1, upper))
     penta_sweep = all(v for ps, v in exceeds.items() if len(ps) >= 5)
     cases.append(CaseReport("five_or_more", penta_cert and penta_sweep, {
         "bound_certificate": penta_cert,

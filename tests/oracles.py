@@ -1053,7 +1053,7 @@ def reciprocity_check(f: GrowthFunction, n: int) -> bool:
     dn, dd = f.numerator.degree, f.denominator.degree
     g = GrowthFunction(f.numerator.reversed().shift(max(dd - dn, 0)),
                        f.denominator.reversed().shift(max(dn - dd, 0)))
-    return g == f if n % 2 == 0 else g == -f
+    return g == (f if n % 2 == 0 else GrowthFunction(-f.numerator, f.denominator))
 
 
 def format_coxeter_symbol(d: CoxeterDiagram) -> str:

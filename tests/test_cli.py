@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from coxgrowth import cli, coxtrans, growth, salemdb, spectra
+from coxgrowth import cli, coxtrans, diagram, growth, salemdb, spectra
 from coxgrowth.cli import main
 
 
@@ -73,6 +73,31 @@ def test_growth_rank_bound_itself_accepted(capsys, option, value):
     assert doc["payload"]["denominator"]
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--symbol", "[3,101]"), ("--symbol", "[(4,101^2)]"), ("--symbol", "[3," + "9" * 5000 + "]"),
+    ("--polygon", "2,3,101"), ("--file", "rank 2\n1 2 101\n"), ("--file", "rank 2\n1 2 00101\n"),
+], ids=["symbol", "cyclic", "symbol-5000-digits", "polygon", "file", "file-leading-zeros"])
+def test_growth_weight_above_bound_rejected_before_building(capsys, monkeypatch, tmp_path,
+                                                            option, value):
+    def unreachable(*args):
+        raise AssertionError("weight table built")
+
+    if option == "--file":
+        (tmp_path / "diagram.txt").write_text(value)
+        value = str(tmp_path / "diagram.txt")
+    monkeypatch.setattr(diagram, "CoxeterDiagram", unreachable)
+    code, out, err = run_cli(capsys, "growth", option, value)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "exceeds the bound 100" in err
+
+
+@pytest.mark.parametrize("option, value", [("--symbol", "[3,100]"), ("--polygon", "2,3,100")])
+def test_growth_weight_bound_itself_accepted(capsys, option, value):
+    code, doc, _ = run_json(capsys, "growth", option, value)
+    assert code == 0
+    assert doc["payload"]["growth_rate"]
+
+
 @pytest.mark.parametrize("argv, vertices", [
     (("coxtrans", "--tree", "Path:1201"), 1201),
     (("coxtrans", "--tree", "Star:2,2,1199"), 1201),
@@ -110,6 +135,23 @@ def test_classify_command(capsys):
     assert code == 0
     assert "salem" in doc["payload"]["labels"]
     assert doc["payload"]["roots_on_unit_circle"] == 8
+
+
+def test_classify_degree_above_bound_rejected_before_classifying(capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("classify called")
+
+    monkeypatch.setattr(cli, "classify", unreachable)
+    code, out, err = run_cli(capsys, "classify", "--poly", ",".join(["1"] + ["0"] * 160 + ["1"]))
+    assert code == 1 and out == ""
+    assert err.strip() == "error: degree 161 exceeds the bound 160"
+
+
+def test_classify_degree_bound_itself_accepted(capsys):
+    poly = ",".join(["1", "1"] + ["0"] * 158 + ["1"])
+    code, doc, _ = run_json(capsys, "classify", "--poly", poly)
+    assert code == 0
+    assert doc["payload"]["degree"] == 160
 
 
 def test_coxtrans_hgraph(capsys):
@@ -272,6 +314,22 @@ def test_salem_search(capsys):
                             "--max-k", "5", "--max-p", "9")
     assert code == 0
     assert doc["payload"]["search"]["matches"] == [[2, 3, 7]]
+
+
+@pytest.mark.parametrize("bounds, message", [
+    (["--max-k", "7"], "bounds must be at most max_k=6, max_p=12"),
+    (["--max-p", "20"], "bounds must be at most max_k=6, max_p=12"),
+    (["--max-k", "0"], "bounds max_k=0, max_p=12 leave nothing to check"),
+    (["--max-k", "3", "--max-p", "3"], "bounds max_k=3, max_p=3 leave nothing to check"),
+])
+def test_salem_search_bounds_rejected_before_searching(capsys, monkeypatch, bounds, message):
+    def unreachable(*args):
+        raise AssertionError("search started")
+
+    monkeypatch.setattr(salemdb, "polygon_realization_search", unreachable)
+    code, out, err = run_cli(capsys, "salem", "--search", "--target", "1,-5,1", *bounds)
+    assert code == 1 and out == ""
+    assert err.strip() == f"error: {message}"
 
 
 def test_verify_chain(capsys):

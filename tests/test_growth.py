@@ -20,12 +20,11 @@ from coxgrowth.growth import (
     NotExponentialError,
     _reduced_growth,
     growth_rate,
-    help_function,
-    help_sum,
+    help_numerator,
     monotonicity_check,
     polygon_delta,
     polygon_growth,
-    rational_function_positive,
+    positive_on,
     series_coefficients,
     steinberg_growth,
     verify_second_minimal_polygon,
@@ -74,12 +73,11 @@ def test_growth_function_sign_normalization():
 
 
 def test_zero_growth_function_is_zero_over_one():
-    f = steinberg_growth(sym("[3,7]"))
     zero = GrowthFunction(IntPoly(), IntPoly([1]))
-    assert f - f == zero
-    assert hash(f - f) == hash(zero)
-    assert GrowthFunction(IntPoly(), IntPoly([2, -3, 5])) == zero
-    assert GrowthFunction(IntPoly(), IntPoly([2, -3, 5])).denominator == IntPoly([1])
+    other = GrowthFunction(IntPoly(), IntPoly([2, -3, 5]))
+    assert other == zero
+    assert hash(other) == hash(zero)
+    assert other.denominator == IntPoly([1])
 
 
 # -- reduction by cyclotomic division ---------------------------------------------------
@@ -574,34 +572,56 @@ def test_monotonicity_rejects_unordered():
 # -- help functions and the second-minimal verification -----------------------------------------
 
 
+def _help(k: int, x: Fraction) -> Fraction:
+    """h_k(x) = [k-1](x) / [k](x), each bracket a geometric sum."""
+    return sum(x ** i for i in range(k - 1)) / sum(x ** i for i in range(k))
+
+
 def test_help_function_values_strictly_inside_unit_interval():
     for k in (2, 3, 5, 8, 13):
-        h = help_function(k)
         for x in (Fraction(1, 7), Fraction(1, 2), Fraction(9, 10), Fraction(1)):
-            v = h(x)
+            v = help_numerator((k,), ())(x) / bracket(k)(x)
+            assert v == _help(k, x)
             assert 0 < v < 1
 
 
+# the (plus, minus) help sums of the second-minimal proof
+PROOF_HELP_SUMS = [((2, 4, 5), (2, 3, 8)), ((9,), (8,)), ((3, 3), (2, 5)), ((2, 2), (8,)),
+                   ((2,) * 5, (2, 3, 8))]
+
+
+def test_help_numerator_matches_the_fraction_sum():
+    rng = random.Random(5)
+    randoms = [(tuple(rng.randint(2, 12) for _ in range(rng.randint(0, 4))),
+                tuple(rng.randint(2, 12) for _ in range(rng.randint(0, 4)))) for _ in range(20)]
+    for plus, minus in PROOF_HELP_SUMS + randoms:
+        whole = IntPoly([1])
+        for k in plus + minus:
+            whole = whole * bracket(k)
+        num = help_numerator(plus, minus)
+        for x in (Fraction(1, 3), Fraction(4, 5), Fraction(1), Fraction(7, 4), Fraction(-1, 2)):
+            want = sum(_help(k, x) for k in plus) - sum(_help(k, x) for k in minus)
+            assert Fraction(num(x)) / whole(x) == want, (plus, minus, x)
+
+
 def test_help_report_structure():
-    assert help_sum((2, 3, 8)) == (help_function(2) + help_function(3) + help_function(8))
+    # the gap identity: h_2 + h_4 + h_5 - (h_2 + h_3 + h_8) = t^2 F / denom
+    F = IntPoly([1, 1, 0, -1, -1, -1, 0, 1, 1])
+    for x in (Fraction(1, 2), Fraction(1), Fraction(3)):
+        gap = sum(_help(k, x) for k in (2, 4, 5)) - sum(_help(k, x) for k in (2, 3, 8))
+        denom = (1 + x) * (1 + x + x ** 2) * bracket(5)(x) * (1 + x ** 2) * (1 + x ** 4)
+        assert gap == x ** 2 * F(x) / denom
+    assert verify_second_minimal_polygon().case("gap_polynomial").details["identity"]
 
 
 def test_gap_polynomial_positive():
     F = IntPoly([1, 1, 0, -1, -1, -1, 0, 1, 1])  # t^8+t^7-t^5-t^4-t^3+t+1
     assert F == parse_poly("1,1,0,-1,-1,-1,0,1,1")
     assert reference_count(F, Fraction(0), Fraction(1)) == 0
-    assert rational_function_positive(GrowthFunction(F, IntPoly([1])))
+    assert positive_on(F, Fraction(1))
     details = verify_second_minimal_polygon().case("gap_polynomial").details
     assert details["polynomial"] == F.to_text()
-
-
-def _reference_positive(g: GrowthFunction, upper: Fraction) -> bool:
-    """g > 0 on (0, upper] by four checks: numerator and denominator both
-    positive there or both negative, each by an oracle count and one sign."""
-    def positive(p):
-        return reference_count(p, Fraction(0), upper) == 0 and p.sign_at(upper) > 0
-    num, den = g.numerator, g.denominator
-    return positive(num) and positive(den) or positive(-num) and positive(-den)
+    assert details["roots_in_unit_interval"] == 0
 
 
 def _random_part(rng: random.Random) -> IntPoly:
@@ -615,18 +635,20 @@ def _random_part(rng: random.Random) -> IntPoly:
     return p
 
 
-def test_rational_function_positive_matches_four_reference_checks():
+def test_positive_on_matches_the_oracle_count():
     rng, seen = random.Random(23), Counter()
     for _ in range(300):
         upper = Fraction(rng.choice([2, 3, 4]), 4)
-        g = GrowthFunction(_random_part(rng), _random_part(rng))
-        got = rational_function_positive(g, upper)
-        assert got == _reference_positive(g, upper), (g, upper)
-        num_sign, den_sign = g.numerator.sign_at(upper), g.denominator.sign_at(upper)
+        p = _random_part(rng) * _random_part(rng)
+        got = positive_on(p, upper)
+        roots, sign = reference_count(p, Fraction(0), upper), p.sign_at(upper)
+        assert got == (roots == 0 and sign > 0), (p, upper)
         seen["positive" if got else "not positive"] += 1
-        seen["both negative"] += got and num_sign < 0
-        seen["root at upper"] += num_sign * den_sign == 0
-    assert min(seen[k] for k in ("positive", "not positive", "both negative", "root at upper")) > 0
+        seen["negative"] += roots == 0 and sign < 0
+        seen["root inside, positive at upper"] += roots > 0 and sign > 0
+        seen["root at upper"] += sign == 0
+    assert min(seen[k] for k in ("positive", "not positive", "negative",
+                                 "root inside, positive at upper", "root at upper")) > 0
 
 
 def test_second_minimal_report():
