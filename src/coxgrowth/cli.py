@@ -206,11 +206,11 @@ def _cmd_spectra(args) -> CommandResult:
     if not args.tree:
         raise DiagramError("no input; use --tree or --table1")
     tree = _tree_from_spec(args.tree)
-    chi, iv = spectra._adjacency_radius(coxtrans._weight3_rooted(tree), args.width)
+    iv = spectra.spectral_radius_adjacency(tree, args.width)
     return CommandResult("spectra", {
         "tree": args.tree,
         "vertices": tree.n,
-        "adjacency_char_poly": chi.to_text(),
+        "adjacency_char_poly": iv.poly.to_text(),
         "spectral_radius": _interval_payload(iv),
     })
 

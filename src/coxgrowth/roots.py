@@ -17,17 +17,17 @@ lower end that is another root stays: just right of it the polynomial has
 the sign of its first derivative that does not vanish there.
 
 The largest real root is sought first on p itself: a float estimate with an
-error radius (Laguerre steps down from B, or on the tree for a tree's
-adjacency radius) picks a window (a, b] of three cells, and one Taylor shift
-certifies it, one sign variation at a and p(a) != 0 meaning exactly one
-root above a, simple.  Then p < 0 between a and the root and p > 0 above
-it, so two signs at grid points, p(x_k) < 0 <= p(x_(k+1)), place the root
-in its depth-J cell, found by a walk from the estimate's cell that stays at
-or below b.  That is exact when every root is real, as for trees; the
-bisection of the squarefree part sf from the whole grid runs when it fails.
+error radius (Laguerre steps down from B) picks a window (a, b] of three
+cells, and one Taylor shift certifies it, one sign variation at a and
+p(a) != 0 meaning exactly one root above a, simple.  Then p < 0 between a
+and the root and p > 0 above it, so two signs at grid points,
+p(x_k) < 0 <= p(x_(k+1)), place the root in its depth-J cell, found by a
+walk from the estimate's cell that stays at or below b.  The bisection of
+the squarefree part sf from the whole grid runs when the certificate fails.
 Either way the interval holds a simple root of its own poly (p or sf), the
 invariant of every RootInterval, which holds the squarefree part unless built
-with that root certified simple.
+with that root certified simple.  A tree's adjacency radius does not come
+here: spectra bisects the same grid by exact eigenvalue counts on the tree.
 
 On Salem-type polynomials, with complex roots near the unit circle, the
 first Laguerre step from B lands below the top root; the estimate recovers
@@ -401,17 +401,17 @@ def descartes_bound(p: IntPoly, a: Fraction | int) -> int:
     return _variations(map(_sign, _shifted(p, Fraction(a))))
 
 
-def _descartes_largest(p: IntPoly, width: Fraction, estimate) -> RootInterval | None:
+def _descartes_largest(p: IntPoly, width: Fraction) -> RootInterval | None:
     """The interval that the bisection of isolate_largest_real_root gives,
     certified on p itself; None when the certificate fails.
 
     It runs on f, the primitive part of p with positive leading coefficient,
     and on the grid (-B, B], B = root_bound(f), at depth j = min(J, seed
-    depth), from estimate(f, B, the depth-J cell width).  The window (a, b]
-    is the cell of the estimate and its two neighbours.  f(a) != 0 and one
-    sign variation at a mean exactly one root r above a, simple, so f < 0 on
-    (a, r) and f > 0 above r: the grid points x_(m-1) < r <= x_m, found by a
-    walk from the estimate's cell that stays at or below b, have
+    depth), from _root_estimate(f, B, the depth-J cell width).  The window
+    (a, b] is the cell of the estimate and its two neighbours.  f(a) != 0
+    and one sign variation at a mean exactly one root r above a, simple, so
+    f < 0 on (a, r) and f > 0 above r: the grid points x_(m-1) < r <= x_m,
+    found by a walk from the estimate's cell that stays at or below b, have
     f(x_(m-1)) < 0 <= f(x_m).  Sign bisection on p to width then ends in the
     depth-J grid cell of the root, or at the root as a grid point, as the
     bisection does; at j = J that cell is (x_(m-1), x_m] itself.
@@ -420,7 +420,7 @@ def _descartes_largest(p: IntPoly, width: Fraction, estimate) -> RootInterval | 
     bound = root_bound(f)
     origin, span = -bound, 2 * bound
     depth = _grid_depth(span, width)
-    seed = _seed(estimate(f, bound, span / 2**depth), span, depth)
+    seed = _seed(_root_estimate(f, bound, span / 2**depth), span, depth)
     if seed is None or seed[1] < 0:
         return None
     xq, j = seed
@@ -509,16 +509,10 @@ def isolate_largest_real_root(p: IntPoly, width: Fraction = DEFAULT_WIDTH) -> Ro
     The Descartes certificate is tried first, and the bisection from the
     whole grid runs when it fails.  Raises ValueError for a width <= 0.
     """
-    return _isolate_largest(p, width, _root_estimate)
-
-
-def _isolate_largest(p: IntPoly, width: Fraction, estimate) -> RootInterval:
-    """isolate_largest_real_root, its window from estimate(f, bound, cell), an
-    (x, radius) pair."""
     _check_width(width)
     if p.degree < 1:
         raise NoRealRootError("constant polynomial")
-    iv = _descartes_largest(p, width, estimate)
+    iv = _descartes_largest(p, width)
     return iv if iv is not None else _bisection_largest(p, width)
 
 

@@ -1,29 +1,21 @@
 """Exact adjacency spectra of trees (characteristic polynomials from the
 matching recursion of coxtrans, taken as one integer at a power of two and
-read back), the classification of trees with spectral radius in
-(2, sqrt(2 + sqrt 5)), the weight-4 leaf replacement, and the
+read back; eigenvalue counts at a rational point from the tree's leaves-up
+pivots, which place its radius), the classification of trees with spectral
+radius in (2, sqrt(2 + sqrt 5)), the weight-4 leaf replacement, and the
 non-realization pipeline for the smallest tetrahedral growth rate.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .diagram import CoxeterDiagram, DiagramError, WeightedTree, h_graph, star_diagram
 from .intpoly import IntPoly
 from .numclass import strip_cyclotomic
-from .roots import (
-    DEFAULT_WIDTH,
-    RootInterval,
-    _from_above,
-    _isolate_largest,
-    certify_strictly_less,
-    compare,
-    isolate_largest_real_root,
-    sturm_count,
-)
+from .roots import (DEFAULT_WIDTH, RootInterval, _check_width, certify_strictly_less, compare,
+                    isolate_largest_real_root, root_bound, sturm_count)
 from .coxtrans import _rooted, _tree_polynomial, _weight3_rooted, alpha_from_lambda
 from .growth import growth_rate, steinberg_growth
 
@@ -40,52 +32,61 @@ def adjacency_char_poly(tree: WeightedTree) -> IntPoly:
 
 
 def spectral_radius_adjacency(tree: WeightedTree, width: Fraction = DEFAULT_WIDTH) -> RootInterval:
-    """Certified interval around the largest adjacency eigenvalue."""
-    return _adjacency_radius(_weight3_rooted(tree), width)[1]
+    """Certified interval around the largest adjacency eigenvalue, on
+    adjacency_char_poly(tree) itself."""
+    return _adjacency_radius(_weight3_rooted(tree), width)
 
 
-def _tree_root_estimate(rooted: list[tuple[int, int, int]]) -> tuple[float, float]:
-    """roots._from_above on p = det(tI - A), A the adjacency matrix of the
-    rooted tree, from just above max sqrt(r_u r_v) over its edges uv, r the
-    row sums of A, which bounds the largest root of p.  The leaves-up pivots
-    d_v = t - sum_c a_c / d_c over the children c have prod_v d_v = p, all
-    positive above that root, so p'/p = sum_v d_v'/d_v and -(p'/p)' = sum_v
-    (d_v'/d_v)^2 - d_v''/d_v: d_v' = 1 + sum_c a_c d_c' / d_c^2 and
-    d_v'' = sum_c a_c (d_c'' / d_c^2 - 2 d_c'^2 / d_c^3).
-    """
-    n = len(rooted)
-    rows = [0.0] * n
-    for v, u, a in rooted[:-1]:
-        rows[v] += math.sqrt(a)
-        rows[u] += math.sqrt(a)
-
-    def log_derivatives(x: float):
-        d, d1, d2 = [x] * n, [1.0] * n, [0.0] * n
-        g = h = 0.0
-        for v, u, a in rooted:
-            dv = d[v]
-            if not dv > 0:
-                return None
-            r, s = d1[v] / dv, d2[v] / dv
-            g += r
-            h += r * r - s
-            if u >= 0:
-                q = a / dv
-                d[u] -= q
-                d1[u] += q * r
-                d2[u] += q * (s - 2 * r * r)
-        return g, h
-
-    top = max([math.sqrt(rows[v] * rows[u]) for v, u, _ in rooted[:-1]], default=0.0)
-    return _from_above(log_derivatives, n, top * (1 + 2**-10))
+def _eigenvalue_counts(rooted: list[tuple[int, int, int]], x: Fraction) -> tuple[int, int]:
+    """The eigenvalues of A, the adjacency matrix (entries sqrt(a)) of the
+    rooted tree (coxtrans._rooted), above x and at x, with multiplicity: by
+    Sylvester's law of inertia, the negative and zero pivots of xI - A taken
+    leaves-up, d_v = x - sum_c a_c / d_c over v's children c.  A zero child
+    pivot pairs that child with v, one negative and one positive eigenvalue,
+    and cuts v off from its parent (Jacobs-Trevisan 2011).  For x = u / D,
+    d_v = m_v / (D f_v), f_v the product of the children's m_c, so m_v =
+    u f_v - D^2 sum_c a_c f_c prod_(c' != c) m_c', with no gcd taken."""
+    u, dd = x.numerator, x.denominator**2
+    # per vertex: f_v, sum_c a_c f_c / m_c as a numerator over f_v, and its
+    # zero children not yet paired; the root's parent, -1, is the last slot
+    slots = len(rooted) + 1
+    prods, sums, zeros = [1] * slots, [0] * slots, [0] * slots
+    above = 0
+    for v, up, a in rooted:
+        if zeros[v]:  # paired with a zero child
+            above, zeros[v] = above + 1, zeros[v] - 1
+            continue
+        f = prods[v]
+        m = u * f - dd * sums[v]
+        if m == 0:
+            zeros[up] += 1
+            continue
+        above += (m < 0) != (f < 0)
+        sums[up] = sums[up] * m + prods[up] * a * f
+        prods[up] *= m
+    return above, sum(zeros)
 
 
-def _adjacency_radius(rooted: list, width: Fraction) -> tuple[IntPoly, RootInterval]:
-    """chi = det(tI - A), A the adjacency matrix (entries 2cos(pi/m)) of the
-    rooted tree (coxtrans._rooted), and its largest root from the tree's own
-    estimate: chi's overflows on long paths and misses many Prop 5.2 trees."""
+def _adjacency_radius(rooted: list, width: Fraction) -> RootInterval:
+    """The largest root of chi = det(tI - A) of the rooted tree, simple
+    (Perron-Frobenius), on chi, in isolate_largest_real_root's cell: the
+    grid (-B, B], B = root_bound(chi), bisected by _eigenvalue_counts to
+    cells at most width, deeper while another eigenvalue shares the cell, or
+    a midpoint with no eigenvalue above it and one at it, as a point."""
+    _check_width(width)
     chi = _tree_polynomial(rooted, coxeter=False)
-    return chi, _isolate_largest(chi, width, lambda f, bound, cell: _tree_root_estimate(rooted))
+    hi = root_bound(chi)
+    lo, above_lo = -hi, len(rooted)
+    while hi - lo > width or above_lo > 1:
+        mid = (lo + hi) / 2
+        above, equal = _eigenvalue_counts(rooted, mid)
+        if above:
+            lo, above_lo = mid, above
+        elif equal:
+            return RootInterval(chi, mid, mid, multiplicity_free=True)
+        else:
+            hi = mid
+    return RootInterval(chi, lo, hi, multiplicity_free=True)
 
 
 # -- the small-spectral-radius tree families -----------------------------------------
@@ -187,7 +188,7 @@ def weight4_leaf_replace(tree: WeightedTree, width: Fraction = Fraction(1, 10**1
     # reuse the old leaf slot for the first new leaf, append the second
     edges += [(anchor, leaf, 3), (anchor, tree.n, 3)]
     replaced = WeightedTree(tree.n + 1, edges)
-    r_in = _adjacency_radius(_rooted(tree), width)[1]  # entries 2cos(pi/m)
+    r_in = _adjacency_radius(_rooted(tree), width)  # entries 2cos(pi/m)
     r_out = spectral_radius_adjacency(replaced, width)
     return LeafReplacementResult(tree, replaced, r_in, r_out, compare(r_in, r_out) == 0)
 
@@ -210,8 +211,8 @@ TABLE1 = (
 
 # The largest r_max or j_max that the non-realization sweep accepts.  The
 # classification grows as about r_max^2 + j_max^3 trees: on a 2-CPU host
-# prop52_pipeline(b, b) takes 1.7 s at b = 25 (1445 trees), 12.5 s at 35 and
-# 36 s at 40 (5642 trees), and does not finish in 115 s at 50.
+# prop52_pipeline(b, b) takes 0.5 s at b = 25 (1445 trees), 1.5 s at 35,
+# 3.1 s at 40 (5642 trees) and 6.9 s at 50 (10867 trees).
 PROP52_BOUND = 40
 
 
@@ -269,50 +270,54 @@ def verify_alpha0_not_tree_radius(r_max: int = 25, j_max: int = 25) -> Alpha0Rep
     """Certify that no tree in the small-radius classification attains the
     transferred tetrahedral value.
 
-    Every enumerated tree within the bounds has its radius compared with the
-    value by roots.compare, which certifies it strictly below or above (an
-    equal radius, a shared root of the two polynomials, raises).  The facts
-    that close the unbounded families are read from the same sweep: each
-    Table 1 tree lies on its published side of the value (so H(2,j,3) and
-    H(3,j,3) straddle it between consecutive parameters, and Star(2,4,r)
-    between r = 5 and 6), and the radii of H(2,j,3) (to j = 30, past the
-    bounds), H(3,j,3) and Star(2,3,r) are certified monotone.  Parameters
-    beyond the enumeration bounds are covered by those certified monotone
-    brackets (a cited extrapolation, flagged in the report).  Bounds below
-    25 or above PROP52_BOUND raise ValueError before any tree is built.
+    Every enumerated tree within the bounds is placed by two eigenvalue counts
+    on the tree: above the value when one eigenvalue exceeds its interval,
+    below when none exceeds the interval's lower end, and otherwise by
+    roots.compare of its radius, which raises on an equal radius (a shared
+    root of the two polynomials).  The facts that close the unbounded
+    families: each Table 1 tree lies on its published side of the value, read
+    from the sweep (so H(2,j,3) and H(3,j,3) straddle it between consecutive
+    parameters, and Star(2,4,r) between r = 5 and 6), and the radii of
+    H(2,j,3) (to j = 30, past the bounds), H(3,j,3) and Star(2,3,r) are
+    certified monotone.  Parameters beyond the enumeration bounds are covered
+    by those certified monotone brackets (a cited extrapolation, flagged in
+    the report).  Bounds below 25 or above PROP52_BOUND raise ValueError
+    before any tree is built.
     """
     if r_max < 25 or j_max < 25:
         raise ValueError("bounds must cover at least r_max=25, j_max=25")
     if max(r_max, j_max) > PROP52_BOUND:
         raise ValueError(f"bounds must be at most r_max={PROP52_BOUND}, j_max={PROP52_BOUND}")
     alpha0, apoly = _alpha0_interval()
-    swept = {}  # (family, params) -> (radius, side of alpha0)
+    sides = {}  # (family, params) -> side of alpha0
     for item in brouwer_neumaier_enumerate(r_max, j_max):
-        iv = spectral_radius_adjacency(item.tree, Fraction(1, 10**7))
-        side = compare(iv, alpha0)
+        rooted = _weight3_rooted(item.tree)
+        side = (1 if _eigenvalue_counts(rooted, alpha0.high)[0] else
+                -1 if not _eigenvalue_counts(rooted, alpha0.low)[0] else
+                compare(_adjacency_radius(rooted, Fraction(1, 10**7)), alpha0))
         if side == 0:
             raise ArithmeticError(f"{item.family}{item.params} shares the target root")
-        swept[item.family, item.params] = (iv, "below" if side < 0 else "above")
-    below = sum(side == "below" for _, side in swept.values())
+        sides[item.family, item.params] = "below" if side < 0 else "above"
+    below = sum(side == "below" for side in sides.values())
 
-    def radii(family, make, params):
-        return [swept[family, p][0] if (family, p) in swept
-                else spectral_radius_adjacency(make(*p), Fraction(1, 10**7)) for p in params]
+    def radius(make, params):
+        return spectral_radius_adjacency(make(*params), Fraction(1, 10**7))
 
     # certified monotone brackets for the unbounded families
     mono = {
         "H(2,j,3) decreasing to j<=30": _certify_increasing(
-            radii("h", h_graph, [(2, j, 3) for j in range(30, 0, -1)])),
+            [radius(h_graph, (2, j, 3)) for j in range(30, 0, -1)]),
         "H(3,j,3) decreasing on 4..25": _certify_increasing(
-            radii("h", h_graph, [(3, j, 3) for j in range(25, 3, -1)])),
+            [radius(h_graph, (3, j, 3)) for j in range(25, 3, -1)]),
         "Star(2,3,r) increasing on 7..25": _certify_increasing(
-            radii("star", star_diagram, [(2, 3, r) for r in range(7, 26)])),
+            [radius(star_diagram, (2, 3, r)) for r in range(7, 26)]),
     }
-    brackets = tuple(CertifiedComparison(family, params, *swept[family, params])
-                     for family, params, _, _ in TABLE1)
+    brackets = tuple(CertifiedComparison(
+        family, params, radius(star_diagram if family == "star" else h_graph, params),
+        sides[family, params]) for family, params, _, _ in TABLE1)
     passed = all(mono.values()) and all(
         c.side == side for c, (*_, side) in zip(brackets, TABLE1))
-    return Alpha0Report(passed, alpha0, apoly, len(swept), below, len(swept) - below,
+    return Alpha0Report(passed, alpha0, apoly, len(sides), below, len(sides) - below,
                         mono, brackets)
 
 

@@ -274,6 +274,19 @@ def reference_count(p: IntPoly, a: Fraction, b: Fraction) -> int:
     return _reference_variations(chain, a) - _reference_variations(chain, b)
 
 
+def reference_counts_with_multiplicity(p: IntPoly, x: Fraction) -> tuple[int, int]:
+    """The real roots of p above x and equal to x, counted with multiplicity,
+    for p with real roots only: the roots of p_k, p_0 = p and p_(k+1) =
+    gcd(p_k, p_k'), are those of p of multiplicity above k, so each p_k
+    adds its distinct roots once."""
+    above = equal = 0
+    while p.degree >= 1:
+        above += reference_count(p, x, max(x, _reference_bound(p)))
+        equal += p.sign_at(x) == 0
+        p = poly_gcd(p, p.derivative())
+    return above, equal
+
+
 def count_roots_open(p: IntPoly, a: Fraction, b: Fraction) -> int:
     """Distinct real roots of p in the open interval (a, b): the Sturm count
     over (a, b], less one when b is a root."""

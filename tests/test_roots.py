@@ -510,8 +510,9 @@ def test_certificate_from_the_root_cell_takes_at_most_three_signs(monkeypatch, p
     width = Fraction(1, 10**9)
     true = isolate_largest_real_root(p, width)
     x = float(true.midpoint()) if true.width else float(true.low - width / 2)
+    monkeypatch.setattr(roots, "_root_estimate", lambda f, bound, cell: (x, 0.0))
     points = _counting_signs(monkeypatch)
-    iv = roots._descartes_largest(p, width, lambda f, bound, cell: (x, 0.0))
+    iv = roots._descartes_largest(p, width)
     assert len(points) <= 3, points
     assert (iv.low, iv.high) == (true.low, true.high)
 
@@ -549,7 +550,7 @@ def test_coefficients_beyond_float_range_take_the_bisection():
 # -- the Descartes certificate of the largest root -----------------------------------
 
 from coxgrowth.diagram import path_tree  # noqa: E402
-from coxgrowth.spectra import adjacency_char_poly, brouwer_neumaier_enumerate  # noqa: E402
+from coxgrowth.spectra import adjacency_char_poly, brouwer_neumaier_enumerate, spectral_radius_adjacency  # noqa: E402
 
 
 def test_descartes_bound_is_exact_when_every_root_is_real():
@@ -582,7 +583,7 @@ _DECLINES = {
 @pytest.mark.parametrize("name", sorted(_DECLINES))
 def test_descartes_path_declines_and_the_sturm_path_decides(name):
     p, width = _DECLINES[name], Fraction(1, 10**9)
-    assert roots._descartes_largest(p, width, roots._root_estimate) is None
+    assert roots._descartes_largest(p, width) is None
     expected = reference_isolate_largest(p, width)
     assert _pair(isolate_largest_real_root(p, width)) == expected
     assert _sturm_path(p, width) == expected
@@ -608,7 +609,7 @@ def test_a_lower_end_at_the_next_root_stays_on_the_grid(monkeypatch):
     p, width = IntPoly([0, -1, 1]), Fraction(1, 10**9)
     expected = (Fraction(1), Fraction(1))
     work = _recording_work(monkeypatch)
-    assert _pair(roots._descartes_largest(p, width, roots._root_estimate)) == expected
+    assert _pair(roots._descartes_largest(p, width)) == expected
     assert work == []
     assert _sturm_path(p, width) == expected
     assert reference_isolate_largest(p, width) == expected
@@ -646,7 +647,7 @@ def test_descartes_path_gives_the_sturm_path_interval_on_trees_and_stars(monkeyp
     work = _recording_work(monkeypatch)
     for p in _tree_and_star_polys():
         for width in (Fraction(1, 10**7), Fraction(1, 2**40)):
-            iv = roots._descartes_largest(p, width, roots._root_estimate)
+            iv = roots._descartes_largest(p, width)
             assert iv is not None and not work, p
             assert _pair(iv) == _sturm_path(p, width), (p, width)
             work.clear()
@@ -669,6 +670,8 @@ def test_non_positive_widths_raise_at_once(width):
     for isolate in (isolate_largest_real_root, largest_root_above_one):
         with pytest.raises(ValueError):
             isolate(LEHMER, width)
+    with pytest.raises(ValueError, match="width must be positive"):
+        spectral_radius_adjacency(path_tree(5), width)  # bisected by counts, not here
     iv = isolate_largest_real_root(LEHMER, Fraction(1, 10))
     with pytest.raises(ValueError):
         iv.refined(width)

@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from coxgrowth.diagram import DiagramError, WeightedTree, h_graph, path_tree, star_diagram
+from coxgrowth.diagram import INF, DiagramError, WeightedTree, h_graph, path_tree, star_diagram
 from coxgrowth.intpoly import IntPoly, parse_poly
 from coxgrowth.numclass import strip_cyclotomic
-from coxgrowth.roots import certify_strictly_less, isolate_largest_real_root
+from coxgrowth.roots import RootInterval, certify_strictly_less, isolate_largest_real_root
 from coxgrowth.spectra import (
     adjacency_char_poly,
     brouwer_neumaier_enumerate,
@@ -24,7 +24,9 @@ from oracles import (
     _reference_bound,
     charpoly_interpolated,
     random_tree_edges,
+    reference_counts_with_multiplicity,
     reference_isolate_largest,
+    reference_tree_polynomials,
     with_edge_weight,
 )
 
@@ -57,22 +59,23 @@ def test_long_path_radius_is_two_cos_pi_over_n_plus_one():
 
 
 # Trees of the Prop 5.2 sweep at bound 40 where the float estimate from the
-# polynomial misses the certificate's window
+# polynomial misses the Descartes certificate's window
 _DECLINING = [("star", (2, 18, 40)), ("h", (2, 40, 36)), ("h", (4, 38, 29)), ("h", (6, 33, 27)),
               ("h", (7, 38, 31)), ("h", (8, 40, 10)), ("h", (9, 39, 26)), ("h", (11, 40, 19)),
               ("h", (14, 31, 15)), ("h", (20, 40, 20))]
 
 
-def _no_bisection(*args):
-    raise AssertionError("the bisection ran where the tree's estimate should decide")
+def _no_polynomial_root(*args):
+    raise AssertionError("a tree adjacency radius took a root route of the polynomial")
 
 
-def test_tree_radii_certify_from_the_tree_estimate(monkeypatch):
+def test_tree_radii_certify_by_eigenvalue_counts(monkeypatch):
     width = Fraction(1, 10**7)
     for kind, params in _DECLINING:
         chi = adjacency_char_poly(_build(kind, params))
-        assert roots._descartes_largest(chi, width, roots._root_estimate) is None, params
-    monkeypatch.setattr(roots, "_bisection_largest", _no_bisection)
+        assert roots._descartes_largest(chi, width) is None, params
+    for name in ("_descartes_largest", "_bisection_largest", "_taylor_shift"):
+        monkeypatch.setattr(roots, name, _no_polynomial_root)
     for kind, params in _DECLINING:
         tree = _build(kind, params)
         iv = spectral_radius_adjacency(tree, width)
@@ -94,6 +97,62 @@ def test_tree_radii_certify_from_the_tree_estimate(monkeypatch):
     for iv, chi in [(res.original_radius, _tree_polynomial(_rooted(heavy), coxeter=False)),
                     (res.replaced_radius, adjacency_char_poly(res.replaced))]:
         assert (iv.low, iv.high) == reference_isolate_largest(chi, width)
+
+
+def test_wide_cells_holding_the_next_eigenvalue_are_bisected_further():
+    # at these widths the radius's cell also holds the second eigenvalue
+    for tree in (path_tree(20), star_diagram(2, 3, 7), h_graph(2, 10, 3), star_diagram(5, 5, 5, 5)):
+        chi = adjacency_char_poly(tree)
+        for width in (Fraction(1, 2), Fraction(1, 8), Fraction(1, 1000)):
+            iv = spectral_radius_adjacency(tree, width)
+            assert (iv.low, iv.high) == reference_isolate_largest(chi, width), (tree.edge_list, width)
+
+
+# Trees with zero pivots at x = 0, 1 or 2: paths, D4, the affine D~4, E~6,
+# E~7, E~8 and D~n
+_ZERO_PIVOT_TREES = ([path_tree(n) for n in range(1, 12)]
+                     + [star_diagram(*ps) for ps in [(2, 2, 2), (2, 2, 2, 2), (3, 3, 3), (2, 4, 4), (2, 3, 6)]]
+                     + [h_graph(2, j, 2) for j in range(1, 6)])
+
+
+def _check_counts(tree, xs):
+    """The eigenvalue counts of the tree at each x against the oracle's dense
+    polynomial; the numbers of points with an eigenvalue at x and with two."""
+    chi = reference_tree_polynomials(tree)[0]
+    rooted = _rooted(tree)
+    hits = [0, 0]
+    for x in xs:
+        above, equal = spectra._eigenvalue_counts(rooted, x)
+        assert (above, equal) == reference_counts_with_multiplicity(chi, x), (tree.edge_list, x)
+        hits[0] += equal > 0
+        hits[1] += equal > 1
+    return hits
+
+
+def test_eigenvalue_counts_match_the_dense_oracle():
+    rng = random.Random(26)
+    hits = [0, 0]
+    for tree in _ZERO_PIVOT_TREES:
+        xs = [Fraction(k) for k in (-2, -1, 0, 1, 2)]
+        xs += [Fraction(rng.randint(-2**12, 2**12), 2**10) for _ in range(4)]
+        hits = [h + k for h, k in zip(hits, _check_counts(tree, xs))]
+    for _ in range(60):
+        n = rng.randint(1, 12)
+        edges = [(i, j, rng.choice([3, 4, 6, INF])) for i, j, _ in random_tree_edges(n, rng)]
+        xs = [Fraction(rng.randint(-5, 5)) for _ in range(2)]
+        xs += [Fraction(rng.randint(-5 * 2**8, 5 * 2**8), 2**rng.randint(0, 8)) for _ in range(3)]
+        hits = [h + k for h, k in zip(hits, _check_counts(WeightedTree(n, edges), xs))]
+    assert hits[0] >= 40 and hits[1] >= 5, hits
+
+
+@pytest.mark.parametrize("tree,radius", [(path_tree(1), 0), (path_tree(2), 1)]
+                         + [(star_diagram(*ps), 2) for ps in [(2, 2, 2, 2), (3, 3, 3), (2, 4, 4), (2, 3, 6)]]
+                         + [(h_graph(2, 4, 2), 2)])
+def test_radii_on_the_grid_are_points(tree, radius):
+    width = Fraction(1, 10**9)
+    iv = spectral_radius_adjacency(tree, width)
+    assert (iv.low, iv.high) == (radius, radius)
+    assert (iv.low, iv.high) == reference_isolate_largest(adjacency_char_poly(tree), width)
 
 
 def test_adjacency_basics():
@@ -235,6 +294,27 @@ def test_a_table1_tree_on_the_wrong_side_is_reported_not_raised(monkeypatch):
     rep = verify_alpha0_not_tree_radius(25, 25)
     assert rep.passed is False
     assert all(rep.monotone_families.values())
+
+
+def test_a_tree_the_two_counts_leave_undecided_goes_to_compare(monkeypatch):
+    # no real tree reaches this branch: a target interval is planted around a radius
+    own = spectral_radius_adjacency(star_diagram(2, 4, 5), Fraction(1, 10**13))
+    monkeypatch.setattr(spectra, "_alpha0_interval", lambda: (own, own.poly))
+    # Star(2,3,10), swept before Star(2,4,5), has the same radius: the two
+    # polynomials share the factor t^9 - 8t^7 + 20t^5 - 17t^3 + 3t
+    with pytest.raises(ArithmeticError, match=r"star\(2, 3, 10\) shares the target root"):
+        verify_alpha0_not_tree_radius(25, 25)
+    # the rational 2.0153161, just above that radius 2.01531606..., as a root
+    c = Fraction(20153161, 10**7)
+    other = RootInterval(IntPoly([-c.numerator, c.denominator]), c - Fraction(1, 10**6), c)
+    monkeypatch.setattr(spectra, "_alpha0_interval", lambda: (other, other.poly))
+    calls, compare = [], spectra.compare
+    monkeypatch.setattr(spectra, "compare", lambda a, b: calls.append(a) or compare(a, b))
+    rep = verify_alpha0_not_tree_radius(25, 25)
+    assert any(iv.poly == adjacency_char_poly(star_diagram(2, 4, 5)) for iv in calls)
+    sides = {(c.label, c.params): c.side for c in rep.bracketing}
+    assert sides["star", (2, 4, 5)] == "below"
+    assert sides["h", (2, 10, 3)] == "above"
 
 
 def test_prop52_pipeline():

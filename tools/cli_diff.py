@@ -31,6 +31,10 @@ COMMANDS = [
     ["spectra", "--table1"],
     ["spectra", "--tree", "H:2,10,3"],
     ["spectra", "--tree", "Path:300"],
+    ["spectra", "--tree", "Path:1200"],
+    ["spectra", "--tree", "Star:2,3,600"],
+    ["spectra", "--tree", "H:2,40,36"],
+    ["verify", "prop52", "--rmax", "40", "--jmax", "40"],
     ["coxtrans", "--hgraph", "2,8,3"],
     ["coxtrans", "--tree", "Star:2,3,300"],
     ["coxtrans", "--tree", "Star:2,3,600"],
