@@ -141,7 +141,8 @@ def _reduced_growth(exponents: dict[int, int], den: IntPoly) -> GrowthFunction:
 
 def _connected_spherical_sets(d: CoxeterDiagram) -> dict[int, tuple[Counter[int], int]]:
     """Each connected spherical vertex set, as a bitmask, with its Solomon
-    factorization and the bitmask of the set and its neighbours.
+    factorization and the bitmask of the set and its neighbours.  Sets with
+    the same exponents share one factorization, which callers only read.
 
     An edge is a weight >= 3 or INF.  The neighbour and INF bitmasks of the
     vertices are built once, and each set is typed on its bitmask, with no
@@ -154,6 +155,7 @@ def _connected_spherical_sets(d: CoxeterDiagram) -> dict[int, tuple[Counter[int]
     """
     nbr, inf = _edge_masks(d)
     out: dict[int, tuple[Counter[int], int]] = {}
+    facs: dict[tuple[int, ...], Counter[int]] = {}  # by exponents
     todo = [1 << v for v in range(d.n)]
     seen = set(todo)
     while todo:
@@ -164,7 +166,10 @@ def _connected_spherical_sets(d: CoxeterDiagram) -> dict[int, tuple[Counter[int]
         near = mask
         for v in _bits(mask):
             near |= nbr[v]
-        out[mask] = (_bracket_factorization(e + 1 for e in t.exponents), near)
+        fac = facs.get(t.exponents)
+        if fac is None:
+            fac = facs[t.exponents] = _bracket_factorization(e + 1 for e in t.exponents)
+        out[mask] = (fac, near)
         for v in _bits(near & ~mask):
             grown = mask | 1 << v
             if grown not in seen:

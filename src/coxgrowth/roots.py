@@ -29,6 +29,15 @@ invariant of every RootInterval, which holds the squarefree part unless built
 with that root certified simple.  A tree's adjacency radius does not come
 here: spectra bisects the same grid by exact eigenvalue counts on the tree.
 
+largest_root_above_one makes one Taylor shift, to 1, first.  No variation
+means no root above 1.  One variation and p(1) != 0 mean exactly one root r
+above 1, simple, so p < 0 on (1, r) and p > 0 above r; a Salem-type
+polynomial always reads so, its other roots having real part below 1, which
+puts the roots of their factor shifted to 1 in the open left half-plane and
+its coefficients all of one sign.  Then a window (a, b] with a >= 1 needs no
+shift, only the signs of the walk.  The window is still shifted when it starts
+below 1, or when the shift to 1 read two or more variations or p(1) = 0.
+
 On Salem-type polynomials, with complex roots near the unit circle, the
 first Laguerre step from B lands below the top root; the estimate recovers
 (one Newton step back up, or half the step) and stays with Laguerre.  Its
@@ -401,7 +410,7 @@ def descartes_bound(p: IntPoly, a: Fraction | int) -> int:
     return _variations(map(_sign, _shifted(p, Fraction(a))))
 
 
-def _descartes_largest(p: IntPoly, width: Fraction) -> RootInterval | None:
+def _descartes_largest(p: IntPoly, width: Fraction, one_above_one: bool = False) -> RootInterval | None:
     """The interval that the bisection of isolate_largest_real_root gives,
     certified on p itself; None when the certificate fails.
 
@@ -415,6 +424,12 @@ def _descartes_largest(p: IntPoly, width: Fraction) -> RootInterval | None:
     f(x_(m-1)) < 0 <= f(x_m).  Sign bisection on p to width then ends in the
     depth-J grid cell of the root, or at the root as a grid point, as the
     bisection does; at j = J that cell is (x_(m-1), x_m] itself.
+
+    one_above_one says that p has exactly one root above 1, simple (one sign
+    variation at 1 and p(1) != 0).  Then for a >= 1 the shift to a is not
+    made: by Budan's theorem it would read at most one variation, so one
+    exactly when f(a) < 0, and the walk reads f's signs at grid points >= 1
+    as it would after the shift; only a walk that ends at a takes f(a).
     """
     f = p.primitive()
     bound = root_bound(f)
@@ -428,9 +443,12 @@ def _descartes_largest(p: IntPoly, width: Fraction) -> RootInterval | None:
     step = span / cells
     k = min(max(math.floor((xq - origin) / step), 0), cells - 1)
     i0, i1 = max(k - 1, 0), min(k + 2, cells)
-    shifted = _shifted(f, origin + step * i0)
-    if shifted[0] == 0 or _variations(map(_sign, shifted)) != 1:
-        return None
+    a = origin + step * i0
+    deferred = one_above_one and a >= 1
+    if not deferred:
+        shifted = _shifted(f, a)
+        if shifted[0] == 0 or _variations(map(_sign, shifted)) != 1:
+            return None
     m = k + 1
     s = f.sign_at(origin + step * m)
     while s < 0:
@@ -440,6 +458,8 @@ def _descartes_largest(p: IntPoly, width: Fraction) -> RootInterval | None:
         s = f.sign_at(origin + step * m)
     while m - 1 > i0 and (below := f.sign_at(origin + step * (m - 1))) >= 0:
         m, s = m - 1, below
+    if deferred and m - 1 == i0 and f.sign_at(a) >= 0:
+        return None
     hi = origin + step * m
     if s == 0:
         return RootInterval(p, hi, hi, multiplicity_free=True)
@@ -520,21 +540,33 @@ def largest_root_above_one(p: IntPoly, width: Fraction = DEFAULT_WIDTH) -> RootI
     """The interval of the largest real root of p when that root exceeds 1,
     and None otherwise.
 
-    No sign variation in the Taylor shift of p to 1 certifies that no root
-    exceeds 1; that holds whenever every root lies in the closed unit disk.
-    Otherwise the interval of the largest real root decides, and when it
-    straddles 1, the sign of q(1), q = iv.poly: the root is simple in q, and
-    q has no other root above the interval's lower end, so the root lies
-    above 1 exactly when q(1) has the sign opposite to lc(q).  Raises
-    ValueError for a width <= 0.
+    One Taylor shift of p to 1 is made.  No sign variation certifies that
+    no root exceeds 1; that holds whenever every root lies in the closed unit
+    disk.  One variation and p(1) != 0 certify exactly one root above 1, and
+    that one simple; that holds whenever one root r exceeds 1 and every other
+    root has real part below 1, as for a Salem or Pisot top root with no root
+    at 1: the shift to 1 of the other factor has its roots in the open left
+    half-plane, so coefficients of one sign, and the factor x - (r - 1)
+    leaves exactly one variation.  Then the Descartes certificate makes no
+    shift of its own when its window starts at or above 1.  It still makes
+    one when the window starts below 1, or when the shift to 1 read two or
+    more variations or p(1) = 0; the bisection runs when it fails.  Either
+    way the interval of the largest real root decides, and when it straddles
+    1, the sign of q(1), q = iv.poly: the root is simple in q, and q has no
+    other root above the interval's lower end, so the root lies above 1
+    exactly when q(1) has the sign opposite to lc(q).  Raises ValueError for
+    a width <= 0.
     """
     _check_width(width)
-    if descartes_bound(p, 1) == 0:
+    variations = descartes_bound(p, 1)
+    if variations == 0:
         return None
-    try:
-        iv = isolate_largest_real_root(p, width)
-    except NoRealRootError:
-        return None
+    iv = _descartes_largest(p, width, one_above_one=variations == 1 and p(1) != 0)
+    if iv is None:
+        try:
+            iv = _bisection_largest(p, width)
+        except NoRealRootError:
+            return None
     if iv.low < 1 < iv.high:
         above = iv.poly.sign_at(Fraction(1)) * iv.poly.leading < 0
     else:

@@ -7,11 +7,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coxgrowth import roots
+from coxgrowth import intpoly, roots
 from coxgrowth.coxtrans import char_poly_star
 from coxgrowth.diagram import polygon_is_hyperbolic
-from coxgrowth.growth import GrowthFunction, NotExponentialError, growth_rate, polygon_growth
-from coxgrowth.intpoly import IntPoly, parse_poly, poly_gcd, squarefree_part
+from coxgrowth.growth import GrowthFunction, NotExponentialError, _hyperbolic_tuples, growth_rate, polygon_growth
+from coxgrowth.intpoly import IntPoly, cyclotomic, parse_poly, poly_gcd, squarefree_part
 from coxgrowth.roots import (
     NoRealRootError,
     RootInterval,
@@ -663,6 +663,90 @@ def test_descartes_path_computes_no_squarefree_part_and_no_count(monkeypatch):
     monkeypatch.setattr(roots, "_bisection_largest", _unreachable)
     assert _pair(isolate_largest_real_root(p)) == reference_isolate_largest(p, roots.DEFAULT_WIDTH)
     assert work == []
+
+
+# -- the largest root above 1 from one Taylor shift ----------------------------------
+
+
+def _counting_shifts(monkeypatch) -> list:
+    """The shift point c of each Taylor shift made from now on."""
+    points, shift = [], intpoly._taylor_shift
+    def counted(coeffs, c):
+        points.append(c)
+        return shift(coeffs, c)
+    for module in (intpoly, roots):
+        monkeypatch.setattr(module, "_taylor_shift", counted)
+    return points
+
+
+def test_theorem2_top_roots_take_one_taylor_shift(monkeypatch):
+    # every 10th polygon of verify theorem2 at its defaults (k <= 5, p <= 8):
+    # growth_rate's input and the star's Coxeter polynomial have one root above
+    # 1 and every other root in the closed unit disk, not at 1, so the shift
+    # to 1 reads one variation and the certificate's window needs no shift
+    width = roots.DEFAULT_WIDTH
+    polygons = [ps for k in range(3, 6) for ps in _hyperbolic_tuples(k, 8)][::10]
+    shifts = _counting_shifts(monkeypatch)
+    for ps in polygons:
+        for p in (polygon_growth(*ps).denominator.reversed().primitive(), char_poly_star(*ps)):
+            shifts.clear()
+            iv = largest_root_above_one(p, width)
+            assert shifts == [1], ps
+            expected = reference_isolate_largest(p, width)
+            assert _pair(iv) == expected == _pair(roots._bisection_largest(p, width)), ps
+    assert len(polygons) == 75
+
+
+_PLANTED = {
+    # p(1) = 0: the shift to 1 has a zero constant term
+    "root at 1": (LEHMER * IntPoly([-1, 1]), roots.DEFAULT_WIDTH, True),
+    # three variations at 1
+    "second real root above 1": (IntPoly([-2, 1]) * IntPoly([-3, 1]) * LEHMER, roots.DEFAULT_WIDTH, True),
+    # the pair 2 +- i right of 1: three variations at 1
+    "complex pair right of 1": (IntPoly([5, -4, 1]) * IntPoly([-3, 1]), roots.DEFAULT_WIDTH, True),
+    # one variation at 1, but on the grid (-4, 4] the window of half-wide
+    # cells around the top root, in (1, 3/2], starts at 1/2
+    "window below 1": (LEHMER, Fraction(1, 2), True),
+    # two variations at 1 from the pair 2 +- i, and the top real root is -3
+    "complex pair and no root above 1": (IntPoly([5, -4, 1]) * IntPoly([3, 1]), roots.DEFAULT_WIDTH, True),
+    # every root on the unit circle: no variation at 1, and no other shift
+    "cyclotomic": (functools.reduce(IntPoly.__mul__, [cyclotomic(2), cyclotomic(3) ** 2, cyclotomic(5),
+                                                      cyclotomic(12)]), roots.DEFAULT_WIDTH, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PLANTED))
+def test_inputs_the_shift_to_1_leaves_open_take_the_deep_shift(monkeypatch, name):
+    p, width, deep = _PLANTED[name]
+    points = []
+    shifted = roots._shifted
+    monkeypatch.setattr(roots, "_shifted", lambda f, a: points.append(a) or shifted(f, a))
+    iv = largest_root_above_one(p, width)
+    assert points[0] == 1 and (len(points) > 1) == deep, points
+    if name == "window below 1":
+        assert roots.descartes_bound(p, 1) == 1 and p(1) != 0 and roots.root_bound(p) == 4
+        assert points[1] == Fraction(1, 2)
+    if reference_count(p, Fraction(1), _reference_bound(p)) > 0:
+        assert _pair(iv) == reference_isolate_largest(p, width)
+    else:
+        assert iv is None
+
+
+_ONE_ABOVE_ONE = [LEHMER, char_poly_star(2, 3, 7), polygon_growth(3, 3, 7).denominator.reversed().primitive()]
+
+
+@pytest.mark.parametrize("p", _ONE_ABOVE_ONE)
+def test_a_window_off_the_root_gives_the_same_interval_above_one(monkeypatch, p):
+    # with one variation at 1 the window at a >= 1 is not shifted; an estimate
+    # that puts the root below the window (f(a) >= 0, where the shift would
+    # read no variation) or above it sends the walk to the bisection
+    width = Fraction(1, 10**9)
+    expected = reference_isolate_largest(p, width)
+    step = expected[1] - expected[0]
+    seeds = [float(expected[0] + k * step) for k in (-3, -2, 2, 3, 4)] + [float(expected[0])]
+    for x in seeds:
+        monkeypatch.setattr(roots, "_root_estimate", lambda poly, bound, cell, v=(x, 0.0): v)
+        assert _pair(largest_root_above_one(p, width)) == expected, x
 
 
 @pytest.mark.parametrize("width", [Fraction(0), Fraction(-1, 10)])

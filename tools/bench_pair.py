@@ -12,14 +12,21 @@ temporary directory, deleted at the end), which registers nothing in the
 repository's ``.git``.  For every seed, ``python3 bench/run.py --all --seed S
 --seconds T`` runs once in each checkout, alternating which side goes first
 (base first on the first seed); ``bench/`` must be the same on both sides and
-every run must exit 0.  One ``--workload W --trace 1`` run per side (on the
-first seed; W is ``--trace-workload``, default ``coxeter_growth``) gives the
-count metrics in ``COUNTS``.
+every run must exit 0.  Both sides keep bytecode under one new
+``PYTHONPYCACHEPREFIX``, so neither reads a ``__pycache__`` it already had.
+After the pair of a seed, each command of ``PROCESSES`` runs once per side as
+a whole process, ``python3 -m coxgrowth.cli ... --json --no-meta`` with that
+side's ``src`` first on ``PYTHONPATH``, the sides in the seed's order; its
+wall time is recorded, and it must exit 0 with the same stdout on both sides.
+One ``--workload W --trace 1`` run per side (on the first seed; W is
+``--trace-workload``, default ``coxeter_growth``) gives the count metrics in
+``COUNTS``.
 
 The output holds both commits, the Python version and CPU count, per workload
 and end-to-end metric each side's median and quartiles (inclusive method)
 with the number of pairs the change wins (ties count for neither side), every
-raw value, the count metrics, and the ``src/coxgrowth`` lines per module.
+raw value, the same for the wall time of each whole process, the count
+metrics, and the ``src/coxgrowth`` lines per module.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 METRICS = ["items_per_s", "item_p50_ms", "item_p90_ms", "failed_frac", "setup_s", "peak_rss_mb"]
@@ -41,6 +49,11 @@ HIGHER_IS_BETTER = {"items_per_s"}
 COUNTS = ["intpoly.mul.calls", "intpoly.exact_div.calls", "numclass.strip_cyclotomic.calls",
           "numclass.disk_root_counts.calls", "numclass.disk_root_counts.bits_max",
           "roots.sign_at_calls", "growth.growth_function.calls", "intpoly.constructed"]
+# Whole processes timed per side and seed: the named checks at their caps and
+# the largest tree.
+PROCESSES = [["verify", "theorem2", "--max-k", "6", "--max-p", "12"],
+             ["verify", "prop52", "--rmax", "40", "--jmax", "40"],
+             ["spectra", "--tree", "Path:1200"]]
 
 
 def git(root: Path, *args: str) -> bytes:
@@ -85,6 +98,25 @@ def traced_counts(root: Path, workload: str, seed: int, seconds: int) -> dict[st
     return {name: metrics[name]["value"] for name in COUNTS}
 
 
+def run_python(root: Path, argv: list[str]) -> tuple[bytes, int]:
+    """Stdout and exit code of ``python3 ARGV`` in root, with root's ``src``
+    first on ``PYTHONPATH``."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, *argv], cwd=root, env=env, capture_output=True)
+    return out.stdout, out.returncode
+
+
+def timed_process(root: Path, argv: list[str]) -> tuple[float, bytes]:
+    """Wall time and stdout of one ``coxgrowth.cli ARGV --json --no-meta`` process."""
+    start = time.perf_counter()
+    stdout, code = run_python(root, ["-m", "coxgrowth.cli", *argv, "--json", "--no-meta"])
+    seconds = time.perf_counter() - start
+    if code != 0:
+        raise SystemExit(f"{root}: {' '.join(argv)} exited {code}")
+    return seconds, stdout
+
+
 def summary(values: list[float]) -> dict[str, float]:
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": q2, "q1": q1, "q3": q3}
@@ -120,6 +152,10 @@ def main(argv=None) -> int:
         if base.exists():
             p.error(f"{base} already exists")
         export(change, args.base, base)
+        # Bytecode left in the working tree's __pycache__ would spare the
+        # change side compiles the fresh export pays for: both sides keep
+        # theirs under one new prefix instead.
+        os.environ["PYTHONPYCACHEPREFIX"] = str(Path(tmp) / "pycache")
         doc = compare(args, {"base": base, "change": change})
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
     return 0
@@ -128,11 +164,22 @@ def main(argv=None) -> int:
 def compare(args, sides: dict[str, Path]) -> dict:
     change = sides["change"]
     runs = {"base": [], "change": []}
+    seconds = {" ".join(argv): {"base": [], "change": []} for argv in PROCESSES}
     for i, seed in enumerate(args.seeds):
-        for side in (("base", "change") if i % 2 == 0 else ("change", "base")):
+        order = ("base", "change") if i % 2 == 0 else ("change", "base")
+        for side in order:
             runs[side].append(run_all(sides[side], seed, args.seconds))
             print(f"seed {seed} {side}: " + ", ".join(
                 f"{w} {m['items_per_s']:.1f}/s" for w, m in runs[side][-1].items()), flush=True)
+        for argv in PROCESSES:
+            name, stdout = " ".join(argv), {}
+            for side in order:
+                t, stdout[side] = timed_process(sides[side], argv)
+                seconds[name][side].append(t)
+            if stdout["base"] != stdout["change"]:
+                raise SystemExit(f"{name}: the two sides print different output")
+            print(f"seed {seed} {name}: " + ", ".join(
+                f"{side} {seconds[name][side][-1]:.2f} s" for side in order), flush=True)
 
     workloads = {}
     for name in runs["base"][0]:
@@ -154,6 +201,13 @@ def compare(args, sides: dict[str, Path]) -> dict:
         "seeds": args.seeds,
         "order": "alternating: base first on the 1st, 3rd, ... seed, change first on the others",
         "workloads": workloads,
+        "processes": {
+            "command": "python3 -m coxgrowth.cli ARGV --json --no-meta",
+            "wall_s": {name: {**{side: summary(raw[side]) for side in sides},
+                              "change_wins": sum(c < b for c, b in zip(raw["change"], raw["base"])),
+                              "raw": raw}
+                       for name, raw in seconds.items()},
+        },
         "counts": {"workload": args.trace_workload, "seed": args.seeds[0],
                    **{side: traced_counts(root, args.trace_workload, args.seeds[0], args.seconds)
                       for side, root in sides.items()}},

@@ -15,13 +15,11 @@ and the tool exits 1 if there is any, 0 otherwise.
 from __future__ import annotations
 
 import argparse
-import os
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-from bench_pair import export
+from bench_pair import export, run_python
 
 LEHMER = "1,1,0,-1,-1,-1,-1,-1,0,1,1"
 
@@ -49,13 +47,6 @@ COMMANDS = [
 DEMOS = ["growth_rates_tour.py", "salem_gap_demo.py", "tree_spectra_story.py"]
 
 
-def run(root: Path, argv: list[str]) -> tuple[bytes, int]:
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    out = subprocess.run([sys.executable, *argv], cwd=root, env=env, capture_output=True)
-    return out.stdout, out.returncode
-
-
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--base", required=True, help="git revision to compare against")
@@ -71,7 +62,7 @@ def main(argv=None) -> int:
             p.error(f"{base} already exists")
         export(change, args.base, base)
         for name, cmd in runs:
-            (base_out, base_code), (out, code) = run(base, cmd), run(change, cmd)
+            (base_out, base_code), (out, code) = run_python(base, cmd), run_python(change, cmd)
             same = base_out == out and base_code == code
             differences += not same
             print(f"{'same' if same else 'DIFFERS':8} exit {base_code} -> {code}  {name}", flush=True)
