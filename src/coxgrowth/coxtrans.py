@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .diagram import INF, DiagramError, WeightedTree, star_diagram
-from .growth import _bracket_factorization, _reduced_growth, growth_rate, polygon_delta
+from .growth import _bracket_factorization, _reduced_denominator, polygon_delta
 from .intpoly import IntPoly, _signed_digits, resultant_eliminate
 from .roots import DEFAULT_WIDTH, RootInterval, compare, largest_root_above_one, sqrt_interval
 
@@ -204,9 +204,12 @@ def star_spectral_radius(*ps: int, width: Fraction = DEFAULT_WIDTH) -> RootInter
 def coxeter_tree_radius_equals_polygon_rate(ps) -> bool:
     """Theorem 2 on one polygon: its growth denominator equals the star
     graph's Coxeter polynomial phi, and its growth rate (from phi, once
-    proven equal) is certified equal to the spectral radius read from phi."""
+    proven equal) is certified equal to the spectral radius read from phi.
+    The rate is certified from the reduced denominator alone, as growth_rate
+    does; the numerator is never built."""
     phi = char_poly_star(*ps)
     if polygon_delta(*ps) != phi:
         return False
-    f = _reduced_growth(_bracket_factorization((2, *ps)), phi)
-    return compare(growth_rate(f), spectral_radius_from_charpoly(phi)) == 0
+    den, _ = _reduced_denominator(_bracket_factorization((2, *ps)), phi)
+    rate = largest_root_above_one(den.reversed().primitive())
+    return rate is not None and compare(rate, spectral_radius_from_charpoly(phi)) == 0

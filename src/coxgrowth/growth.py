@@ -15,7 +15,7 @@ numerator and denominator are read back as signed base-2^K digits.
 
 Both growth-series constructors know their numerator as a product of
 cyclotomic polynomials (times a power of t), so they reduce the quotient by
-exact divisions of the denominator by those factors, not by a gcd.
+dividing the denominator's value at a power of two by theirs, not by a gcd.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from fractions import Fraction
 
 from .diagram import STEINBERG_RANK_BOUND, CoxeterDiagram, dominates, polygon_is_hyperbolic
 from .diagram import _bits, _edge_masks, _spherical_type
-from .intpoly import ONE, ExactDivisionError, IntPoly, bracket, cyclotomic, exact_div, poly_gcd
-from .intpoly import _signed_digits
+from .intpoly import ONE, IntPoly, bracket, cyclotomic, exact_div, poly_gcd
+from .intpoly import _cyclotomic_product, _divide_cyclotomic, _pack, _signed_digits
 from .roots import (
     DEFAULT_WIDTH,
     RootInterval,
@@ -106,37 +106,27 @@ def _bracket_factorization(ks) -> Counter[int]:
     return Counter(d for k in ks for d in range(2, k + 1) if k % d == 0)
 
 
-def _reduced_growth(exponents: dict[int, int], den: IntPoly) -> GrowthFunction:
-    """The growth series prod_d Phi_d^e_d / den in lowest terms, by exact
-    division instead of a gcd.
-
-    For each d, den is divided by Phi_d while Phi_d divides it and copies
-    remain in the numerator.  A division is tried only when Phi_d(2) divides
-    den(2), which a factor Phi_d of den must, Phi_d being monic.  The quotient
-    left is coprime: every Phi_d is irreducible, and each one kept in the
-    numerator is certified not to divide den (a failed division or a failed
-    value test).  The numerator is monic, so the contents are coprime too.
-    Raises ArithmeticError unless the series starts at 1.
-    """
-    num = ONE
-    value = den(2)
-    for d in sorted(exponents):
-        phi, left = cyclotomic(d), exponents[d]
-        at_two = phi(2)
-        while left and value % at_two == 0:
-            try:
-                den = exact_div(den, phi)
-            except ExactDivisionError:
-                break
-            value //= at_two
-            left -= 1
-        if left:
-            num = num * phi ** left
-    if den.leading < 0:
-        num, den = -num, -den
-    if den.constant == 0 or num.constant != den.constant:
+def _reduced_denominator(exponents: dict[int, int], den: IntPoly) -> tuple[IntPoly, Counter[int]]:
+    """The denominator of prod_d Phi_d^e_d / den in lowest terms, with
+    positive leading coefficient, and the e_d less the copies of Phi_d it
+    cancelled, by intpoly._divide_cyclotomic with caps e_d; each Phi_d kept
+    is certified not to divide it.  The kept numerator has constant term
+    (-1)^e_1; raises ArithmeticError unless den, cancelled but not yet
+    negated, has that too, so that the series starts at 1."""
+    den, taken = _divide_cyclotomic(den, sorted(exponents.items()))
+    kept = Counter(exponents) - Counter(dict(taken))
+    if den.constant != (-1) ** kept[1]:
         raise ArithmeticError("growth series must start at 1")
-    return GrowthFunction._reduced(num, den)
+    return -den if den.leading < 0 else den, kept
+
+
+def _reduced_growth(exponents: dict[int, int], den: IntPoly) -> GrowthFunction:
+    """The growth series prod_d Phi_d^e_d / den in lowest terms, by cyclotomic
+    division instead of a gcd, with the numerator built as one packed
+    product; it is monic up to sign, so the contents are coprime too."""
+    den, kept = _reduced_denominator(exponents, den)
+    num = _cyclotomic_product(kept)
+    return GrowthFunction._reduced(num if num.constant == den.constant else -num, den)
 
 
 def _connected_spherical_sets(d: CoxeterDiagram) -> dict[int, tuple[Counter[int], int]]:
@@ -241,26 +231,21 @@ def steinberg_growth(d: CoxeterDiagram) -> GrowthFunction:
     mask = (1 << _FIELD) - 1
     common = [max(key >> _FIELD * p & mask for key in counts) for p in range(len(idx))]
 
-    def cofactor_rows(values: list[int]) -> list[list[int]]:  # [p][e]: values[p]^(common[p] - e)
-        return [[x ** (c - e) for e in range(c + 1)] for x, c in zip(values, common)]
-
-    # Every coefficient of the sum is at most B in absolute value, with B the
-    # sum over keys of |count| times prod ||Phi_i||^(common_i - e_i), a bound
-    # on the cofactor's 1-norm (||fg|| <= ||f|| ||g||).  The empty subset's
-    # term has count 1 and cofactor den, so B bounds den as well.  With
-    # K = bits(B) + 1 the signed base-2^K digits of the sum at t = 2^K are
-    # its coefficients.
-    bound = _fold({key: abs(count) for key, count in counts.items()},
-                  cofactor_rows([sum(map(abs, cyclotomic(i).coeffs)) for i in idx]))
-    k = bound.bit_length() + 1
-    rows = cofactor_rows([cyclotomic(i)(1 << k) for i in idx])
+    # den = prod Phi_i^common_i has degree width - 1, and every cofactor is a
+    # product of Phi_i that divides it, of 1-norm at most 2^(width - 1) by
+    # Mignotte (Phi_i has Mahler measure 1).  So with K = bits(sum |count|)
+    # + width every coefficient of the sum is below 2^(K-1), and the signed
+    # base-2^K digits of its value at t = 2^K are its coefficients.
     width = sum(c * cyclotomic(i).degree for i, c in zip(idx, common)) + 1
+    k = sum(map(abs, counts.values())).bit_length() + width
+    # rows[p][e]: Phi_i(2^K)^(common[p] - e), i = idx[p]
+    rows = [[x ** (c - e) for e in range(c + 1)]
+            for x, c in zip((_pack(cyclotomic(i), k) for i in idx), common)]
     num = IntPoly(_signed_digits(_fold(counts, rows), k, width))
-    den = IntPoly(_signed_digits(math.prod(row[0] for row in rows), k, width))
     # 1/f(1/t) = num/den, so f(t) = den(1/t) / num(1/t) = den(t) / (t^(dd - dn)
-    # num reversed): den = prod Phi_i^common_i is palindromic, as Phi_i is for
-    # i >= 2, and dn <= dd, as every cofactor divides den.
-    return _reduced_growth(dict(zip(idx, common)), num.reversed().shift(den.degree - num.degree))
+    # num reversed): den is palindromic, as Phi_i is for i >= 2, and dn <= dd,
+    # as every cofactor divides den.
+    return _reduced_growth(dict(zip(idx, common)), num.reversed().shift(width - 1 - num.degree))
 
 
 # -- polygons --------------------------------------------------------------------------

@@ -385,23 +385,107 @@ def reciprocity_type(p: IntPoly) -> str:
 
 @functools.cache
 def cyclotomic(n: int) -> IntPoly:
-    """The n-th cyclotomic polynomial, from Phi_1 = t - 1 by exact division:
-    Phi_mq(t) = Phi_m(t^q) / Phi_m(t) for each prime q of n in turn (q does
-    not divide m), then Phi_n(t) = Phi_r(t^(n/r)) for r the product of the
-    primes of n."""
+    """The n-th cyclotomic polynomial by Moebius inversion of t^n - 1 = prod_(d|n)
+    Phi_d: the product of t^d - 1 over the d | n with mu(n/d) = 1, divided by
+    t^d - 1 for each d with mu(n/d) = -1, each step in O(n) additions."""
     if n < 1:
         raise ValueError("cyclotomic index must be >= 1")
+    plus, minus = _mobius_divisors(n)
+    cs = [1]
+    for d in plus:  # b = a (t^d - 1): b_i = a_(i-d) - a_i
+        cs = [(cs[i - d] if i >= d else 0) - (cs[i] if i < len(cs) else 0) for i in range(len(cs) + d)]
+    for d in minus:  # a = q (t^d - 1): q_i = q_(i-d) - a_i
+        q: list[int] = []
+        for i in range(len(cs) - d):
+            q.append((q[i - d] if i >= d else 0) - cs[i])
+        cs = q
+    return IntPoly(cs)
 
-    def at_power(p: IntPoly, k: int) -> IntPoly:  # p(t^k)
-        cs = [0] * (k * p.degree + 1)
-        cs[::k] = p.coeffs
-        return IntPoly(cs)
 
-    primes = [q for q in range(2, n + 1) if n % q == 0 and all(q % d for d in range(2, q))]
-    phi = IntPoly([-1, 1])
-    for q in primes:
-        phi = exact_div(at_power(phi, q), phi)
-    return at_power(phi, n // math.prod(primes))
+@functools.cache
+def _mobius_divisors(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The divisors d of n with mu(n/d) = 1, and those with mu(n/d) = -1."""
+    terms, m, q = [(n, 1)], n, 2
+    while m > 1:
+        if m % q == 0:  # q is prime: the smaller primes are gone from m
+            terms += [(d // q, -mu) for d, mu in terms]
+            while m % q == 0:
+                m //= q
+        q += 1
+    return tuple(d for d, mu in terms if mu > 0), tuple(d for d, mu in terms if mu < 0)
+
+
+_PROBES = (2, -2, 3)
+
+
+@functools.cache
+def _probe_values(n: int) -> tuple[int, tuple[int, ...]]:
+    """phi(n), the degree of Phi_n, and Phi_n(j) for j in _PROBES without
+    building Phi_n: the products of j^d - 1 over the d of cyclotomic's
+    Moebius inversion, one divided by the other (no factor is 0)."""
+    plus, minus = _mobius_divisors(n)
+    values = (math.prod(j ** d - 1 for d in plus) // math.prod(j ** d - 1 for d in minus) for j in _PROBES)
+    return sum(plus) - sum(minus), tuple(values)
+
+
+def _pack(p: IntPoly, k: int) -> int:
+    """p(2^k), by shifts and adds."""
+    v = 0
+    for c in reversed(p.coeffs):
+        v = (v << k) + c
+    return v
+
+
+def _cyclotomic_width(p: IntPoly) -> int:
+    """deg p + ceil(log2 ||p||_2) + 2."""
+    return p.degree + ((sum(c * c for c in p.coeffs) - 1).bit_length() + 1) // 2 + 2
+
+
+def _divide_cyclotomic(p: IntPoly, caps) -> tuple[IntPoly, list[tuple[int, int]]]:
+    """(q, factors): p divided by Phi_n as often as it divides, at most cap
+    times, for each (n, cap) of caps in order; p = q prod Phi_n^m over the
+    (n, m > 0) of factors.  Divides v = core(2^k) by Phi_n(2^k) while the
+    remainder is 0, trying Phi_n only when Phi_n(j) divides core(j) at each
+    probe j, as it must.  The last v is read back once, as q, and accepted
+    when ||q||_1 2^e < 2^(k-1), e = deg p - deg q: as ||g||_1 <= 2^(deg g)
+    for a product g of Phi_n (Mignotte, Mahler measure 1), q prod Phi_n^m
+    and p, for k >= _cyclotomic_width(p), then have all coefficients below
+    2^(k-1) and one value at 2^k, so they are equal, and a nonzero remainder
+    proves that Phi_n does not divide.  A true q passes, M(q) = M(p) <=
+    ||p||_2; after a false divisibility at 2^k all is redone at 2k, which
+    ends, as the remainders p mod Phi_n are fixed."""
+    caps, k = tuple(caps), _cyclotomic_width(p)
+    while True:
+        v, deg, values, factors = _pack(p, k), p.degree, [p(j) for j in _PROBES], []
+        for n, cap in caps:
+            if deg < 1:
+                break
+            phi, probes = _probe_values(n)
+            mult, packed = 0, None
+            while mult < cap and deg >= phi and all(a % b == 0 for a, b in zip(values, probes)):
+                packed = packed or _pack(cyclotomic(n), k)
+                q, r = divmod(v, packed)
+                if r:
+                    break
+                v, values, mult, deg = q, [a // b for a, b in zip(values, probes)], mult + 1, deg - phi
+            if mult:
+                factors.append((n, mult))
+        try:
+            q = _signed_digits(v, k, deg + 1)
+        except ArithmeticError:
+            pass
+        else:
+            if sum(map(abs, q)) << p.degree - deg < 1 << k - 1:
+                return IntPoly(q), factors
+        k *= 2
+
+
+def _cyclotomic_product(exponents: dict[int, int]) -> IntPoly:
+    """prod Phi_n^e_n, read back once from its value at 2^k, k = deg + 2:
+    by Mignotte, as in _divide_cyclotomic, no coefficient exceeds 2^deg."""
+    deg = sum(cyclotomic(n).degree * e for n, e in exponents.items())
+    v = math.prod(_pack(cyclotomic(n), deg + 2) ** e for n, e in exponents.items())
+    return IntPoly(_signed_digits(v, deg + 2, deg + 1))
 
 
 # -- resultant-based spectral parameter transfer -------------------------------------

@@ -20,11 +20,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .intpoly import (
-    ExactDivisionError,
     IntPoly,
+    _divide_cyclotomic,
     _taylor_shift,
-    cyclotomic,
-    exact_div,
     reciprocity_type,
     squarefree_decomposition,
     squarefree_part,
@@ -52,69 +50,27 @@ def strip_cyclotomic(p: IntPoly) -> tuple[IntPoly, list[tuple[int, int]]]:
 
     Returns (core, factors) with factors a list of (cyclotomic index,
     multiplicity) in ascending index and core * prod Phi_n^mult == p exactly.
-    The candidates are exactly the n with phi(n) <= deg p.  Phi_n is tried
-    only when Phi_n(k) divides core(k) for each probe k in 2, -2, 3: if Phi_n
-    divides core in Z[t], then core(k) = Phi_n(k) q(k) with q integral, as
-    Phi_n is monic.  So the filter only skips divisions that must fail (a
-    core vanishing at a probe passes it), and every factor found is
-    certified by ``exact_div``.
-    """
+    The candidates are the n with phi(n) <= deg p, with no cap, divided by
+    intpoly._divide_cyclotomic: at one power of two, with one readback."""
     if p.is_zero():
         raise ValueError("zero polynomial")
-    core = p
-    factors: list[tuple[int, int]] = []
-    if core.degree < 1:
-        return core, factors
-    values = [core(k) for k in _PROBES]
-    for n, phi, primes in _cyclotomic_candidates(core.degree):
-        probes = _probe_values(n, primes)
-        mult = 0
-        while core.degree >= phi and all(v % f == 0 for v, f in zip(values, probes)):
-            try:
-                core = exact_div(core, cyclotomic(n))
-            except ExactDivisionError:
-                break
-            values = [v // f for v, f in zip(values, probes)]
-            mult += 1
-        if mult:
-            factors.append((n, mult))
-        if core.degree < 1:
-            break
-    return core, factors
-
-
-_PROBES = (2, -2, 3)
+    return _divide_cyclotomic(p, ((n, p.degree) for n, _ in _cyclotomic_candidates(p.degree)))
 
 
 @functools.cache
-def _cyclotomic_candidates(d: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-    """(n, phi(n), primes of n) for every n with phi(n) <= d, ascending in n:
-    a depth-first walk over prime powers of increasing primes q <= d + 1,
-    which stops where phi exceeds d, since phi only grows along it."""
-    primes = [q for q in range(2, d + 2) if all(q % r for r in range(2, math.isqrt(q) + 1))]
-    out = []
-    stack = [(1, 1, (), 0)]
-    while stack:
-        n, phi, ps, start = stack.pop()
-        out.append((n, phi, ps))
-        for i in range(start, len(primes)):
-            m, f = n * primes[i], phi * (primes[i] - 1)
-            if f > d:
-                break
-            while f <= d:
-                stack.append((m, f, ps + (primes[i],), i + 1))
-                m, f = m * primes[i], f * primes[i]
+def _cyclotomic_candidates(d: int) -> tuple[tuple[int, int], ...]:
+    """(n, phi(n)) for every n with phi(n) <= d, ascending in n.  Each prime q
+    of such an n has q - 1 <= d, so each prime q <= d + 1 in turn extends
+    the list so far by its products with the powers of q, while phi <= d."""
+    out = [(1, 1)]
+    for q in range(2, d + 2):
+        if all(q % r for r in range(2, math.isqrt(q) + 1)):
+            for n, phi in list(out):
+                m, f = n * q, phi * (q - 1)
+                while f <= d:
+                    out.append((m, f))
+                    m, f = m * q, f * q
     return tuple(sorted(out))
-
-
-@functools.cache
-def _probe_values(n: int, primes: tuple[int, ...]) -> tuple[int, ...]:
-    """Phi_n(k) for k in _PROBES without building Phi_n: Phi_n(x) = Phi_r(x^(n/r))
-    for r the product of the primes of n, and Phi_mq(y) = Phi_m(y^q) / Phi_m(y)
-    for a prime q not dividing m, where Phi_m(y) != 0 as |y| >= 2."""
-    def at(ps, y):
-        return at(ps[1:], y ** ps[0]) // at(ps[1:], y) if ps else y - 1
-    return tuple(at(primes, k ** (n // math.prod(primes))) for k in _PROBES)
 
 
 def unit_circle_root_count(p: IntPoly) -> int:

@@ -425,11 +425,13 @@ def _descartes_largest(p: IntPoly, width: Fraction, one_above_one: bool = False)
     depth-J grid cell of the root, or at the root as a grid point, as the
     bisection does; at j = J that cell is (x_(m-1), x_m] itself.
 
-    one_above_one says that p has exactly one root above 1, simple (one sign
-    variation at 1 and p(1) != 0).  Then for a >= 1 the shift to a is not
-    made: by Budan's theorem it would read at most one variation, so one
-    exactly when f(a) < 0, and the walk reads f's signs at grid points >= 1
-    as it would after the shift; only a walk that ends at a takes f(a).
+    one_above_one says that p has exactly one root r above 1, simple, with
+    f < 0 on (1, r) (one sign variation at 1).  Then for a >= 1 the shift to
+    a is not made: by Budan's theorem it would read at most one variation,
+    so one exactly when f(a) < 0, and the walk reads f's signs at grid
+    points >= 1 as it would after the shift; only a walk that ends at a
+    takes f(a), and a window starting at a root at 1 reads f(1) = 0 and
+    declines, as the shift would.
     """
     f = p.primitive()
     bound = root_bound(f)
@@ -542,26 +544,25 @@ def largest_root_above_one(p: IntPoly, width: Fraction = DEFAULT_WIDTH) -> RootI
 
     One Taylor shift of p to 1 is made.  No sign variation certifies that
     no root exceeds 1; that holds whenever every root lies in the closed unit
-    disk.  One variation and p(1) != 0 certify exactly one root above 1, and
-    that one simple; that holds whenever one root r exceeds 1 and every other
-    root has real part below 1, as for a Salem or Pisot top root with no root
-    at 1: the shift to 1 of the other factor has its roots in the open left
-    half-plane, so coefficients of one sign, and the factor x - (r - 1)
-    leaves exactly one variation.  Then the Descartes certificate makes no
-    shift of its own when its window starts at or above 1.  It still makes
-    one when the window starts below 1, or when the shift to 1 read two or
-    more variations or p(1) = 0; the bisection runs when it fails.  Either
-    way the interval of the largest real root decides, and when it straddles
-    1, the sign of q(1), q = iv.poly: the root is simple in q, and q has no
-    other root above the interval's lower end, so the root lies above 1
-    exactly when q(1) has the sign opposite to lc(q).  Raises ValueError for
-    a width <= 0.
+    disk.  One variation certifies exactly one root above 1, and that one
+    simple: the variations skip zero coefficients, so a root at 1 of
+    multiplicity m drops the factor x^m of the shift and leaves the count of
+    its cofactor.  Growth rates and Coxeter radii commonly read so: every
+    polygon of `verify theorem2` does, at the defaults and at the caps.
+    Then the Descartes certificate makes no shift of its own when its window
+    starts at or above 1.  It still makes one when the window starts below
+    1, or when the shift to 1 read two or more variations; the bisection
+    runs when it fails.  Either way the interval of the largest real root
+    decides, and when it straddles 1, the sign of q(1), q = iv.poly: the
+    root is simple in q, and q has no other root above the interval's lower
+    end, so the root lies above 1 exactly when q(1) has the sign opposite to
+    lc(q).  Raises ValueError for a width <= 0.
     """
     _check_width(width)
     variations = descartes_bound(p, 1)
     if variations == 0:
         return None
-    iv = _descartes_largest(p, width, one_above_one=variations == 1 and p(1) != 0)
+    iv = _descartes_largest(p, width, one_above_one=variations == 1)
     if iv is None:
         try:
             iv = _bisection_largest(p, width)

@@ -14,6 +14,7 @@ from coxgrowth.coxtrans import (
     char_poly_star,
     coxeter_tree_radius_equals_polygon_rate,
     spectral_radius_coxeter,
+    star_spectral_radius,
     verify_delta_eq_phi,
 )
 from coxgrowth.diagram import (
@@ -25,9 +26,9 @@ from coxgrowth.diagram import (
     polygon_is_hyperbolic,
     star_diagram,
 )
-from coxgrowth.growth import polygon_delta, polygon_growth
+from coxgrowth.growth import _hyperbolic_tuples, growth_rate, polygon_delta, polygon_growth
 from coxgrowth.intpoly import IntPoly, bracket, parse_poly
-from coxgrowth.roots import RootInterval
+from coxgrowth.roots import RootInterval, compare
 from coxgrowth.spectra import adjacency_char_poly, brouwer_neumaier_enumerate
 
 from oracles import (
@@ -287,6 +288,16 @@ def test_alpha_from_lambda_rejects_nonpositive():
 def test_end_to_end_rate_equals_radius():
     for ps in [(2, 3, 7), (2, 3, 8), (2, 4, 5), (2, 2, 2, 3), (2, 2, 2, 2, 2)]:
         assert coxeter_tree_radius_equals_polygon_rate(ps)
+
+
+def test_theorem2_verdict_matches_the_rate_of_the_growth_function():
+    # the verdict reads the rate from the reduced denominator alone; it must
+    # agree with the rate of the full growth function against the radius
+    polygons = [ps for k in range(3, 7) for ps in _hyperbolic_tuples(k, 12)][::30]
+    assert len(polygons) == 410
+    for ps in polygons:
+        expected = compare(growth_rate(polygon_growth(*ps)), star_spectral_radius(*ps)) == 0
+        assert coxeter_tree_radius_equals_polygon_rate(ps) == expected, ps
 
 
 def test_end_to_end_shares_core():

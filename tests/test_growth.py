@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coxgrowth import growth
 from coxgrowth.diagram import (
     INF,
     CoxeterDiagram,
@@ -104,6 +105,23 @@ def test_reduction_by_cyclotomic_division_matches_the_gcd(exponents, den):
 def test_reduction_by_cyclotomic_division_checks_the_constant_term():
     with pytest.raises(ArithmeticError):
         _reduced_growth({2: 1}, IntPoly([2, 1]))
+
+
+def test_reduction_matches_the_gcd_on_theorem2_polygons_and_steinberg_inputs(monkeypatch):
+    # every 10th polygon at k <= 6, p <= 12, and the denominators that
+    # steinberg_growth reduces for the acceptance symbols
+    polygons = [ps for k in range(3, 7) for ps in growth._hyperbolic_tuples(k, 12)][::10]
+    inputs = [(growth._bracket_factorization((2, *ps)), polygon_delta(*ps)) for ps in polygons]
+    reduce = growth._reduced_growth
+    monkeypatch.setattr(growth, "_reduced_growth", lambda e, d: inputs.append((e, d)) or reduce(e, d))
+    for symbol in ("[3,8]", "[3,5,3]", "[4,3,5]", "[8,3,4,3,8]"):
+        steinberg_growth(parse_coxeter_symbol(symbol))
+    assert len(inputs) == len(polygons) + 4 == 1232
+    for exponents, den in inputs:
+        num = IntPoly([1])
+        for d, e in exponents.items():
+            num = num * cyclotomic(d) ** e
+        assert reduce(exponents, den) == GrowthFunction(num, den), (exponents, den)
 
 
 def test_polygon_growth_matches_the_gcd_reduction():

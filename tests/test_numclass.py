@@ -4,14 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from coxgrowth.intpoly import IntPoly, cyclotomic, parse_poly, squarefree_part
-from coxgrowth import numclass
+from coxgrowth.intpoly import IntPoly, _probe_values, cyclotomic, parse_poly, squarefree_part
+from coxgrowth import intpoly, numclass
 from coxgrowth.numclass import (
     NumberClass,
     _cyclotomic_candidates,
     _is_perron,
     _location_counts,
-    _probe_values,
     classify,
     disk_root_counts,
     strip_cyclotomic,
@@ -108,6 +107,46 @@ def test_strip_cyclotomic_matches_trial_division():
         assert strip_cyclotomic(p) == reference_strip_cyclotomic(p), p
 
 
+def test_strip_cyclotomic_matches_trial_division_on_wide_cores():
+    # Phi_n powers up to 4 on cores that are non-monic, lead with a negative
+    # coefficient or carry coefficients above 2^64, up to the degree cap 160
+    rng = random.Random(28)
+    big = 1 << 70
+    cores = [IntPoly([3, -1, 2]), -LEHMER, IntPoly([big + 3, -big, 5, -(big >> 3)]),
+             IntPoly([-5, 0, 7, big]), IntPoly([1, 2]) * -2, LEHMER]
+    for core in cores:
+        p = core
+        while p.degree < 120:
+            phi = cyclotomic(rng.choice([1, 2, 3, 4, 5, 6, 7, 9, 10, 12, 15, 21, 30, 35, 105])) ** rng.randint(1, 4)
+            if p.degree + phi.degree <= 160:
+                p = p * phi
+        assert strip_cyclotomic(p) == reference_strip_cyclotomic(p), p
+    p = LEHMER
+    for n in (2, 3, 5, 7, 9, 12, 15, 21, 30, 35):
+        p = p * cyclotomic(n) ** 2
+    assert p.degree == 160
+    assert strip_cyclotomic(p) == reference_strip_cyclotomic(p) == (LEHMER, [(n, 2) for n in (
+        2, 3, 5, 7, 9, 12, 15, 21, 30, 35)])
+
+
+@pytest.mark.parametrize("p", [
+    # Phi_1(4) = 3 divides p(4) = 6, and the quotient 2 needs two base-4 digits
+    IntPoly([2, 1]),
+    # p = (t + 1)(t^3 - 2t^2 - 2): Phi_1 passes the probe filter and Phi_1(4)
+    # divides p(4) = 150; the quotient 50 = -2 + 4 - 16 + 64 fits four
+    # signed base-4 digits, but the norm check rejects it
+    IntPoly([-2, -2, -2, -1, 1]),
+])
+def test_strip_cyclotomic_retries_at_twice_the_width(monkeypatch, p):
+    widths = []  # the k of each pass, which packs p first
+    pack = intpoly._pack
+    monkeypatch.setattr(intpoly, "_cyclotomic_width", lambda _: 2)
+    monkeypatch.setattr(intpoly, "_pack", lambda q, k: (q is p and widths.append(k)) or pack(q, k))
+    assert p(4) % 3 == 0 and p(1) != 0
+    assert strip_cyclotomic(p) == reference_strip_cyclotomic(p)
+    assert widths[:2] == [2, 4], widths
+
+
 @pytest.mark.parametrize("p,core,factors", [
     # non-monic and non-primitive
     (IntPoly([6]) * IntPoly([-1, 2]) * cyclotomic(4) ** 2, IntPoly([-6, 12]), [(4, 2)]),
@@ -126,15 +165,15 @@ def test_strip_cyclotomic_unusual_inputs(p, core, factors):
 def test_cyclotomic_candidates_are_the_sieve_set():
     phi = totient_sieve(2 * 120 * 120 + 6)
     for d in range(1, 121):
-        got = [(n, f) for n, f, _ in _cyclotomic_candidates(d)]
+        got = list(_cyclotomic_candidates(d))
         assert got == [(n, phi[n]) for n in range(1, 2 * d * d + 7) if phi[n] <= d], d
     assert len(_cyclotomic_candidates(64)) == 127
 
 
 def test_cyclotomic_probe_values():
-    for n, _, primes in _cyclotomic_candidates(699):
+    for n, phi in _cyclotomic_candidates(699):
         if n <= 700:
-            assert _probe_values(n, primes) == tuple(cyclotomic(n)(k) for k in (2, -2, 3)), n
+            assert _probe_values(n) == (phi, tuple(cyclotomic(n)(k) for k in (2, -2, 3))), n
 
 
 def test_disk_counts_small():
@@ -174,12 +213,14 @@ def test_disk_counts_constructed_products():
         checked += 1
 
 
-def _agrees_with_schur_cohn(h):
+def _agrees_with_schur_cohn(h, outside_factor=IntPoly([1])):
     # the Schur-Cohn signature (pos, neg) is the (inside, outside) split when the
     # form is nondegenerate, that is with no circle root and no inversion pair;
-    # inside - outside = pos - neg always
+    # inside - outside = pos - neg always.  The oracle reads h times a factor
+    # with all its roots outside, and neg less their number is h's
     inside, on, outside = disk_root_counts(h)
-    pos, neg = schur_cohn_disk_counts(h)
+    pos, neg = schur_cohn_disk_counts(h * outside_factor)
+    neg -= outside_factor.degree
     assert inside + on + outside == h.degree, h
     if pos + neg == h.degree:
         assert (inside, on, outside) == (pos, 0, neg), h
@@ -205,10 +246,13 @@ def test_disk_counts_against_schur_cohn(coeffs):
        st.lists(st.integers(-4, 4), min_size=1, max_size=13))
 @settings(max_examples=200, deadline=None)
 def test_disk_counts_with_end_coefficients_equal_up_to_sign(end, sign, middle):
-    # a0 = +-an zeroes the first pivot of the Bistritz table; the count has no pivots
+    # a0 = +-an zeroes the first pivot of the Bistritz table; the count has no
+    # pivots.  The same a0 = +-an makes the oracle's first minor an^2 - a0^2
+    # vanish, so it is fed h (t - 3), whose first minor an^2 - 9 a0^2 is not
+    # 0, and its root 3 is taken off the outside count.
     h = IntPoly([sign * end] + middle + [end])
     assume(_admissible(h))
-    _agrees_with_schur_cohn(h)
+    _agrees_with_schur_cohn(h, IntPoly([-3, 1]))
 
 
 def test_disk_counts_at_a_zero_bistritz_pivot():

@@ -698,8 +698,9 @@ def test_theorem2_top_roots_take_one_taylor_shift(monkeypatch):
 
 
 _PLANTED = {
-    # p(1) = 0: the shift to 1 has a zero constant term
-    "root at 1": (LEHMER * IntPoly([-1, 1]), roots.DEFAULT_WIDTH, True),
+    # p(1) = 0: the shift to 1 has a zero constant term, which the one
+    # variation skips, so the window at or above 1 is not shifted
+    "root at 1": (LEHMER * IntPoly([-1, 1]), roots.DEFAULT_WIDTH, False),
     # three variations at 1
     "second real root above 1": (IntPoly([-2, 1]) * IntPoly([-3, 1]) * LEHMER, roots.DEFAULT_WIDTH, True),
     # the pair 2 +- i right of 1: three variations at 1

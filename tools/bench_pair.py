@@ -18,6 +18,8 @@ After the pair of a seed, each command of ``PROCESSES`` runs once per side as
 a whole process, ``python3 -m coxgrowth.cli ... --json --no-meta`` with that
 side's ``src`` first on ``PYTHONPATH``, the sides in the seed's order; its
 wall time is recorded, and it must exit 0 with the same stdout on both sides.
+Its degree-160 ``classify`` input is built with the working tree's
+``coxgrowth.intpoly`` when the tool is imported.
 One ``--workload W --trace 1`` run per side (on the first seed; W is
 ``--trace-workload``, default ``coxeter_growth``) gives the count metrics in
 ``COUNTS``.
@@ -32,6 +34,7 @@ metrics, and the ``src/coxgrowth`` lines per module.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import os
@@ -44,16 +47,24 @@ import tempfile
 import time
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+from coxgrowth.intpoly import IntPoly, cyclotomic, parse_poly  # noqa: E402
+
 METRICS = ["items_per_s", "item_p50_ms", "item_p90_ms", "failed_frac", "setup_s", "peak_rss_mb"]
 HIGHER_IS_BETTER = {"items_per_s"}
 COUNTS = ["intpoly.mul.calls", "intpoly.exact_div.calls", "numclass.strip_cyclotomic.calls",
           "numclass.disk_root_counts.calls", "numclass.disk_root_counts.bits_max",
           "roots.sign_at_calls", "growth.growth_function.calls", "intpoly.constructed"]
-# Whole processes timed per side and seed: the named checks at their caps and
-# the largest tree.
+LEHMER = "1,1,0,-1,-1,-1,-1,-1,0,1,1"
+# Lehmer's polynomial times Phi_n^2 for ten n: degree 160, the cap of classify --poly
+DEGREE_160 = functools.reduce(IntPoly.__mul__, (cyclotomic(n) ** 2 for n in (2, 3, 5, 7, 9, 12, 15, 21, 30, 35)),
+                              parse_poly(LEHMER)).to_text()
+# Whole processes timed per side and seed: the named checks at their caps, the
+# largest tree, and classify at its degree cap.
 PROCESSES = [["verify", "theorem2", "--max-k", "6", "--max-p", "12"],
              ["verify", "prop52", "--rmax", "40", "--jmax", "40"],
-             ["spectra", "--tree", "Path:1200"]]
+             ["spectra", "--tree", "Path:1200"],
+             ["classify", "--poly", DEGREE_160]]
 
 
 def git(root: Path, *args: str) -> bytes:

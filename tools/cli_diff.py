@@ -19,9 +19,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from bench_pair import export, run_python
-
-LEHMER = "1,1,0,-1,-1,-1,-1,-1,0,1,1"
+from bench_pair import DEGREE_160, LEHMER, export, run_python
 
 COMMANDS = [
     *(["verify", check] for check in
@@ -39,6 +37,7 @@ COMMANDS = [
     *(["growth", "--symbol", symbol] for symbol in ["[3,5,3]", "[4,3^18]", "[4,3,5]", "[(3,3,4)]"]),
     ["growth", "--polygon", "2,3,7"],
     ["classify", "--poly", LEHMER],
+    ["classify", "--poly", DEGREE_160],
     ["salem", "--gap"],
     ["salem", "--gap", "--list", "src/coxgrowth/data/mini_salem_list.csv"],
     ["salem", "--search", "--target", LEHMER],
