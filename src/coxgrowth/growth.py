@@ -106,25 +106,19 @@ def _bracket_factorization(ks) -> Counter[int]:
     return Counter(d for k in ks for d in range(2, k + 1) if k % d == 0)
 
 
-def _reduced_denominator(exponents: dict[int, int], den: IntPoly) -> tuple[IntPoly, Counter[int]]:
-    """The denominator of prod_d Phi_d^e_d / den in lowest terms, with
-    positive leading coefficient, and the e_d less the copies of Phi_d it
-    cancelled, by intpoly._divide_cyclotomic with caps e_d; each Phi_d kept
-    is certified not to divide it.  The kept numerator has constant term
-    (-1)^e_1; raises ArithmeticError unless den, cancelled but not yet
-    negated, has that too, so that the series starts at 1."""
+def _reduced_growth(exponents: dict[int, int], den: IntPoly) -> GrowthFunction:
+    """The growth series prod_d Phi_d^e_d / den in lowest terms, by cyclotomic
+    division instead of a gcd: intpoly._divide_cyclotomic cancels Phi_d from
+    den at most e_d times, and each Phi_d kept is certified not to divide it.
+    The numerator, built as one packed product, is monic up to sign, so the
+    contents are coprime too.  The kept numerator has constant term (-1)^e_1;
+    raises ArithmeticError unless den, cancelled but not yet negated, has
+    that too, so that the series starts at 1."""
     den, taken = _divide_cyclotomic(den, sorted(exponents.items()))
     kept = Counter(exponents) - Counter(dict(taken))
     if den.constant != (-1) ** kept[1]:
         raise ArithmeticError("growth series must start at 1")
-    return -den if den.leading < 0 else den, kept
-
-
-def _reduced_growth(exponents: dict[int, int], den: IntPoly) -> GrowthFunction:
-    """The growth series prod_d Phi_d^e_d / den in lowest terms, by cyclotomic
-    division instead of a gcd, with the numerator built as one packed
-    product; it is monic up to sign, so the contents are coprime too."""
-    den, kept = _reduced_denominator(exponents, den)
+    den = -den if den.leading < 0 else den
     num = _cyclotomic_product(kept)
     return GrowthFunction._reduced(num if num.constant == den.constant else -num, den)
 

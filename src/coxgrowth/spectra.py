@@ -211,8 +211,8 @@ TABLE1 = (
 
 # The largest r_max or j_max that the non-realization sweep accepts.  The
 # classification grows as about r_max^2 + j_max^3 trees: on a 2-CPU host
-# prop52_pipeline(b, b) takes 0.5 s at b = 25 (1445 trees), 1.5 s at 35,
-# 3.1 s at 40 (5642 trees) and 6.9 s at 50 (10867 trees).
+# prop52_pipeline(b, b) takes 0.3 s at b = 25 (1445 trees), 0.8 s at 35,
+# 1.4 s at 40 (5642 trees) and 3.5 s at 50 (10867 trees).
 PROP52_BOUND = 40
 
 

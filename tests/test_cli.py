@@ -405,9 +405,11 @@ def test_tree_spec_variants(capsys):
 
 
 def test_rejects_bad_width(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["growth", "--symbol", "[3,8]", "--width", "0"])
-    assert exc.value.code == 2
+    for width in ["0", "1/0"]:
+        with pytest.raises(SystemExit) as exc:
+            main(["growth", "--symbol", "[3,8]", "--width", width])
+        assert exc.value.code == 2
+        assert "width" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("width", ["1e-1001", "1/1" + "0" * 1001, "1e-99999999999"])

@@ -14,6 +14,7 @@ from coxgrowth.coxtrans import (
     char_poly_star,
     coxeter_tree_radius_equals_polygon_rate,
     spectral_radius_coxeter,
+    spectral_radius_from_charpoly,
     star_spectral_radius,
     verify_delta_eq_phi,
 )
@@ -290,9 +291,21 @@ def test_end_to_end_rate_equals_radius():
         assert coxeter_tree_radius_equals_polygon_rate(ps)
 
 
+@pytest.mark.parametrize("ps", [(2, 3, 5), (2, 2, 7), (2, 3, 6), (2, 4, 4), (3, 3, 3), (2, 2, 2, 2)])
+def test_theorem2_verdict_is_false_on_spherical_and_affine_polygons(ps):
+    # delta = phi is reciprocal, but its radius is the exact point 1: no
+    # root above 1 to be the rate
+    phi = char_poly_star(*ps)
+    assert polygon_delta(*ps) == phi and phi.reversed() in (phi, -phi)
+    radius = spectral_radius_from_charpoly(phi)
+    assert radius.low == radius.high == 1
+    assert not coxeter_tree_radius_equals_polygon_rate(ps)
+
+
 def test_theorem2_verdict_matches_the_rate_of_the_growth_function():
-    # the verdict reads the rate from the reduced denominator alone; it must
-    # agree with the rate of the full growth function against the radius
+    # the verdict isolates only phi's top root and rests on the paper's
+    # proof; it must agree with the rate of the full growth function against
+    # the radius
     polygons = [ps for k in range(3, 7) for ps in _hyperbolic_tuples(k, 12)][::30]
     assert len(polygons) == 410
     for ps in polygons:
