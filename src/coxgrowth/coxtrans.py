@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diagram import INF, DiagramError, WeightedTree, star_diagram
+from .diagram import INF, DiagramError, WeightedTree, _star_edges, _star_size
 from .growth import polygon_delta
 from .intpoly import IntPoly, _signed_digits, resultant_eliminate
 from .roots import DEFAULT_WIDTH, RootInterval, largest_root_above_one, sqrt_interval
@@ -137,13 +137,23 @@ def char_poly_recursive(tree: WeightedTree) -> IntPoly:
 
 
 def char_poly_star(*ps: int) -> IntPoly:
-    """Characteristic polynomial of the star-graph Coxeter transformation."""
-    return char_poly_recursive(star_diagram(*ps))
+    """Characteristic polynomial of the star-graph Coxeter transformation.
+
+    The star of star_diagram(*ps) is rooted at its center straight from its
+    edge list, children first, with no tree built; its size is checked
+    against TREE_VERTEX_BOUND before any edge is made."""
+    _check_vertices(_star_size(ps))
+    rooted = [(v, up, 1) for up, v, _ in reversed(_star_edges(ps))]  # weight 3: a = 1
+    rooted.append((0, -1, 0))
+    return _tree_polynomial(rooted, coxeter=True)
 
 
 def verify_delta_eq_phi(*ps: int) -> bool:
-    """Exact equality of the polygon denominator and the star characteristic polynomial."""
-    return polygon_delta(*ps) == char_poly_star(*ps)
+    """Exact equality of the polygon denominator and the star characteristic
+    polynomial.  phi comes first: its vertex bound rejects an oversized star
+    before polygon_delta, whose cost is quadratic in the parameters, runs."""
+    phi = char_poly_star(*ps)
+    return polygon_delta(*ps) == phi
 
 
 def spectral_radius_coxeter(tree: WeightedTree, width: Fraction = DEFAULT_WIDTH) -> RootInterval:

@@ -8,10 +8,10 @@ by a sentinel integer.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 class _Infinity:
@@ -259,9 +259,13 @@ def polygon_diagram(*ps: int) -> CoxeterDiagram:
 
 
 def polygon_is_hyperbolic(ps) -> bool:
-    """Angle-sum test: a compact polygon with angles pi/p_i exists iff sum 1/p_i < k - 2."""
+    """Angle-sum test: a compact polygon with angles pi/p_i exists iff sum 1/p_i < k - 2.
+
+    Tested in integers: with P = prod p_i, each P/p_i is exact, and the test
+    times P^2 > 0 reads (sum P/p_i) P < (k - 2) P^2 for any nonzero p_i."""
     ps = tuple(ps)
-    return sum(Fraction(1, p) for p in ps) < len(ps) - 2
+    whole = math.prod(ps)
+    return sum(whole // p for p in ps) * whole < (len(ps) - 2) * whole * whole
 
 
 @dataclass(frozen=True, init=False)
@@ -328,10 +332,22 @@ def star_diagram(*ps: int) -> WeightedTree:
 
     Vertex 0 is the center; arms are numbered consecutively outward.
     """
+    return WeightedTree(_star_size(ps), _star_edges(ps))
+
+
+def _star_size(ps) -> int:
+    """The vertex count 1 + sum (p_i - 1) of star_diagram(*ps), found before
+    any edge is made; DiagramError for no arm or a parameter below 2."""
     if len(ps) < 1:
         raise DiagramError("star needs at least one arm")
     if any(p < 2 for p in ps):
         raise DiagramError("star parameters must be at least 2")
+    return 1 + sum(ps) - len(ps)
+
+
+def _star_edges(ps) -> list[tuple[int, int, int]]:
+    """The edges (parent, child, 3) of star_diagram(*ps), in the order the
+    children are numbered, so every parent comes before its children."""
     edges = []
     nxt = 1
     for p in ps:
@@ -340,7 +356,7 @@ def star_diagram(*ps: int) -> WeightedTree:
             edges.append((prev, nxt, 3))
             prev = nxt
             nxt += 1
-    return WeightedTree(nxt, edges)
+    return edges
 
 
 def h_graph(i: int, j: int, k: int) -> WeightedTree:

@@ -446,28 +446,39 @@ def _divide_cyclotomic(p: IntPoly, caps) -> tuple[IntPoly, list[tuple[int, int]]
     times, for each (n, cap) of caps in order; p = q prod Phi_n^m over the
     (n, m > 0) of factors.  Divides v = core(2^k) by Phi_n(2^k) while the
     remainder is 0, trying Phi_n only when Phi_n(j) divides core(j) at each
-    probe j, as it must.  The last v is read back once, as q, and accepted
-    when ||q||_1 2^e < 2^(k-1), e = deg p - deg q: as ||g||_1 <= 2^(deg g)
-    for a product g of Phi_n (Mignotte, Mahler measure 1), q prod Phi_n^m
-    and p, for k >= _cyclotomic_width(p), then have all coefficients below
-    2^(k-1) and one value at 2^k, so they are equal, and a nonzero remainder
-    proves that Phi_n does not divide.  A true q passes, M(q) = M(p) <=
-    ||p||_2; after a false divisibility at 2^k all is redone at 2k, which
-    ends, as the remainders p mod Phi_n are fixed."""
-    caps, k = tuple(caps), _cyclotomic_width(p)
+    probe j, as it must.
+
+    The caps are screened once, by p's own values, in one pass with no
+    per-candidate generator: every cofactor core the division reaches has
+    p(j) = core(j) prod Phi_m(j)^e in the integers, so an n with Phi_n(j)
+    not dividing p(j) divides no core(j) either and would fail its first
+    test; dropping it changes no output.  The test on the current cofactor
+    stays, as it is what bounds each multiplicity.
+
+    The last v is read back once, as q, and accepted when ||q||_1 2^e <
+    2^(k-1), e = deg p - deg q: as ||g||_1 <= 2^(deg g) for a product g of
+    Phi_n (Mignotte, Mahler measure 1), q prod Phi_n^m and p, for k >=
+    _cyclotomic_width(p), then have all coefficients below 2^(k-1) and one
+    value at 2^k, so they are equal, and a nonzero remainder proves that
+    Phi_n does not divide.  A true q passes, M(q) = M(p) <= ||p||_2; after
+    a false divisibility at 2^k all is redone at 2k, which ends, as the
+    remainders p mod Phi_n are fixed."""
+    k, values = _cyclotomic_width(p), tuple(p(j) for j in _PROBES)
+    x, y, z = values
+    caps = [(n, cap, phi, a, b, c) for n, cap in caps for phi, (a, b, c) in (_probe_values(n),)
+            if x % a == 0 and y % b == 0 and z % c == 0]
     while True:
-        v, deg, values, factors = _pack(p, k), p.degree, [p(j) for j in _PROBES], []
-        for n, cap in caps:
+        v, deg, (x, y, z), factors = _pack(p, k), p.degree, values, []
+        for n, cap, phi, a, b, c in caps:
             if deg < 1:
                 break
-            phi, probes = _probe_values(n)
             mult, packed = 0, None
-            while mult < cap and deg >= phi and all(a % b == 0 for a, b in zip(values, probes)):
+            while mult < cap and deg >= phi and x % a == 0 and y % b == 0 and z % c == 0:
                 packed = packed or _pack(cyclotomic(n), k)
                 q, r = divmod(v, packed)
                 if r:
                     break
-                v, values, mult, deg = q, [a // b for a, b in zip(values, probes)], mult + 1, deg - phi
+                v, x, y, z, mult, deg = q, x // a, y // b, z // c, mult + 1, deg - phi
             if mult:
                 factors.append((n, mult))
         try:

@@ -51,10 +51,12 @@ def strip_cyclotomic(p: IntPoly) -> tuple[IntPoly, list[tuple[int, int]]]:
     Returns (core, factors) with factors a list of (cyclotomic index,
     multiplicity) in ascending index and core * prod Phi_n^mult == p exactly.
     The candidates are the n with phi(n) <= deg p, with no cap, divided by
-    intpoly._divide_cyclotomic: at one power of two, with one readback."""
+    intpoly._divide_cyclotomic: screened once by p's values at its probes,
+    then divided at one power of two, with one readback."""
     if p.is_zero():
         raise ValueError("zero polynomial")
-    return _divide_cyclotomic(p, ((n, p.degree) for n, _ in _cyclotomic_candidates(p.degree)))
+    d = p.degree
+    return _divide_cyclotomic(p, [(n, d) for n, _ in _cyclotomic_candidates(d)])
 
 
 @functools.cache

@@ -119,6 +119,50 @@ def test_star_recursion_identities():
                                           - char_poly_star(*ps).shift(1))
 
 
+def test_star_polynomial_matches_the_tree_route_on_every_fifth_delta_phi_tuple():
+    # verify delta-phi at its caps: 1..6 arms, each parameter in 2..12
+    stars = [ps for k in range(1, 7) for ps in itertools.combinations_with_replacement(range(2, 13), k)][::5]
+    assert len(stars) == 2475
+    for ps in stars:
+        assert char_poly_star(*ps) == char_poly_recursive(star_diagram(*ps)), ps
+
+
+def _forbid(monkeypatch, module, *names):
+    def fail(*args, **kwargs):
+        raise AssertionError("called")
+    for name in names:
+        monkeypatch.setattr(module, name, fail)
+
+
+def test_star_polynomial_builds_no_tree(monkeypatch):
+    from coxgrowth import diagram
+    _forbid(monkeypatch, diagram, "WeightedTree", "star_diagram")
+    assert char_poly_star(2, 3, 7) == LEHMER
+    assert verify_delta_eq_phi(2, 3, 7)
+    assert coxeter_tree_radius_equals_polygon_rate((2, 3, 7))
+
+
+def test_oversized_star_is_rejected_before_any_work(monkeypatch):
+    # 1 + 1 + 2 + 999999 vertices: the bound fires on the count alone, before
+    # any edge, tree or polygon_delta (quadratic in the parameters) is built
+    from coxgrowth import coxtrans, diagram
+    _forbid(monkeypatch, diagram, "WeightedTree", "star_diagram")
+    _forbid(monkeypatch, coxtrans, "polygon_delta", "_star_edges", "_tree_polynomial")
+    for build in (lambda: char_poly_star(2, 3, 1_000_000), lambda: verify_delta_eq_phi(2, 3, 1_000_000),
+                  lambda: coxeter_tree_radius_equals_polygon_rate((2, 3, 1_000_000)),
+                  lambda: star_spectral_radius(2, 3, 1_000_000), lambda: char_poly_star(2, 1200)):
+        with pytest.raises(ValueError, match=r"^\d+ vertices exceed the tree vertex bound 1200$"):
+            build()
+
+
+def test_star_polynomial_at_the_vertex_bound_and_its_errors():
+    assert char_poly_star(2, 1199) == bracket(TREE_VERTEX_BOUND + 1)  # the path A_1200
+    with pytest.raises(DiagramError, match="star needs at least one arm"):
+        char_poly_star()
+    with pytest.raises(DiagramError, match="star parameters must be at least 2"):
+        char_poly_star(1, 10**9)  # the parameters are checked before the size
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_paths_recursion_vs_determinant(n):
     tree = path_tree(n)

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -142,6 +143,26 @@ def test_polygon_hyperbolic_flag():
     assert not polygon_is_hyperbolic((2, 3, 6))
     assert polygon_is_hyperbolic((2, 2, 2, 2, 2))
     assert not polygon_is_hyperbolic((2, 2, 2, 2))
+
+
+def _angle_sum_in_fractions(ps) -> bool:
+    return sum(Fraction(1, p) for p in ps) < len(ps) - 2
+
+
+def test_polygon_hyperbolic_flag_matches_the_angle_sum_in_fractions():
+    # every tuple verify theorem2 enumerates at its caps, k <= 6 and p <= 12
+    tuples = [ps for k in range(3, 7) for ps in itertools.combinations_with_replacement(range(2, 13), k)]
+    assert len(tuples) == 12298
+    for ps in tuples:
+        assert polygon_is_hyperbolic(ps) == _angle_sum_in_fractions(ps), ps
+    # the Euclidean boundary: the angle sum equals k - 2
+    for ps in [(2, 3, 6), (2, 4, 4), (3, 3, 3), (2, 2, 2, 2)]:
+        assert not polygon_is_hyperbolic(ps) and not _angle_sum_in_fractions(ps)
+    # the integer test stays exact for any nonzero parameters, of either sign
+    rng = random.Random(30)
+    for _ in range(2000):
+        ps = [rng.choice([-1, 1]) * rng.randint(1, 12) for _ in range(rng.randint(0, 6))]
+        assert polygon_is_hyperbolic(ps) == _angle_sum_in_fractions(ps), ps
 
 
 def test_star_diagram():

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from coxgrowth.coxtrans import char_poly_star
+from coxgrowth.growth import _hyperbolic_tuples, polygon_growth
 from coxgrowth.intpoly import IntPoly, _probe_values, cyclotomic, parse_poly, squarefree_part
 from coxgrowth import intpoly, numclass
 from coxgrowth.numclass import (
@@ -160,6 +162,45 @@ def test_strip_cyclotomic_retries_at_twice_the_width(monkeypatch, p):
 def test_strip_cyclotomic_unusual_inputs(p, core, factors):
     assert strip_cyclotomic(p) == (core, factors)
     assert reference_strip_cyclotomic(p) == (core, factors)
+
+
+def _theorem2_polynomials():
+    """The star polynomial and the reduced growth denominator of every 10th
+    hyperbolic polygon with k <= 6 sides and p_i <= 12."""
+    polygons = [ps for k in range(3, 7) for ps in _hyperbolic_tuples(k, 12)][::10]
+    assert len(polygons) == 1228
+    return [q for ps in polygons for q in (char_poly_star(*ps), polygon_growth(*ps).denominator)]
+
+
+def test_strip_cyclotomic_matches_trial_division_on_theorem2_stars_and_denominators():
+    for p in _theorem2_polynomials():
+        assert strip_cyclotomic(p) == reference_strip_cyclotomic(p), p
+
+
+def test_strip_cyclotomic_with_a_root_at_the_first_probe():
+    # p(2) = 0 makes every Phi_n(2) divide p(2): the screen rests on -2 and 3
+    core = IntPoly([-2, 1]) * IntPoly([1, 1, 3])
+    p = core * cyclotomic(1) * cyclotomic(6) ** 2 * cyclotomic(10)
+    assert p(2) == 0
+    assert strip_cyclotomic(p) == reference_strip_cyclotomic(p) == (core, [(1, 1), (6, 2), (10, 1)])
+
+
+def test_cyclotomic_division_packs_only_the_n_that_pass_the_probes_on_p(monkeypatch):
+    # the screen runs once, on p's own values: no Phi_n failing a probe on p
+    # is ever built and packed, in the strip or in the growth reduction
+    build = intpoly.cyclotomic
+    built = []
+    monkeypatch.setattr(intpoly, "cyclotomic", lambda n: built.append(n) or build(n))
+    rng = random.Random(30)
+    randoms = [IntPoly([rng.randint(-3, 3) for _ in range(rng.randint(1, 8))] + [1])
+               * cyclotomic(rng.randint(1, 40)) ** rng.randint(1, 3) for _ in range(60)]
+    for p in _theorem2_polynomials()[::4] + randoms:
+        for divide in (strip_cyclotomic, lambda p: intpoly._divide_cyclotomic(p, [(n, 2) for n in range(1, 31)])):
+            built.clear()
+            core, factors = divide(p)
+            assert {n for n, _ in factors} <= set(built)
+            for n in built:
+                assert all(p(j) % build(n)(j) == 0 for j in (2, -2, 3)), (p, n)
 
 
 def test_cyclotomic_candidates_are_the_sieve_set():

@@ -31,6 +31,7 @@ COMMANDS = [
     ["spectra", "--tree", "Star:2,3,600"],
     ["spectra", "--tree", "H:2,40,36"],
     ["verify", "prop52", "--rmax", "40", "--jmax", "40"],
+    ["verify", "delta-phi", "--max-k", "6", "--max-p", "12"],
     ["verify", "theorem2", "--max-k", "6", "--max-p", "12"],
     ["coxtrans", "--hgraph", "2,8,3"],
     ["coxtrans", "--tree", "Star:2,3,300"],
