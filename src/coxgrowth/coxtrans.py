@@ -218,7 +218,8 @@ def coxeter_tree_radius_equals_polygon_rate(ps) -> bool:
     the growth rate.  The numerator [2] prod [p_i] is a product of Phi_d, so
     cancelling removes only roots of unity, and 1/r stays a pole.  A smaller
     positive pole s would, by reciprocity, make 1/s > r a root of phi; and the
-    smallest positive pole is the radius of convergence (Pringsheim)."""
+    smallest positive pole is the radius of convergence (Pringsheim).  phi =
+    delta is monic, phi(1) = P (2 - k + sum 1/p_i), P = prod p_i: below 0, so a
+    root above 1, on hyperbolic polygons only (the others have radius 1)."""
     phi = char_poly_star(*ps)
-    return (polygon_delta(*ps) == phi and phi.reversed() in (phi, -phi)
-            and largest_root_above_one(phi) is not None)
+    return polygon_delta(*ps) == phi and phi.reversed() in (phi, -phi) and phi(1) < 0

@@ -273,6 +273,8 @@ def polygon_growth(*ps: int) -> GrowthFunction:
     each p_i."""
     if len(ps) < 3:
         raise ValueError("a polygon needs at least 3 sides")
+    if min(ps) < 2:
+        raise ValueError("parameters must be at least 2")
     if not polygon_is_hyperbolic(ps):
         raise ValueError(f"{ps} does not satisfy the angle-sum condition")
     return _reduced_growth(_bracket_factorization((2, *ps)), polygon_delta(*ps))

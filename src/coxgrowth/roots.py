@@ -28,15 +28,13 @@ Either way the interval holds a simple root of its own poly (p or sf), the
 invariant of every RootInterval, which holds the squarefree part unless built
 with that root certified simple.  A tree's adjacency radius does not come
 here: spectra bisects the same grid by exact eigenvalue counts on the tree.
-
-largest_root_above_one makes one Taylor shift, to 1, first.  No variation
-means no root above 1.  One variation and p(1) != 0 mean exactly one root r
-above 1, simple, so p < 0 on (1, r) and p > 0 above r; a Salem-type
-polynomial always reads so, its other roots having real part below 1, which
-puts the roots of their factor shifted to 1 in the open left half-plane and
-its coefficients all of one sign.  Then a window (a, b] with a >= 1 needs no
-shift, only the signs of the walk.  The window is still shifted when it starts
-below 1, or when the shift to 1 read two or more variations or p(1) = 0.
+Its polynomial, an alpha eliminant and t^4 - 4t^2 - 1 read f(x) = x^e g(x^2).
+For a > 0, x -> x^2 maps the roots of f above a one to one onto those of g
+above a^2, with f'(x) = x^e 2x g'(x^2) and f(a) = a^e g(a^2), so g shifted
+to a^2, a quarter of the work, certifies as f shifted to a does; g's
+estimate y, radius r, gives x = sqrt(y), radius r / 2x, and f's own is tried
+when its window declines.  largest_root_above_one shifts p to 1 first; one
+variation there spares a window at or above 1 its shift.
 
 On Salem-type polynomials, with complex roots near the unit circle, the
 first Laguerre step from B lands below the top root; the estimate recovers
@@ -402,12 +400,23 @@ def _shifted(p: IntPoly, a: Fraction) -> list[int]:
     return _taylor_shift(scaled, u)
 
 
+def _half(f: IntPoly) -> IntPoly | None:
+    """g with f = x^e g(x^2) when deg f > 1 and f has only terms of its degree's parity, else None."""
+    n = f.degree
+    return None if n < 2 or any(f.coeffs[1 - n % 2::2]) else IntPoly(f.coeffs[n % 2::2])
+
+
+def _shifted_above(f: IntPoly, a: Fraction) -> list[int]:
+    """_shifted(f, a), or for a > 0 and f = x^e g(x^2) that of g to a^2."""
+    return _shifted(g, a * a) if a > 0 and (g := _half(f)) is not None else _shifted(f, a)
+
+
 def descartes_bound(p: IntPoly, a: Fraction | int) -> int:
-    """The sign variations of the Taylor shift of p to a: by Descartes' rule an
-    upper bound on the number of roots of p in (a, inf), counted with
-    multiplicity, and of the same parity.  0 certifies that p has no root
-    above a, and 1, with p(a) != 0, exactly one, and that one simple."""
-    return _variations(map(_sign, _shifted(p, Fraction(a))))
+    """The sign variations of p shifted to a (g to a^2 for a > 0, p = x^e g(x^2)):
+    by Descartes' rule an upper bound on the number of roots of p in (a, inf),
+    counted with multiplicity, and of the same parity.  0 certifies that p has
+    no root above a, and 1, with p(a) != 0, exactly one, and that one simple."""
+    return _variations(map(_sign, _shifted_above(p, Fraction(a))))
 
 
 def _descartes_largest(p: IntPoly, width: Fraction, one_above_one: bool = False) -> RootInterval | None:
@@ -416,7 +425,8 @@ def _descartes_largest(p: IntPoly, width: Fraction, one_above_one: bool = False)
 
     It runs on f, the primitive part of p with positive leading coefficient,
     and on the grid (-B, B], B = root_bound(f), at depth j = min(J, seed
-    depth), from _root_estimate(f, B, the depth-J cell width).  The window
+    depth), from an estimate at the depth-J cell width: g's, if positive, for
+    f = x^e g(x^2), else f's (also when g's window declines).  The window
     (a, b] is the cell of the estimate and its two neighbours.  f(a) != 0
     and one sign variation at a mean exactly one root r above a, simple, so
     f < 0 on (a, r) and f > 0 above r: the grid points x_(m-1) < r <= x_m,
@@ -435,9 +445,18 @@ def _descartes_largest(p: IntPoly, width: Fraction, one_above_one: bool = False)
     """
     f = p.primitive()
     bound = root_bound(f)
-    origin, span = -bound, 2 * bound
-    depth = _grid_depth(span, width)
-    seed = _seed(_root_estimate(f, bound, span / 2**depth), span, depth)
+    depth = _grid_depth(2 * bound, width)
+    cell, g = 2 * bound / 2**depth, _half(f)
+    y, r = _root_estimate(g, root_bound(g), 2 * bound * cell) if g is not None else (0, 0)
+    args = (p, f, -bound, 2 * bound, depth, width, one_above_one)
+    iv = _window((x := math.sqrt(y), r / (2 * x) + 2.0**-50 * x), *args) if y > 0 else None
+    return iv if iv is not None else _window(_root_estimate(f, bound, cell), *args)
+
+
+def _window(estimate: tuple[float, float], p: IntPoly, f: IntPoly, origin: Fraction, span: Fraction,
+            depth: int, width: Fraction, one_above_one: bool) -> RootInterval | None:
+    """_descartes_largest in the window of one estimate, on the grid (origin, origin + span]."""
+    seed = _seed(estimate, span, depth)
     if seed is None or seed[1] < 0:
         return None
     xq, j = seed
@@ -448,7 +467,7 @@ def _descartes_largest(p: IntPoly, width: Fraction, one_above_one: bool = False)
     a = origin + step * i0
     deferred = one_above_one and a >= 1
     if not deferred:
-        shifted = _shifted(f, a)
+        shifted = _shifted_above(f, a)
         if shifted[0] == 0 or _variations(map(_sign, shifted)) != 1:
             return None
     m = k + 1
@@ -547,16 +566,14 @@ def largest_root_above_one(p: IntPoly, width: Fraction = DEFAULT_WIDTH) -> RootI
     disk.  One variation certifies exactly one root above 1, and that one
     simple: the variations skip zero coefficients, so a root at 1 of
     multiplicity m drops the factor x^m of the shift and leaves the count of
-    its cofactor.  Growth rates and Coxeter radii commonly read so: every
-    polygon of `verify theorem2` does, at the defaults and at the caps.
-    Then the Descartes certificate makes no shift of its own when its window
-    starts at or above 1.  It still makes one when the window starts below
-    1, or when the shift to 1 read two or more variations; the bisection
-    runs when it fails.  Either way the interval of the largest real root
-    decides, and when it straddles 1, the sign of q(1), q = iv.poly: the
-    root is simple in q, and q has no other root above the interval's lower
-    end, so the root lies above 1 exactly when q(1) has the sign opposite to
-    lc(q).  Raises ValueError for a width <= 0.
+    its cofactor.  Salem-type polynomials always read so (their other roots
+    have real part below 1, so their factor shifted to 1 has coefficients of
+    one sign), and the Descartes certificate then shifts only a window
+    starting below 1; the bisection runs when it fails.  The interval of the
+    largest real root decides, and when it straddles 1, the sign of q(1),
+    q = iv.poly: the root is simple in q and q has no other root above the
+    lower end, so it lies above 1 exactly when q(1) lc(q) < 0.  Raises
+    ValueError for a width <= 0.
     """
     _check_width(width)
     variations = descartes_bound(p, 1)

@@ -1,9 +1,11 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from coxgrowth import coxtrans
 from coxgrowth.coxtrans import (
     TREE_VERTEX_BOUND,
     _rooted,
@@ -355,6 +357,27 @@ def test_theorem2_verdict_matches_the_rate_of_the_growth_function():
     for ps in polygons:
         expected = compare(growth_rate(polygon_growth(*ps)), star_spectral_radius(*ps)) == 0
         assert coxeter_tree_radius_equals_polygon_rate(ps) == expected, ps
+
+
+def test_theorem2_verdict_at_the_defaults_rests_on_the_sign_at_1(monkeypatch):
+    # every hyperbolic polygon of verify theorem2 at its defaults (k <= 5,
+    # p <= 8) is decided by phi(1) < 0, so no top root is isolated
+    calls, top = [], coxtrans.largest_root_above_one
+    monkeypatch.setattr(coxtrans, "largest_root_above_one", lambda p: calls.append(p) or top(p))
+    polygons = [ps for k in range(3, 6) for ps in _hyperbolic_tuples(k, 8)]
+    assert all(coxeter_tree_radius_equals_polygon_rate(ps) for ps in polygons)
+    assert len(polygons) > 700 and calls == []
+
+
+def test_phi_at_1_is_the_angle_sum_defect_and_phi_is_monic():
+    # the docstring's proof: phi(1) = P (2 - k + sum 1/p_i), P = prod p_i,
+    # negative exactly on hyperbolic polygons, and lc(phi) = 1
+    for k in range(3, 6):
+        for ps in itertools.combinations_with_replacement(range(2, 9), k):
+            phi = char_poly_star(*ps)
+            defect = math.prod(ps) * (2 - k + sum(Fraction(1, p) for p in ps))
+            assert phi.leading == 1 and phi(1) == defect, ps
+            assert (defect < 0) == polygon_is_hyperbolic(ps), ps
 
 
 def test_end_to_end_shares_core():

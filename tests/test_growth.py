@@ -388,6 +388,12 @@ def test_polygon_growth_rejects_non_hyperbolic():
         polygon_growth(2, 2)
 
 
+@pytest.mark.parametrize("ps", [(2, 3, 0), (2, 3, 1), (2, 3, -4)])
+def test_polygon_growth_checks_its_parameters_before_the_angle_sum(ps):
+    with pytest.raises(ValueError, match="^parameters must be at least 2$"):
+        polygon_growth(*ps)
+
+
 def test_steinberg_delta_agreement_full_sweep():
     # every hyperbolic polygon with k <= 6, p_i <= 9
     count = 0

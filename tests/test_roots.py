@@ -665,6 +665,103 @@ def test_descartes_path_computes_no_squarefree_part_and_no_count(monkeypatch):
     assert work == []
 
 
+# -- even and odd polynomials through g(y), y = x^2 ----------------------------------
+
+from coxgrowth.diagram import h_graph, star_diagram  # noqa: E402
+
+
+def _tree_chis():
+    """Adjacency polynomials whose top root the Descartes certificate takes."""
+    trees = [item.tree for item in brouwer_neumaier_enumerate(25, 25)[7::30]]
+    trees += [path_tree(n) for n in (2, 5, 40)]
+    trees += [star_diagram(*ps) for ps in [(2, 3, 7), (5, 5, 5, 5), (2, 18, 40)]]
+    trees += [h_graph(*ps) for ps in [(2, 10, 3), (4, 38, 29)]]
+    return [adjacency_char_poly(t) for t in trees]
+
+
+def test_tree_polynomials_isolate_through_g_to_the_reference_interval():
+    # Path:101 declines to the bisection
+    for p in _tree_chis() + [adjacency_char_poly(t) for t in (path_tree(101), h_graph(9, 25, 14))]:
+        assert roots._half(p) is not None, p
+        for width in (Fraction(1, 10**7), Fraction(1, 2**40)):
+            assert _pair(isolate_largest_real_root(p, width)) == reference_isolate_largest(p, width), p
+
+
+def test_a_window_that_g_misses_is_retried_from_fs_own_estimate(monkeypatch):
+    # on H(9, 25, 14) the Laguerre steps on g cross its close top pair near
+    # y = 4.237 and stop at the lower root: g's window declines, f's certifies
+    p = adjacency_char_poly(h_graph(9, 25, 14))
+    results, window = [], roots._window
+    monkeypatch.setattr(roots, "_window", lambda *args: results.append(window(*args)) or results[-1])
+    monkeypatch.setattr(roots, "_bisection_largest", _unreachable)
+    for width in (Fraction(1, 10**7), Fraction(1, 2**40)):
+        results.clear()
+        assert _pair(isolate_largest_real_root(p, width)) == reference_isolate_largest(p, width)
+        assert results[0] is None and results[1] is not None
+
+
+def test_a_tree_polynomial_is_shifted_once_on_half_its_coefficients(monkeypatch):
+    lengths, shift = [], intpoly._taylor_shift
+    monkeypatch.setattr(roots, "_taylor_shift",
+                        lambda coeffs, c: lengths.append(len(coeffs)) or shift(coeffs, c))
+    for p in _tree_chis():
+        lengths.clear()
+        isolate_largest_real_root(p, Fraction(1, 10**7))
+        assert lengths == [p.degree // 2 + 1], p
+
+
+def _even(g: IntPoly, e: int) -> IntPoly:
+    """x^e g(x^2)."""
+    coeffs = [0] * (2 * g.degree + 1)
+    coeffs[::2] = g.coeffs
+    return IntPoly([0] * e + coeffs)
+
+
+_G_PLANTED = {
+    # g has no positive root: f's own estimate, and no real root or only 0
+    "no positive root": (IntPoly([4, 5, 1]) * IntPoly([1, 1, 1]), False),
+    # the pair -1 +- 2i of g lies further out than its top real root 2, but
+    # to the left of it, as x = +-(0.79 +- 1.27i) lies left of sqrt 2
+    "complex top pair": (IntPoly([5, 2, 1]) * IntPoly([-2, 1]), True),
+    # the pair 3 +- i of g lies right of 2: the certificate declines
+    "complex pair to the right": (IntPoly([10, -6, 1]) * IntPoly([-2, 1]), False),
+    # f's top root 2 is a grid point: a point interval
+    "top root on the grid": (IntPoly([-4, 1]) * IntPoly([1, 1]) * IntPoly([-1, 1]), True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_G_PLANTED))
+@pytest.mark.parametrize("e", [0, 1])
+def test_planted_even_and_odd_polynomials_give_the_reference_interval(name, e):
+    g, certifies = _G_PLANTED[name]
+    p = _even(g, e)
+    for width in (Fraction(1, 10**9), Fraction(1, 3)):
+        assert (roots._descartes_largest(p, width) is not None) == certifies
+        expected = reference_isolate_largest(p, width)
+        if expected is None:
+            with pytest.raises(NoRealRootError):
+                isolate_largest_real_root(p, width)
+            continue
+        iv = isolate_largest_real_root(p, width)
+        assert _pair(iv) == expected, (p, width)
+        if name == "top root on the grid":
+            assert iv.low == iv.high == 2
+        above = largest_root_above_one(p, width)
+        assert (above and _pair(above)) == (expected if expected[1] > 1 else None)
+
+
+def test_a_window_starting_at_0_shifts_f_itself(monkeypatch):
+    # the root 2^-29.5 lies in the grid cell (2^-30, 2^-29] at width 1e-9, so
+    # the window starts at 0, where f, not g, is shifted
+    p = IntPoly([-1, 0, 2**59])
+    points, shifted = [], roots._shifted
+    monkeypatch.setattr(roots, "_shifted", lambda f, a: points.append((f, a)) or shifted(f, a))
+    monkeypatch.setattr(roots, "_bisection_largest", _unreachable)
+    iv = isolate_largest_real_root(p, roots.DEFAULT_WIDTH)
+    assert points == [(p, 0)]
+    assert _pair(iv) == reference_isolate_largest(p, roots.DEFAULT_WIDTH)
+
+
 # -- the largest root above 1 from one Taylor shift ----------------------------------
 
 

@@ -59,10 +59,11 @@ def test_long_path_radius_is_two_cos_pi_over_n_plus_one():
 
 
 # Trees of the Prop 5.2 sweep at bound 40 where the float estimate from the
-# polynomial misses the Descartes certificate's window
-_DECLINING = [("star", (2, 18, 40)), ("h", (2, 40, 36)), ("h", (4, 38, 29)), ("h", (6, 33, 27)),
-              ("h", (7, 38, 31)), ("h", (8, 40, 10)), ("h", (9, 39, 26)), ("h", (11, 40, 19)),
+# polynomial misses the Descartes certificate's window; that of g(y), chi =
+# x^e g(x^2), meets it on the _CERTIFYING ones
+_DECLINING = [("h", (2, 40, 36)), ("h", (7, 38, 31)), ("h", (9, 39, 26)), ("h", (11, 40, 19)),
               ("h", (14, 31, 15)), ("h", (20, 40, 20))]
+_CERTIFYING = [("star", (2, 18, 40)), ("h", (4, 38, 29)), ("h", (6, 33, 27)), ("h", (8, 40, 10))]
 
 
 def _no_polynomial_root(*args):
@@ -74,9 +75,13 @@ def test_tree_radii_certify_by_eigenvalue_counts(monkeypatch):
     for kind, params in _DECLINING:
         chi = adjacency_char_poly(_build(kind, params))
         assert roots._descartes_largest(chi, width) is None, params
+    for kind, params in _CERTIFYING:
+        chi = adjacency_char_poly(_build(kind, params))
+        iv = roots._descartes_largest(chi, width)
+        assert (iv.low, iv.high) == reference_isolate_largest(chi, width), params
     for name in ("_descartes_largest", "_bisection_largest", "_taylor_shift"):
         monkeypatch.setattr(roots, name, _no_polynomial_root)
-    for kind, params in _DECLINING:
+    for kind, params in _DECLINING + _CERTIFYING:
         tree = _build(kind, params)
         iv = spectral_radius_adjacency(tree, width)
         assert (iv.low, iv.high) == reference_isolate_largest(adjacency_char_poly(tree), width)

@@ -21,6 +21,9 @@ from pathlib import Path
 
 from bench_pair import DEGREE_160, LEHMER, export, run_python
 
+# The star of 399 arms of 4 vertices (1198 vertices, under the tree vertex bound)
+STAR_399 = "Star:" + ",".join(["4"] * 399)
+
 COMMANDS = [
     *(["verify", check] for check in
       ["delta-phi", "second-minimal", "prop52", "theorem2", "table1", "chain-fig1"]),
@@ -36,6 +39,7 @@ COMMANDS = [
     ["coxtrans", "--hgraph", "2,8,3"],
     ["coxtrans", "--tree", "Star:2,3,300"],
     ["coxtrans", "--tree", "Star:2,3,600"],
+    ["coxtrans", "--tree", STAR_399],
     *(["growth", "--symbol", symbol] for symbol in ["[3,5,3]", "[4,3^18]", "[4,3,5]", "[(3,3,4)]"]),
     ["growth", "--polygon", "2,3,7"],
     ["classify", "--poly", LEHMER],
