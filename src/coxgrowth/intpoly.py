@@ -125,16 +125,7 @@ class IntPoly:
 
     def sign_at(self, x: Fraction) -> int:
         """Exact sign of the value at a rational point, via the homogeneous form."""
-        a, b = x.numerator, x.denominator
-        n = self.degree
-        if n < 0:
-            return 0
-        acc = 0
-        bp = 1
-        for c in reversed(self.coeffs):
-            acc = acc * a + c * bp
-            bp *= b
-        return (acc > 0) - (acc < 0)
+        return _sign_at(self.coeffs, x.numerator, x.denominator)
 
     # -- structure ----------------------------------------------------------
 
@@ -185,6 +176,16 @@ class IntPoly:
 
     def __repr__(self) -> str:
         return f"IntPoly('{self}')"
+
+
+def _sign_at(coeffs, u: int, v: int) -> int:
+    """The sign of sum c_i u^i v^(n-i) over the coefficients c_0..c_n: for
+    v > 0, the sign of the polynomial at u / v, with no fraction formed."""
+    acc, vk = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * u + c * vk
+        vk *= v
+    return (acc > 0) - (acc < 0)
 
 
 def _coerce(x) -> IntPoly:

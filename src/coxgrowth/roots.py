@@ -24,9 +24,13 @@ and the root and p > 0 above it, so two signs at grid points,
 p(x_k) < 0 <= p(x_(k+1)), place the root in its depth-J cell, found by a
 walk from the estimate's cell that stays at or below b.  The bisection of
 the squarefree part sf from the whole grid runs when the certificate fails.
-Either way the interval holds a simple root of its own poly (p or sf), the
-invariant of every RootInterval, which holds the squarefree part unless built
-with that root certified simple.  A tree's adjacency radius does not come
+Either way the interval holds a simple root of its own poly (p or sf).  No
+fraction is formed between the estimate and the interval's ends: the grid
+points (2m - 2^j) B / 2^j are integers over powers of two, the one sign
+kernel intpoly._sign_at(c, u, v) = sign(sum c_i u^i v^(n-i)), under
+IntPoly.sign_at too, reads p at u / v, and one _halve bisects integer
+numerators over one denominator, for the window and for refinement, whose
+ends (alpha0's) need not be dyadic.  A tree's adjacency radius does not come
 here: spectra bisects the same grid by exact eigenvalue counts on the tree.
 Its polynomial, an alpha eliminant and t^4 - 4t^2 - 1 read f(x) = x^e g(x^2).
 For a > 0, x -> x^2 maps the roots of f above a one to one onto those of g
@@ -54,7 +58,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intpoly import IntPoly, _signed_remainders, _taylor_shift, poly_gcd, squarefree_part
+from .intpoly import IntPoly, _sign_at, _signed_remainders, _taylor_shift, poly_gcd, squarefree_part
 
 DEFAULT_WIDTH = Fraction(1, 10**9)
 
@@ -235,22 +239,29 @@ def _refine(bracket: RootInterval, width: Fraction) -> RootInterval:
     s_lo = _sign_right_of(f, lo)
     if s_lo == s_hi:
         raise ArithmeticError("bracket invariant violated")
-    return _halve(f, lo, hi, s_lo, width)
+    d = math.lcm(lo.denominator, hi.denominator)
+    return _halve(f, lo.numerator * d // lo.denominator, hi.numerator * d // hi.denominator, d, s_lo, width)
 
 
-def _halve(f: IntPoly, lo: Fraction, hi: Fraction, s_lo: int, width: Fraction) -> RootInterval:
-    """Sign bisection of (lo, hi], holding one simple root of f with f of sign
-    s_lo just right of lo, down to the given width or to the root as a point."""
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        s_mid = f.sign_at(mid)
-        if s_mid == 0:
+def _halvings(length: int, den: int, width: Fraction) -> int:
+    """The least k >= 0 with length / (den 2^k) <= width, from bit lengths and one comparison."""
+    a, b = length * width.denominator, den * width.numerator
+    k = max(a.bit_length() - b.bit_length(), 0)
+    return k + (a > b << k)
+
+
+def _halve(f: IntPoly, lo: int, hi: int, den: int, s_lo: int, width: Fraction) -> RootInterval:
+    """Sign bisection of (lo / den, hi / den], holding one simple root of f with f of
+    sign s_lo just right of lo / den, to the width or to the root as a point."""
+    length = hi - lo
+    for _ in range(_halvings(length, den, width)):
+        lo, den = 2 * lo, 2 * den
+        if (s_mid := _sign_at(f.coeffs, lo + length, den)) == 0:
+            mid = Fraction(lo + length, den)
             return RootInterval(f, mid, mid, multiplicity_free=True)
         if s_mid == s_lo:
-            lo = mid
-        else:
-            hi = mid
-    return RootInterval(f, lo, hi, multiplicity_free=True)
+            lo += length
+    return RootInterval(f, Fraction(lo, den), Fraction(lo + length, den), multiplicity_free=True)
 
 
 # -- the float estimate and the seeded window -----------------------------------------------------
@@ -320,7 +331,7 @@ def _horner(cs: list[float], x: float) -> tuple[float, float, float]:
     return v, dv, ddv
 
 
-def _root_estimate(p: IntPoly, bound: Fraction, cell: Fraction) -> tuple[float, float]:
+def _root_estimate(p: IntPoly, bound: float | Fraction, cell: float | Fraction) -> tuple[float, float]:
     """A float guess at the largest real root of p, sought down from bound
     (root_bound(p)) by _from_above with Horner's rule, and an error radius;
     nan when there is none.  It only chooses where exact signs are taken, in
@@ -364,26 +375,6 @@ def _root_estimate(p: IntPoly, bound: Fraction, cell: Fraction) -> tuple[float, 
         return math.nan, math.nan
 
 
-def _grid_depth(span: Fraction, width: Fraction) -> int:
-    """The first depth J at which the grid's cells, span / 2**J wide, are at most width."""
-    q = span / width
-    return (-(-q.numerator // q.denominator) - 1).bit_length()
-
-
-def _seed(estimate: tuple[float, float], span: Fraction,
-          depth: int) -> tuple[Fraction, int] | None:
-    """The estimate x (as a fraction) and the depth of the seeded window: at most
-    depth, with cells at least the error radius, and about
-    2**-SEED_PRECISION_BITS times max(|x|, 1), wide.  None when x or its
-    error radius is nan or infinite."""
-    try:
-        xq, radius = Fraction(estimate[0]), Fraction(estimate[1])
-    except (ValueError, OverflowError):
-        return None
-    q = span / max(radius, max(abs(xq), 1) * Fraction(1, 2**SEED_PRECISION_BITS))
-    return xq, min(depth, q.numerator.bit_length() - q.denominator.bit_length() - 1)
-
-
 # -- the Descartes certificate and bisection ------------------------------------------
 
 
@@ -406,9 +397,10 @@ def _half(f: IntPoly) -> IntPoly | None:
     return None if n < 2 or any(f.coeffs[1 - n % 2::2]) else IntPoly(f.coeffs[n % 2::2])
 
 
-def _shifted_above(f: IntPoly, a: Fraction) -> list[int]:
-    """_shifted(f, a), or for a > 0 and f = x^e g(x^2) that of g to a^2."""
-    return _shifted(g, a * a) if a > 0 and (g := _half(f)) is not None else _shifted(f, a)
+def _shifted_above(f: IntPoly, u: int, v: int) -> list[int]:
+    """_shifted(f, a), a = u / v, v > 0, or for a > 0 and f = x^e g(x^2) that of g to a^2."""
+    g = _half(f) if u > 0 else None
+    return _shifted(f, Fraction(u, v)) if g is None else _shifted(g, Fraction(u * u, v * v))
 
 
 def descartes_bound(p: IntPoly, a: Fraction | int) -> int:
@@ -416,7 +408,7 @@ def descartes_bound(p: IntPoly, a: Fraction | int) -> int:
     by Descartes' rule an upper bound on the number of roots of p in (a, inf),
     counted with multiplicity, and of the same parity.  0 certifies that p has
     no root above a, and 1, with p(a) != 0, exactly one, and that one simple."""
-    return _variations(map(_sign, _shifted_above(p, Fraction(a))))
+    return _variations(map(_sign, _shifted_above(p, *Fraction(a).as_integer_ratio())))
 
 
 def _descartes_largest(p: IntPoly, width: Fraction, one_above_one: bool = False) -> RootInterval | None:
@@ -444,47 +436,55 @@ def _descartes_largest(p: IntPoly, width: Fraction, one_above_one: bool = False)
     declines, as the shift would.
     """
     f = p.primitive()
-    bound = root_bound(f)
-    depth = _grid_depth(2 * bound, width)
-    cell, g = 2 * bound / 2**depth, _half(f)
-    y, r = _root_estimate(g, root_bound(g), 2 * bound * cell) if g is not None else (0, 0)
-    args = (p, f, -bound, 2 * bound, depth, width, one_above_one)
+    e = root_bound(f).numerator.bit_length() - 1
+    depth, g = _halvings(2 << e, 1, width), _half(f)
+    # the cell widths 2**(e + 1 - depth), for f, and 2**(2e + 2 - depth), for g
+    y, r = _root_estimate(g, root_bound(g), 2 ** (2 * e + 2 - depth)) if g is not None else (0, 0)
+    args = (p, f, e, depth, width, one_above_one)
     iv = _window((x := math.sqrt(y), r / (2 * x) + 2.0**-50 * x), *args) if y > 0 else None
-    return iv if iv is not None else _window(_root_estimate(f, bound, cell), *args)
+    return iv if iv is not None else _window(_root_estimate(f, 1 << e, 2 ** (e + 1 - depth)), *args)
 
 
-def _window(estimate: tuple[float, float], p: IntPoly, f: IntPoly, origin: Fraction, span: Fraction,
-            depth: int, width: Fraction, one_above_one: bool) -> RootInterval | None:
-    """_descartes_largest in the window of one estimate, on the grid (origin, origin + span]."""
-    seed = _seed(estimate, span, depth)
-    if seed is None or seed[1] < 0:
+def _window(estimate: tuple[float, float], p: IntPoly, f: IntPoly, e: int, depth: int,
+            width: Fraction, one_above_one: bool) -> RootInterval | None:
+    """_descartes_largest in the window of one estimate x = n / d, radius r, on
+    the grid (-2**e, 2**e] at depth j: at most depth, cells at least r and about
+    2**-SEED_PRECISION_BITS max(|x|, 1) wide; None for x or r nan or infinite.
+    Its point x_m = (2m - 2**j) 2**(e - j) is x0 + m dx over v = 2**max(j - e, 0)."""
+    try:
+        (n, d), (rn, rd) = estimate[0].as_integer_ratio(), estimate[1].as_integer_ratio()
+    except (ValueError, OverflowError):
         return None
-    xq, j = seed
-    cells = 1 << j
-    step = span / cells
-    k = min(max(math.floor((xq - origin) / step), 0), cells - 1)
+    tn, td = (abs(n), d << SEED_PRECISION_BITS) if abs(n) >= d else (1, 1 << SEED_PRECISION_BITS)
+    if rn * td >= tn * rd:
+        tn, td = rn, rd
+    # floor(log2(2**(e + 1) / (tn / td))) or one less, as td is a power of two
+    if (j := min(depth, e + td.bit_length() - tn.bit_length())) < 0:
+        return None
+    cells, cs, v = 1 << j, f.coeffs, 1 << max(j - e, 0)
+    x0, dx = -cells << max(e - j, 0), 2 << max(e - j, 0)
+    # the estimate's cell: k = floor((n / d + 2**e) / 2**(e + 1 - j))
+    k = min(max(((n + (d << e)) << j) // (d << e + 1), 0), cells - 1)
     i0, i1 = max(k - 1, 0), min(k + 2, cells)
-    a = origin + step * i0
-    deferred = one_above_one and a >= 1
+    deferred = one_above_one and x0 + i0 * dx >= v
     if not deferred:
-        shifted = _shifted_above(f, a)
+        shifted = _shifted_above(f, x0 + i0 * dx, v)
         if shifted[0] == 0 or _variations(map(_sign, shifted)) != 1:
             return None
     m = k + 1
-    s = f.sign_at(origin + step * m)
-    while s < 0:
+    while (s := _sign_at(cs, x0 + m * dx, v)) < 0:
         if m == i1:
             return None
         m += 1
-        s = f.sign_at(origin + step * m)
-    while m - 1 > i0 and (below := f.sign_at(origin + step * (m - 1))) >= 0:
+    # after a step up, f(x_(m-1)) < 0 is known
+    while i0 < m - 1 <= k and (below := _sign_at(cs, x0 + (m - 1) * dx, v)) >= 0:
         m, s = m - 1, below
-    if deferred and m - 1 == i0 and f.sign_at(a) >= 0:
+    if deferred and m - 1 == i0 and _sign_at(cs, x0 + i0 * dx, v) >= 0:
         return None
-    hi = origin + step * m
     if s == 0:
+        hi = Fraction(x0 + m * dx, v)
         return RootInterval(p, hi, hi, multiplicity_free=True)
-    return _halve(p, hi - step, hi, -_sign(p.leading), width)
+    return _halve(p, x0 + (m - 1) * dx, x0 + m * dx, v, -_sign(p.leading), width)
 
 
 def _cells(f: IntPoly, lo: Fraction, hi: Fraction):
@@ -533,7 +533,7 @@ def _bisection_largest(p: IntPoly, width: Fraction) -> RootInterval:
     if top is None:
         raise NoRealRootError("polynomial has no real root")
     lo, hi = top
-    step = 2 * bound / 2**_grid_depth(2 * bound, width)
+    step = 2 * bound / 2**_halvings(2 * bound.numerator, 1, width)
     if hi - lo < step:
         below = next(cells, None)
         a = -bound + step * ((lo + bound) // step)
@@ -655,15 +655,14 @@ def certify_strictly_less(a: RootInterval, b: RootInterval) -> tuple[RootInterva
 
 
 def sqrt_interval(x_low: Fraction, x_high: Fraction, width: Fraction = DEFAULT_WIDTH) -> tuple[Fraction, Fraction]:
-    """Rational enclosure of [sqrt(x_low), sqrt(x_high)] with outward rounding."""
+    """Rational enclosure of [sqrt(x_low), sqrt(x_high)] with outward rounding; a width <= 0 raises."""
+    _check_width(width)
     if x_low < 0:
         raise ValueError("negative radicand")
     if x_low > x_high:
         raise ValueError("empty interval")
     # scale so that integer square roots give the requested precision
-    k = 1
-    while Fraction(2, k) > width:
-        k *= 2
+    k = 1 << _halvings(2, 1, width)
     lo = Fraction(math.isqrt((x_low.numerator * x_low.denominator) * k * k), x_low.denominator * k)
     num = x_high.numerator * x_high.denominator * k * k
     s = math.isqrt(num)

@@ -481,7 +481,7 @@ def test_float_estimate_only_chooses_where_to_look(monkeypatch, p, largest):
 def _cell_width(p, width):
     """The width of the depth-J cells of p's grid, which the estimate is given."""
     span = 2 * roots.root_bound(p)
-    return span / 2**roots._grid_depth(span, width)
+    return span / 2**roots._halvings(span.numerator, 1, width)
 
 
 @pytest.mark.parametrize("p", _SEED_CASES)
@@ -495,12 +495,14 @@ def test_polish_stops_within_a_quarter_of_the_cell(p):
 
 
 def _counting_signs(monkeypatch) -> list:
-    """The points at which IntPoly.sign_at is called from now on."""
-    points, sign_at = [], IntPoly.sign_at
-    def record(self, x):
-        points.append(x)
-        return sign_at(self, x)
-    monkeypatch.setattr(IntPoly, "sign_at", record)
+    """The points u / v at which the integer sign kernel, which IntPoly.sign_at
+    also calls, takes a sign from now on."""
+    points, sign_at = [], intpoly._sign_at
+    def record(coeffs, u, v):
+        points.append(Fraction(u, v))
+        return sign_at(coeffs, u, v)
+    for module in (intpoly, roots):
+        monkeypatch.setattr(module, "_sign_at", record)
     return points
 
 
@@ -513,7 +515,7 @@ def test_certificate_from_the_root_cell_takes_at_most_three_signs(monkeypatch, p
     monkeypatch.setattr(roots, "_root_estimate", lambda f, bound, cell: (x, 0.0))
     points = _counting_signs(monkeypatch)
     iv = roots._descartes_largest(p, width)
-    assert len(points) <= 3, points
+    assert 1 <= len(points) <= 3, points
     assert (iv.low, iv.high) == (true.low, true.high)
 
 
@@ -859,6 +861,8 @@ def test_non_positive_widths_raise_at_once(width):
         iv.refined(width)
     point = RootInterval(IntPoly([-1, 1]), Fraction(1), Fraction(1))
     assert point.refined(width) is point
+    with pytest.raises(ValueError, match="width must be positive"):
+        sqrt_interval(Fraction(2), Fraction(3), width)
 
 
 def test_compare_computes_no_squarefree_part_and_no_count(monkeypatch):
@@ -921,3 +925,142 @@ def test_compare_reads_the_gcd_just_right_of_a_lower_end_that_is_a_root():
     c = RootInterval(x1 * IntPoly([-3, 1]), Fraction(1), Fraction(4))
     d = RootInterval(x1 * IntPoly([-7, 4]), Fraction(1), Fraction(2))
     assert compare(c, d) == 1 and compare(d, c) == -1
+
+
+# -- the integer grid and the one bisection ------------------------------------------
+
+from coxgrowth.coxtrans import alpha_from_lambda  # noqa: E402
+from coxgrowth.growth import steinberg_growth  # noqa: E402
+from coxgrowth.diagram import parse_coxeter_symbol  # noqa: E402
+from coxgrowth.numclass import strip_cyclotomic  # noqa: E402
+
+
+def _recording_halve(monkeypatch) -> list:
+    """The interval that each call of roots._halve returns from now on."""
+    results, halve = [], roots._halve
+    monkeypatch.setattr(roots, "_halve", lambda *args: results.append(halve(*args)) or results[-1])
+    return results
+
+
+def _estimate(monkeypatch, x: float, radius: float) -> None:
+    """Make every float estimate of the top root x, with the given error radius."""
+    monkeypatch.setattr(roots, "_root_estimate", lambda poly, bound, cell: (x, radius))
+
+
+def test_cells_wider_than_1_have_integer_grid_points(monkeypatch):
+    # B = 128 and width 5: cells 4 wide, so at depth j <= 6 < e = 7 every point is an integer
+    p, width = _linear(37, 1) * _linear(-3, 1) * _linear(5, 1), Fraction(5)
+    points = _counting_signs(monkeypatch)
+    iv = roots._descartes_largest(p, width)
+    assert roots.root_bound(p) == 128 and points
+    assert all(x.denominator == 1 for x in points)
+    assert _pair(iv) == reference_isolate_largest(p, width) == (Fraction(36), Fraction(40))
+
+
+def test_a_window_starting_below_0_shifts_f(monkeypatch):
+    # the root 1/8 lies in the first positive cell (0, 1/4], so the window starts at -1/4
+    p, width = _linear(1, 8) * _linear(-5, 1), Fraction(1, 4)
+    points, shifted = [], roots._shifted
+    monkeypatch.setattr(roots, "_shifted", lambda f, a: points.append((f, a)) or shifted(f, a))
+    assert _pair(roots._descartes_largest(p, width)) == reference_isolate_largest(p, width)
+    assert points == [(p.primitive(), Fraction(-1, 4))]
+
+
+@pytest.mark.parametrize("p", [-(IntPoly([-2, 0, 1]) * _linear(-3, 1)), -LEHMER, _linear(-13, -10)],
+                         ids=["-(t^2 - 2)(t + 3)", "-Lehmer", "13 - 10t"])
+def test_a_negative_leading_coefficient_bisects_on_p(monkeypatch, p):
+    # a radius of 2^-10 seeds the window about 20 depths above J: _halve
+    # takes p's sign just right of the lower end from -lc(p)
+    width = Fraction(1, 10**9)
+    expected = reference_isolate_largest(p, width)
+    _estimate(monkeypatch, float(expected[1]), 2.0**-10)
+    halved = _recording_halve(monkeypatch)
+    iv = roots._descartes_largest(p, width)
+    assert p.leading < 0 and iv.poly == p and halved == [iv]
+    assert _pair(iv) == expected
+
+
+def test_a_root_on_the_grid_is_a_point_from_the_walk(monkeypatch):
+    p, width = _linear(5, 4) * _linear(-1, 1), Fraction(1, 10**9)
+    halved = _recording_halve(monkeypatch)
+    iv = roots._descartes_largest(p, width)
+    assert (iv.low, iv.high) == (Fraction(5, 4),) * 2 == reference_isolate_largest(p, width)
+    assert halved == []
+
+
+def test_a_root_on_a_halving_midpoint_is_a_point_from_halve(monkeypatch):
+    # B = 2 and the radius 1/2 seed depth-2 cells, 1 wide: the root 5/4 lies
+    # inside the cell (1, 2], and the second halving meets it
+    p, width = _linear(5, 4) * _linear(-1, 1), Fraction(1, 10**9)
+    _estimate(monkeypatch, 1.3, 0.5)
+    halved = _recording_halve(monkeypatch)
+    iv = roots._descartes_largest(p, width)
+    assert roots.root_bound(p) == 2
+    assert halved == [iv] and (iv.low, iv.high) == (Fraction(5, 4),) * 2 == reference_isolate_largest(p, width)
+
+
+@pytest.mark.parametrize("p", _ONE_ABOVE_ONE)
+def test_a_deferred_window_above_the_root_declines_at_its_start(monkeypatch, p):
+    # one variation at 1 spares the window at a >= 1 its shift; an estimate in
+    # the cell (hi + 3 step, hi + 4 step] puts a at hi + 2 step, above the
+    # root's cell (lo, hi]: the walk goes down to a, reads f(a) > 0, and declines
+    width = Fraction(1, 10**9)
+    expected = reference_isolate_largest(p, width)
+    step = expected[1] - expected[0]
+    _estimate(monkeypatch, float(expected[1] + 7 * step / 2), 0.0)
+    shifts = []
+    monkeypatch.setattr(roots, "_shifted", lambda f, a: shifts.append(a))
+    points = _counting_signs(monkeypatch)
+    assert roots._descartes_largest(p, width, one_above_one=True) is None
+    assert shifts == [] and points[-1] == expected[1] + 2 * step and p.sign_at(points[-1]) > 0
+    monkeypatch.undo()
+    assert _pair(largest_root_above_one(p, width)) == expected
+
+
+def _alpha0() -> RootInterval:
+    """alpha0 as tree_sweep builds it: the adjacency transfer of the growth rate
+    of [3,5,3], with ends from sqrt_interval that are not dyadic."""
+    f = steinberg_growth(parse_coxeter_symbol("[3,5,3]"))
+    lam = growth_rate(f, Fraction(1, 10**15))
+    apoly = alpha_from_lambda(strip_cyclotomic(f.denominator)[0])
+    lo, hi = alpha_from_lambda(lam, Fraction(1, 2 * 10**13))
+    return RootInterval(apoly, lo, hi)
+
+
+def test_refining_non_dyadic_ends_gives_the_oracles_bisection():
+    alpha0 = _alpha0()
+    assert {alpha0.low.denominator & (alpha0.low.denominator - 1),
+            alpha0.high.denominator & (alpha0.high.denominator - 1)} != {0}
+    for width in (Fraction(1, 10**13), Fraction(1, 10**20), alpha0.width / 3, Fraction(1, 2**80)):
+        assert _pair(alpha0.refined(width)) == reference_refined(alpha0.poly, alpha0.low, alpha0.high, width)
+    # the root 7/12 is the midpoint of the second halving of (1/3, 2/3], and
+    # 29/48 that of the fourth: a point over a denominator 3 * 2^k
+    for root in (Fraction(7, 12), Fraction(29, 48)):
+        p = _linear(root.numerator, root.denominator) * _linear(-1, 1)
+        for lo, hi in ((Fraction(1, 3), Fraction(2, 3)), (Fraction(1, 3), Fraction(5, 7))):
+            iv = RootInterval(p, lo, hi).refined(Fraction(1, 10**6))
+            assert (iv.low, iv.high) == reference_refined(p, lo, hi, Fraction(1, 10**6))
+            assert iv.low == iv.high == root or hi == Fraction(5, 7)
+
+
+def test_a_window_builds_fractions_only_for_its_shift_point_and_ends(monkeypatch):
+    # between the estimate and the interval no Fraction is built or combined
+    # (Fraction arithmetic builds its result through Fraction.__new__ up to
+    # CPython 3.11): one shift point, unless deferred, and two ends, or one point
+    built, new = [], Fraction.__new__
+    def counting(cls, *args, **kwargs):
+        built[-1] += 1
+        return new(cls, *args, **kwargs)
+    window = roots._window
+    def counted_window(*args):
+        built.append(0)
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        try:
+            return window(*args)
+        finally:
+            monkeypatch.setattr(Fraction, "__new__", new)
+    monkeypatch.setattr(roots, "_window", counted_window)
+    for p in _tree_chis() + _ONE_ABOVE_ONE + _SEED_CASES:
+        isolate_largest_real_root(p, Fraction(1, 10**7))
+        largest_root_above_one(p, Fraction(1, 2**40))
+    assert max(built) == 3 and len(built) > 2 * len(_tree_chis())
