@@ -244,16 +244,17 @@ def _signed_digits(v: int, k: int, n: int) -> list[int]:
 # -- division ------------------------------------------------------------------
 
 
-def _divide(rem: list[int], b: IntPoly) -> list[int]:
-    """Long division of the coefficient list rem by b, in place: rem is left
-    holding the remainder, and the quotient's coefficients are returned.
+def _divide(rem: list[int], b) -> list[int]:
+    """Long division of the coefficient list rem by the coefficients b, in
+    place: rem is left holding the remainder, and the quotient's coefficients
+    are returned.
 
     Raises ExactDivisionError at any step whose leading coefficient is not a
     multiple of lc(b) (never for monic b).
     """
-    if b.is_zero():
+    if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    db, lb = b.degree, b.leading
+    db, lb = len(b) - 1, b[-1]
     q = [0] * max(0, len(rem) - db)
     for i in range(len(rem) - db - 1, -1, -1):
         lead = rem[i + db]
@@ -263,8 +264,8 @@ def _divide(rem: list[int], b: IntPoly) -> list[int]:
         if r:
             raise ExactDivisionError("leading coefficient does not divide")
         q[i] = f
-        for j, c in enumerate(b.coeffs):
-            rem[i + j] -= f * c
+        for j, c in enumerate(b, i):
+            rem[j] -= f * c
     return q
 
 
@@ -276,49 +277,51 @@ def exact_div(a: IntPoly, b: IntPoly) -> IntPoly:
     quotient, and a remainder left by a full pass is final.
     """
     rem = list(a.coeffs)
-    q = _divide(rem, b)
+    q = _divide(rem, b.coeffs)
     if any(rem):
         raise ExactDivisionError("nonzero remainder")
     return IntPoly(q)
 
 
-def pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Pseudo-remainder: remainder of lc(b)^(deg a - deg b + 1) * a by b, in Z[t]."""
-    da, db = a.degree, b.degree
-    if da < db:
-        return a
-    scale = b.leading ** (da - db + 1)
-    rem = [c * scale for c in a.coeffs]
-    _divide(rem, b)
-    return IntPoly(rem)
+def _signed_remainders(f0: IntPoly, f1: IntPoly) -> list[list[int]]:
+    """The signed remainder sequence f0, f1, f2, ... of nonzero f0, as
+    coefficient lists with no zero member, f_(k+1) a positive multiple of
+    -rem(f_(k-1), f_k), reduced to its primitive part.
 
-
-def _signed_remainders(f0: IntPoly, f1: IntPoly) -> tuple[IntPoly, ...]:
-    """The signed remainder sequence f0, f1, f2, ... with f_(k+1) a positive
-    multiple of -rem(f_(k-1), f_k), reduced to primitive parts.
-
-    Each step negates the pseudo-remainder; positive rescaling preserves signs,
-    so variation counts are unchanged.  The last member is a multiple of
-    gcd(f0, f1) (f0 itself when f1 is zero).
+    A step with deg f_(k-1) >= deg f_k divides lc(f_k)^k f_(k-1), k = deg
+    f_(k-1) - deg f_k + 1, by f_k; one with deg f_(k-1) < deg f_k takes
+    f_(k-1) itself.  An even power (or positive lc) keeps orientation, a
+    negative odd power flips it, which dividing by the content instead of
+    -content undoes; positive rescaling preserves signs, so variation counts
+    are unchanged.  The last member is a multiple of gcd(f0, f1) (f0 itself
+    when f1 is zero).
     """
-    chain = [f0, f1]
-    while not chain[-1].is_zero():
-        r = pseudo_rem(chain[-2], chain[-1])
-        if r.is_zero():
+    a, b = list(f0.coeffs), list(f1.coeffs)
+    chain = [a, b] if b else [a]
+    while b:
+        k, lb = len(a) - len(b) + 1, b[-1]
+        if k > 0:
+            scale = lb ** k
+            rem = [c * scale for c in a]
+            _divide(rem, b)
+            del rem[len(b) - 1:]
+        else:
+            rem = list(a)
+        while rem and rem[-1] == 0:
+            rem.pop()
+        if not rem:
             break
-        # pseudo_rem scales by lc^k when k > 0 (and returns f_(k-1) itself otherwise);
-        # an even power (or positive lc) keeps orientation, a negative odd power
-        # flips it and must be undone: divide by -content or content.
-        k = chain[-2].degree - chain[-1].degree + 1
-        flipped = chain[-1].leading < 0 and k > 0 and k % 2 == 1
-        g = r.content() if flipped else -r.content()
-        chain.append(IntPoly(c // g for c in r.coeffs))
-    return tuple(chain)
+        flipped = lb < 0 and k > 0 and k % 2 == 1
+        g = math.gcd(*rem) if flipped else -math.gcd(*rem)
+        a, b = b, [c // g for c in rem]
+        chain.append(b)
+    return chain
 
 
 def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Primitive gcd in Z[t] with positive leading coefficient: the primitive
-    part of the last member of the signed remainder sequence."""
+    """Primitive gcd in Z[t] with positive leading coefficient: the last
+    member of the signed remainder sequence, which is primitive (b's
+    primitive part, or a member reduced by its content), up to sign."""
     if a.is_zero():
         return b.primitive()
     if b.is_zero():
@@ -326,7 +329,8 @@ def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     r0, r1 = a.primitive(), b.primitive()
     if r0.degree < r1.degree:
         r0, r1 = r1, r0
-    return _signed_remainders(r0, r1)[-1].primitive()
+    g = _signed_remainders(r0, r1)[-1]
+    return IntPoly(g if g[-1] > 0 else [-c for c in g])
 
 
 def _taylor_shift(coeffs, c: int) -> list[int]:
@@ -348,12 +352,16 @@ def squarefree_part(p: IntPoly) -> IntPoly:
 
 
 def squarefree_decomposition(p: IntPoly) -> list[tuple[IntPoly, int]]:
-    """Yun's algorithm: factors (f_i, i) with p = content * prod f_i^i, f_i squarefree."""
+    """Yun's algorithm: factors (f_i, i) with p = content * prod f_i^i, f_i
+    squarefree; a squarefree p, whose gcd with p' is constant, is its own
+    one factor after that first gcd."""
     if p.degree <= 0:
         return []
     p = p.primitive()
-    out = []
     g = poly_gcd(p, p.derivative())
+    if g.degree == 0:
+        return [(p, 1)]
+    out = []
     w = exact_div(p, g)
     i = 1
     while w.degree > 0:

@@ -171,9 +171,13 @@ def _cauchy_index_and_gcd(num: IntPoly, den: IntPoly) -> tuple[int, IntPoly]:
     """(I, g) for nonzero den: g, a multiple of gcd(num, den), is the last
     member of the signed remainder sequence of den and num, and I, its
     variation count at -inf less that at +inf, is the Cauchy index of num/den
-    in lowest terms, since dividing every member by g changes no count."""
-    chain = tuple(q for q in _signed_remainders(den, num) if not q.is_zero())
-    return _variations_at_inf(chain, False) - _variations_at_inf(chain, True), chain[-1]
+    in lowest terms, since dividing every member by g changes no count.  A
+    member's sign at +inf is that of its leading coefficient, times
+    (-1)^degree at -inf."""
+    chain = _signed_remainders(den, num)
+    at_plus = [_sign(q[-1]) for q in chain]
+    at_minus = [s if len(q) % 2 else -s for s, q in zip(at_plus, chain)]
+    return _variations(at_minus) - _variations(at_plus), IntPoly(chain[-1])
 
 
 def _variations(signs) -> int:
@@ -186,12 +190,6 @@ def _variations(signs) -> int:
             count += 1
         prev = s
     return count
-
-
-def _variations_at_inf(chain, positive: bool) -> int:
-    if positive:
-        return _variations(_sign(q.leading) for q in chain)
-    return _variations(_sign(q.leading) * (-1) ** (q.degree % 2) for q in chain)
 
 
 def root_bound(p: IntPoly) -> Fraction:

@@ -3,9 +3,12 @@
 Everything here deliberately avoids the code paths it checks: word counts
 come from a breadth-first walk of the geometric representation in floating
 point, group orders from permutation closures, root locations from a
-Durand-Kerner solver, isolating intervals from plain bisection over the whole
-Fujiwara power-of-two grid (the isolation that seeded root isolation must
-reproduce exactly), characteristic polynomials from evaluation and Lagrange
+Durand-Kerner solver, gcds, squarefree parts and squarefree factors from the
+oracle's own signed remainder sequence of textbook pseudo-remainders on
+IntPoly (the package's runs on coefficient lists), isolating intervals from
+plain bisection over the whole Fujiwara power-of-two grid (the isolation
+that seeded root isolation must reproduce exactly), characteristic
+polynomials from evaluation and Lagrange
 interpolation over exact rationals, tree polynomials from explicit integer
 matrices (weighted adjacency, product of reflections) and from the matching
 polynomial built by dense products, unit-disk root counts
@@ -36,10 +39,7 @@ from coxgrowth.intpoly import (
     IntPoly,
     cyclotomic,
     exact_div,
-    poly_gcd,
-    pseudo_rem,
     reciprocity_type,
-    squarefree_part,
 )
 
 
@@ -163,6 +163,72 @@ def dihedral_order(m: int) -> int:
     return _mulclose([a, b], lambda x, g: tuple(x[v] for v in g))
 
 
+# -- gcds and squarefree parts by pseudo-remainders on IntPoly ---------------------------------
+
+
+def reference_pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
+    """The remainder of lc(b)^(deg a - deg b + 1) a by b in Z[t] (a itself
+    when deg a < deg b), by the textbook loop r -> lc(b) r - lc(r) t^j b with
+    the unused powers of lc(b) multiplied in at the end."""
+    da, db = a.degree, b.degree
+    if da < db:
+        return a
+    r, steps = a, 0
+    while r.degree >= db:
+        r = r * b.leading - b.shift(r.degree - db) * r.leading
+        steps += 1
+    return r * b.leading ** (da - db + 1 - steps)
+
+
+def reference_signed_remainders(f0: IntPoly, f1: IntPoly) -> tuple[IntPoly, ...]:
+    """The signed remainder sequence f0, f1, f2, ... with f_(k+1) the primitive
+    part of -prem(f_(k-1), f_k) up to a positive factor: the pseudo-remainder
+    scales by lc^k, k = deg f_(k-1) - deg f_k + 1, when k > 0, so a negative
+    odd power is undone.  It ends at the last nonzero member, and keeps f1
+    when it is zero."""
+    chain = [f0, f1]
+    while not chain[-1].is_zero():
+        r = reference_pseudo_rem(chain[-2], chain[-1])
+        if r.is_zero():
+            break
+        k = chain[-2].degree - chain[-1].degree + 1
+        if not (chain[-1].leading < 0 and k > 0 and k % 2 == 1):
+            r = -r
+        chain.append(r.primitive() if r.leading > 0 else -r.primitive())
+    return tuple(chain)
+
+
+def reference_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
+    """Primitive gcd with positive leading coefficient: the primitive part of
+    the last member of the signed remainder sequence."""
+    if a.is_zero() or b.is_zero():
+        return (a + b).primitive()
+    r0, r1 = a.primitive(), b.primitive()
+    if r0.degree < r1.degree:
+        r0, r1 = r1, r0
+    return reference_signed_remainders(r0, r1)[-1].primitive()
+
+
+def reference_squarefree_part(p: IntPoly) -> IntPoly:
+    """p divided by gcd(p, p'), primitive with positive leading coefficient."""
+    if p.degree <= 0:
+        return p.primitive()
+    return exact_div(p.primitive(), reference_gcd(p, p.derivative())).primitive()
+
+
+def reference_squarefree_factors(p: IntPoly) -> list[tuple[IntPoly, int]]:
+    """(f_i, i) with p = content * prod f_i^i, f_i squarefree, primitive and
+    of positive degree, by the gcd tower p_0 = primitive part of p, p_k =
+    gcd(p_(k-1), p_(k-1)'): q_k = p_(k-1) / p_k is the product of the
+    factors of multiplicity at least k, and f_k = q_k / q_(k+1)."""
+    towers = [p.primitive()] if p.degree > 0 else []
+    while towers and towers[-1].degree > 0:
+        towers.append(reference_gcd(towers[-1], towers[-1].derivative()))
+    qs = [exact_div(hi, lo) for hi, lo in zip(towers, towers[1:])] + [IntPoly([1])]
+    return [(exact_div(q, q_next), k) for k, (q, q_next) in enumerate(zip(qs, qs[1:]), start=1)
+            if q.degree > q_next.degree]
+
+
 # -- root location by a floating-point solver -----------------------------------------------
 
 
@@ -199,7 +265,7 @@ def complex_roots(p: IntPoly, iterations: int = 400) -> list[complex]:
 
 def root_location_counts_float(p: IntPoly, tol: float = 1e-6) -> tuple[int, int, int]:
     """(outside, on, inside) unit-circle counts of the squarefree part, by modulus."""
-    sf = squarefree_part(p)
+    sf = reference_squarefree_part(p)
     outside = on = inside = 0
     for z in complex_roots(sf):
         r = abs(z)
@@ -219,7 +285,7 @@ def real_root_count_bisection(p: IntPoly, a: Fraction, b: Fraction, depth: int =
     a grid point collide below the final resolution (overwhelmingly the case
     for random integer polynomials).
     """
-    sf = squarefree_part(p)
+    sf = reference_squarefree_part(p)
     if sf.degree < 1:
         return 0
     pieces = 64
@@ -247,17 +313,8 @@ def real_root_count_bisection(p: IntPoly, a: Fraction, b: Fraction, depth: int =
 # -- reference root isolation: bisection from the whole grid --------------------------------
 
 
-def _reference_sturm_chain(sf: IntPoly) -> list[IntPoly]:
-    chain = [sf, sf.derivative()]
-    while True:
-        r = pseudo_rem(chain[-2], chain[-1])
-        if r.is_zero():
-            return chain
-        # the pseudo-remainder is scaled by lc^k; undo a negative odd power
-        k = chain[-2].degree - chain[-1].degree + 1
-        if chain[-1].leading > 0 or k % 2 == 0:
-            r = -r
-        chain.append(r.primitive() if r.leading > 0 else -r.primitive())
+def _reference_sturm_chain(sf: IntPoly) -> tuple[IntPoly, ...]:
+    return reference_signed_remainders(sf, sf.derivative())
 
 
 def _reference_variations(chain: list[IntPoly], x: Fraction) -> int:
@@ -267,7 +324,7 @@ def _reference_variations(chain: list[IntPoly], x: Fraction) -> int:
 
 def reference_count(p: IntPoly, a: Fraction, b: Fraction) -> int:
     """Distinct real roots of p in (a, b]: a Sturm count on the squarefree part."""
-    sf = squarefree_part(p)
+    sf = reference_squarefree_part(p)
     if sf.degree < 1:
         return 0
     chain = _reference_sturm_chain(sf)
@@ -283,7 +340,7 @@ def reference_counts_with_multiplicity(p: IntPoly, x: Fraction) -> tuple[int, in
     while p.degree >= 1:
         above += reference_count(p, x, max(x, _reference_bound(p)))
         equal += p.sign_at(x) == 0
-        p = poly_gcd(p, p.derivative())
+        p = reference_gcd(p, p.derivative())
     return above, equal
 
 
@@ -335,7 +392,7 @@ def _reference_refine(sf: IntPoly, chain, lo: Fraction, hi: Fraction,
 def reference_root_is_simple(p: IntPoly, low: Fraction, high: Fraction) -> bool:
     """Whether the one root of p in (low, high], or at low = high, is simple in
     p: gcd(p, p') has no root there."""
-    g = poly_gcd(p, p.derivative())
+    g = reference_gcd(p, p.derivative())
     if g.degree < 1:
         return True
     if low == high:
@@ -347,7 +404,7 @@ def reference_isolate_largest(p: IntPoly, width: Fraction):
     """(low, high) of the largest real root, or None when
     there is none: bisection from (-B, B], B the Fujiwara power of two of p,
     recounting both ends at every step."""
-    sf = squarefree_part(p)
+    sf = reference_squarefree_part(p)
     if sf.degree < 1:
         return None
     chain = _reference_sturm_chain(sf)
@@ -368,7 +425,7 @@ def reference_isolate_largest(p: IntPoly, width: Fraction):
 def reference_isolate_smallest_positive(p: IntPoly, width: Fraction, upper: Fraction | None = None):
     """(low, high) of the smallest root in (0, upper], or None
     when there is none: bisection from (0, upper], recounting both ends at every step."""
-    sf = squarefree_part(p)
+    sf = reference_squarefree_part(p)
     if sf.degree < 1:
         return None
     chain = _reference_sturm_chain(sf)
@@ -390,13 +447,13 @@ def reference_refined(p: IntPoly, low: Fraction, high: Fraction,
     """The refinement of a bracket holding one root of p in (low, high]."""
     if high - low <= width:
         return low, high
-    sf = squarefree_part(p)
+    sf = reference_squarefree_part(p)
     return _reference_refine(sf, _reference_sturm_chain(sf), low, high, width)
 
 
 def reference_real_root_count(p: IntPoly) -> int:
     """Distinct real roots of p: a Sturm count over the interval (-B, B]."""
-    sf = squarefree_part(p)
+    sf = reference_squarefree_part(p)
     if sf.degree < 1:
         return 0
     bound = _reference_bound(sf)
@@ -413,7 +470,7 @@ def reference_growth_rate(den: IntPoly, width: Fraction):
     if den.degree < 1:
         return None
     inside = reference_count(den, Fraction(0), Fraction(1))
-    if squarefree_part(den).sign_at(Fraction(1)) == 0:
+    if reference_squarefree_part(den).sign_at(Fraction(1)) == 0:
         inside -= 1
     if inside == 0:
         return None
@@ -584,7 +641,7 @@ def reference_unit_circle_root_count(p: IntPoly) -> int:
     the rest is reciprocal of even degree, and x = t + 1/t takes its circle
     roots, in conjugate pairs, to the roots of palindromic_reduce in (-2, 2),
     counted on the oracle's own Sturm chain."""
-    s = squarefree_part(p)
+    s = reference_squarefree_part(p)
     if reciprocity_type(s) == "neither":
         raise ValueError("polynomial is not reciprocal up to sign")
     count = 0
@@ -604,7 +661,7 @@ def reference_disk_counts(s: IntPoly) -> tuple[int, int, int]:
     pairs z, 1/z, one root inside and one outside each; g is reciprocal up
     to sign, so its circle roots are counted by the trace substitution.  The
     Schur-Cohn form of s / g is nondegenerate and gives the rest."""
-    g = poly_gcd(s, s.reversed())
+    g = reference_gcd(s, s.reversed())
     on = reference_unit_circle_root_count(g) if g.degree > 0 else 0
     inside, outside = schur_cohn_disk_counts(exact_div(s.primitive(), g))
     pairs = (g.degree - on) // 2
@@ -1000,7 +1057,7 @@ def _reference_not_above(p: IntPoly, p_bracket, q: IntPoly, q_bracket) -> bool:
     q and so at most q's top; otherwise the two differ, and both brackets are
     refined until they are disjoint."""
     (p_lo, p_hi), (q_lo, q_hi) = p_bracket, q_bracket
-    g = poly_gcd(p, q)
+    g = reference_gcd(p, q)
     if g.degree > 0 and (g.sign_at(p_hi) == 0 if p_lo == p_hi else reference_count(g, p_lo, p_hi) > 0):
         return True
     while q_lo < p_hi and p_lo < q_hi:

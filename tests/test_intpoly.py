@@ -13,7 +13,6 @@ from coxgrowth.intpoly import (
     exact_div,
     parse_poly,
     poly_gcd,
-    pseudo_rem,
     reciprocity_type,
     resultant_eliminate,
     squarefree_decomposition,
@@ -22,7 +21,12 @@ from coxgrowth.intpoly import (
 )
 from coxgrowth.roots import isolate_largest_real_root, sqrt_interval
 
-from oracles import expand_trace_form, palindromic_reduce
+from oracles import (
+    expand_trace_form,
+    palindromic_reduce,
+    reference_signed_remainders,
+    reference_squarefree_factors,
+)
 
 LEHMER = parse_poly("1,1,0,-1,-1,-1,-1,-1,0,1,1")
 
@@ -128,8 +132,9 @@ def test_product_division_roundtrip(a, b):
     if a.is_zero() or b.is_zero():
         return
     assert exact_div(a * b, b) == a
-    r = pseudo_rem(a * b, b)
-    assert r.is_zero()
+    rem = [c * b.leading ** (a.degree + 1) for c in (a * b).coeffs]
+    intpoly._divide(rem, b.coeffs)
+    assert not any(rem)
 
 
 def test_parse_poly():
@@ -204,6 +209,72 @@ def test_squarefree():
     decomp = squarefree_decomposition(p)
     assert (IntPoly([-1, 1]), 1) in decomp
     assert (IntPoly([1, 1]), 2) in decomp
+
+
+# -- the signed remainder sequence and Yun's algorithm -------------------------------
+
+nonzero_polys = st.lists(st.integers(-9, 9), min_size=1, max_size=9).map(IntPoly).filter(bool)
+
+
+def _assert_chain_matches_oracle(f0, f1):
+    chain = intpoly._signed_remainders(f0, f1)
+    assert all(isinstance(q, list) and q and q[-1] for q in chain)
+    assert chain == [list(q.coeffs) for q in reference_signed_remainders(f0, f1) if not q.is_zero()]
+
+
+@given(nonzero_polys, small_polys)
+@settings(max_examples=300, deadline=None)
+def test_signed_remainders_match_the_oracle_member_by_member(f0, f1):
+    # any degree order, gaps of any size, and f1 = 0 (no zero member)
+    _assert_chain_matches_oracle(f0, f1)
+
+
+@given(nonzero_polys, nonzero_polys)
+@settings(max_examples=200, deadline=None)
+def test_signed_remainders_match_the_oracle_on_negative_leading_coefficients(f0, f1):
+    # lc(f1) < 0 with deg f0 - deg f1 even: lc^k with k odd flips the remainder
+    f0, f1 = f0.shift(f0.degree + f1.degree), -f1 if f1.leading > 0 else f1
+    _assert_chain_matches_oracle(f0, f1)
+
+
+@pytest.mark.parametrize("f0, f1", [
+    (IntPoly([1, 0, 0, 0, 0, 1]), IntPoly([3, -2])),           # gap 4, negative lc, k = 5 odd
+    (IntPoly([1, 2, 0, 1]), IntPoly([-1, 0, -2])),             # gap 1, negative lc, k = 2 even
+    (IntPoly([2, -1]), IntPoly([1, 0, 0, 1])),                 # deg f0 < deg f1
+    (LEHMER, IntPoly()),                                       # f1 = 0
+    (LEHMER, LEHMER.derivative()),
+    (LEHMER * IntPoly([1, 1]), -(LEHMER * IntPoly([2, 1]))),  # a non-constant gcd
+])
+def test_signed_remainders_match_the_oracle_on_chosen_pairs(f0, f1):
+    _assert_chain_matches_oracle(f0, f1)
+
+
+@pytest.mark.parametrize("p", [
+    LEHMER ** 2 * cyclotomic(12) * IntPoly([1, 1]) ** 3 * IntPoly([1, -3, 1]) ** 2,
+    IntPoly([1, -3, 1]) ** 3 * IntPoly([-2, 1]) * IntPoly([1, 1, 1]) ** 2,
+    -3 * IntPoly([1, 1]) ** 2 * IntPoly([-1, 1]),
+])
+def test_squarefree_decomposition_matches_the_oracle_on_repeated_factors(p):
+    assert squarefree_decomposition(p) == reference_squarefree_factors(p)
+
+
+@given(small_polys)
+@settings(max_examples=150, deadline=None)
+def test_squarefree_decomposition_matches_the_oracle(p):
+    assert squarefree_decomposition(p) == reference_squarefree_factors(p)
+
+
+def test_squarefree_decomposition_of_a_squarefree_input_takes_one_gcd(monkeypatch):
+    calls = []
+
+    def counting_gcd(a, b):
+        calls.append((a, b))
+        return poly_gcd(a, b)
+
+    monkeypatch.setattr(intpoly, "poly_gcd", counting_gcd)
+    p = -2 * LEHMER * IntPoly([1, -3, 1])
+    assert squarefree_decomposition(p) == [(p.primitive(), 1)]
+    assert len(calls) == 1
 
 
 def test_resultant_eliminate_linear():

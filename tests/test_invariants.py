@@ -42,6 +42,7 @@ def test_root_intervals_are_compared_only_by_roots_compare(path):
 
 
 _REMAINDER_KERNEL_HOMES = {"intpoly.py"}
+_REMAINDER_KERNEL_NAMES = {"pseudo_rem", "_divide"}
 
 
 @pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py")
@@ -50,13 +51,13 @@ _REMAINDER_KERNEL_HOMES = {"intpoly.py"}
 def test_remainder_sequences_come_only_from_roots(path):
     # one remainder-sequence kernel, in intpoly: gcds come from intpoly, Sturm
     # chains and Cauchy indices from roots on top of it; no other module, roots
-    # included, runs pseudo-remainders itself
+    # included, runs pseudo-remainders or the long division behind them itself
     tree = ast.parse(path.read_text(encoding="utf-8"))
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Call)
-             and (isinstance(node.func, ast.Name) and node.func.id == "pseudo_rem"
-                  or isinstance(node.func, ast.Attribute) and node.func.attr == "pseudo_rem")]
-    assert lines == [], f"{path.name} calls pseudo_rem at lines {lines}"
+             and (isinstance(node.func, ast.Name) and node.func.id in _REMAINDER_KERNEL_NAMES
+                  or isinstance(node.func, ast.Attribute) and node.func.attr in _REMAINDER_KERNEL_NAMES)]
+    assert lines == [], f"{path.name} calls pseudo_rem or _divide at lines {lines}"
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:

@@ -227,6 +227,28 @@ def test_cauchy_index_rejects_a_common_factor():
         cauchy_index(IntPoly(), IntPoly([1, 0, 1]))
 
 
+@pytest.mark.parametrize("num, den, members", [
+    (LEHMER.derivative(), LEHMER, 11),
+    (LEHMER * IntPoly([1, 1]), LEHMER * IntPoly([-2, 0, 1]), 3),  # ends at a non-constant gcd
+    (IntPoly(), LEHMER, 1),
+])
+def test_cauchy_index_and_gcd_builds_one_intpoly_however_long_the_chain(monkeypatch, num, den, members):
+    # the chain runs on coefficient lists; only its last member, g, is wrapped
+    built = []
+    init = IntPoly.__init__
+
+    def counting_init(self, coeffs=()):
+        built.append(self)
+        init(self, coeffs)
+
+    monkeypatch.setattr(IntPoly, "__init__", counting_init)
+    index, g = roots._cauchy_index_and_gcd(num, den)
+    monkeypatch.undo()
+    assert built == [g]
+    assert g.primitive() == poly_gcd(num, den)
+    assert len(intpoly._signed_remainders(den, num)) == members
+
+
 @given(st.lists(st.integers(-9, 9), min_size=2, max_size=10).filter(lambda c: c[-1] != 0))
 @settings(max_examples=100, deadline=None)
 def test_cauchy_index_of_the_log_derivative_counts_real_roots(coeffs):

@@ -20,6 +20,12 @@ import tempfile
 from pathlib import Path
 
 from bench_pair import DEGREE_160, LEHMER, export, run_python
+from coxgrowth.intpoly import IntPoly, cyclotomic, parse_poly
+
+# Lehmer's polynomial squared times Phi_12 (t + 1)^3 (t^2 - 3t + 1)^2: a repeated
+# non-cyclotomic factor, so Yun's algorithm goes past its first gcd
+REPEATED_FACTORS = (parse_poly(LEHMER) ** 2 * cyclotomic(12) * IntPoly([1, 1]) ** 3
+                    * IntPoly([1, -3, 1]) ** 2).to_text()
 
 # The star of 399 arms of 4 vertices (1198 vertices, under the tree vertex bound)
 STAR_399 = "Star:" + ",".join(["4"] * 399)
@@ -44,6 +50,7 @@ COMMANDS = [
     ["growth", "--polygon", "2,3,7"],
     ["classify", "--poly", LEHMER],
     ["classify", "--poly", DEGREE_160],
+    ["classify", "--poly", REPEATED_FACTORS],
     ["salem", "--gap"],
     ["salem", "--gap", "--list", "src/coxgrowth/data/mini_salem_list.csv"],
     ["salem", "--search", "--target", LEHMER],
