@@ -175,11 +175,12 @@ def spectral_radius_from_charpoly(phi: IntPoly, width: Fraction = DEFAULT_WIDTH)
 
     A tree with one adjacency eigenvalue above 2, as every hyperbolic star,
     has phi with one root above 1 and every other root on the unit circle or
-    inside it (alpha^2 = 2 + lambda + 1/lambda), so all but the top root have
-    real part below 1 once phi(1) != 0.  The one Taylor shift to 1 then reads
-    one variation and certifies the top root simple and alone above 1; the
-    certificate's window is shifted again only when it starts below 1, when
-    phi(1) = 0, or when two or more eigenvalues exceed 2."""
+    inside it (alpha^2 = 2 + lambda + 1/lambda).  phi = +-rev phi, and the
+    roots lambda + 1/lambda - 2 = alpha^2 - 4 of its trace polynomial T are
+    real, one of them positive: T reads one variation and certifies the top
+    root simple and alone above 1, with no Taylor shift of phi; the
+    certificate's window is shifted only when it starts below 1, or when two
+    or more eigenvalues exceed 2."""
     iv = largest_root_above_one(phi, width)
     return RootInterval(IntPoly([-1, 1]), Fraction(1), Fraction(1)) if iv is None else iv
 

@@ -293,8 +293,9 @@ def growth_rate(f: GrowthFunction, width: Fraction = DEFAULT_WIDTH) -> RootInter
     series is exponential exactly when that root exceeds 1, which
     roots.largest_root_above_one certifies.  A primitive denominator
     reciprocal up to sign, with positive leading coefficient, is its own
-    reversal's primitive part.  Raises NotExponentialError when den has no
-    root in (0, 1), and ValueError for a width <= 0.
+    reversal's primitive part, whose roots above 1 are counted on its trace
+    polynomial, with no Taylor shift.  Raises NotExponentialError when den
+    has no root in (0, 1), and ValueError for a width <= 0.
     """
     rate = largest_root_above_one(f.denominator.reversed().primitive(), width)
     if rate is None:

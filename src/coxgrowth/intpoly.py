@@ -140,13 +140,13 @@ class IntPoly:
         return math.gcd(*self.coeffs) if self.coeffs else 0
 
     def primitive(self) -> "IntPoly":
-        """Primitive part with positive leading coefficient."""
+        """Primitive part with positive leading coefficient; self when it is one."""
         if not self.coeffs:
             return self
         c = self.content()
         if self.leading < 0:
             c = -c
-        return IntPoly(x // c for x in self.coeffs)
+        return self if c == 1 else IntPoly(x // c for x in self.coeffs)
 
     # -- presentation ---------------------------------------------------------
 

@@ -37,13 +37,20 @@ For a > 0, x -> x^2 maps the roots of f above a one to one onto those of g
 above a^2, with f'(x) = x^e 2x g'(x^2) and f(a) = a^e g(a^2), so g shifted
 to a^2, a quarter of the work, certifies as f shifted to a does; g's
 estimate y, radius r, gives x = sqrt(y), radius r / 2x, and f's own is tried
-when its window declines.  largest_root_above_one shifts p to 1 first; one
-variation there spares a window at or above 1 its shift.
+when its window declines.
+
+largest_root_above_one counts the roots above 1 first, one variation
+sparing a window at or above 1 its shift: for a primitive part f = +-rev f
+on its trace polynomial T, x^m T(x + 1/x - 2) = f (x - 1)^a (x + 1)^b of
+degree 2m, whose estimate, at half p's degree, also seeds the window; for
+any other p on p shifted to 1.
 
 On Salem-type polynomials, with complex roots near the unit circle, the
 first Laguerre step from B lands below the top root; the estimate recovers
-(one Newton step back up, or half the step) and stays with Laguerre.  Its
-exact Newton polish stops within a quarter of a depth-J cell, and where p's
+(one Newton step back up, or half the step) and stays with Laguerre.  On
+their trace polynomials every root is real (the unit circle maps into
+[-4, 0]), so Laguerre stays above the top root.  The estimate's exact
+Newton polish stops within a quarter of a depth-J cell, and where p's
 float values overflow it evaluates x^-n p(x) in 1/x instead.
 
 Two root intervals are compared by compare alone: the roots are equal exactly
@@ -58,7 +65,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intpoly import IntPoly, _sign_at, _signed_remainders, _taylor_shift, poly_gcd, squarefree_part
+from .intpoly import (IntPoly, _sign_at, _signed_digits, _signed_remainders, _taylor_shift, poly_gcd,
+                      squarefree_part)
 
 DEFAULT_WIDTH = Fraction(1, 10**9)
 
@@ -409,7 +417,8 @@ def descartes_bound(p: IntPoly, a: Fraction | int) -> int:
     return _variations(map(_sign, _shifted_above(p, *Fraction(a).as_integer_ratio())))
 
 
-def _descartes_largest(p: IntPoly, width: Fraction, one_above_one: bool = False) -> RootInterval | None:
+def _descartes_largest(p: IntPoly, width: Fraction, one_above_one: bool = False,
+                       tried: set | None = None) -> RootInterval | None:
     """The interval that the bisection of isolate_largest_real_root gives,
     certified on p itself; None when the certificate fails.
 
@@ -423,32 +432,34 @@ def _descartes_largest(p: IntPoly, width: Fraction, one_above_one: bool = False)
     found by a walk from the estimate's cell that stays at or below b, have
     f(x_(m-1)) < 0 <= f(x_m).  Sign bisection on p to width then ends in the
     depth-J grid cell of the root, or at the root as a grid point, as the
-    bisection does; at j = J that cell is (x_(m-1), x_m] itself.
+    bisection does; at j = J that cell is (x_(m-1), x_m] itself.  A window
+    in tried, the set of windows already tried, is not tried again.
 
-    one_above_one says that p has exactly one root r above 1, simple, with
-    f < 0 on (1, r) (one sign variation at 1).  Then for a >= 1 the shift to
-    a is not made: by Budan's theorem it would read at most one variation,
-    so one exactly when f(a) < 0, and the walk reads f's signs at grid
-    points >= 1 as it would after the shift; only a walk that ends at a
-    takes f(a), and a window starting at a root at 1 reads f(1) = 0 and
-    declines, as the shift would.
+    one_above_one says that p has exactly one root r above 1, simple (one
+    sign variation of p shifted to 1, or of its trace polynomial), so f < 0
+    on (1, r) and f > 0 above r.  Then for a >= 1 the shift to a is not
+    made: f's sign at a grid point x >= 1 tells whether r lies above x, so
+    the walk places r by f's signs alone; only a walk that ends at a takes
+    f(a), and a window starting at a root at 1 reads f(1) = 0 and declines,
+    as the shift would.
     """
     f = p.primitive()
     e = root_bound(f).numerator.bit_length() - 1
     depth, g = _halvings(2 << e, 1, width), _half(f)
     # the cell widths 2**(e + 1 - depth), for f, and 2**(2e + 2 - depth), for g
     y, r = _root_estimate(g, root_bound(g), 2 ** (2 * e + 2 - depth)) if g is not None else (0, 0)
-    args = (p, f, e, depth, width, one_above_one)
+    args = (p, f, e, depth, width, one_above_one, set() if tried is None else tried)
     iv = _window((x := math.sqrt(y), r / (2 * x) + 2.0**-50 * x), *args) if y > 0 else None
     return iv if iv is not None else _window(_root_estimate(f, 1 << e, 2 ** (e + 1 - depth)), *args)
 
 
 def _window(estimate: tuple[float, float], p: IntPoly, f: IntPoly, e: int, depth: int,
-            width: Fraction, one_above_one: bool) -> RootInterval | None:
+            width: Fraction, one_above_one: bool, tried: set) -> RootInterval | None:
     """_descartes_largest in the window of one estimate x = n / d, radius r, on
     the grid (-2**e, 2**e] at depth j: at most depth, cells at least r and about
-    2**-SEED_PRECISION_BITS max(|x|, 1) wide; None for x or r nan or infinite.
-    Its point x_m = (2m - 2**j) 2**(e - j) is x0 + m dx over v = 2**max(j - e, 0)."""
+    2**-SEED_PRECISION_BITS max(|x|, 1) wide; None for x or r nan or infinite,
+    or for a window in tried, the windows tried so far, which it joins.  Its
+    point x_m = (2m - 2**j) 2**(e - j) is x0 + m dx over v = 2**max(j - e, 0)."""
     try:
         (n, d), (rn, rd) = estimate[0].as_integer_ratio(), estimate[1].as_integer_ratio()
     except (ValueError, OverflowError):
@@ -464,6 +475,9 @@ def _window(estimate: tuple[float, float], p: IntPoly, f: IntPoly, e: int, depth
     # the estimate's cell: k = floor((n / d + 2**e) / 2**(e + 1 - j))
     k = min(max(((n + (d << e)) << j) // (d << e + 1), 0), cells - 1)
     i0, i1 = max(k - 1, 0), min(k + 2, cells)
+    if (key := (v, dx, x0 + i0 * dx, x0 + i1 * dx)) in tried:
+        return None
+    tried.add(key)
     deferred = one_above_one and x0 + i0 * dx >= v
     if not deferred:
         shifted = _shifted_above(f, x0 + i0 * dx, v)
@@ -555,29 +569,79 @@ def isolate_largest_real_root(p: IntPoly, width: Fraction = DEFAULT_WIDTH) -> Ro
     return iv if iv is not None else _bisection_largest(p, width)
 
 
+def _trace(f: IntPoly) -> IntPoly | None:
+    """T with x^m T(x + 1/x - 2) = q, the palindromic q of even degree 2m
+    among f, (x + 1) f, (x - 1) f and (x^2 - 1) f, for f = +-rev f of degree
+    >= 1; None for any other f.  x^k + x^-k = W_k(x + 1/x - 2), W_0 = 2, W_1
+    = s + 2, W_(k+1) = (s + 2) W_k - W_(k-1), so T = q_m + sum_(k>=1)
+    q_(m+k) W_k, summed by Clenshaw's recurrence on integers at s = 2^K and
+    read back once.  W_k(s) = 2 C_k(1 + s/2), C_k Chebyshev's, with roots in
+    [-1, 1], has nonnegative coefficients summing to W_k(1) <= 3^k (k >= 1),
+    so every |T_j| <= sum_k |q_(m+k)| 3^k < 2^(K-1)."""
+    q = f.coeffs
+    if len(q) < 2 or abs(q[0]) != abs(q[-1]) or q[::-1] != (q if q[0] == q[-1] else tuple(-c for c in q)):
+        return None
+    if q[0] != q[-1]:  # (x - 1) f is palindromic
+        q = [a - b for a, b in zip((0, *q), (*q, 0))]
+    if len(q) % 2 == 0:  # (x + 1) q has even degree
+        q = [a + b for a, b in zip((0, *q), (*q, 0))]
+    m, bound, b1, b2 = len(q) // 2, 0, 0, 0
+    for c in q[:m - 1:-1]:
+        bound = 3 * bound + abs(c)
+    k = bound.bit_length() + 1
+    for c in q[:m:-1]:
+        b1, b2 = c + (b1 << k) + 2 * b1 - b2, b1
+    return IntPoly(_signed_digits(q[m] + (b1 << k) + 2 * b1 - 2 * b2, k, m + 1))
+
+
+def _trace_largest(p: IntPoly, f: IntPoly, trace: IntPoly, width: Fraction, one_above_one: bool,
+                   tried: set) -> RootInterval | None:
+    """_descartes_largest from the estimate s of T's top root: x -> x + 1/x - 2
+    maps (1, inf) increasingly onto (0, inf), so r = 1 + (s + sqrt(s^2 +
+    4s)) / 2, radius times dx/ds = r^2 / (r^2 - 1), on the grid (-2^e, 2^e],
+    2^e = 2 root_bound(T) > s + 2 > r.  A window it certifies starts at a >=
+    1/r > 0, p's root 1/r lying below it, so its cells, at most a < r <
+    root_bound(f) wide, are those of p's own grid at that width."""
+    bound = root_bound(trace)
+    e = bound.numerator.bit_length()
+    depth = _halvings(2 << e, 1, width)
+    s, radius = _root_estimate(trace, bound, 2 ** (e + 1 - depth))
+    if not 0 < s < math.inf:
+        return None
+    x = 1 + (s + math.sqrt(s * s + 4 * s)) / 2
+    return _window((x, radius * x / (x - 1 / x) + 2.0**-50 * x), p, f, e, depth, width, one_above_one, tried)
+
+
 def largest_root_above_one(p: IntPoly, width: Fraction = DEFAULT_WIDTH) -> RootInterval | None:
     """The interval of the largest real root of p when that root exceeds 1,
     and None otherwise.
 
-    One Taylor shift of p to 1 is made.  No sign variation certifies that
-    no root exceeds 1; that holds whenever every root lies in the closed unit
-    disk.  One variation certifies exactly one root above 1, and that one
-    simple: the variations skip zero coefficients, so a root at 1 of
-    multiplicity m drops the factor x^m of the shift and leaves the count of
-    its cofactor.  Salem-type polynomials always read so (their other roots
-    have real part below 1, so their factor shifted to 1 has coefficients of
-    one sign), and the Descartes certificate then shifts only a window
-    starting below 1; the bisection runs when it fails.  The interval of the
-    largest real root decides, and when it straddles 1, the sign of q(1),
-    q = iv.poly: the root is simple in q and q has no other root above the
-    lower end, so it lies above 1 exactly when q(1) lc(q) < 0.  Raises
-    ValueError for a width <= 0.
+    Its roots above 1 are counted first: for a primitive part f = +-rev f
+    by the sign variations of its trace polynomial T (_trace), as x -> x +
+    1/x - 2 maps (1, inf) increasingly onto (0, inf), multiplicities kept,
+    else by those of p shifted to 1.  No variation certifies no root above
+    1, as whenever every root lies in the closed unit disk.  One certifies
+    exactly one, simple: zero coefficients are skipped, so a root at 1 of
+    multiplicity m drops a factor x^m (s^m for T) and leaves its cofactor's
+    count.  Salem-type polynomials read so (their other roots have real part
+    below 1, and lie in [-4, 0] on T), and the certificate then shifts no
+    window starting at or above 1: T's estimate seeds _trace_largest, then
+    p's own estimates _descartes_largest, skipping windows already tried,
+    then the bisection runs.  The interval of the largest real root decides,
+    and when it straddles 1, the sign of q(1), q = iv.poly: the root is
+    simple in q and q has no other root above the lower end, so it lies
+    above 1 exactly when q(1) lc(q) < 0.  Raises ValueError for a width <= 0.
     """
     _check_width(width)
-    variations = descartes_bound(p, 1)
+    f = p.primitive()
+    trace = _trace(f)
+    variations = descartes_bound(p, 1) if trace is None else _variations(map(_sign, trace.coeffs))
     if variations == 0:
         return None
-    iv = _descartes_largest(p, width, one_above_one=variations == 1)
+    tried: set = set()
+    iv = _trace_largest(p, f, trace, width, variations == 1, tried) if trace is not None else None
+    if iv is None:
+        iv = _descartes_largest(p, width, variations == 1, tried)
     if iv is None:
         try:
             iv = _bisection_largest(p, width)

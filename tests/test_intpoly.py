@@ -40,6 +40,22 @@ def test_canonical_form():
     assert IntPoly([5]).degree == 0
 
 
+def test_primitive_returns_a_primitive_input_itself():
+    # IntPoly is frozen, so an input that is its own primitive part is returned as is
+    for done in (LEHMER, IntPoly(), IntPoly([1])):
+        assert done.primitive() is done
+    for todo in (-LEHMER, 3 * LEHMER, IntPoly([-1])):
+        assert todo.primitive() is not todo and todo.primitive() in (LEHMER, IntPoly([1]))
+
+
+@given(small_polys)
+def test_primitive_is_self_exactly_when_already_primitive(p):
+    q = p.primitive()
+    assert q.content() in (0, 1) and q.leading >= 0
+    assert q * (p.content() if p.leading >= 0 else -p.content()) == p
+    assert (q is p) == (q == p) and q.primitive() is q
+
+
 def test_bracket_basics():
     assert bracket(1) == IntPoly([1])
     assert bracket(2) == IntPoly([1, 1])

@@ -786,7 +786,7 @@ def test_a_window_starting_at_0_shifts_f_itself(monkeypatch):
     assert _pair(iv) == reference_isolate_largest(p, roots.DEFAULT_WIDTH)
 
 
-# -- the largest root above 1 from one Taylor shift ----------------------------------
+# -- the largest root above 1: the trace polynomial, or one Taylor shift ------------
 
 
 def _counting_shifts(monkeypatch) -> list:
@@ -800,11 +800,12 @@ def _counting_shifts(monkeypatch) -> list:
     return points
 
 
-def test_theorem2_top_roots_take_one_taylor_shift(monkeypatch):
+def test_theorem2_top_roots_take_no_taylor_shift(monkeypatch):
     # every 10th polygon of verify theorem2 at its defaults (k <= 5, p <= 8):
-    # growth_rate's input and the star's Coxeter polynomial have one root above
-    # 1 and every other root in the closed unit disk, not at 1, so the shift
-    # to 1 reads one variation and the certificate's window needs no shift
+    # growth_rate's input and the star's Coxeter polynomial are reciprocal,
+    # with one root above 1 and every other root in the closed unit disk, so
+    # their trace polynomial reads one variation and the window, starting
+    # above 1, needs no shift
     width = roots.DEFAULT_WIDTH
     polygons = [ps for k in range(3, 6) for ps in _hyperbolic_tuples(k, 8)][::10]
     shifts = _counting_shifts(monkeypatch)
@@ -812,46 +813,156 @@ def test_theorem2_top_roots_take_one_taylor_shift(monkeypatch):
         for p in (polygon_growth(*ps).denominator.reversed().primitive(), char_poly_star(*ps)):
             shifts.clear()
             iv = largest_root_above_one(p, width)
-            assert shifts == [1], ps
+            assert shifts == [] and roots._trace(p) is not None, ps
             expected = reference_isolate_largest(p, width)
             assert _pair(iv) == expected == _pair(roots._bisection_largest(p, width)), ps
     assert len(polygons) == 75
 
 
 _PLANTED = {
-    # p(1) = 0: the shift to 1 has a zero constant term, which the one
-    # variation skips, so the window at or above 1 is not shifted
-    "root at 1": (LEHMER * IntPoly([-1, 1]), roots.DEFAULT_WIDTH, False),
-    # three variations at 1
-    "second real root above 1": (IntPoly([-2, 1]) * IntPoly([-3, 1]) * LEHMER, roots.DEFAULT_WIDTH, True),
-    # the pair 2 +- i right of 1: three variations at 1
-    "complex pair right of 1": (IntPoly([5, -4, 1]) * IntPoly([-3, 1]), roots.DEFAULT_WIDTH, True),
-    # one variation at 1, but on the grid (-4, 4] the window of half-wide
-    # cells around the top root, in (1, 3/2], starts at 1/2
-    "window below 1": (LEHMER, Fraction(1, 2), True),
-    # two variations at 1 from the pair 2 +- i, and the top real root is -3
-    "complex pair and no root above 1": (IntPoly([5, -4, 1]) * IntPoly([3, 1]), roots.DEFAULT_WIDTH, True),
-    # every root on the unit circle: no variation at 1, and no other shift
+    # (p, width, the route that decides, the shift points made, None for a
+    # window's point near the top root)
+    # reciprocal, p(1) = 0: T = s T_Lehmer reads one variation, and the window
+    # at or above 1 is not shifted
+    "root at 1": (LEHMER * IntPoly([-1, 1]), roots.DEFAULT_WIDTH, "_trace_largest", []),
+    # not reciprocal: three variations at 1, and the window at 3 is shifted
+    "second real root above 1": (IntPoly([-2, 1]) * IntPoly([-3, 1]) * LEHMER, roots.DEFAULT_WIDTH,
+                                 "_descartes_largest", [1, None]),
+    # not reciprocal: the pair 2 +- i right of 1 gives three variations at 1
+    "complex pair right of 1": (IntPoly([5, -4, 1]) * IntPoly([-3, 1]), roots.DEFAULT_WIDTH,
+                                "_descartes_largest", [1, None]),
+    # one variation of T, but on T's grid the window of half-wide cells
+    # around the top root, in (1, 3/2], starts at 1/2 and declines; f's
+    # estimate picks the same window, which is not shifted again
+    "window below 1": (LEHMER, Fraction(1, 2), "_bisection_largest", [Fraction(1, 2), -4]),
+    # not reciprocal: two variations at 1 from the pair 2 +- i, and the top
+    # real root is -3
+    "complex pair and no root above 1": (IntPoly([5, -4, 1]) * IntPoly([3, 1]), roots.DEFAULT_WIDTH,
+                                         "_bisection_largest", [1, None, -8]),
+    # every root on the unit circle: T has no variation, and nothing is shifted
     "cyclotomic": (functools.reduce(IntPoly.__mul__, [cyclotomic(2), cyclotomic(3) ** 2, cyclotomic(5),
-                                                      cyclotomic(12)]), roots.DEFAULT_WIDTH, False),
+                                                      cyclotomic(12)]), roots.DEFAULT_WIDTH, None, []),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_PLANTED))
 def test_inputs_the_shift_to_1_leaves_open_take_the_deep_shift(monkeypatch, name):
-    p, width, deep = _PLANTED[name]
-    points = []
+    # a reciprocal input is counted on its trace polynomial T and not shifted
+    # to 1, any other is shifted to 1 first; no window is shifted twice
+    p, width, route, expected_points = _PLANTED[name]
+    points, decided = [], [None]
     shifted = roots._shifted
     monkeypatch.setattr(roots, "_shifted", lambda f, a: points.append(a) or shifted(f, a))
+    for stage in ("_trace_largest", "_descartes_largest", "_bisection_largest"):
+        def recorded(*args, fn=getattr(roots, stage), stage=stage):
+            iv = fn(*args)
+            decided.append(stage if iv is not None else None)
+            return iv
+        monkeypatch.setattr(roots, stage, recorded)
     iv = largest_root_above_one(p, width)
-    assert points[0] == 1 and (len(points) > 1) == deep, points
+    reciprocal = p.reversed() in (p, -p)
+    assert (roots._trace(p) is not None) == reciprocal and (points[:1] == [1]) != reciprocal
+    assert [a if e is not None else None for a, e in zip(points, expected_points)] == expected_points, points
+    assert len(points) == len(expected_points) and decided[-1] == route
     if name == "window below 1":
-        assert roots.descartes_bound(p, 1) == 1 and p(1) != 0 and roots.root_bound(p) == 4
-        assert points[1] == Fraction(1, 2)
+        assert roots._variations(map(roots._sign, roots._trace(p).coeffs)) == 1 and p(1) != 0
     if reference_count(p, Fraction(1), _reference_bound(p)) > 0:
         assert _pair(iv) == reference_isolate_largest(p, width)
     else:
         assert iv is None
+
+
+_SALEM_4 = IntPoly([1, -1, -1, -1, 1])  # the Salem number 1.7220838...
+_PHI_1, _PHI_2 = IntPoly([-1, 1]), IntPoly([1, 1])
+
+_RECIPROCAL = {
+    # name: (p, whether T has a non-real pair with positive real part)
+    "Lehmer": (LEHMER, False),
+    "Salem 4": (_SALEM_4, False),
+    "3 Lehmer, not primitive": (3 * LEHMER, False),
+    "-Lehmer": (-LEHMER, False),
+    "roots 2 and 1/2": (IntPoly([2, -5, 2]), False),
+    # root_bound 2, below root_bound(T) = 8: at widths of 4 and more the top
+    # cell on p's grid is (1, 2], which parts the root from its inverse
+    "root bound 2": (IntPoly([10, -9, -9, -9, 10]), False),
+    "Lehmer Phi_2": (LEHMER * _PHI_2, False),
+    "Salem 4 Phi_2^3": (_SALEM_4 * _PHI_2 ** 3, False),
+    "Lehmer Phi_1": (LEHMER * _PHI_1, False),
+    "Salem 4 Phi_1^3": (_SALEM_4 * _PHI_1 ** 3, False),
+    "Lehmer Phi_1 Phi_2": (LEHMER * _PHI_1 * _PHI_2, False),
+    "Lehmer Phi_1^3 Phi_2^2": (LEHMER * _PHI_1 ** 3 * _PHI_2 ** 2, False),
+    "Phi_1^2 Phi_2": (_PHI_1 ** 2 * _PHI_2, False),
+    # two roots above 1
+    "two Salem": (LEHMER * _SALEM_4, False),
+    "two Salem Phi_1": (LEHMER * _SALEM_4 * _PHI_1, False),
+    # quadruples r e^(+-i theta), e^(+-i theta) / r
+    "1 +- i sqrt 3": (IntPoly([4, -2, 1]) * IntPoly([1, -2, 4]), False),
+    "1 +- i sqrt 3, Lehmer": (IntPoly([4, -2, 1]) * IntPoly([1, -2, 4]) * LEHMER, False),
+    "3 +- i": (IntPoly([10, -6, 1]) * IntPoly([1, -6, 10]), True),
+    "3 +- i, Lehmer": (IntPoly([10, -6, 1]) * IntPoly([1, -6, 10]) * LEHMER, True),
+    "3 +- i, Phi_1": (IntPoly([10, -6, 1]) * IntPoly([1, -6, 10]) * _PHI_1, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RECIPROCAL))
+def test_the_trace_polynomial_of_a_reciprocal_input(name):
+    p, right_pair = _RECIPROCAL[name]
+    f = p.primitive()
+    t = roots._trace(f)
+    # q = f (x - 1)^a (x + 1)^b is palindromic of even degree 2m, q(x) = x^m T(x + 1/x - 2)
+    a = int(f.reversed() == -f)
+    q = f * _PHI_1 ** a * _PHI_2 ** ((f.degree + a) % 2)
+    assert q.reversed() == q and q.degree % 2 == 0 and t.degree == q.degree // 2
+    for x in (Fraction(3, 7), Fraction(-5, 2), Fraction(2), Fraction(1), Fraction(-1)):
+        assert q(x) == x ** (q.degree // 2) * t(x + 1 / x - 2), x
+    # T's variations bound the roots above 1, as Descartes' rule does for
+    # the positive roots of T.  The roots of T are real but for the images of
+    # non-real roots r e^(+-i theta) off the unit circle, of real part
+    # (r + 1/r) cos theta - 2; where that is positive they add two variations
+    above = reference_count(p, Fraction(1), _reference_bound(p))
+    variations = roots._variations(map(roots._sign, t.coeffs))
+    assert variations >= above and (variations - above) % 2 == 0
+    assert (variations == above) != (right_pair and above <= 1)
+
+
+@pytest.mark.parametrize("name", sorted(_RECIPROCAL))
+def test_the_trace_route_gives_the_reference_interval(name):
+    p = _RECIPROCAL[name][0]
+    above = reference_count(p, Fraction(1), _reference_bound(p)) > 0
+    for width in (Fraction(1, 10**9), Fraction(1, 2**40), Fraction(1, 3), Fraction(1), Fraction(3),
+                  Fraction(4), Fraction(1000)):
+        iv = largest_root_above_one(p, width)
+        if above:
+            assert _pair(iv) == reference_isolate_largest(p, width), width
+        else:
+            assert iv is None, width
+
+
+_reciprocal_polys = st.tuples(
+    st.lists(_small_factors, min_size=1, max_size=3).map(lambda fs: functools.reduce(IntPoly.__mul__, fs)),
+    st.integers(0, 2), st.integers(0, 2)).filter(lambda t: t[0].constant != 0).map(
+    lambda t: t[0] * t[0].reversed() * _PHI_1 ** t[1] * _PHI_2 ** t[2])
+
+
+@given(_reciprocal_polys, _widths)
+@settings(max_examples=100, deadline=None)
+def test_reciprocal_inputs_give_the_reference_interval_above_one(p, width):
+    # p rev(p) has the roots r and 1/r for each root r of p, and Phi_1^a Phi_2^b
+    # makes it anti-palindromic or of odd degree
+    assert roots._trace(p.primitive()) is not None
+    iv = largest_root_above_one(p, width)
+    if reference_count(p, Fraction(1), _reference_bound(p)) > 0:
+        assert _pair(iv) == reference_isolate_largest(p, width)
+    else:
+        assert iv is None
+
+
+def test_non_reciprocal_inputs_have_no_trace_polynomial():
+    for p in (IntPoly([]), IntPoly([5]), IntPoly([1, 2]), IntPoly([0, 1, 0, 1]), LEHMER * IntPoly([-2, 1]),
+              IntPoly([1, 0, 1, 1])):
+        assert roots._trace(p) is None, p
+    # a constant is reciprocal but has no root: no trace, and no root above 1
+    assert largest_root_above_one(IntPoly([5])) is None
 
 
 _ONE_ABOVE_ONE = [LEHMER, char_poly_star(2, 3, 7), polygon_growth(3, 3, 7).denominator.reversed().primitive()]

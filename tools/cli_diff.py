@@ -30,6 +30,9 @@ REPEATED_FACTORS = (parse_poly(LEHMER) ** 2 * cyclotomic(12) * IntPoly([1, 1]) *
 # The star of 399 arms of 4 vertices (1198 vertices, under the tree vertex bound)
 STAR_399 = "Star:" + ",".join(["4"] * 399)
 
+# Lehmer's polynomial times t^2 - 1: anti-palindromic of even degree
+LEHMER_ANTI = (parse_poly(LEHMER) * IntPoly([-1, 0, 1])).to_text()
+
 COMMANDS = [
     *(["verify", check] for check in
       ["delta-phi", "second-minimal", "prop52", "theorem2", "table1", "chain-fig1"]),
@@ -43,6 +46,7 @@ COMMANDS = [
     ["verify", "delta-phi", "--max-k", "6", "--max-p", "12"],
     ["verify", "theorem2", "--max-k", "6", "--max-p", "12"],
     ["coxtrans", "--hgraph", "2,8,3"],
+    ["coxtrans", "--tree", "Star:2,3,8"],  # phi palindromic of odd degree
     ["coxtrans", "--tree", "Star:2,3,300"],
     ["coxtrans", "--tree", "Star:2,3,600"],
     ["coxtrans", "--tree", STAR_399],
@@ -51,6 +55,7 @@ COMMANDS = [
     ["classify", "--poly", LEHMER],
     ["classify", "--poly", DEGREE_160],
     ["classify", "--poly", REPEATED_FACTORS],
+    ["classify", "--poly", LEHMER_ANTI],
     ["salem", "--gap"],
     ["salem", "--gap", "--list", "src/coxgrowth/data/mini_salem_list.csv"],
     ["salem", "--search", "--target", LEHMER],
