@@ -5,13 +5,13 @@ with denominators kept in factored cyclotomic form: every finite-type growth
 polynomial is a product of brackets [k] = 1 + t + ... + t^(k-1), and [k]
 splits into the cyclotomic polynomials Phi_d for the divisors d > 1 of k.
 Only connected spherical vertex sets are typed, grown from singletons and
-pruned at the first non-spherical set; every spherical subset is a union of
-pairwise non-adjacent ones.  Terms are grouped by Solomon factorization, so
-the sum needs one common denominator and one cofactor per distinct
-factorization, not one per subset.  The sum is taken as one integer, at
-t = 2^K with K wide enough for every coefficient (Kronecker substitution):
-each term is a product of powers of the numbers Phi_d(2^K), and the
-numerator and denominator are read back as signed base-2^K digits.
+pruned at the first non-spherical set.  Terms are grouped by Solomon
+factorization, so the sum needs one common denominator and one cofactor per
+distinct factorization, not one per subset, and the signed count of each is
+a memoized recursion on vertex sets that visits no subset one at a time.
+The sum is one integer, at t = 2^K with K wide enough for every coefficient
+(Kronecker substitution): each term is a product of powers of the numbers
+Phi_d(2^K), and numerator and denominator are read back as base-2^K digits.
 
 Both growth-series constructors know their numerator as a product of
 cyclotomic polynomials (times a power of t), so they reduce the quotient by
@@ -131,7 +131,9 @@ def _connected_spherical_sets(d: CoxeterDiagram) -> dict[int, tuple[Counter[int]
     An edge is a weight >= 3 or INF.  The neighbour and INF bitmasks of the
     vertices are built once, and each set is typed on its bitmask, with no
     subdiagram.  Sets grow from singletons by one neighbour (a bit of
-    near & ~mask) at a time, and each candidate is typed once.  Pruning at
+    near & ~mask) at a time, and each candidate is typed once; a vertex with
+    two neighbours or an INF edge in the set closes a cycle or holds an INF
+    pair, so that grown set is not spherical and is not queued.  Pruning at
     the first non-spherical set is sound: a parabolic subgroup of a finite
     group is finite, so a connected set containing a non-spherical one is not
     spherical; and a connected spherical set of size k+1 minus a non-cut
@@ -155,8 +157,8 @@ def _connected_spherical_sets(d: CoxeterDiagram) -> dict[int, tuple[Counter[int]
             fac = facs[t.exponents] = _bracket_factorization(e + 1 for e in t.exponents)
         out[mask] = (fac, near)
         for v in _bits(near & ~mask):
-            grown = mask | 1 << v
-            if grown not in seen:
+            touch, grown = nbr[v] & mask, mask | 1 << v
+            if not (touch & touch - 1 or inf[v] & mask or grown in seen):
                 seen.add(grown)
                 todo.append(grown)
     return out
@@ -186,42 +188,42 @@ def steinberg_growth(d: CoxeterDiagram) -> GrowthFunction:
     """The full growth series from the alternating sum over finite standard subgroups.
 
     Evaluates 1/f(t^-1) = sum over spherical subsets T of (-1)^|T| / f_T(t)
-    exactly, then substitutes t -> 1/t and normalizes.  A spherical subset is
-    the union of its components, pairwise non-adjacent connected spherical
-    sets, and f_T is the product of theirs; so only connected sets are typed,
-    and a depth-first walk that adds one set at a time, in index order and
-    apart from the union so far, visits every spherical subset once.  Terms
-    are grouped by Solomon factorization: one signed count, and one cofactor
-    over the common denominator, per distinct factorization.  The sum is
-    evaluated at t = 2^K as one integer and read back as signed digits.
+    exactly, then substitutes t -> 1/t and normalizes.  Terms are grouped by
+    Solomon factorization: F(U), memoized on the vertex set U, is the signed
+    count of each over U's spherical subsets, and F(U) = F(U - v) + sum_C
+    (-1)^|C| x^fac(C) F(U - near(C)), v the lowest vertex of U, C running over
+    the connected spherical sets in U through v and near(C) being C and its
+    neighbours.  For a spherical subset is the union of its components,
+    pairwise non-adjacent connected spherical sets, so it leaves v out or has
+    one component C through v, its rest lying in U - near(C); and f_T is the
+    product of its components'.  The sum is evaluated at t = 2^K as one
+    integer and read back as signed digits.
     """
     _check_rank(d.n)
     conn = _connected_spherical_sets(d)
-    sets = sorted(conn)
-    idx = sorted({i for fac, _ in conn.values() for i in fac})
+    facs = {id(fac): fac for fac, _ in conn.values()}  # the distinct factorizations
+    idx = sorted({i for fac in facs.values() for i in fac})
     # A factorization packs into one int, _FIELD bits per index of idx, so
     # that adding two factorizations is one integer addition.
-    packed = [sum(conn[s][0][i] << _FIELD * p for p, i in enumerate(idx)) for s in sets]
-    flip = [s.bit_count() % 2 == 1 for s in sets]
-    # later[k]: the sets after set k that neither meet nor touch it.  A walk
-    # step's candidates are the sets after the last one taken that neither
-    # meet nor touch the union so far.
-    later = [sum(1 << j for j in range(k + 1, len(sets)) if not sets[j] & conn[s][1])
-             for k, s in enumerate(sets)]
-    counts: dict[int, int] = {}
+    packed = {key: sum(e << _FIELD * idx.index(i) for i, e in fac.items()) for key, fac in facs.items()}
+    through = [[] for _ in range(d.n)]  # per lowest vertex: (C, near(C), (-1)^|C|, packed fac(C))
+    for s, (fac, near) in conn.items():
+        through[(s & -s).bit_length() - 1].append((s, near, -1 if s.bit_count() % 2 else 1, packed[id(fac)]))
+    memo = {0: {0: 1}}
 
-    def walk(cand: int, key: int, sign: int):
-        counts[key] = counts.get(key, 0) + sign
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            k = low.bit_length() - 1
-            walk(cand & later[k], key + packed[k], -sign if flip[k] else sign)
+    def signed(u: int) -> dict[int, int]:
+        """F(u), from F of smaller sets only."""
+        if u not in memo:
+            got = memo[u] = dict(signed(u & u - 1))
+            for s, near, sign, key in through[(u & -u).bit_length() - 1]:
+                if not s & ~u:
+                    for rest, count in signed(u & ~near).items():
+                        got[rest + key] = got.get(rest + key, 0) + sign * count
+        return memo[u]
 
-    walk((1 << len(sets)) - 1, 0, 1)  # from the empty subset
     # Factorizations whose terms cancel drop out.  common[p]: the exponent of
     # Phi_i, i = idx[p], in the common denominator of the others.
-    counts = {key: count for key, count in counts.items() if count}
+    counts = {key: count for key, count in signed((1 << d.n) - 1).items() if count}
     mask = (1 << _FIELD) - 1
     common = [max(key >> _FIELD * p & mask for key in counts) for p in range(len(idx))]
 

@@ -576,8 +576,9 @@ def _trace(f: IntPoly) -> IntPoly | None:
     = s + 2, W_(k+1) = (s + 2) W_k - W_(k-1), so T = q_m + sum_(k>=1)
     q_(m+k) W_k, summed by Clenshaw's recurrence on integers at s = 2^K and
     read back once.  W_k(s) = 2 C_k(1 + s/2), C_k Chebyshev's, with roots in
-    [-1, 1], has nonnegative coefficients summing to W_k(1) <= 3^k (k >= 1),
-    so every |T_j| <= sum_k |q_(m+k)| 3^k < 2^(K-1)."""
+    [-1, 1], has nonnegative coefficients summing to W_k(1), the Lucas number
+    L_2k (3, 7, 18, 47, ... by W_(k+1)(1) = 3 W_k(1) - W_(k-1)(1)), so every
+    |T_j| <= |q_m| + sum_(k>=1) |q_(m+k)| W_k(1) < 2^(K-1)."""
     q = f.coeffs
     if len(q) < 2 or abs(q[0]) != abs(q[-1]) or q[::-1] != (q if q[0] == q[-1] else tuple(-c for c in q)):
         return None
@@ -585,9 +586,10 @@ def _trace(f: IntPoly) -> IntPoly | None:
         q = [a - b for a, b in zip((0, *q), (*q, 0))]
     if len(q) % 2 == 0:  # (x + 1) q has even degree
         q = [a + b for a, b in zip((0, *q), (*q, 0))]
-    m, bound, b1, b2 = len(q) // 2, 0, 0, 0
-    for c in q[:m - 1:-1]:
-        bound = 3 * bound + abs(c)
+    m, b1, b2 = len(q) // 2, 0, 0
+    bound, w1, w2 = abs(q[m]), 3, 2  # W_k(1), W_(k-1)(1)
+    for c in q[m + 1:]:
+        bound, w1, w2 = bound + abs(c) * w1, 3 * w1 - w2, w1
     k = bound.bit_length() + 1
     for c in q[:m:-1]:
         b1, b2 = c + (b1 << k) + 2 * b1 - b2, b1

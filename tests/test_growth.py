@@ -10,6 +10,7 @@ from coxgrowth import growth
 from coxgrowth.diagram import (
     INF,
     CoxeterDiagram,
+    _spherical_type,
     parse_coxeter_symbol,
     path_tree,
     polygon_diagram,
@@ -169,10 +170,10 @@ def test_solomon_matches_group_order_oracles():
 
 
 @st.composite
-def _diagrams(draw):
-    """Rank 1-9.  Each pair's weight comes from a drawn palette, so edgeless,
-    sparse and disconnected diagrams occur as well as INF-dense ones."""
-    n = draw(st.integers(1, 9))
+def _diagrams(draw, max_rank=9):
+    """Rank 1 to max_rank.  Each pair's weight comes from a drawn palette, so
+    edgeless, sparse and disconnected diagrams occur as well as INF-dense ones."""
+    n = draw(st.integers(1, max_rank))
     palette = draw(st.lists(st.sampled_from([2, 3, 4, 5, 6, 8, INF]), min_size=1, max_size=6))
     edges = {}
     for i, j in itertools.combinations(range(n), 2):
@@ -186,6 +187,42 @@ def _diagrams(draw):
 @settings(max_examples=200, deadline=None)
 def test_steinberg_matches_subset_sweep(d):
     assert steinberg_growth(d) == subset_sweep_growth(d)
+
+
+def _disjoint_union(d1, d2):
+    edges = {(i, j): w for i, j, w in d1.edges()}
+    edges.update({(d1.n + i, d1.n + j): w for i, j, w in d2.edges()})
+    return CoxeterDiagram(d1.n + d2.n, edges)
+
+
+@given(_diagrams(max_rank=10), _diagrams(max_rank=10))
+@settings(max_examples=60, deadline=None)
+def test_steinberg_of_a_disjoint_union_is_the_product(d1, d2):
+    # W(d1 + d2) = W(d1) x W(d2), so its growth series is the product; the
+    # union reaches the rank bound 20, beyond the subset sweep, which checks
+    # the factors themselves
+    f, g = steinberg_growth(d1), steinberg_growth(d2)
+    assert steinberg_growth(_disjoint_union(d1, d2)) == GrowthFunction(
+        f.numerator * g.numerator, f.denominator * g.denominator)
+
+
+@given(_diagrams())
+@settings(max_examples=100, deadline=None)
+def test_connected_sets_type_no_grown_set_with_a_cycle_or_an_inf_pair(d):
+    typed = []
+
+    def spherical_type(weights, nbr, inf, mask):
+        typed.append((nbr, inf, mask))
+        return _spherical_type(weights, nbr, inf, mask)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(growth, "_spherical_type", spherical_type)
+        assert steinberg_growth(d) == subset_sweep_growth(d)
+    assert len({mask for _, _, mask in typed}) == len(typed)
+    for nbr, inf, mask in typed:
+        verts = [v for v in range(d.n) if mask >> v & 1]
+        assert not any(inf[v] & mask for v in verts)
+        assert sum((nbr[v] & mask).bit_count() for v in verts) // 2 <= len(verts) - 1
 
 
 @pytest.mark.parametrize("build", [

@@ -64,7 +64,8 @@ DEGREE_160 = functools.reduce(IntPoly.__mul__, (cyclotomic(n) ** 2 for n in (2, 
 PROCESSES = [["verify", "theorem2", "--max-k", "6", "--max-p", "12"],
              ["verify", "prop52", "--rmax", "40", "--jmax", "40"],
              ["spectra", "--tree", "Path:1200"],
-             ["classify", "--poly", DEGREE_160]]
+             ["classify", "--poly", DEGREE_160],
+             ["growth", "--symbol", "[4,3^18]"]]
 
 
 def git(root: Path, *args: str) -> bytes:

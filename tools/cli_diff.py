@@ -50,7 +50,8 @@ COMMANDS = [
     ["coxtrans", "--tree", "Star:2,3,300"],
     ["coxtrans", "--tree", "Star:2,3,600"],
     ["coxtrans", "--tree", STAR_399],
-    *(["growth", "--symbol", symbol] for symbol in ["[3,5,3]", "[4,3^18]", "[4,3,5]", "[(3,3,4)]"]),
+    *(["growth", "--symbol", symbol] for symbol in
+      ["[3,5,3]", "[4,3^18]", "[4,3,5]", "[(3,3,4)]", "[(3^19,4)]", "[(3^18,4,5)]"]),
     ["growth", "--polygon", "2,3,7"],
     ["classify", "--poly", LEHMER],
     ["classify", "--poly", DEGREE_160],
