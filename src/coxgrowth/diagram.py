@@ -8,6 +8,7 @@ by a sentinel integer.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
@@ -449,9 +450,9 @@ def _spherical_type(weights, nbr: list[int], inf: list[int], mask: int) -> Spher
     """The type of the connected vertex set mask when it is spherical, else None.
 
     nbr and inf are the bitmasks of _edge_masks.  A connected spherical
-    diagram is a tree (k - 1 edges) with no INF edge: a path, read as a
-    weight word from one end, or one branch vertex with three arms of
-    weight-3 edges, read by walking the neighbour bits out from it.
+    diagram is a tree (k - 1 edges) with no INF edge: a path, whose weight word
+    from one end goes to _path_type, or one branch vertex with three weight-3
+    arms, read by walking the neighbour bits, whose lengths go to _branch_type.
     """
     r = mask.bit_count()
     end = center = None
@@ -466,7 +467,7 @@ def _spherical_type(weights, nbr: list[int], inf: list[int], mask: int) -> Spher
         elif deg == 3:
             center = v
     if r == 1:
-        return SphericalType("A", 1, (1,))
+        return _path_type(())
     if edges != 2 * (r - 1):
         return None  # a cycle
 
@@ -479,29 +480,42 @@ def _spherical_type(weights, nbr: list[int], inf: list[int], mask: int) -> Spher
         return tuple(word)
 
     if center is None:
-        word = arm(end, (nbr[end] & mask).bit_length() - 1)
-        words = {word, word[::-1]}
-        if r == 2 and word[0] != 3:
-            return SphericalType("I2", 2, (1, word[0] - 1), m=word[0])
-        if all(w == 3 for w in word):
-            return SphericalType("A", r, tuple(range(1, r + 1)))
-        if (4,) + (3,) * (r - 2) in words:
-            return SphericalType("B", r, tuple(range(1, 2 * r, 2)))
-        if r == 4 and word == (3, 4, 3):
-            return SphericalType("F4", 4, _EXCEPTIONAL_EXPONENTS["F4"])
-        if r == 3 and (5, 3) in words:
-            return SphericalType("H3", 3, _EXCEPTIONAL_EXPONENTS["H3"])
-        if r == 4 and (5, 3, 3) in words:
-            return SphericalType("H4", 4, _EXCEPTIONAL_EXPONENTS["H4"])
-        return None
-    # one branch vertex: D or E, all weights 3
+        return _path_type(arm(end, (nbr[end] & mask).bit_length() - 1))
     arms = [arm(center, v) for v in _bits(nbr[center] & mask)]
     if any(w != 3 for word in arms for w in word):
         return None
-    lengths = sorted(map(len, arms))
-    if lengths[:2] == [1, 1]:
+    return _branch_type(tuple(sorted(map(len, arms))))
+
+
+@functools.lru_cache(maxsize=4096)
+def _path_type(word: tuple) -> SphericalType | None:
+    """The type of the path on len(word) + 1 vertices with the edge weights
+    word (integers >= 3) read from either end, or None if it is not spherical."""
+    r = len(word) + 1
+    if r == 2 and word[0] != 3:
+        return SphericalType("I2", 2, (1, word[0] - 1), m=word[0])
+    if all(w == 3 for w in word):
+        return SphericalType("A", r, tuple(range(1, r + 1)))
+    words = {word, word[::-1]}
+    if (4,) + (3,) * (r - 2) in words:
+        return SphericalType("B", r, tuple(range(1, 2 * r, 2)))
+    if r == 4 and word == (3, 4, 3):
+        return SphericalType("F4", 4, _EXCEPTIONAL_EXPONENTS["F4"])
+    if r == 3 and (5, 3) in words:
+        return SphericalType("H3", 3, _EXCEPTIONAL_EXPONENTS["H3"])
+    if r == 4 and (5, 3, 3) in words:
+        return SphericalType("H4", 4, _EXCEPTIONAL_EXPONENTS["H4"])
+    return None
+
+
+@functools.cache
+def _branch_type(lengths: tuple[int, int, int]) -> SphericalType | None:
+    """The type of one branch vertex with three arms of weight-3 edges, of
+    the given lengths in increasing order, or None when it is not spherical."""
+    r = 1 + sum(lengths)
+    if lengths[:2] == (1, 1):
         return SphericalType("D", r, tuple(range(1, 2 * r - 2, 2)) + (r - 1,))
-    if lengths in ([1, 2, 2], [1, 2, 3], [1, 2, 4]):
+    if lengths in ((1, 2, 2), (1, 2, 3), (1, 2, 4)):
         return SphericalType(f"E{r}", r, _EXCEPTIONAL_EXPONENTS[f"E{r}"])
     return None
 

@@ -20,6 +20,7 @@ dividing the denominator's value at a power of two by theirs, not by a gcd.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .diagram import STEINBERG_RANK_BOUND, CoxeterDiagram, dominates, polygon_is_hyperbolic
-from .diagram import _bits, _edge_masks, _spherical_type
+from .diagram import SphericalType, _bits, _branch_type, _edge_masks, _path_type
 from .intpoly import ONE, IntPoly, bracket, cyclotomic, exact_div, poly_gcd
 from .intpoly import _cyclotomic_product, _divide_cyclotomic, _pack, _signed_digits
 from .roots import (
@@ -123,44 +124,82 @@ def _reduced_growth(exponents: dict[int, int], den: IntPoly) -> GrowthFunction:
     return GrowthFunction._reduced(num if num.constant == den.constant else -num, den)
 
 
+@functools.cache
+def _solomon_factorization(exponents: tuple[int, ...]) -> Counter[int]:
+    """The Phi_d exponents of the growth polynomial prod [e + 1] of the
+    spherical type with these exponents; one Counter per exponent tuple,
+    which callers only read."""
+    return _bracket_factorization(e + 1 for e in exponents)
+
+
+def _grow(weights, shape: tuple, u: int, v: int) -> tuple[tuple, SphericalType] | None:
+    """The shape and type of a spherical set grown by the leaf v, joined to
+    the set at its vertex u only, from the set's shape, or None when the grown
+    set is not spherical.  A shape is ("path", vertices in order, weight word)
+    or ("branch", centre, its three weight-3 arms, vertex tuples from the
+    centre outward).  With x the weight of uv: at a path's end the word grows
+    by x; at an inner vertex, u becomes a branch vertex, which needs x and the
+    whole word to be 3, with the two sides of u and (v,) as arms; at an arm
+    tip, with x = 3, that arm grows; at any other vertex it is not spherical.
+    """
+    x = weights[u][v]
+    kind, first, second = shape
+    if kind == "path":
+        if u == first[-1]:
+            return _typed(("path", first + (v,), second + (x,)))
+        if u == first[0]:
+            return _typed(("path", (v,) + first, (x,) + second))
+        if x != 3 or second.count(3) < len(second):
+            return None
+        i = first.index(u)
+        return _typed(("branch", u, (first[i - 1::-1], first[i + 1:], (v,))))
+    if x == 3:
+        for k, arm in enumerate(second):
+            if arm[-1] == u:
+                return _typed(("branch", first, second[:k] + (arm + (v,),) + second[k + 1:]))
+    return None
+
+
+def _typed(shape: tuple) -> tuple[tuple, SphericalType] | None:
+    """A shape with its type from the catalog, or None when it is not spherical."""
+    kind, _, second = shape
+    t = _path_type(second) if kind == "path" else _branch_type(tuple(sorted(map(len, second))))
+    return None if t is None else (shape, t)
+
+
 def _connected_spherical_sets(d: CoxeterDiagram) -> dict[int, tuple[Counter[int], int]]:
     """Each connected spherical vertex set, as a bitmask, with its Solomon
     factorization and the bitmask of the set and its neighbours.  Sets with
     the same exponents share one factorization, which callers only read.
 
     An edge is a weight >= 3 or INF.  The neighbour and INF bitmasks of the
-    vertices are built once, and each set is typed on its bitmask, with no
-    subdiagram.  Sets grow from singletons by one neighbour (a bit of
-    near & ~mask) at a time, and each candidate is typed once; a vertex with
-    two neighbours or an INF edge in the set closes a cycle or holds an INF
-    pair, so that grown set is not spherical and is not queued.  Pruning at
-    the first non-spherical set is sound: a parabolic subgroup of a finite
-    group is finite, so a connected set containing a non-spherical one is not
-    spherical; and a connected spherical set of size k+1 minus a non-cut
-    vertex (a leaf of a spanning tree) is a connected spherical set of size k.
+    vertices are built once.  Sets grow from singletons, one-vertex paths, by
+    one neighbour v (a bit of near & ~mask) at a time, and each candidate is
+    typed once; a v with two neighbours or an INF edge in the set closes a
+    cycle or holds an INF pair, so that set is not spherical and not typed.
+    Otherwise v is a leaf joined to one vertex u of the set, and _grow types
+    the grown set from the parent's shape and u, with no re-read of the set;
+    its near mask is near | nbr[v].  Only spherical sets are queued, with
+    their shape, type and near mask.  Pruning at the first non-spherical set
+    is sound: a parabolic subgroup of a finite group is finite, so a connected
+    set containing a non-spherical one is not spherical; and a connected
+    spherical set of size k+1 minus a non-cut vertex (a leaf of a spanning
+    tree) is a connected spherical set of size k.
     """
     nbr, inf = _edge_masks(d)
     out: dict[int, tuple[Counter[int], int]] = {}
-    facs: dict[tuple[int, ...], Counter[int]] = {}  # by exponents
-    todo = [1 << v for v in range(d.n)]
-    seen = set(todo)
+    todo = [(1 << v, ("path", (v,), ()), _path_type(()), 1 << v | nbr[v]) for v in range(d.n)]
+    seen = {1 << v for v in range(d.n)}
     while todo:
-        mask = todo.pop()
-        t = _spherical_type(d.weights, nbr, inf, mask)
-        if t is None:
-            continue
-        near = mask
-        for v in _bits(mask):
-            near |= nbr[v]
-        fac = facs.get(t.exponents)
-        if fac is None:
-            fac = facs[t.exponents] = _bracket_factorization(e + 1 for e in t.exponents)
-        out[mask] = (fac, near)
+        mask, shape, t, near = todo.pop()
+        out[mask] = (_solomon_factorization(t.exponents), near)
         for v in _bits(near & ~mask):
             touch, grown = nbr[v] & mask, mask | 1 << v
             if not (touch & touch - 1 or inf[v] & mask or grown in seen):
                 seen.add(grown)
-                todo.append(grown)
+                step = _grow(d.weights, shape, touch.bit_length() - 1, v)
+                if step is not None:
+                    todo.append((grown, *step, near | nbr[v]))
     return out
 
 

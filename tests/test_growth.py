@@ -10,6 +10,7 @@ from coxgrowth import growth
 from coxgrowth.diagram import (
     INF,
     CoxeterDiagram,
+    _edge_masks,
     _spherical_type,
     parse_coxeter_symbol,
     path_tree,
@@ -20,6 +21,7 @@ from coxgrowth.diagram import (
 from coxgrowth.growth import (
     GrowthFunction,
     NotExponentialError,
+    _connected_spherical_sets,
     _reduced_growth,
     growth_rate,
     help_numerator,
@@ -48,6 +50,7 @@ from oracles import (
     subset_sweep_growth,
     symmetric_group_order,
 )
+from test_diagram import _PLANTED, _with_pendant
 
 LEHMER = parse_poly("1,1,0,-1,-1,-1,-1,-1,0,1,1")
 MIN_38 = parse_poly("1,0,0,-1,0,-1,0,-1,0,0,1")
@@ -206,23 +209,110 @@ def test_steinberg_of_a_disjoint_union_is_the_product(d1, d2):
         f.numerator * g.numerator, f.denominator * g.denominator)
 
 
+def _shape_vertices(shape):
+    """The vertices of a grow-step shape: a path's in order, or a branch's
+    centre and then its arms."""
+    kind, first, second = shape
+    return first if kind == "path" else (first, *itertools.chain.from_iterable(second))
+
+
+def _grow_steps(run, d):
+    """run(d) with each grow step recorded as (parent shape, u, v, grown
+    mask, result), and run's value."""
+    steps, grow = [], growth._grow
+
+    def recorded(weights, shape, u, v):
+        got = grow(weights, shape, u, v)
+        steps.append((shape, u, v, sum(1 << x for x in _shape_vertices(shape)) | 1 << v, got))
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(growth, "_grow", recorded)
+        return steps, run(d)
+
+
 @given(_diagrams())
 @settings(max_examples=100, deadline=None)
 def test_connected_sets_type_no_grown_set_with_a_cycle_or_an_inf_pair(d):
-    typed = []
-
-    def spherical_type(weights, nbr, inf, mask):
-        typed.append((nbr, inf, mask))
-        return _spherical_type(weights, nbr, inf, mask)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(growth, "_spherical_type", spherical_type)
-        assert steinberg_growth(d) == subset_sweep_growth(d)
-    assert len({mask for _, _, mask in typed}) == len(typed)
-    for nbr, inf, mask in typed:
+    steps, f = _grow_steps(steinberg_growth, d)
+    assert f == subset_sweep_growth(d)
+    masks = [mask for _, _, _, mask, _ in steps]
+    assert len(set(masks)) == len(masks)
+    nbr, inf = _edge_masks(d)
+    for mask in masks:
         verts = [v for v in range(d.n) if mask >> v & 1]
         assert not any(inf[v] & mask for v in verts)
-        assert sum((nbr[v] & mask).bit_count() for v in verts) // 2 <= len(verts) - 1
+        assert sum((nbr[v] & mask).bit_count() for v in verts) // 2 == len(verts) - 1
+
+
+def _step_case(shape, u):
+    """Where the grow step joins the new leaf to a set of the given shape."""
+    kind, first, second = shape
+    if kind == "path":
+        return "path end" if u in (first[0], first[-1]) else "path inner"
+    if u == first:
+        return "branch centre"
+    return "arm tip" if any(arm[-1] == u for arm in second) else "arm inner"
+
+
+def _check_grow_steps(d):
+    """Check every grow step of _connected_spherical_sets(d) against the
+    full recognizer, and each grown shape against the diagram; return the
+    steps."""
+    steps, conn = _grow_steps(_connected_spherical_sets, d)
+    nbr, inf = _edge_masks(d)
+    for shape, u, v, mask, got in steps:
+        assert (got and got[1]) == _spherical_type(d.weights, nbr, inf, mask), (d, shape, u, v)
+        if got is None:
+            continue
+        (kind, first, second), t = got
+        verts = _shape_vertices(got[0])
+        assert len(verts) == mask.bit_count() == t.rank and sum(1 << x for x in verts) == mask
+        if kind == "path":
+            assert second == tuple(d.weights[a][b] for a, b in zip(first, first[1:]))
+        else:
+            assert len(second) == 3
+            for arm in second:
+                walk = (first, *arm)
+                assert all(d.weights[a][b] == 3 for a, b in zip(walk, walk[1:]))
+    grown = {mask for _, _, _, mask, got in steps if got is not None}
+    assert set(conn) == grown | {1 << v for v in range(d.n)}
+    return steps
+
+
+# A3 with a weight-4 pendant at its middle vertex (no D4), D4 and D4 with a
+# leaf at its centre, E6 with a leaf at an inner arm vertex, D5 with a leaf at
+# the inner vertex of its long arm, and the path [3,4,3,3] read from its far end
+_GROW_CASES = [
+    CoxeterDiagram(4, {(3, 0): 4, (3, 1): 3, (3, 2): 3}),
+    CoxeterDiagram(4, {(0, 1): 3, (0, 2): 3, (0, 3): 3}),
+    star_diagram(2, 2, 2, 2).to_diagram(),
+    _with_pendant(star_diagram(2, 3, 3).to_diagram(), 2, 3),
+    _with_pendant(star_diagram(2, 2, 3).to_diagram(), 3, 3),
+    CoxeterDiagram(5, {(4, 3): 3, (3, 2): 4, (2, 1): 3, (1, 0): 3}),
+]
+
+
+def test_grow_step_types_match_the_full_recognizer_on_planted_diagrams():
+    cases, types = set(), set()
+    for d in _PLANTED + _GROW_CASES:
+        for shape, u, v, _, got in _check_grow_steps(d):
+            case = _step_case(shape, u)
+            if case == "path inner":
+                case += " x=3" if d.weights[u][v] == 3 else " x!=3"
+            cases.add(case)
+            if got is not None:
+                types.add(str(got[1]))
+    assert cases == {"path end", "path inner x=3", "path inner x!=3", "branch centre",
+                          "arm tip", "arm inner"}
+    assert {"D4", "E6", "E7", "E8", "F4", "H3", "H4", "I2(4)", "I2(5)"} <= types
+    assert any(t.startswith("A") for t in types) and any(t.startswith("B") for t in types)
+
+
+@given(_diagrams(max_rank=12))
+@settings(max_examples=150, deadline=None)
+def test_grow_step_types_match_the_full_recognizer(d):
+    _check_grow_steps(d)
 
 
 @pytest.mark.parametrize("build", [

@@ -8,8 +8,12 @@ archive`` (as in ``bench_pair.py``) into ``--workdir`` (default: a temporary
 directory, deleted at the end).  In both trees, every command of ``COMMANDS``
 runs as ``python3 -m coxgrowth.cli ... --json --no-meta`` and every script of
 ``DEMOS`` as it is, each with that tree's ``src`` first on ``PYTHONPATH``.
-Their stdout bytes and exit codes are compared; each difference is printed,
-and the tool exits 1 if there is any, 0 otherwise.
+The ``growth --file`` commands read diagram files of ``FILES``, written into
+the temporary directory and passed to both sides by absolute path.  Their
+stdout bytes and exit codes are compared, and a command that exits nonzero on
+the base counts as a difference too, unless it is in ``EXPECTED_ERRORS``:
+a command that fails on both sides checks nothing.  Each difference is
+printed, and the tool exits 1 if there is any, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -51,16 +55,28 @@ COMMANDS = [
     ["coxtrans", "--tree", "Star:2,3,600"],
     ["coxtrans", "--tree", STAR_399],
     *(["growth", "--symbol", symbol] for symbol in
-      ["[3,5,3]", "[4,3^18]", "[4,3,5]", "[(3,3,4)]", "[(3^19,4)]", "[(3^18,4,5)]"]),
+      ["[3,5,3]", "[4,3^18]", "[4,3,5]", "[(3,3,4)]", "[(3^19,4)]", "[(3^18,4,5)]",
+       "[5,3,3,3]", "[3,4,3,3]"]),  # H4 and F4 sets
     ["growth", "--polygon", "2,3,7"],
     ["classify", "--poly", LEHMER],
     ["classify", "--poly", DEGREE_160],
     ["classify", "--poly", REPEATED_FACTORS],
-    ["classify", "--poly", LEHMER_ANTI],
+    ["classify", f"--poly={LEHMER_ANTI}"],  # one token: argparse reads "-1,..." as an option
     ["salem", "--gap"],
     ["salem", "--gap", "--list", "src/coxgrowth/data/mini_salem_list.csv"],
     ["salem", "--search", "--target", LEHMER],
 ]
+
+# Commands that must fail, with the same stdout and exit code on both sides
+EXPECTED_ERRORS = [
+    ["growth", "--symbol", "[3^20]"],  # rank 21, above the Steinberg rank bound
+]
+
+# Diagram files for growth --file, by name: affine E8 (the star with arms of
+# 1, 2 and 5 vertices) with a weight-4 pendant at the end of its long arm
+FILES = {
+    "affine_e8_pendant4.txt": "rank 10\n1 2 3\n1 3 3\n3 4 3\n1 5 3\n5 6 3\n6 7 3\n7 8 3\n8 9 3\n9 10 4\n",
+}
 
 DEMOS = ["growth_rates_tour.py", "salem_gap_demo.py", "tree_spectra_story.py"]
 
@@ -71,17 +87,22 @@ def main(argv=None) -> int:
     p.add_argument("--workdir", help="where to export the base commit")
     args = p.parse_args(argv)
     change = Path.cwd()
-    runs = [(" ".join(cmd), ["-m", "coxgrowth.cli", *cmd, "--json", "--no-meta"]) for cmd in COMMANDS]
-    runs += [(f"demos/{demo}", [f"demos/{demo}"]) for demo in DEMOS]
     differences = 0
     with tempfile.TemporaryDirectory(prefix="cli_diff_") as tmp:
         base = Path(args.workdir or tmp) / "base"
         if base.exists():
             p.error(f"{base} already exists")
         export(change, args.base, base)
-        for name, cmd in runs:
+        commands = [*COMMANDS, *EXPECTED_ERRORS]
+        for name, text in FILES.items():
+            (Path(tmp) / name).write_text(text)
+            commands.append(["growth", "--file", str(Path(tmp) / name)])
+        runs = [(" ".join(cmd), ["-m", "coxgrowth.cli", *cmd, "--json", "--no-meta"], cmd in EXPECTED_ERRORS)
+                for cmd in commands]
+        runs += [(f"demos/{demo}", [f"demos/{demo}"], False) for demo in DEMOS]
+        for name, cmd, expected_error in runs:
             (base_out, base_code), (out, code) = run_python(base, cmd), run_python(change, cmd)
-            same = base_out == out and base_code == code
+            same = base_out == out and base_code == code and (base_code != 0) == expected_error
             differences += not same
             print(f"{'same' if same else 'DIFFERS':8} exit {base_code} -> {code}  {name}", flush=True)
     print(f"{differences} of {len(runs)} differ")
