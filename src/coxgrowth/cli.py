@@ -508,9 +508,29 @@ def _print_human(result: CommandResult, out):
     walk(result.payload)
 
 
+# The options whose value is a coefficient list, which may start with '-'.
+_COEFFICIENT_OPTIONS = ("--poly", "--target")
+
+
+def _join_coefficient_values(argv: list[str]) -> list[str]:
+    """argv with "--poly -1,..." joined into "--poly=-1,..." (and so for
+    --target and the abbreviations argparse accepts, such as --pol): argparse
+    reads a value that starts with '-' and holds more than a number as an
+    option, and stops with "expected one argument"."""
+    out: list[str] = []
+    for arg in argv:
+        option = out[-1] if out else ""
+        if (len(option) > 2 and any(o.startswith(option) for o in _COEFFICIENT_OPTIONS)
+                and arg[:1] == "-" and arg[1:2].isdigit()):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_coefficient_values(sys.argv[1:] if argv is None else argv))
     try:
         result: CommandResult = args.func(args)
     except (DiagramError, ValueError, ArithmeticError, OSError,

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diagram import INF, DiagramError, WeightedTree, _star_edges, _star_size
+from .diagram import INF, DiagramError, WeightedTree, _star_size
 from .growth import polygon_delta
 from .intpoly import IntPoly, _signed_digits, resultant_eliminate
 from .roots import DEFAULT_WIDTH, RootInterval, largest_root_above_one, sqrt_interval
@@ -27,7 +27,9 @@ from .roots import DEFAULT_WIDTH, RootInterval, largest_root_above_one, sqrt_int
 _EDGE_COEFF = {3: 1, 4: 2, 6: 3, INF: 4}
 
 # The most vertices of a tree whose polynomials are built.  On 2 CPUs a `coxtrans`
-# process takes 0.7 s on Path:1200 and 6-9 s on a 1200-vertex star.
+# process takes about 1 s on Path:1200 and 7-10 s on Star:4,...,4 (399 arms) or
+# Star:2,...,2 (1199 arms), most of it stripping cyclotomic factors: char_poly_star
+# builds either star's phi in 0.7-1.0 s.
 TREE_VERTEX_BOUND = 1200
 
 
@@ -96,6 +98,15 @@ def bipartite_order(tree: WeightedTree) -> BipartiteOrder:
     return BipartiteOrder(tree, *parts, tuple(tuple(r) for r in x))
 
 
+def _merge(ps: list[tuple[int, int]]) -> tuple[int, int]:
+    """The children's pairs (M_c, w F_c) of one vertex merged as (P P', Q P' +
+    P Q') into (P, Q) = (prod M_c, sum_c w F_c prod_(c' != c) M_c'), in a
+    balanced tree so that many children cost few wide products."""
+    while len(ps) > 1:
+        ps = [(p * r, q * r + p * s) for (p, q), (r, s) in zip(ps[::2], ps[1::2])] + ps[len(ps) & ~1:]
+    return ps[0]
+
+
 def _tree_polynomial(rooted: list[tuple[int, int, int]], coxeter: bool) -> IntPoly:
     """The Coxeter polynomial sum_k (-1)^k m_k t^k (1+t)^(n-2k) of the rooted
     tree (_rooted), or its adjacency polynomial sum_k (-1)^k m_k t^(n-2k):
@@ -113,13 +124,9 @@ def _tree_polynomial(rooted: list[tuple[int, int, int]], coxeter: bool) -> IntPo
     def value(k: int, sign: int) -> int:  # at t = 2^k, with w = sign a 2^(k unit)
         pairs: dict[int, list] = {}  # (M_c, w F_c) of each vertex's children
         for v, up, a in rooted:
-            # The pairs merge as (P P', Q P' + P Q'), in a balanced tree so that
-            # many children cost few wide products; then F_v = P, M_v = u P + Q.
-            ps = pairs.pop(v, [])
-            while len(ps) > 1:
-                ps = [(p * r, q * r + p * s) for (p, q), (r, s) in zip(ps[::2], ps[1::2])
-                      ] + ps[len(ps) & ~1:]
-            p, q = ps[0] if ps else (1, 0)
+            # Two or more pairs merge into (P, Q) (_merge); then F_v = P, M_v = u P + Q.
+            ps = pairs.pop(v, None)
+            p, q = (1, 0) if ps is None else ps[0] if len(ps) == 1 else _merge(ps)
             full = (p << k) + unit * p + q
             if up >= 0:
                 pairs.setdefault(up, []).append((full, sign * a * p << k * unit))
@@ -139,13 +146,33 @@ def char_poly_recursive(tree: WeightedTree) -> IntPoly:
 def char_poly_star(*ps: int) -> IntPoly:
     """Characteristic polynomial of the star-graph Coxeter transformation.
 
-    The star of star_diagram(*ps) is rooted at its center straight from its
-    edge list, children first, with no tree built; its size is checked
-    against TREE_VERTEX_BOUND before any edge is made."""
-    _check_vertices(_star_size(ps))
-    rooted = [(v, up, 1) for up, v, _ in reversed(_star_edges(ps))]  # weight 3: a = 1
-    rooted.append((0, -1, 0))
-    return _tree_polynomial(rooted, coxeter=True)
+    _tree_polynomial's matching recursion on the star's shape, with no tree
+    or edge list built; the size is checked against TREE_VERTEX_BOUND first.
+    An arm of p - 1 vertices is a path: each vertex has one child, so from
+    the tip the vertex step is (P, Q) -> (M, w F) = ((P << k) + P + Q,
+    sign P << k), from (1, 0), and one walk to the longest arm passes every
+    distinct arm length once.  The center merges its arms' pairs with
+    _merge, as a branch vertex does, and M = (P << k) + P + Q.  As in
+    _tree_polynomial, the pass at k = 0 with sign +1 bounds the
+    coefficients, and the pass at K, one bit wider, with sign -1 is read
+    back.  No arm comes from a bracket [p] or from delta's formula, so
+    delta = phi compares two independent computations."""
+    n = _star_size(ps)
+    _check_vertices(n)
+    lengths = set(ps)
+
+    def value(k: int, sign: int) -> int:  # at t = 2^k, as in _tree_polynomial
+        arm = {}  # p: (M, w F) of an arm of p - 1 vertices, at its vertex next to the center
+        m, w = 1, 0
+        for p in range(2, max(ps) + 1):
+            m, w = (m << k) + m + w, sign * m << k
+            if p in lengths:
+                arm[p] = m, w
+        m, w = _merge([arm[p] for p in ps])
+        return (m << k) + m + w
+
+    k = value(0, 1).bit_length() + 1
+    return IntPoly(_signed_digits(value(k, -1), k, n + 1))
 
 
 def verify_delta_eq_phi(*ps: int) -> bool:

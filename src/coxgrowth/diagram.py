@@ -333,7 +333,16 @@ def star_diagram(*ps: int) -> WeightedTree:
 
     Vertex 0 is the center; arms are numbered consecutively outward.
     """
-    return WeightedTree(_star_size(ps), _star_edges(ps))
+    n = _star_size(ps)
+    edges = []
+    nxt = 1
+    for p in ps:
+        prev = 0
+        for _ in range(p - 1):
+            edges.append((prev, nxt, 3))
+            prev = nxt
+            nxt += 1
+    return WeightedTree(n, edges)
 
 
 def _star_size(ps) -> int:
@@ -344,20 +353,6 @@ def _star_size(ps) -> int:
     if any(p < 2 for p in ps):
         raise DiagramError("star parameters must be at least 2")
     return 1 + sum(ps) - len(ps)
-
-
-def _star_edges(ps) -> list[tuple[int, int, int]]:
-    """The edges (parent, child, 3) of star_diagram(*ps), in the order the
-    children are numbered, so every parent comes before its children."""
-    edges = []
-    nxt = 1
-    for p in ps:
-        prev = 0
-        for _ in range(p - 1):
-            edges.append((prev, nxt, 3))
-            prev = nxt
-            nxt += 1
-    return edges
 
 
 def h_graph(i: int, j: int, k: int) -> WeightedTree:

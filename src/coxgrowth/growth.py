@@ -264,7 +264,14 @@ def steinberg_growth(d: CoxeterDiagram) -> GrowthFunction:
     # Phi_i, i = idx[p], in the common denominator of the others.
     counts = {key: count for key, count in signed((1 << d.n) - 1).items() if count}
     mask = (1 << _FIELD) - 1
-    common = [max(key >> _FIELD * p & mask for key in counts) for p in range(len(idx))]
+    common = [0] * len(idx)
+    for key in counts:  # one pass, each key's fields read once from idx[0] up
+        p = 0
+        while key:
+            if key & mask > common[p]:
+                common[p] = key & mask
+            key >>= _FIELD
+            p += 1
 
     # den = prod Phi_i^common_i has degree width - 1, and every cofactor is a
     # product of Phi_i that divides it, of 1-norm at most 2^(width - 1) by

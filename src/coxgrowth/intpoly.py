@@ -3,6 +3,23 @@
 Coefficients are stored in ascending degree order as a tuple of Python ints,
 with no trailing zeros (the zero polynomial is the empty tuple).  All ring
 operations are exact; rationals never appear in coefficients.
+
+One kernel of each kind serves the package:
+
+- _signed_digits reads a polynomial back from its value at t = 2^K (the
+  polygon denominator, the Steinberg sum, both tree polynomials and the
+  trace polynomial of roots) and raises ArithmeticError on anything left;
+- _divide, long division of a coefficient list in place, is behind
+  exact_div and every step of _signed_remainders, the signed remainder
+  sequence on coefficient lists behind every gcd and Cauchy index;
+- _divide_cyclotomic divides one packed value by Phi_n(2^k), its candidates
+  screened once by p's values at 2, -2 and 3, for numclass.strip_cyclotomic
+  and growth's reduction, with one certified readback;
+- _taylor_shift is behind the Cayley transform of numclass and the
+  Descartes counts of roots.
+
+Squarefree parts come from gcd(p, p') over the integers (Yun), with no
+modular gcd.
 """
 
 from __future__ import annotations

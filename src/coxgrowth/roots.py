@@ -611,6 +611,8 @@ def _trace_largest(p: IntPoly, f: IntPoly, trace: IntPoly, width: Fraction, one_
     if not 0 < s < math.inf:
         return None
     x = 1 + (s + math.sqrt(s * s + 4 * s)) / 2
+    if x == 1:  # s below the float resolution of r - 1 (T's top root at 0): no window
+        return None
     return _window((x, radius * x / (x - 1 / x) + 2.0**-50 * x), p, f, e, depth, width, one_above_one, tried)
 
 

@@ -316,6 +316,28 @@ def test_salem_search(capsys):
     assert doc["payload"]["search"]["matches"] == [[2, 3, 7]]
 
 
+@pytest.mark.parametrize("argv, option, value", [
+    (["classify"], "--poly", "-1,-1,1,2,1,0,0,0,-1,-2,-1,1,1"),
+    (["classify"], "--poly", "-1,0,1"),
+    (["salem", "--search", "--max-k", "4", "--max-p", "8"], "--target", "-1,-1,0,1,1,1,1,1,0,-1,-1"),
+])
+def test_a_coefficient_list_starting_with_minus_is_read_spaced_or_joined(capsys, argv, option, value):
+    spaced = run_cli(capsys, *argv, option, value, "--json", "--no-meta")
+    joined = run_cli(capsys, *argv, f"{option}={value}", "--json", "--no-meta")
+    assert spaced == joined and spaced[0] == 0 and spaced[2] == ""
+
+
+def test_only_a_coefficient_value_is_joined_to_its_option():
+    assert cli._join_coefficient_values(["classify", "--poly", "-1,2", "--json"]) == [
+        "classify", "--poly=-1,2", "--json"]
+    assert cli._join_coefficient_values(["salem", "--target", "-3,1"]) == ["salem", "--target=-3,1"]
+    assert cli._join_coefficient_values(["classify", "--pol", "-1,2"]) == ["classify", "--pol=-1,2"]
+    for argv in (["classify", "--poly", "--json"], ["classify", "--poly", "-x"],
+                 ["growth", "--polygon", "-1,2"], ["classify", "--poly", "1,-1"],
+                 ["classify", "--", "-1,2"], ["classify", "-", "-1,2"]):
+        assert cli._join_coefficient_values(argv) == argv
+
+
 @pytest.mark.parametrize("bounds, message", [
     (["--max-k", "7"], "bounds must be at most max_k=6, max_p=12"),
     (["--max-p", "20"], "bounds must be at most max_k=6, max_p=12"),

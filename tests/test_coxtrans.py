@@ -129,17 +129,36 @@ def test_star_polynomial_matches_the_tree_route_on_every_fifth_delta_phi_tuple()
         assert char_poly_star(*ps) == char_poly_recursive(star_diagram(*ps)), ps
 
 
-def _forbid(monkeypatch, module, *names):
+def _forbid(monkeypatch, module, *names, raising=True):
     def fail(*args, **kwargs):
         raise AssertionError("called")
     for name in names:
-        monkeypatch.setattr(module, name, fail)
+        monkeypatch.setattr(module, name, fail, raising=raising)
+
+
+@pytest.mark.parametrize("ps", [
+    (7, 3, 7, 3, 2),   # repeated and unsorted arm lengths
+    (2, 12, 2, 5, 12, 5, 5),
+    (4,) * 399,        # Star:4,...,4, 1198 vertices
+    (2,) * 1199,       # 1199 leaves, 1200 vertices
+])
+def test_star_polynomial_matches_the_tree_route_on_repeated_and_long_arm_lists(ps):
+    assert char_poly_star(*ps) == char_poly_recursive(star_diagram(*ps))
 
 
 def test_star_polynomial_builds_no_tree(monkeypatch):
-    from coxgrowth import diagram
+    from coxgrowth import diagram, growth, intpoly
     _forbid(monkeypatch, diagram, "WeightedTree", "star_diagram")
-    assert char_poly_star(2, 3, 7) == LEHMER
+    with monkeypatch.context() as m:
+        # phi is built without delta or a bracket [p], so delta = phi compares
+        # two independent computations; coxtrans imports no bracket today, and
+        # one imported later would be caught too
+        _forbid(m, growth, "polygon_delta")
+        _forbid(m, intpoly, "bracket")
+        _forbid(m, coxtrans, "polygon_delta", "_tree_polynomial")
+        _forbid(m, coxtrans, "bracket", raising=False)
+        assert char_poly_star(2, 3, 7) == LEHMER
+        assert char_poly_star(7, 3, 7, 3, 2) == char_poly_star(2, 3, 3, 7, 7)
     assert verify_delta_eq_phi(2, 3, 7)
     assert coxeter_tree_radius_equals_polygon_rate((2, 3, 7))
 
@@ -149,7 +168,7 @@ def test_oversized_star_is_rejected_before_any_work(monkeypatch):
     # any edge, tree or polygon_delta (quadratic in the parameters) is built
     from coxgrowth import coxtrans, diagram
     _forbid(monkeypatch, diagram, "WeightedTree", "star_diagram")
-    _forbid(monkeypatch, coxtrans, "polygon_delta", "_star_edges", "_tree_polynomial")
+    _forbid(monkeypatch, coxtrans, "polygon_delta", "_tree_polynomial", "_merge")
     for build in (lambda: char_poly_star(2, 3, 1_000_000), lambda: verify_delta_eq_phi(2, 3, 1_000_000),
                   lambda: coxeter_tree_radius_equals_polygon_rate((2, 3, 1_000_000)),
                   lambda: star_spectral_radius(2, 3, 1_000_000), lambda: char_poly_star(2, 1200)):

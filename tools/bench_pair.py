@@ -62,6 +62,7 @@ DEGREE_160 = functools.reduce(IntPoly.__mul__, (cyclotomic(n) ** 2 for n in (2, 
 # Whole processes timed per side and seed: the named checks at their caps, the
 # largest tree, and classify at its degree cap.
 PROCESSES = [["verify", "theorem2", "--max-k", "6", "--max-p", "12"],
+             ["verify", "delta-phi", "--max-k", "6", "--max-p", "12"],
              ["verify", "prop52", "--rmax", "40", "--jmax", "40"],
              ["spectra", "--tree", "Path:1200"],
              ["classify", "--poly", DEGREE_160],

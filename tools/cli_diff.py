@@ -61,7 +61,7 @@ COMMANDS = [
     ["classify", "--poly", LEHMER],
     ["classify", "--poly", DEGREE_160],
     ["classify", "--poly", REPEATED_FACTORS],
-    ["classify", f"--poly={LEHMER_ANTI}"],  # one token: argparse reads "-1,..." as an option
+    ["classify", f"--poly={LEHMER_ANTI}"],  # the one-token form, which every commit reads
     ["salem", "--gap"],
     ["salem", "--gap", "--list", "src/coxgrowth/data/mini_salem_list.csv"],
     ["salem", "--search", "--target", LEHMER],
