@@ -64,9 +64,16 @@ def parse_weight(text: str) -> Weight:
         return INF
     if not re.fullmatch(r"[0-9]+", text):
         raise ValueError(f"bad weight {text!r}")
-    if len(text.lstrip("0")) > len(str(WEIGHT_BOUND)):  # above it, and never converted
+    if (w := _digits_value(text, WEIGHT_BOUND)) is None:
         raise DiagramError(f"weight {text} exceeds the bound {WEIGHT_BOUND}")
-    return _check_weight(int(text))
+    return _check_weight(w)
+
+
+def _digits_value(digits: str, bound: int) -> int | None:
+    """The value of a string of ASCII digits, or None when it has more significant
+    digits than bound: no long string is converted, as int() refuses 4300 digits."""
+    digits = digits.lstrip("0")
+    return None if len(digits) > len(str(bound)) else int(digits or 0)
 
 
 class DiagramError(ValueError):
@@ -164,10 +171,10 @@ def parse_coxeter_symbol(text: str) -> CoxeterDiagram:
         rep = 1
         if "^" in item:
             item, _, exp = item.partition("^")
-            if not re.fullmatch(r"[0-9]+", exp) or int(exp) < 1:
+            rep = _digits_value(exp, STEINBERG_RANK_BOUND) if re.fullmatch(r"[0-9]+", exp) else 0
+            if rep == 0:
                 fail(f"bad repetition count {exp!r}", pos)
-            rep = int(exp)
-        if len(weights) + rep + (0 if cyclic else 1) > STEINBERG_RANK_BOUND:
+        if rep is None or len(weights) + rep + (0 if cyclic else 1) > STEINBERG_RANK_BOUND:
             fail(f"rank exceeds the bound {STEINBERG_RANK_BOUND}", pos)
         try:
             w = parse_weight(item)
@@ -201,9 +208,9 @@ def diagram_from_text(text: str) -> CoxeterDiagram:
     m = re.fullmatch(r"rank\s+([0-9]+)", header)
     if not m:
         raise DiagramError(f"line {no}: expected 'rank N'")
-    n = int(m.group(1))
-    if n > STEINBERG_RANK_BOUND:
-        raise DiagramError(f"line {no}: rank {n} exceeds the bound {STEINBERG_RANK_BOUND}")
+    n = _digits_value(m.group(1), STEINBERG_RANK_BOUND)
+    if n is None or n > STEINBERG_RANK_BOUND:
+        raise DiagramError(f"line {no}: rank {m.group(1).lstrip('0')} exceeds the bound {STEINBERG_RANK_BOUND}")
     edges: dict[tuple[int, int], Weight] = {}
     for no, ln in lines[1:]:
         parts = ln.split()
@@ -212,15 +219,15 @@ def diagram_from_text(text: str) -> CoxeterDiagram:
         try:
             if not all(re.fullmatch(r"[0-9]+", x) for x in parts[:2]):
                 raise ValueError(f"bad vertex pair {parts[0]} {parts[1]}")
-            i, j = int(parts[0]) - 1, int(parts[1]) - 1
+            i, j = (_digits_value(x, n) for x in parts[:2])  # None above n
             w = parse_weight(parts[2])
         except ValueError as e:
             raise DiagramError(f"line {no}: {e}")
-        if not (0 <= i < n and 0 <= j < n) or i == j:
+        if None in (i, j) or not (1 <= i <= n and 1 <= j <= n) or i == j:
             raise DiagramError(f"line {no}: bad vertex pair")
-        key = (min(i, j), max(i, j))
+        key = (min(i, j) - 1, max(i, j) - 1)
         if key in edges:
-            raise DiagramError(f"line {no}: duplicate pair {i + 1} {j + 1}")
+            raise DiagramError(f"line {no}: duplicate pair {i} {j}")
         if w is not INF and w < 2:
             raise DiagramError(f"line {no}: weight below 2")
         edges[key] = w
@@ -441,47 +448,6 @@ def _edge_masks(d: CoxeterDiagram) -> tuple[list[int], list[int]]:
     return nbr, inf
 
 
-def _spherical_type(weights, nbr: list[int], inf: list[int], mask: int) -> SphericalType | None:
-    """The type of the connected vertex set mask when it is spherical, else None.
-
-    nbr and inf are the bitmasks of _edge_masks.  A connected spherical
-    diagram is a tree (k - 1 edges) with no INF edge: a path, whose weight word
-    from one end goes to _path_type, or one branch vertex with three weight-3
-    arms, read by walking the neighbour bits, whose lengths go to _branch_type.
-    """
-    r = mask.bit_count()
-    end = center = None
-    edges = 0
-    for v in _bits(mask):
-        deg = (nbr[v] & mask).bit_count()
-        if inf[v] & mask or deg > 3 or deg == 3 and center is not None:
-            return None
-        edges += deg
-        if deg == 1:
-            end = v
-        elif deg == 3:
-            center = v
-    if r == 1:
-        return _path_type(())
-    if edges != 2 * (r - 1):
-        return None  # a cycle
-
-    def arm(prev: int, cur: int) -> tuple:
-        """The edge weights from prev through cur out to the end of its path."""
-        word = [weights[prev][cur]]
-        while (nbr[cur] & mask).bit_count() == 2:
-            prev, cur = cur, (nbr[cur] & mask & ~(1 << prev)).bit_length() - 1
-            word.append(weights[prev][cur])
-        return tuple(word)
-
-    if center is None:
-        return _path_type(arm(end, (nbr[end] & mask).bit_length() - 1))
-    arms = [arm(center, v) for v in _bits(nbr[center] & mask)]
-    if any(w != 3 for word in arms for w in word):
-        return None
-    return _branch_type(tuple(sorted(map(len, arms))))
-
-
 @functools.lru_cache(maxsize=4096)
 def _path_type(word: tuple) -> SphericalType | None:
     """The type of the path on len(word) + 1 vertices with the edge weights
@@ -515,24 +481,67 @@ def _branch_type(lengths: tuple[int, int, int]) -> SphericalType | None:
     return None
 
 
+def _grow(weights, shape: tuple, u: int, v: int) -> tuple[tuple, SphericalType] | None:
+    """The shape and type of a spherical set grown by the leaf v, joined to
+    the set at its vertex u only, from the set's shape, or None when the grown
+    set is not spherical.  A shape is ("path", vertices in order, weight word)
+    or ("branch", centre, its three weight-3 arms, vertex tuples from the
+    centre outward).  With x the weight of uv: at a path's end the word grows
+    by x; at an inner vertex, u becomes a branch vertex, which needs x and the
+    whole word to be 3, with the two sides of u and (v,) as arms; at an arm
+    tip, with x = 3, that arm grows; at any other vertex it is not spherical.
+    The one typing step of the package: finite_type_recognize and
+    growth._connected_spherical_sets grow every spherical set by it.
+    """
+    x = weights[u][v]
+    kind, first, second = shape
+    if kind == "path":
+        if u == first[-1]:
+            return _typed(("path", first + (v,), second + (x,)))
+        if u == first[0]:
+            return _typed(("path", (v,) + first, (x,) + second))
+        if x != 3 or second.count(3) < len(second):
+            return None
+        i = first.index(u)
+        return _typed(("branch", u, (first[i - 1::-1], first[i + 1:], (v,))))
+    if x == 3:
+        for k, arm in enumerate(second):
+            if arm[-1] == u:
+                return _typed(("branch", first, second[:k] + (arm + (v,),) + second[k + 1:]))
+    return None
+
+
+def _typed(shape: tuple) -> tuple[tuple, SphericalType] | None:
+    """A shape with its type from the catalog, or None when it is not spherical."""
+    kind, _, second = shape
+    t = _path_type(second) if kind == "path" else _branch_type(tuple(sorted(map(len, second))))
+    return None if t is None else (shape, t)
+
+
 def finite_type_recognize(d: CoxeterDiagram) -> list[SphericalType] | None:
     """Split into connected components and match each against the spherical catalog.
 
     Returns the list of component types, ordered by least vertex, or None
     when any component is not spherical ("not finite" is a value, not an error).
+    Each component grows from its least vertex by one neighbour v at a time,
+    typed by _grow.  A v with two neighbours or an INF edge in the set, or a
+    step _grow rejects, gives a non-spherical connected set, so d is not
+    spherical: every connected part of a spherical diagram is spherical.
     """
     nbr, inf = _edge_masks(d)
     out = []
     left = (1 << d.n) - 1
     while left:
-        comp, grown = 0, left & -left
-        while grown != comp:
-            comp, new = grown, grown & ~comp
-            for v in _bits(new):
-                grown |= nbr[v]
-        t = _spherical_type(d.weights, nbr, inf, comp)
-        if t is None:
-            return None
+        v = (left & -left).bit_length() - 1
+        comp, near, shape, t = 1 << v, nbr[v], ("path", (v,), ()), _path_type(())
+        while near & ~comp:
+            v = (near & ~comp).bit_length() - 1
+            touch = nbr[v] & comp
+            if touch & touch - 1 or inf[v] & comp:
+                return None
+            if (step := _grow(d.weights, shape, touch.bit_length() - 1, v)) is None:
+                return None
+            (shape, t), comp, near = step, comp | 1 << v, near | nbr[v]
         out.append(t)
         left &= ~comp
     return out

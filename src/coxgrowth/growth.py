@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .diagram import STEINBERG_RANK_BOUND, CoxeterDiagram, dominates, polygon_is_hyperbolic
-from .diagram import SphericalType, _bits, _branch_type, _edge_masks, _path_type
+from .diagram import _bits, _edge_masks, _grow, _path_type
 from .intpoly import ONE, IntPoly, bracket, cyclotomic, exact_div, poly_gcd
 from .intpoly import _cyclotomic_product, _divide_cyclotomic, _pack, _signed_digits
 from .roots import (
@@ -132,41 +132,6 @@ def _solomon_factorization(exponents: tuple[int, ...]) -> Counter[int]:
     return _bracket_factorization(e + 1 for e in exponents)
 
 
-def _grow(weights, shape: tuple, u: int, v: int) -> tuple[tuple, SphericalType] | None:
-    """The shape and type of a spherical set grown by the leaf v, joined to
-    the set at its vertex u only, from the set's shape, or None when the grown
-    set is not spherical.  A shape is ("path", vertices in order, weight word)
-    or ("branch", centre, its three weight-3 arms, vertex tuples from the
-    centre outward).  With x the weight of uv: at a path's end the word grows
-    by x; at an inner vertex, u becomes a branch vertex, which needs x and the
-    whole word to be 3, with the two sides of u and (v,) as arms; at an arm
-    tip, with x = 3, that arm grows; at any other vertex it is not spherical.
-    """
-    x = weights[u][v]
-    kind, first, second = shape
-    if kind == "path":
-        if u == first[-1]:
-            return _typed(("path", first + (v,), second + (x,)))
-        if u == first[0]:
-            return _typed(("path", (v,) + first, (x,) + second))
-        if x != 3 or second.count(3) < len(second):
-            return None
-        i = first.index(u)
-        return _typed(("branch", u, (first[i - 1::-1], first[i + 1:], (v,))))
-    if x == 3:
-        for k, arm in enumerate(second):
-            if arm[-1] == u:
-                return _typed(("branch", first, second[:k] + (arm + (v,),) + second[k + 1:]))
-    return None
-
-
-def _typed(shape: tuple) -> tuple[tuple, SphericalType] | None:
-    """A shape with its type from the catalog, or None when it is not spherical."""
-    kind, _, second = shape
-    t = _path_type(second) if kind == "path" else _branch_type(tuple(sorted(map(len, second))))
-    return None if t is None else (shape, t)
-
-
 def _connected_spherical_sets(d: CoxeterDiagram) -> dict[int, tuple[Counter[int], int]]:
     """Each connected spherical vertex set, as a bitmask, with its Solomon
     factorization and the bitmask of the set and its neighbours.  Sets with
@@ -177,9 +142,10 @@ def _connected_spherical_sets(d: CoxeterDiagram) -> dict[int, tuple[Counter[int]
     one neighbour v (a bit of near & ~mask) at a time, and each candidate is
     typed once; a v with two neighbours or an INF edge in the set closes a
     cycle or holds an INF pair, so that set is not spherical and not typed.
-    Otherwise v is a leaf joined to one vertex u of the set, and _grow types
-    the grown set from the parent's shape and u, with no re-read of the set;
-    its near mask is near | nbr[v].  Only spherical sets are queued, with
+    Otherwise v is a leaf joined to one vertex u of the set, and diagram._grow,
+    the step finite_type_recognize grows each component by, types the grown
+    set from the parent's shape and u, with no re-read of the set; its near
+    mask is near | nbr[v].  Only spherical sets are queued, with
     their shape, type and near mask.  Pruning at the first non-spherical set
     is sound: a parabolic subgroup of a finite group is finite, so a connected
     set containing a non-spherical one is not spherical; and a connected

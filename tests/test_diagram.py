@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coxgrowth.diagram import (
     INF,
@@ -28,6 +29,8 @@ from oracles import (
     signed_permutation_order,
     symmetric_group_order,
 )
+
+_LONG_DIGITS = "9" * 5000  # past the 4300 digits that int() converts
 
 
 def test_parse_linear_symbols():
@@ -107,17 +110,30 @@ def test_diagram_file_format():
     "[" + ",".join(["3"] * 20) + "]",
     "[3^20]",
     "[3^99999999]",
+    f"[3^{_LONG_DIGITS}]",
 ], ids=["cyclic-3000", "cyclic-21", "linear-3000", "linear-21", "linear-power-21",
-        "linear-power-100000000"])
+        "linear-power-100000000", "linear-power-5000-digits"])
 def test_symbol_rank_above_bound_rejected(text):
     with pytest.raises(DiagramError, match=f"bound {STEINBERG_RANK_BOUND}"):
         parse_coxeter_symbol(text)
 
 
-@pytest.mark.parametrize("rank", [STEINBERG_RANK_BOUND + 1, 3000])
+@pytest.mark.parametrize("rank", [STEINBERG_RANK_BOUND + 1, 3000, pytest.param(_LONG_DIGITS, id="5000-digits")])
 def test_diagram_file_rank_above_bound_rejected(rank):
     with pytest.raises(DiagramError, match=f"bound {STEINBERG_RANK_BOUND}"):
         diagram_from_text(f"rank {rank}\n1 2 3\n")
+
+
+def test_diagram_file_vertex_index_of_5000_digits_is_a_bad_pair():
+    with pytest.raises(DiagramError, match="^line 2: bad vertex pair$"):
+        diagram_from_text(f"rank 3\n1 {_LONG_DIGITS} 3\n")
+
+
+def test_long_runs_of_leading_zeros_are_read_as_their_value():
+    zeros = "0" * 5000
+    assert parse_coxeter_symbol(f"[3^{zeros}2]") == parse_coxeter_symbol("[3,3]")
+    d = diagram_from_text(f"rank {zeros}3\n{zeros}1 {zeros}3 {zeros}5\n")
+    assert d == CoxeterDiagram(3, {(0, 2): 5})
 
 
 def test_rank_bound_itself_accepted():
@@ -326,6 +342,80 @@ def test_bitmask_typing_matches_the_weight_table_oracle():
                 families.add(want[0].family)
         assert set(_connected_spherical_sets(d)) == connected_spherical, d
     assert families == {"A", "B", "D", "E6", "E7", "E8", "F4", "H3", "H4", "I2"}
+
+
+def _relabelled_union(parts, perm) -> CoxeterDiagram:
+    """The disjoint union of the diagrams parts, in order, with vertex k of
+    the union relabelled perm[k]."""
+    edges, offset = {}, 0
+    for d in parts:
+        edges.update({(perm[offset + i], perm[offset + j]): w for i, j, w in d.edges()})
+        offset += d.n
+    return CoxeterDiagram(offset, edges)
+
+
+def _catalog(r: int, m: int) -> list[tuple[str, CoxeterDiagram]]:
+    """The connected catalog diagrams of rank r, by name, with I2(m) at rank 2."""
+    out = [(f"A{r}", CoxeterDiagram(r, {(i, i + 1): 3 for i in range(r - 1)}))]
+    if r == 2:
+        out.append((f"I2({m})", CoxeterDiagram(2, {(0, 1): m})))
+    if r >= 3:
+        out.append((f"B{r}", parse_coxeter_symbol(f"[4,3^{r - 2}]")))
+    if r >= 4:
+        out.append((f"D{r}", star_diagram(2, 2, r - 2).to_diagram()))
+    if r in (6, 7, 8):
+        out.append((f"E{r}", star_diagram(2, 3, r - 3).to_diagram()))
+    named = {3: [("H3", "[5,3]")], 4: [("F4", "[3,4,3]"), ("H4", "[5,3,3]")]}
+    return out + [(name, parse_coxeter_symbol(text)) for name, text in named.get(r, [])]
+
+
+@st.composite
+def _catalog_unions(draw):
+    """A disjoint union of catalog diagrams of rank at most the Steinberg rank
+    bound, its vertex labels shuffled, and the names of its components in the
+    order of their least vertices."""
+    parts, n = [], 0
+    while not parts or n < STEINBERG_RANK_BOUND and draw(st.booleans()):
+        r = draw(st.integers(1, STEINBERG_RANK_BOUND - n))
+        parts.append(draw(st.sampled_from(_catalog(r, draw(st.integers(4, 12))))))
+        n += r
+    perm = draw(st.permutations(range(n)))
+    least, offset = [], 0
+    for name, d in parts:
+        least.append((min(perm[offset:offset + d.n]), name))
+        offset += d.n
+    return _relabelled_union([d for _, d in parts], perm), [name for _, name in sorted(least)]
+
+
+@given(_catalog_unions())
+@settings(max_examples=200, deadline=None)
+def test_recognition_does_not_depend_on_the_grow_order(case):
+    # ranks 10 to 20 are past the all-subsets sweep, and a shuffled component
+    # grows from its least vertex wherever that lies: mid-arm, at an arm tip
+    d, names = case
+    got = finite_type_recognize(d)
+    assert got == reference_finite_type(d)
+    assert [str(t) for t in got] == names
+
+
+# Rank 12 each, after E8 in the union: D11 with a leaf at its centre, the
+# 12-cycle, which the last vertex grown closes, and A11 with an INF edge at
+# its end, which grows from its other end and meets the INF edge last
+_NOT_SPHERICAL = [
+    _with_pendant(star_diagram(2, 2, 9).to_diagram(), 0, 3),
+    CoxeterDiagram(12, {(i, (i + 1) % 12): 3 for i in range(12)}),
+    CoxeterDiagram(12, {**{(i, i + 1): 3 for i in range(10)}, (10, 11): INF}),
+]
+
+
+@pytest.mark.parametrize("bad", _NOT_SPHERICAL, ids=["D-centre-leaf", "cycle", "inf-at-the-end"])
+def test_a_non_spherical_component_grown_last_is_found(bad):
+    e8 = star_diagram(2, 3, 5).to_diagram()
+    n, rng = STEINBERG_RANK_BOUND, random.Random(38)
+    for perm in [list(range(n))] + [rng.sample(range(n), n) for _ in range(20)]:
+        d = _relabelled_union([e8, bad], perm)
+        assert finite_type_recognize(d) is None and reference_finite_type(d) is None, perm
+    assert [str(t) for t in finite_type_recognize(e8)] == ["E8"]
 
 
 def test_dominates_chain():

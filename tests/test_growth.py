@@ -6,12 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coxgrowth import growth
+from coxgrowth import diagram, growth
 from coxgrowth.diagram import (
     INF,
     CoxeterDiagram,
     _edge_masks,
-    _spherical_type,
     parse_coxeter_symbol,
     path_tree,
     polygon_diagram,
@@ -43,6 +42,7 @@ from oracles import (
     dihedral_order,
     reciprocity_check,
     reference_count,
+    reference_finite_type,
     reference_growth_rate,
     reference_polygon_delta,
     reference_root_is_simple,
@@ -50,7 +50,7 @@ from oracles import (
     subset_sweep_growth,
     symmetric_group_order,
 )
-from test_diagram import _PLANTED, _with_pendant
+from test_diagram import _PLANTED, _relabelled_union, _with_pendant
 
 LEHMER = parse_poly("1,1,0,-1,-1,-1,-1,-1,0,1,1")
 MIN_38 = parse_poly("1,0,0,-1,0,-1,0,-1,0,0,1")
@@ -192,12 +192,6 @@ def test_steinberg_matches_subset_sweep(d):
     assert steinberg_growth(d) == subset_sweep_growth(d)
 
 
-def _disjoint_union(d1, d2):
-    edges = {(i, j): w for i, j, w in d1.edges()}
-    edges.update({(d1.n + i, d1.n + j): w for i, j, w in d2.edges()})
-    return CoxeterDiagram(d1.n + d2.n, edges)
-
-
 @given(_diagrams(max_rank=10), _diagrams(max_rank=10))
 @settings(max_examples=60, deadline=None)
 def test_steinberg_of_a_disjoint_union_is_the_product(d1, d2):
@@ -205,7 +199,7 @@ def test_steinberg_of_a_disjoint_union_is_the_product(d1, d2):
     # union reaches the rank bound 20, beyond the subset sweep, which checks
     # the factors themselves
     f, g = steinberg_growth(d1), steinberg_growth(d2)
-    assert steinberg_growth(_disjoint_union(d1, d2)) == GrowthFunction(
+    assert steinberg_growth(_relabelled_union([d1, d2], range(d1.n + d2.n))) == GrowthFunction(
         f.numerator * g.numerator, f.denominator * g.denominator)
 
 
@@ -219,7 +213,7 @@ def _shape_vertices(shape):
 def _grow_steps(run, d):
     """run(d) with each grow step recorded as (parent shape, u, v, grown
     mask, result), and run's value."""
-    steps, grow = [], growth._grow
+    steps, grow = [], diagram._grow
 
     def recorded(weights, shape, u, v):
         got = grow(weights, shape, u, v)
@@ -227,6 +221,8 @@ def _grow_steps(run, d):
         return got
 
     with pytest.MonkeyPatch.context() as mp:
+        # growth imports _grow by name, so its own binding is the one
+        # _connected_spherical_sets looks up
         mp.setattr(growth, "_grow", recorded)
         return steps, run(d)
 
@@ -257,12 +253,12 @@ def _step_case(shape, u):
 
 def _check_grow_steps(d):
     """Check every grow step of _connected_spherical_sets(d) against the
-    full recognizer, and each grown shape against the diagram; return the
-    steps."""
+    weight-table oracle on the grown set's subdiagram, and each grown shape
+    against the diagram; return the steps."""
     steps, conn = _grow_steps(_connected_spherical_sets, d)
-    nbr, inf = _edge_masks(d)
     for shape, u, v, mask, got in steps:
-        assert (got and got[1]) == _spherical_type(d.weights, nbr, inf, mask), (d, shape, u, v)
+        want = reference_finite_type(d.subdiagram(tuple(x for x in range(d.n) if mask >> x & 1)))
+        assert (got and got[1]) == (want and want[0]), (d, shape, u, v)
         if got is None:
             continue
         (kind, first, second), t = got

@@ -70,6 +70,7 @@ COMMANDS = [
 # Commands that must fail, with the same stdout and exit code on both sides
 EXPECTED_ERRORS = [
     ["growth", "--symbol", "[3^20]"],  # rank 21, above the Steinberg rank bound
+    ["growth", "--symbol", "[3^" + "9" * 5000 + "]"],  # a count past int()'s 4300 digits
 ]
 
 # Diagram files for growth --file, by name: affine E8 (the star with arms of
