@@ -31,7 +31,7 @@ from .diagram import (
     polygon_is_hyperbolic,
     star_diagram,
 )
-from .intpoly import parse_poly
+from .intpoly import INT_DIGITS_BOUND, _digits_value, parse_poly
 from .numclass import classify, strip_cyclotomic
 from .roots import RootInterval
 
@@ -89,18 +89,22 @@ def _parse_width(text: str) -> Fraction:
 
 
 def _parse_int(text: str) -> int:
-    """An integer in ASCII digits, with an optional minus sign."""
-    digits = text.strip().removeprefix("-")
+    """An integer in ASCII digits, with an optional minus sign, and at most
+    INT_DIGITS_BOUND digits after its leading zeros."""
+    text = text.strip()
+    digits = text.removeprefix("-")
     if not (digits.isascii() and digits.isdigit()):
         raise argparse.ArgumentTypeError(f"bad integer {text!r}")
-    return int(text)
+    if (value := _digits_value(digits)) is None:
+        raise argparse.ArgumentTypeError(f"integer of more than {INT_DIGITS_BOUND} digits")
+    return -value if text.startswith("-") else value
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(_parse_int(x) for x in text.split(","))
-    except argparse.ArgumentTypeError:
-        raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from None
+    except argparse.ArgumentTypeError as e:
+        raise argparse.ArgumentTypeError(f"bad integer list {text!r}: {e}") from None
 
 
 def _diagram_from_args(args) -> CoxeterDiagram:

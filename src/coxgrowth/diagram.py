@@ -14,6 +14,8 @@ import operator
 import re
 from dataclasses import dataclass
 
+from .intpoly import _digits_value
+
 
 class _Infinity:
     """Order-infinity edge weight tag."""
@@ -64,16 +66,9 @@ def parse_weight(text: str) -> Weight:
         return INF
     if not re.fullmatch(r"[0-9]+", text):
         raise ValueError(f"bad weight {text!r}")
-    if (w := _digits_value(text, WEIGHT_BOUND)) is None:
+    if (w := _digits_value(text, len(str(WEIGHT_BOUND)))) is None:
         raise DiagramError(f"weight {text} exceeds the bound {WEIGHT_BOUND}")
     return _check_weight(w)
-
-
-def _digits_value(digits: str, bound: int) -> int | None:
-    """The value of a string of ASCII digits, or None when it has more significant
-    digits than bound: no long string is converted, as int() refuses 4300 digits."""
-    digits = digits.lstrip("0")
-    return None if len(digits) > len(str(bound)) else int(digits or 0)
 
 
 class DiagramError(ValueError):
@@ -171,7 +166,7 @@ def parse_coxeter_symbol(text: str) -> CoxeterDiagram:
         rep = 1
         if "^" in item:
             item, _, exp = item.partition("^")
-            rep = _digits_value(exp, STEINBERG_RANK_BOUND) if re.fullmatch(r"[0-9]+", exp) else 0
+            rep = _digits_value(exp, len(str(STEINBERG_RANK_BOUND))) if re.fullmatch(r"[0-9]+", exp) else 0
             if rep == 0:
                 fail(f"bad repetition count {exp!r}", pos)
         if rep is None or len(weights) + rep + (0 if cyclic else 1) > STEINBERG_RANK_BOUND:
@@ -208,7 +203,7 @@ def diagram_from_text(text: str) -> CoxeterDiagram:
     m = re.fullmatch(r"rank\s+([0-9]+)", header)
     if not m:
         raise DiagramError(f"line {no}: expected 'rank N'")
-    n = _digits_value(m.group(1), STEINBERG_RANK_BOUND)
+    n = _digits_value(m.group(1), len(str(STEINBERG_RANK_BOUND)))
     if n is None or n > STEINBERG_RANK_BOUND:
         raise DiagramError(f"line {no}: rank {m.group(1).lstrip('0')} exceeds the bound {STEINBERG_RANK_BOUND}")
     edges: dict[tuple[int, int], Weight] = {}
@@ -219,7 +214,7 @@ def diagram_from_text(text: str) -> CoxeterDiagram:
         try:
             if not all(re.fullmatch(r"[0-9]+", x) for x in parts[:2]):
                 raise ValueError(f"bad vertex pair {parts[0]} {parts[1]}")
-            i, j = (_digits_value(x, n) for x in parts[:2])  # None above n
+            i, j = (_digits_value(x, len(str(n))) for x in parts[:2])  # None for too many digits
             w = parse_weight(parts[2])
         except ValueError as e:
             raise DiagramError(f"line {no}: {e}")

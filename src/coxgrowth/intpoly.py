@@ -217,10 +217,23 @@ ZERO = IntPoly()
 ONE = IntPoly([1])
 
 
+# The most significant digits an integer of the text formats may have: int()
+# converts no more than 4300 by default (sys.get_int_max_str_digits()).
+INT_DIGITS_BOUND = 4300
+
+
+def _digits_value(digits: str, max_digits: int = INT_DIGITS_BOUND) -> int | None:
+    """The value of a string of ASCII digits, or None when more than max_digits
+    of them follow the leading zeros: no longer string is converted."""
+    digits = digits.lstrip("0")
+    return None if len(digits) > max_digits else int(digits or 0)
+
+
 def parse_poly(text: str) -> IntPoly:
     """Parse the comma-separated ascending coefficient format.
 
-    Whitespace is ignored; a leading '+' on a coefficient is rejected.
+    Whitespace is ignored; a leading '+' on a coefficient is rejected, and so
+    is one of more than INT_DIGITS_BOUND digits after its leading zeros.
     """
     cs = []
     for pos, item in enumerate(text.split(","), start=1):
@@ -232,7 +245,9 @@ def parse_poly(text: str) -> IntPoly:
         body = item[1:] if item.startswith("-") else item
         if not (body.isascii() and body.isdigit()):
             raise ValueError(f"bad coefficient {item!r} at position {pos}")
-        cs.append(int(item))
+        if (value := _digits_value(body)) is None:
+            raise ValueError(f"coefficient at position {pos} has more than {INT_DIGITS_BOUND} digits")
+        cs.append(-value if item.startswith("-") else value)
     return IntPoly(cs)
 
 

@@ -18,26 +18,27 @@ the sign of its first derivative that does not vanish there.
 
 The largest real root is sought first on p itself: a float estimate with an
 error radius (Laguerre steps down from B) picks a window (a, b] of three
-cells, and one Taylor shift certifies it, one sign variation at a and
-p(a) != 0 meaning exactly one root above a, simple.  Then p < 0 between a
-and the root and p > 0 above it, so two signs at grid points,
-p(x_k) < 0 <= p(x_(k+1)), place the root in its depth-J cell, found by a
-walk from the estimate's cell that stays at or below b.  The bisection of
-the squarefree part sf from the whole grid runs when the certificate fails.
-Either way the interval holds a simple root of its own poly (p or sf).  No
-fraction is formed between the estimate and the interval's ends: the grid
-points (2m - 2^j) B / 2^j are integers over powers of two, the one sign
-kernel intpoly._sign_at(c, u, v) = sign(sum c_i u^i v^(n-i)), under
-IntPoly.sign_at too, reads p at u / v, and one _halve bisects integer
-numerators over one denominator, for the window and for refinement, whose
-ends (alpha0's) need not be dyadic.  A tree's adjacency radius does not come
-here: spectra bisects the same grid by exact eigenvalue counts on the tree.
-Its polynomial, an alpha eliminant and t^4 - 4t^2 - 1 read f(x) = x^e g(x^2).
-For a > 0, x -> x^2 maps the roots of f above a one to one onto those of g
-above a^2, with f'(x) = x^e 2x g'(x^2) and f(a) = a^e g(a^2), so g shifted
-to a^2, a quarter of the work, certifies as f shifted to a does; g's
-estimate y, radius r, gives x = sqrt(y), radius r / 2x, and f's own is tried
-when its window declines.
+cells, and one Taylor shift certifies it at an anchor c <= a, a rounded down
+to a denominator of 2^16 when a's is larger: one sign variation at c and
+p(c) != 0 mean exactly one root above c, simple.  Then p < 0 between c and
+the root and p > 0 above it, so p(a) < 0 puts the root above a, and two
+signs at grid points, p(x_k) < 0 <= p(x_(k+1)), place it in its depth-J
+cell, found by a walk from the estimate's cell that stays at or below b.
+The bisection of the squarefree part sf from the whole grid runs when the
+certificate fails.  Either way the interval holds a simple root of its own
+poly (p or sf).  No fraction is formed between the estimate and the
+interval's ends: the grid points (2m - 2^j) B / 2^j are integers over powers
+of two, the one sign kernel intpoly._sign_at(c, u, v) = sign(sum c_i u^i
+v^(n-i)), under IntPoly.sign_at too, reads p at u / v, and one _halve
+bisects integer numerators over one denominator, for the window and for
+refinement, whose ends (alpha0's) need not be dyadic.  A tree's adjacency
+radius does not come here: spectra bisects the same grid by exact eigenvalue
+counts on the tree.  Its polynomial, an alpha eliminant and t^4 - 4t^2 - 1
+read f(x) = x^e g(x^2).  For a > 0, x -> x^2 maps the roots of f above a one
+to one onto those of g above a^2, with f'(x) = x^e 2x g'(x^2) and f(a) = a^e
+g(a^2), so g shifted to a^2, a quarter of the work, certifies as f shifted
+to a does (c^2 is then a^2 rounded down); g's estimate y, radius r, gives x
+= sqrt(y), radius r / 2x, and f's own is tried when its window declines.
 
 largest_root_above_one counts the roots above 1 first, one variation
 sparing a window at or above 1 its shift: for a primitive part f = +-rev f
@@ -73,6 +74,12 @@ DEFAULT_WIDTH = Fraction(1, 10**9)
 # The seeded window has cells at least as wide as the estimate's error radius,
 # and at least 2**-SEED_PRECISION_BITS times the estimate.
 SEED_PRECISION_BITS = 48
+# A window whose points have a denominator above 2**ANCHOR_BITS takes its
+# Descartes count at its start (its square, for g) rounded down to that
+# denominator: 16 bits decline no window more than the start itself on the 5642
+# trees of brouwer_neumaier_enumerate(40, 40) at widths 1e-7, 1e-9 and 2**-60,
+# and 12 bits decline 28 more.
+ANCHOR_BITS = 16
 # Step caps of the float estimate and of its polish from exact values.
 ROOT_ESTIMATE_STEPS = 100
 POLISH_STEPS = 8
@@ -205,17 +212,22 @@ def root_bound(p: IntPoly) -> Fraction:
     bound 2 max_k |a_(n-k) / a_n|^(1/k), its k = n term halved: every root of
     p has modulus below B, so all real roots lie in (-B, B).
 
-    With m = e - 1 that is |a_(n-k)| < |a_n| 2^(mk) for k < n and
-    |a_0| < 2 |a_n| 2^(mn).  The bit lengths give a lower bound on m, and
-    exact comparisons raise it to the least m for which these hold.
+    With m = e - 1 that is c < d 2^(mk) for each k, c = |a_(n-k)| and
+    d = |a_n| (2 |a_n| at k = n), so m is the largest of 0 and each k's
+    least m_k, in one pass: with b = bits(c) - bits(d), 2^(b-1) < c/d <
+    2^(b+1), so m_k = ceil(b/k), plus 1 only when ceil(b/k) k = b and c >=
+    d 2^b, one exact comparison; a term with b < 0 (c = 0 too) needs no m.
     """
     if p.degree < 1:
         raise ValueError("constant polynomial")
-    n, lead = p.degree, abs(p.leading)
-    terms = [(k, abs(p.coeffs[n - k]), lead if k < n else 2 * lead) for k in range(1, n + 1)]
-    m = max([0] + [-((d.bit_length() - c.bit_length()) // k) for k, c, d in terms if c])
-    while any(c >= d << (m * k) for k, c, d in terms):
-        m += 1
+    coeffs, n = p.coeffs, p.degree
+    m, lead = 0, abs(coeffs[-1])
+    for k in range(1, n + 1):
+        c, d = abs(coeffs[n - k]), lead if k < n else 2 * lead
+        if (b := c.bit_length() - d.bit_length()) >= 0:
+            mk = -(-b // k)
+            if mk >= m:
+                m = mk + (mk * k == b and c >= d << b)
     return Fraction(2 << m)
 
 
@@ -403,10 +415,17 @@ def _half(f: IntPoly) -> IntPoly | None:
     return None if n < 2 or any(f.coeffs[1 - n % 2::2]) else IntPoly(f.coeffs[n % 2::2])
 
 
-def _shifted_above(f: IntPoly, u: int, v: int) -> list[int]:
-    """_shifted(f, a), a = u / v, v > 0, or for a > 0 and f = x^e g(x^2) that of g to a^2."""
-    g = _half(f) if u > 0 else None
-    return _shifted(f, Fraction(u, v)) if g is None else _shifted(g, Fraction(u * u, v * v))
+def _shifted_above(f: IntPoly, g: IntPoly | None, u: int, v: int, bits: int | None = None) -> list[int]:
+    """_shifted(f, a), a = u / v, v > 0, or for a > 0 and g = _half(f) not None,
+    f = x^e g(x^2), that of g to a^2; with bits, for v a power of two above
+    2**bits, at that point rounded down to a denominator of 2**bits."""
+    deep = bits is not None and v.bit_length() - 1 > bits
+    if g is not None and u > 0:
+        f, u, v = g, u * u, v * v
+    if deep:
+        cut = v.bit_length() - 1 - bits
+        u, v = u >> cut, v >> cut
+    return _shifted(f, Fraction(u, v))
 
 
 def descartes_bound(p: IntPoly, a: Fraction | int) -> int:
@@ -414,7 +433,7 @@ def descartes_bound(p: IntPoly, a: Fraction | int) -> int:
     by Descartes' rule an upper bound on the number of roots of p in (a, inf),
     counted with multiplicity, and of the same parity.  0 certifies that p has
     no root above a, and 1, with p(a) != 0, exactly one, and that one simple."""
-    return _variations(map(_sign, _shifted_above(p, *Fraction(a).as_integer_ratio())))
+    return _variations(map(_sign, _shifted_above(p, _half(p), *Fraction(a).as_integer_ratio())))
 
 
 def _descartes_largest(p: IntPoly, width: Fraction, one_above_one: bool = False,
@@ -426,40 +445,47 @@ def _descartes_largest(p: IntPoly, width: Fraction, one_above_one: bool = False,
     and on the grid (-B, B], B = root_bound(f), at depth j = min(J, seed
     depth), from an estimate at the depth-J cell width: g's, if positive, for
     f = x^e g(x^2), else f's (also when g's window declines).  The window
-    (a, b] is the cell of the estimate and its two neighbours.  f(a) != 0
-    and one sign variation at a mean exactly one root r above a, simple, so
-    f < 0 on (a, r) and f > 0 above r: the grid points x_(m-1) < r <= x_m,
-    found by a walk from the estimate's cell that stays at or below b, have
-    f(x_(m-1)) < 0 <= f(x_m).  Sign bisection on p to width then ends in the
-    depth-J grid cell of the root, or at the root as a grid point, as the
-    bisection does; at j = J that cell is (x_(m-1), x_m] itself.  A window
-    in tried, the set of windows already tried, is not tried again.
+    (a, b] is the cell of the estimate and its two neighbours.  It needs a
+    certified anchor c <= a with exactly one root r of f above c, simple, so
+    that f < 0 on (c, r) and f > 0 above r: then the grid points x_(m-1) < r
+    <= x_m, found by a walk from the estimate's cell that stays at or below
+    b, have f(x_(m-1)) < 0 <= f(x_m), and a walk that ends at a takes f(a),
+    declining when f(a) >= 0, as then r <= a.  Sign bisection on p to width
+    then ends in the depth-J grid cell of the root, or at the root as a grid
+    point, as the bisection does; at j = J that cell is (x_(m-1), x_m]
+    itself.  A window in tried, the set of windows already tried, is not
+    tried again.
 
-    one_above_one says that p has exactly one root r above 1, simple (one
-    sign variation of p shifted to 1, or of its trace polynomial), so f < 0
-    on (1, r) and f > 0 above r.  Then for a >= 1 the shift to a is not
-    made: f's sign at a grid point x >= 1 tells whether r lies above x, so
-    the walk places r by f's signs alone; only a walk that ends at a takes
-    f(a), and a window starting at a root at 1 reads f(1) = 0 and declines,
-    as the shift would.
+    The anchor is 1 for a >= 1 when one_above_one says that p has exactly
+    one root above 1, simple (one sign variation of p shifted to 1, or of its
+    trace polynomial), and the window takes no shift; a window starting at a
+    root at 1 reads f(1) = 0 and declines, as a shift would.  Otherwise one
+    Taylor shift certifies it, f(c) != 0 and one sign variation: of f to c,
+    or for a > 0 of g to c^2, where c, or c^2, is a, or a^2, rounded down to
+    a denominator of 2**ANCHOR_BITS when the window's points have a larger
+    one.  By Budan's theorem the count does not grow as the point rises, so
+    a window that the shift to a itself certifies fails at c only when
+    another root lies in (c, a] or f(c) = 0.
     """
     f = p.primitive()
     e = root_bound(f).numerator.bit_length() - 1
     depth, g = _halvings(2 << e, 1, width), _half(f)
     # the cell widths 2**(e + 1 - depth), for f, and 2**(2e + 2 - depth), for g
     y, r = _root_estimate(g, root_bound(g), 2 ** (2 * e + 2 - depth)) if g is not None else (0, 0)
-    args = (p, f, e, depth, width, one_above_one, set() if tried is None else tried)
+    args = (p, f, g, e, depth, width, one_above_one, set() if tried is None else tried)
     iv = _window((x := math.sqrt(y), r / (2 * x) + 2.0**-50 * x), *args) if y > 0 else None
     return iv if iv is not None else _window(_root_estimate(f, 1 << e, 2 ** (e + 1 - depth)), *args)
 
 
-def _window(estimate: tuple[float, float], p: IntPoly, f: IntPoly, e: int, depth: int,
+def _window(estimate: tuple[float, float], p: IntPoly, f: IntPoly, g: IntPoly | None, e: int, depth: int,
             width: Fraction, one_above_one: bool, tried: set) -> RootInterval | None:
     """_descartes_largest in the window of one estimate x = n / d, radius r, on
     the grid (-2**e, 2**e] at depth j: at most depth, cells at least r and about
     2**-SEED_PRECISION_BITS max(|x|, 1) wide; None for x or r nan or infinite,
     or for a window in tried, the windows tried so far, which it joins.  Its
-    point x_m = (2m - 2**j) 2**(e - j) is x0 + m dx over v = 2**max(j - e, 0)."""
+    point x_m = (2m - 2**j) 2**(e - j) is x0 + m dx over v = 2**max(j - e, 0).
+    Unless one_above_one and a >= 1 spare it the shift, the window starting at
+    a = u / v is shifted once, by _shifted_above(f, g, u, v, ANCHOR_BITS)."""
     try:
         (n, d), (rn, rd) = estimate[0].as_integer_ratio(), estimate[1].as_integer_ratio()
     except (ValueError, OverflowError):
@@ -475,12 +501,12 @@ def _window(estimate: tuple[float, float], p: IntPoly, f: IntPoly, e: int, depth
     # the estimate's cell: k = floor((n / d + 2**e) / 2**(e + 1 - j))
     k = min(max(((n + (d << e)) << j) // (d << e + 1), 0), cells - 1)
     i0, i1 = max(k - 1, 0), min(k + 2, cells)
-    if (key := (v, dx, x0 + i0 * dx, x0 + i1 * dx)) in tried:
+    a = x0 + i0 * dx
+    if (key := (v, dx, a, x0 + i1 * dx)) in tried:
         return None
     tried.add(key)
-    deferred = one_above_one and x0 + i0 * dx >= v
-    if not deferred:
-        shifted = _shifted_above(f, x0 + i0 * dx, v)
+    if not (one_above_one and a >= v):
+        shifted = _shifted_above(f, g, a, v, ANCHOR_BITS)
         if shifted[0] == 0 or _variations(map(_sign, shifted)) != 1:
             return None
     m = k + 1
@@ -491,7 +517,7 @@ def _window(estimate: tuple[float, float], p: IntPoly, f: IntPoly, e: int, depth
     # after a step up, f(x_(m-1)) < 0 is known
     while i0 < m - 1 <= k and (below := _sign_at(cs, x0 + (m - 1) * dx, v)) >= 0:
         m, s = m - 1, below
-    if deferred and m - 1 == i0 and _sign_at(cs, x0 + i0 * dx, v) >= 0:
+    if m - 1 == i0 and _sign_at(cs, a, v) >= 0:
         return None
     if s == 0:
         hi = Fraction(x0 + m * dx, v)
@@ -613,7 +639,8 @@ def _trace_largest(p: IntPoly, f: IntPoly, trace: IntPoly, width: Fraction, one_
     x = 1 + (s + math.sqrt(s * s + 4 * s)) / 2
     if x == 1:  # s below the float resolution of r - 1 (T's top root at 0): no window
         return None
-    return _window((x, radius * x / (x - 1 / x) + 2.0**-50 * x), p, f, e, depth, width, one_above_one, tried)
+    return _window((x, radius * x / (x - 1 / x) + 2.0**-50 * x), p, f, _half(f), e, depth, width,
+                   one_above_one, tried)
 
 
 def largest_root_above_one(p: IntPoly, width: Fraction = DEFAULT_WIDTH) -> RootInterval | None:
@@ -628,8 +655,10 @@ def largest_root_above_one(p: IntPoly, width: Fraction = DEFAULT_WIDTH) -> RootI
     exactly one, simple: zero coefficients are skipped, so a root at 1 of
     multiplicity m drops a factor x^m (s^m for T) and leaves its cofactor's
     count.  Salem-type polynomials read so (their other roots have real part
-    below 1, and lie in [-4, 0] on T), and the certificate then shifts no
-    window starting at or above 1: T's estimate seeds _trace_largest, then
+    below 1, and lie in [-4, 0] on T), and 1 is then the certified anchor
+    of every window starting at or above 1, which takes no shift of its own
+    (any other window shifts once, at its own anchor, as in
+    _descartes_largest): T's estimate seeds _trace_largest, then
     p's own estimates _descartes_largest, skipping windows already tried,
     then the bisection runs.  The interval of the largest real root decides,
     and when it straddles 1, the sign of q(1), q = iv.poly: the root is

@@ -350,10 +350,11 @@ def count_roots_open(p: IntPoly, a: Fraction, b: Fraction) -> int:
     return reference_count(p, a, b) - (p.sign_at(b) == 0)
 
 
-def _reference_bound(p: IntPoly) -> Fraction:
+def reference_root_bound(p: IntPoly) -> Fraction:
     """The least power of two B >= 2 above Fujiwara's bound
-    2 max_k |a_(n-k) / a_n|^(1/k), the k = n term halved: B/2 is doubled
-    until (B/2)^k exceeds every ratio."""
+    2 max_k |a_(n-k) / a_n|^(1/k), the k = n term halved: B/2 = 2^m, m
+    raised from 0 until 2^(mk) exceeds every ratio, each compared as an
+    exact Fraction (no bit lengths)."""
     n = p.degree
     ratios = [Fraction(abs(p.coeffs[n - k]), abs(p.leading)) for k in range(1, n)]
     ratios.append(Fraction(abs(p.coeffs[0]), 2 * abs(p.leading)))
@@ -361,6 +362,9 @@ def _reference_bound(p: IntPoly) -> Fraction:
     while any(r >= half**k for k, r in enumerate(ratios, 1)):
         half *= 2
     return 2 * half
+
+
+_reference_bound = reference_root_bound  # the name the isolation oracles use
 
 
 def _reference_refine(sf: IntPoly, chain, lo: Fraction, hi: Fraction,

@@ -458,3 +458,34 @@ def test_width_override(capsys):
     from fractions import Fraction
     assert Fraction(doc["payload"]["growth_rate"]["exact_high"]) \
         - Fraction(doc["payload"]["growth_rate"]["exact_low"]) <= Fraction(1, 1000)
+
+
+_NINES = "9" * 5000  # past the 4300 digits that int() converts
+_ZEROS = "0" * 5000
+
+
+def test_classify_coefficient_of_5000_digits_is_refused_by_the_parser(capsys):
+    code, out, err = run_cli(capsys, "classify", "--poly", f"1,{_NINES},1")
+    assert code == 1 and out == ""
+    assert err.strip() == "error: coefficient at position 2 has more than 4300 digits"
+
+
+def test_classify_reads_a_small_coefficient_behind_5000_zeros(capsys):
+    code, doc, _ = run_json(capsys, "classify", "--poly", f"-1,0,-{_ZEROS}0,{_ZEROS}1")
+    assert code == 0
+    assert doc["payload"]["poly"] == "-1,0,0,1"
+
+
+def test_star_parameter_of_5000_digits_is_refused_by_the_parser(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["coxtrans", "--star", f"2,3,{_NINES}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --star: bad integer list" in err
+    assert err.rstrip().endswith("integer of more than 4300 digits")
+
+
+def test_star_parameter_behind_5000_zeros_is_its_value(capsys):
+    code, doc, _ = run_json(capsys, "coxtrans", "--star", f"2,3,{_ZEROS}7")
+    assert code == 0
+    assert doc == run_json(capsys, "coxtrans", "--star", "2,3,7")[1]

@@ -165,6 +165,16 @@ def test_parse_poly():
     assert LEHMER.to_text() == "1,1,0,-1,-1,-1,-1,-1,0,1,1"
 
 
+def test_parse_poly_reads_past_leading_zeros_and_refuses_more_than_4300_digits():
+    # int() refuses to convert more than 4300 digits; the parser counts them first
+    assert parse_poly("-1,0," + "0" * 5000 + "7").coeffs == (-1, 0, 7)
+    assert parse_poly("-" + "0" * 5000 + "3,-0,1").coeffs == (-3, 0, 1)
+    assert parse_poly("1," + "9" * 4300).coeffs == (1, 10**4300 - 1)
+    for text in ("1," + "9" * 5000 + ",1", "1,-1" + "0" * 4300):
+        with pytest.raises(ValueError, match="coefficient at position 2 has more than 4300 digits"):
+            parse_poly(text)
+
+
 def test_reciprocity():
     assert reciprocity_type(LEHMER) == "reciprocal"
     assert reciprocity_type(IntPoly([-1, 1])) == "anti_reciprocal"

@@ -1200,3 +1200,107 @@ def test_a_window_builds_fractions_only_for_its_shift_point_and_ends(monkeypatch
         isolate_largest_real_root(p, Fraction(1, 10**7))
         largest_root_above_one(p, Fraction(1, 2**40))
     assert max(built) == 3 and len(built) > 2 * len(_tree_chis())
+
+
+# -- the Fujiwara bound in one pass, and each window's anchor --------------------------
+
+from oracles import reference_root_bound  # noqa: E402
+
+_bound_polys = st.tuples(
+    st.lists(st.one_of(st.integers(-9, 9), st.integers(-2**80, 2**80), st.sampled_from([0, 2**40, -2**63])),
+             min_size=1, max_size=12),
+    st.one_of(st.integers(1, 9), st.integers(1, 2**40)), st.booleans()).map(
+    lambda t: IntPoly([*t[0], -t[1] if t[2] else t[1]]))
+
+
+@given(_bound_polys)
+@settings(max_examples=300, deadline=None)
+# c = d 2^(mk) exactly: 2^12 = 2^(4*3) at k = 3, the least m 5
+@example(IntPoly([0, 0, 0, 0, 2**12, 0, 0, 1]))
+def test_root_bound_equals_the_exact_fraction_oracle(p):
+    assert roots.root_bound(p) == reference_root_bound(p)
+
+
+@pytest.mark.parametrize("coeffs, bound", [
+    ([0, -4, 1], 16),  # c = 4 = d 2^(2*1): m = 2 fails at equality, so B = 2^(3+1)
+    ([0, -3, 1], 8),
+    ([-8, 0, 1], 8),  # the halved k = n term: 8 = (2 * 1) 2^(1*2), m = 2
+    ([-7, 0, 1], 4),
+    ([0, 4, -1], 16),  # a negative leading coefficient
+    ([-4, 0, 0, 0, 0, 0, 1], 4),  # zero coefficients and b = 1 at k = n = 6: m = 1
+    ([-1, 0, 0, 0, 0, 1], 2),  # x^5 - 1: every term below 2^0
+    ([-12, 3], 8),  # degree 1: 12 = (2 * 3) 2^1, so m = 2
+    ([-1, 1], 2),
+    ([5, 1], 8),
+    ([2**100, 0, 1], 2**51),  # halved, 2^99 < 2^(2m): m = 50
+])
+def test_root_bound_at_the_ends_of_each_comparison(coeffs, bound):
+    p = IntPoly(coeffs)
+    assert roots.root_bound(p) == reference_root_bound(p) == bound
+    with pytest.raises(ValueError, match="constant polynomial"):
+        roots.root_bound(IntPoly([7]))
+
+
+def _recording_windows(monkeypatch) -> list:
+    """For each window tried from now on, the points of the shifts it makes."""
+    windows, window, shifted = [], roots._window, roots._shifted
+    def recorded(*args):
+        windows.append([])
+        return window(*args)
+    monkeypatch.setattr(roots, "_window", recorded)
+    monkeypatch.setattr(roots, "_shifted", lambda f, a: windows[-1].append(a) or shifted(f, a))
+    return windows
+
+
+def test_each_deep_tree_window_shifts_once_at_a_short_anchor(monkeypatch):
+    # every 10th tree of the Prop 5.2 sweep at bound 25: windows at depth about
+    # 2^-24, whose starts have denominators far above 2^16; g is shifted to
+    # the start's square rounded down to a denominator of 2^16
+    width = Fraction(1, 10**7)
+    windows = _recording_windows(monkeypatch)
+    chis = [adjacency_char_poly(item.tree) for item in brouwer_neumaier_enumerate(25, 25)[::10]]
+    for chi in chis:
+        windows.clear()
+        iv = isolate_largest_real_root(chi, width)
+        assert _pair(iv) == reference_isolate_largest(chi, width), chi
+        assert max(iv.low.denominator, iv.high.denominator) > 2**16
+        assert windows and all(len(points) <= 1 for points in windows), windows
+        assert all(a.denominator <= 2**16 for points in windows for a in points), windows
+    assert len(chis) == 145
+
+
+def test_a_second_root_between_the_anchor_and_the_window_declines():
+    # the top root 4/3 and s = 4/3 - 2^-20 (near enough, on the 2^-40 grid):
+    # at width 1e-9 the window starts at a = 4/3 - 2^-30 or so, one cell below
+    # the root's, and its anchor c, a cut to a denominator of 2^16, lies below
+    # s; the count at c reads both roots, so the window declines, where the
+    # shift to a itself would read one root, and the bisection decides
+    s = Fraction((4 << 40) // 3 - 2**20, 2**40)
+    p, width = _linear(4, 3) * _linear(s.numerator, s.denominator), Fraction(1, 10**9)
+    expected = reference_isolate_largest(p, width)
+    a = 2 * expected[0] - expected[1]
+    c = Fraction(math.floor(a * 2**16), 2**16)
+    assert c < s < a and expected[0] < Fraction(4, 3) <= expected[1]
+    assert roots.descartes_bound(p, a) == 1 and p.sign_at(a) != 0
+    assert roots.descartes_bound(p, c) == 2
+    points, shifted = [], roots._shifted
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(roots, "_shifted", lambda f, x: points.append(x) or shifted(f, x))
+        assert roots._descartes_largest(p, width) is None
+    assert points == [c]
+    assert _pair(isolate_largest_real_root(p, width)) == expected
+
+
+def test_no_bound_40_tree_window_declines_at_its_anchor_that_certifies_at_its_start(monkeypatch):
+    # every 10th tree of brouwer_neumaier_enumerate(40, 40): with no cut the
+    # anchor is the window's start itself, where the Descartes count was taken
+    # before anchors; a 16-bit anchor declines no window more, and gives the
+    # same intervals
+    chis = [adjacency_char_poly(item.tree) for item in brouwer_neumaier_enumerate(40, 40)[::10]]
+    for width in (Fraction(1, 10**7), Fraction(1, 2**60)):
+        anchored = [roots._descartes_largest(chi, width) for chi in chis]
+        with monkeypatch.context() as mp:
+            mp.setattr(roots, "ANCHOR_BITS", 10**6)
+            at_start = [roots._descartes_largest(chi, width) for chi in chis]
+        assert [iv and (iv.low, iv.high) for iv in anchored] == [iv and (iv.low, iv.high) for iv in at_start]
+        assert 0 < sum(iv is None for iv in at_start) < len(chis) / 4

@@ -59,11 +59,13 @@ LEHMER = "1,1,0,-1,-1,-1,-1,-1,0,1,1"
 # Lehmer's polynomial times Phi_n^2 for ten n: degree 160, the cap of classify --poly
 DEGREE_160 = functools.reduce(IntPoly.__mul__, (cyclotomic(n) ** 2 for n in (2, 3, 5, 7, 9, 12, 15, 21, 30, 35)),
                               parse_poly(LEHMER)).to_text()
-# Whole processes timed per side and seed: the named checks at their caps, the
-# largest tree, and classify at its degree cap.
+# Whole processes timed per side and seed: the named checks at their caps (and
+# second-minimal, whose polygon rates take many deep windows' Taylor shifts),
+# the largest tree, and classify at its degree cap.
 PROCESSES = [["verify", "theorem2", "--max-k", "6", "--max-p", "12"],
              ["verify", "delta-phi", "--max-k", "6", "--max-p", "12"],
              ["verify", "prop52", "--rmax", "40", "--jmax", "40"],
+             ["verify", "second-minimal"],
              ["spectra", "--tree", "Path:1200"],
              ["classify", "--poly", DEGREE_160],
              ["growth", "--symbol", "[4,3^18]"]]

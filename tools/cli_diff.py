@@ -71,6 +71,8 @@ COMMANDS = [
 EXPECTED_ERRORS = [
     ["growth", "--symbol", "[3^20]"],  # rank 21, above the Steinberg rank bound
     ["growth", "--symbol", "[3^" + "9" * 5000 + "]"],  # a count past int()'s 4300 digits
+    ["classify", "--poly", "1," + "9" * 5000 + ",1"],  # a coefficient past the same limit
+    ["coxtrans", "--star", "2,3," + "9" * 5000],  # an arm length past it
 ]
 
 # Diagram files for growth --file, by name: affine E8 (the star with arms of
