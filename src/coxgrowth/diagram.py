@@ -324,10 +324,21 @@ class WeightedTree:
         return CoxeterDiagram(self.n, {(i, j): w for i, j, w in self.edge_list})
 
 
+def _arm(edges: list, start: int, length: int, nxt: int, weight: Weight) -> int:
+    """Append the path of new vertices nxt, ..., nxt + length - 1 hanging
+    from start, in that order; the next free label, nxt + length."""
+    for v in range(nxt, nxt + length):
+        edges.append((start, v, weight))
+        start = v
+    return nxt + length
+
+
 def path_tree(n: int, weight: Weight = 3) -> WeightedTree:
     if n < 1:
         raise DiagramError("path needs at least one vertex")
-    return WeightedTree(n, [(i, i + 1, weight) for i in range(n - 1)])
+    edges: list = []
+    _arm(edges, 0, n - 1, 1, weight)
+    return WeightedTree(n, edges)
 
 
 def star_diagram(*ps: int) -> WeightedTree:
@@ -336,14 +347,10 @@ def star_diagram(*ps: int) -> WeightedTree:
     Vertex 0 is the center; arms are numbered consecutively outward.
     """
     n = _star_size(ps)
-    edges = []
+    edges: list = []
     nxt = 1
     for p in ps:
-        prev = 0
-        for _ in range(p - 1):
-            edges.append((prev, nxt, 3))
-            prev = nxt
-            nxt += 1
+        nxt = _arm(edges, 0, p - 1, nxt, 3)
     return WeightedTree(n, edges)
 
 
@@ -366,28 +373,13 @@ def h_graph(i: int, j: int, k: int) -> WeightedTree:
     """
     if i < 2 or k < 2 or j < 1:
         raise DiagramError("need i, k >= 2 and j >= 1")
-    edges = [(0, 1, 3)]
-    nxt = 2
-    prev = 0
-    for _ in range(i - 1):  # long arm at the first branch vertex
-        edges.append((prev, nxt, 3))
-        prev = nxt
-        nxt += 1
-    prev = 0
-    for _ in range(j - 1):  # interior of the connecting path
-        edges.append((prev, nxt, 3))
-        prev = nxt
-        nxt += 1
-    v2 = nxt
-    edges.append((prev, v2, 3))
-    nxt += 1
-    edges.append((v2, nxt, 3))  # pendant at the second branch vertex
-    nxt += 1
-    prev = v2
-    for _ in range(k - 1):  # long arm at the second branch vertex
-        edges.append((prev, nxt, 3))
-        prev = nxt
-        nxt += 1
+    edges: list = []
+    nxt = _arm(edges, 0, 1, 1, 3)  # pendant leaf 1
+    nxt = _arm(edges, 0, i - 1, nxt, 3)  # long arm 2..i
+    nxt = _arm(edges, 0, j, nxt, 3)  # interior path, then the second branch vertex
+    v2 = nxt - 1
+    nxt = _arm(edges, v2, 1, nxt, 3)  # its pendant
+    nxt = _arm(edges, v2, k - 1, nxt, 3)  # its long arm
     return WeightedTree(nxt, edges)
 
 

@@ -16,34 +16,35 @@ root shares it), or [x, x] for a root x on the grid at depth at most J.  A
 lower end that is another root stays: just right of it the polynomial has
 the sign of its first derivative that does not vanish there.
 
-The largest real root is sought first on p itself: a float estimate with an
-error radius (Laguerre steps down from B) picks a window (a, b] of three
-cells, and one Taylor shift certifies it at an anchor c <= a, a rounded down
-to a denominator of 2^16 when a's is larger: one sign variation at c and
-p(c) != 0 mean exactly one root above c, simple.  Then p < 0 between c and
-the root and p > 0 above it, so p(a) < 0 puts the root above a, and two
-signs at grid points, p(x_k) < 0 <= p(x_(k+1)), place it in its depth-J
-cell, found by a walk from the estimate's cell that stays at or below b.
-The bisection of the squarefree part sf from the whole grid runs when the
-certificate fails.  Either way the interval holds a simple root of its own
-poly (p or sf).  No fraction is formed between the estimate and the
-interval's ends: the grid points (2m - 2^j) B / 2^j are integers over powers
-of two, the one sign kernel intpoly._sign_at(c, u, v) = sign(sum c_i u^i
-v^(n-i)), under IntPoly.sign_at too, reads p at u / v, and one _halve
-bisects integer numerators over one denominator, for the window and for
-refinement, whose ends (alpha0's) need not be dyadic.  A tree's adjacency
-radius does not come here: spectra bisects the same grid by exact eigenvalue
-counts on the tree.  Its polynomial, an alpha eliminant and t^4 - 4t^2 - 1
-read f(x) = x^e g(x^2).  For a > 0, x -> x^2 maps the roots of f above a one
-to one onto those of g above a^2, with f'(x) = x^e 2x g'(x^2) and f(a) = a^e
-g(a^2), so g shifted to a^2, a quarter of the work, certifies as f shifted
-to a does (c^2 is then a^2 rounded down); g's estimate y, radius r, gives x
-= sqrt(y), radius r / 2x, and f's own is tried when its window declines.
+The largest real root is sought first on p itself: float estimates with an
+error radius (Laguerre steps down from a root bound), T's and g's (both
+below) and p's own, each made only when the window of the one before
+declined, pick windows (a, b] of three cells, and one Taylor shift certifies
+a window at an anchor c <= a, a rounded down to a denominator of 2^16 when
+a's is larger: one sign variation at c and p(c) != 0 mean exactly one root
+above c, simple.  Then p < 0 between c and the root and p > 0 above it, so
+p(a) < 0 puts the root above a, and two signs at grid points, p(x_k) < 0 <=
+p(x_(k+1)), place it in its depth-J cell, found by a walk from the
+estimate's cell that stays at or below b.  The bisection of the squarefree
+part sf from the whole grid runs when the certificate fails.  Either way the
+interval holds a simple root of its own poly (p or sf).  No fraction is
+formed between the estimate and the interval's ends: the grid points (2m -
+2^j) B / 2^j are integers over powers of two, the one sign kernel
+intpoly._sign_at(c, u, v) = sign(sum c_i u^i v^(n-i)), under IntPoly.sign_at
+too, reads p at u / v, and one _halve bisects integer numerators over one
+denominator, for the window and for refinement, whose ends (alpha0's) need
+not be dyadic.  A tree's adjacency radius does not come here: spectra
+bisects the same grid by exact eigenvalue counts on the tree.  Its
+polynomial, an alpha eliminant and t^4 - 4t^2 - 1 read f(x) = x^e g(x^2).
+For a > 0, x -> x^2 maps the roots of f above a one to one onto those of g
+above a^2, with f'(x) = x^e 2x g'(x^2) and f(a) = a^e g(a^2), so g shifted
+to a^2, a quarter of the work, certifies as f shifted to a does (c^2 is then
+a^2 rounded down).
 
 largest_root_above_one counts the roots above 1 first, one variation
 sparing a window at or above 1 its shift: for a primitive part f = +-rev f
 on its trace polynomial T, x^m T(x + 1/x - 2) = f (x - 1)^a (x + 1)^b of
-degree 2m, whose estimate, at half p's degree, also seeds the window; for
+degree 2m, whose estimate, at half p's degree, comes first in the loop; for
 any other p on p shifted to 1.
 
 On Salem-type polynomials, with complex roots near the unit circle, the
@@ -437,24 +438,24 @@ def descartes_bound(p: IntPoly, a: Fraction | int) -> int:
 
 
 def _descartes_largest(p: IntPoly, width: Fraction, one_above_one: bool = False,
-                       tried: set | None = None) -> RootInterval | None:
+                       trace: IntPoly | None = None) -> RootInterval | None:
     """The interval that the bisection of isolate_largest_real_root gives,
     certified on p itself; None when the certificate fails.
 
     It runs on f, the primitive part of p with positive leading coefficient,
-    and on the grid (-B, B], B = root_bound(f), at depth j = min(J, seed
-    depth), from an estimate at the depth-J cell width: g's, if positive, for
-    f = x^e g(x^2), else f's (also when g's window declines).  The window
-    (a, b] is the cell of the estimate and its two neighbours.  It needs a
-    certified anchor c <= a with exactly one root r of f above c, simple, so
-    that f < 0 on (c, r) and f > 0 above r: then the grid points x_(m-1) < r
-    <= x_m, found by a walk from the estimate's cell that stays at or below
-    b, have f(x_(m-1)) < 0 <= f(x_m), and a walk that ends at a takes f(a),
+    in one loop over the estimates of _estimates, T's (trace, f's trace
+    polynomial), g's (f = x^e g(x^2)) and f's, each found only when the
+    window before declined; a window already tried is not tried again.  The
+    window (a, b] is the cell of the estimate and its two neighbours, on the
+    estimate's grid at depth j = min(J, seed depth).  It needs a certified
+    anchor c <= a with exactly one root r of f above c, simple, so that f < 0
+    on (c, r) and f > 0 above r: then the grid points x_(m-1) < r <= x_m,
+    found by a walk from the estimate's cell that stays at or below b, have
+    f(x_(m-1)) < 0 <= f(x_m), and a walk that ends at a takes f(a),
     declining when f(a) >= 0, as then r <= a.  Sign bisection on p to width
     then ends in the depth-J grid cell of the root, or at the root as a grid
     point, as the bisection does; at j = J that cell is (x_(m-1), x_m]
-    itself.  A window in tried, the set of windows already tried, is not
-    tried again.
+    itself.
 
     The anchor is 1 for a >= 1 when one_above_one says that p has exactly
     one root above 1, simple (one sign variation of p shifted to 1, or of its
@@ -468,19 +469,42 @@ def _descartes_largest(p: IntPoly, width: Fraction, one_above_one: bool = False,
     another root lies in (c, a] or f(c) = 0.
     """
     f = p.primitive()
+    g, tried = _half(f), set()
+    for estimate, e in _estimates(f, g, trace, width):
+        if (iv := _window(estimate, p, f, g, e, width, one_above_one, tried)) is not None:
+            return iv
+    return None
+
+
+def _estimates(f: IntPoly, g: IntPoly | None, trace: IntPoly | None, width: Fraction):
+    """Float estimates of f's top root, each with its radius and the e of its
+    grid (-2^e, 2^e], found only when the window before declined, in cells
+    of the grid's depth-J width (2^(2e + 2 - J) for g's y = x^2).  T's top
+    root s > 0 gives r = 1 + (s + sqrt(s^2 + 4s)) / 2 (none if that rounds
+    to 1), radius times dx/ds = r^2 / (r^2 - 1), as x -> x + 1/x - 2 maps
+    (1, inf) increasingly onto (0, inf); 2^e = 2 root_bound(T) > s + 2 > r.
+    A window it certifies starts at a >= 1/r > 0, p's root 1/r lying below
+    it, so its cells, at most a < r < root_bound(f) = 2^e wide, are those of
+    f's grid at that width.  g's estimate y > 0, radius r, gives x =
+    sqrt(y), radius r / 2x."""
+    if trace is not None:
+        e = (bound := root_bound(trace)).numerator.bit_length()
+        s, radius = _root_estimate(trace, bound, 2 ** (e + 1 - _halvings(2 << e, 1, width)))
+        if 0 < s < math.inf and (x := 1 + (s + math.sqrt(s * s + 4 * s)) / 2) != 1:
+            yield (x, radius * x / (x - 1 / x) + 2.0**-50 * x), e
     e = root_bound(f).numerator.bit_length() - 1
-    depth, g = _halvings(2 << e, 1, width), _half(f)
-    # the cell widths 2**(e + 1 - depth), for f, and 2**(2e + 2 - depth), for g
-    y, r = _root_estimate(g, root_bound(g), 2 ** (2 * e + 2 - depth)) if g is not None else (0, 0)
-    args = (p, f, g, e, depth, width, one_above_one, set() if tried is None else tried)
-    iv = _window((x := math.sqrt(y), r / (2 * x) + 2.0**-50 * x), *args) if y > 0 else None
-    return iv if iv is not None else _window(_root_estimate(f, 1 << e, 2 ** (e + 1 - depth)), *args)
+    depth = _halvings(2 << e, 1, width)
+    if g is not None:
+        y, r = _root_estimate(g, root_bound(g), 2 ** (2 * e + 2 - depth))
+        if y > 0:
+            yield (x := math.sqrt(y), r / (2 * x) + 2.0**-50 * x), e
+    yield _root_estimate(f, 1 << e, 2 ** (e + 1 - depth)), e
 
 
-def _window(estimate: tuple[float, float], p: IntPoly, f: IntPoly, g: IntPoly | None, e: int, depth: int,
+def _window(estimate: tuple[float, float], p: IntPoly, f: IntPoly, g: IntPoly | None, e: int,
             width: Fraction, one_above_one: bool, tried: set) -> RootInterval | None:
     """_descartes_largest in the window of one estimate x = n / d, radius r, on
-    the grid (-2**e, 2**e] at depth j: at most depth, cells at least r and about
+    the grid (-2**e, 2**e] at depth j: at most J, cells at least r and about
     2**-SEED_PRECISION_BITS max(|x|, 1) wide; None for x or r nan or infinite,
     or for a window in tried, the windows tried so far, which it joins.  Its
     point x_m = (2m - 2**j) 2**(e - j) is x0 + m dx over v = 2**max(j - e, 0).
@@ -494,7 +518,7 @@ def _window(estimate: tuple[float, float], p: IntPoly, f: IntPoly, g: IntPoly | 
     if rn * td >= tn * rd:
         tn, td = rn, rd
     # floor(log2(2**(e + 1) / (tn / td))) or one less, as td is a power of two
-    if (j := min(depth, e + td.bit_length() - tn.bit_length())) < 0:
+    if (j := min(_halvings(2 << e, 1, width), e + td.bit_length() - tn.bit_length())) < 0:
         return None
     cells, cs, v = 1 << j, f.coeffs, 1 << max(j - e, 0)
     x0, dx = -cells << max(e - j, 0), 2 << max(e - j, 0)
@@ -586,7 +610,9 @@ def isolate_largest_real_root(p: IntPoly, width: Fraction = DEFAULT_WIDTH) -> Ro
     """Certified interval of at most the given width around the largest real root.
 
     The Descartes certificate is tried first, and the bisection from the
-    whole grid runs when it fails.  Raises ValueError for a width <= 0.
+    whole grid runs when it fails.  Raises ValueError for a width <= 0.  Use
+    spectra.spectral_radius_adjacency for trees: on a path's chi every window
+    declines; at Path:1200 the bisection takes a minute, eigenvalue counts 0.4 s.
     """
     _check_width(width)
     if p.degree < 1:
@@ -622,27 +648,6 @@ def _trace(f: IntPoly) -> IntPoly | None:
     return IntPoly(_signed_digits(q[m] + (b1 << k) + 2 * b1 - 2 * b2, k, m + 1))
 
 
-def _trace_largest(p: IntPoly, f: IntPoly, trace: IntPoly, width: Fraction, one_above_one: bool,
-                   tried: set) -> RootInterval | None:
-    """_descartes_largest from the estimate s of T's top root: x -> x + 1/x - 2
-    maps (1, inf) increasingly onto (0, inf), so r = 1 + (s + sqrt(s^2 +
-    4s)) / 2, radius times dx/ds = r^2 / (r^2 - 1), on the grid (-2^e, 2^e],
-    2^e = 2 root_bound(T) > s + 2 > r.  A window it certifies starts at a >=
-    1/r > 0, p's root 1/r lying below it, so its cells, at most a < r <
-    root_bound(f) wide, are those of p's own grid at that width."""
-    bound = root_bound(trace)
-    e = bound.numerator.bit_length()
-    depth = _halvings(2 << e, 1, width)
-    s, radius = _root_estimate(trace, bound, 2 ** (e + 1 - depth))
-    if not 0 < s < math.inf:
-        return None
-    x = 1 + (s + math.sqrt(s * s + 4 * s)) / 2
-    if x == 1:  # s below the float resolution of r - 1 (T's top root at 0): no window
-        return None
-    return _window((x, radius * x / (x - 1 / x) + 2.0**-50 * x), p, f, _half(f), e, depth, width,
-                   one_above_one, tried)
-
-
 def largest_root_above_one(p: IntPoly, width: Fraction = DEFAULT_WIDTH) -> RootInterval | None:
     """The interval of the largest real root of p when that root exceeds 1,
     and None otherwise.
@@ -656,11 +661,9 @@ def largest_root_above_one(p: IntPoly, width: Fraction = DEFAULT_WIDTH) -> RootI
     multiplicity m drops a factor x^m (s^m for T) and leaves its cofactor's
     count.  Salem-type polynomials read so (their other roots have real part
     below 1, and lie in [-4, 0] on T), and 1 is then the certified anchor
-    of every window starting at or above 1, which takes no shift of its own
-    (any other window shifts once, at its own anchor, as in
-    _descartes_largest): T's estimate seeds _trace_largest, then
-    p's own estimates _descartes_largest, skipping windows already tried,
-    then the bisection runs.  The interval of the largest real root decides,
+    of every window starting at or above 1, which takes no shift of its own.
+    _descartes_largest tries T's estimate, then p's own, and the bisection
+    runs when it declines.  The interval of the largest real root decides,
     and when it straddles 1, the sign of q(1), q = iv.poly: the root is
     simple in q and q has no other root above the lower end, so it lies
     above 1 exactly when q(1) lc(q) < 0.  Raises ValueError for a width <= 0.
@@ -671,10 +674,7 @@ def largest_root_above_one(p: IntPoly, width: Fraction = DEFAULT_WIDTH) -> RootI
     variations = descartes_bound(p, 1) if trace is None else _variations(map(_sign, trace.coeffs))
     if variations == 0:
         return None
-    tried: set = set()
-    iv = _trace_largest(p, f, trace, width, variations == 1, tried) if trace is not None else None
-    if iv is None:
-        iv = _descartes_largest(p, width, variations == 1, tried)
+    iv = _descartes_largest(p, width, variations == 1, trace)
     if iv is None:
         try:
             iv = _bisection_largest(p, width)

@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intpoly import IntPoly, parse_poly, reciprocity_type
+from .intpoly import INT_DIGITS_BOUND, IntPoly, _digits_value, parse_poly, reciprocity_type
 from .numclass import strip_cyclotomic, unit_circle_root_count
 from .roots import RootInterval, compare, isolate_largest_real_root, largest_root_above_one
 from .growth import growth_rate, polygon_delta, polygon_growth, polygon_rate_compare, steinberg_growth
@@ -67,7 +67,8 @@ def parse_salem_line(line: str) -> SalemEntry:
     field = parts[0].strip()
     if not (field.isascii() and field.isdigit()):
         raise SalemListError(f"bad degree field {parts[0]!r}")
-    degree = int(field)
+    if (degree := _digits_value(field)) is None:
+        raise SalemListError(f"degree field has more than {INT_DIGITS_BOUND} digits")
     poly = parse_poly(parts[1])
     if poly.degree != degree:
         raise SalemListError(f"declared degree {degree} but coefficients give {poly.degree}")

@@ -202,6 +202,35 @@ def test_h_graph_counts():
         h_graph(1, 3, 2)
 
 
+def _path_from(start, vertices, weight=3):
+    """The edges of the path start, vertices[0], vertices[1], ..."""
+    ends = [start, *vertices]
+    return [(a, b, weight) for a, b in zip(ends, ends[1:])]
+
+
+def test_h_graph_labels_follow_its_docstring():
+    # 0 the first branch vertex, 1 its pendant leaf, 2..i its long arm, then
+    # the j - 1 interior vertices, the second branch vertex v, its pendant, its arm
+    for i, j, k in itertools.product(range(2, 6), range(1, 6), range(2, 6)):
+        v = i + j
+        expected = ([(0, 1, 3)] + _path_from(0, range(2, i + 1)) + _path_from(0, range(i + 1, v + 1))
+                    + [(v, v + 1, 3)] + _path_from(v, range(v + 2, v + k + 1)))
+        assert h_graph(i, j, k).edge_list == tuple(expected), (i, j, k)
+
+
+@pytest.mark.parametrize("tree, edges, weight", [
+    (h_graph(2, 1, 2), [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5)], 3),
+    (h_graph(3, 2, 2), [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6), (5, 7)], 3),
+    (star_diagram(2), [(0, 1)], 3),
+    (star_diagram(3, 2, 4), [(0, 1), (1, 2), (0, 3), (0, 4), (4, 5), (5, 6)], 3),
+    (path_tree(1), [], 3),
+    (path_tree(4), [(0, 1), (1, 2), (2, 3)], 3),
+    (path_tree(3, 5), [(0, 1), (1, 2)], 5),
+])
+def test_small_tree_edge_lists(tree, edges, weight):
+    assert tree.edge_list == tuple((a, b, weight) for a, b in edges)
+
+
 def test_h_graph_vertex_count_formula():
     for i, j, k in itertools.product(range(2, 5), range(1, 5), range(2, 5)):
         assert h_graph(i, j, k).n == i + j + k + 1

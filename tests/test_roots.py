@@ -820,25 +820,29 @@ def test_theorem2_top_roots_take_no_taylor_shift(monkeypatch):
 
 
 _PLANTED = {
-    # (p, width, the route that decides, the shift points made, None for a
-    # window's point near the top root)
+    # (p, width, the route that decides: the estimate whose window certifies,
+    # T, g or f, or the bisection; the shift points made, None for a window's
+    # point near the top root)
     # reciprocal, p(1) = 0: T = s T_Lehmer reads one variation, and the window
     # at or above 1 is not shifted
-    "root at 1": (LEHMER * IntPoly([-1, 1]), roots.DEFAULT_WIDTH, "_trace_largest", []),
+    "root at 1": (LEHMER * IntPoly([-1, 1]), roots.DEFAULT_WIDTH, "T", []),
+    # not reciprocal, x^2 - 3 = g(x^2): g shifted to 1 reads one variation,
+    # and g's window, above 1, is not shifted
+    "even, one root above 1": (IntPoly([-3, 0, 1]), roots.DEFAULT_WIDTH, "g", [1]),
     # not reciprocal: three variations at 1, and the window at 3 is shifted
     "second real root above 1": (IntPoly([-2, 1]) * IntPoly([-3, 1]) * LEHMER, roots.DEFAULT_WIDTH,
-                                 "_descartes_largest", [1, None]),
+                                 "f", [1, None]),
     # not reciprocal: the pair 2 +- i right of 1 gives three variations at 1
     "complex pair right of 1": (IntPoly([5, -4, 1]) * IntPoly([-3, 1]), roots.DEFAULT_WIDTH,
-                                "_descartes_largest", [1, None]),
+                                "f", [1, None]),
     # one variation of T, but on T's grid the window of half-wide cells
     # around the top root, in (1, 3/2], starts at 1/2 and declines; f's
     # estimate picks the same window, which is not shifted again
-    "window below 1": (LEHMER, Fraction(1, 2), "_bisection_largest", [Fraction(1, 2), -4]),
+    "window below 1": (LEHMER, Fraction(1, 2), "bisection", [Fraction(1, 2), -4]),
     # not reciprocal: two variations at 1 from the pair 2 +- i, and the top
     # real root is -3
     "complex pair and no root above 1": (IntPoly([5, -4, 1]) * IntPoly([3, 1]), roots.DEFAULT_WIDTH,
-                                         "_bisection_largest", [1, None, -8]),
+                                         "bisection", [1, None, -8]),
     # every root on the unit circle: T has no variation, and nothing is shifted
     "cyclotomic": (functools.reduce(IntPoly.__mul__, [cyclotomic(2), cyclotomic(3) ** 2, cyclotomic(5),
                                                       cyclotomic(12)]), roots.DEFAULT_WIDTH, None, []),
@@ -850,15 +854,25 @@ def test_inputs_the_shift_to_1_leaves_open_take_the_deep_shift(monkeypatch, name
     # a reciprocal input is counted on its trace polynomial T and not shifted
     # to 1, any other is shifted to 1 first; no window is shifted twice
     p, width, route, expected_points = _PLANTED[name]
-    points, decided = [], [None]
-    shifted = roots._shifted
-    monkeypatch.setattr(roots, "_shifted", lambda f, a: points.append(a) or shifted(f, a))
-    for stage in ("_trace_largest", "_descartes_largest", "_bisection_largest"):
-        def recorded(*args, fn=getattr(roots, stage), stage=stage):
+    f = p.primitive()
+    points, estimated, decided = [], [], [None]
+    shifted, estimate = roots._shifted, roots._root_estimate
+    window, bisection = roots._window, roots._bisection_largest
+    monkeypatch.setattr(roots, "_shifted", lambda q, a: points.append(a) or shifted(q, a))
+    monkeypatch.setattr(roots, "_root_estimate", lambda q, *args: estimated.append(q) or estimate(q, *args))
+
+    def seed() -> str:
+        # each estimate is made just before its window: the last one seeded it
+        return "T" if estimated[-1] == roots._trace(f) else "g" if estimated[-1] == roots._half(f) else "f"
+
+    def recorded(stage, fn):
+        def run(*args):
             iv = fn(*args)
-            decided.append(stage if iv is not None else None)
+            decided.append(None if iv is None else stage or seed())
             return iv
-        monkeypatch.setattr(roots, stage, recorded)
+        return run
+    monkeypatch.setattr(roots, "_window", recorded(None, window))
+    monkeypatch.setattr(roots, "_bisection_largest", recorded("bisection", bisection))
     iv = largest_root_above_one(p, width)
     reciprocal = p.reversed() in (p, -p)
     assert (roots._trace(p) is not None) == reciprocal and (points[:1] == [1]) != reciprocal

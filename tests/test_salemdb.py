@@ -79,6 +79,17 @@ def test_rejections():
         parse_salem_line("2;2,0,2;1.0")  # not monic
 
 
+def test_a_degree_of_more_than_4300_digits_is_rejected_before_conversion():
+    with pytest.raises(SalemListError, match="degree field has more than 4300 digits") as info:
+        parse_salem_line("1" * 5000 + ";1,-1,-1,-1,1;1.72")
+    assert "set_int_max_str_digits" not in str(info.value)
+
+
+def test_a_zero_padded_degree_is_read_as_its_value():
+    entry = parse_salem_line("0" * 5000 + "4;1,-1,-1,-1,1;1.72")
+    assert entry.poly == parse_poly("1,-1,-1,-1,1") and entry.interval.decimal(4) == "1.7221"
+
+
 def test_lehmer_at_minus_t_is_rejected():
     # reciprocal, with its one root outside the disk at -1.17628, below -1
     with pytest.raises(SalemListError, match="no real root above 1"):

@@ -22,7 +22,8 @@ Its degree-160 ``classify`` input is built with the working tree's
 ``coxgrowth.intpoly`` when the tool is imported.
 One ``--workload W --trace 1`` run per side (on the first seed; W is
 ``--trace-workload``, default ``coxeter_growth``) gives the count metrics in
-``COUNTS``.
+``COUNTS``: the names the tracer sees on some workload.  Four of them, the
+division, disk-count and ``sign_at`` counts, read 0 on all but ``classify_mix``.
 
 The output holds both commits, the Python version and CPU count, per workload
 and end-to-end metric each side's median and quartiles (inclusive method)
@@ -52,9 +53,8 @@ from coxgrowth.intpoly import IntPoly, cyclotomic, parse_poly  # noqa: E402
 
 METRICS = ["items_per_s", "item_p50_ms", "item_p90_ms", "failed_frac", "setup_s", "peak_rss_mb"]
 HIGHER_IS_BETTER = {"items_per_s"}
-COUNTS = ["intpoly.mul.calls", "intpoly.exact_div.calls", "numclass.strip_cyclotomic.calls",
-          "numclass.disk_root_counts.calls", "numclass.disk_root_counts.bits_max",
-          "roots.sign_at_calls", "growth.growth_function.calls", "intpoly.constructed"]
+COUNTS = ["intpoly.exact_div.calls", "numclass.strip_cyclotomic.calls", "numclass.disk_root_counts.calls",
+          "numclass.disk_root_counts.bits_max", "roots.sign_at_calls", "intpoly.constructed"]
 LEHMER = "1,1,0,-1,-1,-1,-1,-1,0,1,1"
 # Lehmer's polynomial times Phi_n^2 for ten n: degree 160, the cap of classify --poly
 DEGREE_160 = functools.reduce(IntPoly.__mul__, (cyclotomic(n) ** 2 for n in (2, 3, 5, 7, 9, 12, 15, 21, 30, 35)),
