@@ -284,7 +284,7 @@ def _cmd_salem(args) -> CommandResult:
 
 
 # The largest --max-k and --max-p of salem --search and verify delta-phi, theorem2
-# and second-minimal: theorem2 takes 2 s at (6, 12), 7 s at (7, 12) (2 CPUs).
+# and second-minimal; the BENCH_<n>.json files time theorem2 at (6, 12).
 VERIFY_MAX_K, VERIFY_MAX_P = 6, 12
 
 

@@ -23,8 +23,8 @@ from .growth import polygon_delta
 from .intpoly import IntPoly, _signed_digits, resultant_eliminate
 from .roots import DEFAULT_WIDTH, RootInterval, largest_root_above_one, sqrt_interval
 
-# 4cos^2(pi/m) for the weights with rational value
-_EDGE_COEFF = {3: 1, 4: 2, 6: 3, INF: 4}
+# 4cos^2(pi/m) for the weights with rational value; 2, no edge, is the root's
+_EDGE_COEFF = {2: 0, 3: 1, 4: 2, 6: 3, INF: 4}
 
 # The most vertices of a tree whose polynomials are built.  On 2 CPUs a `coxtrans`
 # process takes about 1 s on Path:1200 and 7-10 s on Star:4,...,4 (399 arms) or
@@ -49,16 +49,10 @@ def _check_vertices(n: int) -> None:
 
 
 def _rooted(tree: WeightedTree) -> list[tuple[int, int, int]]:
-    """The tree rooted at 0 as (v, parent, a = 4cos^2(pi/m) of the edge to it),
-    children first, the root as (0, -1, 0); ValueError above the bound."""
+    """WeightedTree.rooted with each weight m as a = 4cos^2(pi/m), the root
+    as (0, -1, 0); ValueError above the bound."""
     _check_vertices(tree.n)
-    adj = tree.adjacency()
-    order = [(0, -1, 0)]
-    for v, up, _ in order:  # breadth-first; the list grows while it is walked
-        for c, w in adj[v]:
-            if c != up:
-                order.append((c, v, _edge_coefficient(w)))
-    return order[::-1]
+    return [(v, up, _edge_coefficient(w)) for v, up, w in tree.rooted()]
 
 
 def _weight3_rooted(tree: WeightedTree) -> list[tuple[int, int, int]]:

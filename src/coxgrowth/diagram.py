@@ -94,7 +94,8 @@ class CoxeterDiagram:
         for i in range(n):
             table[i][i] = 1
         for (i, j), m in (edges or {}).items():
-            if i == j or not (0 <= i < n and 0 <= j < n):
+            if not (isinstance(i, int) and isinstance(j, int)
+                    and i != j and 0 <= i < n and 0 <= j < n):
                 raise DiagramError(f"bad vertex pair ({i}, {j})")
             if m is not INF and (not isinstance(m, int) or m < 2):
                 raise DiagramError(f"bad weight {m!r} for pair ({i}, {j})")
@@ -286,7 +287,7 @@ class WeightedTree:
             raise DiagramError("a tree on n vertices has n-1 edges")
         seen = set()
         for i, j, w in edge_list:
-            if not (0 <= i < n and 0 <= j < n) or i == j:
+            if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < j < n):
                 raise DiagramError(f"bad edge ({i}, {j})")
             if (i, j) in seen:
                 raise DiagramError(f"duplicate edge ({i}, {j})")
@@ -295,27 +296,28 @@ class WeightedTree:
                 raise DiagramError(f"tree edge weight must be >= 3 or inf, got {w!r}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edge_list", edge_list)
-        if len(self._component_of(0)) != n:
-            raise DiagramError("tree is not connected")
+        self.rooted()  # the connectivity check
 
-    def adjacency(self) -> dict[int, list[tuple[int, Weight]]]:
-        adj: dict[int, list[tuple[int, Weight]]] = {i: [] for i in range(self.n)}
+    def rooted(self) -> list[tuple[int, int, Weight]]:
+        """The tree rooted at 0 as (v, parent, weight of the edge to it),
+        children first, the root last as (0, -1, 2), 2 being no edge: a
+        breadth-first walk over edge_list.  DiagramError when the walk misses
+        a vertex."""
+        nbrs: list[list] = [[] for _ in range(self.n)]
         for i, j, w in self.edge_list:
-            adj[i].append((j, w))
-            adj[j].append((i, w))
-        return adj
-
-    def _component_of(self, start: int) -> set[int]:
-        adj = self.adjacency()
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u, _ in adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return seen
+            nbrs[i].append((j, w))
+            nbrs[j].append((i, w))
+        seen = [False] * self.n
+        seen[0] = True
+        order = [(0, -1, 2)]
+        for v, _, _ in order:  # the list grows while it is walked
+            for c, w in nbrs[v]:
+                if not seen[c]:
+                    seen[c] = True
+                    order.append((c, v, w))
+        if len(order) != self.n:
+            raise DiagramError("tree is not connected")
+        return order[::-1]
 
     def weights_used(self) -> set:
         return {w for _, _, w in self.edge_list}

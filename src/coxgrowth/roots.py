@@ -662,9 +662,10 @@ def largest_root_above_one(p: IntPoly, width: Fraction = DEFAULT_WIDTH) -> RootI
     count.  Salem-type polynomials read so (their other roots have real part
     below 1, and lie in [-4, 0] on T), and 1 is then the certified anchor
     of every window starting at or above 1, which takes no shift of its own.
-    _descartes_largest tries T's estimate, then p's own, and the bisection
-    runs when it declines.  The interval of the largest real root decides,
-    and when it straddles 1, the sign of q(1), q = iv.poly: the root is
+    _descartes_largest tries T's estimate, then g's for p = x^e g(x^2),
+    then p's own (_estimates), and the bisection runs when it declines.
+    The interval of the largest real root decides, and when it straddles 1,
+    the sign of q(1), q = iv.poly: the root is
     simple in q and q has no other root above the lower end, so it lies
     above 1 exactly when q(1) lc(q) < 0.  Raises ValueError for a width <= 0.
     """

@@ -8,6 +8,7 @@ non-realization pipeline for the smallest tetrahedral growth rate.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -176,15 +177,14 @@ def weight4_leaf_replace(tree: WeightedTree, width: Fraction = Fraction(1, 10**1
     if len(heavy) != 1 or heavy[0][2] != 4:
         raise DiagramError("need exactly one non-3 edge, of weight 4")
     i, j, _ = heavy[0]
-    adj = tree.adjacency()
-    deg = {v: len(adj[v]) for v in range(tree.n)}
+    deg = Counter(v for a, b, _ in tree.edge_list for v in (a, b))
     if deg[i] == 1:
         leaf, anchor = i, j
     elif deg[j] == 1:
         leaf, anchor = j, i
     else:
         raise DiagramError("the weight-4 edge must end in a leaf")
-    edges = [(a, b, w) for a, b, w in tree.edge_list if (a, b) != (min(i, j), max(i, j))]
+    edges = [(a, b, w) for a, b, w in tree.edge_list if (a, b) != (i, j)]
     # reuse the old leaf slot for the first new leaf, append the second
     edges += [(anchor, leaf, 3), (anchor, tree.n, 3)]
     replaced = WeightedTree(tree.n + 1, edges)

@@ -27,6 +27,7 @@ symbols, the count of roots in an open interval) live here as well.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -740,7 +741,10 @@ def reference_matching_polynomial(tree: WeightedTree) -> IntPoly:
     child c by an edge of square a gives M_v <- M_v M_c + a y F_v F_c and
     F_v <- F_v M_c.  A subtree that is a hanging path takes its pair from
     _reference_path_pair, so the arms of a star cost no products."""
-    adj = tree.adjacency()
+    adj: list[list] = [[] for _ in range(tree.n)]
+    for i, j, w in tree.edge_list:
+        adj[i].append((j, w))
+        adj[j].append((i, w))
     parent = [-1] * tree.n
     square = [0] * tree.n  # of the edge to the parent
     order = [0]
@@ -1196,6 +1200,11 @@ def expand_trace_form(q: IntPoly, d: int | None = None) -> IntPoly:
         if c:
             out = out + (IntPoly([1, 0, 1]) ** k).shift(d - k) * c
     return out
+
+
+def tree_degrees(tree: WeightedTree) -> collections.Counter:
+    """The degree of each vertex of the tree, read from its edge list."""
+    return collections.Counter(v for i, j, _ in tree.edge_list for v in (i, j))
 
 
 def relabel_tree(tree: WeightedTree, perm: dict[int, int]) -> WeightedTree:

@@ -1,5 +1,6 @@
 import itertools
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -489,3 +490,24 @@ def test_star_parameter_behind_5000_zeros_is_its_value(capsys):
     code, doc, _ = run_json(capsys, "coxtrans", "--star", f"2,3,{_ZEROS}7")
     assert code == 0
     assert doc == run_json(capsys, "coxtrans", "--star", "2,3,7")[1]
+
+
+def _readme_commands() -> list[list[str]]:
+    """The arguments of each `coxgrowth ...` line of README's sh blocks."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = [block.split("```")[0] for block in readme.split("```sh\n")[1:]]
+    return [shlex.split(line, comments=True)[1:] for block in blocks for line in block.splitlines()
+            if line.startswith("coxgrowth ")]
+
+
+def test_readme_lists_commands():
+    assert len(_readme_commands()) >= 17
+
+
+@pytest.mark.parametrize("args", _readme_commands(), ids=" ".join)
+def test_readme_command_exits_zero(capsys, monkeypatch, tmp_path, args):
+    (tmp_path / "diagram.txt").write_text("rank 3\n1 2 3\n2 3 8\n")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("COXGROWTH_SALEM_LIST", raising=False)
+    code, _, err = run_cli(capsys, *args)
+    assert code == 0, err

@@ -25,9 +25,11 @@ from coxgrowth.growth import STEINBERG_RANK_BOUND, _connected_spherical_sets
 from oracles import (
     dihedral_order,
     format_coxeter_symbol,
+    random_tree_edges,
     reference_finite_type,
     signed_permutation_order,
     symmetric_group_order,
+    tree_degrees,
 )
 
 _LONG_DIGITS = "9" * 5000  # past the 4300 digits that int() converts
@@ -185,8 +187,7 @@ def test_star_diagram():
     assert star_diagram(2, 3, 7).n == 10
     assert star_diagram(2, 2, 2).n == 4
     assert star_diagram(2).n == 2
-    deg = {v: len(nb) for v, nb in star_diagram(2, 2, 2).adjacency().items()}
-    assert deg[0] == 3
+    assert tree_degrees(star_diagram(2, 2, 2))[0] == 3
     with pytest.raises(DiagramError):
         star_diagram(1, 3)
 
@@ -196,11 +197,45 @@ def test_h_graph_counts():
     assert h_graph(2, 1, 2).n == 6  # i + j + k + 1
     assert h_graph(3, 4, 3).n == 11
     assert h_graph(2, 1, 3).n == 7
-    deg = sorted(len(nb) for nb in h_graph(2, 8, 3).adjacency().values())
+    deg = sorted(tree_degrees(h_graph(2, 8, 3)).values())
     assert deg.count(3) == 2 and deg.count(1) == 4 and deg.count(2) == 8
     with pytest.raises(DiagramError):
         h_graph(1, 3, 2)
 
+
+@pytest.mark.parametrize("label", [0.5, 1.0])
+def test_weighted_tree_rejects_a_label_that_is_not_an_int(label):
+    with pytest.raises(DiagramError, match="bad edge"):
+        WeightedTree(2, [(0, label, 3)])
+
+
+def test_coxeter_diagram_rejects_a_label_that_is_not_an_int():
+    with pytest.raises(DiagramError, match="bad vertex pair"):
+        CoxeterDiagram(2, {(0, 0.5): 3})
+
+
+def _assert_rooted(tree):
+    order = tree.rooted()
+    pos = {v: k for k, (v, _, _) in enumerate(order)}
+    assert sorted(pos) == list(range(tree.n))  # each vertex once
+    assert order[-1] == (0, -1, 2)
+    assert all(pos[up] > pos[v] for v, up, _ in order[:-1])
+    edges = {(min(v, up), max(v, up), w) for v, up, w in order[:-1]}
+    assert edges == set(tree.edge_list)
+
+
+@pytest.mark.parametrize("tree", [path_tree(1), path_tree(9, INF), star_diagram(2, 5, 3, 4),
+                                  h_graph(2, 8, 3), h_graph(3, 1, 2)])
+def test_rooted_walk_of_the_builder_trees(tree):
+    _assert_rooted(tree)
+
+
+def test_rooted_walk_of_random_trees():
+    rng = random.Random(41)
+    for _ in range(200):
+        n = rng.randint(1, 30)
+        edges = [(i, j, rng.choice([3, 4, 5, 6, INF])) for i, j, _ in random_tree_edges(n, rng)]
+        _assert_rooted(WeightedTree(n, edges))
 
 def _path_from(start, vertices, weight=3):
     """The edges of the path start, vertices[0], vertices[1], ..."""
@@ -498,14 +533,18 @@ def test_dominates_partial_order_properties():
 
 
 def test_weighted_tree_validation():
-    with pytest.raises(DiagramError):
+    with pytest.raises(DiagramError, match="n-1 edges"):
         WeightedTree(3, [(0, 1, 3)])  # not enough edges
-    with pytest.raises(DiagramError):
-        WeightedTree(3, [(0, 1, 3), (0, 1, 3)])  # duplicate
-    with pytest.raises(DiagramError):
-        WeightedTree(4, [(0, 1, 3), (0, 2, 3), (1, 2, 3)])  # cycle, disconnected
-    with pytest.raises(DiagramError):
-        WeightedTree(2, [(0, 1, 2)])  # weight below 3
+    with pytest.raises(DiagramError, match=r"bad edge \(0, 3\)"):
+        WeightedTree(3, [(0, 1, 3), (3, 0, 3)])  # label out of range
+    with pytest.raises(DiagramError, match=r"bad edge \(1, 1\)"):
+        WeightedTree(2, [(1, 1, 3)])  # loop
+    with pytest.raises(DiagramError, match=r"duplicate edge \(0, 1\)"):
+        WeightedTree(3, [(0, 1, 3), (0, 1, 3)])
+    with pytest.raises(DiagramError, match="not connected"):
+        WeightedTree(4, [(0, 1, 3), (0, 2, 3), (1, 2, 3)])  # a cycle through 0 misses 3
+    with pytest.raises(DiagramError, match="must be >= 3 or inf, got 2"):
+        WeightedTree(2, [(0, 1, 2)])
     t = path_tree(4)
     assert t.to_diagram().weight(0, 1) == 3
     assert t.to_diagram().weight(0, 2) == 2

@@ -27,6 +27,7 @@ from oracles import (
     reference_counts_with_multiplicity,
     reference_isolate_largest,
     reference_tree_polynomials,
+    tree_degrees,
     with_edge_weight,
 )
 
@@ -218,8 +219,8 @@ def test_subgraph_monotonicity():
         n = rng.randint(3, 12)
         tree = WeightedTree(n, random_tree_edges(n, rng))
         # grab a random subtree by deleting a leaf
-        adj = tree.adjacency()
-        leaf = next(v for v in range(n) if len(adj[v]) == 1)
+        deg = tree_degrees(tree)
+        leaf = next(v for v in range(n) if deg[v] == 1)
         keep = [v for v in range(n) if v != leaf]
         relabel = {v: i for i, v in enumerate(keep)}
         sub = WeightedTree(n - 1, [(relabel[i], relabel[j], w)
@@ -254,8 +255,8 @@ def test_weight4_leaf_replace_path():
 @pytest.mark.parametrize("params", [(2, 4, 5), (2, 3, 7)])
 def test_weight4_leaf_replace_promoted_star(params):
     s = star_diagram(*params)
-    adj = s.adjacency()
-    i, j, _ = next(e for e in s.edge_list if len(adj[e[0]]) == 1 or len(adj[e[1]]) == 1)
+    deg = tree_degrees(s)
+    i, j, _ = next(e for e in s.edge_list if deg[e[0]] == 1 or deg[e[1]] == 1)
     res = weight4_leaf_replace(with_edge_weight(s, i, j, 4))
     assert res.certified_equal
     assert res.original_radius.overlaps(res.replaced_radius)
