@@ -15,7 +15,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import coxtrans, growth, salemdb, spectra
@@ -33,11 +32,11 @@ from .diagram import (
 )
 from .intpoly import INT_DIGITS_BOUND, _digits_value, parse_poly
 from .numclass import classify, strip_cyclotomic
+from .record import Record
 from .roots import RootInterval
 
 
-@dataclass
-class CommandResult:
+class CommandResult(Record, frozen=False):
     command: str
     payload: dict
     exit_code: int = 0

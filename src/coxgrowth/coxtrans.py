@@ -15,12 +15,12 @@ is sum_k (-1)^k m_k x^(n-2k), the Coxeter polynomial sum_k (-1)^k m_k
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .diagram import INF, DiagramError, WeightedTree, _star_size
 from .growth import polygon_delta
 from .intpoly import IntPoly, _signed_digits, resultant_eliminate
+from .record import Record
 from .roots import DEFAULT_WIDTH, RootInterval, largest_root_above_one, sqrt_interval
 
 # 4cos^2(pi/m) for the weights with rational value; 2, no edge, is the root's
@@ -62,8 +62,7 @@ def _weight3_rooted(tree: WeightedTree) -> list[tuple[int, int, int]]:
     return _rooted(tree)
 
 
-@dataclass(frozen=True)
-class BipartiteOrder:
+class BipartiteOrder(Record):
     """A two-coloring of a weight-3 tree with the vertex order V1 then V2.
 
     The biadjacency block X has 0/1 entries, rows indexed by V1 and columns

@@ -12,9 +12,9 @@ import functools
 import math
 import operator
 import re
-from dataclasses import dataclass
 
 from .intpoly import _digits_value
+from .record import Record
 
 
 class _Infinity:
@@ -80,14 +80,15 @@ class DiagramError(ValueError):
 STEINBERG_RANK_BOUND = 20
 
 
-@dataclass(frozen=True, init=False)
-class CoxeterDiagram:
+class CoxeterDiagram(Record):
     """A finite-rank Coxeter system: symmetric weight table with m_ii = 1."""
 
     n: int
     weights: tuple[tuple[Weight, ...], ...]
 
     def __init__(self, n: int, edges: dict[tuple[int, int], Weight] | None = None):
+        if not isinstance(n, int):
+            raise DiagramError(f"rank must be an integer, got {n!r}")
         if n < 1:
             raise DiagramError("rank must be at least 1")
         table = [[2] * n for _ in range(n)]
@@ -272,30 +273,37 @@ def polygon_is_hyperbolic(ps) -> bool:
     return sum(whole // p for p in ps) * whole < (len(ps) - 2) * whole * whole
 
 
-@dataclass(frozen=True, init=False)
-class WeightedTree:
+class WeightedTree(Record):
     """A tree on vertices 0..n-1 with edge weights >= 3 or INF."""
 
     n: int
     edge_list: tuple[tuple[int, int, Weight], ...]
 
     def __init__(self, n: int, edge_list):
-        edge_list = tuple((min(i, j), max(i, j), w) for i, j, w in edge_list)
+        if not isinstance(n, int):
+            raise DiagramError(f"vertex count must be an integer, got {n!r}")
         if n < 1:
             raise DiagramError("tree needs at least one vertex")
+        edge_list = tuple(edge_list)
         if len(edge_list) != n - 1:
             raise DiagramError("a tree on n vertices has n-1 edges")
+        edges = []
         seen = set()
         for i, j, w in edge_list:
-            if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < j < n):
+            if not (isinstance(i, int) and isinstance(j, int)):
+                raise DiagramError(f"bad edge ({i}, {j})")
+            if i > j:
+                i, j = j, i
+            if not 0 <= i < j < n:
                 raise DiagramError(f"bad edge ({i}, {j})")
             if (i, j) in seen:
                 raise DiagramError(f"duplicate edge ({i}, {j})")
             seen.add((i, j))
             if w is not INF and (not isinstance(w, int) or w < 3):
                 raise DiagramError(f"tree edge weight must be >= 3 or inf, got {w!r}")
+            edges.append((i, j, w))
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edge_list", edge_list)
+        object.__setattr__(self, "edge_list", tuple(edges))
         self.rooted()  # the connectivity check
 
     def rooted(self) -> list[tuple[int, int, Weight]]:
@@ -388,8 +396,7 @@ def h_graph(i: int, j: int, k: int) -> WeightedTree:
 # -- spherical classification -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SphericalType:
+class SphericalType(Record):
     """A connected spherical component with its exponents."""
 
     family: str

@@ -24,13 +24,13 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .diagram import STEINBERG_RANK_BOUND, CoxeterDiagram, dominates, polygon_is_hyperbolic
 from .diagram import _bits, _edge_masks, _grow, _path_type
 from .intpoly import ONE, IntPoly, bracket, cyclotomic, exact_div, poly_gcd
 from .intpoly import _cyclotomic_product, _divide_cyclotomic, _pack, _signed_digits
+from .record import Fresh, Record
 from .roots import (
     DEFAULT_WIDTH,
     RootInterval,
@@ -50,8 +50,7 @@ class NotExponentialError(ValueError):
     """The growth series has no pole in (0, 1): growth rate 1 or below."""
 
 
-@dataclass(frozen=True, init=False)
-class GrowthFunction:
+class GrowthFunction(Record):
     """A reduced rational function num/den over Z[t].
 
     Normalized so that gcd(num, den) = 1, the two have coprime contents, and
@@ -334,8 +333,7 @@ def series_coefficients(f: GrowthFunction, count: int) -> list[int]:
     return [int(c) for c in out]
 
 
-@dataclass(frozen=True)
-class MonotonicityResult:
+class MonotonicityResult(Record):
     passed: bool
     low_rate: RootInterval | None = None
     high_rate: RootInterval | None = None
@@ -374,15 +372,13 @@ def positive_on(p: IntPoly, upper: Fraction | int) -> bool:
     return p.sign_at(upper) > 0 and sturm_count(p, 0, upper) == 0
 
 
-@dataclass(frozen=True)
-class CaseReport:
+class CaseReport(Record):
     name: str
     passed: bool
-    details: dict = field(default_factory=dict)
+    details: dict = Fresh(dict)
 
 
-@dataclass(frozen=True)
-class SecondMinimalReport:
+class SecondMinimalReport(Record):
     """Certification that the (2, 3, 8) triangle has the second-smallest rate."""
 
     passed: bool

@@ -27,16 +27,16 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .record import Record
 
 
 class ExactDivisionError(ArithmeticError):
     """Raised when a polynomial division that must be exact leaves a remainder."""
 
 
-@dataclass(frozen=True, init=False)
-class IntPoly:
+class IntPoly(Record):
     """A polynomial over the integers, e.g. IntPoly([1, 0, -2]) is 1 - 2t^2."""
 
     coeffs: tuple[int, ...]
@@ -49,6 +49,16 @@ class IntPoly:
             if not isinstance(c, int):
                 raise TypeError(f"integer coefficient expected, got {c!r}")
         object.__setattr__(self, "coeffs", tuple(cs))
+
+    # Direct rather than Record's generic pair: IntPoly equality and hashes
+    # are on hot paths (reciprocity_type, the star and growth checks).
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.coeffs,))
 
     # -- basic queries ----------------------------------------------------
 

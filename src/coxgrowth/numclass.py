@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .intpoly import (
@@ -28,17 +27,17 @@ from .intpoly import (
     squarefree_part,
 )
 from . import roots
+from .record import Record
 from .roots import _cauchy_index_and_gcd, largest_root_above_one
 
 
-@dataclass(frozen=True)
-class NumberClass:
+class NumberClass(Record):
     """Exact root location counts of a polynomial relative to the unit circle."""
 
     roots_outside_unit_disk: int
     roots_on_unit_circle: int
     roots_inside: int
-    labels: frozenset[str] = field(default_factory=frozenset)
+    labels: frozenset[str] = frozenset()
 
     @property
     def degree(self) -> int:
@@ -61,17 +60,41 @@ def strip_cyclotomic(p: IntPoly) -> tuple[IntPoly, list[tuple[int, int]]]:
 
 @functools.cache
 def _cyclotomic_candidates(d: int) -> tuple[tuple[int, int], ...]:
+    """(n, phi(n)) for every n with phi(n) <= d, ascending in n; (1, 1) alone
+    for d < 1.  Taken from the table of the least power of two >= d, so that
+    a run of new degrees builds a table only when it passes a power of two."""
+    if d < 1:
+        return ((1, 1),)
+    return tuple(c for c in _candidate_table(1 << (d - 1).bit_length()) if c[1] <= d)
+
+
+@functools.cache
+def _candidate_table(d: int) -> tuple[tuple[int, int], ...]:
     """(n, phi(n)) for every n with phi(n) <= d, ascending in n.  Each prime q
-    of such an n has q - 1 <= d, so each prime q <= d + 1 in turn extends
-    the list so far by its products with the powers of q, while phi <= d."""
-    out = [(1, 1)]
+    of such an n has q - 1 <= d.  walk(i, n, f) lists n, of totient f, times
+    every product of powers of the primes from the i-th on, taken in
+    increasing order, and stops at the first prime that takes phi past d."""
+    sieve = bytearray([1]) * (d + 2)
+    primes = []
     for q in range(2, d + 2):
-        if all(q % r for r in range(2, math.isqrt(q) + 1)):
-            for n, phi in list(out):
-                m, f = n * q, phi * (q - 1)
-                while f <= d:
-                    out.append((m, f))
-                    m, f = m * q, f * q
+        if sieve[q]:
+            primes.append(q)
+            sieve[q * q::q] = bytes(len(sieve[q * q::q]))
+    out = []
+
+    def walk(i: int, n: int, f: int) -> None:
+        out.append((n, f))
+        for q in primes[i:]:
+            g = f * (q - 1)
+            if g > d:
+                break
+            i += 1
+            m = n * q
+            while g <= d:
+                walk(i, m, g)
+                m, g = m * q, g * q
+
+    walk(0, 1, 1)
     return tuple(sorted(out))
 
 

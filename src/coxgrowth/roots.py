@@ -64,11 +64,11 @@ separates them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .intpoly import (IntPoly, _sign_at, _signed_digits, _signed_remainders, _taylor_shift, poly_gcd,
                       squarefree_part)
+from .record import Record
 
 DEFAULT_WIDTH = Fraction(1, 10**9)
 
@@ -94,8 +94,7 @@ class NoRealRootError(ValueError):
     """Raised when root isolation is requested for a polynomial without real roots."""
 
 
-@dataclass(frozen=True, init=False)
-class RootInterval:
+class RootInterval(Record):
     """A rational interval certified to contain exactly one real root of poly
     in (low, high], and that root simple in poly.
 

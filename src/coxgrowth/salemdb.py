@@ -12,11 +12,11 @@ from __future__ import annotations
 import functools
 import importlib.resources
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .intpoly import INT_DIGITS_BOUND, IntPoly, _digits_value, parse_poly, reciprocity_type
 from .numclass import strip_cyclotomic, unit_circle_root_count
+from .record import Record
 from .roots import RootInterval, compare, isolate_largest_real_root, largest_root_above_one
 from .growth import growth_rate, polygon_delta, polygon_growth, polygon_rate_compare, steinberg_growth
 from .diagram import CoxeterDiagram, polygon_is_hyperbolic
@@ -28,8 +28,7 @@ class SalemListError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SalemEntry:
+class SalemEntry(Record):
     poly: IntPoly
     hint: str
     interval: RootInterval  # certified on load; the hint is advisory only
@@ -117,8 +116,7 @@ def load_salem_list(path=None) -> list[SalemEntry]:
         return _load_text(fh.read())
 
 
-@dataclass(frozen=True)
-class GapReport:
+class GapReport(Record):
     """Partition of a Salem list against the two smallest polygonal rates."""
 
     below_first: tuple[SalemEntry, ...]
@@ -172,13 +170,11 @@ def gap_report(entries: list[SalemEntry], assume_full: bool = False) -> GapRepor
                      r1, r2, assume_full)
 
 
-@dataclass(frozen=True)
-class RealizationMatch:
+class RealizationMatch(Record):
     params: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class RealizationSearchResult:
+class RealizationSearchResult(Record):
     target: IntPoly
     matches: tuple[RealizationMatch, ...]
     tuples_examined: int

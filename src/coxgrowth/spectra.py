@@ -9,12 +9,12 @@ non-realization pipeline for the smallest tetrahedral growth rate.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .diagram import CoxeterDiagram, DiagramError, WeightedTree, h_graph, star_diagram
 from .intpoly import IntPoly
 from .numclass import strip_cyclotomic
+from .record import Fresh, Record
 from .roots import (DEFAULT_WIDTH, RootInterval, _check_width, certify_strictly_less, compare,
                     isolate_largest_real_root, root_bound, sturm_count)
 from .coxtrans import _rooted, _tree_polynomial, _weight3_rooted, alpha_from_lambda
@@ -93,8 +93,7 @@ def _adjacency_radius(rooted: list, width: Fraction) -> RootInterval:
 # -- the small-spectral-radius tree families -----------------------------------------
 
 
-@dataclass(frozen=True)
-class TreeFamilyItem:
+class TreeFamilyItem(Record):
     """One tree from the classification of adjacency spectral radius in
     (2, sqrt(2 + sqrt 5)), tagged by its family."""
 
@@ -156,8 +155,7 @@ def brouwer_neumaier_enumerate(r_max: int = 25, j_max: int = 25) -> list[TreeFam
 # -- weight-4 leaf replacement ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LeafReplacementResult:
+class LeafReplacementResult(Record):
     original: WeightedTree
     replaced: WeightedTree
     original_radius: RootInterval
@@ -216,23 +214,21 @@ TABLE1 = (
 PROP52_BOUND = 40
 
 
-@dataclass(frozen=True)
-class CertifiedComparison:
+class CertifiedComparison(Record):
     label: str
     params: tuple[int, ...]
     radius: RootInterval
     side: str  # 'below' or 'above' the reference value
 
 
-@dataclass(frozen=True)
-class Alpha0Report:
+class Alpha0Report(Record):
     passed: bool
     alpha0: RootInterval
     alpha_poly: IntPoly
     items_checked: int
     items_below: int
     items_above: int
-    monotone_families: dict = field(default_factory=dict)
+    monotone_families: dict = Fresh(dict)
     bracketing: tuple[CertifiedComparison, ...] = ()
 
 
@@ -321,8 +317,7 @@ def verify_alpha0_not_tree_radius(r_max: int = 25, j_max: int = 25) -> Alpha0Rep
                         mono, brackets)
 
 
-@dataclass(frozen=True)
-class Prop52Report:
+class Prop52Report(Record):
     passed: bool
     lambda0: RootInterval
     alpha0: RootInterval

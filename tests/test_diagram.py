@@ -214,6 +214,21 @@ def test_coxeter_diagram_rejects_a_label_that_is_not_an_int():
         CoxeterDiagram(2, {(0, 0.5): 3})
 
 
+def test_weighted_tree_rejects_a_vertex_count_that_is_not_an_int():
+    with pytest.raises(DiagramError, match="vertex count must be an integer, got 2.0"):
+        WeightedTree(2.0, [(0, 1, 3)])
+
+
+def test_coxeter_diagram_rejects_a_rank_that_is_not_an_int():
+    with pytest.raises(DiagramError, match="rank must be an integer, got 2.0"):
+        CoxeterDiagram(2.0, {})
+
+
+def test_weighted_tree_rejects_a_label_that_does_not_compare_with_an_int():
+    with pytest.raises(DiagramError, match=r"bad edge \(0, a\)"):
+        WeightedTree(2, [(0, "a", 3)])
+
+
 def _assert_rooted(tree):
     order = tree.rooted()
     pos = {v: k for k, (v, _, _) in enumerate(order)}

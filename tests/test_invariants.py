@@ -60,6 +60,24 @@ def test_remainder_sequences_come_only_from_roots(path):
     assert lines == [], f"{path.name} calls pseudo_rem or _divide at lines {lines}"
 
 
+_CODE_GENERATORS = {"dataclasses", "namedtuple", "NamedTuple"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_importing_generates_no_code(path):
+    # dataclasses and named tuples write their methods as source and exec it
+    # when the class is made, and dataclasses imports inspect: records
+    # subclass coxgrowth.record.Record, so importing the package execs nothing
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+             or isinstance(node, ast.alias) and node.name in _CODE_GENERATORS
+             or isinstance(node, ast.Attribute) and node.attr in _CODE_GENERATORS
+             or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in {"exec", "eval"}]
+    assert lines == [], f"{path.name} generates code at lines {lines}"
+
+
 def _imported_names(tree: ast.Module) -> dict[str, int]:
     """The names that the module's imports bind, each with its line."""
     bound = {}

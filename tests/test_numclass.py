@@ -209,6 +209,14 @@ def test_cyclotomic_candidates_are_the_sieve_set():
         got = list(_cyclotomic_candidates(d))
         assert got == [(n, phi[n]) for n in range(1, 2 * d * d + 7) if phi[n] <= d], d
     assert len(_cyclotomic_candidates(64)) == 127
+    # the lists do not depend on the order the degrees are asked in
+    want = {d: _cyclotomic_candidates(d) for d in range(121)}
+    assert want[0] == ((1, 1),)
+    degrees = list(range(120, -1, -1))
+    for order in (degrees, random.Random(7).sample(degrees, len(degrees))):
+        _cyclotomic_candidates.cache_clear()
+        numclass._candidate_table.cache_clear()
+        assert [_cyclotomic_candidates(d) for d in order] == [want[d] for d in order]
 
 
 def test_cyclotomic_probe_values():
