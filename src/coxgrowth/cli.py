@@ -36,7 +36,7 @@ from .record import Record
 from .roots import RootInterval
 
 
-class CommandResult(Record, frozen=False):
+class CommandResult(Record):
     command: str
     payload: dict
     exit_code: int = 0

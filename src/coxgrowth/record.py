@@ -13,8 +13,7 @@ A record keeps what the frozen classes of that decorator gave: __init__ by
 position or keyword with the same defaults, equality with records of the same
 class only, a hash of the field values, the repr Name(field=value, ...), and
 no assignment or deletion of a field.  Fields live in the instance __dict__,
-which copy and pickle restore without calling __setattr__.  A subclass made
-with frozen=False allows assignment and has no hash.
+which copy and pickle restore without calling __setattr__.
 """
 
 from __future__ import annotations
@@ -46,11 +45,11 @@ def _init(names: tuple[str, ...], defaults: dict):
         if kwargs or not required <= len(args) <= n:
             if len(args) > n or not kwargs.keys().isdisjoint(names[:len(args)]):
                 raise TypeError(f"{type(self).__name__}() takes at most {n} fields, each once")
+            if kwargs.keys() - names:
+                raise TypeError(f"{type(self).__name__}() got unknown fields {sorted(kwargs.keys() - names)}")
             state.update(kwargs)
             if len(state) != n:
-                missing = [name for name in names if name not in state]
-                unknown = [name for name in state if name not in names]
-                raise TypeError(f"{type(self).__name__}() missing fields {missing}, unknown fields {unknown}")
+                raise TypeError(f"{type(self).__name__}() missing fields {[f for f in names if f not in state]}")
         for name, default in fresh:
             if state[name] is default:
                 state[name] = default.factory()
@@ -61,7 +60,7 @@ def _init(names: tuple[str, ...], defaults: dict):
 class Record:
     """The base of a value class whose fields are its own annotations."""
 
-    def __init_subclass__(cls, frozen=True, **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = names = tuple(cls.__dict__.get("__annotations__", ()))
         if "__init__" not in cls.__dict__:
@@ -69,10 +68,6 @@ class Record:
         get = attrgetter(*names)
         # the field values as a tuple: attrgetter gives a bare value for one name
         cls._values = staticmethod(get if len(names) > 1 else lambda obj: (get(obj),))
-        if not frozen:
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
-            cls.__hash__ = None
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
