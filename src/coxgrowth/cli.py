@@ -33,7 +33,7 @@ from .diagram import (
 from .intpoly import INT_DIGITS_BOUND, _digits_value, parse_poly
 from .numclass import classify, strip_cyclotomic
 from .record import Record
-from .roots import RootInterval
+from .roots import DEFAULT_WIDTH, RootInterval
 
 
 class CommandResult(Record):
@@ -249,7 +249,6 @@ def _cmd_salem(args) -> CommandResult:
         "entries": len(entries),
         "source": path or "bundled mini list",
     }
-    exit_code = 0
     if args.gap:
         rep = salemdb.gap_report(entries, assume_full=bool(path))
         payload["gap"] = {
@@ -279,7 +278,7 @@ def _cmd_salem(args) -> CommandResult:
             "matches": [list(m.params) for m in res.matches],
             "tuples_examined": res.tuples_examined,
         }
-    return CommandResult("salem", payload, exit_code)
+    return CommandResult("salem", payload)
 
 
 # The largest --max-k and --max-p of salem --search and verify delta-phi, theorem2
@@ -426,7 +425,7 @@ def _common_options(parser, suppress: bool):
                         help="omit the timestamp field",
                         **({"default": d} if suppress else {}))
     parser.add_argument("--width", type=_parse_width,
-                        default=argparse.SUPPRESS if suppress else Fraction(1, 10**9),
+                        default=argparse.SUPPRESS if suppress else DEFAULT_WIDTH,
                         help="certified interval width (default 1e-9)")
 
 
@@ -536,8 +535,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(_join_coefficient_values(sys.argv[1:] if argv is None else argv))
     try:
         result: CommandResult = args.func(args)
-    except (DiagramError, ValueError, ArithmeticError, OSError,
-            salemdb.SalemListError, argparse.ArgumentTypeError) as e:
+    except (ValueError, ArithmeticError, OSError, argparse.ArgumentTypeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     if args.json:

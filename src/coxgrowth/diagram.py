@@ -2,8 +2,8 @@
 recognition, and the domination order.
 
 Vertices are 0-based internally; the text file format uses 1-based indices.
-An edge weight of infinity is represented by the module-level tag INF, never
-by a sentinel integer.
+The infinite edge weight INF = math.inf orders above every integer weight, so
+weights compare with plain <=, and it prints as inf.
 """
 
 from __future__ import annotations
@@ -17,35 +17,9 @@ from .intpoly import _digits_value
 from .record import Record
 
 
-class _Infinity:
-    """Order-infinity edge weight tag."""
+INF = math.inf
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "inf"
-
-    def __reduce__(self):  # keep the singleton under pickling
-        return (_Infinity, ())
-
-
-INF = _Infinity()
-
-Weight = int | _Infinity
-
-
-def weight_leq(a: Weight, b: Weight) -> bool:
-    """The order on weights with INF as the top element."""
-    if b is INF:
-        return True
-    if a is INF:
-        return False
-    return a <= b
+Weight = int | float
 
 
 # The largest integer edge weight of a symbol, a diagram file or a polygon: on a 2-CPU host
@@ -98,7 +72,7 @@ class CoxeterDiagram(Record):
             if not (isinstance(i, int) and isinstance(j, int)
                     and i != j and 0 <= i < n and 0 <= j < n):
                 raise DiagramError(f"bad vertex pair ({i}, {j})")
-            if m is not INF and (not isinstance(m, int) or m < 2):
+            if not (isinstance(m, int) or m == INF) or m < 2:
                 raise DiagramError(f"bad weight {m!r} for pair ({i}, {j})")
             table[i][j] = table[j][i] = m
         object.__setattr__(self, "n", n)
@@ -111,7 +85,7 @@ class CoxeterDiagram(Record):
         """Pairs with weight >= 3 (the drawn edges of the diagram)."""
         return [(i, j, self.weights[i][j])
                 for i in range(self.n) for j in range(i + 1, self.n)
-                if self.weights[i][j] is INF or self.weights[i][j] >= 3]
+                if self.weights[i][j] >= 3]
 
     def subdiagram(self, vertices: tuple[int, ...]) -> "CoxeterDiagram":
         idx = {v: k for k, v in enumerate(vertices)}
@@ -177,7 +151,7 @@ def parse_coxeter_symbol(text: str) -> CoxeterDiagram:
             w = parse_weight(item)
         except ValueError as e:
             fail(str(e), pos)
-        if w is not INF and w < 3:
+        if w < 3:
             fail(f"weight {w} below 3 in symbol position", pos)
         weights.extend([w] * rep)
     if cyclic and len(weights) < 3:
@@ -225,7 +199,7 @@ def diagram_from_text(text: str) -> CoxeterDiagram:
         key = (min(i, j) - 1, max(i, j) - 1)
         if key in edges:
             raise DiagramError(f"line {no}: duplicate pair {i} {j}")
-        if w is not INF and w < 2:
+        if w < 2:
             raise DiagramError(f"line {no}: weight below 2")
         edges[key] = w
     return CoxeterDiagram(n, edges)
@@ -274,7 +248,7 @@ def polygon_is_hyperbolic(ps) -> bool:
 
 
 class WeightedTree(Record):
-    """A tree on vertices 0..n-1 with edge weights >= 3 or INF."""
+    """A tree on vertices 0..n-1 with integer edge weights >= 3 or INF."""
 
     n: int
     edge_list: tuple[tuple[int, int, Weight], ...]
@@ -299,7 +273,7 @@ class WeightedTree(Record):
             if (i, j) in seen:
                 raise DiagramError(f"duplicate edge ({i}, {j})")
             seen.add((i, j))
-            if w is not INF and (not isinstance(w, int) or w < 3):
+            if not (isinstance(w, int) or w == INF) or w < 3:
                 raise DiagramError(f"tree edge weight must be >= 3 or inf, got {w!r}")
             edges.append((i, j, w))
         object.__setattr__(self, "n", n)
@@ -437,10 +411,10 @@ def _bits(mask: int):
 
 
 def _edge_masks(d: CoxeterDiagram) -> tuple[list[int], list[int]]:
-    """Per vertex, the bitmask of its neighbours (weight >= 3 or INF) and
-    the bitmask of those joined to it by INF."""
-    nbr = [sum(1 << j for j, w in enumerate(row) if w is INF or w >= 3) for row in d.weights]
-    inf = [sum(1 << j for j, w in enumerate(row) if w is INF) for row in d.weights]
+    """Per vertex, the bitmask of its neighbours (weight >= 3, INF too)
+    and the bitmask of those joined to it by INF."""
+    nbr = [sum(1 << j for j, w in enumerate(row) if w >= 3) for row in d.weights]
+    inf = [sum(1 << j for j, w in enumerate(row) if w == INF) for row in d.weights]
     return nbr, inf
 
 
@@ -549,7 +523,7 @@ def finite_type_recognize(d: CoxeterDiagram) -> list[SphericalType] | None:
 DOMINATION_RANK_BOUND = 12
 
 
-def _injection_exists(d: CoxeterDiagram, e: CoxeterDiagram, related=weight_leq) -> bool:
+def _injection_exists(d: CoxeterDiagram, e: CoxeterDiagram, related=operator.le) -> bool:
     """Is there an injection of d's vertices into e's with related(m, m') on every pair?"""
     if d.n > e.n:
         return False

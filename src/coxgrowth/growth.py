@@ -30,7 +30,7 @@ from .diagram import STEINBERG_RANK_BOUND, CoxeterDiagram, dominates, polygon_is
 from .diagram import _bits, _edge_masks, _grow, _path_type
 from .intpoly import ONE, IntPoly, bracket, cyclotomic, exact_div, poly_gcd
 from .intpoly import _cyclotomic_product, _divide_cyclotomic, _pack, _signed_digits
-from .record import Fresh, Record
+from .record import Record
 from .roots import (
     DEFAULT_WIDTH,
     RootInterval,
@@ -136,7 +136,7 @@ def _connected_spherical_sets(d: CoxeterDiagram) -> dict[int, tuple[Counter[int]
     factorization and the bitmask of the set and its neighbours.  Sets with
     the same exponents share one factorization, which callers only read.
 
-    An edge is a weight >= 3 or INF.  The neighbour and INF bitmasks of the
+    An edge is a weight >= 3 (INF too).  The neighbour and INF bitmasks of the
     vertices are built once.  Sets grow from singletons, one-vertex paths, by
     one neighbour v (a bit of near & ~mask) at a time, and each candidate is
     typed once; a v with two neighbours or an INF edge in the set closes a
@@ -375,7 +375,7 @@ def positive_on(p: IntPoly, upper: Fraction | int) -> bool:
 class CaseReport(Record):
     name: str
     passed: bool
-    details: dict = Fresh(dict)
+    details: dict
 
 
 class SecondMinimalReport(Record):

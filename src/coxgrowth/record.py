@@ -1,13 +1,13 @@
 """Immutable value classes with no code generated at import.
 
 A subclass of Record lists its fields as annotations, in order, with optional
-defaults; a default written Fresh(factory) is made anew by factory() for each
-instance.  Once per subclass, __init_subclass__ reads the fields and makes
-the __init__ (a closure); equality, hash, repr and the guards are the plain
-methods below.  This module exists so that importing the package execs no
-source: the standard library's decorator for such classes writes their
-methods as source and execs it, about half a millisecond a class, and
-importing it pulls in inspect.
+defaults, which every instance shares, so each must be immutable.  Once per
+subclass, __init_subclass__ reads the fields and makes the __init__ (a
+closure); equality, hash, repr and the guards are the plain methods below.
+This module exists so that importing the package execs no source: the
+standard library's decorator for such classes writes their methods as source
+and execs it, about half a millisecond a class, and importing it pulls in
+inspect.
 
 A record keeps what the frozen classes of that decorator gave: __init__ by
 position or keyword with the same defaults, equality with records of the same
@@ -21,20 +21,12 @@ from __future__ import annotations
 from operator import attrgetter
 
 
-class Fresh:
-    """A field default made by calling factory() for each instance."""
-
-    def __init__(self, factory):
-        self.factory = factory
-
-
 def _init(names: tuple[str, ...], defaults: dict):
     """The __init__ of a record with these fields and defaults: a closure, so
     the call reads them from cells.  A call by position alone fills every
     field when it gives at least the fields up to the last one without a
     default; any other call takes the checked path."""
     n = len(names)
-    fresh = tuple((name, d) for name, d in defaults.items() if isinstance(d, Fresh))
     required = max((i + 1 for i, name in enumerate(names) if name not in defaults), default=0)
 
     def __init__(self, *args, **kwargs):
@@ -50,9 +42,6 @@ def _init(names: tuple[str, ...], defaults: dict):
             state.update(kwargs)
             if len(state) != n:
                 raise TypeError(f"{type(self).__name__}() missing fields {[f for f in names if f not in state]}")
-        for name, default in fresh:
-            if state[name] is default:
-                state[name] = default.factory()
 
     return __init__
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .diagram import CoxeterDiagram, DiagramError, WeightedTree, h_graph, star_diagram
 from .intpoly import IntPoly
 from .numclass import strip_cyclotomic
-from .record import Fresh, Record
+from .record import Record
 from .roots import (DEFAULT_WIDTH, RootInterval, _check_width, certify_strictly_less, compare,
                     isolate_largest_real_root, root_bound, sturm_count)
 from .coxtrans import _rooted, _tree_polynomial, _weight3_rooted, alpha_from_lambda
@@ -228,7 +228,7 @@ class Alpha0Report(Record):
     items_checked: int
     items_below: int
     items_above: int
-    monotone_families: dict = Fresh(dict)
+    monotone_families: dict
     bracketing: tuple[CertifiedComparison, ...] = ()
 
 

@@ -18,11 +18,13 @@ the alternating sum over every one of the 2^n vertex subsets, cyclotomic
 factors from trial division by every Phi_n with phi(n) <= deg over a totient
 sieve, Perron verdicts from Schur-Cohn counts of p(ct) at 40-bit scales c just
 below the top root (isolated on the reference Sturm chains), spherical types
-from a component search over a copy of each subdiagram's weight table.  None
-of these are production paths; they exist to cross-check the exact
-implementations.  A few helpers that only tests use (Solomon's growth
-polynomial, the reciprocity check of a growth series, the printing of Coxeter
-symbols, the count of roots in an open interval) live here as well.
+from a component search over a copy of each subdiagram's weight table, the
+domination order from every injection of vertices, with weights ordered by an
+explicit key that puts infinity on top.  None of these are production paths;
+they exist to cross-check the exact implementations.  A few helpers that only
+tests use (Solomon's growth polynomial, the reciprocity check of a growth
+series, the printing of Coxeter symbols, the count of roots in an open
+interval) live here as well.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ def bfs_word_counts(d: CoxeterDiagram, max_length: int) -> list[int]:
                 b[i][j] = 1.0
             else:
                 m = d.weights[i][j]
-                b[i][j] = -1.0 if m is INF else -math.cos(math.pi / m)
+                b[i][j] = -1.0 if m == INF else -math.cos(math.pi / m)
     gens = []
     for i in range(n):
         g = [[1.0 if a == c else 0.0 for c in range(n)] for a in range(n)]
@@ -679,7 +681,7 @@ def reference_disk_counts(s: IntPoly) -> tuple[int, int, int]:
 @functools.cache
 def _edge_square(m) -> int:
     """4cos^2(pi/m), an integer for m in {3, 4, 6, inf}; computed in floating point."""
-    value = 4.0 if m is INF else 4 * math.cos(math.pi / m) ** 2
+    value = 4.0 if m == INF else 4 * math.cos(math.pi / m) ** 2
     if abs(value - round(value)) > 1e-9:
         raise ValueError(f"4cos^2(pi/{m}) is not an integer")
     return round(value)
@@ -864,7 +866,7 @@ def _reference_component_type(d: CoxeterDiagram, vertices: list[int]) -> Spheric
     r = len(vertices)
     sub = [[d.weight(a, b) for b in vertices] for a in vertices]
     for row in sub:
-        if any(w is INF for w in row):
+        if any(w == INF for w in row):
             return None
     if r == 1:
         return SphericalType("A", 1, (1,))
@@ -933,7 +935,7 @@ def reference_finite_type(d: CoxeterDiagram) -> list[SphericalType] | None:
         while stack:
             v = stack.pop()
             for u in range(d.n):
-                if u not in seen and (d.weights[v][u] is INF or d.weights[v][u] >= 3):
+                if u not in seen and (d.weights[v][u] == INF or d.weights[v][u] >= 3):
                     seen.add(u)
                     comp.append(u)
                     stack.append(u)
@@ -942,6 +944,35 @@ def reference_finite_type(d: CoxeterDiagram) -> list[SphericalType] | None:
             return None
         out.append(t)
     return out
+
+
+def _reference_weight_key(w) -> tuple[int, int]:
+    """A key ordering edge weights: the integers by value, infinity above them."""
+    return (1, 0) if w == INF else (0, w)
+
+
+def _reference_injects(d: CoxeterDiagram, e: CoxeterDiagram, related) -> bool:
+    """Whether some injection f of d's vertices into e's has related(m, m') for
+    the weights m of every pair {a, b} and m' of {f(a), f(b)}, by trying each."""
+    return any(all(related(d.weights[a][b], e.weights[f[a]][f[b]])
+                   for a, b in itertools.combinations(range(d.n), 2))
+               for f in itertools.permutations(range(e.n), d.n))
+
+
+def reference_dominates(d: CoxeterDiagram, e: CoxeterDiagram) -> str:
+    """diagram.dominates by brute force: 'isomorphic' for a weight-preserving
+    bijection, else 'less' or 'greater' for an injection that raises no weight
+    in that direction, else 'incomparable'."""
+    def leq(m, m2):
+        return _reference_weight_key(m) <= _reference_weight_key(m2)
+
+    if d.n == e.n and _reference_injects(d, e, lambda m, m2: m == m2):
+        return "isomorphic"
+    if _reference_injects(d, e, leq):
+        return "less"
+    if _reference_injects(e, d, leq):
+        return "greater"
+    return "incomparable"
 
 
 # -- the Steinberg sum over every vertex subset ---------------------------------------------
@@ -980,7 +1011,7 @@ def subset_sweep_growth(d: CoxeterDiagram) -> GrowthFunction:
     verts = list(range(d.n))
     for r in range(1, d.n + 1):
         for subset in itertools.combinations(verts, r):
-            if any(d.weights[a][b] is INF for a, b in itertools.combinations(subset, 2)):
+            if any(d.weights[a][b] == INF for a, b in itertools.combinations(subset, 2)):
                 continue
             types = reference_finite_type(d.subdiagram(subset))
             if types is None:
@@ -1141,7 +1172,7 @@ def format_coxeter_symbol(d: CoxeterDiagram) -> str:
     with weight-2 non-adjacent pairs, or a full cycle, have a symbol.
     """
     def weight(w) -> str:
-        return "inf" if w is INF else str(w)
+        return "inf" if w == INF else str(w)
 
     deg = {i: [] for i in range(d.n)}
     for i, j, _ in d.edges():
@@ -1173,10 +1204,9 @@ def format_coxeter_symbol(d: CoxeterDiagram) -> str:
             if d.weight(a, b) != 2 and b not in deg[a]:
                 raise DiagramError("chords prevent a cyclic symbol")
         ws = [d.weight(order[k], order[(k + 1) % d.n]) for k in range(d.n)]
-        key = lambda w: (1, 0) if w is INF else (0, w)
         best = min(
             (seq[i:] + seq[:i] for seq in (ws, ws[::-1]) for i in range(d.n)),
-            key=lambda seq: [key(w) for w in seq],
+            key=lambda seq: [_reference_weight_key(w) for w in seq],
         )
         parts = []
         for w, group in itertools.groupby(best):

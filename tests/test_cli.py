@@ -1,11 +1,13 @@
 import itertools
 import json
+import re
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from coxgrowth import cli, coxtrans, diagram, growth, salemdb, spectra
+from coxgrowth import cli, coxtrans, diagram, growth, roots, salemdb, spectra
 from coxgrowth.cli import main
 
 
@@ -492,9 +494,12 @@ def test_star_parameter_behind_5000_zeros_is_its_value(capsys):
     assert doc == run_json(capsys, "coxtrans", "--star", "2,3,7")[1]
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def _readme_commands() -> list[list[str]]:
     """The arguments of each `coxgrowth ...` line of README's sh blocks."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = README.read_text()
     blocks = [block.split("```")[0] for block in readme.split("```sh\n")[1:]]
     return [shlex.split(line, comments=True)[1:] for block in blocks for line in block.splitlines()
             if line.startswith("coxgrowth ")]
@@ -511,3 +516,31 @@ def test_readme_command_exits_zero(capsys, monkeypatch, tmp_path, args):
     monkeypatch.delenv("COXGROWTH_SALEM_LIST", raising=False)
     code, _, err = run_cli(capsys, *args)
     assert code == 0, err
+
+
+# Each bound README states, as a pattern over its text with the whitespace
+# collapsed (one group per number), and the values the groups must have
+_README_BOUNDS = [
+    (r"default `(1e-9)`", [roots.DEFAULT_WIDTH]),
+    (r"at least `(1e-1000)`", [cli.MIN_WIDTH]),
+    (r"from (\d+) to (\d+) \(`spectra\.PROP52_BOUND`\)",
+     [cli.build_parser().parse_args(["verify", "prop52"]).rmax, spectra.PROP52_BOUND]),
+    (r"`PROP52_BOUND` = (\d+)", [spectra.PROP52_BOUND]),
+    (r"`--max-k` up to (\d+) and `--max-p` up to (\d+) \(`cli\.VERIFY_MAX_K`, `cli\.VERIFY_MAX_P`",
+     [cli.VERIFY_MAX_K, cli.VERIFY_MAX_P]),
+    (r"degree up to (\d+) \(`cli\.CLASSIFY_DEGREE_BOUND`\)", [cli.CLASSIFY_DEGREE_BOUND]),
+    (r"limited to rank (\d+), the rank bound of the Steinberg sum", [diagram.STEINBERG_RANK_BOUND]),
+    (r"at most (\d+) \(`diagram\.WEIGHT_BOUND`\)", [diagram.WEIGHT_BOUND]),
+    (r"at most (\d+) vertices \(`coxtrans\.TREE_VERTEX_BOUND`\)", [coxtrans.TREE_VERTEX_BOUND]),
+    (r"`TREE_VERTEX_BOUND` = (\d+)", [coxtrans.TREE_VERTEX_BOUND]),
+]
+
+
+def test_readme_bounds_match_constants():
+    text = " ".join(README.read_text().split())
+    for pattern, values in _README_BOUNDS:
+        found = re.findall(pattern, text)
+        assert found, f"README no longer states {pattern!r}"
+        for groups in found:
+            stated = [Fraction(g) for g in ((groups,) if isinstance(groups, str) else groups)]
+            assert stated == values, pattern

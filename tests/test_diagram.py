@@ -1,4 +1,6 @@
 import itertools
+import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -20,12 +22,13 @@ from coxgrowth.diagram import (
     polygon_is_hyperbolic,
     star_diagram,
 )
-from coxgrowth.growth import STEINBERG_RANK_BOUND, _connected_spherical_sets
+from coxgrowth.growth import STEINBERG_RANK_BOUND, _connected_spherical_sets, steinberg_growth
 
 from oracles import (
     dihedral_order,
     format_coxeter_symbol,
     random_tree_edges,
+    reference_dominates,
     reference_finite_type,
     signed_permutation_order,
     symmetric_group_order,
@@ -227,6 +230,16 @@ def test_coxeter_diagram_rejects_a_rank_that_is_not_an_int():
 def test_weighted_tree_rejects_a_label_that_does_not_compare_with_an_int():
     with pytest.raises(DiagramError, match=r"bad edge \(0, a\)"):
         WeightedTree(2, [(0, "a", 3)])
+
+
+def test_infinity_is_the_float_and_other_float_weights_are_rejected():
+    assert CoxeterDiagram(3, {(0, 1): float("inf"), (1, 2): 3}) == CoxeterDiagram(3, {(0, 1): INF, (1, 2): 3})
+    assert WeightedTree(3, [(0, 1, float("inf")), (1, 2, 3)]) == WeightedTree(3, [(0, 1, INF), (1, 2, 3)])
+    for w in (math.nan, -math.inf, 3.0, 2.5):
+        with pytest.raises(DiagramError, match="bad weight"):
+            CoxeterDiagram(2, {(0, 1): w})
+        with pytest.raises(DiagramError, match="must be >= 3 or inf"):
+            WeightedTree(2, [(0, 1, w)])
 
 
 def _assert_rooted(tree):
@@ -545,6 +558,59 @@ def test_dominates_partial_order_properties():
     for a, b, c in itertools.permutations(pool, 3):
         if dominates(a, b) == "less" and dominates(b, c) == "less":
             assert dominates(a, c) == "less"
+
+
+_DOMINATION_WEIGHTS = [2, 3, 4, 6, INF]  # in increasing order
+
+
+def _random_weight_table(rng, n: int) -> CoxeterDiagram:
+    """A diagram of rank n with each pair's weight drawn from _DOMINATION_WEIGHTS."""
+    return CoxeterDiagram(n, {(i, j): rng.choice(_DOMINATION_WEIGHTS)
+                              for i, j in itertools.combinations(range(n), 2)})
+
+
+def test_dominates_matches_brute_force():
+    """Against every injection, on random pairs of rank <= 5 and on pairs
+    built to be isomorphic (a relabelling), dominated (weights raised) or
+    nested (a subdiagram)."""
+    rng = random.Random(43)
+    seen = set()
+    for _ in range(60):
+        d = _random_weight_table(rng, rng.randint(1, 5))
+        perm = rng.sample(range(d.n), d.n)
+        relabelled = CoxeterDiagram(d.n, {(perm[i], perm[j]): d.weights[i][j]
+                                          for i, j in itertools.combinations(range(d.n), 2)})
+        raised = CoxeterDiagram(d.n, {
+            (i, j): rng.choice(_DOMINATION_WEIGHTS[_DOMINATION_WEIGHTS.index(d.weights[i][j]):])
+            for i, j in itertools.combinations(range(d.n), 2)})
+        sub = d.subdiagram(tuple(sorted(rng.sample(range(d.n), rng.randint(1, d.n)))))
+        for e in (_random_weight_table(rng, rng.randint(1, 5)), relabelled, raised, sub):
+            for a, b in ((d, e), (e, d)):
+                expected = reference_dominates(a, b)
+                assert dominates(a, b) == expected, (a, b)
+                seen.add(expected)
+    assert seen == {"isomorphic", "less", "greater", "incomparable"}
+
+
+_INFINITE_EDGES = {
+    "[3,inf]": parse_coxeter_symbol("[3,inf]"),
+    "[(3^2,inf)]": parse_coxeter_symbol("[(3^2,inf)]"),
+    "[inf]": parse_coxeter_symbol("[inf]"),
+    "A1 beside [inf]": CoxeterDiagram(3, {(0, 1): INF}),
+    "polygon 2,3,3,4": polygon_diagram(2, 3, 3, 4),
+    "[4,3,inf,5,3]": parse_coxeter_symbol("[4,3,inf,5,3]"),
+}
+
+
+@pytest.mark.parametrize("d", _INFINITE_EDGES.values(), ids=_INFINITE_EDGES)
+def test_a_pickled_diagram_with_infinite_weights_computes_the_same(d):
+    """Unpickling makes a new float for each infinity, equal to INF but not
+    INF itself, so no computation may compare weights by identity."""
+    e = pickle.loads(pickle.dumps(d))
+    assert e == d and any(w == INF and w is not INF for row in e.weights for w in row)
+    assert steinberg_growth(e) == steinberg_growth(d)
+    assert finite_type_recognize(e) == finite_type_recognize(d)
+    assert dominates(d, e) == dominates(e, d) == "isomorphic"
 
 
 def test_weighted_tree_validation():

@@ -41,7 +41,7 @@ def _tree():
 
 def _alpha0():
     return Alpha0Report(passed=True, alpha0=_interval(), alpha_poly=_poly(), items_checked=2, items_below=1,
-                        items_above=1)
+                        items_above=1, monotone_families={})
 
 
 # (name, make, repr); make builds equal values on each call
@@ -74,8 +74,8 @@ RECORDS = [
      f"tree_report={ALPHA0}, notes=('n',))"),
     ("MonotonicityResult", lambda: MonotonicityResult(passed=False),
      "MonotonicityResult(passed=False, low_rate=None, high_rate=None)"),
-    ("CaseReport", lambda: CaseReport(name="c", passed=True), CASE),
-    ("SecondMinimalReport", lambda: SecondMinimalReport(True, _interval(), (CaseReport("c", True),)),
+    ("CaseReport", lambda: CaseReport(name="c", passed=True, details={}), CASE),
+    ("SecondMinimalReport", lambda: SecondMinimalReport(True, _interval(), (CaseReport("c", True, {}),)),
      f"SecondMinimalReport(passed=True, reference_rate={R}, cases=({CASE},))"),
     ("GapReport", lambda: GapReport((), (), (SalemEntry(_poly(), "1.41", _interval()),), (), _interval(),
                                     _interval(), full_list=False),
@@ -148,10 +148,6 @@ def test_record_keyword_construction_and_defaults():
     assert SphericalType("I2", 2, (1, 4), 5).m == 5 and SphericalType("A", 1, (1,)).m is None
     assert MonotonicityResult(True).low_rate is None and MonotonicityResult(True).high_rate is None
     assert CommandResult("salem", {}).exit_code == 0 and CommandResult("salem", {}, 1).exit_code == 1
-    # a dict default is a new dict for each record
-    assert CaseReport("c", True).details == {}
-    assert CaseReport("c", True).details is not CaseReport("c", True).details
-    assert _alpha0().monotone_families is not _alpha0().monotone_families
     assert _alpha0().bracketing == ()
     with pytest.raises(TypeError):
         NumberClass(1, 2)

@@ -56,7 +56,8 @@ COMMANDS = [
     ["coxtrans", "--tree", STAR_399],
     *(["growth", "--symbol", symbol] for symbol in
       ["[3,5,3]", "[4,3^18]", "[4,3,5]", "[(3,3,4)]", "[(3^19,4)]", "[(3^18,4,5)]",
-       "[5,3,3,3]", "[3,4,3,3]"]),  # H4 and F4 sets
+       "[5,3,3,3]", "[3,4,3,3]",  # H4 and F4 sets
+       "[(3,∞,4,infinity)]"]),  # the spellings of infinity
     ["growth", "--polygon", "2,3,7"],
     ["classify", "--poly", LEHMER],
     ["classify", "--poly", DEGREE_160],
@@ -73,12 +74,15 @@ EXPECTED_ERRORS = [
     ["growth", "--symbol", "[3^" + "9" * 5000 + "]"],  # a count past int()'s 4300 digits
     ["classify", "--poly", "1," + "9" * 5000 + ",1"],  # a coefficient past the same limit
     ["coxtrans", "--star", "2,3," + "9" * 5000],  # an arm length past it
+    ["growth", "--symbol", "[3,4.0]"],  # a weight that is not an integer
 ]
 
 # Diagram files for growth --file, by name: affine E8 (the star with arms of
-# 1, 2 and 5 vertices) with a weight-4 pendant at the end of its long arm
+# 1, 2 and 5 vertices) with a weight-4 pendant at the end of its long arm, and
+# a 4-cycle with infinity in each of its three spellings
 FILES = {
     "affine_e8_pendant4.txt": "rank 10\n1 2 3\n1 3 3\n3 4 3\n1 5 3\n5 6 3\n6 7 3\n7 8 3\n8 9 3\n9 10 4\n",
+    "infinity_spellings.txt": "rank 4\n1 2 3\n2 3 inf\n3 4 ∞\n1 4 infinity\n",
 }
 
 DEMOS = ["growth_rates_tour.py", "salem_gap_demo.py", "tree_spectra_story.py"]
@@ -98,7 +102,7 @@ def main(argv=None) -> int:
         export(change, args.base, base)
         commands = [*COMMANDS, *EXPECTED_ERRORS]
         for name, text in FILES.items():
-            (Path(tmp) / name).write_text(text)
+            (Path(tmp) / name).write_text(text, encoding="utf-8")
             commands.append(["growth", "--file", str(Path(tmp) / name)])
         runs = [(" ".join(cmd), ["-m", "coxgrowth.cli", *cmd, "--json", "--no-meta"], cmd in EXPECTED_ERRORS)
                 for cmd in commands]
