@@ -15,7 +15,6 @@ from .intpoly import (
     parse_poly,
     poly_gcd,
     reciprocity_type,
-    resultant_eliminate,
     squarefree_part,
 )
 from .roots import (

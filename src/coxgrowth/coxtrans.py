@@ -19,9 +19,9 @@ from fractions import Fraction
 
 from .diagram import INF, DiagramError, WeightedTree, _star_size
 from .growth import polygon_delta
-from .intpoly import IntPoly, _signed_digits, resultant_eliminate
+from .intpoly import IntPoly, _signed_digits, _taylor_shift
 from .record import Record
-from .roots import DEFAULT_WIDTH, RootInterval, largest_root_above_one, sqrt_interval
+from .roots import DEFAULT_WIDTH, RootInterval, _trace, largest_root_above_one, sqrt_interval
 
 # 4cos^2(pi/m) for the weights with rational value; 2, no edge, is the root's
 _EDGE_COEFF = {2: 0, 3: 1, 4: 2, 6: 3, INF: 4}
@@ -210,11 +210,16 @@ def alpha_from_lambda(lam: RootInterval | IntPoly,
     """Transfer from a Coxeter-transformation radius r to the adjacency
     eigenvalue a with a^2 = 2 + r + 1/r.
 
-    An interval argument is mapped by outward-rounded interval arithmetic;
-    a polynomial argument is mapped by resultant elimination.
+    An interval argument is mapped by outward-rounded interval arithmetic; a
+    polynomial p = +-rev p, p(0) != 0, to T(a^2 - 4), primitive, T its trace
+    polynomial (roots._trace), whose roots are the r + 1/r - 2 over the roots
+    r of p.  Any other polynomial raises ValueError.
     """
     if isinstance(lam, IntPoly):
-        return resultant_eliminate(lam)
+        trace = _trace(lam.primitive())
+        if trace is None:
+            raise ValueError("polynomial must be +-reciprocal of degree >= 1 with p(0) != 0")
+        return IntPoly([c for b in _taylor_shift(trace.coeffs, -4) for c in (b, 0)]).primitive()
     if lam.low <= 0:
         raise ValueError("interval must be strictly positive")
     # r + 1/r is monotone on each side of 1; evaluate on endpoints and

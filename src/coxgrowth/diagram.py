@@ -3,7 +3,9 @@ recognition, and the domination order.
 
 Vertices are 0-based internally; the text file format uses 1-based indices.
 The infinite edge weight INF = math.inf orders above every integer weight, so
-weights compare with plain <=, and it prints as inf.
+weights compare with plain <=, and it prints as inf.  WeightedTree runs
+rooted(), the one walk of a tree, as its connectivity check.  The parsers
+count a number's digits before converting it (intpoly._digits_value).
 """
 
 from __future__ import annotations
@@ -413,8 +415,13 @@ def _bits(mask: int):
 def _edge_masks(d: CoxeterDiagram) -> tuple[list[int], list[int]]:
     """Per vertex, the bitmask of its neighbours (weight >= 3, INF too)
     and the bitmask of those joined to it by INF."""
-    nbr = [sum(1 << j for j, w in enumerate(row) if w >= 3) for row in d.weights]
-    inf = [sum(1 << j for j, w in enumerate(row) if w == INF) for row in d.weights]
+    nbr, inf = [0] * d.n, [0] * d.n
+    for i, row in enumerate(d.weights):
+        for j, w in enumerate(row):
+            if w >= 3:
+                nbr[i] |= 1 << j
+                if w == INF:
+                    inf[i] |= 1 << j
     return nbr, inf
 
 

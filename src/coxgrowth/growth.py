@@ -15,7 +15,9 @@ Phi_d(2^K), and numerator and denominator are read back as base-2^K digits.
 
 Both growth-series constructors know their numerator as a product of
 cyclotomic polynomials (times a power of t), so they reduce the quotient by
-dividing the denominator's value at a power of two by theirs, not by a gcd.
+dividing the denominator's value at a power of two by theirs, not by a gcd, as
+a GrowthFunction(num, den) built directly is.  The second-minimal check reads
+its minimal cases from one sweep of polygon_rate_compare, which salemdb uses.
 """
 
 from __future__ import annotations

@@ -15,8 +15,8 @@ One kernel of each kind serves the package:
 - _divide_cyclotomic divides one packed value by Phi_n(2^k), its candidates
   screened once by p's values at 2, -2 and 3, for numclass.strip_cyclotomic
   and growth's reduction, with one certified readback;
-- _taylor_shift is behind the Cayley transform of numclass and the
-  Descartes counts of roots.
+- _taylor_shift is behind the Cayley transform of numclass, the
+  Descartes counts of roots and coxtrans.alpha_from_lambda.
 
 Squarefree parts come from gcd(p, p') over the integers (Yun), with no
 modular gcd.
@@ -223,7 +223,6 @@ def _coerce(x) -> IntPoly:
     raise TypeError(f"cannot coerce {x!r} to IntPoly")
 
 
-ZERO = IntPoly()
 ONE = IntPoly([1])
 
 
@@ -549,43 +548,3 @@ def _cyclotomic_product(exponents: dict[int, int]) -> IntPoly:
     v = math.prod(_pack(cyclotomic(n), deg + 2) ** e for n, e in exponents.items())
     return IntPoly(_signed_digits(v, deg + 2, deg + 1))
 
-
-# -- resultant-based spectral parameter transfer -------------------------------------
-
-
-def trace_resultant(p: IntPoly) -> IntPoly:
-    """Resultant in s of s^2 - x*s + 1 and p(s), as a polynomial in x.
-
-    The result vanishes exactly at x = r + 1/r for every root r of p.
-    Computed by reducing p modulo the monic quadratic over Z[x].
-    """
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    # Reduce p(s) mod s^2 = x*s - 1 with coefficients in Z[x]: p == u(x)*s + v(x).
-    u, v = ZERO, ZERO
-    x = IntPoly([0, 1])
-    for c in reversed(p.coeffs):
-        # multiply (u*s + v) by s, then add c
-        u, v = u * x + v, -u + IntPoly([c])
-    # Res(s^2 - x s + 1, u s + v) = u^2 + u v x + v^2  (product over the two roots)
-    return u * u + u * v * x + v * v
-
-
-def resultant_eliminate(p: IntPoly) -> IntPoly:
-    """Polynomial in a vanishing whenever a^2 = 2 + r + 1/r for a root r of p.
-
-    Eliminates r between p(r) = 0 and r*(a^2 - 2) - r^2 - 1 = 0; requires
-    p(0) != 0 so that 1/r is defined for every root.
-    """
-    if p.constant == 0:
-        raise ValueError("p(0) must be nonzero")
-    r = trace_resultant(p)
-    # substitute x -> a^2 - 2
-    sub = IntPoly([-2, 0, 1])
-    out = ZERO
-    power = IntPoly([1])
-    for c in r.coeffs:
-        if c:
-            out = out + power * c
-        power = power * sub
-    return out.primitive()

@@ -234,12 +234,9 @@ class Alpha0Report(Record):
 
 def _alpha0_interval(width: Fraction = Fraction(1, 10**13)) -> tuple[RootInterval, IntPoly]:
     """The adjacency-eigenvalue transfer of the smallest tetrahedral growth rate,
-    as a certified root of its degree-20 defining polynomial.
-
-    The defining polynomial is the eliminant of the denominator core of the
-    computed growth series, so no root value is taken on trust.  The value
-    is a double root of the eliminant (the rate and its reciprocal transfer
-    to the same point); counting is in the squarefree sense throughout.
+    a simple root of T(a^2 - 4), of degree 10, T the trace polynomial of the
+    denominator core of the computed growth series (the rate and its
+    reciprocal give one root of T), so no root value is taken on trust.
     """
     f = _tetrahedral_353_growth()
     lam = growth_rate(f, Fraction(1, 10**15))

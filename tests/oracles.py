@@ -13,7 +13,8 @@ interpolation over exact rationals, tree polynomials from explicit integer
 matrices (weighted adjacency, product of reflections) and from the matching
 polynomial built by dense products, unit-disk root counts
 from the signature of the Schur-Cohn quadratic form, unit-circle root counts
-from the trace substitution x = t + 1/t, growth series from
+from the trace substitution x = t + 1/t, the adjacency transfer a^2 = 2 + r +
+1/r of a polynomial's roots from a resultant over Z[x], growth series from
 the alternating sum over every one of the 2^n vertex subsets, cyclotomic
 factors from trial division by every Phi_n with phi(n) <= deg over a totient
 sieve, Perron verdicts from Schur-Cohn counts of p(ct) at 40-bit scales c just
@@ -1230,6 +1231,25 @@ def expand_trace_form(q: IntPoly, d: int | None = None) -> IntPoly:
         if c:
             out = out + (IntPoly([1, 0, 1]) ** k).shift(d - k) * c
     return out
+
+
+def reference_alpha_eliminant(p: IntPoly) -> IntPoly:
+    """A primitive polynomial in a vanishing whenever a^2 = 2 + r + 1/r for a
+    root r of p, p(0) != 0, by elimination rather than the trace polynomial:
+    p(s) reduced mod s^2 = x s - 1 over Z[x] to u(x) s + v(x) gives the
+    resultant R(x) = Res_s(s^2 - x s + 1, p(s)) = u^2 + u v x + v^2, the
+    product over both roots of s^2 - x s + 1, which vanishes exactly at x = r
+    + 1/r; then x -> a^2 - 2.  For p = +-rev p each root r appears with 1/r,
+    so R is a square: degree 2 deg p."""
+    if p.constant == 0:
+        raise ValueError("p(0) must be nonzero")
+    u, v, x = IntPoly(), IntPoly(), IntPoly([0, 1])
+    for c in reversed(p.coeffs):  # (u s + v) s + c, with s^2 = x s - 1
+        u, v = u * x + v, -u + IntPoly([c])
+    out, power, sub = IntPoly(), IntPoly([1]), IntPoly([-2, 0, 1])
+    for c in (u * u + u * v * x + v * v).coeffs:
+        out, power = out + power * c, power * sub
+    return out.primitive()
 
 
 def tree_degrees(tree: WeightedTree) -> collections.Counter:

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from coxgrowth import coxtrans
 from coxgrowth.coxtrans import (
     TREE_VERTEX_BOUND,
@@ -25,19 +27,22 @@ from coxgrowth.diagram import (
     DiagramError,
     WeightedTree,
     h_graph,
+    parse_coxeter_symbol,
     path_tree,
     polygon_is_hyperbolic,
     star_diagram,
 )
-from coxgrowth.growth import _hyperbolic_tuples, growth_rate, polygon_delta, polygon_growth
-from coxgrowth.intpoly import IntPoly, bracket, parse_poly
-from coxgrowth.roots import RootInterval, compare
+from coxgrowth.growth import _hyperbolic_tuples, growth_rate, polygon_delta, polygon_growth, steinberg_growth
+from coxgrowth.intpoly import IntPoly, bracket, parse_poly, squarefree_part
+from coxgrowth.numclass import strip_cyclotomic
+from coxgrowth.roots import RootInterval, compare, isolate_largest_real_root, sqrt_interval
 from coxgrowth.spectra import adjacency_char_poly, brouwer_neumaier_enumerate
 
 from oracles import (
     charpoly_interpolated,
     coxeter_element_matrix,
     random_tree_edges,
+    reference_alpha_eliminant,
     reference_count,
     reference_tree_polynomials,
     reference_root_is_simple,
@@ -331,14 +336,12 @@ def test_alpha_from_lambda_unit():
 
 def test_alpha_from_lambda_golden_square():
     # r + 1/r = 3 exactly at the larger root of r^2 - 3r + 1: alpha^2 = 5
-    from coxgrowth.roots import isolate_largest_real_root
     lam = isolate_largest_real_root(IntPoly([1, -3, 1]), Fraction(1, 10**12))
     lo, hi = alpha_from_lambda(lam, Fraction(1, 10**9))
     assert lo * lo <= 5 <= hi * hi
 
 
 def test_alpha_from_lambda_tetrahedral_value():
-    from coxgrowth.roots import isolate_largest_real_root
     lam = isolate_largest_real_root(parse_poly("1,-1,0,0,-1,1,-1,0,0,-1,1"), Fraction(1, 10**12))
     lo, hi = alpha_from_lambda(lam, Fraction(1, 10**8))
     mid = (lo + hi) / 2
@@ -349,6 +352,65 @@ def test_alpha_from_lambda_rejects_nonpositive():
     iv = RootInterval(IntPoly([0, 1]), Fraction(-1), Fraction(1))
     with pytest.raises(ValueError):
         alpha_from_lambda(iv)
+
+
+def test_alpha_eliminant_of_small_inputs():
+    # the oracle's resultant for the roots 2 and 3: a^2 = 2 + 5/2 and 2 + 10/3
+    assert reference_alpha_eliminant(IntPoly([-2, 1]) * IntPoly([-3, 1])) == IntPoly([9, 0, -2]) * IntPoly([16, 0, -3])
+
+
+def test_alpha_eliminant_rejects_a_zero_root_and_non_reciprocal_input():
+    for p in (IntPoly([0, 1]), IntPoly([0, 1, 0, 1]), IntPoly([-2, 1]) * IntPoly([-3, 1]), IntPoly([5])):
+        with pytest.raises(ValueError):
+            alpha_from_lambda(p)
+
+
+def _growth_cores():
+    """The denominator cores of [3,5,3] and of the 742 theorem-2 polygons with
+    3 to 5 angles pi/p_i, p_i <= 8."""
+    cores = [strip_cyclotomic(steinberg_growth(parse_coxeter_symbol("[3,5,3]")).denominator)[0]]
+    for k in range(3, 6):
+        for ps in itertools.combinations_with_replacement(range(2, 9), k):
+            if polygon_is_hyperbolic(ps):
+                cores.append(strip_cyclotomic(polygon_growth(*ps).denominator)[0])
+    assert len(cores) == 743
+    return cores
+
+
+def test_alpha_eliminant_matches_the_resultant_on_growth_cores():
+    # the resultant vanishes at both r and 1/r, so it is the square of T(a^2 - 4)
+    for core in _growth_cores():
+        apoly, reference = alpha_from_lambda(core), reference_alpha_eliminant(core)
+        assert reference.degree == 2 * apoly.degree == 2 * core.degree, core
+        assert squarefree_part(apoly) == squarefree_part(reference), core
+
+
+# f rev(f) has the roots r and 1/r for each root r of f; (t - 1)^a (t + 1)^b
+# adds roots at +-1, making the product anti-reciprocal or of odd degree
+_reciprocal_products = st.tuples(
+    st.lists(st.integers(-6, 6), min_size=1, max_size=4).map(IntPoly).filter(lambda f: f.constant != 0),
+    st.integers(0, 3), st.integers(0, 3)).map(
+    lambda t: t[0] * t[0].reversed() * IntPoly([-1, 1]) ** t[1] * IntPoly([1, 1]) ** t[2]).filter(
+    lambda p: p.degree >= 1)
+
+
+@given(_reciprocal_products)
+@settings(max_examples=150, deadline=None)
+def test_alpha_eliminant_matches_the_resultant_on_reciprocal_products(p):
+    assert squarefree_part(alpha_from_lambda(p)) == squarefree_part(reference_alpha_eliminant(p))
+
+
+def test_alpha_eliminant_commutes_with_the_forward_map():
+    # the eliminant's largest root agrees with sqrt(2 + r + 1/r) at the
+    # largest root r of the input, within 1e-9
+    for p in (parse_poly("1,-1,0,0,-1,1,-1,0,0,-1,1"), LEHMER, IntPoly([1, -3, 1])):
+        lam = isolate_largest_real_root(p, Fraction(1, 10**12))
+        lo = 2 + lam.low + 1 / lam.high
+        hi = 2 + lam.high + 1 / lam.low
+        slo, shi = sqrt_interval(min(lo, hi), max(lo, hi), Fraction(1, 10**10))
+        alpha = isolate_largest_real_root(alpha_from_lambda(p), Fraction(1, 10**10))
+        assert slo - Fraction(1, 10**9) <= alpha.high
+        assert shi + Fraction(1, 10**9) >= alpha.low
 
 
 def test_end_to_end_rate_equals_radius():
@@ -400,7 +462,6 @@ def test_phi_at_1_is_the_angle_sum_defect_and_phi_is_monic():
 
 
 def test_end_to_end_shares_core():
-    from coxgrowth.numclass import strip_cyclotomic
     for ps in [(2, 3, 7), (2, 4, 5), (2, 2, 2, 3)]:
         den_core, _ = strip_cyclotomic(polygon_growth(*ps).denominator)
         phi_core, _ = strip_cyclotomic(char_poly_star(*ps))

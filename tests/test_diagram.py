@@ -50,7 +50,7 @@ def test_parse_linear_symbols():
 def test_parse_cyclic_symbol():
     d = parse_coxeter_symbol("[(3^2,inf)]")
     assert d.n == 3
-    weights = sorted(("inf" if w is INF else str(w)) for _, _, w in d.edges())
+    weights = sorted(str(w) for _, _, w in d.edges())
     assert weights == ["3", "3", "inf"]
 
 
@@ -60,8 +60,8 @@ def test_parse_linear_power_notation():
 
 
 def test_parse_infinity_forms():
-    assert parse_coxeter_symbol("[3,inf]").weight(1, 2) is INF
-    assert parse_coxeter_symbol("[3,∞]").weight(1, 2) is INF
+    assert parse_coxeter_symbol("[3,inf]").weight(1, 2) == INF
+    assert parse_coxeter_symbol("[3,∞]").weight(1, 2) == INF
 
 
 @pytest.mark.parametrize("bad", ["", "[]", "[2,3]", "[3,,5]", "(3,5)", "[3,5", "[(3)]", "[3^0]"])
@@ -76,7 +76,7 @@ def test_symbol_roundtrip_linear():
     for _ in range(40):
         r = rng.randint(1, 7)
         weights = [rng.choice(choices) for _ in range(r)]
-        text = "[" + ",".join("inf" if w is INF else str(w) for w in weights) + "]"
+        text = "[" + ",".join(str(w) for w in weights) + "]"
         d = parse_coxeter_symbol(text)
         assert parse_coxeter_symbol(format_coxeter_symbol(d)) == d
 
@@ -89,7 +89,7 @@ def test_symbol_roundtrip_cyclic():
     for _ in range(40):
         r = rng.randint(3, 8)
         weights = [rng.choice(choices) for _ in range(r)]
-        text = "[(" + ",".join("inf" if w is INF else str(w) for w in weights) + ")]"
+        text = "[(" + ",".join(str(w) for w in weights) + ")]"
         d = parse_coxeter_symbol(text)
         printed = format_coxeter_symbol(d)
         reparsed = parse_coxeter_symbol(printed)
@@ -100,7 +100,7 @@ def test_symbol_roundtrip_cyclic():
 def test_diagram_file_format():
     d = diagram_from_text("rank 3\n1 2 3\n2 3 inf\n")
     assert d.weight(0, 1) == 3
-    assert d.weight(1, 2) is INF
+    assert d.weight(1, 2) == INF
     assert d.weight(0, 2) == 2
     with pytest.raises(DiagramError):
         diagram_from_text("rank 3\n1 2 3\n2 1 4\n")  # duplicate pair
@@ -145,7 +145,7 @@ def test_rank_bound_itself_accepted():
     n = STEINBERG_RANK_BOUND
     assert parse_coxeter_symbol(f"[(3^{n})]").n == n
     assert parse_coxeter_symbol("[" + ",".join(["3"] * (n - 1)) + "]").n == n
-    assert diagram_from_text(f"rank {n}\n1 {n} inf\n").weight(0, n - 1) is INF
+    assert diagram_from_text(f"rank {n}\n1 {n} inf\n").weight(0, n - 1) == INF
 
 
 def test_polygon_diagram():
@@ -153,7 +153,7 @@ def test_polygon_diagram():
     assert d.n == 3
     assert sorted(w for _, _, w in d.edges()) == [3, 7]
     pent = polygon_diagram(2, 2, 2, 2, 2)
-    assert all(w is INF for _, _, w in pent.edges())
+    assert all(w == INF for _, _, w in pent.edges())
     assert len(pent.edges()) == 5
     with pytest.raises(DiagramError):
         polygon_diagram(2, 3)

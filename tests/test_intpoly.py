@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coxgrowth import intpoly
+from coxgrowth.coxtrans import alpha_from_lambda
 from coxgrowth.intpoly import (
     ExactDivisionError,
     IntPoly,
@@ -14,12 +15,9 @@ from coxgrowth.intpoly import (
     parse_poly,
     poly_gcd,
     reciprocity_type,
-    resultant_eliminate,
     squarefree_decomposition,
     squarefree_part,
-    trace_resultant,
 )
-from coxgrowth.roots import isolate_largest_real_root, sqrt_interval
 
 from oracles import (
     expand_trace_form,
@@ -303,47 +301,18 @@ def test_squarefree_decomposition_of_a_squarefree_input_takes_one_gcd(monkeypatc
     assert len(calls) == 1
 
 
+# The alpha eliminant T(a^2 - 4) over an integer polynomial p, T the trace
+# polynomial of p, replaces the resultant of p(r) and r^2 - (a^2 - 2) r + 1 in a.
+
+
 def test_resultant_eliminate_linear():
     # the single value r = 1 maps to a^2 = 4
-    out = resultant_eliminate(IntPoly([-1, 1]))
-    assert out == IntPoly([-4, 0, 1])
+    assert alpha_from_lambda(IntPoly([-1, 1])) == IntPoly([-4, 0, 1])
 
 
 def test_resultant_eliminate_quadratic():
-    # r + 1/r = 3 for both roots of r^2 - 3r + 1, so a^2 - 5 divides the output
-    out = resultant_eliminate(IntPoly([1, -3, 1]))
-    exact_div(out, IntPoly([-5, 0, 1]))
-
-
-def test_resultant_eliminate_rejects_zero_root():
-    with pytest.raises(ValueError):
-        resultant_eliminate(IntPoly([0, 1]))
-
-
-def test_trace_resultant_matches_product_form():
-    # for p with known roots 2 and 3: R(x) = lc^2 (4 - 2x + 1)(9 - 3x + 1)
-    p = IntPoly([-2, 1]) * IntPoly([-3, 1])
-    r = trace_resultant(p)
-    expected = IntPoly([5, -2]) * IntPoly([10, -3])
-    assert r == expected
-
-
-def test_resultant_commutes_with_forward_map():
-    # the eliminant's largest root agrees with sqrt(2 + r + 1/r) at the
-    # largest root r of the input, within 1e-9
-    cases = [
-        parse_poly("1,-1,0,0,-1,1,-1,0,0,-1,1"),
-        LEHMER,
-        IntPoly([1, -3, 1]),
-    ]
-    for p in cases:
-        lam = isolate_largest_real_root(p, Fraction(1, 10**12))
-        lo = 2 + lam.low + 1 / lam.high
-        hi = 2 + lam.high + 1 / lam.low
-        slo, shi = sqrt_interval(min(lo, hi), max(lo, hi), Fraction(1, 10**10))
-        alpha = isolate_largest_real_root(resultant_eliminate(p), Fraction(1, 10**10))
-        assert slo - Fraction(1, 10**9) <= alpha.high
-        assert shi + Fraction(1, 10**9) >= alpha.low
+    # r + 1/r = 3 for both roots of r^2 - 3r + 1, so the eliminant is a^2 - 5
+    assert alpha_from_lambda(IntPoly([1, -3, 1])) == IntPoly([-5, 0, 1])
 
 
 # -- the Taylor shift -------------------------------

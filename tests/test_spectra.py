@@ -17,7 +17,8 @@ from coxgrowth.spectra import (
     weight4_leaf_replace,
 )
 from coxgrowth import roots, spectra
-from coxgrowth.coxtrans import _rooted, _tree_polynomial
+from coxgrowth.coxtrans import _rooted, _tree_polynomial, alpha_from_lambda
+from coxgrowth.growth import growth_rate
 from coxgrowth.spectra import _certify_increasing
 
 from oracles import (
@@ -25,6 +26,7 @@ from oracles import (
     charpoly_interpolated,
     random_tree_edges,
     reference_counts_with_multiplicity,
+    reference_alpha_eliminant,
     reference_isolate_largest,
     reference_tree_polynomials,
     tree_degrees,
@@ -279,7 +281,7 @@ def test_alpha0_report():
     assert rep.passed
     assert rep.items_checked == rep.items_below + rep.items_above
     assert abs(rep.alpha0.midpoint() - Fraction("2.0226674")) < Fraction(1, 10**6)
-    assert rep.alpha_poly.degree == 20
+    assert rep.alpha_poly.degree == 10
     sides = {(c.label, c.params): c.side for c in rep.bracketing}
     assert sides == {(family, params): side for family, params, _, side in spectra.TABLE1}
     assert sides[("h", (2, 9, 3))] == "above"
@@ -291,6 +293,18 @@ def test_alpha0_report():
         verify_alpha0_not_tree_radius(10, 10)
     with pytest.raises(ValueError):
         verify_alpha0_not_tree_radius(25, 41)
+
+
+@pytest.mark.parametrize("width", [Fraction(1, 10**13), Fraction(1, 2 * 10**13), Fraction(1, 10**40)])
+def test_alpha0_is_the_resultants_root(width):
+    # T(a^2 - 4) and the resultant, its square, have one squarefree part, so
+    # the interval and its refinement are the same on either
+    f = spectra._tetrahedral_353_growth()
+    core = strip_cyclotomic(f.denominator)[0]
+    lo, hi = alpha_from_lambda(growth_rate(f, Fraction(1, 10**15)), width / 2)
+    alpha0, apoly = spectra._alpha0_interval(width)
+    assert alpha0 == RootInterval(reference_alpha_eliminant(core), lo, hi).refined(width)
+    assert apoly == alpha_from_lambda(core) and apoly.degree == core.degree
 
 
 def test_a_table1_tree_on_the_wrong_side_is_reported_not_raised(monkeypatch):
