@@ -5,6 +5,12 @@ named checks.  All numeric output is printed with 7 decimals together with
 the certified interval width; --json switches to a single machine-readable
 object on stdout.  Exit status: 0 on success (and a passing verification),
 1 on a computation error, 2 on usage errors.
+
+`spectra --table1` and `verify table1` share `_verify_table1` over
+`spectra.TABLE1`.  `verify theorem2` runs
+`coxtrans.coxeter_tree_radius_equals_polygon_rate` alone and isolates no
+root (that function's docstring has the proof); the tests cross-check its
+verdict against the rate of the full growth function.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from .diagram import (
 from .intpoly import INT_DIGITS_BOUND, _digits_value, parse_poly
 from .numclass import classify, strip_cyclotomic
 from .record import Record
-from .roots import DEFAULT_WIDTH, RootInterval
+from .roots import DEFAULT_WIDTH, RootInterval, _decimal_text
 
 
 class CommandResult(Record):
@@ -42,22 +48,12 @@ class CommandResult(Record):
     exit_code: int = 0
 
 
-def _fraction_decimal(x: Fraction, places: int, round_up: bool) -> str:
-    scaled = x * 10**places
-    n = math.ceil(scaled) if round_up else math.floor(scaled)
-    sign = "-" if n < 0 else ""
-    n = abs(n)
-    return f"{sign}{n // 10**places}.{n % 10**places:0{places}d}"
-
-
-def _interval_payload(iv: RootInterval, places: int = 7) -> dict:
-    digits = places
-    while Fraction(1, 10**digits) > iv.width and digits < 40:
-        digits += 1
+def _interval_payload(iv: RootInterval) -> dict:
+    digits = next((d for d in range(7, 40) if Fraction(1, 10**d) <= iv.width), 40)
     return {
-        "low": _fraction_decimal(iv.low, digits, round_up=False),
-        "high": _fraction_decimal(iv.high, digits, round_up=True),
-        "decimal": iv.decimal(places),
+        "low": _decimal_text(math.floor(iv.low * 10**digits), digits),
+        "high": _decimal_text(math.ceil(iv.high * 10**digits), digits),
+        "decimal": iv.decimal(),
         "width": f"{float(iv.width):.2e}" if iv.width else "0",
         "exact_low": str(iv.low),
         "exact_high": str(iv.high),
@@ -334,7 +330,7 @@ def _verify_second_minimal(args) -> tuple[bool, dict]:
     rep = growth.verify_second_minimal_polygon(max_k, max_p)
     return rep.passed, {
         "reference_rate": _interval_payload(rep.reference_rate),
-        "cases": [{"name": c.name, "passed": c.passed, "details": _jsonable(c.details)}
+        "cases": [{"name": c.name, "passed": c.passed, "details": c.details}
                   for c in rep.cases],
     }
 
@@ -402,18 +398,6 @@ def _cmd_verify(args) -> CommandResult:
     passed, details = _VERIFY_DISPATCH[args.check](args)
     payload = {"check": args.check, "passed": passed, **details}
     return CommandResult("verify", payload, exit_code=0 if passed else 1)
-
-
-def _jsonable(x):
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, (bool, int, float, str)) or x is None:
-        return x
-    return str(x)
 
 
 def _common_options(parser, suppress: bool):
@@ -493,14 +477,14 @@ def _print_human(result: CommandResult, out):
         pad = "  " * indent
         if isinstance(obj, dict):
             for key, val in obj.items():
-                if isinstance(val, (dict, list)):
+                if isinstance(val, (dict, list, tuple)):
                     print(f"{pad}{key}:", file=out)
                     walk(val, indent + 1)
                 else:
                     print(f"{pad}{key}: {val}", file=out)
-        elif isinstance(obj, list):
+        elif isinstance(obj, (list, tuple)):
             for val in obj:
-                if isinstance(val, (dict, list)):
+                if isinstance(val, (dict, list, tuple)):
                     walk(val, indent)
                     print(file=out)
                 else:
@@ -539,7 +523,7 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     if args.json:
-        doc = {"command": result.command, "payload": _jsonable(result.payload)}
+        doc = {"command": result.command, "payload": result.payload}
         if not args.no_meta:
             doc["meta"] = {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}
         json.dump(doc, sys.stdout, indent=2, sort_keys=True)

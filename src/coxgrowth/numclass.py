@@ -120,14 +120,14 @@ def _cayley(h: IntPoly) -> IntPoly:
     the unit disk becomes a root of q in the open left half-plane, a root
     outside the closed disk one in the open right half-plane, a root on the
     circle one on the imaginary axis, and z = -1 drops the degree of q.
+    q is made primitive, which may flip its sign: that flips both A and B of
+    `disk_root_counts` and keeps the Cauchy index, the gcd and every count.
     """
     n = h.degree
     # g(x) = h(x - 1), so h(z) (1 - s)^n = sum g_k 2^k (1 - s)^(n - k) = r(1 - s)
     g = _taylor_shift(h.coeffs, -1)
     r = _taylor_shift([g[n - j] << (n - j) for j in range(n + 1)], 1)
-    q = IntPoly(-c if j % 2 else c for j, c in enumerate(r))
-    content = q.content()
-    return IntPoly(c // content for c in q.coeffs)
+    return IntPoly(-c if j % 2 else c for j, c in enumerate(r)).primitive()
 
 
 def disk_root_counts(s: IntPoly) -> tuple[int, int, int]:

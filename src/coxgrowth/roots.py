@@ -143,16 +143,17 @@ class RootInterval(Record):
         return _refine(self, width)
 
     def decimal(self, places: int = 7) -> str:
-        """Midpoint rounded to the given number of decimal places."""
-        m = self.midpoint()
-        scaled = m * 10**places
-        r = math.floor(scaled + Fraction(1, 2))
-        sign = "-" if r < 0 else ""
-        r = abs(r)
-        return f"{sign}{r // 10**places}.{r % 10**places:0{places}d}"
+        """Midpoint rounded half up to the given number of decimal places."""
+        return _decimal_text(math.floor(self.midpoint() * 10**places + Fraction(1, 2)), places)
 
     def __str__(self) -> str:
         return f"[{self.low}, {self.high}]"
+
+
+def _decimal_text(n: int, places: int) -> str:
+    """The integer n / 10^places in decimal, with `places` digits after the point."""
+    whole, fraction = divmod(abs(n), 10**places)
+    return f"{'-' if n < 0 else ''}{whole}.{fraction:0{places}d}"
 
 
 def _sign(v: int) -> int:

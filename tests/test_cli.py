@@ -376,6 +376,24 @@ def test_verify_theorem2_small(capsys):
     assert doc["payload"]["hyperbolic_tuples"] > 0
 
 
+def test_verify_second_minimal_json(capsys):
+    code, doc, _ = run_json(capsys, "verify", "second-minimal")
+    assert code == 0
+    payload = doc["payload"]
+    assert payload["passed"] is True
+    triangles = next(c for c in payload["cases"] if c["name"] == "triangles")
+    assert triangles["details"]["minimal_cases"] == [[2, 3, 9], [2, 4, 5], [3, 3, 4]]
+
+
+def test_verify_second_minimal_human_walks_the_minimal_cases(capsys):
+    code, out, _ = run_cli(capsys, "verify", "second-minimal")
+    assert code == 0
+    cases = ["      - 2\n      - 3\n      - 9\n",
+             "      - 2\n      - 4\n      - 5\n",
+             "      - 3\n      - 3\n      - 4\n"]
+    assert "    minimal_cases:\n" + "\n".join(cases) + "\n    swept_up_to: 9\n" in out
+
+
 def test_exit_code_on_error(capsys):
     code, out, err = run_cli(capsys, "growth", "--symbol", "[2,3]")
     assert code == 1

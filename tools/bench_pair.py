@@ -2,7 +2,6 @@
 
     python3 tools/bench_pair.py --base HEAD --seeds 61-70 --out BENCH_6.json
     python3 tools/bench_pair.py --base HEAD~1 --seeds 1,2,3 --workdir /tmp/pair
-    python3 tools/bench_pair.py --base HEAD --seeds 71-80 --trace-workload polygon_sweep --out BENCH_7.json
 
 Run from the root of the repository.  ``--base`` is the commit to compare
 against: ``HEAD`` while the change is uncommitted, its parent once it is
@@ -20,16 +19,15 @@ side's ``src`` first on ``PYTHONPATH``, the sides in the seed's order; its
 wall time is recorded, and it must exit 0 with the same stdout on both sides.
 Its degree-160 ``classify`` input is built with the working tree's
 ``coxgrowth.intpoly`` when the tool is imported.
-One ``--workload W --trace 1`` run per side (on the first seed; W is
-``--trace-workload``, default ``coxeter_growth``) gives the count metrics in
-``COUNTS``: the names the tracer sees on some workload.  Four of them, the
-division, disk-count and ``sign_at`` counts, read 0 on all but ``classify_mix``.
+One ``--workload W --trace 1`` run per side and workload W (on the first
+seed, each stopping at W's fixed pass count) gives the count metrics in
+``COUNTS``.
 
 The output holds both commits, the Python version and CPU count, per workload
 and end-to-end metric each side's median and quartiles (inclusive method)
 with the number of pairs the change wins (ties count for neither side), every
 raw value, the same for the wall time of each whole process, the count
-metrics, and the ``src/coxgrowth`` lines per module.
+metrics by workload, and the ``src/coxgrowth`` lines per module.
 """
 
 from __future__ import annotations
@@ -151,9 +149,6 @@ def main(argv=None) -> int:
     p.add_argument("--seconds", type=int, default=30)
     p.add_argument("--out", required=True, help="the BENCH_<n>.json to write")
     p.add_argument("--workdir", help="where to export the base commit")
-    p.add_argument("--trace-workload", default="coxeter_growth",
-                   choices=[w["name"] for w in json.loads(Path("BENCHMARK.json").read_text())["workloads"]],
-                   help="the workload of the traced run that gives the counts")
     args = p.parse_args(argv)
     if len(args.seeds) < 2:
         p.error("quartiles need at least two seeds")
@@ -223,9 +218,10 @@ def compare(args, sides: dict[str, Path]) -> dict:
                               "raw": raw}
                        for name, raw in seconds.items()},
         },
-        "counts": {"workload": args.trace_workload, "seed": args.seeds[0],
-                   **{side: traced_counts(root, args.trace_workload, args.seeds[0], args.seconds)
-                      for side, root in sides.items()}},
+        "counts": {name: {"seed": args.seeds[0],
+                          **{side: traced_counts(root, name, args.seeds[0], args.seconds)
+                             for side, root in sides.items()}}
+                   for name in workloads},
         "src_lines": {side: src_lines(root) for side, root in sides.items()},
     }
 

@@ -6,8 +6,9 @@
 Run from the root of the repository.  The base is exported with ``git
 archive`` (as in ``bench_pair.py``) into ``--workdir`` (default: a temporary
 directory, deleted at the end).  In both trees, every command of ``COMMANDS``
-runs as ``python3 -m coxgrowth.cli ... --json --no-meta`` and every script of
-``DEMOS`` as it is, each with that tree's ``src`` first on ``PYTHONPATH``.
+runs as ``python3 -m coxgrowth.cli ... --json --no-meta``, every command of
+``HUMAN`` as ``python3 -m coxgrowth.cli ...`` in human mode, and every script
+of ``DEMOS`` as it is, each with that tree's ``src`` first on ``PYTHONPATH``.
 The ``growth --file`` commands read diagram files of ``FILES``, written into
 the temporary directory and passed to both sides by absolute path.  Their
 stdout bytes and exit codes are compared, and a command that exits nonzero on
@@ -85,6 +86,11 @@ FILES = {
     "infinity_spellings.txt": "rank 4\n1 2 3\n2 3 inf\n3 4 ∞\n1 4 infinity\n",
 }
 
+# Commands run in human mode too, without --json: verify second-minimal's
+# details hold tuples, and each of the others walks nested dicts and lists
+HUMAN = [["verify", "second-minimal"], ["verify", "table1"],
+         ["growth", "--symbol", "[3,5,3]"], ["salem", "--gap"]]
+
 DEMOS = ["growth_rates_tour.py", "salem_gap_demo.py", "tree_spectra_story.py"]
 
 
@@ -106,6 +112,7 @@ def main(argv=None) -> int:
             commands.append(["growth", "--file", str(Path(tmp) / name)])
         runs = [(" ".join(cmd), ["-m", "coxgrowth.cli", *cmd, "--json", "--no-meta"], cmd in EXPECTED_ERRORS)
                 for cmd in commands]
+        runs += [(" ".join(cmd) + " (human)", ["-m", "coxgrowth.cli", *cmd], False) for cmd in HUMAN]
         runs += [(f"demos/{demo}", [f"demos/{demo}"], False) for demo in DEMOS]
         for name, cmd, expected_error in runs:
             (base_out, base_code), (out, code) = run_python(base, cmd), run_python(change, cmd)
