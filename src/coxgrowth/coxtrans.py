@@ -10,7 +10,13 @@ characteristic polynomials have exact integer coefficients.
 Both tree polynomials are sums over the weighted matching numbers m_k (over
 k-edge matchings, of the products of 4cos^2(pi/m)): the adjacency polynomial
 is sum_k (-1)^k m_k x^(n-2k), the Coxeter polynomial sum_k (-1)^k m_k
-(1+t)^(n-2k) t^k, each built as one integer at t = 2^K and read back.
+(1+t)^(n-2k) t^k, each built as one integer at t = 2^K and read back, by
+one recursion, _tree_polynomial, over WeightedTree.rooted() with each weight
+m read as a = 4cos^2(pi/m) (_rooted); char_poly_star walks a star's arms,
+with no tree built.  A tree above TREE_VERTEX_BOUND vertices raises
+ValueError.  The spectral radius is roots.largest_root_above_one of phi, or
+exactly 1 when that gives None; alpha_from_lambda maps a +-reciprocal core
+to T(a^2 - 4), T its trace polynomial (roots._trace).
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """Coxeter diagrams, Coxeter-symbol parsing, weighted trees, spherical-type
-recognition, and the domination order.
+recognition, the connected spherical sets of the Steinberg sum, and the
+domination order.
 
 Vertices are 0-based internally; the text file format uses 1-based indices.
 The infinite edge weight INF = math.inf orders above every integer weight, so
@@ -158,13 +159,8 @@ def parse_coxeter_symbol(text: str) -> CoxeterDiagram:
         weights.extend([w] * rep)
     if cyclic and len(weights) < 3:
         fail("cyclic symbol needs at least 3 weights", 1)
-    if cyclic:
-        n = len(weights)
-        edges = {(i, (i + 1) % n): w for i, w in enumerate(weights)}
-    else:
-        n = len(weights) + 1
-        edges = {(i, i + 1): w for i, w in enumerate(weights)}
-    return CoxeterDiagram(n, edges)
+    n = len(weights) + (not cyclic)  # a linear symbol's last index never wraps
+    return CoxeterDiagram(n, {(i, (i + 1) % n): w for i, w in enumerate(weights)})
 
 
 # -- file format --------------------------------------------------------------------
@@ -458,18 +454,26 @@ def _branch_type(lengths: tuple[int, int, int]) -> SphericalType | None:
     return None
 
 
-def _grow(weights, shape: tuple, u: int, v: int) -> tuple[tuple, SphericalType] | None:
-    """The shape and type of a spherical set grown by the leaf v, joined to
-    the set at its vertex u only, from the set's shape, or None when the grown
-    set is not spherical.  A shape is ("path", vertices in order, weight word)
-    or ("branch", centre, its three weight-3 arms, vertex tuples from the
-    centre outward).  With x the weight of uv: at a path's end the word grows
-    by x; at an inner vertex, u becomes a branch vertex, which needs x and the
-    whole word to be 3, with the two sides of u and (v,) as arms; at an arm
-    tip, with x = 3, that arm grows; at any other vertex it is not spherical.
-    The one typing step of the package: finite_type_recognize and
-    growth._connected_spherical_sets grow every spherical set by it.
+def _grow(weights, nbr: list[int], inf: list[int], shape: tuple, mask: int,
+          v: int) -> tuple[tuple, SphericalType] | None:
+    """The shape and type of the spherical set mask grown by its neighbour v,
+    from the set's shape, or None when the grown set is not spherical; nbr and
+    inf are the masks of _edge_masks.  A v with two neighbours or an INF edge
+    in the set closes a cycle or holds an INF pair, so the grown set is not
+    spherical.  Otherwise v is a leaf joined to the set at its one neighbour u
+    there.  A shape is ("path", vertices in order, weight word) or ("branch",
+    centre, its three weight-3 arms, vertex tuples from the centre outward).
+    With x the weight of uv: at a path's end the word grows by x; at an inner
+    vertex, u becomes a branch vertex, which needs x and the whole word to be
+    3, with the two sides of u and (v,) as arms; at an arm tip, with x = 3,
+    that arm grows; at any other vertex it is not spherical.  The one typing
+    step of the package: finite_type_recognize and _connected_spherical_sets
+    grow every spherical set by it.
     """
+    touch = nbr[v] & mask
+    if touch & touch - 1 or inf[v] & mask:
+        return None
+    u = touch.bit_length() - 1
     x = weights[u][v]
     kind, first, second = shape
     if kind == "path":
@@ -501,9 +505,9 @@ def finite_type_recognize(d: CoxeterDiagram) -> list[SphericalType] | None:
     Returns the list of component types, ordered by least vertex, or None
     when any component is not spherical ("not finite" is a value, not an error).
     Each component grows from its least vertex by one neighbour v at a time,
-    typed by _grow.  A v with two neighbours or an INF edge in the set, or a
-    step _grow rejects, gives a non-spherical connected set, so d is not
-    spherical: every connected part of a spherical diagram is spherical.
+    typed by _grow.  A step _grow refuses gives a non-spherical connected set,
+    so d is not spherical: every connected part of a spherical diagram is
+    spherical.
     """
     nbr, inf = _edge_masks(d)
     out = []
@@ -513,14 +517,42 @@ def finite_type_recognize(d: CoxeterDiagram) -> list[SphericalType] | None:
         comp, near, shape, t = 1 << v, nbr[v], ("path", (v,), ()), _path_type(())
         while near & ~comp:
             v = (near & ~comp).bit_length() - 1
-            touch = nbr[v] & comp
-            if touch & touch - 1 or inf[v] & comp:
-                return None
-            if (step := _grow(d.weights, shape, touch.bit_length() - 1, v)) is None:
+            if (step := _grow(d.weights, nbr, inf, shape, comp, v)) is None:
                 return None
             (shape, t), comp, near = step, comp | 1 << v, near | nbr[v]
         out.append(t)
         left &= ~comp
+    return out
+
+
+def _connected_spherical_sets(d: CoxeterDiagram) -> dict[int, tuple[SphericalType, int]]:
+    """Each connected spherical vertex set of d, as a bitmask, with its type
+    and the bitmask of the set and its neighbours.
+
+    Sets grow from singletons, one-vertex paths, by one neighbour v (a bit of
+    near & ~mask) at a time, typed by _grow from the parent's shape.  Each
+    grown mask is marked seen before its one _grow call, so a set is typed
+    once, and one that _grow refuses is refused once: a cycle or an INF pair
+    belongs to the grown set, whichever parent reaches it.  Only spherical
+    sets are queued, with their shape, type and near mask, near | nbr[v].
+    Pruning at the first non-spherical set is sound: a parabolic subgroup of
+    a finite group is finite, so a connected set containing a non-spherical
+    one is not spherical; and a connected spherical set of size k+1 minus a
+    non-cut vertex (a leaf of a spanning tree) is a connected spherical set
+    of size k.
+    """
+    nbr, inf = _edge_masks(d)
+    out: dict[int, tuple[SphericalType, int]] = {}
+    todo = [(1 << v, ("path", (v,), ()), _path_type(()), 1 << v | nbr[v]) for v in range(d.n)]
+    seen = {1 << v for v in range(d.n)}
+    while todo:
+        mask, shape, t, near = todo.pop()
+        out[mask] = (t, near)
+        for v in _bits(near & ~mask):
+            if (grown := mask | 1 << v) not in seen:
+                seen.add(grown)
+                if (step := _grow(d.weights, nbr, inf, shape, mask, v)) is not None:
+                    todo.append((grown, *step, near | nbr[v]))
     return out
 
 

@@ -4,8 +4,9 @@ Steinberg's alternating sum over the finite standard subgroups is evaluated
 with denominators kept in factored cyclotomic form: every finite-type growth
 polynomial is a product of brackets [k] = 1 + t + ... + t^(k-1), and [k]
 splits into the cyclotomic polynomials Phi_d for the divisors d > 1 of k.
-Only connected spherical vertex sets are typed, grown from singletons and
-pruned at the first non-spherical set.  Terms are grouped by Solomon
+Only connected spherical vertex sets are typed, by
+diagram._connected_spherical_sets, which grows them from singletons and
+prunes at the first non-spherical set.  Terms are grouped by Solomon
 factorization, so the sum needs one common denominator and one cofactor per
 distinct factorization, not one per subset, and the signed count of each is
 a memoized recursion on vertex sets that visits no subset one at a time.
@@ -29,7 +30,7 @@ from collections import Counter
 from fractions import Fraction
 
 from .diagram import STEINBERG_RANK_BOUND, CoxeterDiagram, dominates, polygon_is_hyperbolic
-from .diagram import _bits, _edge_masks, _grow, _path_type
+from .diagram import _connected_spherical_sets
 from .intpoly import ONE, IntPoly, bracket, cyclotomic, exact_div, poly_gcd
 from .intpoly import _cyclotomic_product, _divide_cyclotomic, _pack, _signed_digits
 from .record import Record
@@ -133,43 +134,6 @@ def _solomon_factorization(exponents: tuple[int, ...]) -> Counter[int]:
     return _bracket_factorization(e + 1 for e in exponents)
 
 
-def _connected_spherical_sets(d: CoxeterDiagram) -> dict[int, tuple[Counter[int], int]]:
-    """Each connected spherical vertex set, as a bitmask, with its Solomon
-    factorization and the bitmask of the set and its neighbours.  Sets with
-    the same exponents share one factorization, which callers only read.
-
-    An edge is a weight >= 3 (INF too).  The neighbour and INF bitmasks of the
-    vertices are built once.  Sets grow from singletons, one-vertex paths, by
-    one neighbour v (a bit of near & ~mask) at a time, and each candidate is
-    typed once; a v with two neighbours or an INF edge in the set closes a
-    cycle or holds an INF pair, so that set is not spherical and not typed.
-    Otherwise v is a leaf joined to one vertex u of the set, and diagram._grow,
-    the step finite_type_recognize grows each component by, types the grown
-    set from the parent's shape and u, with no re-read of the set; its near
-    mask is near | nbr[v].  Only spherical sets are queued, with
-    their shape, type and near mask.  Pruning at the first non-spherical set
-    is sound: a parabolic subgroup of a finite group is finite, so a connected
-    set containing a non-spherical one is not spherical; and a connected
-    spherical set of size k+1 minus a non-cut vertex (a leaf of a spanning
-    tree) is a connected spherical set of size k.
-    """
-    nbr, inf = _edge_masks(d)
-    out: dict[int, tuple[Counter[int], int]] = {}
-    todo = [(1 << v, ("path", (v,), ()), _path_type(()), 1 << v | nbr[v]) for v in range(d.n)]
-    seen = {1 << v for v in range(d.n)}
-    while todo:
-        mask, shape, t, near = todo.pop()
-        out[mask] = (_solomon_factorization(t.exponents), near)
-        for v in _bits(near & ~mask):
-            touch, grown = nbr[v] & mask, mask | 1 << v
-            if not (touch & touch - 1 or inf[v] & mask or grown in seen):
-                seen.add(grown)
-                step = _grow(d.weights, shape, touch.bit_length() - 1, v)
-                if step is not None:
-                    todo.append((grown, *step, near | nbr[v]))
-    return out
-
-
 def _fold(terms: dict[int, int], rows: list[list[int]]) -> int:
     """The sum over packed keys of terms[key] * prod_p rows[p][e_p], e_p the
     key's p-th field.  Factors are taken one field at a time from the first,
@@ -207,14 +171,14 @@ def steinberg_growth(d: CoxeterDiagram) -> GrowthFunction:
     """
     _check_rank(d.n)
     conn = _connected_spherical_sets(d)
-    facs = {id(fac): fac for fac, _ in conn.values()}  # the distinct factorizations
+    facs = {e: _solomon_factorization(e) for e in {t.exponents for t, _ in conn.values()}}
     idx = sorted({i for fac in facs.values() for i in fac})
     # A factorization packs into one int, _FIELD bits per index of idx, so
     # that adding two factorizations is one integer addition.
     packed = {key: sum(e << _FIELD * idx.index(i) for i, e in fac.items()) for key, fac in facs.items()}
     through = [[] for _ in range(d.n)]  # per lowest vertex: (C, near(C), (-1)^|C|, packed fac(C))
-    for s, (fac, near) in conn.items():
-        through[(s & -s).bit_length() - 1].append((s, near, -1 if s.bit_count() % 2 else 1, packed[id(fac)]))
+    for s, (t, near) in conn.items():
+        through[(s & -s).bit_length() - 1].append((s, near, -1 if s.bit_count() % 2 else 1, packed[t.exponents]))
     memo = {0: {0: 1}}
 
     def signed(u: int) -> dict[int, int]:

@@ -1,6 +1,6 @@
 """Immutable value classes with no code generated at import.
 
-A subclass of Record lists its fields as annotations, in order, with optional
+Every value class of the package is a Record.  A subclass lists its fields as annotations, in order, with optional
 defaults, which every instance shares, so each must be immutable.  Once per
 subclass, __init_subclass__ reads the fields and makes the __init__ (a
 closure); equality, hash, repr and the guards are the plain methods below.

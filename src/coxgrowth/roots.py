@@ -34,7 +34,8 @@ intpoly._sign_at(c, u, v) = sign(sum c_i u^i v^(n-i)), under IntPoly.sign_at
 too, reads p at u / v, and one _halve bisects integer numerators over one
 denominator, for the window and for refinement, whose ends (alpha0's) need
 not be dyadic.  A tree's adjacency radius does not come here: spectra
-bisects the same grid by exact eigenvalue counts on the tree.  Its
+bisects the same grid by exact eigenvalue counts on the tree (on a path's
+chi every window declines, and the bisection is slow).  Its
 polynomial, an alpha eliminant and t^4 - 4t^2 - 1 read f(x) = x^e g(x^2).
 For a > 0, x -> x^2 maps the roots of f above a one to one onto those of g
 above a^2, with f'(x) = x^e 2x g'(x^2) and f(a) = a^e g(a^2), so g shifted

@@ -4,6 +4,11 @@ read back; eigenvalue counts at a rational point from the tree's leaves-up
 pivots, which place its radius), the classification of trees with spectral
 radius in (2, sqrt(2 + sqrt 5)), the weight-4 leaf replacement, and the
 non-realization pipeline for the smallest tetrahedral growth rate.
+
+Trees are rooted through coxtrans._weight3_rooted, the one check that every
+weight is 3.  The counts follow Jacobs-Trevisan, "Locating the eigenvalues
+of trees", Linear Algebra Appl. 434 (2011), and _adjacency_radius bisects by
+them.  Bounds above PROP52_BOUND raise ValueError before any tree is built.
 """
 
 from __future__ import annotations
@@ -195,7 +200,8 @@ def weight4_leaf_replace(tree: WeightedTree, width: Fraction = Fraction(1, 10**1
 
 
 # Table 1: the eight trees whose adjacency radii bracket alpha0, with their
-# published 7-decimal radii and the side of alpha0 each radius lies on.
+# published 7-decimal radii and the side of alpha0 each radius lies on; the
+# one copy, read by spectra --table1, verify table1 and the Prop 5.2 brackets.
 TABLE1 = (
     ("star", (2, 4, 5), "2.0153161", "below"),
     ("star", (2, 4, 6), "2.0236833", "above"),

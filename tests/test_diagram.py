@@ -12,6 +12,9 @@ from coxgrowth.diagram import (
     CoxeterDiagram,
     DiagramError,
     WeightedTree,
+    _connected_spherical_sets,
+    _edge_masks,
+    _grow,
     diagram_from_text,
     dominates,
     finite_type_recognize,
@@ -22,7 +25,8 @@ from coxgrowth.diagram import (
     polygon_is_hyperbolic,
     star_diagram,
 )
-from coxgrowth.growth import STEINBERG_RANK_BOUND, _connected_spherical_sets, steinberg_growth
+from coxgrowth import diagram
+from coxgrowth.growth import STEINBERG_RANK_BOUND, steinberg_growth
 
 from oracles import (
     dihedral_order,
@@ -424,16 +428,74 @@ def test_bitmask_typing_matches_the_weight_table_oracle():
     rng = random.Random(18)
     families = set()
     for d in _PLANTED + [_random_diagram(rng) for _ in range(150)]:
-        connected_spherical = set()
+        connected_spherical = {}
         for mask in range(1, 1 << d.n):
             sub = d.subdiagram(tuple(v for v in range(d.n) if mask >> v & 1))
             want = reference_finite_type(sub)
             assert finite_type_recognize(sub) == want, (d, mask)
             if want is not None and len(want) == 1:
-                connected_spherical.add(mask)
+                connected_spherical[mask] = want[0]
                 families.add(want[0].family)
-        assert set(_connected_spherical_sets(d)) == connected_spherical, d
+        assert {mask: t for mask, (t, _) in _connected_spherical_sets(d).items()} == connected_spherical, d
     assert families == {"A", "B", "D", "E6", "E7", "E8", "F4", "H3", "H4", "I2"}
+
+
+# The vertex 0, the path 0-1-2 and the D4 branch with centre 0 and arms (1,),
+# (2,), (3,), each as (edges, shape), grown by the leaf v = 1, 3 or 4; and the
+# extra edges of v that close a weight-3 triangle, a 4-cycle, or join v to the
+# set by INF (from the vertex, the word (INF,) alone would read as dihedral)
+_GROW_SHAPES = {
+    "vertex": ({}, ("path", (0,), ())),
+    "path": ({(0, 1): 3, (1, 2): 3}, ("path", (0, 1, 2), (3, 3))),
+    "branch": ({(0, 1): 3, (0, 2): 3, (0, 3): 3}, ("branch", 0, ((1,), (2,), (3,)))),
+}
+_REFUSED_LEAVES = {
+    ("vertex", "INF"): {(0, 1): INF},
+    ("path", "triangle"): {(1, 3): 3, (2, 3): 3},
+    ("path", "4-cycle"): {(0, 3): 3, (2, 3): 3},
+    ("path", "INF at an end"): {(2, 3): INF},
+    ("path", "INF and an end"): {(2, 3): 3, (0, 3): INF},
+    ("branch", "triangle"): {(0, 4): 3, (1, 4): 3},
+    ("branch", "4-cycle"): {(1, 4): 3, (2, 4): 3},
+    ("branch", "INF at a tip"): {(1, 4): INF},
+    ("branch", "INF and a tip"): {(1, 4): 3, (2, 4): INF},
+}
+
+
+def _grow_leaf(kind: str, leaf: dict):
+    """_grow on the set of _GROW_SHAPES[kind] and the one vertex that leaf's
+    edges add to it."""
+    edges, shape = _GROW_SHAPES[kind]
+    d = CoxeterDiagram(len(edges) + 2, {**edges, **leaf})
+    return _grow(d.weights, *_edge_masks(d), shape, (1 << d.n - 1) - 1, d.n - 1)
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED_LEAVES), ids=" ".join)
+def test_grow_refuses_a_leaf_closing_a_cycle_or_an_inf_pair(case):
+    assert _grow_leaf(case[0], _REFUSED_LEAVES[case]) is None
+
+
+def test_grow_extends_a_path_end_and_an_arm_tip():
+    shape, t = _grow_leaf("path", {(2, 3): 3})
+    assert (shape, str(t)) == (("path", (0, 1, 2, 3), (3, 3, 3)), "A4")
+    shape, t = _grow_leaf("branch", {(1, 4): 3})
+    assert (shape, str(t)) == (("branch", 0, ((1, 4), (2,), (3,))), "D5")
+
+
+def test_connected_spherical_sets_call_grow_once_per_grown_mask(monkeypatch):
+    grown, grow = [], diagram._grow
+
+    def counted(weights, nbr, inf, shape, mask, v):
+        grown.append(mask | 1 << v)
+        return grow(weights, nbr, inf, shape, mask, v)
+
+    monkeypatch.setattr(diagram, "_grow", counted)
+    rng = random.Random(46)
+    for d in _PLANTED + [_random_diagram(rng) for _ in range(150)]:
+        grown.clear()
+        conn = _connected_spherical_sets(d)
+        assert len(set(grown)) == len(grown), d
+        assert set(conn) <= set(grown) | {1 << v for v in range(d.n)}
 
 
 def _relabelled_union(parts, perm) -> CoxeterDiagram:

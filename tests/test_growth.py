@@ -10,6 +10,7 @@ from coxgrowth import diagram, growth
 from coxgrowth.diagram import (
     INF,
     CoxeterDiagram,
+    _connected_spherical_sets,
     _edge_masks,
     parse_coxeter_symbol,
     path_tree,
@@ -20,7 +21,6 @@ from coxgrowth.diagram import (
 from coxgrowth.growth import (
     GrowthFunction,
     NotExponentialError,
-    _connected_spherical_sets,
     _reduced_growth,
     growth_rate,
     help_numerator,
@@ -212,18 +212,20 @@ def _shape_vertices(shape):
 
 def _grow_steps(run, d):
     """run(d) with each grow step recorded as (parent shape, u, v, grown
-    mask, result), and run's value."""
+    mask, result), u the one neighbour of v in the set, or None when v has
+    two there or an INF edge into it; and run's value."""
     steps, grow = [], diagram._grow
 
-    def recorded(weights, shape, u, v):
-        got = grow(weights, shape, u, v)
-        steps.append((shape, u, v, sum(1 << x for x in _shape_vertices(shape)) | 1 << v, got))
+    def recorded(weights, nbr, inf, shape, mask, v):
+        got = grow(weights, nbr, inf, shape, mask, v)
+        assert sum(1 << x for x in _shape_vertices(shape)) == mask, (shape, mask)
+        touch = nbr[v] & mask
+        u = touch.bit_length() - 1 if touch.bit_count() == 1 and not inf[v] & mask else None
+        steps.append((shape, u, v, mask | 1 << v, got))
         return got
 
     with pytest.MonkeyPatch.context() as mp:
-        # growth imports _grow by name, so its own binding is the one
-        # _connected_spherical_sets looks up
-        mp.setattr(growth, "_grow", recorded)
+        mp.setattr(diagram, "_grow", recorded)
         return steps, run(d)
 
 
@@ -235,7 +237,7 @@ def test_connected_sets_type_no_grown_set_with_a_cycle_or_an_inf_pair(d):
     masks = [mask for _, _, _, mask, _ in steps]
     assert len(set(masks)) == len(masks)
     nbr, inf = _edge_masks(d)
-    for mask in masks:
+    for mask in (mask for _, _, _, mask, got in steps if got is not None):
         verts = [v for v in range(d.n) if mask >> v & 1]
         assert not any(inf[v] & mask for v in verts)
         assert sum((nbr[v] & mask).bit_count() for v in verts) // 2 == len(verts) - 1
@@ -244,6 +246,8 @@ def test_connected_sets_type_no_grown_set_with_a_cycle_or_an_inf_pair(d):
 def _step_case(shape, u):
     """Where the grow step joins the new leaf to a set of the given shape."""
     kind, first, second = shape
+    if u is None:
+        return "cycle or INF pair"
     if kind == "path":
         return "path end" if u in (first[0], first[-1]) else "path inner"
     if u == first:
@@ -300,7 +304,7 @@ def test_grow_step_types_match_the_full_recognizer_on_planted_diagrams():
             if got is not None:
                 types.add(str(got[1]))
     assert cases == {"path end", "path inner x=3", "path inner x!=3", "branch centre",
-                          "arm tip", "arm inner"}
+                          "arm tip", "arm inner", "cycle or INF pair"}
     assert {"D4", "E6", "E7", "E8", "F4", "H3", "H4", "I2(4)", "I2(5)"} <= types
     assert any(t.startswith("A") for t in types) and any(t.startswith("B") for t in types)
 

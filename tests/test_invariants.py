@@ -60,6 +60,23 @@ def test_remainder_sequences_come_only_from_roots(path):
     assert lines == [], f"{path.name} calls pseudo_rem or _divide at lines {lines}"
 
 
+_GROW_PROTOCOL_NAMES = {"_grow", "_typed", "_path_type", "_branch_type", "_edge_masks", "_bits"}
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "diagram.py"),
+                         ids=lambda p: p.name)
+def test_spherical_sets_are_grown_only_in_diagram(path):
+    # one grow protocol, in diagram: finite_type_recognize and the connected
+    # spherical sets of the Steinberg sum are grown there, and no other module
+    # reads the grow step, its shapes, its catalog or its bitmasks
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id in _GROW_PROTOCOL_NAMES
+             or isinstance(node, ast.Attribute) and node.attr in _GROW_PROTOCOL_NAMES
+             or isinstance(node, ast.alias) and node.name in _GROW_PROTOCOL_NAMES]
+    assert lines == [], f"{path.name} reads diagram's grow protocol at lines {lines}"
+
+
 _CODE_GENERATORS = {"dataclasses", "namedtuple", "NamedTuple"}
 
 

@@ -111,19 +111,19 @@ def traced_counts(root: Path, workload: str, seed: int, seconds: int) -> dict[st
     return {name: metrics[name]["value"] for name in COUNTS}
 
 
-def run_python(root: Path, argv: list[str]) -> tuple[bytes, int]:
-    """Stdout and exit code of ``python3 ARGV`` in root, with root's ``src``
-    first on ``PYTHONPATH``."""
+def run_python(root: Path, argv: list[str]) -> tuple[bytes, bytes, int]:
+    """Stdout, stderr and exit code of ``python3 ARGV`` in root, with root's
+    ``src`` first on ``PYTHONPATH``."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
     out = subprocess.run([sys.executable, *argv], cwd=root, env=env, capture_output=True)
-    return out.stdout, out.returncode
+    return out.stdout, out.stderr, out.returncode
 
 
 def timed_process(root: Path, argv: list[str]) -> tuple[float, bytes]:
     """Wall time and stdout of one ``coxgrowth.cli ARGV --json --no-meta`` process."""
     start = time.perf_counter()
-    stdout, code = run_python(root, ["-m", "coxgrowth.cli", *argv, "--json", "--no-meta"])
+    stdout, _, code = run_python(root, ["-m", "coxgrowth.cli", *argv, "--json", "--no-meta"])
     seconds = time.perf_counter() - start
     if code != 0:
         raise SystemExit(f"{root}: {' '.join(argv)} exited {code}")

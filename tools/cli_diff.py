@@ -11,10 +11,12 @@ runs as ``python3 -m coxgrowth.cli ... --json --no-meta``, every command of
 of ``DEMOS`` as it is, each with that tree's ``src`` first on ``PYTHONPATH``.
 The ``growth --file`` commands read diagram files of ``FILES``, written into
 the temporary directory and passed to both sides by absolute path.  Their
-stdout bytes and exit codes are compared, and a command that exits nonzero on
-the base counts as a difference too, unless it is in ``EXPECTED_ERRORS``:
-a command that fails on both sides checks nothing.  Each difference is
-printed, and the tool exits 1 if there is any, 0 otherwise.
+stdout bytes, stderr bytes and exit codes are compared, so the ``error:`` and
+usage lines of ``EXPECTED_ERRORS`` are checked too, and a command that exits
+nonzero on the base counts as a difference, unless it is in
+``EXPECTED_ERRORS``: a command that fails on both sides checks nothing.
+Each difference is printed, and the tool exits 1 if there is any, 0
+otherwise.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ COMMANDS = [
     ["salem", "--search", "--target", LEHMER],
 ]
 
-# Commands that must fail, with the same stdout and exit code on both sides
+# Commands that must fail, with the same stdout, stderr and exit code on both sides
 EXPECTED_ERRORS = [
     ["growth", "--symbol", "[3^20]"],  # rank 21, above the Steinberg rank bound
     ["growth", "--symbol", "[3^" + "9" * 5000 + "]"],  # a count past int()'s 4300 digits
@@ -115,7 +117,7 @@ def main(argv=None) -> int:
         runs += [(" ".join(cmd) + " (human)", ["-m", "coxgrowth.cli", *cmd], False) for cmd in HUMAN]
         runs += [(f"demos/{demo}", [f"demos/{demo}"], False) for demo in DEMOS]
         for name, cmd, expected_error in runs:
-            (base_out, base_code), (out, code) = run_python(base, cmd), run_python(change, cmd)
+            (*base_out, base_code), (*out, code) = run_python(base, cmd), run_python(change, cmd)
             same = base_out == out and base_code == code and (base_code != 0) == expected_error
             differences += not same
             print(f"{'same' if same else 'DIFFERS':8} exit {base_code} -> {code}  {name}", flush=True)
