@@ -36,16 +36,9 @@ from .diagram import (
     polygon_is_hyperbolic,
     star_diagram,
 )
-from .intpoly import INT_DIGITS_BOUND, _digits_value, parse_poly
+from .intpoly import INT_DIGITS_BOUND, IntPoly, _digits_value, parse_poly
 from .numclass import classify, strip_cyclotomic
-from .record import Record
 from .roots import DEFAULT_WIDTH, RootInterval, _decimal_text
-
-
-class CommandResult(Record):
-    command: str
-    payload: dict
-    exit_code: int = 0
 
 
 def _interval_payload(iv: RootInterval) -> dict:
@@ -111,10 +104,9 @@ def _diagram_from_args(args) -> CoxeterDiagram:
     if args.polygon:
         growth._check_rank(len(args.polygon))
         return polygon_diagram(*args.polygon)
-    if args.star:
-        return _tree("star", args.star, growth._check_rank).to_diagram()
-    if args.hgraph:
-        return _tree("h", args.hgraph, growth._check_rank).to_diagram()
+    for kind, params in (("star", args.star), ("h", args.hgraph)):
+        if params:
+            return _tree(kind, params, growth._check_rank).to_diagram()
     raise DiagramError("no diagram given; use --symbol, --file, --polygon, --star or --hgraph")
 
 
@@ -134,6 +126,11 @@ def _tree(kind: str, params: tuple[int, ...], check) -> WeightedTree:
     return path_tree(*params)
 
 
+def _label(kind: str, params: tuple[int, ...]) -> str:
+    """The star or H-graph of the parameters as text, as in Star(2, 3, 7)."""
+    return f"{'Star' if kind == 'star' else 'H'}{params}"
+
+
 def _tree_from_spec(text: str) -> WeightedTree:
     kind, _, rest = text.partition(":")
     params = _parse_int_list(rest) if rest else ()
@@ -143,7 +140,7 @@ def _tree_from_spec(text: str) -> WeightedTree:
     return _tree(kind, params, coxtrans._check_vertices)
 
 
-def _cmd_growth(args) -> CommandResult:
+def _cmd_growth(args) -> tuple[bool, dict]:
     d = _diagram_from_args(args)
     f = growth.steinberg_growth(d)
     payload: dict = {
@@ -169,21 +166,18 @@ def _cmd_growth(args) -> CommandResult:
     except growth.NotExponentialError:
         payload["growth_rate"] = None
         payload["classification"] = []
-    return CommandResult("growth", payload)
+    return True, payload
 
 
-def _cmd_coxtrans(args) -> CommandResult:
-    if args.star:
-        tree = _tree("star", args.star, coxtrans._check_vertices)
-        label = f"Star{tuple(args.star)}"
-    elif args.hgraph:
-        tree = _tree("h", args.hgraph, coxtrans._check_vertices)
-        label = f"H{tuple(args.hgraph)}"
-    elif args.tree:
-        tree = _tree_from_spec(args.tree)
-        label = args.tree
+def _cmd_coxtrans(args) -> tuple[bool, dict]:
+    for kind, params in (("star", args.star), ("h", args.hgraph)):
+        if params:
+            tree, label = _tree(kind, params, coxtrans._check_vertices), _label(kind, params)
+            break
     else:
-        raise DiagramError("no tree given; use --star, --hgraph or --tree")
+        if not args.tree:
+            raise DiagramError("no tree given; use --star, --hgraph or --tree")
+        tree, label = _tree_from_spec(args.tree), args.tree
     phi = coxtrans.char_poly_recursive(tree)
     radius = coxtrans.spectral_radius_from_charpoly(phi, args.width)
     core, factors = strip_cyclotomic(phi)
@@ -195,38 +189,52 @@ def _cmd_coxtrans(args) -> CommandResult:
         "cyclotomic_factors": [{"index": n, "multiplicity": m} for n, m in factors],
         "spectral_radius": _interval_payload(radius),
     }
-    return CommandResult("coxtrans", payload)
+    return True, payload
 
 
-def _cmd_spectra(args) -> CommandResult:
+def _cmd_spectra(args) -> tuple[bool, dict]:
     if args.table1:
-        ok, payload = _verify_table1(args)
-        return CommandResult("spectra", payload, exit_code=0 if ok else 1)
+        return _verify_table1(args)
     if not args.tree:
         raise DiagramError("no input; use --tree or --table1")
     tree = _tree_from_spec(args.tree)
     iv = spectra.spectral_radius_adjacency(tree, args.width)
-    return CommandResult("spectra", {
+    return True, {
         "tree": args.tree,
         "vertices": tree.n,
         "adjacency_char_poly": iv.poly.to_text(),
         "spectral_radius": _interval_payload(iv),
-    })
+    }
 
 
-# The largest degree classify --poly accepts: on random monic inputs with coefficients
-# in [-3, 3], classify took at most 1.07 s at degree 160, 3.4 s at 200 and 129 s at 400
-# (one core of a 2-CPU host).
+# The largest degree classify --poly and salem --target accept: on random monic inputs
+# with coefficients in [-3, 3], classify took at most 1.07 s at degree 160, 3.4 s at 200
+# and 129 s at 400 (one core of a 2-CPU host).
 CLASSIFY_DEGREE_BOUND = 160
+# The most bits of a coefficient they accept: on random monic inputs with 16-bit
+# coefficients, classify and strip_cyclotomic took at most 2.6 s at degree 160 and
+# 12.9 s at degree 64, the largest degree whose Perron check counts the roots of
+# p(ct) (9.4 s with 14 bits); 30 decimal digits at degree 160 took over 30 s.
+CLASSIFY_COEFFICIENT_BITS = 16
 
 
-def _cmd_classify(args) -> CommandResult:
-    p = parse_poly(args.poly)
+def _poly_arg(text: str) -> IntPoly:
+    """The polynomial of --poly or --target; ValueError, before any work, above
+    CLASSIFY_DEGREE_BOUND or CLASSIFY_COEFFICIENT_BITS."""
+    p = parse_poly(text)
     if p.degree > CLASSIFY_DEGREE_BOUND:
         raise ValueError(f"degree {p.degree} exceeds the bound {CLASSIFY_DEGREE_BOUND}")
+    for pos, c in enumerate(p.coeffs, start=1):
+        if c.bit_length() > CLASSIFY_COEFFICIENT_BITS:
+            raise ValueError(f"coefficient at position {pos} has more than {CLASSIFY_COEFFICIENT_BITS} bits")
+    return p
+
+
+def _cmd_classify(args) -> tuple[bool, dict]:
+    p = _poly_arg(args.poly)
     nc = classify(p)
     core, factors = strip_cyclotomic(p)
-    return CommandResult("classify", {
+    return True, {
         "poly": p.to_text(),
         "degree": p.degree,
         "roots_outside_unit_disk": nc.roots_outside_unit_disk,
@@ -235,10 +243,15 @@ def _cmd_classify(args) -> CommandResult:
         "labels": sorted(nc.labels),
         "core": core.to_text(),
         "cyclotomic_factors": [{"index": n, "multiplicity": m} for n, m in factors],
-    })
+    }
 
 
-def _cmd_salem(args) -> CommandResult:
+def _cmd_salem(args) -> tuple[bool, dict]:
+    if args.search:
+        if not args.target:
+            raise DiagramError("--search requires --target")
+        max_k, max_p = _bounds(args, VERIFY_MAX_K, VERIFY_MAX_P, _polygons_exist)
+        target = _poly_arg(args.target)
     path = salemdb.list_path(args.list)
     entries = salemdb.load_salem_list(path)
     payload: dict = {
@@ -264,17 +277,13 @@ def _cmd_salem(args) -> CommandResult:
             payload["gap"]["entries_below_rate_353"] = salemdb.count_entries_below(
                 entries, rate_353)
     if args.search:
-        if not args.target:
-            raise DiagramError("--search requires --target")
-        max_k, max_p = _bounds(args, VERIFY_MAX_K, VERIFY_MAX_P, _polygons_exist)
-        target = parse_poly(args.target)
         res = salemdb.polygon_realization_search(target, max_k, max_p)
         payload["search"] = {
             "target": target.to_text(),
             "matches": [list(m.params) for m in res.matches],
             "tuples_examined": res.tuples_examined,
         }
-    return CommandResult("salem", payload)
+    return True, payload
 
 
 # The largest --max-k and --max-p of salem --search and verify delta-phi, theorem2
@@ -355,10 +364,9 @@ def _verify_table1(args) -> tuple[bool, dict]:
     """The Table 1 radii at args.width against their published values."""
     rows = []
     for family, params, ref, _ in spectra.TABLE1:
-        tree = star_diagram(*params) if family == "star" else h_graph(*params)
-        iv = spectra.spectral_radius_adjacency(tree, args.width)
+        iv = spectra.spectral_radius_adjacency(_tree(family, params, coxtrans._check_vertices), args.width)
         rows.append({
-            "graph": (f"Star{params}" if family == "star" else f"H{params}"),
+            "graph": _label(family, params),
             "reference": ref,
             "computed": _interval_payload(iv),
             "agrees": abs(iv.midpoint() - Fraction(ref)) <= Fraction(1, 10**6) + iv.width,
@@ -394,10 +402,9 @@ _VERIFY_DISPATCH = {
 }
 
 
-def _cmd_verify(args) -> CommandResult:
+def _cmd_verify(args) -> tuple[bool, dict]:
     passed, details = _VERIFY_DISPATCH[args.check](args)
-    payload = {"check": args.check, "passed": passed, **details}
-    return CommandResult("verify", payload, exit_code=0 if passed else 1)
+    return passed, {"check": args.check, "passed": passed, **details}
 
 
 def _common_options(parser, suppress: bool):
@@ -472,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_human(result: CommandResult, out):
+def _print_human(command: str, payload: dict, out):
     def walk(obj, indent=0):
         pad = "  " * indent
         if isinstance(obj, dict):
@@ -490,8 +497,8 @@ def _print_human(result: CommandResult, out):
                 else:
                     print(f"{pad}- {val}", file=out)
 
-    print(f"[{result.command}]", file=out)
-    walk(result.payload)
+    print(f"[{command}]", file=out)
+    walk(payload)
 
 
 # The options whose value is a coefficient list, which may start with '-'.
@@ -518,19 +525,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_coefficient_values(sys.argv[1:] if argv is None else argv))
     try:
-        result: CommandResult = args.func(args)
+        passed, payload = args.func(args)
     except (ValueError, ArithmeticError, OSError, argparse.ArgumentTypeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     if args.json:
-        doc = {"command": result.command, "payload": result.payload}
+        doc = {"command": args.command, "payload": payload}
         if not args.no_meta:
             doc["meta"] = {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}
         json.dump(doc, sys.stdout, indent=2, sort_keys=True)
         print()
     else:
-        _print_human(result, sys.stdout)
-    return result.exit_code
+        _print_human(args.command, payload, sys.stdout)
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

@@ -157,6 +157,32 @@ def test_classify_degree_bound_itself_accepted(capsys):
     assert doc["payload"]["degree"] == 160
 
 
+_OVER_BITS = str(2**cli.CLASSIFY_COEFFICIENT_BITS)  # one bit over the coefficient bound
+_AT_BITS = str(2**cli.CLASSIFY_COEFFICIENT_BITS - 1)
+
+
+@pytest.mark.parametrize("poly, message", [
+    (f"1,{_OVER_BITS},1", f"coefficient at position 2 has more than {cli.CLASSIFY_COEFFICIENT_BITS} bits"),
+    (f"-{_OVER_BITS},0,1", f"coefficient at position 1 has more than {cli.CLASSIFY_COEFFICIENT_BITS} bits"),
+])
+def test_classify_coefficient_above_bound_rejected_before_classifying(capsys, monkeypatch, poly, message):
+    def unreachable(*args):
+        raise AssertionError("classify called")
+
+    monkeypatch.setattr(cli, "classify", unreachable)
+    monkeypatch.setattr(cli, "strip_cyclotomic", unreachable)
+    code, out, err = run_cli(capsys, "classify", f"--poly={poly}")
+    assert code == 1 and out == ""
+    assert err.strip() == f"error: {message}"
+
+
+@pytest.mark.parametrize("poly", [f"1,{_AT_BITS},1", f"-{_AT_BITS},0,1"])
+def test_classify_coefficient_bound_itself_accepted(capsys, poly):
+    code, doc, _ = run_json(capsys, "classify", f"--poly={poly}")
+    assert code == 0
+    assert doc["payload"]["poly"] == poly
+
+
 def test_coxtrans_hgraph(capsys):
     code, doc, _ = run_json(capsys, "coxtrans", "--hgraph", "2,8,3")
     assert code == 0
@@ -357,6 +383,29 @@ def test_salem_search_bounds_rejected_before_searching(capsys, monkeypatch, boun
     assert err.strip() == f"error: {message}"
 
 
+@pytest.mark.parametrize("target, message", [
+    (",".join(["1"] + ["0"] * 160 + ["1"]), "degree 161 exceeds the bound 160"),
+    (f"1,{_OVER_BITS},1", f"coefficient at position 2 has more than {cli.CLASSIFY_COEFFICIENT_BITS} bits"),
+])
+def test_salem_target_above_bound_rejected_before_any_work(capsys, monkeypatch, target, message):
+    def unreachable(*args):
+        raise AssertionError("search started")
+
+    monkeypatch.setattr(salemdb, "polygon_realization_search", unreachable)
+    monkeypatch.setattr(salemdb, "gap_report", unreachable)
+    code, out, err = run_cli(capsys, "salem", "--gap", "--search", "--target", target,
+                             "--max-k", "3", "--max-p", "7")
+    assert code == 1 and out == ""
+    assert err.strip() == f"error: {message}"
+
+
+@pytest.mark.parametrize("target", [",".join(["-1", "1"] + ["0"] * 158 + ["1"]), f"-{_AT_BITS},0,1"])
+def test_salem_target_at_the_bounds_accepted(capsys, target):
+    code, doc, _ = run_json(capsys, "salem", "--search", "--target", target, "--max-k", "3", "--max-p", "7")
+    assert code == 0
+    assert doc["payload"]["search"]["target"] == target
+
+
 def test_verify_chain(capsys):
     code, doc, _ = run_json(capsys, "verify", "chain-fig1")
     assert code == 0
@@ -421,6 +470,31 @@ def test_meta_timestamp_present_by_default(capsys):
     code, out, _ = run_cli(capsys, "classify", "--poly", "1,1", "--json")
     doc = json.loads(out)
     assert "meta" in doc and "timestamp" in doc["meta"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["growth", "--symbol", "[3,8]"],
+    ["coxtrans", "--star", "2,3,7"],
+    ["spectra", "--tree", "H:2,10,3"],
+    ["classify", "--poly", "1,1"],
+    ["salem"],
+    ["verify", "delta-phi", "--max-k", "1", "--max-p", "2"],
+], ids=lambda argv: argv[0])
+def test_command_name_is_the_subcommand(capsys, argv):
+    code, doc, _ = run_json(capsys, *argv)
+    assert code == 0 and doc["command"] == argv[0]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out.splitlines()[0] == f"[{argv[0]}]"
+
+
+def test_spectra_table1_with_a_reference_off_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(spectra, "TABLE1", tuple(
+        (f, p, "2.1" if (f, p) == ("h", (2, 9, 3)) else r, side) for f, p, r, side in spectra.TABLE1))
+    code, doc, _ = run_json(capsys, "spectra", "--table1")
+    assert code == 1 and doc["payload"]["all_agree"] is False
+    assert [row["graph"] for row in doc["payload"]["table1"] if not row["agrees"]] == ["H(2, 9, 3)"]
+    code, out, _ = run_cli(capsys, "spectra", "--table1")
+    assert code == 1 and out.count("agrees: False") == 1 and "all_agree: False" in out
 
 
 def test_human_output(capsys):
@@ -547,6 +621,7 @@ _README_BOUNDS = [
     (r"`--max-k` up to (\d+) and `--max-p` up to (\d+) \(`cli\.VERIFY_MAX_K`, `cli\.VERIFY_MAX_P`",
      [cli.VERIFY_MAX_K, cli.VERIFY_MAX_P]),
     (r"degree up to (\d+) \(`cli\.CLASSIFY_DEGREE_BOUND`\)", [cli.CLASSIFY_DEGREE_BOUND]),
+    (r"at most (\d+) bits \(`cli\.CLASSIFY_COEFFICIENT_BITS`\)", [cli.CLASSIFY_COEFFICIENT_BITS]),
     (r"limited to rank (\d+), the rank bound of the Steinberg sum", [diagram.STEINBERG_RANK_BOUND]),
     (r"at most (\d+) \(`diagram\.WEIGHT_BOUND`\)", [diagram.WEIGHT_BOUND]),
     (r"at most (\d+) vertices \(`coxtrans\.TREE_VERTEX_BOUND`\)", [coxtrans.TREE_VERTEX_BOUND]),

@@ -10,7 +10,6 @@ import pytest
 
 from coxgrowth import (INF, CoxeterDiagram, GrowthFunction, IntPoly, NumberClass, RootInterval, SalemEntry,
                        SphericalType, WeightedTree)
-from coxgrowth.cli import CommandResult
 from coxgrowth.coxtrans import BipartiteOrder
 from coxgrowth.growth import CaseReport, MonotonicityResult, SecondMinimalReport
 from coxgrowth.salemdb import GapReport, RealizationMatch, RealizationSearchResult
@@ -86,11 +85,9 @@ RECORDS = [
      f"RealizationSearchResult(target={P}, matches=({MATCH},), tuples_examined=5)"),
     ("BipartiteOrder", lambda: BipartiteOrder(tree=_tree(), part1=(0,), part2=(1,), x_block=((1,),)),
      f"BipartiteOrder(tree={TREE}, part1=(0,), part2=(1,), x_block=((1,),))"),
-    ("CommandResult", lambda: CommandResult(command="growth", payload={"a": 1}),
-     "CommandResult(command='growth', payload={'a': 1}, exit_code=0)"),
 ]
 # frozen records with a dict field have the field values' hash, so none
-UNHASHABLE = {"Alpha0Report", "Prop52Report", "CaseReport", "SecondMinimalReport", "CommandResult"}
+UNHASHABLE = {"Alpha0Report", "Prop52Report", "CaseReport", "SecondMinimalReport"}
 
 _ids = [name for name, _, _ in RECORDS]
 
@@ -147,7 +144,6 @@ def test_record_keyword_construction_and_defaults():
     assert NumberClass(1, 2, 3).labels == frozenset()
     assert SphericalType("I2", 2, (1, 4), 5).m == 5 and SphericalType("A", 1, (1,)).m is None
     assert MonotonicityResult(True).low_rate is None and MonotonicityResult(True).high_rate is None
-    assert CommandResult("salem", {}).exit_code == 0 and CommandResult("salem", {}, 1).exit_code == 1
     assert _alpha0().bracketing == ()
     with pytest.raises(TypeError):
         NumberClass(1, 2)

@@ -15,6 +15,8 @@ stdout bytes, stderr bytes and exit codes are compared, so the ``error:`` and
 usage lines of ``EXPECTED_ERRORS`` are checked too, and a command that exits
 nonzero on the base counts as a difference, unless it is in
 ``EXPECTED_ERRORS``: a command that fails on both sides checks nothing.
+The lists make 54 runs; the human-mode ones cover the ``[name]`` header and
+the ``Star(...)`` and ``H(...)`` labels of ``coxtrans`` and ``spectra --table1``.
 Each difference is printed, and the tool exits 1 if there is any, 0
 otherwise.
 """
@@ -77,6 +79,7 @@ EXPECTED_ERRORS = [
     ["growth", "--symbol", "[3^" + "9" * 5000 + "]"],  # a count past int()'s 4300 digits
     ["classify", "--poly", "1," + "9" * 5000 + ",1"],  # a coefficient past the same limit
     ["coxtrans", "--star", "2,3," + "9" * 5000],  # an arm length past it
+    ["coxtrans", "--hgraph", "2,1191,7"],  # 1201 vertices, above the tree vertex bound
     ["growth", "--symbol", "[3,4.0]"],  # a weight that is not an integer
 ]
 
@@ -89,9 +92,11 @@ FILES = {
 }
 
 # Commands run in human mode too, without --json: verify second-minimal's
-# details hold tuples, and each of the others walks nested dicts and lists
+# details hold tuples, each of the others walks nested dicts and lists, and
+# spectra --table1 and coxtrans --star print the Star(...) and H(...) labels
 HUMAN = [["verify", "second-minimal"], ["verify", "table1"],
-         ["growth", "--symbol", "[3,5,3]"], ["salem", "--gap"]]
+         ["growth", "--symbol", "[3,5,3]"], ["salem", "--gap"],
+         ["coxtrans", "--star", "2,3,7"], ["spectra", "--table1"]]
 
 DEMOS = ["growth_rates_tour.py", "salem_gap_demo.py", "tree_spectra_story.py"]
 
