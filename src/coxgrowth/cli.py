@@ -4,7 +4,7 @@ Subcommands: growth, coxtrans, spectra, classify, salem, and verify with its
 named checks.  All numeric output is printed with 7 decimals together with
 the certified interval width; --json switches to a single machine-readable
 object on stdout.  Exit status: 0 on success (and a passing verification),
-1 on a computation error, 2 on usage errors.
+1 on a computation error or a stdout closed by its reader, 2 on usage errors.
 
 `spectra --table1` and `verify table1` share `_verify_table1` over
 `spectra.TABLE1`.  `verify theorem2` runs
@@ -19,6 +19,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -252,6 +253,8 @@ def _cmd_salem(args) -> tuple[bool, dict]:
             raise DiagramError("--search requires --target")
         max_k, max_p = _bounds(args, VERIFY_MAX_K, VERIFY_MAX_P, _polygons_exist)
         target = _poly_arg(args.target)
+    elif args.target is not None:
+        raise DiagramError("--target requires --search")
     path = salemdb.list_path(args.list)
     entries = salemdb.load_salem_list(path)
     payload: dict = {
@@ -529,14 +532,22 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError, OSError, argparse.ArgumentTypeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    if args.json:
-        doc = {"command": args.command, "payload": payload}
-        if not args.no_meta:
-            doc["meta"] = {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}
-        json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-        print()
-    else:
-        _print_human(args.command, payload, sys.stdout)
+    try:
+        if args.json:
+            doc = {"command": args.command, "payload": payload}
+            if not args.no_meta:
+                doc["meta"] = {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}
+            json.dump(doc, sys.stdout, indent=2, sort_keys=True)
+            print()
+        else:
+            _print_human(args.command, payload, sys.stdout)
+    except BrokenPipeError:
+        # The reader closed stdout: send what is still buffered to the null
+        # device, so that the interpreter's final flush does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return 0 if passed else 1
 
 

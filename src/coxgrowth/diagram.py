@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import re
 
 from .intpoly import _digits_value
@@ -100,9 +99,6 @@ class CoxeterDiagram(Record):
                     if m != 2:
                         edges[(idx[a], idx[b])] = m
         return CoxeterDiagram(len(vertices), edges)
-
-    def degree_sequence(self) -> list[int]:
-        return sorted(m.bit_count() for m in _edge_masks(self)[0])
 
 
 # -- Coxeter symbols --------------------------------------------------------------
@@ -562,8 +558,8 @@ def _connected_spherical_sets(d: CoxeterDiagram) -> dict[int, tuple[SphericalTyp
 DOMINATION_RANK_BOUND = 12
 
 
-def _injection_exists(d: CoxeterDiagram, e: CoxeterDiagram, related=operator.le) -> bool:
-    """Is there an injection of d's vertices into e's with related(m, m') on every pair?"""
+def _injection_exists(d: CoxeterDiagram, e: CoxeterDiagram) -> bool:
+    """Is there an injection of d's vertices into e's with m <= m' on every pair?"""
     if d.n > e.n:
         return False
     # order d's vertices by decreasing constrainedness for better pruning
@@ -579,7 +575,7 @@ def _injection_exists(d: CoxeterDiagram, e: CoxeterDiagram, related=operator.le)
         for target in range(e.n):
             if target in used:
                 continue
-            if all(related(d.weights[v][u], e.weights[target][tu]) for u, tu in assigned.items()):
+            if all(d.weights[v][u] <= e.weights[target][tu] for u, tu in assigned.items()):
                 assigned[v] = target
                 used.add(target)
                 if backtrack(pos + 1):
@@ -591,23 +587,25 @@ def _injection_exists(d: CoxeterDiagram, e: CoxeterDiagram, related=operator.le)
     return backtrack(0)
 
 
-def _isomorphic(d: CoxeterDiagram, e: CoxeterDiagram) -> bool:
-    return (d.n == e.n and d.degree_sequence() == e.degree_sequence()
-            and _injection_exists(d, e, operator.eq))
-
-
 def dominates(d: CoxeterDiagram, e: CoxeterDiagram) -> str:
     """The domination relation of d relative to e.
 
     Returns 'less' when e strictly dominates d, 'greater' when d strictly
     dominates e, 'isomorphic', or 'incomparable'.
+
+    The two weight-raising injection searches also decide isomorphism.
+    Injections f: d -> e and g: e -> d that never lower a weight force equal
+    ranks, so g.f permutes the vertex pairs of d and no weight falls along
+    any cycle of pairs: every weight along such a cycle is equal, and f is an
+    isomorphism.  An isomorphism is an injection both ways.
     """
     if max(d.n, e.n) > DOMINATION_RANK_BOUND:
         raise DiagramError(f"domination search limited to rank {DOMINATION_RANK_BOUND}")
-    if _isomorphic(d, e):
+    less, greater = _injection_exists(d, e), _injection_exists(e, d)
+    if less and greater:
         return "isomorphic"
-    if _injection_exists(d, e):
+    if less:
         return "less"
-    if _injection_exists(e, d):
+    if greater:
         return "greater"
     return "incomparable"

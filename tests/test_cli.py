@@ -1,7 +1,10 @@
 import itertools
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -404,6 +407,34 @@ def test_salem_target_at_the_bounds_accepted(capsys, target):
     code, doc, _ = run_json(capsys, "salem", "--search", "--target", target, "--max-k", "3", "--max-p", "7")
     assert code == 0
     assert doc["payload"]["search"]["target"] == target
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--search"], "--search requires --target"),
+    (["--target", "1,1,0,-1,-1,-1,-1,-1,0,1,1"], "--target requires --search"),
+])
+def test_salem_search_and_target_go_together(capsys, monkeypatch, argv, message):
+    def unreachable(*args):
+        raise AssertionError("list loaded")
+
+    monkeypatch.setattr(salemdb, "load_salem_list", unreachable)
+    code, out, err = run_cli(capsys, "salem", *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_a_closed_stdout_ends_the_cli_quietly(mode):
+    # the output of Path:1200 overflows the pipe buffer, so the CLI is still
+    # writing when the reader goes away
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    with subprocess.Popen([sys.executable, "-m", "coxgrowth.cli", *mode, "spectra", "--tree", "Path:1200"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+    assert proc.returncode == 1
+    assert "Traceback" not in err
 
 
 def test_verify_chain(capsys):

@@ -521,6 +521,17 @@ def test_polygon_growth_checks_its_parameters_before_the_angle_sum(ps):
         polygon_growth(*ps)
 
 
+@pytest.mark.parametrize("call, args, error, message", [
+    (GrowthFunction, (IntPoly([1]), IntPoly()), ZeroDivisionError, "zero denominator"),
+    (polygon_delta, (2, 1, 3), ValueError, "at least 2"),
+    (series_coefficients, (GrowthFunction(IntPoly([1]), IntPoly([0, 1])), 3), ValueError, "pole at 0"),
+    (series_coefficients, (GrowthFunction(IntPoly([1]), IntPoly([2, 1])), 3), ArithmeticError, "not integers"),
+])
+def test_growth_inputs_are_checked(call, args, error, message):
+    with pytest.raises(error, match=message):
+        call(*args)
+
+
 def test_steinberg_delta_agreement_full_sweep():
     # every hyperbolic polygon with k <= 6, p_i <= 9
     count = 0

@@ -181,6 +181,22 @@ def test_reciprocity():
         reciprocity_type(IntPoly())
 
 
+@pytest.mark.parametrize("coeffs", [[1, 1.5], [2.0, 1], [Fraction(1, 2)]])
+def test_a_non_integer_coefficient_is_refused(coeffs):
+    with pytest.raises(TypeError, match="integer coefficient expected"):
+        IntPoly(coeffs)
+
+
+def test_a_negative_power_is_refused():
+    with pytest.raises(ValueError, match="negative polynomial power"):
+        IntPoly([1, 1]) ** -1
+
+
+def test_cyclotomic_index_zero_is_refused():
+    with pytest.raises(ValueError, match="cyclotomic index"):
+        cyclotomic(0)
+
+
 def test_palindromic_reduce_small():
     assert palindromic_reduce(IntPoly([1, 0, 1])) == IntPoly([0, 1])
     assert palindromic_reduce(IntPoly([1, 0, 0, 0, 1])) == IntPoly([-2, 0, 1])

@@ -51,6 +51,15 @@ def test_unit_circle_examples():
             unit_circle_root_count(p)
 
 
+@pytest.mark.parametrize("check, p, message", [
+    (unit_circle_root_count, IntPoly([0, 1, 1]), "must not vanish at 0"),
+    (strip_cyclotomic, IntPoly(), "zero polynomial"),
+])
+def test_numclass_inputs_are_checked(check, p, message):
+    with pytest.raises(ValueError, match=message):
+        check(p)
+
+
 def test_unit_circle_odd_reciprocal():
     # odd-degree reciprocal always has the root -1
     p = LEHMER * IntPoly([1, 1])

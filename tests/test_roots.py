@@ -1015,6 +1015,16 @@ def test_non_positive_widths_raise_at_once(width):
         sqrt_interval(Fraction(2), Fraction(3), width)
 
 
+@pytest.mark.parametrize("make, args, message", [
+    (RootInterval, (IntPoly([-2, 0, 1]), Fraction(2), Fraction(1)), "empty interval"),
+    (sqrt_interval, (Fraction(-1), Fraction(1)), "negative radicand"),
+    (sqrt_interval, (Fraction(2), Fraction(1)), "empty interval"),
+])
+def test_empty_intervals_and_negative_radicands_are_refused(make, args, message):
+    with pytest.raises(ValueError, match=message):
+        make(*args)
+
+
 def test_compare_computes_no_squarefree_part_and_no_count(monkeypatch):
     # the gcd LEHMER has one simple root in the common part: its signs decide
     work = _recording_work(monkeypatch)

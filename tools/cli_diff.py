@@ -15,7 +15,7 @@ stdout bytes, stderr bytes and exit codes are compared, so the ``error:`` and
 usage lines of ``EXPECTED_ERRORS`` are checked too, and a command that exits
 nonzero on the base counts as a difference, unless it is in
 ``EXPECTED_ERRORS``: a command that fails on both sides checks nothing.
-The lists make 54 runs; the human-mode ones cover the ``[name]`` header and
+The lists make 55 runs; the human-mode ones cover the ``[name]`` header and
 the ``Star(...)`` and ``H(...)`` labels of ``coxtrans`` and ``spectra --table1``.
 Each difference is printed, and the tool exits 1 if there is any, 0
 otherwise.
@@ -81,6 +81,7 @@ EXPECTED_ERRORS = [
     ["coxtrans", "--star", "2,3," + "9" * 5000],  # an arm length past it
     ["coxtrans", "--hgraph", "2,1191,7"],  # 1201 vertices, above the tree vertex bound
     ["growth", "--symbol", "[3,4.0]"],  # a weight that is not an integer
+    ["salem", "--search"],  # a search with no target
 ]
 
 # Diagram files for growth --file, by name: affine E8 (the star with arms of
