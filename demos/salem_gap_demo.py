@@ -28,7 +28,7 @@ def main():
     print("\nsearching polygons (k <= 6, p <= 12) for each entry:")
     for e in entries:
         res = polygon_realization_search(e, 6, 12)
-        found = [m.params for m in res.matches] or "none"
+        found = list(res.matches) or "none"
         print(f"   {e.decimal(6)} -> {found}")
 
 

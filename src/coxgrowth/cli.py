@@ -283,7 +283,7 @@ def _cmd_salem(args) -> tuple[bool, dict]:
         res = salemdb.polygon_realization_search(target, max_k, max_p)
         payload["search"] = {
             "target": target.to_text(),
-            "matches": [list(m.params) for m in res.matches],
+            "matches": [list(m) for m in res.matches],
             "tuples_examined": res.tuples_examined,
         }
     return True, payload

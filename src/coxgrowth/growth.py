@@ -37,7 +37,6 @@ from .record import Record
 from .roots import (
     DEFAULT_WIDTH,
     RootInterval,
-    certify_strictly_less,
     compare,
     isolate_largest_real_root,
     largest_root_above_one,
@@ -306,17 +305,18 @@ class MonotonicityResult(Record):
 
 
 def monotonicity_check(d: CoxeterDiagram, e: CoxeterDiagram) -> MonotonicityResult:
-    """Certify that strict domination of d by e forces a strictly larger rate."""
+    """Certify that strict domination of d by e forces a strictly larger rate.
+
+    The verdict is roots.compare's on the two growth rates, so an equal or
+    reversed order is reported as passed=False; the rates are returned at
+    the width they were computed to.  Raises ValueError unless d is strictly
+    dominated by e."""
     rel = dominates(d, e)
     if rel != "less":
         raise ValueError(f"diagrams are not strictly ordered: {rel}")
     td = growth_rate(steinberg_growth(d))
     te = growth_rate(steinberg_growth(e))
-    try:
-        td, te = certify_strictly_less(td, te)
-    except ValueError:
-        return MonotonicityResult(False, td, te)
-    return MonotonicityResult(True, td, te)
+    return MonotonicityResult(compare(td, te) < 0, td, te)
 
 
 # -- help functions and the second-minimal-polygon verification -------------------------

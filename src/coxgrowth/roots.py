@@ -438,17 +438,17 @@ def descartes_bound(p: IntPoly, a: Fraction | int) -> int:
     return _variations(map(_sign, _shifted_above(p, _half(p), *Fraction(a).as_integer_ratio())))
 
 
-def _descartes_largest(p: IntPoly, width: Fraction, one_above_one: bool = False,
+def _descartes_largest(p: IntPoly, f: IntPoly, width: Fraction, one_above_one: bool = False,
                        trace: IntPoly | None = None) -> RootInterval | None:
     """The interval that the bisection of isolate_largest_real_root gives,
     certified on p itself; None when the certificate fails.
 
     It runs on f, the primitive part of p with positive leading coefficient,
-    in one loop over the estimates of _estimates, T's (trace, f's trace
-    polynomial), g's (f = x^e g(x^2)) and f's, each found only when the
-    window before declined; a window already tried is not tried again.  The
-    window (a, b] is the cell of the estimate and its two neighbours, on the
-    estimate's grid at depth j = min(J, seed depth).  It needs a certified
+    which the caller takes, in one loop over the estimates of _estimates,
+    T's (trace, f's trace polynomial), g's (f = x^e g(x^2)) and f's, each
+    found only when the window before declined; a window already tried is
+    not tried again.  The window (a, b] is the cell of the estimate and its
+    two neighbours, on the estimate's grid at depth j = min(J, seed depth).  It needs a certified
     anchor c <= a with exactly one root r of f above c, simple, so that f < 0
     on (c, r) and f > 0 above r: then the grid points x_(m-1) < r <= x_m,
     found by a walk from the estimate's cell that stays at or below b, have
@@ -469,7 +469,6 @@ def _descartes_largest(p: IntPoly, width: Fraction, one_above_one: bool = False,
     a window that the shift to a itself certifies fails at c only when
     another root lies in (c, a] or f(c) = 0.
     """
-    f = p.primitive()
     g, tried = _half(f), set()
     for estimate, e in _estimates(f, g, trace, width):
         if (iv := _window(estimate, p, f, g, e, width, one_above_one, tried)) is not None:
@@ -618,7 +617,7 @@ def isolate_largest_real_root(p: IntPoly, width: Fraction = DEFAULT_WIDTH) -> Ro
     _check_width(width)
     if p.degree < 1:
         raise NoRealRootError("constant polynomial")
-    iv = _descartes_largest(p, width)
+    iv = _descartes_largest(p, p.primitive(), width)
     return iv if iv is not None else _bisection_largest(p, width)
 
 
@@ -676,7 +675,7 @@ def largest_root_above_one(p: IntPoly, width: Fraction = DEFAULT_WIDTH) -> RootI
     variations = descartes_bound(p, 1) if trace is None else _variations(map(_sign, trace.coeffs))
     if variations == 0:
         return None
-    iv = _descartes_largest(p, width, variations == 1, trace)
+    iv = _descartes_largest(p, f, width, variations == 1, trace)
     if iv is None:
         try:
             iv = _bisection_largest(p, width)
@@ -741,14 +740,6 @@ def compare(a: RootInterval, b: RootInterval) -> int:
     except SeparationError:
         return 0
     return -1 if a.is_strictly_below(b) else 1
-
-
-def certify_strictly_less(a: RootInterval, b: RootInterval) -> tuple[RootInterval, RootInterval]:
-    """Refine until a's root is certified strictly below b's; raises otherwise."""
-    a, b = refine_until_disjoint(a, b)
-    if not a.is_strictly_below(b):
-        raise ValueError("roots are ordered the other way")
-    return a, b
 
 
 def sqrt_interval(x_low: Fraction, x_high: Fraction, width: Fraction = DEFAULT_WIDTH) -> tuple[Fraction, Fraction]:

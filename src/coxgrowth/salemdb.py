@@ -170,13 +170,9 @@ def gap_report(entries: list[SalemEntry], assume_full: bool = False) -> GapRepor
                      r1, r2, assume_full)
 
 
-class RealizationMatch(Record):
-    params: tuple[int, ...]
-
-
 class RealizationSearchResult(Record):
     target: IntPoly
-    matches: tuple[RealizationMatch, ...]
+    matches: tuple[tuple[int, ...], ...]  # the parameter tuples of the polygons found
     tuples_examined: int
 
 
@@ -210,7 +206,7 @@ def polygon_realization_search(target: SalemEntry | IntPoly, k_max: int = 6,
                 if side == 0:
                     core, _ = strip_cyclotomic(polygon_delta(*ps))
                     if core == poly:
-                        matches.append(RealizationMatch(ps))
+                        matches.append(ps)
             else:
                 # the minimal sorted completion pads with the current entry;
                 # if it is hyperbolic and already too big, so is every

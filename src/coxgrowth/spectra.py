@@ -20,8 +20,8 @@ from .diagram import CoxeterDiagram, DiagramError, WeightedTree, h_graph, star_d
 from .intpoly import IntPoly
 from .numclass import strip_cyclotomic
 from .record import Record
-from .roots import (DEFAULT_WIDTH, RootInterval, _check_width, certify_strictly_less, compare,
-                    isolate_largest_real_root, root_bound, sturm_count)
+from .roots import (DEFAULT_WIDTH, RootInterval, _check_width, compare, isolate_largest_real_root,
+                    root_bound, sturm_count)
 from .coxtrans import _rooted, _tree_polynomial, _weight3_rooted, alpha_from_lambda
 from .growth import growth_rate, steinberg_growth
 
@@ -220,25 +220,21 @@ TABLE1 = (
 PROP52_BOUND = 40
 
 
-class CertifiedComparison(Record):
-    label: str
-    params: tuple[int, ...]
-    radius: RootInterval
-    side: str  # 'below' or 'above' the reference value
-
-
 class Alpha0Report(Record):
+    """The sweep's verdict on alpha0; bracketing holds the (family, params,
+    side) of each Table 1 tree, its side of alpha0 ('below' or 'above') as
+    read from the sweep."""
+
     passed: bool
     alpha0: RootInterval
-    alpha_poly: IntPoly
     items_checked: int
     items_below: int
     items_above: int
     monotone_families: dict
-    bracketing: tuple[CertifiedComparison, ...] = ()
+    bracketing: tuple[tuple[str, tuple[int, ...], str], ...] = ()
 
 
-def _alpha0_interval(width: Fraction = Fraction(1, 10**13)) -> tuple[RootInterval, IntPoly]:
+def _alpha0_interval(width: Fraction = Fraction(1, 10**13)) -> RootInterval:
     """The adjacency-eigenvalue transfer of the smallest tetrahedral growth rate,
     a simple root of T(a^2 - 4), of degree 10, T the trace polynomial of the
     denominator core of the computed growth series (the rate and its
@@ -252,7 +248,7 @@ def _alpha0_interval(width: Fraction = Fraction(1, 10**13)) -> tuple[RootInterva
     iv = RootInterval(apoly, lo, hi)
     if sturm_count(apoly, lo, hi) != 1:
         raise ArithmeticError("transfer interval does not isolate a root")
-    return iv.refined(width), apoly
+    return iv.refined(width)
 
 
 def _tetrahedral_353_growth():
@@ -272,13 +268,13 @@ def verify_alpha0_not_tree_radius(r_max: int = 25, j_max: int = 25) -> Alpha0Rep
     Every enumerated tree within the bounds is placed by two eigenvalue counts
     on the tree: above the value when one eigenvalue exceeds its interval,
     below when none exceeds the interval's lower end, and otherwise by
-    roots.compare of its radius, which raises on an equal radius (a shared
-    root of the two polynomials).  The facts that close the unbounded
+    roots.compare of its radius; an equal radius (a shared root of the two
+    polynomials) raises ArithmeticError.  The facts that close the unbounded
     families: each Table 1 tree lies on its published side of the value, read
-    from the sweep (so H(2,j,3) and H(3,j,3) straddle it between consecutive
-    parameters, and Star(2,4,r) between r = 5 and 6), and the radii of
-    H(2,j,3) (to j = 30, past the bounds), H(3,j,3) and Star(2,3,r) are
-    certified monotone.  Parameters beyond the enumeration bounds are covered
+    from the sweep and kept as the report's bracketing (so H(2,j,3) and
+    H(3,j,3) straddle it between consecutive parameters, and Star(2,4,r)
+    between r = 5 and 6), and the radii of H(2,j,3) (to j = 30, past the
+    bounds), H(3,j,3) and Star(2,3,r) are certified monotone.  Parameters beyond the enumeration bounds are covered
     by those certified monotone brackets (a cited extrapolation, flagged in
     the report).  Bounds below 25 or above PROP52_BOUND raise ValueError
     before any tree is built.
@@ -287,7 +283,7 @@ def verify_alpha0_not_tree_radius(r_max: int = 25, j_max: int = 25) -> Alpha0Rep
         raise ValueError("bounds must cover at least r_max=25, j_max=25")
     if max(r_max, j_max) > PROP52_BOUND:
         raise ValueError(f"bounds must be at most r_max={PROP52_BOUND}, j_max={PROP52_BOUND}")
-    alpha0, apoly = _alpha0_interval()
+    alpha0 = _alpha0_interval()
     sides = {}  # (family, params) -> side of alpha0
     for item in brouwer_neumaier_enumerate(r_max, j_max):
         rooted = _weight3_rooted(item.tree)
@@ -311,13 +307,9 @@ def verify_alpha0_not_tree_radius(r_max: int = 25, j_max: int = 25) -> Alpha0Rep
         "Star(2,3,r) increasing on 7..25": _certify_increasing(
             [radius(star_diagram, (2, 3, r)) for r in range(7, 26)]),
     }
-    brackets = tuple(CertifiedComparison(
-        family, params, radius(star_diagram if family == "star" else h_graph, params),
-        sides[family, params]) for family, params, _, _ in TABLE1)
-    passed = all(mono.values()) and all(
-        c.side == side for c, (*_, side) in zip(brackets, TABLE1))
-    return Alpha0Report(passed, alpha0, apoly, len(sides), below, len(sides) - below,
-                        mono, brackets)
+    brackets = tuple((family, params, sides[family, params]) for family, params, _, _ in TABLE1)
+    passed = all(mono.values()) and brackets == tuple((f, p, side) for f, p, _, side in TABLE1)
+    return Alpha0Report(passed, alpha0, len(sides), below, len(sides) - below, mono, brackets)
 
 
 class Prop52Report(Record):
@@ -344,8 +336,8 @@ def prop52_pipeline(r_max: int = 25, j_max: int = 25) -> Prop52Report:
     # window: 2 < alpha0 < sqrt(2 + sqrt 5), the largest root of t^4 - 4t^2 - 1
     upper_poly = IntPoly([-1, 0, -4, 0, 1])
     upper = isolate_largest_real_root(upper_poly, Fraction(1, 10**12))
-    alpha0, upper = certify_strictly_less(tree_report.alpha0, upper)
-    in_window = alpha0.low > 2
+    alpha0 = tree_report.alpha0
+    in_window = alpha0.low > 2 and compare(alpha0, upper) < 0
     notes = (
         "radii below 1.35999 are attained on trees with all edge weights 3 "
         "(weight-4 leaf replacement; classification of minimal diagrams, cited)",

@@ -25,6 +25,8 @@ def test_no_assert_statements(path):
 
 
 _ROOT_COMPARISONS = {"overlaps", "is_disjoint_from", "is_strictly_below"}
+# separation by refinement, and its failure, which compare turns into its verdict
+_ROOT_SEPARATIONS = {"SeparationError", "refine_until_disjoint", "certify_strictly_less"}
 
 
 @pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "roots.py"),
@@ -35,9 +37,9 @@ def test_root_intervals_are_compared_only_by_roots_compare(path):
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr in _ROOT_COMPARISONS
-             or isinstance(node, ast.Name) and node.id == "SeparationError"
-             or isinstance(node, ast.Attribute) and node.attr == "SeparationError"
-             or isinstance(node, ast.alias) and node.name == "SeparationError"]
+             or isinstance(node, ast.Name) and node.id in _ROOT_SEPARATIONS
+             or isinstance(node, ast.Attribute) and node.attr in _ROOT_SEPARATIONS
+             or isinstance(node, ast.alias) and node.name in _ROOT_SEPARATIONS]
     assert lines == [], f"{path.name} compares root intervals by hand at lines {lines}"
 
 

@@ -12,17 +12,15 @@ from coxgrowth import (INF, CoxeterDiagram, GrowthFunction, IntPoly, NumberClass
                        SphericalType, WeightedTree)
 from coxgrowth.coxtrans import BipartiteOrder
 from coxgrowth.growth import CaseReport, MonotonicityResult, SecondMinimalReport
-from coxgrowth.salemdb import GapReport, RealizationMatch, RealizationSearchResult
-from coxgrowth.spectra import (Alpha0Report, CertifiedComparison, LeafReplacementResult, Prop52Report,
-                               TreeFamilyItem)
+from coxgrowth.salemdb import GapReport, RealizationSearchResult
+from coxgrowth.spectra import Alpha0Report, LeafReplacementResult, Prop52Report, TreeFamilyItem
 
 P = "IntPoly('t^2 - 2')"
 R = f"RootInterval(poly={P}, low=Fraction(1, 1), high=Fraction(2, 1))"
 TREE = "WeightedTree(n=2, edge_list=((0, 1, 3),))"
 CASE = "CaseReport(name='c', passed=True, details={})"
 ENTRY = f"SalemEntry(poly={P}, hint='1.41', interval={R})"
-MATCH = "RealizationMatch(params=(2, 3, 7))"
-ALPHA0 = (f"Alpha0Report(passed=True, alpha0={R}, alpha_poly={P}, items_checked=2, items_below=1, "
+ALPHA0 = (f"Alpha0Report(passed=True, alpha0={R}, items_checked=2, items_below=1, "
           f"items_above=1, monotone_families={{}}, bracketing=())")
 
 
@@ -39,8 +37,8 @@ def _tree():
 
 
 def _alpha0():
-    return Alpha0Report(passed=True, alpha0=_interval(), alpha_poly=_poly(), items_checked=2, items_below=1,
-                        items_above=1, monotone_families={})
+    return Alpha0Report(passed=True, alpha0=_interval(), items_checked=2, items_below=1, items_above=1,
+                        monotone_families={})
 
 
 # (name, make, repr); make builds equal values on each call
@@ -63,8 +61,6 @@ RECORDS = [
     ("LeafReplacementResult", lambda: LeafReplacementResult(_tree(), _tree(), _interval(), _interval(), True),
      f"LeafReplacementResult(original={TREE}, replaced={TREE}, original_radius={R}, replaced_radius={R}, "
      f"certified_equal=True)"),
-    ("CertifiedComparison", lambda: CertifiedComparison(label="T", params=(1,), radius=_interval(), side="below"),
-     f"CertifiedComparison(label='T', params=(1,), radius={R}, side='below')"),
     ("Alpha0Report", _alpha0, ALPHA0),
     ("Prop52Report", lambda: Prop52Report(passed=True, lambda0=_interval(), alpha0=_interval(),
                                           lambda_below_threshold=True, alpha_in_window=False,
@@ -80,9 +76,8 @@ RECORDS = [
                                     _interval(), full_list=False),
      f"GapReport(below_first=(), equal_first=(), band=({ENTRY},), at_or_above_second=(), first_rate={R}, "
      f"second_rate={R}, full_list=False)"),
-    ("RealizationMatch", lambda: RealizationMatch(params=(2, 3, 7)), MATCH),
-    ("RealizationSearchResult", lambda: RealizationSearchResult(_poly(), (RealizationMatch((2, 3, 7)),), 5),
-     f"RealizationSearchResult(target={P}, matches=({MATCH},), tuples_examined=5)"),
+    ("RealizationSearchResult", lambda: RealizationSearchResult(_poly(), ((2, 3, 7),), 5),
+     f"RealizationSearchResult(target={P}, matches=((2, 3, 7),), tuples_examined=5)"),
     ("BipartiteOrder", lambda: BipartiteOrder(tree=_tree(), part1=(0,), part2=(1,), x_block=((1,),)),
      f"BipartiteOrder(tree={TREE}, part1=(0,), part2=(1,), x_block=((1,),))"),
 ]
@@ -107,7 +102,7 @@ def test_record_equality_and_hash(name, make, text):
 @pytest.mark.parametrize("name, make, text", RECORDS, ids=_ids)
 def test_record_differs_from_another_class(name, make, text):
     a = make()
-    other = RealizationMatch(params=(2, 3, 7)) if name != "RealizationMatch" else MonotonicityResult(True)
+    other = MonotonicityResult(True) if name != "MonotonicityResult" else CaseReport("c", True, {})
     assert a != other and not a == other
     assert a.__eq__(other) is NotImplemented
     assert a != tuple(vars(a).values())

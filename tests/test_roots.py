@@ -16,7 +16,6 @@ from coxgrowth.roots import (
     NoRealRootError,
     RootInterval,
     cauchy_index,
-    certify_strictly_less,
     compare,
     isolate_largest_real_root,
     largest_root_above_one,
@@ -112,10 +111,9 @@ def test_isolate_all_roots():
 def test_refinement_and_separation():
     a = isolate_largest_real_root(IntPoly([-2, 0, 1]), Fraction(1, 100))
     b = isolate_largest_real_root(IntPoly([-3, 0, 1]), Fraction(1, 100))
-    a, b = certify_strictly_less(a, b)
+    assert (compare(a, b), compare(b, a)) == (-1, 1)
+    a, b = refine_until_disjoint(a, b)
     assert a.high < b.low
-    with pytest.raises(ValueError):
-        certify_strictly_less(b, a)
 
 
 def test_separation_failure_on_equal_roots():
@@ -317,7 +315,8 @@ def test_a_hand_built_interval_around_a_double_root_refines_on_the_squarefree_pa
     assert (iv.low, iv.high) == reference_refined(p, Fraction(0), Fraction(2), width)
     assert iv.poly == squarefree_part(p) and reference_root_is_simple(iv.poly, iv.low, iv.high)
     sqrt2 = isolate_largest_real_root(IntPoly([-2, 0, 1]), Fraction(1, 100))
-    a, b = certify_strictly_less(RootInterval(p, Fraction(0), Fraction(2)), sqrt2)
+    assert compare(RootInterval(p, Fraction(0), Fraction(2)), sqrt2) == -1
+    a, b = refine_until_disjoint(RootInterval(p, Fraction(0), Fraction(2)), sqrt2)
     assert a.high < b.low
 
 
@@ -536,7 +535,7 @@ def test_certificate_from_the_root_cell_takes_at_most_three_signs(monkeypatch, p
     x = float(true.midpoint()) if true.width else float(true.low - width / 2)
     monkeypatch.setattr(roots, "_root_estimate", lambda f, bound, cell: (x, 0.0))
     points = _counting_signs(monkeypatch)
-    iv = roots._descartes_largest(p, width)
+    iv = roots._descartes_largest(p, p.primitive(), width)
     assert 1 <= len(points) <= 3, points
     assert (iv.low, iv.high) == (true.low, true.high)
 
@@ -607,7 +606,7 @@ _DECLINES = {
 @pytest.mark.parametrize("name", sorted(_DECLINES))
 def test_descartes_path_declines_and_the_sturm_path_decides(name):
     p, width = _DECLINES[name], Fraction(1, 10**9)
-    assert roots._descartes_largest(p, width) is None
+    assert roots._descartes_largest(p, p.primitive(), width) is None
     expected = reference_isolate_largest(p, width)
     assert _pair(isolate_largest_real_root(p, width)) == expected
     assert _sturm_path(p, width) == expected
@@ -633,7 +632,7 @@ def test_a_lower_end_at_the_next_root_stays_on_the_grid(monkeypatch):
     p, width = IntPoly([0, -1, 1]), Fraction(1, 10**9)
     expected = (Fraction(1), Fraction(1))
     work = _recording_work(monkeypatch)
-    assert _pair(roots._descartes_largest(p, width)) == expected
+    assert _pair(roots._descartes_largest(p, p.primitive(), width)) == expected
     assert work == []
     assert _sturm_path(p, width) == expected
     assert reference_isolate_largest(p, width) == expected
@@ -671,7 +670,7 @@ def test_descartes_path_gives_the_sturm_path_interval_on_trees_and_stars(monkeyp
     work = _recording_work(monkeypatch)
     for p in _tree_and_star_polys():
         for width in (Fraction(1, 10**7), Fraction(1, 2**40)):
-            iv = roots._descartes_largest(p, width)
+            iv = roots._descartes_largest(p, p.primitive(), width)
             assert iv is not None and not work, p
             assert _pair(iv) == _sturm_path(p, width), (p, width)
             work.clear()
@@ -760,7 +759,7 @@ def test_planted_even_and_odd_polynomials_give_the_reference_interval(name, e):
     g, certifies = _G_PLANTED[name]
     p = _even(g, e)
     for width in (Fraction(1, 10**9), Fraction(1, 3)):
-        assert (roots._descartes_largest(p, width) is not None) == certifies
+        assert (roots._descartes_largest(p, p.primitive(), width) is not None) == certifies
         expected = reference_isolate_largest(p, width)
         if expected is None:
             with pytest.raises(NoRealRootError):
@@ -1111,7 +1110,7 @@ def test_cells_wider_than_1_have_integer_grid_points(monkeypatch):
     # B = 128 and width 5: cells 4 wide, so at depth j <= 6 < e = 7 every point is an integer
     p, width = _linear(37, 1) * _linear(-3, 1) * _linear(5, 1), Fraction(5)
     points = _counting_signs(monkeypatch)
-    iv = roots._descartes_largest(p, width)
+    iv = roots._descartes_largest(p, p.primitive(), width)
     assert roots.root_bound(p) == 128 and points
     assert all(x.denominator == 1 for x in points)
     assert _pair(iv) == reference_isolate_largest(p, width) == (Fraction(36), Fraction(40))
@@ -1122,7 +1121,7 @@ def test_a_window_starting_below_0_shifts_f(monkeypatch):
     p, width = _linear(1, 8) * _linear(-5, 1), Fraction(1, 4)
     points, shifted = [], roots._shifted
     monkeypatch.setattr(roots, "_shifted", lambda f, a: points.append((f, a)) or shifted(f, a))
-    assert _pair(roots._descartes_largest(p, width)) == reference_isolate_largest(p, width)
+    assert _pair(roots._descartes_largest(p, p.primitive(), width)) == reference_isolate_largest(p, width)
     assert points == [(p.primitive(), Fraction(-1, 4))]
 
 
@@ -1135,7 +1134,7 @@ def test_a_negative_leading_coefficient_bisects_on_p(monkeypatch, p):
     expected = reference_isolate_largest(p, width)
     _estimate(monkeypatch, float(expected[1]), 2.0**-10)
     halved = _recording_halve(monkeypatch)
-    iv = roots._descartes_largest(p, width)
+    iv = roots._descartes_largest(p, p.primitive(), width)
     assert p.leading < 0 and iv.poly == p and halved == [iv]
     assert _pair(iv) == expected
 
@@ -1143,7 +1142,7 @@ def test_a_negative_leading_coefficient_bisects_on_p(monkeypatch, p):
 def test_a_root_on_the_grid_is_a_point_from_the_walk(monkeypatch):
     p, width = _linear(5, 4) * _linear(-1, 1), Fraction(1, 10**9)
     halved = _recording_halve(monkeypatch)
-    iv = roots._descartes_largest(p, width)
+    iv = roots._descartes_largest(p, p.primitive(), width)
     assert (iv.low, iv.high) == (Fraction(5, 4),) * 2 == reference_isolate_largest(p, width)
     assert halved == []
 
@@ -1154,7 +1153,7 @@ def test_a_root_on_a_halving_midpoint_is_a_point_from_halve(monkeypatch):
     p, width = _linear(5, 4) * _linear(-1, 1), Fraction(1, 10**9)
     _estimate(monkeypatch, 1.3, 0.5)
     halved = _recording_halve(monkeypatch)
-    iv = roots._descartes_largest(p, width)
+    iv = roots._descartes_largest(p, p.primitive(), width)
     assert roots.root_bound(p) == 2
     assert halved == [iv] and (iv.low, iv.high) == (Fraction(5, 4),) * 2 == reference_isolate_largest(p, width)
 
@@ -1171,7 +1170,7 @@ def test_a_deferred_window_above_the_root_declines_at_its_start(monkeypatch, p):
     shifts = []
     monkeypatch.setattr(roots, "_shifted", lambda f, a: shifts.append(a))
     points = _counting_signs(monkeypatch)
-    assert roots._descartes_largest(p, width, one_above_one=True) is None
+    assert roots._descartes_largest(p, p.primitive(), width, one_above_one=True) is None
     assert shifts == [] and points[-1] == expected[1] + 2 * step and p.sign_at(points[-1]) > 0
     monkeypatch.undo()
     assert _pair(largest_root_above_one(p, width)) == expected
@@ -1310,7 +1309,7 @@ def test_a_second_root_between_the_anchor_and_the_window_declines():
     points, shifted = [], roots._shifted
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(roots, "_shifted", lambda f, x: points.append(x) or shifted(f, x))
-        assert roots._descartes_largest(p, width) is None
+        assert roots._descartes_largest(p, p.primitive(), width) is None
     assert points == [c]
     assert _pair(isolate_largest_real_root(p, width)) == expected
 
@@ -1322,9 +1321,9 @@ def test_no_bound_40_tree_window_declines_at_its_anchor_that_certifies_at_its_st
     # same intervals
     chis = [adjacency_char_poly(item.tree) for item in brouwer_neumaier_enumerate(40, 40)[::10]]
     for width in (Fraction(1, 10**7), Fraction(1, 2**60)):
-        anchored = [roots._descartes_largest(chi, width) for chi in chis]
+        anchored = [roots._descartes_largest(chi, chi.primitive(), width) for chi in chis]
         with monkeypatch.context() as mp:
             mp.setattr(roots, "ANCHOR_BITS", 10**6)
-            at_start = [roots._descartes_largest(chi, width) for chi in chis]
+            at_start = [roots._descartes_largest(chi, chi.primitive(), width) for chi in chis]
         assert [iv and (iv.low, iv.high) for iv in anchored] == [iv and (iv.low, iv.high) for iv in at_start]
         assert 0 < sum(iv is None for iv in at_start) < len(chis) / 4

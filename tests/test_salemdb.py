@@ -124,7 +124,7 @@ def test_count_entries_below():
 
 def test_realization_search_lehmer():
     res = polygon_realization_search(LEHMER, 6, 12)
-    assert [m.params for m in res.matches] == [(2, 3, 7)]
+    assert res.matches == ((2, 3, 7),)
 
 
 def test_realization_search_fifth_unrealized():
@@ -134,13 +134,13 @@ def test_realization_search_fifth_unrealized():
 
 def test_realization_search_38():
     res = polygon_realization_search(MIN_38, 6, 12)
-    assert [m.params for m in res.matches] == [(2, 3, 8)]
+    assert res.matches == ((2, 3, 8),)
 
 
 def test_realization_search_accepts_entry():
     entry = bundled_mini_list()[0]
     res = polygon_realization_search(entry, 5, 9)
-    assert [m.params for m in res.matches] == [(2, 3, 7)]
+    assert res.matches == ((2, 3, 7),)
 
 
 def _synthetic_list(tmp_path):

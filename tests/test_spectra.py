@@ -7,7 +7,7 @@ import pytest
 from coxgrowth.diagram import INF, DiagramError, WeightedTree, h_graph, path_tree, star_diagram
 from coxgrowth.intpoly import IntPoly, parse_poly
 from coxgrowth.numclass import strip_cyclotomic
-from coxgrowth.roots import RootInterval, certify_strictly_less, isolate_largest_real_root
+from coxgrowth.roots import RootInterval, compare, isolate_largest_real_root
 from coxgrowth.spectra import (
     adjacency_char_poly,
     brouwer_neumaier_enumerate,
@@ -77,10 +77,10 @@ def test_tree_radii_certify_by_eigenvalue_counts(monkeypatch):
     width = Fraction(1, 10**7)
     for kind, params in _DECLINING:
         chi = adjacency_char_poly(_build(kind, params))
-        assert roots._descartes_largest(chi, width) is None, params
+        assert roots._descartes_largest(chi, chi.primitive(), width) is None, params
     for kind, params in _CERTIFYING:
         chi = adjacency_char_poly(_build(kind, params))
-        iv = roots._descartes_largest(chi, width)
+        iv = roots._descartes_largest(chi, chi.primitive(), width)
         assert (iv.low, iv.high) == reference_isolate_largest(chi, width), params
     for name in ("_descartes_largest", "_bisection_largest", "_taylor_shift"):
         monkeypatch.setattr(roots, name, _no_polynomial_root)
@@ -212,7 +212,7 @@ def test_enumerated_radii_lie_in_window():
             continue
         iv = spectral_radius_adjacency(item.tree, Fraction(1, 10**9))
         assert iv.low > 2, item
-        certify_strictly_less(iv, upper)
+        assert compare(iv, upper) < 0, item
 
 
 def test_subgraph_monotonicity():
@@ -281,9 +281,9 @@ def test_alpha0_report():
     assert rep.passed
     assert rep.items_checked == rep.items_below + rep.items_above
     assert abs(rep.alpha0.midpoint() - Fraction("2.0226674")) < Fraction(1, 10**6)
-    assert rep.alpha_poly.degree == 10
-    sides = {(c.label, c.params): c.side for c in rep.bracketing}
-    assert sides == {(family, params): side for family, params, _, side in spectra.TABLE1}
+    assert rep.alpha0.poly.degree == 10
+    assert rep.bracketing == tuple((family, params, side) for family, params, _, side in spectra.TABLE1)
+    sides = {(family, params): side for family, params, side in rep.bracketing}
     assert sides[("h", (2, 9, 3))] == "above"
     assert sides[("h", (2, 10, 3))] == "below"
     assert sides[("h", (3, 20, 3))] == "above"
@@ -302,9 +302,9 @@ def test_alpha0_is_the_resultants_root(width):
     f = spectra._tetrahedral_353_growth()
     core = strip_cyclotomic(f.denominator)[0]
     lo, hi = alpha_from_lambda(growth_rate(f, Fraction(1, 10**15)), width / 2)
-    alpha0, apoly = spectra._alpha0_interval(width)
+    alpha0 = spectra._alpha0_interval(width)
     assert alpha0 == RootInterval(reference_alpha_eliminant(core), lo, hi).refined(width)
-    assert apoly == alpha_from_lambda(core) and apoly.degree == core.degree
+    assert alpha0.poly == alpha_from_lambda(core) and alpha0.poly.degree == core.degree
 
 
 def test_a_table1_tree_on_the_wrong_side_is_reported_not_raised(monkeypatch):
@@ -319,7 +319,7 @@ def test_a_table1_tree_on_the_wrong_side_is_reported_not_raised(monkeypatch):
 def test_a_tree_the_two_counts_leave_undecided_goes_to_compare(monkeypatch):
     # no real tree reaches this branch: a target interval is planted around a radius
     own = spectral_radius_adjacency(star_diagram(2, 4, 5), Fraction(1, 10**13))
-    monkeypatch.setattr(spectra, "_alpha0_interval", lambda: (own, own.poly))
+    monkeypatch.setattr(spectra, "_alpha0_interval", lambda: own)
     # Star(2,3,10), swept before Star(2,4,5), has the same radius: the two
     # polynomials share the factor t^9 - 8t^7 + 20t^5 - 17t^3 + 3t
     with pytest.raises(ArithmeticError, match=r"star\(2, 3, 10\) shares the target root"):
@@ -327,12 +327,12 @@ def test_a_tree_the_two_counts_leave_undecided_goes_to_compare(monkeypatch):
     # the rational 2.0153161, just above that radius 2.01531606..., as a root
     c = Fraction(20153161, 10**7)
     other = RootInterval(IntPoly([-c.numerator, c.denominator]), c - Fraction(1, 10**6), c)
-    monkeypatch.setattr(spectra, "_alpha0_interval", lambda: (other, other.poly))
+    monkeypatch.setattr(spectra, "_alpha0_interval", lambda: other)
     calls, compare = [], spectra.compare
     monkeypatch.setattr(spectra, "compare", lambda a, b: calls.append(a) or compare(a, b))
     rep = verify_alpha0_not_tree_radius(25, 25)
     assert any(iv.poly == adjacency_char_poly(star_diagram(2, 4, 5)) for iv in calls)
-    sides = {(c.label, c.params): c.side for c in rep.bracketing}
+    sides = {(family, params): side for family, params, side in rep.bracketing}
     assert sides["star", (2, 4, 5)] == "below"
     assert sides["h", (2, 10, 3)] == "above"
 
@@ -346,6 +346,18 @@ def test_prop52_pipeline():
     assert rep.alpha0.low > 2
     # strictly below sqrt(2 + sqrt 5) ~ 2.058
     assert rep.alpha0.high < Fraction("2.06")
+    assert rep.alpha0 == rep.tree_report.alpha0
+
+
+def test_a_value_above_the_window_is_reported_not_raised(monkeypatch):
+    # sqrt 5 lies above sqrt(2 + sqrt 5): the window check reads False, the
+    # sweep places every tree below it, and nothing raises
+    root5 = RootInterval(IntPoly([-5, 0, 1]), Fraction(2), Fraction(3)).refined(Fraction(1, 10**13))
+    monkeypatch.setattr(spectra, "_alpha0_interval", lambda: root5)
+    rep = prop52_pipeline(25, 25)
+    assert rep.passed is False and rep.alpha_in_window is False
+    assert rep.alpha0 == root5 and rep.lambda_below_threshold
+    assert rep.tree_report.items_above == 0
 
 
 def test_h283_core_matches_435_growth_core():

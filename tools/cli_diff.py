@@ -15,8 +15,10 @@ stdout bytes, stderr bytes and exit codes are compared, so the ``error:`` and
 usage lines of ``EXPECTED_ERRORS`` are checked too, and a command that exits
 nonzero on the base counts as a difference, unless it is in
 ``EXPECTED_ERRORS``: a command that fails on both sides checks nothing.
-The lists make 55 runs; the human-mode ones cover the ``[name]`` header and
-the ``Star(...)`` and ``H(...)`` labels of ``coxtrans`` and ``spectra --table1``.
+The lists make 57 runs; the human-mode ones cover the ``[name]`` header, the
+``Star(...)`` and ``H(...)`` labels of ``coxtrans`` and ``spectra --table1``,
+and the rendering of the ``verify prop52`` report and of the polygons that
+``salem --search`` finds.
 Each difference is printed, and the tool exits 1 if there is any, 0
 otherwise.
 """
@@ -93,10 +95,11 @@ FILES = {
 }
 
 # Commands run in human mode too, without --json: verify second-minimal's
-# details hold tuples, each of the others walks nested dicts and lists, and
-# spectra --table1 and coxtrans --star print the Star(...) and H(...) labels
-HUMAN = [["verify", "second-minimal"], ["verify", "table1"],
-         ["growth", "--symbol", "[3,5,3]"], ["salem", "--gap"],
+# details hold tuples, each of the others walks nested dicts and lists,
+# spectra --table1 and coxtrans --star print the Star(...) and H(...) labels,
+# and salem --search prints the parameter tuples of its matches
+HUMAN = [["verify", "second-minimal"], ["verify", "table1"], ["verify", "prop52"],
+         ["growth", "--symbol", "[3,5,3]"], ["salem", "--gap"], ["salem", "--search", "--target", LEHMER],
          ["coxtrans", "--star", "2,3,7"], ["spectra", "--table1"]]
 
 DEMOS = ["growth_rates_tour.py", "salem_gap_demo.py", "tree_spectra_story.py"]
