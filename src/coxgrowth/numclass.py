@@ -23,7 +23,6 @@ from .intpoly import (
     IntPoly,
     _divide_cyclotomic,
     _taylor_shift,
-    reciprocity_type,
     squarefree_decomposition,
     squarefree_part,
 )
@@ -100,19 +99,13 @@ def _candidate_table(d: int) -> tuple[tuple[int, int], ...]:
 
 
 def unit_circle_root_count(p: IntPoly) -> int:
-    """Number of distinct roots of p with |t| = 1.
-
-    Requires p reciprocal or anti-reciprocal (after taking the squarefree
-    part); the count is taken in the squarefree sense, each circle root once.
-    """
+    """Number of distinct roots of p with |t| = 1, each circle root once,
+    for any nonzero p with p(0) != 0: the on count of its squarefree part."""
     if p.is_zero():
         raise ValueError("zero polynomial")
     if p.constant == 0:
         raise ValueError("polynomial must not vanish at 0")
-    s = squarefree_part(p)
-    if reciprocity_type(s) == "neither":
-        raise ValueError("polynomial is not reciprocal up to sign")
-    return disk_root_counts(s)[1]
+    return disk_root_counts(squarefree_part(p))[1]
 
 
 def _cayley(h: IntPoly) -> IntPoly:
@@ -138,12 +131,12 @@ def disk_root_counts(s: IntPoly) -> tuple[int, int, int]:
     has degree deg q and the other less.  One signed remainder sequence of
     the two ends at g = gcd(A, B), whose roots y are those with iy and -iy
     both roots of q: a real y is a circle root of s other than -1, counted
-    as the Cauchy index of g'/g, and a non-real pair y, -y is an inversion
-    pair z, 1/z of s, one root inside and one outside.  The other roots of q
-    turn arg q(iy) by pi (inside - outside) as y runs over the real line:
-    -pi I(B/A) when deg A > deg B and pi I(A/B) otherwise, I the Cauchy
-    index in lowest terms, read from the same sequence.  A root at -1 shows
-    as deg q < deg s.
+    as the Cauchy index of g'/g in lowest terms, and a non-real pair y, -y
+    is an inversion pair z, 1/z of s, one root inside and one outside.  The
+    other roots of q turn arg q(iy) by pi (inside - outside) as y runs over
+    the real line: -pi I(B/A) when deg A > deg B and pi I(A/B) otherwise,
+    I the Cauchy index in lowest terms, read from the same sequence.  A root
+    at -1 shows as deg q < deg s.
     """
     n = s.degree
     q = _cayley(s)
@@ -156,7 +149,7 @@ def disk_root_counts(s: IntPoly) -> tuple[int, int, int]:
         index = -index
     else:
         index, g = _cauchy_index_and_gcd(a, b)
-    axis = roots.cauchy_index(g.derivative(), g) if g.degree > 0 else 0
+    axis = _cauchy_index_and_gcd(g.derivative(), g)[0] if g.degree > 0 else 0
     pairs = (g.degree - axis) // 2
     inside = pairs + (q.degree - g.degree + index) // 2
     on = axis + n - q.degree

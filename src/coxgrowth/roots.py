@@ -123,9 +123,6 @@ class RootInterval(Record):
     def midpoint(self) -> Fraction:
         return (self.low + self.high) / 2
 
-    def __float__(self) -> float:
-        return float(self.midpoint())
-
     def is_strictly_below(self, other: "RootInterval") -> bool:
         return self.high < other.low
 
@@ -165,23 +162,6 @@ def _check_width(width: Fraction) -> None:
     """Raise ValueError for a width <= 0, which no bisection reaches."""
     if width <= 0:
         raise ValueError("width must be positive")
-
-
-def cauchy_index(num: IntPoly, den: IntPoly) -> int:
-    """The Cauchy index of num/den over the whole real line, for coprime num and den.
-
-    That is the number of real poles where num/den jumps from -inf to +inf
-    less the number where it jumps from +inf to -inf.  It is the variation
-    count at -inf less that at +inf of the signed remainder sequence of den
-    and num.  Raises ArithmeticError when num and den have a non-constant
-    common factor.
-    """
-    if den.is_zero():
-        raise ZeroDivisionError("zero denominator")
-    index, g = _cauchy_index_and_gcd(num, den)
-    if g.degree > 0:
-        raise ArithmeticError("numerator and denominator have a common factor")
-    return index
 
 
 def _cauchy_index_and_gcd(num: IntPoly, den: IntPoly) -> tuple[int, IntPoly]:

@@ -127,11 +127,6 @@ class GapReport(Record):
     second_rate: RootInterval
     full_list: bool
 
-    @property
-    def total(self) -> int:
-        return (len(self.below_first) + len(self.equal_first)
-                + len(self.band) + len(self.at_or_above_second))
-
     def ordinal_notes(self) -> list[str]:
         notes = []
         if not self.full_list:

@@ -222,8 +222,10 @@ PROP52_BOUND = 40
 
 class Alpha0Report(Record):
     """The sweep's verdict on alpha0; bracketing holds the (family, params,
-    side) of each Table 1 tree, its side of alpha0 ('below' or 'above') as
-    read from the sweep."""
+    side) of each Table 1 tree, its side of alpha0 ('below', 'at' or 'above')
+    as read from the sweep, and at_value the (family, params) of every tree
+    whose radius equals alpha0, each of which fails the report.  Below plus
+    above equals the trees checked only when at_value is empty."""
 
     passed: bool
     alpha0: RootInterval
@@ -232,6 +234,7 @@ class Alpha0Report(Record):
     items_above: int
     monotone_families: dict
     bracketing: tuple[tuple[str, tuple[int, ...], str], ...] = ()
+    at_value: tuple[tuple[str, tuple[int, ...]], ...] = ()
 
 
 def _alpha0_interval(width: Fraction = Fraction(1, 10**13)) -> RootInterval:
@@ -268,8 +271,9 @@ def verify_alpha0_not_tree_radius(r_max: int = 25, j_max: int = 25) -> Alpha0Rep
     Every enumerated tree within the bounds is placed by two eigenvalue counts
     on the tree: above the value when one eigenvalue exceeds its interval,
     below when none exceeds the interval's lower end, and otherwise by
-    roots.compare of its radius; an equal radius (a shared root of the two
-    polynomials) raises ArithmeticError.  The facts that close the unbounded
+    roots.compare of its radius, which places an equal radius (a shared root
+    of the two polynomials) at the value: such a tree is named in at_value
+    and fails the report.  The facts that close the unbounded
     families: each Table 1 tree lies on its published side of the value, read
     from the sweep and kept as the report's bracketing (so H(2,j,3) and
     H(3,j,3) straddle it between consecutive parameters, and Star(2,4,r)
@@ -290,10 +294,9 @@ def verify_alpha0_not_tree_radius(r_max: int = 25, j_max: int = 25) -> Alpha0Rep
         side = (1 if _eigenvalue_counts(rooted, alpha0.high)[0] else
                 -1 if not _eigenvalue_counts(rooted, alpha0.low)[0] else
                 compare(_adjacency_radius(rooted, Fraction(1, 10**7)), alpha0))
-        if side == 0:
-            raise ArithmeticError(f"{item.family}{item.params} shares the target root")
-        sides[item.family, item.params] = "below" if side < 0 else "above"
-    below = sum(side == "below" for side in sides.values())
+        sides[item.family, item.params] = ("below", "at", "above")[side + 1]
+    tally = Counter(sides.values())
+    at_value = tuple(key for key, side in sides.items() if side == "at")
 
     def radius(make, params):
         return spectral_radius_adjacency(make(*params), Fraction(1, 10**7))
@@ -308,8 +311,9 @@ def verify_alpha0_not_tree_radius(r_max: int = 25, j_max: int = 25) -> Alpha0Rep
             [radius(star_diagram, (2, 3, r)) for r in range(7, 26)]),
     }
     brackets = tuple((family, params, sides[family, params]) for family, params, _, _ in TABLE1)
-    passed = all(mono.values()) and brackets == tuple((f, p, side) for f, p, _, side in TABLE1)
-    return Alpha0Report(passed, alpha0, len(sides), below, len(sides) - below, mono, brackets)
+    passed = (not at_value and all(mono.values())
+              and brackets == tuple((f, p, side) for f, p, _, side in TABLE1))
+    return Alpha0Report(passed, alpha0, len(sides), tally["below"], tally["above"], mono, brackets, at_value)
 
 
 class Prop52Report(Record):

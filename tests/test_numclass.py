@@ -28,6 +28,7 @@ from oracles import (
     reference_count,
     reference_disk_counts,
     reference_is_perron,
+    reference_squarefree_part,
     reference_strip_cyclotomic,
     reference_unit_circle_root_count,
     root_location_counts_float,
@@ -46,9 +47,20 @@ def test_unit_circle_examples():
     assert unit_circle_root_count(cyclotomic(12)) == 4
     assert unit_circle_root_count(LEHMER) == 8
     assert unit_circle_root_count(IntPoly([1, -3, 1])) == 0
-    for p in (IntPoly([1, 2, 2]), IntPoly(), IntPoly([0, 1, 1])):  # not reciprocal, zero, p(0) = 0
+    for p in (IntPoly(), IntPoly([0, 1, 1])):  # zero, p(0) = 0
         with pytest.raises(ValueError):
             unit_circle_root_count(p)
+
+
+@pytest.mark.parametrize("p, on", [
+    (IntPoly([1, 2, 2]), 0),                          # 2t^2 + 2t + 1, both roots inside
+    (IntPoly([-2, 1]) * IntPoly([1, 0, 1]), 2),       # (t - 2)(t^2 + 1)
+    (IntPoly([1, 0, 1]) ** 2 * IntPoly([-3, 1]), 2),  # (t^2 + 1)^2 (t - 3), each of +-i once
+    (IntPoly([-1, -1, 0, 1]), 0),                     # t^3 - t - 1
+    (IntPoly([1, 1]) * IntPoly([-2, 1]), 1),          # (t + 1)(t - 2)
+])
+def test_unit_circle_count_of_a_polynomial_reciprocal_in_no_sense(p, on):
+    assert unit_circle_root_count(p) == reference_disk_counts(reference_squarefree_part(p))[1] == on
 
 
 @pytest.mark.parametrize("check, p, message", [

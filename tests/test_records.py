@@ -21,7 +21,7 @@ TREE = "WeightedTree(n=2, edge_list=((0, 1, 3),))"
 CASE = "CaseReport(name='c', passed=True, details={})"
 ENTRY = f"SalemEntry(poly={P}, hint='1.41', interval={R})"
 ALPHA0 = (f"Alpha0Report(passed=True, alpha0={R}, items_checked=2, items_below=1, "
-          f"items_above=1, monotone_families={{}}, bracketing=())")
+          f"items_above=1, monotone_families={{}}, bracketing=(), at_value=())")
 
 
 def _poly():

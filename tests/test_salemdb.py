@@ -77,6 +77,8 @@ def test_rejections():
         parse_salem_line("4;1,0,-1,0,1;1.0")  # cyclotomic: no root above 1
     with pytest.raises(SalemListError):
         parse_salem_line("2;2,0,2;1.0")  # not monic
+    with pytest.raises(SalemListError, match="entry is not reciprocal"):
+        parse_salem_line("4;-1,0,0,-1,1;1.38")  # t^4 - t^3 - 1: three roots inside, none on the circle
 
 
 def test_a_degree_of_more_than_4300_digits_is_rejected_before_conversion():
@@ -105,7 +107,7 @@ def test_line_numbers_in_errors(tmp_path):
 
 def test_gap_report_mini_list():
     rep = gap_report(bundled_mini_list())
-    assert rep.total == 3
+    assert len(rep.below_first) + len(rep.equal_first) + len(rep.band) + len(rep.at_or_above_second) == 3
     assert [e.poly for e in rep.equal_first] == [LEHMER]
     assert [e.poly for e in rep.band] == [FIFTH]
     assert [e.poly for e in rep.at_or_above_second] == [MIN_38]
@@ -166,7 +168,7 @@ def test_gap_report_with_larger_list(tmp_path):
     entries = load_salem_list(_synthetic_list(tmp_path))
     assert len(entries) == 5
     rep = gap_report(entries, assume_full=True)
-    assert rep.total == 5
+    assert len(rep.below_first) + len(rep.equal_first) + len(rep.band) + len(rep.at_or_above_second) == 5
     assert [e.poly for e in rep.band] == [FIFTH]
     assert len(rep.at_or_above_second) == 3
     assert not rep.ordinal_notes()

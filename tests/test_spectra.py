@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -16,7 +17,7 @@ from coxgrowth.spectra import (
     verify_alpha0_not_tree_radius,
     weight4_leaf_replace,
 )
-from coxgrowth import roots, spectra
+from coxgrowth import cli, roots, spectra
 from coxgrowth.coxtrans import _rooted, _tree_polynomial, alpha_from_lambda
 from coxgrowth.growth import growth_rate
 from coxgrowth.spectra import _certify_increasing
@@ -316,14 +317,22 @@ def test_a_table1_tree_on_the_wrong_side_is_reported_not_raised(monkeypatch):
     assert all(rep.monotone_families.values())
 
 
-def test_a_tree_the_two_counts_leave_undecided_goes_to_compare(monkeypatch):
+def test_a_tree_the_two_counts_leave_undecided_goes_to_compare(monkeypatch, capsys):
     # no real tree reaches this branch: a target interval is planted around a radius
     own = spectral_radius_adjacency(star_diagram(2, 4, 5), Fraction(1, 10**13))
     monkeypatch.setattr(spectra, "_alpha0_interval", lambda: own)
     # Star(2,3,10), swept before Star(2,4,5), has the same radius: the two
-    # polynomials share the factor t^9 - 8t^7 + 20t^5 - 17t^3 + 3t
-    with pytest.raises(ArithmeticError, match=r"star\(2, 3, 10\) shares the target root"):
-        verify_alpha0_not_tree_radius(25, 25)
+    # polynomials share the factor t^9 - 8t^7 + 20t^5 - 17t^3 + 3t.  Both are
+    # placed at the value and fail the report, which still counts the rest.
+    rep = verify_alpha0_not_tree_radius(25, 25)
+    assert rep.passed is False
+    assert (rep.items_checked, rep.items_below, rep.items_above) == (1445, 3, 1440)
+    assert rep.at_value == (("star", (2, 3, 10)), ("star", (2, 4, 5)))
+    assert prop52_pipeline(25, 25).passed is False
+    assert cli.main(["verify", "prop52", "--json", "--no-meta"]) == 1
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload["passed"] is False
+    assert (payload["trees_checked"], payload["below_value"], payload["above_value"]) == (1445, 3, 1440)
     # the rational 2.0153161, just above that radius 2.01531606..., as a root
     c = Fraction(20153161, 10**7)
     other = RootInterval(IntPoly([-c.numerator, c.denominator]), c - Fraction(1, 10**6), c)
@@ -335,6 +344,20 @@ def test_a_tree_the_two_counts_leave_undecided_goes_to_compare(monkeypatch):
     sides = {(family, params): side for family, params, side in rep.bracketing}
     assert sides["star", (2, 4, 5)] == "below"
     assert sides["h", (2, 10, 3)] == "above"
+
+
+def test_a_tree_at_the_value_fails_the_report_with_every_bracket_right(monkeypatch):
+    # alpha0 planted as the radius of Star(2,3,7), the smallest in the sweep,
+    # with every Table 1 side set to the one the sweep reads: only the tree
+    # at the value fails the report
+    own = spectral_radius_adjacency(star_diagram(2, 3, 7), Fraction(1, 10**13))
+    monkeypatch.setattr(spectra, "_alpha0_interval", lambda: own)
+    monkeypatch.setattr(spectra, "TABLE1", tuple((f, p, r, "above") for f, p, r, _ in spectra.TABLE1))
+    rep = verify_alpha0_not_tree_radius(25, 25)
+    assert all(rep.monotone_families.values())
+    assert all(side == "above" for _, _, side in rep.bracketing)
+    assert rep.at_value == (("star", (2, 3, 7)),) and rep.passed is False
+    assert (rep.items_below, rep.items_above) == (0, 1444)
 
 
 def test_prop52_pipeline():

@@ -15,7 +15,7 @@ stdout bytes, stderr bytes and exit codes are compared, so the ``error:`` and
 usage lines of ``EXPECTED_ERRORS`` are checked too, and a command that exits
 nonzero on the base counts as a difference, unless it is in
 ``EXPECTED_ERRORS``: a command that fails on both sides checks nothing.
-The lists make 57 runs; the human-mode ones cover the ``[name]`` header, the
+The lists make 58 runs; the human-mode ones cover the ``[name]`` header, the
 ``Star(...)`` and ``H(...)`` labels of ``coxtrans`` and ``spectra --table1``,
 and the rendering of the ``verify prop52`` report and of the polygons that
 ``salem --search`` finds.
@@ -70,6 +70,7 @@ COMMANDS = [
     ["classify", "--poly", DEGREE_160],
     ["classify", "--poly", REPEATED_FACTORS],
     ["classify", f"--poly={LEHMER_ANTI}"],  # the one-token form, which every commit reads
+    ["classify", "--poly", "1,2,2,-2,-1,-1,1"],  # its top-root certificate falls back to the bisection
     ["salem", "--gap"],
     ["salem", "--gap", "--list", "src/coxgrowth/data/mini_salem_list.csv"],
     ["salem", "--search", "--target", LEHMER],
