@@ -38,7 +38,6 @@ from .roots import (
     DEFAULT_WIDTH,
     RootInterval,
     compare,
-    isolate_largest_real_root,
     largest_root_above_one,
     sturm_count,
 )
@@ -371,9 +370,13 @@ def _hyperbolic_tuples(k: int, p_max: int):
 
 def polygon_rate_compare(ps, root: RootInterval) -> int:
     """The polygon's growth rate against a root: -1 below, 0 equal, 1 above,
-    certified by roots.compare.  The rate is the largest real root of
-    polygon_delta, isolated coarsely and refined only as the comparison needs."""
-    return compare(isolate_largest_real_root(polygon_delta(*ps), Fraction(1, 10**4)), root)
+    certified by roots.compare.  The rate is delta's largest real root, read
+    coarsely by roots.largest_root_above_one on its trace polynomial and
+    refined only as the comparison needs; it is above 1, as delta = phi is
+    monic and phi(1) < 0.  A tuple that is not hyperbolic raises ValueError."""
+    if not polygon_is_hyperbolic(ps):
+        raise ValueError(f"{ps} does not satisfy the angle-sum condition")
+    return compare(largest_root_above_one(polygon_delta(*ps), Fraction(1, 10**4)), root)
 
 
 def verify_second_minimal_polygon(k_max: int = 5, p_max: int = 9) -> SecondMinimalReport:

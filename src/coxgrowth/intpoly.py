@@ -51,7 +51,7 @@ class IntPoly(Record):
         object.__setattr__(self, "coeffs", tuple(cs))
 
     # Direct rather than Record's generic pair: IntPoly equality and hashes
-    # are on hot paths (reciprocity_type, the star and growth checks).
+    # are on hot paths (the star and growth checks).
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return self.coeffs == other.coeffs

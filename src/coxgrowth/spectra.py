@@ -7,8 +7,10 @@ non-realization pipeline for the smallest tetrahedral growth rate.
 
 Trees are rooted through coxtrans._weight3_rooted, the one check that every
 weight is 3.  The counts follow Jacobs-Trevisan, "Locating the eigenvalues
-of trees", Linear Algebra Appl. 434 (2011), and _adjacency_radius bisects by
-them.  Bounds above PROP52_BOUND raise ValueError before any tree is built.
+of trees", Linear Algebra Appl. 434 (2011): _adjacency_radius bisects by
+them, and place puts a tree's radius below, at or above a root interval, as
+the non-realization sweep does for every tree.  Bounds above PROP52_BOUND
+raise ValueError before any tree is built.
 """
 
 from __future__ import annotations
@@ -93,6 +95,23 @@ def _adjacency_radius(rooted: list, width: Fraction) -> RootInterval:
         else:
             hi = mid
     return RootInterval(chi, lo, hi, multiplicity_free=True)
+
+
+def place(tree: WeightedTree, iv: RootInterval) -> int:
+    """The adjacency radius of a weight-3 tree against the root of iv: -1
+    below, 0 equal, 1 above.  Two eigenvalue counts decide most trees: above
+    when an eigenvalue exceeds iv.high, below when none exceeds iv.low, and
+    equal when none does and iv is a point with an eigenvalue at it.  A
+    radius in (iv.low, iv.high] goes to roots.compare, which decides equality
+    by algebra.  It takes a tree, as its callers hold trees; a weight other
+    than 3 raises DiagramError."""
+    rooted = _weight3_rooted(tree)
+    if _eigenvalue_counts(rooted, iv.high)[0]:
+        return 1
+    above, at = _eigenvalue_counts(rooted, iv.low)
+    if not above:
+        return 0 if at and iv.low == iv.high else -1
+    return compare(_adjacency_radius(rooted, Fraction(1, 10**7)), iv)
 
 
 # -- the small-spectral-radius tree families -----------------------------------------
@@ -258,57 +277,43 @@ def _tetrahedral_353_growth():
     return steinberg_growth(CoxeterDiagram(4, {(0, 1): 3, (1, 2): 5, (2, 3): 3}))
 
 
-def _certify_increasing(radii) -> bool:
-    """Whether the root intervals are certified strictly increasing, in the
-    order given; False at the first step where they are not."""
-    return all(compare(a, b) < 0 for a, b in zip(radii, radii[1:]))
+def _increasing(make, params) -> bool:
+    """Whether the adjacency radii of make(*p), p over params, are certified
+    strictly increasing in that order: each tree is placed against the
+    radius of the one before it; False at the first step where it is not above."""
+    trees = [make(*p) for p in params]
+    return all(place(b, spectral_radius_adjacency(a, Fraction(1, 10**7))) == 1 for a, b in zip(trees, trees[1:]))
 
 
 def verify_alpha0_not_tree_radius(r_max: int = 25, j_max: int = 25) -> Alpha0Report:
     """Certify that no tree in the small-radius classification attains the
     transferred tetrahedral value.
 
-    Every enumerated tree within the bounds is placed by two eigenvalue counts
-    on the tree: above the value when one eigenvalue exceeds its interval,
-    below when none exceeds the interval's lower end, and otherwise by
-    roots.compare of its radius, which places an equal radius (a shared root
-    of the two polynomials) at the value: such a tree is named in at_value
-    and fails the report.  The facts that close the unbounded
-    families: each Table 1 tree lies on its published side of the value, read
-    from the sweep and kept as the report's bracketing (so H(2,j,3) and
-    H(3,j,3) straddle it between consecutive parameters, and Star(2,4,r)
-    between r = 5 and 6), and the radii of H(2,j,3) (to j = 30, past the
-    bounds), H(3,j,3) and Star(2,3,r) are certified monotone.  Parameters beyond the enumeration bounds are covered
-    by those certified monotone brackets (a cited extrapolation, flagged in
-    the report).  Bounds below 25 or above PROP52_BOUND raise ValueError
-    before any tree is built.
+    Every enumerated tree within the bounds is placed against the value by
+    place; one at the value is named in at_value and fails the report.  The
+    unbounded families are closed by the Table 1 trees, each on its published
+    side of the value as read from the sweep and kept as the report's
+    bracketing (so H(2,j,3) and H(3,j,3) straddle it between consecutive
+    parameters, and Star(2,4,r) between r = 5 and 6), and by the radii of
+    H(2,j,3) for j <= 30, H(3,j,3) and Star(2,3,r), certified monotone by
+    _increasing: a cited extrapolation past the bounds, flagged in the
+    report.  Bounds below 25 or above PROP52_BOUND raise ValueError before
+    any tree is built.
     """
     if r_max < 25 or j_max < 25:
         raise ValueError("bounds must cover at least r_max=25, j_max=25")
     if max(r_max, j_max) > PROP52_BOUND:
         raise ValueError(f"bounds must be at most r_max={PROP52_BOUND}, j_max={PROP52_BOUND}")
     alpha0 = _alpha0_interval()
-    sides = {}  # (family, params) -> side of alpha0
-    for item in brouwer_neumaier_enumerate(r_max, j_max):
-        rooted = _weight3_rooted(item.tree)
-        side = (1 if _eigenvalue_counts(rooted, alpha0.high)[0] else
-                -1 if not _eigenvalue_counts(rooted, alpha0.low)[0] else
-                compare(_adjacency_radius(rooted, Fraction(1, 10**7)), alpha0))
-        sides[item.family, item.params] = ("below", "at", "above")[side + 1]
+    sides = {(item.family, item.params): ("below", "at", "above")[place(item.tree, alpha0) + 1]
+             for item in brouwer_neumaier_enumerate(r_max, j_max)}
     tally = Counter(sides.values())
     at_value = tuple(key for key, side in sides.items() if side == "at")
-
-    def radius(make, params):
-        return spectral_radius_adjacency(make(*params), Fraction(1, 10**7))
-
     # certified monotone brackets for the unbounded families
     mono = {
-        "H(2,j,3) decreasing to j<=30": _certify_increasing(
-            [radius(h_graph, (2, j, 3)) for j in range(30, 0, -1)]),
-        "H(3,j,3) decreasing on 4..25": _certify_increasing(
-            [radius(h_graph, (3, j, 3)) for j in range(25, 3, -1)]),
-        "Star(2,3,r) increasing on 7..25": _certify_increasing(
-            [radius(star_diagram, (2, 3, r)) for r in range(7, 26)]),
+        "H(2,j,3) decreasing to j<=30": _increasing(h_graph, [(2, j, 3) for j in range(30, 0, -1)]),
+        "H(3,j,3) decreasing on 4..25": _increasing(h_graph, [(3, j, 3) for j in range(25, 3, -1)]),
+        "Star(2,3,r) increasing on 7..25": _increasing(star_diagram, [(2, 3, r) for r in range(7, 26)]),
     }
     brackets = tuple((family, params, sides[family, params]) for family, params, _, _ in TABLE1)
     passed = (not at_value and all(mono.values())

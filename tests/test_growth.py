@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coxgrowth import diagram, growth
+from coxgrowth import diagram, growth, roots
 from coxgrowth.diagram import (
     INF,
     CoxeterDiagram,
@@ -21,12 +21,14 @@ from coxgrowth.diagram import (
 from coxgrowth.growth import (
     GrowthFunction,
     NotExponentialError,
+    _hyperbolic_tuples,
     _reduced_growth,
     growth_rate,
     help_numerator,
     monotonicity_check,
     polygon_delta,
     polygon_growth,
+    polygon_rate_compare,
     positive_on,
     series_coefficients,
     steinberg_growth,
@@ -34,6 +36,7 @@ from coxgrowth.growth import (
 )
 from coxgrowth.intpoly import IntPoly, _signed_digits, bracket, cyclotomic, exact_div, parse_poly
 from coxgrowth.numclass import strip_cyclotomic
+from coxgrowth.roots import compare, isolate_largest_real_root
 from coxgrowth.diagram import finite_type_recognize
 from coxgrowth.spectra import adjacency_char_poly
 
@@ -825,3 +828,36 @@ def test_second_minimal_report():
 def test_second_minimal_rejects_small_bounds():
     with pytest.raises(ValueError):
         verify_second_minimal_polygon(4, 9)
+
+
+@pytest.mark.parametrize("ps", [(2, 3, 6), (2, 2, 2, 2)])
+def test_polygon_rate_compare_rejects_a_tuple_that_is_not_hyperbolic(ps):
+    # Euclidean: delta has no root above 1, so there is no rate to compare
+    with pytest.raises(ValueError) as expected:
+        polygon_growth(*ps)
+    with pytest.raises(ValueError) as raised:
+        polygon_rate_compare(ps, growth_rate(polygon_growth(2, 3, 8)))
+    assert str(raised.value) == str(expected.value)
+
+
+def test_polygon_rates_are_read_by_the_trace_certificate_with_no_shift(monkeypatch):
+    # every tuple of the default second-minimal sweep is on the side of the
+    # (2,3,8) rate that delta's largest root, isolated on delta itself, is on
+    tau = growth_rate(polygon_growth(2, 3, 8))
+    tuples = [ps for k in range(3, 6) for ps in _hyperbolic_tuples(k, 9) if ps not in ((2, 3, 7), (2, 3, 8))]
+    assert len(tuples) == 1225
+    expected = [compare(isolate_largest_real_root(polygon_delta(*ps), Fraction(1, 10**4)), tau) for ps in tuples]
+    shifted = roots._shifted
+
+    def refused(f, a):
+        raise AssertionError("Taylor shift")
+
+    monkeypatch.setattr(roots, "_shifted", refused)
+    assert [polygon_rate_compare(ps, tau) for ps in tuples] == expected
+    # the whole check shifts only in the Sturm counts of its five positive_on
+    # certificates, whatever the bounds of its sweep
+    for bounds in ((5, 9), (6, 12)):
+        points = []
+        monkeypatch.setattr(roots, "_shifted", lambda f, a: points.append(a) or shifted(f, a))
+        assert verify_second_minimal_polygon(*bounds).passed
+        assert len(points) == 5

@@ -12,6 +12,7 @@ from coxgrowth.roots import RootInterval, compare, isolate_largest_real_root
 from coxgrowth.spectra import (
     adjacency_char_poly,
     brouwer_neumaier_enumerate,
+    place,
     prop52_pipeline,
     spectral_radius_adjacency,
     verify_alpha0_not_tree_radius,
@@ -20,7 +21,7 @@ from coxgrowth.spectra import (
 from coxgrowth import cli, roots, spectra
 from coxgrowth.coxtrans import _rooted, _tree_polynomial, alpha_from_lambda
 from coxgrowth.growth import growth_rate
-from coxgrowth.spectra import _certify_increasing
+from coxgrowth.spectra import _increasing
 
 from oracles import (
     _reference_bound,
@@ -234,17 +235,38 @@ def test_subgraph_monotonicity():
         assert small.low <= big.high + Fraction(1, 10**9)
 
 
-def _h2j3_radii(js):
-    return [spectral_radius_adjacency(h_graph(2, j, 3), Fraction(1, 10**7)) for j in js]
-
-
 def test_h2j3_monotone():
     # the H(2,j,3) radius strictly decreases in j, so it increases along j = 30..1
-    assert _certify_increasing(_h2j3_radii(range(30, 0, -1)))
+    assert _increasing(h_graph, [(2, j, 3) for j in range(30, 0, -1)])
 
 
 def test_a_family_that_does_not_increase_is_reported_not_raised():
-    assert _certify_increasing(_h2j3_radii(range(1, 10))) is False
+    assert _increasing(h_graph, [(2, j, 3) for j in range(1, 10)]) is False
+
+
+def _point(x):
+    return RootInterval(IntPoly([-x, 1]), Fraction(x), Fraction(x))
+
+
+@pytest.mark.parametrize("tree,iv,side", [(path_tree(2), _point(1), 0)]
+                         + [(star_diagram(*ps), _point(2), 0) for ps in [(2, 2, 2, 2), (3, 3, 3), (2, 4, 4), (2, 3, 6)]]
+                         + [(star_diagram(2, 3, 7), _point(2), 1), (path_tree(3), _point(2), -1)]
+                         + [(path_tree(2), RootInterval(IntPoly([-2, 0, 1]), Fraction(1), Fraction(2)), -1)])
+def test_place_at_a_point_and_at_a_lower_end(tree, iv, side):
+    # Path:2 has radius 1, and affine D4, E6, E7 and E8 have radius exactly 2:
+    # no eigenvalue exceeds the point, so only the count at it tells 0 from -1;
+    # a radius at the lower end of (1, 2], around sqrt 2, is below its root
+    assert place(tree, iv) == side
+
+
+@pytest.mark.parametrize("family,params,side", [(f, p, side) for f, p, _, side in spectra.TABLE1])
+def test_place_puts_each_table1_tree_on_its_published_side(family, params, side):
+    assert place(_build(family, params), spectra._alpha0_interval()) == {"below": -1, "above": 1}[side]
+
+
+def test_place_rejects_a_weight_other_than_3():
+    with pytest.raises(DiagramError):
+        place(WeightedTree(3, [(0, 1, 3), (1, 2, 4)]), _point(2))
 
 
 def test_weight4_leaf_replace_path():

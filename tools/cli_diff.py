@@ -15,7 +15,7 @@ stdout bytes, stderr bytes and exit codes are compared, so the ``error:`` and
 usage lines of ``EXPECTED_ERRORS`` are checked too, and a command that exits
 nonzero on the base counts as a difference, unless it is in
 ``EXPECTED_ERRORS``: a command that fails on both sides checks nothing.
-The lists make 58 runs; the human-mode ones cover the ``[name]`` header, the
+The lists make 60 runs; the human-mode ones cover the ``[name]`` header, the
 ``Star(...)`` and ``H(...)`` labels of ``coxtrans`` and ``spectra --table1``,
 and the rendering of the ``verify prop52`` report and of the polygons that
 ``salem --search`` finds.
@@ -56,6 +56,7 @@ COMMANDS = [
     ["verify", "prop52", "--rmax", "40", "--jmax", "40"],
     ["verify", "delta-phi", "--max-k", "6", "--max-p", "12"],
     ["verify", "theorem2", "--max-k", "6", "--max-p", "12"],
+    ["verify", "second-minimal", "--max-k", "6", "--max-p", "12"],
     ["coxtrans", "--hgraph", "2,8,3"],
     ["coxtrans", "--tree", "Star:2,3,8"],  # phi palindromic of odd degree
     ["coxtrans", "--tree", "Star:2,3,300"],
@@ -74,6 +75,7 @@ COMMANDS = [
     ["salem", "--gap"],
     ["salem", "--gap", "--list", "src/coxgrowth/data/mini_salem_list.csv"],
     ["salem", "--search", "--target", LEHMER],
+    ["salem", "--search", "--target", LEHMER, "--max-k", "6", "--max-p", "12"],
 ]
 
 # Commands that must fail, with the same stdout, stderr and exit code on both sides
