@@ -5,8 +5,9 @@ domination order.
 Vertices are 0-based internally; the text file format uses 1-based indices.
 The infinite edge weight INF = math.inf orders above every integer weight, so
 weights compare with plain <=, and it prints as inf.  WeightedTree runs
-rooted(), the one walk of a tree, as its connectivity check.  The parsers
-count a number's digits before converting it (intpoly._digits_value).
+rooted(), the one walk of a tree, as its connectivity check; builder trees,
+connected by construction, skip it (_built).  The parsers count a number's
+digits before converting it (intpoly._digits_value).
 """
 
 from __future__ import annotations
@@ -311,6 +312,17 @@ def _arm(edges: list, start: int, length: int, nxt: int, weight: Weight) -> int:
     return nxt + length
 
 
+def _built(n: int, edges: list) -> WeightedTree:
+    """WeightedTree(n, edges) checking only that n is an int, for star_diagram
+    and h_graph: every label comes from range in _arm, every edge joins a new
+    vertex to an older one (n - 1 distinct edges, connected), every weight is 3."""
+    if not isinstance(n, int):
+        raise DiagramError(f"vertex count must be an integer, got {n!r}")
+    tree = object.__new__(WeightedTree)
+    tree.__dict__.update(n=n, edge_list=tuple(edges))  # as copy and pickle restore a Record
+    return tree
+
+
 def path_tree(n: int, weight: Weight = 3) -> WeightedTree:
     if n < 1:
         raise DiagramError("path needs at least one vertex")
@@ -329,7 +341,7 @@ def star_diagram(*ps: int) -> WeightedTree:
     nxt = 1
     for p in ps:
         nxt = _arm(edges, 0, p - 1, nxt, 3)
-    return WeightedTree(n, edges)
+    return _built(n, edges)
 
 
 def _star_size(ps) -> int:
@@ -358,7 +370,7 @@ def h_graph(i: int, j: int, k: int) -> WeightedTree:
     v2 = nxt - 1
     nxt = _arm(edges, v2, 1, nxt, 3)  # its pendant
     nxt = _arm(edges, v2, k - 1, nxt, 3)  # its long arm
-    return WeightedTree(nxt, edges)
+    return _built(nxt, edges)
 
 
 # -- spherical classification -----------------------------------------------------------

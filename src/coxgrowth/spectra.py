@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 
 from .diagram import CoxeterDiagram, DiagramError, WeightedTree, h_graph, star_diagram
 from .intpoly import IntPoly
@@ -232,10 +233,9 @@ TABLE1 = (
     ("h", (3, 21, 3), "2.0224205", "below"),
 )
 
-# The largest r_max or j_max that the non-realization sweep accepts.  The
-# classification grows as about r_max^2 + j_max^3 trees: on a 2-CPU host
-# prop52_pipeline(b, b) takes 0.3 s at b = 25 (1445 trees), 0.8 s at 35,
-# 1.4 s at 40 (5642 trees) and 3.5 s at 50 (10867 trees).
+# The largest r_max or j_max that the non-realization sweep accepts.  Its trees
+# grow as about r_max^2 + j_max^3: on a 2-CPU host prop52_pipeline(b, b) takes
+# 0.15 s at b = 25 (1445 trees), 0.54 s at 35, 0.96 s at 40 (5642) and 2.7 s at 50 (10867).
 PROP52_BOUND = 40
 
 
@@ -267,12 +267,12 @@ def _alpha0_interval(width: Fraction = Fraction(1, 10**13)) -> RootInterval:
     core, _ = strip_cyclotomic(f.denominator)
     apoly = alpha_from_lambda(core)
     lo, hi = alpha_from_lambda(lam, width / 2)
-    iv = RootInterval(apoly, lo, hi)
     if sturm_count(apoly, lo, hi) != 1:
         raise ArithmeticError("transfer interval does not isolate a root")
-    return iv.refined(width)
+    return RootInterval(apoly, lo, hi).refined(width)
 
 
+@cache  # a Record, immutable, so the sweep and the pipeline share one series
 def _tetrahedral_353_growth():
     return steinberg_growth(CoxeterDiagram(4, {(0, 1): 3, (1, 2): 5, (2, 3): 3}))
 

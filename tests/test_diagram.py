@@ -27,6 +27,7 @@ from coxgrowth.diagram import (
 )
 from coxgrowth import diagram
 from coxgrowth.growth import STEINBERG_RANK_BOUND, steinberg_growth
+from coxgrowth.spectra import brouwer_neumaier_enumerate
 
 from oracles import (
     dihedral_order,
@@ -260,6 +261,58 @@ def _assert_rooted(tree):
                                   h_graph(2, 8, 3), h_graph(3, 1, 2)])
 def test_rooted_walk_of_the_builder_trees(tree):
     _assert_rooted(tree)
+
+
+def _builder_trees():
+    for item in brouwer_neumaier_enumerate(40, 40):
+        yield item.tree
+    for arms in range(1, 7):
+        for ps in itertools.combinations_with_replacement(range(2, 13), arms):
+            yield star_diagram(*ps)
+    for i, j, k in itertools.product(range(2, 9), range(1, 13), range(2, 9)):
+        yield h_graph(i, j, k)
+    yield star_diagram(*[2] * 1199)
+
+
+def test_builder_trees_pass_every_check_of_the_constructor():
+    # star_diagram and h_graph skip WeightedTree's checks; each of their
+    # trees must be the one the checked constructor makes, and walk whole
+    for tree in _builder_trees():
+        assert WeightedTree(tree.n, tree.edge_list) == tree
+        _assert_rooted(tree)
+
+
+class I:
+    """An int-like number that is not an int."""
+
+    def __init__(self, v):
+        self.v = v
+
+    def __index__(self):
+        return self.v
+
+    __int__ = __index__
+
+    def __add__(self, other):
+        return I(self.v + int(other))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return I(self.v - int(other))
+
+    def __lt__(self, other):
+        return self.v < int(other)
+
+    def __repr__(self):
+        return f"I({self.v})"
+
+
+@pytest.mark.parametrize("build", [lambda: star_diagram(I(2), 3, 7), lambda: h_graph(2, I(3), 2)],
+                         ids=["star_diagram", "h_graph"])
+def test_builders_reject_a_vertex_count_that_is_not_an_int(build):
+    with pytest.raises(DiagramError, match=r"vertex count must be an integer, got I\("):
+        build()
 
 
 def test_rooted_walk_of_random_trees():

@@ -330,6 +330,15 @@ def test_alpha0_is_the_resultants_root(width):
     assert alpha0.poly == alpha_from_lambda(core) and alpha0.poly.degree == core.degree
 
 
+def test_the_pipeline_builds_the_353_series_once(monkeypatch):
+    calls = []
+    steinberg = spectra.steinberg_growth
+    monkeypatch.setattr(spectra, "steinberg_growth", lambda d: calls.append(d) or steinberg(d))
+    spectra._tetrahedral_353_growth.cache_clear()
+    assert prop52_pipeline(25, 25).passed
+    assert len(calls) == 1
+
+
 def test_a_table1_tree_on_the_wrong_side_is_reported_not_raised(monkeypatch):
     wrong = [(f, p, r, "above" if (f, p) == ("star", (2, 4, 5)) else side)
              for f, p, r, side in spectra.TABLE1]

@@ -15,7 +15,7 @@ stdout bytes, stderr bytes and exit codes are compared, so the ``error:`` and
 usage lines of ``EXPECTED_ERRORS`` are checked too, and a command that exits
 nonzero on the base counts as a difference, unless it is in
 ``EXPECTED_ERRORS``: a command that fails on both sides checks nothing.
-The lists make 60 runs; the human-mode ones cover the ``[name]`` header, the
+The lists make 62 runs; the human-mode ones cover the ``[name]`` header, the
 ``Star(...)`` and ``H(...)`` labels of ``coxtrans`` and ``spectra --table1``,
 and the rendering of the ``verify prop52`` report and of the polygons that
 ``salem --search`` finds.
@@ -87,6 +87,8 @@ EXPECTED_ERRORS = [
     ["coxtrans", "--hgraph", "2,1191,7"],  # 1201 vertices, above the tree vertex bound
     ["growth", "--symbol", "[3,4.0]"],  # a weight that is not an integer
     ["salem", "--search"],  # a search with no target
+    ["spectra", "--tree", "Star:1,3"],  # a star parameter below 2, refused by star_diagram itself
+    ["coxtrans", "--hgraph", "2,0,3"],  # an interior path of length 0, refused by h_graph itself
 ]
 
 # Diagram files for growth --file, by name: affine E8 (the star with arms of
